@@ -234,7 +234,8 @@ def _validate_method(raw, idx, shared, errors):
     return MethodSpec(name=name, method=method, tau=tau, total_time=total_time,
                       iterations=iterations, burn_in=burn_in, jacobian_kind=jacobian or "J0",
                       jacobian_source=source, jacobian_h_fd=h_fd, delta=delta,
-                      max_fpi=max_fpi, dd_guard=dd_guard, init_mode=init_mode)
+                      max_fpi=max_fpi, dd_guard=dd_guard, init_mode=init_mode,
+                      initial_state=initial_state)
 
 
 def validate_spec(text: str) -> ExperimentSpec:

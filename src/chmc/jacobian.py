@@ -38,8 +38,9 @@ class JacobianMode:
 
     ``derivative_source`` is ignored for J0. The finite-difference source uses
     forward differences of the force with step h_fd * max(1, |component|) and
-    works for any target; the analytic source requires the target to provide
-    force-Jacobian diagonals (separable targets) or full matrices.
+    works for any target: it costs 3 force evaluations per step on separable
+    targets and 2d + 1 otherwise. The analytic source requires the target to
+    provide force-Jacobian diagonals (separable targets) or full matrices.
     """
 
     kind: str
@@ -76,6 +77,12 @@ class StepJacobian:
     extra_force_evals: int
 
 
+def _is_separable(potential) -> bool:
+    """True when the target declares a diagonal force Jacobian (see Potential)."""
+    return (potential.closed_form_force_jacobian is None
+            and potential.closed_form_force_jacobian_diag is not None)
+
+
 def force_jacobians(
     Q: np.ndarray,
     q: np.ndarray,
@@ -88,10 +95,12 @@ def force_jacobians(
     """Jacobians of the force with respect to q and Q.
 
     Returns (d_q F, d_Q F, n_force_evaluations): full d x d matrices, or just
-    their diagonals when ``diagonal_only``. The finite-difference source
-    perturbs one component at a time (forward differences, 2d + 1 force
-    evaluations); callers should hand in well-separated (Q, q) pairs, which a
-    converged step provides.
+    their diagonals when ``diagonal_only``. The finite-difference source uses
+    forward differences. On a separable target F_i depends only on
+    (Q_i, q_i), so one perturbation of all components at once recovers each
+    diagonal (3 force evaluations); other targets perturb one component at a
+    time (2d + 1 force evaluations). Callers should hand in well-separated
+    (Q, q) pairs, which a converged step provides.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -102,17 +111,29 @@ def force_jacobians(
                 raise ValueError("target provides no analytic force-Jacobian diagonals")
             d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
             return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
+        if _is_separable(potential):
+            d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
+            return np.diag(d_q), np.diag(d_Q), 0
         if potential.closed_form_force_jacobian is not None:
             d_q, d_Q = potential.closed_form_force_jacobian(Q, q)
             return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
-        if potential.closed_form_force_jacobian_diag is not None:
-            # separable target: the true Jacobians are the diagonal embeddings
-            d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
-            return np.diag(d_q), np.diag(d_Q), 0
         raise ValueError("target provides no analytic force Jacobians")
 
     f0, _ = force_and_evals(Q, q, potential, dd_guard)
     f0 = np.asarray(f0, dtype=float)
+    if _is_separable(potential):
+        # one-colour column compression (Curtis, Powell & Reid 1974): the
+        # same quotients the per-component loop forms on its diagonal
+        hq = h_fd * np.maximum(1.0, np.abs(q))
+        fq, _ = force_and_evals(Q, q + hq, potential, dd_guard)
+        d_q = (np.asarray(fq) - f0) / hq
+        hQ = h_fd * np.maximum(1.0, np.abs(Q))
+        fQ, _ = force_and_evals(Q + hQ, q, potential, dd_guard)
+        d_Q = (np.asarray(fQ) - f0) / hQ
+        if diagonal_only:
+            return d_q, d_Q, 3
+        return np.diag(d_q), np.diag(d_Q), 3
+
     d_qF = np.empty((d, d))
     d_QF = np.empty((d, d))
     n_evals = 1
@@ -198,12 +219,7 @@ def step_jacobian(
         return StepJacobian(1.0 + c * trace, mode, n)
 
     # JFull: diagonal targets with analytic diagonals stay O(d)
-    if (
-        mode.derivative_source == "analytic"
-        and mass.is_diagonal
-        and potential.closed_form_force_jacobian is None
-        and potential.closed_form_force_jacobian_diag is not None
-    ):
+    if mode.derivative_source == "analytic" and mass.is_diagonal and _is_separable(potential):
         d_q, d_Q, n = force_jacobians(
             Q, q, potential, "analytic", mode.h_fd, dd_guard, diagonal_only=True
         )

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,8 @@ class MassMatrix:
 
     The triangular factor and the explicit inverse are computed once at
     construction; per-step code only applies them, never refactorizes.
-    Kinds: 'identity', 'diagonal', 'dense'.
+    Kinds: 'identity', 'diagonal', 'dense'. Only the dense kind needs scipy,
+    which is imported there so that ``import chmc`` does not load it.
     """
 
     def __init__(self, kind: str, dim: int, *, diag=None, matrix=None):
@@ -88,7 +88,7 @@ class MassMatrix:
             except np.linalg.LinAlgError as exc:
                 raise ValueError("dense mass matrix is not positive definite") from exc
             self._matrix = m
-            self._inverse = cho_solve((self._chol, True), np.eye(self.dim))
+            self._inverse = self._solve(np.eye(self.dim))
             for a in (self._matrix, self._chol, self._inverse):
                 a.setflags(write=False)
         else:
@@ -107,6 +107,12 @@ class MassMatrix:
     def dense(cls, matrix) -> "MassMatrix":
         matrix = np.asarray(matrix, dtype=float)
         return cls("dense", matrix.shape[0], matrix=matrix)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """M^-1 @ b through the Cholesky factor (dense kind only)."""
+        from scipy.linalg import cho_solve
+
+        return cho_solve((self._chol, True), b)
 
     @property
     def is_diagonal(self) -> bool:
@@ -127,7 +133,7 @@ class MassMatrix:
             return np.asarray(v, dtype=float)
         if self.kind == "diagonal":
             return self._inv_diag * v
-        return cho_solve((self._chol, True), v)
+        return self._solve(v)
 
     def inverse_apply_explicit(self, v: np.ndarray) -> np.ndarray:
         """M^-1 @ v through the precomputed inverse; independent check path."""
@@ -149,7 +155,7 @@ class MassMatrix:
             return np.asarray(a, dtype=float)
         if self.kind == "diagonal":
             return self._inv_diag[:, None] * a
-        return cho_solve((self._chol, True), a)
+        return self._solve(a)
 
     def kinetic(self, p: np.ndarray) -> float:
         """K(p) = p^T M^-1 p / 2."""

@@ -9,7 +9,6 @@ black-box targets fully supported through divided differences alone.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 
 class Potential:
@@ -22,6 +21,12 @@ class Potential:
       componentwise two-path difference quotient of U evaluated in closed form.
     - ``closed_form_force_jacobian_diag(Q, q)``: (diag dF/dq, diag dF/dQ).
     - ``closed_form_force_jacobian(Q, q)``: full (dF/dq, dF/dQ) matrices.
+
+    Defining ``closed_form_force_jacobian_diag`` without
+    ``closed_form_force_jacobian`` declares the target separable: F_i depends
+    only on (Q_i, q_i), so both force Jacobians are diagonal. The analytic
+    Jacobian path embeds the diagonals, and the finite-difference path
+    perturbs all components at once, so the declaration must hold.
     """
 
     gradient = None
@@ -123,6 +128,8 @@ def quartic_target_variance() -> float:
     """Per-component variance of the density proportional to exp(-q^4).
 
     Substituting u = q^4 reduces both moments to gamma integrals, giving
-    Gamma(3/4)/Gamma(1/4) exactly (about 0.3379894).
+    Gamma(3/4)/Gamma(1/4) exactly (about 0.3379891). The literal is the
+    double that scipy.special.gamma gives for that ratio; math.gamma is one
+    ulp off.
     """
-    return float(_gamma(0.75) / _gamma(0.25))
+    return 0.3379891200336423

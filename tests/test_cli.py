@@ -84,6 +84,18 @@ methods: []
             validate_spec(text + "\ncovariance_mode: full\n")
         assert any("covariance_mode" in e for e in err.value.errors)
 
+    def test_initial_state_reaches_sampler_and_meta(self, tmp_path):
+        out = tmp_path / "run"
+        text = MINIMAL.format(chains=1, iterations=1, out=out).replace(
+            "delta: 1.0e-8}", "delta: 1.0e-8, initial_state: zeros}")
+        spec = validate_spec(text)
+        for method in spec.methods:
+            assert method.initial_state == "zeros"
+            assert method.sampler_config(seed=0).initial_state_mode == "zeros"
+        run_experiment(spec)
+        meta = json.loads((out / "meta.json").read_text())
+        assert [m["initial_state"] for m in meta["spec"]["methods"]] == ["zeros", "zeros"]
+
     def test_duplicate_method_names(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace("chmc-j0", "hmc-lf")
         with pytest.raises(ConfigError) as err:

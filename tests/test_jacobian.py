@@ -19,6 +19,12 @@ from chmc import (
 from chmc.phase import negate_momentum
 
 
+class PerComponentQuartic(QuarticGeneralizedGaussian):
+    """The quartic without its separability declaration: probes go one by one."""
+
+    closed_form_force_jacobian_diag = None
+
+
 class TestForceJacobians:
     def test_quartic_analytic_values(self):
         t = QuarticGeneralizedGaussian(1)
@@ -44,7 +50,7 @@ class TestForceJacobians:
             Q = q + rng.uniform(0.05, 1.0, 3) * rng.choice([-1, 1], 3)
             a_q, a_Q, _ = force_jacobians(Q, q, t, "analytic")
             f_q, f_Q, n = force_jacobians(Q, q, t, "finite-difference")
-            assert n == 7  # 2d + 1
+            assert n == 3  # separable target: compressed probes
             np.testing.assert_allclose(f_q, a_q, rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(f_Q, a_Q, rtol=1e-5, atol=1e-5)
 
@@ -53,6 +59,24 @@ class TestForceJacobians:
         d_q, d_Q, _ = force_jacobians(np.array([1.0, 2.0]), np.array([0.5, 1.5]), t,
                                       "finite-difference", diagonal_only=True)
         assert d_q.shape == (2,) and d_Q.shape == (2,)
+
+    @pytest.mark.parametrize("diagonal_only", [True, False])
+    def test_compressed_probes_match_per_component_loop(self, diagonal_only):
+        rng = np.random.default_rng(47)
+        t = QuarticGeneralizedGaussian(5)
+        loop = PerComponentQuartic(5)
+        for _ in range(20):
+            q = rng.uniform(-2, 2, 5)
+            Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
+            c_q, c_Q, n_c = force_jacobians(Q, q, t, diagonal_only=diagonal_only)
+            l_q, l_Q, n_l = force_jacobians(Q, q, loop, diagonal_only=diagonal_only)
+            assert np.array_equal(c_q, l_q) and np.array_equal(c_Q, l_Q)
+            assert (n_c, n_l) == (3, 11)
+
+    def test_non_separable_target_keeps_per_component_loop(self):
+        t = MultivariateGaussian([0.0, 0.0, 0.0], np.diag([1.0, 2.0, 0.5]))
+        _, _, n = force_jacobians(np.array([1.0, 0.5, -0.3]), np.array([0.2, -0.1, 0.4]), t)
+        assert n == 7  # 2d + 1
 
     def test_analytic_unavailable_raises(self):
         class BlackBox(QuarticGeneralizedGaussian):
@@ -108,6 +132,19 @@ class TestStepJacobian:
         dense = np.linalg.det(np.eye(3) + 0.0025 * np.diag(d_q)) / np.linalg.det(
             np.eye(3) + 0.0025 * np.diag(d_Q))
         assert fast.value == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [JacobianMode.j1(), JacobianMode.jfull()])
+    def test_finite_difference_factor_same_on_both_probe_routes(self, mode):
+        rng = np.random.default_rng(48)
+        t, loop = QuarticGeneralizedGaussian(5), PerComponentQuartic(5)
+        mass = MassMatrix.identity(5)
+        for _ in range(20):
+            q = rng.uniform(-2, 2, 5)
+            Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
+            compressed = step_jacobian(Q, q, 0.1, mass, mode, t)
+            per_component = step_jacobian(Q, q, 0.1, mass, mode, loop)
+            assert compressed.value == per_component.value
+            assert (compressed.extra_force_evals, per_component.extra_force_evals) == (3, 11)
 
     def test_diagonal_mass_scales_trace(self):
         t = QuarticGeneralizedGaussian(2)

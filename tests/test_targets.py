@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma
 
+import chmc
 from chmc import (
     MultivariateGaussian,
     QuarticGeneralizedGaussian,
@@ -173,3 +179,16 @@ class TestQuarticVariance:
 
     def test_value_digits(self):
         assert quartic_target_variance() == pytest.approx(0.33798912003364, abs=1e-13)
+
+    def test_literal_is_the_gamma_ratio_bit_for_bit(self):
+        assert quartic_target_variance() == float(gamma(0.75) / gamma(0.25))
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmc.__file__)))
+    code = ("import sys, chmc, chmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
