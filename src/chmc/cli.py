@@ -466,6 +466,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
         "conventions": {
             "mean_energy_error": "mean |delta H| of the proposal over all iterations, accepted or not",
             "mean_force_evals": "integrator force evaluations / (iterations * n_steps); "
+                                "leapfrog reuses each step's end gradient for the next "
+                                "step, so it makes n_steps + 1 per trajectory; "
                                 "Jacobian finite-difference probes are not included",
             "covariance_error": "l-infinity deviation of the sample covariance from the target; "
                                 "diagonal entries only in diagonal mode",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .integrators import force_and_evals
 from .phase import MassMatrix
+from .targets import is_separable
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +78,6 @@ class StepJacobian:
     extra_force_evals: int
 
 
-def _is_separable(potential) -> bool:
-    """True when the target declares a diagonal force Jacobian (see Potential)."""
-    return (potential.closed_form_force_jacobian is None
-            and potential.closed_form_force_jacobian_diag is not None)
-
-
 def force_jacobians(
     Q: np.ndarray,
     q: np.ndarray,
@@ -111,7 +106,7 @@ def force_jacobians(
                 raise ValueError("target provides no analytic force-Jacobian diagonals")
             d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
             return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
-        if _is_separable(potential):
+        if is_separable(potential):
             d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
             return np.diag(d_q), np.diag(d_Q), 0
         if potential.closed_form_force_jacobian is not None:
@@ -121,7 +116,7 @@ def force_jacobians(
 
     f0, _ = force_and_evals(Q, q, potential, dd_guard)
     f0 = np.asarray(f0, dtype=float)
-    if _is_separable(potential):
+    if is_separable(potential):
         # one-colour column compression (Curtis, Powell & Reid 1974): the
         # same quotients the per-component loop forms on its diagonal
         hq = h_fd * np.maximum(1.0, np.abs(q))
@@ -165,22 +160,26 @@ def _warn_dense_mass_once():
 
 
 def _signed_log_ratio_diagonal(num_terms: np.ndarray, den_terms: np.ndarray) -> float:
-    """Product ratio of diagonal determinant factors in log-magnitude + sign."""
-    if (den_terms == 0.0).any():
+    """Product ratio of diagonal determinant factors in log-magnitude + sign.
+
+    Each product's log-magnitude is summed in index order, the way
+    ``np.linalg.slogdet`` sums the pivots of a diagonal matrix, so the ratio
+    matches the slogdet route on the embedded diagonals.
+    """
+    if (num_terms == 0.0).any() or (den_terms == 0.0).any():
         return 0.0
     sign = 1.0
-    log_sum = 0.0
+    log_num = 0.0
     for t in num_terms:
-        if t == 0.0:
-            return 0.0
         if t < 0.0:
             sign = -sign
-        log_sum += math.log(abs(t))
+        log_num += math.log(abs(t))
+    log_den = 0.0
     for t in den_terms:
         if t < 0.0:
             sign = -sign
-        log_sum -= math.log(abs(t))
-    return sign * math.exp(log_sum)
+        log_den += math.log(abs(t))
+    return sign * math.exp(log_num - log_den)
 
 
 def step_jacobian(
@@ -197,9 +196,10 @@ def step_jacobian(
     J0 is exactly 1. J1 adds the first trace term; with a diagonal mass only
     the 2d Jacobian diagonals are touched. JFull evaluates the determinant
     ratio through pivoted triangular factorization in log-magnitude + sign
-    form (a diagonal fast path applies when analytic diagonals fully describe
-    the Jacobians). A singular denominator yields factor 0, which rejects the
-    proposal upstream.
+    form; on a separable target with a diagonal mass both matrices are
+    diagonal, so it takes the O(d) product of their diagonals instead, from
+    either derivative source. A singular denominator yields factor 0, which
+    rejects the proposal upstream.
     """
     if mode.kind == "J0":
         return StepJacobian(1.0, mode, 0)
@@ -218,13 +218,13 @@ def step_jacobian(
             trace = float(np.trace(mass.inverse_matmul(d_qF - d_QF)))
         return StepJacobian(1.0 + c * trace, mode, n)
 
-    # JFull: diagonal targets with analytic diagonals stay O(d)
-    if mode.derivative_source == "analytic" and mass.is_diagonal and _is_separable(potential):
+    # JFull: separable targets with a diagonal mass stay O(d)
+    if mass.is_diagonal and is_separable(potential):
         d_q, d_Q, n = force_jacobians(
-            Q, q, potential, "analytic", mode.h_fd, dd_guard, diagonal_only=True
+            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True
         )
         inv_m = mass.inverse_diagonal()
-        value = _signed_log_ratio_diagonal(1.0 + c * inv_m * d_q, 1.0 + c * inv_m * d_Q)
+        value = _signed_log_ratio_diagonal(1.0 + c * (inv_m * d_q), 1.0 + c * (inv_m * d_Q))
         return StepJacobian(value, mode, n)
 
     d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard)

@@ -23,10 +23,12 @@ class Potential:
     - ``closed_form_force_jacobian(Q, q)``: full (dF/dq, dF/dQ) matrices.
 
     Defining ``closed_form_force_jacobian_diag`` without
-    ``closed_form_force_jacobian`` declares the target separable: F_i depends
-    only on (Q_i, q_i), so both force Jacobians are diagonal. The analytic
-    Jacobian path embeds the diagonals, and the finite-difference path
-    perturbs all components at once, so the declaration must hold.
+    ``closed_form_force_jacobian`` declares the target separable (see
+    ``is_separable``): F_i depends only on (Q_i, q_i), so both force
+    Jacobians are diagonal. The declaration also selects the chord solve of
+    the implicit step (with a diagonal mass), the analytic Jacobian path
+    embeds the diagonals, and the finite-difference path perturbs all
+    components at once, so the declaration must hold.
     """
 
     gradient = None
@@ -41,6 +43,12 @@ class Potential:
 
     def evaluate(self, q: np.ndarray) -> float:
         raise NotImplementedError
+
+
+def is_separable(potential) -> bool:
+    """True when the target declares a diagonal force Jacobian (see Potential)."""
+    return (potential.closed_form_force_jacobian is None
+            and potential.closed_form_force_jacobian_diag is not None)
 
 
 class QuarticGeneralizedGaussian(Potential):

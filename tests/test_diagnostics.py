@@ -153,12 +153,12 @@ class TestFinalizeSummary:
         s = finalize_summary(outs, 1.0, 4)
         assert s.mean_energy_error == pytest.approx(1.0, rel=1e-12)
 
-    def test_leapfrog_force_evals_exactly_two(self):
+    def test_leapfrog_force_evals_n_steps_plus_one(self):
         t = QuarticGeneralizedGaussian(2)
         cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=4.0,
                             iterations=25, seed=6)
         summary = run_chain(cfg, t, MassMatrix.identity(2))
-        assert summary.mean_force_evals == 2.0
+        assert summary.mean_force_evals == (cfg.n_steps + 1) / cfg.n_steps
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,55 @@ class BlackBoxQuartic(Potential):
         return float((t * t).sum())
 
 
+class SeparableDoubleWell(Potential):
+    """U = sum(q^4 - 20 q^2): dF/dQ is near -20 at the origin, so D_i < 0 there at tau = 0.5."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.jacobian_calls = 0
+
+    def evaluate(self, q):
+        return float((q ** 4 - 20.0 * q * q).sum())
+
+    def closed_form_force(self, Q, q):
+        return 2.0 * (Q * Q + q * q) * (Q + q) - 20.0 * (Q + q)
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        self.jacobian_calls += 1
+        s, c = Q + q, Q * Q + q * q
+        return 2.0 * (2.0 * q * s + c) - 20.0, 2.0 * (2.0 * Q * s + c) - 20.0
+
+
+def plain_fixed_point(state, potential, mass, cfg):
+    """Reference solve with the plain update Q <- g, written out.
+
+    Returns (Q, P, updates, |dH|).
+    """
+    q, p = state.q, state.p
+    half = 0.5 * cfg.tau
+    h_in = hamiltonian(state, potential, mass).total
+    guess = dmm_fixed_point_init(state, cfg, mass, potential)
+    Q, P = guess.q, guess.p
+    err = abs(float(potential.evaluate(Q)) + mass.kinetic(P) - h_in)
+    updates = 0
+    while err > cfg.delta and updates < cfg.max_fpi and math.isfinite(err):
+        Q = q + half * mass.inverse_apply(P + p)
+        f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
+        P = p - half * f
+        updates += 1
+        err = abs(float(potential.evaluate(Q)) + mass.kinetic(P) - h_in)
+    return Q, P, updates, err
+
+
+def assert_record_is_plain(rec, state, potential, mass, cfg):
+    Q, P, updates, err = plain_fixed_point(state, potential, mass, cfg)
+    np.testing.assert_array_equal(rec.state_out.q, Q)
+    np.testing.assert_array_equal(rec.state_out.p, P)
+    assert rec.fpi_iterations == updates
+    assert rec.energy_error == err
+    assert rec.converged == (err <= cfg.delta)
+
+
 class TestLeapfrog:
     def test_harmonic_step_example(self):
         t = MultivariateGaussian([0.0], [[1.0]])
@@ -79,12 +128,28 @@ class TestLeapfrog:
             leapfrog_step(PhaseState([0.0], [1.0]), BlackBoxQuartic(1),
                           MassMatrix.identity(1), 0.1)
 
-    def test_exactly_two_gradient_evaluations_per_step(self):
+    def test_n_steps_plus_one_gradient_evaluations(self):
         t = CountingQuartic(3)
         s = PhaseState(np.zeros(3), np.ones(3))
         rec = leapfrog_trajectory(s, t, MassMatrix.identity(3), 0.1, 7)
-        assert t.gradient_calls == 14
-        assert rec.total_force_evaluations == 14
+        assert t.gradient_calls == 8
+        assert rec.total_force_evaluations == 8
+
+    def test_trajectory_matches_two_gradient_loop_bitwise(self):
+        # the reference re-evaluates the start-of-step gradient every step
+        rng = np.random.default_rng(37)
+        t = QuarticGeneralizedGaussian(5)
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, 5))
+        s = PhaseState(rng.uniform(-1.5, 1.5, 5), rng.standard_normal(5))
+        tau = 0.1
+        q, p = s.q, s.p
+        for _ in range(25):
+            p_half = p - 0.5 * tau * t.gradient(q)
+            q = q + tau * mass.inverse_apply(p_half)
+            p = p_half - 0.5 * tau * t.gradient(q)
+        rec = leapfrog_trajectory(s, t, mass, tau, 25)
+        np.testing.assert_array_equal(rec.state_out.q, q)
+        np.testing.assert_array_equal(rec.state_out.p, p)
 
 
 class TestDividedDifferenceForce:
@@ -285,6 +350,86 @@ class TestDmmStep:
                 Q, P = Q_new, P_new
             floored = [r for r in residuals if r > 1e-14]
             assert all(b < a for a, b in zip(floored, floored[1:]))
+
+
+class TestChordSolve:
+    @pytest.mark.parametrize("dim", [1, 4, 40])
+    def test_no_more_updates_than_plain_loop(self, dim):
+        rng = np.random.default_rng(38)
+        t = QuarticGeneralizedGaussian(dim)
+        mass = MassMatrix.identity(dim)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
+        tight = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
+        for _ in range(30):
+            s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
+            rec = dmm_step(s, t, mass, cfg)
+            _, _, plain_updates, _ = plain_fixed_point(s, t, mass, cfg)
+            assert rec.converged
+            assert rec.fpi_iterations <= plain_updates
+            assert rec.force_evaluations == 1 + rec.fpi_iterations
+            rec = dmm_step(s, t, mass, tight)
+            Q, P, _, err = plain_fixed_point(s, t, mass, tight)
+            assert rec.converged and err <= tight.delta
+            assert np.max(np.abs(rec.state_out.q - Q)) <= 1e-8
+            assert np.max(np.abs(rec.state_out.p - P)) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["gaussian", "black-box", "dense-mass"])
+    def test_other_targets_and_dense_mass_keep_plain_update(self, case):
+        rng = np.random.default_rng(39)
+        dim = 4
+        mass = MassMatrix.identity(dim)
+        if case == "gaussian":
+            a = rng.standard_normal((dim, dim))
+            t = MultivariateGaussian(rng.standard_normal(dim), a @ a.T + dim * np.eye(dim))
+        elif case == "black-box":
+            t = BlackBoxQuartic(dim)
+        else:
+            t = QuarticGeneralizedGaussian(dim)
+            a = 0.3 * rng.standard_normal((dim, dim))
+            mass = MassMatrix.dense(a @ a.T + np.eye(dim))
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
+        for _ in range(10):
+            s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
+            assert_record_is_plain(dmm_step(s, t, mass, cfg), s, t, mass, cfg)
+
+    def test_non_positive_scale_falls_back_to_plain_update(self):
+        t = SeparableDoubleWell(2)
+        mass = MassMatrix.identity(2)
+        cfg = DmmSolverConfig(tau=0.5, delta=1e-8, max_fpi=4)
+        s = PhaseState([0.1, -0.2], [0.3, 0.1])
+        P0 = dmm_fixed_point_init(s, cfg, mass, t).p
+        g0 = s.q + 0.25 * (P0 + s.p)
+        _, d_Q = t.closed_form_force_jacobian_diag(g0, s.q)
+        assert (1.0 + 0.25 * 0.25 * d_Q <= 0.0).any()
+        t.jacobian_calls = 0
+        rec = dmm_step(s, t, mass, cfg)
+        assert t.jacobian_calls == 1
+        assert math.isfinite(rec.energy_error)
+        assert_record_is_plain(rec, s, t, mass, cfg)
+
+    def test_converged_first_iterate_makes_no_jacobian_call(self):
+        t = SeparableDoubleWell(1)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
+        rec = dmm_step(PhaseState([0.0], [0.0]), t, MassMatrix.identity(1), cfg)
+        assert rec.converged and rec.fpi_iterations == 0
+        assert t.jacobian_calls == 0
+
+    def test_capped_solve_converges_at_d2560(self):
+        # the separation config's setting: with plain updates no step of this
+        # trajectory reaches delta within 5 updates
+        rng = np.random.default_rng(40)
+        d = 2560
+        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
+        q = np.where(rng.random(d) < 0.5, -mag, mag)
+        s = PhaseState(q, rng.standard_normal(d))
+        t = QuarticGeneralizedGaussian(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
+        steps = []
+        rec = trajectory(s, t, MassMatrix.identity(d), cfg, 40,
+                         per_step_hook=lambda q_in, q_out: steps.append(q_out))
+        assert len(steps) == 40
+        assert rec.all_converged and not rec.failed
+        assert rec.total_energy_error <= 40 * cfg.delta
 
 
 class TestReversibility:

@@ -133,6 +133,32 @@ class TestStepJacobian:
             np.eye(3) + 0.0025 * np.diag(d_Q))
         assert fast.value == pytest.approx(dense, rel=1e-12)
 
+    def test_finite_difference_jfull_takes_diagonal_route(self, monkeypatch):
+        # separable target, diagonal mass: no d x d determinant; the slogdet
+        # route over the embedded probe diagonals stays the reference
+        rng = np.random.default_rng(49)
+        t = QuarticGeneralizedGaussian(12)
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, 12))
+        c = 0.25 * 0.1 * 0.1
+        pairs, expected = [], []
+        for _ in range(20):
+            q = rng.uniform(-2, 2, 12)
+            Q = q + rng.uniform(0.05, 1.0, 12) * rng.choice([-1, 1], 12)
+            d_qF, d_QF, _ = force_jacobians(Q, q, t, "finite-difference")
+            sign_n, log_n = np.linalg.slogdet(np.eye(12) + c * mass.inverse_matmul(d_qF))
+            sign_d, log_d = np.linalg.slogdet(np.eye(12) + c * mass.inverse_matmul(d_QF))
+            pairs.append((Q, q))
+            expected.append(sign_n * sign_d * np.exp(log_n - log_d))
+
+        def no_slogdet(a):
+            raise AssertionError("JFull on a separable target must not factor d x d matrices")
+
+        monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+        for (Q, q), ref in zip(pairs, expected):
+            sj = step_jacobian(Q, q, 0.1, mass, JacobianMode.jfull(), t)
+            assert sj.extra_force_evals == 3
+            assert sj.value == pytest.approx(ref, rel=1e-12)
+
     @pytest.mark.parametrize("mode", [JacobianMode.j1(), JacobianMode.jfull()])
     def test_finite_difference_factor_same_on_both_probe_routes(self, mode):
         rng = np.random.default_rng(48)

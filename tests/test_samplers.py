@@ -158,14 +158,14 @@ class TestHmcIteration:
             assert out.delta_H == 0.0
             assert out.alpha == 1.0 and out.accepted
 
-    def test_force_evals_are_two_per_step(self):
+    def test_force_evals_are_n_steps_plus_one(self):
         t = QuarticGeneralizedGaussian(2)
         cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=4.0,
                             iterations=3, seed=5)
         rng = chain_rng(5, 0)
         theta = np.zeros(2)
         theta, out = hmc_iteration(theta, t, MassMatrix.identity(2), cfg, rng)
-        assert out.force_evals == 2 * cfg.n_steps
+        assert out.force_evals == cfg.n_steps + 1
 
 
 class TestRunChain:
