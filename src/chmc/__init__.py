@@ -18,27 +18,21 @@ from .integrators import (
     StepRecord,
     TrajectoryRecord,
     divided_difference_force,
-    dmm_fixed_point_init,
+    dmm_init,
     dmm_step,
-    leapfrog_step,
     leapfrog_trajectory,
     trajectory,
 )
 from .jacobian import (
     JacobianAccumulator,
     JacobianMode,
-    StepJacobian,
     force_jacobians,
     step_jacobian,
-    trajectory_jacobian,
 )
 from .phase import (
-    HamiltonianValue,
     MassMatrix,
     PhaseState,
     hamiltonian,
-    negate_momentum,
-    sample_momentum,
 )
 from .samplers import (
     IterationOutcome,
@@ -62,7 +56,6 @@ __all__ = [
     "ChainSummary",
     "CovarianceTracker",
     "DmmSolverConfig",
-    "HamiltonianValue",
     "IterationOutcome",
     "JacobianAccumulator",
     "JacobianMode",
@@ -72,7 +65,6 @@ __all__ = [
     "Potential",
     "QuarticGeneralizedGaussian",
     "SamplerConfig",
-    "StepJacobian",
     "StepRecord",
     "StreamingCovariance",
     "TrajectoryRecord",
@@ -81,20 +73,16 @@ __all__ = [
     "chmc_iteration",
     "covariance_error",
     "divided_difference_force",
-    "dmm_fixed_point_init",
+    "dmm_init",
     "dmm_step",
     "finalize_summary",
     "force_jacobians",
     "hamiltonian",
     "hmc_iteration",
-    "leapfrog_step",
     "leapfrog_trajectory",
-    "negate_momentum",
     "quartic_target_variance",
     "run_chain",
-    "sample_momentum",
     "step_jacobian",
     "trajectory",
-    "trajectory_jacobian",
     "__version__",
 ]

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,10 +32,10 @@ import yaml
 
 from . import __version__
 from .diagnostics import CovarianceTracker
-from .integrators import DmmSolverConfig, INIT_MODES
-from .jacobian import DEFAULT_FD_STEP, DERIVATIVE_SOURCES, JACOBIAN_KINDS, JacobianMode
+from .integrators import DmmSolverConfig
+from .jacobian import JacobianMode
 from .phase import MassMatrix
-from .samplers import METHODS, SamplerConfig, run_chain
+from .samplers import SamplerConfig, run_chain
 from .targets import MultivariateGaussian, QuarticGeneralizedGaussian, quartic_target_variance
 
 SCHEMA_VERSION = 1
@@ -66,47 +66,51 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _default(cls, name: str):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    """One sampler variant of the experiment, with solver knobs resolved."""
+    """One sampler variant: ``SamplerConfig`` in flat form, with solver knobs resolved.
+
+    Defaults and range checks come from ``SamplerConfig``, ``DmmSolverConfig``
+    and ``JacobianMode``; only chmc reads the solver and Jacobian fields.
+    """
 
     name: str
     method: str
     tau: float
     total_time: float
     iterations: int
-    burn_in: int
+    burn_in: int = _default(SamplerConfig, "burn_in")
     jacobian_kind: str = "J0"
-    jacobian_source: str = "finite-difference"
-    jacobian_h_fd: float = DEFAULT_FD_STEP
-    delta: float = 1e-8
-    max_fpi: int = 10
-    dd_guard: float = 1e-8
-    init_mode: str = "position-euler"
-    initial_state: str = "standard-normal"
+    jacobian_source: str = _default(JacobianMode, "derivative_source")
+    jacobian_h_fd: float = _default(JacobianMode, "h_fd")
+    delta: float = _default(DmmSolverConfig, "delta")
+    max_fpi: int = _default(DmmSolverConfig, "max_fpi")
+    dd_guard: float = _default(DmmSolverConfig, "dd_guard")
+    init_mode: str = _default(DmmSolverConfig, "init_mode")
+    initial_state: str = _default(SamplerConfig, "initial_state_mode")
+
+    def solver(self) -> DmmSolverConfig:
+        return DmmSolverConfig(tau=self.tau, delta=self.delta, max_fpi=self.max_fpi,
+                               dd_guard=self.dd_guard, init_mode=self.init_mode)
+
+    def jacobian_mode(self) -> JacobianMode:
+        return JacobianMode(self.jacobian_kind, self.jacobian_source, self.jacobian_h_fd)
 
     def sampler_config(self, seed: int) -> SamplerConfig:
-        if self.method == "chmc":
-            return SamplerConfig(
-                method="chmc",
-                tau=self.tau,
-                total_time=self.total_time,
-                iterations=self.iterations,
-                burn_in=self.burn_in,
-                seed=seed,
-                jacobian_mode=JacobianMode(self.jacobian_kind, self.jacobian_source,
-                                           self.jacobian_h_fd),
-                solver=DmmSolverConfig(tau=self.tau, delta=self.delta, max_fpi=self.max_fpi,
-                                       dd_guard=self.dd_guard, init_mode=self.init_mode),
-                initial_state_mode=self.initial_state,
-            )
+        chmc = self.method == "chmc"
         return SamplerConfig(
-            method="hmc-leapfrog",
+            method=self.method,
             tau=self.tau,
             total_time=self.total_time,
             iterations=self.iterations,
             burn_in=self.burn_in,
             seed=seed,
+            jacobian_mode=self.jacobian_mode() if chmc else None,
+            solver=self.solver() if chmc else None,
             initial_state_mode=self.initial_state,
         )
 
@@ -147,16 +151,13 @@ def _as_int(raw, path, errors, minimum=None):
     return raw
 
 
-def _as_number(raw, path, errors, positive=False):
+def _as_number(raw, path, errors):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         errors.append(f"{path}: expected a number, got {raw!r}")
         return None
     value = float(raw)
     if not math.isfinite(value):
         errors.append(f"{path}: must be finite, got {raw!r}")
-        return None
-    if positive and value <= 0.0:
-        errors.append(f"{path}: must be positive, got {raw!r}")
         return None
     return value
 
@@ -174,12 +175,14 @@ def _check_unknown(mapping, path, errors, known):
             errors.append(f"{path}.{key}: unknown field")
 
 
-_METHOD_FIELDS = ("name", "method", "tau", "total_time", "iterations", "burn_in",
-                  "jacobian", "jacobian_source", "jacobian_h_fd", "delta", "max_fpi",
-                  "dd_guard", "init_mode", "initial_state")
-_DEFAULT_FIELDS = ("tau", "total_time", "iterations", "burn_in", "jacobian_source",
-                   "jacobian_h_fd", "delta", "max_fpi", "dd_guard", "init_mode",
-                   "initial_state")
+# YAML keys of a method entry are the MethodSpec field names, except this one
+_YAML_KEY = {"jacobian_kind": "jacobian"}
+_METHOD_FIELDS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
+_DEFAULT_FIELDS = tuple(k for k in _METHOD_FIELDS if k not in ("name", "method", "jacobian"))
+_CHMC_ONLY_FIELDS = ("jacobian", "jacobian_source", "jacobian_h_fd") + tuple(
+    f.name for f in fields(DmmSolverConfig) if f.name != "tau")
+# string fields need no type check: the dataclasses test them for membership
+_TYPE_CHECKS = {"int": _as_int, "float": _as_number}
 _TOP_FIELDS = ("target", "methods", "defaults", "chains", "iterations", "burn_in",
                "seed", "output_dir", "covariance_mode", "record_stride", "workers")
 _TARGET_FIELDS = ("kind", "dimension", "mean_path", "cov_path")
@@ -195,47 +198,37 @@ def _validate_method(raw, idx, shared, errors):
     if not isinstance(name, str) or not name:
         errors.append(f"{path}.name: required non-empty string")
         name = f"method-{idx}"
-    method = _as_choice(raw.get("method"), f"{path}.method", errors, METHODS)
-
-    def pick(key, default):
-        return raw.get(key, shared.get(key, default))
-
-    tau = _as_number(pick("tau", None), f"{path}.tau", errors, positive=True)
-    total_time = _as_number(pick("total_time", None), f"{path}.total_time", errors, positive=True)
-    iterations = _as_int(pick("iterations", None), f"{path}.iterations", errors, minimum=1)
-    burn_in = _as_int(pick("burn_in", 0), f"{path}.burn_in", errors, minimum=0)
-    delta = _as_number(pick("delta", 1e-8), f"{path}.delta", errors, positive=True)
-    max_fpi = _as_int(pick("max_fpi", 10), f"{path}.max_fpi", errors, minimum=1)
-    dd_guard = _as_number(pick("dd_guard", 1e-8), f"{path}.dd_guard", errors, positive=True)
-    init_mode = _as_choice(pick("init_mode", "position-euler"), f"{path}.init_mode",
-                           errors, INIT_MODES)
-    initial_state = _as_choice(pick("initial_state", "standard-normal"),
-                               f"{path}.initial_state", errors,
-                               ("zeros", "standard-normal"))
-    source = _as_choice(pick("jacobian_source", "finite-difference"),
-                        f"{path}.jacobian_source", errors, DERIVATIVE_SOURCES)
-    h_fd = _as_number(pick("jacobian_h_fd", DEFAULT_FD_STEP), f"{path}.jacobian_h_fd",
-                      errors, positive=True)
-    jacobian = raw.get("jacobian", "J0")
-    if method == "chmc":
-        jacobian = _as_choice(jacobian, f"{path}.jacobian", errors, JACOBIAN_KINDS)
-    elif "jacobian" in raw:
-        errors.append(f"{path}.jacobian: only applies to chmc")
-
-    if tau is not None and total_time is not None:
-        ratio = total_time / tau
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            errors.append(f"{path}: n_steps not integral (total_time/tau = {ratio!r})")
-    if iterations is not None and burn_in is not None and iterations <= burn_in:
-        errors.append(f"{path}: need iterations > burn_in")
-
+    if raw.get("method") == "hmc-leapfrog":
+        # keys under ``defaults`` still apply to every method
+        errors.extend(f"{path}.{key}: only applies to chmc"
+                      for key in _CHMC_ONLY_FIELDS if key in raw)
+    values = {"name": name}
+    for f in fields(MethodSpec)[1:]:
+        key = _YAML_KEY.get(f.name, f.name)
+        value = raw.get(key, shared.get(key, f.default))
+        if value is MISSING:
+            errors.append(f"{path}.{key}: required")
+        elif f.type in _TYPE_CHECKS:
+            value = _TYPE_CHECKS[f.type](value, f"{path}.{key}", errors)
+        values[f.name] = value
+    # YAML cannot give the vector an explicit start needs
+    _as_choice(values["initial_state"], f"{path}.initial_state", errors,
+               ("zeros", "standard-normal"))
     if errors:
         return None
-    return MethodSpec(name=name, method=method, tau=tau, total_time=total_time,
-                      iterations=iterations, burn_in=burn_in, jacobian_kind=jacobian or "J0",
-                      jacobian_source=source, jacobian_h_fd=h_fd, delta=delta,
-                      max_fpi=max_fpi, dd_guard=dd_guard, init_mode=init_mode,
-                      initial_state=initial_state)
+
+    spec = MethodSpec(**values)
+    # each dataclass reports its first violated range; the sampler check
+    # leaves out the solver and Jacobian knobs, which the first two cover
+    checks = (spec.solver, spec.jacobian_mode,
+              lambda: SamplerConfig(spec.method, spec.tau, spec.total_time, spec.iterations,
+                                    spec.burn_in, initial_state_mode=spec.initial_state))
+    for check in checks:
+        try:
+            check()
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
+    return None if errors else spec
 
 
 def validate_spec(text: str) -> ExperimentSpec:
@@ -273,7 +266,7 @@ def validate_spec(text: str) -> ExperimentSpec:
                 errors.append(f"target.{key}: only applies to the gaussian target")
 
     chains = _as_int(raw.get("chains", 1), "chains", errors, minimum=1)
-    seed = _as_int(raw.get("seed", 0), "seed", errors)
+    seed = _as_int(raw.get("seed", 0), "seed", errors, minimum=0)
     record_stride = _as_int(raw.get("record_stride", 10), "record_stride", errors, minimum=1)
     workers = _as_int(raw.get("workers", 1), "workers", errors, minimum=1)
     covariance_mode = _as_choice(raw.get("covariance_mode", "auto"), "covariance_mode",
@@ -329,19 +322,12 @@ def load_spec(path: str) -> ExperimentSpec:
         return validate_spec(fh.read())
 
 
-def _load_vector(path: str, dim: int) -> np.ndarray:
+def _load_array(path: str, shape: tuple) -> np.ndarray:
+    """A .npy or comma-separated text array of the given shape."""
     arr = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",")
     arr = np.atleast_1d(np.asarray(arr, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"{path}: expected a length-{dim} vector, got shape {arr.shape}")
-    return arr
-
-
-def _load_matrix(path: str, dim: int) -> np.ndarray:
-    arr = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",")
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"{path}: expected a {dim}x{dim} matrix, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -349,10 +335,9 @@ def build_target(spec: ExperimentSpec):
     """Target distribution plus its covariance description for error traces."""
     if spec.target_kind == "quartic":
         return QuarticGeneralizedGaussian(spec.dimension), quartic_target_variance()
-    mean = (np.zeros(spec.dimension) if spec.mean_path is None
-            else _load_vector(spec.mean_path, spec.dimension))
-    cov = (np.eye(spec.dimension) if spec.cov_path is None
-           else _load_matrix(spec.cov_path, spec.dimension))
+    d = spec.dimension
+    mean = np.zeros(d) if spec.mean_path is None else _load_array(spec.mean_path, (d,))
+    cov = np.eye(d) if spec.cov_path is None else _load_array(spec.cov_path, (d, d))
     return MultivariateGaussian(mean, cov), cov
 
 
@@ -394,8 +379,6 @@ def _run_task(spec: ExperimentSpec, method_idx: int, chain_idx: int) -> dict:
         summary = run_chain(cfg, target, mass, sinks=[sink], chain_index=chain_idx,
                             covariance_tracker=tracker)
     return {
-        "method_idx": method_idx,
-        "chain": chain_idx,
         "mean_acceptance_pct": summary.mean_acceptance_pct,
         "mean_energy_error": summary.mean_energy_error,
         "mean_force_evals": summary.mean_force_evals,
@@ -431,17 +414,12 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     workers = spec.workers if workers is None else workers
 
     tasks = [(m, c) for m in range(len(spec.methods)) for c in range(spec.chains)]
-    results: dict[tuple, dict] = {}
+    task_args = ([spec] * len(tasks), [m for m, _ in tasks], [c for _, c in tasks])
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_task, spec, m, c): (m, c) for m, c in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                res = fut.result()
-                results[(res["method_idx"], res["chain"])] = res
+            results = dict(zip(tasks, pool.map(_run_task, *task_args)))
     else:
-        for m, c in tasks:
-            res = _run_task(spec, m, c)
-            results[(m, c)] = res
+        results = dict(zip(tasks, map(_run_task, *task_args)))
 
     summary_path = os.path.join(spec.output_dir, "summary.csv")
     metric_keys = ("mean_acceptance_pct", "mean_energy_error", "mean_force_evals")
@@ -535,8 +513,7 @@ def main(argv=None) -> int:
 
     if args.command in ("run", "validate"):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                spec = validate_spec(fh.read())
+            spec = load_spec(args.config)
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR

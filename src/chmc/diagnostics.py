@@ -68,22 +68,14 @@ class StreamingCovariance:
         return np.diag(self.scatter) / (self.count - 1)
 
 
-def _target_diagonal(target_cov, dim: int) -> np.ndarray:
+def _target(target_cov, dim: int, diagonal: bool) -> np.ndarray:
+    """The target covariance's diagonal (diagonal mode) or full matrix."""
     t = np.asarray(target_cov, dtype=float)
     if t.ndim == 0:
-        return np.full(dim, float(t))
+        return np.full(dim, float(t)) if diagonal else float(t) * np.eye(dim)
     if t.ndim == 1:
-        return t
-    return np.diag(t)
-
-
-def _target_matrix(target_cov, dim: int) -> np.ndarray:
-    t = np.asarray(target_cov, dtype=float)
-    if t.ndim == 0:
-        return float(t) * np.eye(dim)
-    if t.ndim == 1:
-        return np.diag(t)
-    return t
+        return t if diagonal else np.diag(t)
+    return np.diag(t) if diagonal else t
 
 
 def covariance_error(stream: StreamingCovariance, target_cov) -> float:
@@ -95,9 +87,8 @@ def covariance_error(stream: StreamingCovariance, target_cov) -> float:
     """
     if stream.count < 2:
         raise ValueError("need at least two samples")
-    if stream.diagonal:
-        return float(np.max(np.abs(stream.variance_diagonal() - _target_diagonal(target_cov, stream.dim))))
-    return float(np.max(np.abs(stream.covariance() - _target_matrix(target_cov, stream.dim))))
+    sample = stream.variance_diagonal() if stream.diagonal else stream.covariance()
+    return float(np.max(np.abs(sample - _target(target_cov, stream.dim, stream.diagonal))))
 
 
 class CovarianceTracker:

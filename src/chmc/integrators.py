@@ -51,7 +51,7 @@ class DmmSolverConfig:
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative divided-difference guard; component i uses
         the threshold dd_guard * max(1, |q_i|).
-    init_mode: how the initial iterate is built (see ``dmm_fixed_point_init``).
+    init_mode: how the initial iterate is built (see ``dmm_init``).
     """
 
     tau: float
@@ -75,15 +75,16 @@ class DmmSolverConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Outcome of one energy-preserving step.
+    """Outcome of one energy-preserving step, ending at the arrays (q, p).
 
     ``energy_error`` is the achieved |H_out - H_in| (inf when the solve blew
-    up, in which case ``state_out`` is the input state and the caller must
-    reject). ``h_out`` carries H(state_out) forward so trajectories never
-    re-evaluate the Hamiltonian of a state they already know.
+    up, in which case (q, p) is the input pair and the caller must reject).
+    ``h_out`` carries H(q, p) forward so trajectories never re-evaluate the
+    Hamiltonian of a state they already know.
     """
 
-    state_out: PhaseState
+    q: np.ndarray
+    p: np.ndarray
     fpi_iterations: int
     energy_error: float
     force_evaluations: int
@@ -171,14 +172,8 @@ def _guarded_position_euler(q, p, tau, mass, dd_guard):
     return Q0
 
 
-def dmm_fixed_point_init(
-    state: PhaseState,
-    cfg: DmmSolverConfig,
-    mass: MassMatrix,
-    potential,
-    rng: Optional[np.random.Generator] = None,
-) -> PhaseState:
-    """Initial iterate (Q0, P0) for the implicit solve.
+def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, rng=None):
+    """Initial iterate of the implicit solve: (Q0, P0, force_evaluations).
 
     position-euler (default, gradient-free): Q0 = q + tau M^-1 p with the
     divided-difference guard applied, then P0 = p - (tau/2) F(Q0, q).
@@ -188,24 +183,6 @@ def dmm_fixed_point_init(
 
     random-perturb: Q0 = q + Uniform(+-10 tau dd_guard) noise, P0 = p.
     """
-    q, p = state.q, state.p
-    if cfg.init_mode == "random-perturb":
-        if rng is None:
-            raise ValueError("random-perturb init needs an rng")
-        scale = 10.0 * cfg.tau * cfg.dd_guard
-        return PhaseState(q + rng.uniform(-scale, scale, size=q.size), p)
-    Q0 = _guarded_position_euler(q, p, cfg.tau, mass, cfg.dd_guard)
-    if cfg.init_mode == "gradient-euler":
-        if potential.gradient is None:
-            raise ValueError("gradient-euler init requires a potential gradient")
-        g = potential.gradient(Q0) + potential.gradient(q)
-        return PhaseState(Q0, p - 0.5 * cfg.tau * g)
-    f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
-    return PhaseState(Q0, p - 0.5 * cfg.tau * f)
-
-
-def _init_arrays(q, p, cfg, mass, potential, rng):
-    """(Q0, P0, force_evaluations) without PhaseState overhead."""
     if cfg.init_mode == "random-perturb":
         if rng is None:
             raise ValueError("random-perturb init needs an rng")
@@ -241,20 +218,21 @@ def _chord_scale(Q, q, half, mass, potential):
 
 
 def dmm_step(
-    state: PhaseState,
+    q: np.ndarray,
+    p: np.ndarray,
     potential,
     mass: MassMatrix,
     cfg: DmmSolverConfig,
     rng: Optional[np.random.Generator] = None,
     h_in: Optional[float] = None,
-    init_guess: Optional[PhaseState] = None,
+    init_guess: Optional[tuple] = None,
 ) -> StepRecord:
-    """One implicit energy-preserving step solved to the energy tolerance.
+    """One implicit energy-preserving step from the arrays (q, p).
 
     The last iterate is returned whether or not the tolerance was met
     (``converged`` records which); an unconverged iterate still enters the
-    acceptance ratio through its true energy error. ``init_guess`` overrides
-    the configured initialization (used to warm-start reverse solves).
+    acceptance ratio through its true energy error. ``init_guess``, a (Q, P)
+    pair, overrides the configured initialization (warm-starts reverse solves).
 
     When the first iterate misses the tolerance on a separable target with a
     diagonal mass, one ``closed_form_force_jacobian_diag`` call at the first
@@ -262,28 +240,28 @@ def dmm_step(
     call is not counted in ``force_evaluations``, which counts forces only.
     Otherwise each update is the plain fixed-point update.
     """
-    q, p = state.q, state.p
-    if cfg.tau == 0.0:
-        h0 = hamiltonian(state, potential, mass).total if h_in is None else h_in
-        return StepRecord(state, 0, 0.0, 0, True, h_out=h0)
     if h_in is None:
-        h_in = hamiltonian(state, potential, mass).total
+        h_in = hamiltonian(PhaseState(q, p), potential, mass)
+    if cfg.tau == 0.0:
+        return StepRecord(q, p, 0, 0.0, 0, True, h_out=h_in)
 
     half = 0.5 * cfg.tau
     if init_guess is not None:
-        Q, P = init_guess.q, init_guess.p
+        Q, P = init_guess
         force_evals = 0
     else:
-        Q, P, force_evals = _init_arrays(q, p, cfg, mass, potential, rng)
+        Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, rng)
 
     evaluate = potential.evaluate
     kinetic = mass.kinetic
-    h_now = float(evaluate(Q)) + kinetic(P)
-    err = abs(h_now - h_in)
     iterations = 0
-    converged = err <= cfg.delta
     D = None
-    while not converged and iterations < cfg.max_fpi and math.isfinite(err):
+    while True:
+        h_now = float(evaluate(Q)) + kinetic(P)
+        err = abs(h_now - h_in)
+        converged = err <= cfg.delta
+        if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
+            break
         g = q + half * mass.inverse_apply(P + p)
         if iterations == 0:
             D = _chord_scale(g, q, half, mass, potential)
@@ -292,26 +270,23 @@ def dmm_step(
         P = p - half * f
         force_evals += 1
         iterations += 1
-        h_now = float(evaluate(Q)) + kinetic(P)
-        err = abs(h_now - h_in)
-        converged = err <= cfg.delta
     if not math.isfinite(err) or not (np.isfinite(Q).all() and np.isfinite(P).all()):
-        return StepRecord(state, iterations, math.inf, force_evals, False, h_out=math.inf)
-    return StepRecord(PhaseState(Q, P), iterations, err, force_evals, converged, h_out=h_now)
+        return StepRecord(q, p, iterations, math.inf, force_evals, False, h_out=math.inf)
+    return StepRecord(Q, P, iterations, err, force_evals, converged, h_out=h_now)
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Aggregated outcome of an N-step trajectory.
+    """Aggregated outcome of an N-step trajectory, ending at the arrays (q, p).
 
     ``total_energy_error`` sums the per-step |dH| for the energy-preserving
     map (bounded by N delta when every step converged); for leapfrog it is
     the endpoint |H_out - H_in|. A failed trajectory reports h_out = +inf and
-    leaves ``state_out`` at the last valid state.
+    leaves (q, p) at the last valid state.
     """
 
-    state_out: PhaseState
-    n_steps: int
+    q: np.ndarray
+    p: np.ndarray
     total_force_evaluations: int
     total_fpi_iterations: int
     total_energy_error: float
@@ -332,47 +307,36 @@ def trajectory(
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps, threading H forward.
 
+    ``state`` is validated once; the steps run on its raw arrays.
     ``per_step_hook`` is invoked after each step with the step's (q_in, q_out)
     position pair so per-step Jacobian factors can be accumulated into the
     N-step product.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h_in = hamiltonian(state, potential, mass).total
-    current = state
+    h_in = hamiltonian(state, potential, mass)
+    q, p = state.q, state.p
     h = h_in
     total_f = 0
     total_it = 0
     total_err = 0.0
     all_converged = True
     for _ in range(n_steps):
-        rec = dmm_step(current, potential, mass, cfg, rng=rng, h_in=h)
+        rec = dmm_step(q, p, potential, mass, cfg, rng=rng, h_in=h)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
             return TrajectoryRecord(
-                current, n_steps, total_f, total_it, math.inf, False, True, h_in, math.inf
+                q, p, total_f, total_it, math.inf, False, True, h_in, math.inf
             )
         total_err += rec.energy_error
         all_converged = all_converged and rec.converged
         if per_step_hook is not None:
-            per_step_hook(current.q, rec.state_out.q)
-        current = rec.state_out
-        h = rec.h_out
+            per_step_hook(q, rec.q)
+        q, p, h = rec.q, rec.p, rec.h_out
     return TrajectoryRecord(
-        current, n_steps, total_f, total_it, total_err, all_converged, False, h_in, h
+        q, p, total_f, total_it, total_err, all_converged, False, h_in, h
     )
-
-
-def leapfrog_step(state: PhaseState, potential, mass: MassMatrix, tau: float) -> PhaseState:
-    """One kick-drift-kick update; exactly two gradient evaluations, no caching."""
-    if potential.gradient is None:
-        raise ValueError("leapfrog requires a potential gradient")
-    q, p = state.q, state.p
-    p_half = p - 0.5 * tau * potential.gradient(q)
-    q_new = q + tau * mass.inverse_apply(p_half)
-    p_new = p_half - 0.5 * tau * potential.gradient(q_new)
-    return PhaseState(q_new, p_new)
 
 
 def leapfrog_trajectory(
@@ -386,16 +350,16 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps + 1 gradient evaluations.
 
     Each step's end-of-step gradient is reused for the next step's first
-    half-kick, so the positions and momenta equal those of ``n_steps``
-    separate ``leapfrog_step`` calls bit for bit. A trajectory that leaves
-    the finite range (steep targets can blow up the explicit update) is
-    flagged failed for automatic rejection upstream.
+    half-kick; the positions and momenta equal those of a kick-drift-kick
+    loop that evaluates both gradients every step, bit for bit. A trajectory
+    that leaves the finite range (steep targets can blow up the explicit
+    update) is flagged failed for automatic rejection upstream.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
-    h_in = hamiltonian(state, potential, mass).total
+    h_in = hamiltonian(state, potential, mass)
     grad = potential.gradient
     q, p = state.q, state.p
     total_f = n_steps + 1
@@ -409,15 +373,11 @@ def leapfrog_trajectory(
             p = p_half - 0.5 * tau * g
             if per_step_hook is not None:
                 per_step_hook(q_prev, q)
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            return TrajectoryRecord(
-                state, n_steps, total_f, 0, math.inf, True, True, h_in, math.inf
-            )
-        out = PhaseState(q, p)
-        u_out = float(potential.evaluate(out.q))
-        h_out = (math.inf if not math.isfinite(u_out) else u_out) + mass.kinetic(out.p)
+        finite = np.isfinite(q).all() and np.isfinite(p).all()
+        h_out = float(potential.evaluate(q)) + mass.kinetic(p) if finite else math.inf
     if not math.isfinite(h_out):
-        return TrajectoryRecord(state, n_steps, total_f, 0, math.inf, True, True, h_in, math.inf)
+        return TrajectoryRecord(state.q, state.p, total_f, 0, math.inf, True, True,
+                                h_in, math.inf)
     return TrajectoryRecord(
-        out, n_steps, total_f, 0, abs(h_out - h_in), True, False, h_in, h_out
+        q, p, total_f, 0, abs(h_out - h_in), True, False, h_in, h_out
     )

@@ -1,7 +1,8 @@
 """Phase-space state, mass-matrix algebra, and Hamiltonian evaluation.
 
-Everything here is immutable after construction and safe to share across
-chains; random generators are always passed in and owned per chain.
+``PhaseState`` validates (q, p) at the public API; step loops run on raw
+arrays. Everything here is immutable after construction and safe to share
+across chains; random generators are always passed in and owned per chain.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ class PhaseState:
         return self.q.size
 
 
-def negate_momentum(state: PhaseState) -> PhaseState:
-    """The momentum-flip map R(q, p) = (q, -p); an involution, bit-exact."""
-    return PhaseState(state.q, -state.p)
-
-
 class MassMatrix:
     """Constant symmetric positive-definite mass matrix in factored form.
 
-    The triangular factor and the explicit inverse are computed once at
-    construction; per-step code only applies them, never refactorizes.
+    The triangular factor is computed once at construction; per-step code
+    only applies it, never refactorizes.
     Kinds: 'identity', 'diagonal', 'dense'. Only the dense kind needs scipy,
     which is imported there so that ``import chmc`` does not load it.
     """
@@ -71,10 +67,9 @@ class MassMatrix:
                 raise ValueError("diagonal mass needs a length-d vector")
             if not (np.isfinite(diag).all() and (diag > 0).all()):
                 raise ValueError("diagonal mass entries must be finite and positive")
-            self._diag = diag
             self._inv_diag = 1.0 / diag
             self._sqrt_diag = np.sqrt(diag)
-            for a in (self._diag, self._inv_diag, self._sqrt_diag):
+            for a in (self._inv_diag, self._sqrt_diag):
                 a.setflags(write=False)
         elif kind == "dense":
             m = np.array(matrix, dtype=float, copy=True)
@@ -87,10 +82,7 @@ class MassMatrix:
                 self._chol = np.linalg.cholesky(m)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("dense mass matrix is not positive definite") from exc
-            self._matrix = m
-            self._inverse = self._solve(np.eye(self.dim))
-            for a in (self._matrix, self._chol, self._inverse):
-                a.setflags(write=False)
+            self._chol.setflags(write=False)
         else:
             raise ValueError(f"unknown mass matrix kind: {kind!r}")
 
@@ -119,14 +111,6 @@ class MassMatrix:
         """True when M (hence M^-1) has no off-diagonal structure."""
         return self.kind != "dense"
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """M @ v."""
-        if self.kind == "identity":
-            return np.asarray(v, dtype=float)
-        if self.kind == "diagonal":
-            return self._diag * v
-        return self._matrix @ v
-
     def inverse_apply(self, v: np.ndarray) -> np.ndarray:
         """M^-1 @ v via the triangular factor (the production path)."""
         if self.kind == "identity":
@@ -135,19 +119,13 @@ class MassMatrix:
             return self._inv_diag * v
         return self._solve(v)
 
-    def inverse_apply_explicit(self, v: np.ndarray) -> np.ndarray:
-        """M^-1 @ v through the precomputed inverse; independent check path."""
-        if self.kind == "dense":
-            return self._inverse @ v
-        return self.inverse_apply(v)
-
     def inverse_diagonal(self) -> np.ndarray:
-        """diag(M^-1) as a vector."""
+        """diag(M^-1) as a vector; the dense kind solves for it on each call."""
         if self.kind == "identity":
             return np.ones(self.dim)
         if self.kind == "diagonal":
             return self._inv_diag.copy()
-        return np.diag(self._inverse).copy()
+        return np.diag(self._solve(np.eye(self.dim))).copy()
 
     def inverse_matmul(self, a: np.ndarray) -> np.ndarray:
         """M^-1 @ A for a d x d matrix A."""
@@ -173,16 +151,7 @@ class MassMatrix:
         return self._chol @ xi
 
 
-@dataclass(frozen=True)
-class HamiltonianValue:
-    """U(q), K(p) and their sum, stored exactly as combined."""
-
-    potential: float
-    kinetic: float
-    total: float
-
-
-def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> HamiltonianValue:
+def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> float:
     """H(q, p) = U(q) + p^T M^-1 p / 2.
 
     A non-finite potential value is mapped to +inf so that proposals into
@@ -195,10 +164,4 @@ def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> HamiltonianVa
     u = float(potential.evaluate(state.q))
     if not math.isfinite(u):
         u = math.inf
-    k = mass.kinetic(state.p)
-    return HamiltonianValue(potential=u, kinetic=k, total=u + k)
-
-
-def sample_momentum(mass: MassMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Momentum refreshment draw from N(0, M)."""
-    return mass.sample_momentum(rng)
+    return u + mass.kinetic(state.p)

@@ -3,17 +3,18 @@
 Both follow the same outer loop: refresh the momentum from N(0, M), integrate
 N steps, and accept the proposed position with probability
 min(1, exp(-dH) * J) where J is 1 for leapfrog (volume preserving) and the
-N-step determinant product for the energy-preserving map. Momentum is
-discarded after every iteration and never negated on rejection, so exactly
-one uniform draw is consumed per iteration regardless of the outcome, keeping
-RNG streams aligned across method variants for paired comparisons.
+N-step determinant product for the energy-preserving map; the two iterations
+share one accept/reject step. Momentum is discarded after every iteration and
+never negated on rejection, so exactly one uniform draw is consumed per
+iteration regardless of the outcome, keeping RNG streams aligned across
+method variants for paired comparisons.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,8 @@ class SamplerConfig:
     ``n_steps`` is fixed by the pair (total_time, tau): the ratio must be an
     integer to 1e-9 or construction fails. For the conservative sampler,
     ``solver`` carries the fixed-point knobs and must agree with ``tau``;
-    ``jacobian_mode`` picks J0 (default, gradient-free), J1 or JFull.
+    ``jacobian_mode`` picks J0 (default, gradient-free), J1 or JFull. Both are
+    refused for leapfrog, and ``initial_state`` unless the mode is 'explicit'.
     """
 
     method: str
@@ -62,14 +64,16 @@ class SamplerConfig:
             raise ValueError("need iterations > burn_in >= 0")
         if self.initial_state_mode not in INITIAL_STATE_MODES:
             raise ValueError(f"initial_state_mode must be one of {INITIAL_STATE_MODES}")
-        if self.initial_state_mode == "explicit" and self.initial_state is None:
-            raise ValueError("explicit initial state requires a vector")
+        if (self.initial_state_mode == "explicit") != (self.initial_state is not None):
+            raise ValueError("initial_state is given exactly when initial_state_mode is explicit")
+        if self.method != "chmc" and not (self.solver is None and self.jacobian_mode is None):
+            raise ValueError("solver and jacobian_mode only apply to chmc")
         if self.method == "chmc":
             solver = self.solver if self.solver is not None else DmmSolverConfig(tau=self.tau)
             if solver.tau != self.tau:
                 raise ValueError("solver.tau must equal the sampler tau")
             object.__setattr__(self, "solver", solver)
-            mode = self.jacobian_mode if self.jacobian_mode is not None else JacobianMode.j0()
+            mode = self.jacobian_mode if self.jacobian_mode is not None else JacobianMode("J0")
             object.__setattr__(self, "jacobian_mode", mode)
 
     @property
@@ -117,30 +121,14 @@ def chmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConf
     """One conservative-sampler iteration: refresh p, integrate, accept/reject."""
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
-    mode = cfg.jacobian_mode
-    accumulator = None
-    hook = None
-    if mode.kind != "J0":
-        accumulator = JacobianAccumulator(mode, cfg.tau, mass, target, cfg.solver.dd_guard)
-        hook = accumulator
+    if cfg.jacobian_mode.kind == "J0":
+        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps, rng=rng)
+        return _accept_reject(theta, rec, 1.0, 0, rng)
+    accumulator = JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
+                                      cfg.solver.dd_guard)
     rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps,
-                     per_step_hook=hook, rng=rng)
-    u = rng.random()
-    jacobian_product = accumulator.product if accumulator is not None else 1.0
-    jacobian_evals = accumulator.extra_force_evals if accumulator is not None else 0
-    if rec.failed:
-        outcome = IterationOutcome(False, 0.0, math.inf, jacobian_product,
-                                   rec.total_force_evaluations, rec.total_fpi_iterations,
-                                   False, jacobian_evals)
-        return theta, outcome
-    delta_h = rec.h_out - rec.h_in
-    alpha = acceptance_probability(delta_h, jacobian_product)
-    accepted = u < alpha
-    new_theta = rec.state_out.q if accepted else theta
-    outcome = IterationOutcome(accepted, alpha, delta_h, jacobian_product,
-                               rec.total_force_evaluations, rec.total_fpi_iterations,
-                               rec.all_converged, jacobian_evals)
-    return new_theta, outcome
+                     per_step_hook=accumulator, rng=rng)
+    return _accept_reject(theta, rec, accumulator.product, accumulator.extra_force_evals, rng)
 
 
 def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
@@ -149,18 +137,23 @@ def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfi
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
     rec = leapfrog_trajectory(state, target, mass, cfg.tau, cfg.n_steps)
+    return _accept_reject(theta, rec, 1.0, 0, rng)
+
+
+def _accept_reject(theta: np.ndarray, rec, jacobian_product: float, jacobian_evals: int,
+                   rng: np.random.Generator):
+    """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf."""
     u = rng.random()
     if rec.failed:
-        outcome = IterationOutcome(False, 0.0, math.inf, 1.0,
-                                   rec.total_force_evaluations, 0, True, 0)
-        return theta, outcome
-    delta_h = rec.h_out - rec.h_in
-    alpha = acceptance_probability(delta_h, 1.0)
-    accepted = u < alpha
-    new_theta = rec.state_out.q if accepted else theta
-    outcome = IterationOutcome(accepted, alpha, delta_h, 1.0,
-                               rec.total_force_evaluations, 0, True, 0)
-    return new_theta, outcome
+        alpha, delta_h, accepted = 0.0, math.inf, False
+    else:
+        delta_h = rec.h_out - rec.h_in
+        alpha = acceptance_probability(delta_h, jacobian_product)
+        accepted = u < alpha
+    outcome = IterationOutcome(accepted, alpha, delta_h, jacobian_product,
+                               rec.total_force_evaluations, rec.total_fpi_iterations,
+                               rec.all_converged, jacobian_evals)
+    return (rec.q if accepted else theta), outcome
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:

@@ -106,14 +106,6 @@ class MultivariateGaussian(Potential):
         for a in (self.mean, self.cov, self._sigma_inv):
             a.setflags(write=False)
 
-    @classmethod
-    def standard(cls, dim: int) -> "MultivariateGaussian":
-        return cls(np.zeros(dim), np.eye(dim))
-
-    @property
-    def precision(self) -> np.ndarray:
-        return self._sigma_inv
-
     def evaluate(self, q: np.ndarray) -> float:
         r = q - self.mean
         return 0.5 * float(r @ (self._sigma_inv @ r))

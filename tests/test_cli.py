@@ -96,6 +96,48 @@ methods: []
         meta = json.loads((out / "meta.json").read_text())
         assert [m["initial_state"] for m in meta["spec"]["methods"]] == ["zeros", "zeros"]
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        text = MINIMAL.format(chains=1, iterations=1, out=tmp_path / "o").replace(
+            "seed: 11", "seed: -3")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert any(e.startswith("seed:") for e in err.value.errors)
+        cfg = tmp_path / "neg.yaml"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry", [
+        "jacobian: J1", "jacobian_source: analytic", "jacobian_h_fd: 1.0e-6",
+        "delta: 0.5", "max_fpi: 3", "dd_guard: 1.0e-6", "init_mode: gradient-euler",
+    ])
+    def test_chmc_fields_on_leapfrog_entry_rejected(self, entry):
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "{name: hmc-lf, method: hmc-leapfrog}",
+            "{name: hmc-lf, method: hmc-leapfrog, %s}" % entry)
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        key = entry.split(":")[0]
+        assert err.value.errors == [f"methods[0].{key}: only applies to chmc"]
+
+    def test_defaults_still_apply_to_every_method(self):
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 3, init_mode: gradient-euler}")
+        spec = validate_spec(text)
+        assert [m.max_fpi for m in spec.methods] == [3, 3]
+        assert spec.methods[1].sampler_config(seed=0).solver.init_mode == "gradient-euler"
+
+    def test_range_errors_come_from_dataclasses_all_collected(self):
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 0, jacobian_h_fd: -1.0}").replace(
+            "total_time: 1.0", "total_time: 3.95")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        for i in (0, 1):
+            for needle in ("max_fpi must be >= 1", "h_fd must be positive",
+                           "n_steps not integral"):
+                assert any(e.startswith(f"methods[{i}]: {needle}") for e in err.value.errors)
+
     def test_duplicate_method_names(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace("chmc-j0", "hmc-lf")
         with pytest.raises(ConfigError) as err:

@@ -9,14 +9,12 @@ from chmc import (
     MultivariateGaussian,
     PhaseState,
     QuarticGeneralizedGaussian,
-    StepJacobian,
     dmm_step,
     force_jacobians,
     step_jacobian,
     trajectory,
-    trajectory_jacobian,
 )
-from chmc.phase import negate_momentum
+from chmc.jacobian import signed_log, signed_log_ratio
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
@@ -91,21 +89,21 @@ class TestStepJacobian:
     def test_j0_is_one(self):
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
-        sj = step_jacobian(rng.standard_normal(4), rng.standard_normal(4), 0.1,
-                           MassMatrix.identity(4), JacobianMode.j0(), t)
-        assert sj.value == 1.0 and sj.extra_force_evals == 0
+        value, n = step_jacobian(rng.standard_normal(4), rng.standard_normal(4), 0.1,
+                                 MassMatrix.identity(4), JacobianMode("J0"), t)
+        assert value == 1.0 and n == 0
 
     def test_j1_trace_value(self):
         t = QuarticGeneralizedGaussian(1)
-        sj = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
-                           JacobianMode.j1("analytic"), t)
-        assert sj.value == pytest.approx(1.0 + 0.0025 * (22.0 - 34.0), rel=1e-13)
+        value, _ = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+                                 JacobianMode("J1", "analytic"), t)
+        assert value == pytest.approx(1.0 + 0.0025 * (22.0 - 34.0), rel=1e-13)
 
     def test_jfull_ratio_value(self):
         t = QuarticGeneralizedGaussian(1)
-        sj = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
-                           JacobianMode.jfull("analytic"), t)
-        assert sj.value == pytest.approx(1.055 / 1.085, rel=1e-12)
+        value, _ = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+                                 JacobianMode("JFull", "analytic"), t)
+        assert value == pytest.approx(1.055 / 1.085, rel=1e-12)
 
     @pytest.mark.parametrize("source,tol", [("analytic", 1e-12), ("finite-difference", 1e-8)])
     def test_gaussian_target_is_volume_preserving(self, source, tol):
@@ -118,20 +116,21 @@ class TestStepJacobian:
             q = rng.uniform(-2, 2, 3)
             Q = q + rng.uniform(0.05, 1.0, 3)
             for tau in (0.05, 0.1, 0.5):
-                sj = step_jacobian(Q, q, tau, MassMatrix.identity(3),
-                                   JacobianMode("JFull", source), t)
-                assert sj.value == pytest.approx(1.0, abs=tol)
+                value, _ = step_jacobian(Q, q, tau, MassMatrix.identity(3),
+                                         JacobianMode("JFull", source), t)
+                assert value == pytest.approx(1.0, abs=tol)
 
     def test_diagonal_fast_path_matches_dense(self):
         t = QuarticGeneralizedGaussian(3)
         rng = np.random.default_rng(43)
         q = rng.uniform(-1.5, 1.5, 3)
         Q = q + rng.uniform(0.1, 0.8, 3)
-        fast = step_jacobian(Q, q, 0.1, MassMatrix.identity(3), JacobianMode.jfull("analytic"), t)
+        fast, _ = step_jacobian(Q, q, 0.1, MassMatrix.identity(3),
+                                JacobianMode("JFull", "analytic"), t)
         d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
         dense = np.linalg.det(np.eye(3) + 0.0025 * np.diag(d_q)) / np.linalg.det(
             np.eye(3) + 0.0025 * np.diag(d_Q))
-        assert fast.value == pytest.approx(dense, rel=1e-12)
+        assert fast == pytest.approx(dense, rel=1e-12)
 
     def test_finite_difference_jfull_takes_diagonal_route(self, monkeypatch):
         # separable target, diagonal mass: no d x d determinant; the slogdet
@@ -155,11 +154,11 @@ class TestStepJacobian:
 
         monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
         for (Q, q), ref in zip(pairs, expected):
-            sj = step_jacobian(Q, q, 0.1, mass, JacobianMode.jfull(), t)
-            assert sj.extra_force_evals == 3
-            assert sj.value == pytest.approx(ref, rel=1e-12)
+            value, n = step_jacobian(Q, q, 0.1, mass, JacobianMode("JFull"), t)
+            assert n == 3
+            assert value == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", [JacobianMode.j1(), JacobianMode.jfull()])
+    @pytest.mark.parametrize("mode", [JacobianMode("J1"), JacobianMode("JFull")])
     def test_finite_difference_factor_same_on_both_probe_routes(self, mode):
         rng = np.random.default_rng(48)
         t, loop = QuarticGeneralizedGaussian(5), PerComponentQuartic(5)
@@ -167,44 +166,45 @@ class TestStepJacobian:
         for _ in range(20):
             q = rng.uniform(-2, 2, 5)
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-            compressed = step_jacobian(Q, q, 0.1, mass, mode, t)
-            per_component = step_jacobian(Q, q, 0.1, mass, mode, loop)
-            assert compressed.value == per_component.value
-            assert (compressed.extra_force_evals, per_component.extra_force_evals) == (3, 11)
+            compressed, n_c = step_jacobian(Q, q, 0.1, mass, mode, t)
+            per_component, n_l = step_jacobian(Q, q, 0.1, mass, mode, loop)
+            assert compressed == per_component
+            assert (n_c, n_l) == (3, 11)
 
     def test_diagonal_mass_scales_trace(self):
         t = QuarticGeneralizedGaussian(2)
         mass = MassMatrix.diagonal([2.0, 4.0])
         Q, q = np.array([1.0, 2.0]), np.array([0.5, 1.0])
-        sj = step_jacobian(Q, q, 0.2, mass, JacobianMode.j1("analytic"), t)
+        value, _ = step_jacobian(Q, q, 0.2, mass, JacobianMode("J1", "analytic"), t)
         d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
         expected = 1.0 + 0.01 * ((d_q - d_Q) / np.array([2.0, 4.0])).sum()
-        assert sj.value == pytest.approx(expected, rel=1e-13)
+        assert value == pytest.approx(expected, rel=1e-13)
+
+
+def trajectory_product(factors):
+    """N-step product of per-step factors through the signed-log helpers."""
+    return signed_log_ratio(signed_log(factors))
 
 
 class TestTrajectoryJacobian:
     def test_all_ones(self):
-        mode = JacobianMode.j0()
-        factors = [StepJacobian(1.0, mode, 0) for _ in range(10)]
-        assert trajectory_jacobian(factors) == 1.0
+        assert trajectory_product([1.0] * 10) == 1.0
 
     def test_two_factor_product(self):
-        mode = JacobianMode.j1()
-        factors = [StepJacobian(0.97, mode, 0), StepJacobian(0.97, mode, 0)]
-        assert trajectory_jacobian(factors) == pytest.approx(0.9409, rel=1e-14)
+        assert trajectory_product([0.97, 0.97]) == pytest.approx(0.9409, rel=1e-14)
 
     def test_zero_factor_collapses(self):
-        assert trajectory_jacobian([1.2, 0.0, 0.9]) == 0.0
+        assert trajectory_product([1.2, 0.0, 0.9]) == 0.0
 
     def test_negative_factors_keep_sign(self):
-        assert trajectory_jacobian([-0.5, 2.0]) == pytest.approx(-1.0, rel=1e-14)
-        assert trajectory_jacobian([-0.5, -2.0]) == pytest.approx(1.0, rel=1e-14)
+        assert trajectory_product([-0.5, 2.0]) == pytest.approx(-1.0, rel=1e-14)
+        assert trajectory_product([-0.5, -2.0]) == pytest.approx(1.0, rel=1e-14)
 
     def test_gaussian_forty_steps_product_is_one(self):
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
         mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
-        acc = JacobianAccumulator(JacobianMode.jfull("analytic"), 0.1, mass, t)
+        acc = JacobianAccumulator(JacobianMode("JFull", "analytic"), 0.1, mass, t)
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
         trajectory(state, t, mass, cfg, 40, per_step_hook=acc)
         assert acc.product == pytest.approx(1.0, abs=1e-10)
@@ -216,10 +216,9 @@ def brute_force_map_jacobian(z, target, mass, tau, h=1e-5):
     cfg = DmmSolverConfig(tau=tau, delta=1e-13, max_fpi=200)
 
     def apply_map(vec):
-        state = PhaseState(vec[:d], vec[d:])
-        rec = dmm_step(state, target, mass, cfg)
+        rec = dmm_step(vec[:d], vec[d:], target, mass, cfg)
         assert rec.converged
-        return np.concatenate([rec.state_out.q, rec.state_out.p])
+        return np.concatenate([rec.q, rec.p])
 
     base = np.concatenate([z.q, z.p])
     jac = np.empty((2 * d, 2 * d))
@@ -241,12 +240,12 @@ class TestDeterminantAgainstBruteForce:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(5):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            rec = dmm_step(z, target, mass, cfg)
+            rec = dmm_step(z.q, z.p, target, mass, cfg)
             assert rec.converged
-            sj = step_jacobian(rec.state_out.q, z.q, 0.1, mass,
-                               JacobianMode.jfull("analytic"), target)
+            value, _ = step_jacobian(rec.q, z.q, 0.1, mass,
+                                     JacobianMode("JFull", "analytic"), target)
             brute = brute_force_map_jacobian(z, target, mass, 0.1)
-            assert sj.value == pytest.approx(brute, rel=1e-5)
+            assert value == pytest.approx(brute, rel=1e-5)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_reversibility_determinant_identity(self, dim):
@@ -257,16 +256,15 @@ class TestDeterminantAgainstBruteForce:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(10):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            fwd = dmm_step(z, target, mass, cfg)
+            fwd = dmm_step(z.q, z.p, target, mass, cfg)
             assert fwd.converged
-            j_fwd = step_jacobian(fwd.state_out.q, z.q, 0.1, mass,
-                                  JacobianMode.jfull("analytic"), target)
-            flipped = negate_momentum(fwd.state_out)
-            back = dmm_step(flipped, target, mass, cfg, init_guess=negate_momentum(z))
+            j_fwd, _ = step_jacobian(fwd.q, z.q, 0.1, mass,
+                                     JacobianMode("JFull", "analytic"), target)
+            back = dmm_step(fwd.q, -fwd.p, target, mass, cfg, init_guess=(z.q, -z.p))
             assert back.converged
-            j_back = step_jacobian(back.state_out.q, flipped.q, 0.1, mass,
-                                   JacobianMode.jfull("analytic"), target)
-            assert j_fwd.value * j_back.value == pytest.approx(1.0, abs=1e-6)
+            j_back, _ = step_jacobian(back.q, fwd.q, 0.1, mass,
+                                      JacobianMode("JFull", "analytic"), target)
+            assert j_fwd * j_back == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTruncationOrders:
@@ -282,10 +280,10 @@ class TestTruncationOrders:
         self.Q = self.q + rng.uniform(0.1, 0.2, 3)
 
     def values(self, tau):
-        j1 = step_jacobian(self.Q, self.q, tau, self.mass, JacobianMode.j1("analytic"),
-                           self.target).value
-        jfull = step_jacobian(self.Q, self.q, tau, self.mass, JacobianMode.jfull("analytic"),
-                              self.target).value
+        j1, _ = step_jacobian(self.Q, self.q, tau, self.mass, JacobianMode("J1", "analytic"),
+                              self.target)
+        jfull, _ = step_jacobian(self.Q, self.q, tau, self.mass,
+                                 JacobianMode("JFull", "analytic"), self.target)
         return j1, jfull
 
     def test_full_minus_one_is_second_order(self):

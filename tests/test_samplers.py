@@ -82,6 +82,20 @@ class TestSamplerConfig:
         assert cfg.solver.tau == 0.1
         assert cfg.jacobian_mode.kind == "J0"
 
+    @pytest.mark.parametrize("field", [
+        {"solver": DmmSolverConfig(tau=5.0)},
+        {"jacobian_mode": JacobianMode("J1")},
+    ])
+    def test_chmc_only_fields_refused_for_leapfrog(self, field):
+        with pytest.raises(ValueError, match="only apply to chmc"):
+            quartic_cfg(method="hmc-leapfrog", **field)
+
+    def test_initial_state_needs_explicit_mode(self):
+        with pytest.raises(ValueError, match="initial_state"):
+            quartic_cfg(initial_state=np.zeros(2))
+        with pytest.raises(ValueError, match="initial_state"):
+            quartic_cfg(initial_state_mode="explicit")
+
 
 class TestChmcIteration:
     def test_near_identity_limit(self):
@@ -100,7 +114,7 @@ class TestChmcIteration:
         # plain energy rule
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.4], [0.4, 2.0]]))
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=2.0, iterations=5, seed=4,
-                            jacobian_mode=JacobianMode.jfull("analytic"))
+                            jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(4, 0)
         theta = np.array([0.5, 0.5])
         for _ in range(5):
@@ -125,8 +139,8 @@ class TestChmcIteration:
         # alpha >= min(1, exp(-N delta) J^N) whenever every step converged
         t = QuarticGeneralizedGaussian(4)
         mass = MassMatrix.identity(4)
-        for mode in (JacobianMode.j0(), JacobianMode.j1("analytic"),
-                     JacobianMode.jfull("analytic")):
+        for mode in (JacobianMode("J0"), JacobianMode("J1", "analytic"),
+                     JacobianMode("JFull", "analytic")):
             cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=100,
                                 seed=13, jacobian_mode=mode,
                                 solver=DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=25))
@@ -258,7 +272,7 @@ class TestStationaryHistogram:
         cfg = SamplerConfig(
             method="chmc", tau=0.1, total_time=0.5, iterations=iterations,
             burn_in=burn_in, seed=314,
-            jacobian_mode=JacobianMode.jfull("analytic"),
+            jacobian_mode=JacobianMode("JFull", "analytic"),
             solver=DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=50),
         )
         samples = []
