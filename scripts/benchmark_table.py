@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the method-comparison table across dimensions.
 
-Runs leapfrog HMC and the three conservative-sampler variants on the quartic
-target for each requested dimension and prints one summary table per d.
+Runs leapfrog HMC and the three conservative-sampler variants of
+configs/quartic_d40.yaml on the quartic target for each requested dimension
+and prints one summary table per d. Every flag overrides one value of that
+config and defaults to it.
 
 Full scale (10 chains x 10000 iterations, d up to 320, all four methods) takes
 a few hours on one core; use --chains/--iterations/--dims/--methods to shrink.
@@ -13,49 +15,48 @@ a few hours on one core; use --chains/--iterations/--dims/--methods to shrink.
 import argparse
 import os
 import sys
+from dataclasses import replace
+from pathlib import Path
 
-from chmc.cli import ExperimentSpec, MethodSpec, format_table, run_experiment
+from chmc.cli import EXIT_CONFIG_ERROR, ConfigError, format_table, load_spec, run_experiment
 
-ALL_METHODS = ("hmc-lf", "chmc-j0", "chmc-j1", "chmc-jfull")
-
-
-def method_spec(name: str, iterations: int, burn_in: int, max_fpi: int) -> MethodSpec:
-    common = dict(tau=0.1, total_time=4.0, iterations=iterations, burn_in=burn_in,
-                  delta=1e-8, max_fpi=max_fpi)
-    if name == "hmc-lf":
-        return MethodSpec(name=name, method="hmc-leapfrog", **common)
-    kind = {"chmc-j0": "J0", "chmc-j1": "J1", "chmc-jfull": "JFull"}[name]
-    return MethodSpec(name=name, method="chmc", jacobian_kind=kind, **common)
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quartic_d40.yaml"
 
 
 def main() -> int:
+    base = load_spec(str(CONFIG))
+    first = base.methods[0]
+    names = [m.name for m in base.methods]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--dims", type=int, nargs="+", default=[40, 80, 160, 320])
-    parser.add_argument("--chains", type=int, default=10)
-    parser.add_argument("--iterations", type=int, default=10000)
-    parser.add_argument("--burn-in", type=int, default=0)
-    parser.add_argument("--max-fpi", type=int, default=10)
-    parser.add_argument("--methods", nargs="+", default=list(ALL_METHODS),
-                        choices=ALL_METHODS)
-    parser.add_argument("--seed", type=int, default=20240811)
+    parser.add_argument("--chains", type=int, default=base.chains)
+    parser.add_argument("--iterations", type=int, default=first.iterations)
+    parser.add_argument("--burn-in", type=int, default=first.burn_in)
+    parser.add_argument("--max-fpi", type=int, default=first.max_fpi)
+    parser.add_argument("--methods", nargs="+", default=names, choices=names)
+    parser.add_argument("--seed", type=int, default=base.seed)
     parser.add_argument("--out", default="out/benchmark_table")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=base.workers)
     args = parser.parse_args()
 
-    for d in args.dims:
-        spec = ExperimentSpec(
-            target_kind="quartic",
-            dimension=d,
-            methods=tuple(method_spec(m, args.iterations, args.burn_in, args.max_fpi)
-                          for m in args.methods),
-            chains=args.chains,
-            seed=args.seed,
-            output_dir=os.path.join(args.out, f"d{d}"),
-            covariance_mode="auto",
-            workers=args.workers,
-        )
-        print(f"== quartic d={d}: {args.chains} chains x {args.iterations} iterations ==")
+    by_name = {m.name: m for m in base.methods}
+    try:
+        methods = tuple(replace(by_name[n], iterations=args.iterations,
+                                burn_in=args.burn_in, max_fpi=args.max_fpi)
+                        for n in args.methods)
+        specs = [replace(base, dimension=d, methods=methods, chains=args.chains,
+                         seed=args.seed, workers=args.workers,
+                         output_dir=os.path.join(args.out, f"d{d}"))
+                 for d in args.dims]
+    except ConfigError as exc:
+        for err in exc.errors:
+            print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+
+    for spec in specs:
+        print(f"== quartic d={spec.dimension}: {spec.chains} chains x "
+              f"{args.iterations} iterations ==")
         run_experiment(spec)
         print(format_table(spec.output_dir))
         print()

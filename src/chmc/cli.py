@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -66,8 +66,44 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+# YAML keys that differ from the field they set: the target fields sit under
+# ``target``, and a methods entry names its Jacobian kind ``jacobian``
+_YAML_KEY = {"target_kind": "target.kind", "dimension": "target.dimension",
+             "mean_path": "target.mean_path", "cov_path": "target.cov_path",
+             "jacobian_kind": "jacobian"}
+
+
 def _default(cls, name: str):
     return next(f.default for f in fields(cls) if f.name == name)
+
+
+def _field_errors(spec) -> list:
+    """Each field's type, minimum and choice violations, named by YAML key.
+
+    Float fields are stored as floats: YAML 4 reaches meta.json as 4.0.
+    """
+    errors = []
+    for f in fields(spec):
+        key, value = _YAML_KEY.get(f.name, f.name), getattr(spec, f.name)
+        minimum, choices = f.metadata.get("minimum"), f.metadata.get("choices")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if choices is not None and value not in choices:
+            errors.append(f"{key}: expected one of {list(choices)}, got {value!r}")
+        elif f.type == "int" and not (number and isinstance(value, int)):
+            errors.append(f"{key}: expected an integer, got {value!r}")
+        elif f.type == "float" and not number:
+            errors.append(f"{key}: expected a number, got {value!r}")
+        elif f.type == "float" and not math.isfinite(value):
+            errors.append(f"{key}: must be finite, got {value!r}")
+        elif f.type == "str" and not (isinstance(value, str) and value):
+            errors.append(f"{key}: required non-empty string")
+        elif f.type == "Optional[str]" and not (value is None or isinstance(value, str)):
+            errors.append(f"{key}: expected a path string")
+        elif minimum is not None and value < minimum:
+            errors.append(f"{key}: must be >= {minimum}, got {value}")
+        elif f.type == "float":
+            object.__setattr__(spec, f.name, float(value))
+    return errors
 
 
 @dataclass(frozen=True)
@@ -76,6 +112,7 @@ class MethodSpec:
 
     Defaults and range checks come from ``SamplerConfig``, ``DmmSolverConfig``
     and ``JacobianMode``; only chmc reads the solver and Jacobian fields.
+    Construction raises ``ConfigError`` listing every violation.
     """
 
     name: str
@@ -91,7 +128,27 @@ class MethodSpec:
     max_fpi: int = _default(DmmSolverConfig, "max_fpi")
     dd_guard: float = _default(DmmSolverConfig, "dd_guard")
     init_mode: str = _default(DmmSolverConfig, "init_mode")
-    initial_state: str = _default(SamplerConfig, "initial_state_mode")
+    # a spec cannot carry the vector an explicit start needs
+    initial_state: str = field(default=_default(SamplerConfig, "initial_state_mode"),
+                               metadata={"choices": ("zeros", "standard-normal")})
+
+    def __post_init__(self):
+        errors = _field_errors(self)
+        if not errors:
+            # each dataclass reports its first violated range; the sampler
+            # check leaves out the solver and Jacobian knobs, which the first
+            # two cover
+            checks = (self.solver, self.jacobian_mode,
+                      lambda: SamplerConfig(self.method, self.tau, self.total_time,
+                                            self.iterations, self.burn_in,
+                                            initial_state_mode=self.initial_state))
+            for check in checks:
+                try:
+                    check()
+                except ValueError as exc:
+                    errors.append(str(exc))
+        if errors:
+            raise ConfigError(errors)
 
     def solver(self) -> DmmSolverConfig:
         return DmmSolverConfig(tau=self.tau, delta=self.delta, max_fpi=self.max_fpi,
@@ -115,21 +172,45 @@ class MethodSpec:
         )
 
 
+_NO_METHODS = "methods: required non-empty list"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully validated experiment: target, method variants, chain layout."""
+    """Fully validated experiment: target, method variants, chain layout.
 
-    target_kind: str
-    dimension: int
+    Construction raises ``ConfigError`` listing every violation by YAML path.
+    """
+
+    target_kind: str = field(metadata={"choices": TARGET_KINDS})
+    dimension: int = field(metadata={"minimum": 1})
     methods: tuple
-    chains: int
-    seed: int
     output_dir: str
-    covariance_mode: str = "auto"
-    record_stride: int = 10
-    workers: int = 1
+    chains: int = field(default=1, metadata={"minimum": 1})
+    seed: int = field(default=0, metadata={"minimum": 0})
+    covariance_mode: str = field(default="auto", metadata={"choices": COVARIANCE_MODES})
+    record_stride: int = field(default=10, metadata={"minimum": 1})
+    workers: int = field(default=1, metadata={"minimum": 1})
     mean_path: Optional[str] = None
     cov_path: Optional[str] = None
+
+    def __post_init__(self):
+        errors = _field_errors(self)
+        if not (isinstance(self.methods, tuple) and self.methods
+                and all(isinstance(m, MethodSpec) for m in self.methods)):
+            errors.append(_NO_METHODS)
+        elif len({m.name for m in self.methods}) != len(self.methods):
+            errors.append("methods: names must be unique")
+        for key in ("mean_path", "cov_path"):
+            if getattr(self, key) is not None and self.target_kind == "quartic":
+                errors.append(f"target.{key}: only applies to the gaussian target")
+        if (self.covariance_mode == "full" and isinstance(self.dimension, int)
+                and self.dimension > DIAGONAL_ONLY_ABOVE):
+            errors.append(
+                f"covariance_mode: full mode is unavailable above d = {DIAGONAL_ONLY_ABOVE}; "
+                "use diagonal or auto")
+        if errors:
+            raise ConfigError(errors)
 
     def resolved_covariance_mode(self) -> str:
         if self.covariance_mode == "auto":
@@ -141,101 +222,49 @@ def _format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _as_int(raw, path, errors, minimum=None):
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        errors.append(f"{path}: expected an integer, got {raw!r}")
-        return None
-    if minimum is not None and raw < minimum:
-        errors.append(f"{path}: must be >= {minimum}, got {raw}")
-        return None
-    return raw
-
-
-def _as_number(raw, path, errors):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        errors.append(f"{path}: expected a number, got {raw!r}")
-        return None
-    value = float(raw)
-    if not math.isfinite(value):
-        errors.append(f"{path}: must be finite, got {raw!r}")
-        return None
-    return value
-
-
-def _as_choice(raw, path, errors, choices):
-    if raw not in choices:
-        errors.append(f"{path}: expected one of {list(choices)}, got {raw!r}")
-        return None
-    return raw
-
-
-def _check_unknown(mapping, path, errors, known):
-    for key in mapping:
-        if key not in known:
-            errors.append(f"{path}.{key}: unknown field")
-
-
-# YAML keys of a method entry are the MethodSpec field names, except this one
-_YAML_KEY = {"jacobian_kind": "jacobian"}
-_METHOD_FIELDS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
-_DEFAULT_FIELDS = tuple(k for k in _METHOD_FIELDS if k not in ("name", "method", "jacobian"))
-_CHMC_ONLY_FIELDS = ("jacobian", "jacobian_source", "jacobian_h_fd") + tuple(
+_METHOD_KEYS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
+# keys each methods entry sets for itself; ``defaults`` may set every other
+# method key, and the top level iterations and burn_in
+_ENTRY_KEYS = ("name", "method", "jacobian")
+_TOP_METHOD_KEYS = ("iterations", "burn_in")
+_CHMC_ONLY_KEYS = ("jacobian", "jacobian_source", "jacobian_h_fd") + tuple(
     f.name for f in fields(DmmSolverConfig) if f.name != "tau")
-# string fields need no type check: the dataclasses test them for membership
-_TYPE_CHECKS = {"int": _as_int, "float": _as_number}
-_TOP_FIELDS = ("target", "methods", "defaults", "chains", "iterations", "burn_in",
-               "seed", "output_dir", "covariance_mode", "record_stride", "workers")
-_TARGET_FIELDS = ("kind", "dimension", "mean_path", "cov_path")
 
 
-def _validate_method(raw, idx, shared, errors):
-    path = f"methods[{idx}]"
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected a mapping")
-        return None
-    _check_unknown(raw, path, errors, _METHOD_FIELDS)
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{path}.name: required non-empty string")
-        name = f"method-{idx}"
-    if raw.get("method") == "hmc-leapfrog":
-        # keys under ``defaults`` still apply to every method
-        errors.extend(f"{path}.{key}: only applies to chmc"
-                      for key in _CHMC_ONLY_FIELDS if key in raw)
-    values = {"name": name}
-    for f in fields(MethodSpec)[1:]:
+def _mapping(raw, path, errors) -> dict:
+    """The YAML mapping ``raw`` ({} when absent), or {} after reporting anything else."""
+    if raw is None or isinstance(raw, dict):
+        return raw or {}
+    errors.append(f"{path}: expected a mapping")
+    return {}
+
+
+def _build(cls, sources: list, errors: list):
+    """``cls`` with each field read by YAML key from the first of ``sources``
+    that holds it, else its default; None after adding its violations to
+    ``errors``."""
+    values = {}
+    for f in fields(cls):
         key = _YAML_KEY.get(f.name, f.name)
-        value = raw.get(key, shared.get(key, f.default))
-        if value is MISSING:
-            errors.append(f"{path}.{key}: required")
-        elif f.type in _TYPE_CHECKS:
-            value = _TYPE_CHECKS[f.type](value, f"{path}.{key}", errors)
-        values[f.name] = value
-    # YAML cannot give the vector an explicit start needs
-    _as_choice(values["initial_state"], f"{path}.initial_state", errors,
-               ("zeros", "standard-normal"))
-    if errors:
-        return None
-
-    spec = MethodSpec(**values)
-    # each dataclass reports its first violated range; the sampler check
-    # leaves out the solver and Jacobian knobs, which the first two cover
-    checks = (spec.solver, spec.jacobian_mode,
-              lambda: SamplerConfig(spec.method, spec.tau, spec.total_time, spec.iterations,
-                                    spec.burn_in, initial_state_mode=spec.initial_state))
-    for check in checks:
+        values[f.name] = next((s[key] for s in sources if key in s), f.default)
+    found = [f"{_YAML_KEY.get(n, n)}: required" for n, v in values.items() if v is MISSING]
+    if not found:
         try:
-            check()
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-    return None if errors else spec
+            return cls(**values)
+        except ConfigError as exc:
+            found = exc.errors
+    errors.extend(found)
+    return None
 
 
 def validate_spec(text: str) -> ExperimentSpec:
     """Parse and fully validate a YAML run specification.
 
-    Every violation is collected (no fail-fast) and reported through a single
-    ConfigError whose ``errors`` list names the offending field paths.
+    The keys, defaults and checks are the fields of ``ExperimentSpec`` and
+    ``MethodSpec`` (see ``_YAML_KEY`` for the keys spelled otherwise);
+    ``defaults`` holds method values shared by every entry. Every violation
+    is collected (no fail-fast) and reported through a single ConfigError
+    whose ``errors`` list names the offending field paths.
     """
     errors: list[str] = []
     try:
@@ -245,76 +274,40 @@ def validate_spec(text: str) -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a mapping"])
 
-    _check_unknown(raw, "config", errors, _TOP_FIELDS)
+    target = _mapping(raw.get("target"), "target", errors)
+    defaults = _mapping(raw.get("defaults"), "defaults", errors)
+    listed = raw.get("methods")
+    entries = {f"methods[{i}]": _mapping(e, f"methods[{i}]", errors)
+               for i, e in enumerate(listed if isinstance(listed, list) else [])}
+    spec_keys = [_YAML_KEY.get(f.name, f.name) for f in fields(ExperimentSpec)]
+    levels = [
+        ("config", raw, {k.partition(".")[0] for k in spec_keys} | {"defaults", *_TOP_METHOD_KEYS}),
+        ("target", target, {k.partition(".")[2] for k in spec_keys if k.startswith("target.")}),
+        ("defaults", defaults, set(_METHOD_KEYS) - set(_ENTRY_KEYS)),
+    ] + [(path, entry, set(_METHOD_KEYS)) for path, entry in entries.items()]
+    for path, mapping, known in levels:
+        errors.extend(f"{path}.{key}: unknown field" for key in mapping if key not in known)
 
-    target = raw.get("target")
-    target_kind = None
-    dimension = None
-    mean_path = cov_path = None
-    if not isinstance(target, dict):
-        errors.append("target: required mapping with kind and dimension")
-    else:
-        _check_unknown(target, "target", errors, _TARGET_FIELDS)
-        target_kind = _as_choice(target.get("kind"), "target.kind", errors, TARGET_KINDS)
-        dimension = _as_int(target.get("dimension"), "target.dimension", errors, minimum=1)
-        mean_path = target.get("mean_path")
-        cov_path = target.get("cov_path")
-        for key, val in (("mean_path", mean_path), ("cov_path", cov_path)):
-            if val is not None and not isinstance(val, str):
-                errors.append(f"target.{key}: expected a path string")
-            if val is not None and target_kind == "quartic":
-                errors.append(f"target.{key}: only applies to the gaussian target")
-
-    chains = _as_int(raw.get("chains", 1), "chains", errors, minimum=1)
-    seed = _as_int(raw.get("seed", 0), "seed", errors, minimum=0)
-    record_stride = _as_int(raw.get("record_stride", 10), "record_stride", errors, minimum=1)
-    workers = _as_int(raw.get("workers", 1), "workers", errors, minimum=1)
-    covariance_mode = _as_choice(raw.get("covariance_mode", "auto"), "covariance_mode",
-                                 errors, COVARIANCE_MODES)
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        errors.append("output_dir: required non-empty string")
-
-    shared = {}
-    defaults = raw.get("defaults", {})
-    if not isinstance(defaults, dict):
-        errors.append("defaults: expected a mapping")
-    else:
-        _check_unknown(defaults, "defaults", errors, _DEFAULT_FIELDS)
-        shared.update(defaults)
-    for key in ("iterations", "burn_in"):
-        if key in raw:
-            shared.setdefault(key, raw[key])
-
-    methods_raw = raw.get("methods")
+    shared = [defaults, {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}]
     methods = []
-    if not isinstance(methods_raw, list) or not methods_raw:
-        errors.append("methods: required non-empty list")
-    else:
-        for idx, entry in enumerate(methods_raw):
-            method_errors: list[str] = []
-            spec = _validate_method(entry, idx, shared, method_errors)
-            errors.extend(method_errors)
-            if spec is not None:
-                methods.append(spec)
-        names = [m.name for m in methods]
-        if len(set(names)) != len(names):
-            errors.append("methods: names must be unique")
-
-    if (covariance_mode == "full" and dimension is not None
-            and dimension > DIAGONAL_ONLY_ABOVE):
-        errors.append(
-            f"covariance_mode: full mode is unavailable above d = {DIAGONAL_ONLY_ABOVE}; "
-            "use diagonal or auto")
-
+    for path, entry in entries.items():
+        if entry.get("method") == "hmc-leapfrog":
+            # keys under ``defaults`` still apply to every method
+            errors.extend(f"{path}.{key}: only applies to chmc"
+                          for key in _CHMC_ONLY_KEYS if key in entry)
+        found = []
+        methods.append(_build(MethodSpec, [entry] + shared, found))
+        # a field's own violation reads path.key: ..., a dataclass's path: ...
+        errors.extend(f"{path}.{e}" if e.partition(":")[0] in _METHOD_KEYS else f"{path}: {e}"
+                      for e in found)
+    built = tuple(m for m in methods if m is not None)
+    top = dict(raw, methods=built, **{f"target.{k}": v for k, v in target.items()})
+    spec = _build(ExperimentSpec, [top], errors)
+    if methods and not built:  # every entry failed and has said why
+        errors = [e for e in errors if e != _NO_METHODS]
     if errors:
         raise ConfigError(errors)
-    return ExperimentSpec(
-        target_kind=target_kind, dimension=dimension, methods=tuple(methods),
-        chains=chains, seed=seed, output_dir=output_dir,
-        covariance_mode=covariance_mode, record_stride=record_stride,
-        workers=workers, mean_path=mean_path, cov_path=cov_path,
-    )
+    return spec
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -405,13 +398,15 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     """Execute every (method, chain) task and write the three artifacts.
 
     Chains are independent units of work; results are identical for any
-    degree of parallelism. Returns a manifest with the per-task results and
-    output paths.
+    degree of parallelism. ``workers`` overrides ``spec.workers`` under the
+    field's own check (ConfigError before any file is written); meta.json
+    records the spec's value. Returns a manifest with the per-task results
+    and output paths.
     """
+    workers = (spec if workers is None else replace(spec, workers=workers)).workers
     os.makedirs(spec.output_dir, exist_ok=True)
     if not os.access(spec.output_dir, os.W_OK):
         raise OSError(f"output directory {spec.output_dir!r} is not writable")
-    workers = spec.workers if workers is None else workers
 
     tasks = [(m, c) for m in range(len(spec.methods)) for c in range(spec.chains)]
     task_args = ([spec] * len(tasks), [m for m, _ in tasks], [c for _, c in tasks])
@@ -440,7 +435,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
         "library_version": __version__,
         "seed": spec.seed,
         "covariance_mode": spec.resolved_covariance_mode(),
-        "spec": _spec_as_dict(spec),
+        "spec": asdict(spec),
         "conventions": {
             "mean_energy_error": "mean |delta H| of the proposal over all iterations, accepted or not",
             "mean_force_evals": "integrator force evaluations / (iterations * n_steps); "
@@ -463,12 +458,6 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
         "results": results,
         "output_dir": spec.output_dir,
     }
-
-
-def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    out = asdict(spec)
-    out["methods"] = [asdict(m) for m in spec.methods]
-    return out
 
 
 def format_table(output_dir: str) -> str:
@@ -495,6 +484,12 @@ def format_table(output_dir: str) -> str:
     return "\n".join(lines)
 
 
+def _config_error(exc: ConfigError) -> int:
+    for err in exc.errors:
+        print(f"config error: {err}", file=sys.stderr)
+    return EXIT_CONFIG_ERROR
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chmc",
@@ -518,15 +513,15 @@ def main(argv=None) -> int:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         except ConfigError as exc:
-            for err in exc.errors:
-                print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            return _config_error(exc)
         if args.command == "validate":
             print(f"ok: {len(spec.methods)} method(s), {spec.chains} chain(s), "
                   f"target {spec.target_kind} d={spec.dimension}")
             return EXIT_OK
         try:
             manifest = run_experiment(spec, workers=args.workers)
+        except ConfigError as exc:
+            return _config_error(exc)
         except Exception as exc:  # noqa: BLE001 - report and signal runtime failure
             print(f"run failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME_ERROR

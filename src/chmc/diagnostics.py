@@ -9,7 +9,7 @@ import numpy as np
 
 
 class StreamingCovariance:
-    """Single-pass mean/covariance accumulator (Welford update, Chan merge).
+    """Single-pass mean/covariance accumulator (Welford update).
 
     Full mode keeps the d x d co-moment matrix; diagonal mode keeps only the
     length-d second-moment vector, which is what very high-dimensional runs
@@ -32,24 +32,6 @@ class StreamingCovariance:
             self.scatter += delta * delta2
         else:
             self.scatter += np.outer(delta, delta2)
-
-    def merge(self, other: "StreamingCovariance") -> "StreamingCovariance":
-        """Combine two independent streams; equals single-stream processing."""
-        if self.dim != other.dim or self.diagonal != other.diagonal:
-            raise ValueError("streams must have identical shape and mode")
-        out = StreamingCovariance(self.dim, self.diagonal)
-        n = self.count + other.count
-        if n == 0:
-            return out
-        d = other.mean - self.mean
-        w = self.count * other.count / n
-        out.count = n
-        out.mean = self.mean + d * (other.count / n)
-        if self.diagonal:
-            out.scatter = self.scatter + other.scatter + w * d * d
-        else:
-            out.scatter = self.scatter + other.scatter + w * np.outer(d, d)
-        return out
 
     def covariance(self) -> np.ndarray:
         """Sample covariance with n - 1 normalization (full mode)."""

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phase import MassMatrix, PhaseState, hamiltonian
+from .phase import MassMatrix, PhaseState, hamiltonian, total_energy
 from .targets import is_separable
 
 INIT_MODES = ("position-euler", "gradient-euler", "random-perturb")
@@ -252,12 +252,10 @@ def dmm_step(
     else:
         Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, rng)
 
-    evaluate = potential.evaluate
-    kinetic = mass.kinetic
     iterations = 0
     D = None
     while True:
-        h_now = float(evaluate(Q)) + kinetic(P)
+        h_now = total_energy(Q, P, potential, mass)
         err = abs(h_now - h_in)
         converged = err <= cfg.delta
         if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
@@ -374,7 +372,7 @@ def leapfrog_trajectory(
             if per_step_hook is not None:
                 per_step_hook(q_prev, q)
         finite = np.isfinite(q).all() and np.isfinite(p).all()
-        h_out = float(potential.evaluate(q)) + mass.kinetic(p) if finite else math.inf
+        h_out = total_energy(q, p, potential, mass) if finite else math.inf
     if not math.isfinite(h_out):
         return TrajectoryRecord(state.q, state.p, total_f, 0, math.inf, True, True,
                                 h_in, math.inf)

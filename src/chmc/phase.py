@@ -151,17 +151,20 @@ class MassMatrix:
         return self._chol @ xi
 
 
-def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> float:
-    """H(q, p) = U(q) + p^T M^-1 p / 2.
+def total_energy(q: np.ndarray, p: np.ndarray, potential, mass: MassMatrix) -> float:
+    """H(q, p) = U(q) + p^T M^-1 p / 2 on raw arrays, the one place H is formed.
 
     A non-finite potential value is mapped to +inf so that proposals into
     forbidden regions are auto-rejected upstream instead of raising.
     """
+    u = float(potential.evaluate(q))
+    return (u if math.isfinite(u) else math.inf) + mass.kinetic(p)
+
+
+def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> float:
+    """``total_energy`` of a validated state, after checking its dimension."""
     if state.dim != potential.dim:
         raise ValueError(f"state dimension {state.dim} != potential dimension {potential.dim}")
     if state.dim != mass.dim:
         raise ValueError(f"state dimension {state.dim} != mass dimension {mass.dim}")
-    u = float(potential.evaluate(state.q))
-    if not math.isfinite(u):
-        u = math.inf
-    return u + mass.kinetic(state.p)
+    return total_energy(state.q, state.p, potential, mass)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,8 @@ from chmc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
+    ExperimentSpec,
+    MethodSpec,
     format_table,
     main,
     run_experiment,
@@ -70,6 +73,13 @@ methods: []
         for needle in ("target.kind", "target.dimension", "chains", "output_dir", "methods"):
             assert needle in text
         assert len(err.value.errors) >= 5
+
+    @pytest.mark.parametrize("top", ["", "target: {kind: quartic, dimension: 3}\noutput_dir: o\n"])
+    def test_failed_entries_alone_explain_the_methods_list(self, top):
+        with pytest.raises(ConfigError) as err:
+            validate_spec(top + "methods: [{name: a, method: chmc}]\n")
+        assert "methods[0].tau: required" in err.value.errors
+        assert "methods: required non-empty list" not in err.value.errors
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -143,6 +153,43 @@ methods: []
         with pytest.raises(ConfigError) as err:
             validate_spec(text)
         assert any("unique" in e for e in err.value.errors)
+
+    def test_direct_construction_lists_every_violation(self):
+        with pytest.raises(ConfigError) as err:
+            MethodSpec(name="", method="chmc", tau=0.1, total_time=3.95, iterations=5,
+                       delta="tight")
+        assert err.value.errors == ["name: required non-empty string",
+                                    "delta: expected a number, got 'tight'"]
+        with pytest.raises(ConfigError) as err:
+            MethodSpec(name="a", method="chmc", tau=0.1, total_time=3.95, iterations=5,
+                       max_fpi=0)
+        assert err.value.errors == [
+            "max_fpi must be >= 1",
+            "n_steps not integral: total_time / tau must be a positive integer"]
+        method = MethodSpec(name="a", method="chmc", tau=0.1, total_time=4, iterations=5)
+        assert isinstance(method.total_time, float)
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(target_kind="banana", dimension=0, methods=(method, method),
+                           output_dir="o", chains=0, seed=-1, workers=True)
+        assert err.value.errors == [
+            "target.kind: expected one of ['quartic', 'gaussian'], got 'banana'",
+            "target.dimension: must be >= 1, got 0",
+            "chains: must be >= 1, got 0",
+            "seed: must be >= 0, got -1",
+            "workers: expected an integer, got True",
+            "methods: names must be unique",
+        ]
+
+    def test_replace_runs_the_same_checks(self):
+        spec = validate_spec(MINIMAL.format(chains=1, iterations=3, out="x"))
+        assert dataclasses.replace(spec, chains=4).chains == 4
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(spec, chains=0, record_stride=0)
+        assert err.value.errors == ["chains: must be >= 1, got 0",
+                                    "record_stride: must be >= 1, got 0"]
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(spec.methods[0], iterations=0)
+        assert err.value.errors == ["need iterations > burn_in >= 0"]
 
 
 class TestRunExperiment:
@@ -286,6 +333,22 @@ class TestMainEntry:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=blocker / "sub"))
         assert main(["run", str(cfg)]) == EXIT_RUNTIME_ERROR
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_flag_below_one_is_config_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "o"
+        cfg = tmp_path / "ok.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=3, out=out))
+        assert main(["run", str(cfg), "--workers", str(workers)]) == EXIT_CONFIG_ERROR
+        assert f"config error: workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_flag_leaves_meta_spec_value(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = tmp_path / "ok.yaml"
+        cfg.write_text(MINIMAL.format(chains=2, iterations=3, out=out))
+        assert main(["run", str(cfg), "--workers", "2"]) == EXIT_OK
+        assert json.loads((out / "meta.json").read_text())["spec"]["workers"] == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

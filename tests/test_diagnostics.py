@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chmc import (
     CovarianceTracker,
@@ -44,26 +42,6 @@ class TestStreamingCovariance:
             diag.update(row)
         np.testing.assert_allclose(diag.variance_diagonal(), full.variance_diagonal(),
                                    rtol=1e-12)
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(2, 60), st.integers(1, 59), st.integers(0, 2 ** 31 - 1))
-    def test_merge_equals_single_stream(self, n, split, seed):
-        split = min(split, n - 1)
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((n, 3))
-        a = StreamingCovariance(3)
-        b = StreamingCovariance(3)
-        whole = StreamingCovariance(3)
-        for row in data[:split]:
-            a.update(row)
-        for row in data[split:]:
-            b.update(row)
-        for row in data:
-            whole.update(row)
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(merged.scatter, whole.scatter, rtol=1e-10, atol=1e-10)
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(53)

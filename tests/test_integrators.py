@@ -483,6 +483,24 @@ class TestTrajectory:
         np.testing.assert_array_equal(pairs[0][0], s.q)
         np.testing.assert_array_equal(pairs[-1][1], rec.q)
 
+    @pytest.mark.parametrize("integrate", [
+        lambda s, t, m: trajectory(s, t, m, DmmSolverConfig(tau=0.1), 5),
+        lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 5),
+    ])
+    def test_one_checked_hamiltonian_per_trajectory(self, monkeypatch, integrate):
+        # per-step energies come from phase.total_energy on raw arrays; only
+        # the start state goes through the dimension-checked hamiltonian
+        import chmc.integrators as integrators
+
+        calls = []
+        monkeypatch.setattr(integrators, "hamiltonian",
+                            lambda *args: calls.append(args) or hamiltonian(*args))
+        t, mass = QuarticGeneralizedGaussian(2), MassMatrix.identity(2)
+        s = PhaseState([0.1, 0.2], [1.0, -1.0])
+        rec = integrate(s, t, mass)
+        assert len(calls) == 1
+        assert rec.h_out == t.evaluate(rec.q) + mass.kinetic(rec.p)
+
     def test_composed_round_trip(self):
         # trajectory, flip, trajectory, flip returns to the start
         t = QuarticGeneralizedGaussian(3)

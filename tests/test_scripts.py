@@ -21,8 +21,9 @@ import chmc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_perfbench_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -47,7 +48,7 @@ def chmc_references(path):
 
 class TestPerfbenchHooks:
     def test_every_wrap_point_resolves(self):
-        spans = load_perfbench_spans()
+        spans = load_perfbench("spans")
         missing = [f"{module}.{path}" for module, path, _ in spans.WRAP_POINTS
                    if spans._resolve(module, path) is None]
         assert missing == []
@@ -63,22 +64,69 @@ class TestPerfbenchHooks:
             assert hasattr(owner, attr), f"chmc.{chain}"
 
 
-def test_benchmark_table_script_runs_at_toy_scale(tmp_path):
+    def test_table_workload_yaml_validates(self, monkeypatch):
+        # workloads.py imports its sibling modules by their bare names
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = load_perfbench("workloads")
+        from chmc.cli import validate_spec
+
+        p = dict(workloads.plan("table-d40", 6.0), seed=11)
+        spec = validate_spec(workloads.table_yaml(p, "out"))
+        assert [m.name for m in spec.methods] == [m["name"] for m in p["methods"]]
+        assert {m.dd_guard for m in spec.methods} == {workloads.DD_GUARD}
+
+
+def run_benchmark_table(*flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = tmp_path / "table"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "benchmark_table.py"), "--dims", "3",
-         "--chains", "1", "--iterations", "3", "--methods", "hmc-lf", "chmc-j0",
-         "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "benchmark_table.py"), *flags],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+def summary_rows(out_dir):
+    """summary.csv rows without the wall-time column."""
+    with open(out_dir / "summary.csv", newline="", encoding="utf-8") as fh:
+        return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in csv.DictReader(fh)]
+
+
+def test_benchmark_table_script_runs_at_toy_scale(tmp_path):
+    from chmc.cli import run_experiment, validate_spec
+
+    out = tmp_path / "table"
+    proc = run_benchmark_table("--dims", "3", "--chains", "1", "--iterations", "3",
+                               "--methods", "hmc-lf", "chmc-j0", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    with open(out / "d3" / "summary.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = summary_rows(out / "d3")
     assert [(r["method"], r["chain"]) for r in rows] == [
         ("hmc-lf", "0"), ("chmc-j0", "0"), ("hmc-lf", "mean"), ("chmc-j0", "mean")]
     assert "hmc-lf" in proc.stdout and "chmc-j0" in proc.stdout
+    # the settings the script used to spell out by hand, now read from the config
+    run_experiment(validate_spec(f"""
+target: {{kind: quartic, dimension: 3}}
+chains: 1
+seed: 20240811
+output_dir: {tmp_path / 'ref'}
+defaults: {{tau: 0.1, total_time: 4.0, iterations: 3, delta: 1.0e-8, max_fpi: 10}}
+methods:
+  - {{name: hmc-lf, method: hmc-leapfrog}}
+  - {{name: chmc-j0, method: chmc, jacobian: J0}}
+"""))
+    assert rows == summary_rows(tmp_path / "ref")
+
+
+@pytest.mark.parametrize("flag, error", [
+    (("--chains", "0"), "chains: must be >= 1, got 0"),
+    (("--iterations", "0"), "need iterations > burn_in >= 0"),
+    (("--seed", "-1"), "seed: must be >= 0, got -1"),
+])
+def test_benchmark_table_bad_flag_is_config_error(tmp_path, flag, error):
+    out = tmp_path / "table"
+    proc = run_benchmark_table("--dims", "3", "--out", str(out), *flag)
+    assert proc.returncode == 1
+    assert f"config error: {error}" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["quartic_d40.yaml", "quartic_d2560_separation.yaml"])
