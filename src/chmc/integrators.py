@@ -5,13 +5,21 @@ The implicit energy-preserving step
     Q_i = q_i + (tau/2) (P + p)^T M^-1 e_i
     P_i = p_i - (tau/2) F_i(Q, q)
 
-is solved by fixed-point iteration, stopping at the first iterate whose
-energy error |H(Q, P) - H(q, p)| drops to the tolerance ``delta`` or after
-``max_fpi`` updates. Each update substitutes the freshly advanced position
-into the force, so it costs exactly one force evaluation; the literal
-simultaneous (Jacobi) pairing of the two update lines stalls every other
-iterate and doubles the force-evaluation count for the same progress, so the
-sequential form is used throughout.
+is solved as a predictor-corrector. The predictor is the first iterate: on a
+trajectory's first step the Euler guess Q0 = q + tau M^-1 p; on every later
+step the previous step's final force F_prev = (p_prev - p) / (tau/2),
+recovered from its input and output momenta without a target call, extrapolates
+P ~ p - (tau/2) F_prev, giving Q0 = q + (tau/2) M^-1 (3p - p_prev) (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, VIII.6, "starting
+approximations"). The corrector is fixed-point iteration: the first iterate
+is a guess, so at least one update always runs, and the solve stops at the
+first updated iterate whose energy error |H(Q, P) - H(q, p)| drops to the
+tolerance ``delta`` or after ``max_fpi`` updates. Each update substitutes the
+freshly advanced position into the force, so it costs exactly one force
+evaluation and one energy test; the literal simultaneous (Jacobi) pairing of
+the two update lines stalls every other iterate and doubles the
+force-evaluation count for the same progress, so the sequential form is used
+throughout.
 
 Eliminating P leaves the position equation Q = g(Q) with
 g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). On a separable target with
@@ -51,7 +59,10 @@ class DmmSolverConfig:
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative divided-difference guard; component i uses
         the threshold dd_guard * max(1, |q_i|).
-    init_mode: how the initial iterate is built (see ``dmm_init``).
+    init_mode: how the initial iterate (the predictor) is built; see
+        ``dmm_init``. Both Euler modes take the Euler position on a
+        trajectory's first step and the extrapolated one afterwards. The
+        energy test never looks at this iterate: it runs after each update.
     """
 
     tau: float
@@ -80,7 +91,9 @@ class StepRecord:
     ``energy_error`` is the achieved |H_out - H_in| (inf when the solve blew
     up, in which case (q, p) is the input pair and the caller must reject).
     ``h_out`` carries H(q, p) forward so trajectories never re-evaluate the
-    Hamiltonian of a state they already know.
+    Hamiltonian of a state they already know, and ``force`` is F(q, q_in),
+    the force of the last update (None when no update ran), which the
+    finite-difference Jacobian probes reuse as their base value.
     """
 
     q: np.ndarray
@@ -90,6 +103,7 @@ class StepRecord:
     force_evaluations: int
     converged: bool
     h_out: float = math.nan
+    force: Optional[np.ndarray] = None
 
 
 def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: float = 1e-8):
@@ -156,39 +170,49 @@ def force_and_evals(Q: np.ndarray, q: np.ndarray, potential, guard: float):
     return divided_difference_force(Q, q, potential, guard)
 
 
-def _guarded_position_euler(q, p, tau, mass, dd_guard):
-    """Forward-Euler position guess with degenerate components displaced.
+def _guarded_start(q, v, scale, mass, dd_guard):
+    """Predicted position Q0 = q + scale M^-1 v with degenerate components displaced.
 
-    Any component whose proposed displacement is below the guard threshold is
-    pushed a full threshold away from q, towards sign(p_i) (+1 when p_i == 0),
-    so the divided differences of the first force evaluation stay well posed.
+    Any component whose predicted displacement is below the guard threshold
+    is pushed a full threshold away from q, towards sign(v_i) (+1 when
+    v_i == 0), so the divided differences of the first force evaluation stay
+    well posed.
     """
-    Q0 = q + tau * mass.inverse_apply(p)
+    Q0 = q + scale * mass.inverse_apply(v)
     eps = dd_guard * np.maximum(1.0, np.abs(q))
     small = np.abs(Q0 - q) < eps
     if small.any():
-        direction = np.where(p >= 0.0, 1.0, -1.0)
+        direction = np.where(v >= 0.0, 1.0, -1.0)
         Q0 = np.where(small, q + direction * eps, Q0)
     return Q0
 
 
-def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, rng=None):
+def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, rng=None,
+             p_prev=None):
     """Initial iterate of the implicit solve: (Q0, P0, force_evaluations).
 
-    position-euler (default, gradient-free): Q0 = q + tau M^-1 p with the
-    divided-difference guard applied, then P0 = p - (tau/2) F(Q0, q).
+    position-euler (default, gradient-free): the predicted position with the
+    divided-difference guard applied, then P0 = p - (tau/2) F(Q0, q). The
+    prediction is the Euler step Q0 = q + tau M^-1 p when ``p_prev`` is None
+    (a trajectory's first step); otherwise ``p_prev`` is the previous step's
+    input momentum and Q0 = q + (tau/2) M^-1 (3p - p_prev), the Euler step
+    corrected by the previous step's final force at no target call.
 
     gradient-euler: same Q0, momentum half-step from the gradient analogue of
     the force, grad U(Q0) + grad U(q).
 
-    random-perturb: Q0 = q + Uniform(+-10 tau dd_guard) noise, P0 = p.
+    random-perturb: Q0 = q + Uniform(+-10 tau dd_guard) noise, P0 = p; it
+    ignores ``p_prev``.
     """
     if cfg.init_mode == "random-perturb":
         if rng is None:
             raise ValueError("random-perturb init needs an rng")
         scale = 10.0 * cfg.tau * cfg.dd_guard
         return q + rng.uniform(-scale, scale, size=q.size), p.copy(), 0
-    Q0 = _guarded_position_euler(q, p, cfg.tau, mass, cfg.dd_guard)
+    if p_prev is None:
+        Q0 = _guarded_start(q, p, cfg.tau, mass, cfg.dd_guard)
+    else:
+        Q0 = _guarded_start(q, 3.0 * p - p_prev, 0.5 * cfg.tau, mass, cfg.dd_guard)
     if cfg.init_mode == "gradient-euler":
         if potential.gradient is None:
             raise ValueError("gradient-euler init requires a potential gradient")
@@ -201,7 +225,8 @@ def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, rng=None):
 def _chord_scale(Q, q, half, mass, potential):
     """Diagonal D = 1 + (tau/2)^2 M^-1 dF/dQ at (Q, q) for the chord update.
 
-    Costs one ``closed_form_force_jacobian_diag`` call. Returns None when
+    Costs one ``closed_form_force_jacobian_diag`` call, made at the first
+    update, so one Jacobian-diagonal call per step. Returns None when
     the target is not separable, the mass is dense, or some D_i is not a
     finite positive number (a non-convex region can make the frozen Newton
     step point the wrong way); the caller then keeps the plain update.
@@ -226,19 +251,26 @@ def dmm_step(
     rng: Optional[np.random.Generator] = None,
     h_in: Optional[float] = None,
     init_guess: Optional[tuple] = None,
+    p_prev: Optional[np.ndarray] = None,
 ) -> StepRecord:
     """One implicit energy-preserving step from the arrays (q, p).
 
+    The first iterate comes from ``dmm_init`` (``p_prev``, the previous
+    step's input momentum, selects the extrapolated prediction), or from
+    ``init_guess``, a (Q, P) pair that overrides it (warm-starts reverse
+    solves). At least one fixed-point update always runs before the first
+    energy test: the first iterate is a guess, and testing it would let a
+    guess that happens to sit on the input energy surface (such as the
+    ``random-perturb`` start next to (q, p)) return the input unchanged.
     The last iterate is returned whether or not the tolerance was met
     (``converged`` records which); an unconverged iterate still enters the
-    acceptance ratio through its true energy error. ``init_guess``, a (Q, P)
-    pair, overrides the configured initialization (warm-starts reverse solves).
+    acceptance ratio through its true energy error.
 
-    When the first iterate misses the tolerance on a separable target with a
-    diagonal mass, one ``closed_form_force_jacobian_diag`` call at the first
-    plain update sets up the chord update (see the module docstring); that
-    call is not counted in ``force_evaluations``, which counts forces only.
-    Otherwise each update is the plain fixed-point update.
+    On a separable target with a diagonal mass, one
+    ``closed_form_force_jacobian_diag`` call at the first update sets up the
+    chord update (see the module docstring); that call is not counted in
+    ``force_evaluations``, which counts forces only. Otherwise each update is
+    the plain fixed-point update.
     """
     if h_in is None:
         h_in = hamiltonian(PhaseState(q, p), potential, mass)
@@ -250,27 +282,26 @@ def dmm_step(
         Q, P = init_guess
         force_evals = 0
     else:
-        Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, rng)
+        Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, rng, p_prev)
 
+    g = q + half * mass.inverse_apply(P + p)
+    D = _chord_scale(g, q, half, mass, potential)
     iterations = 0
-    D = None
     while True:
+        Q = g if D is None else Q + (g - Q) / D
+        f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
+        P = p - half * f
+        force_evals += 1
+        iterations += 1
         h_now = total_energy(Q, P, potential, mass)
         err = abs(h_now - h_in)
         converged = err <= cfg.delta
         if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
             break
         g = q + half * mass.inverse_apply(P + p)
-        if iterations == 0:
-            D = _chord_scale(g, q, half, mass, potential)
-        Q = g if D is None else Q + (g - Q) / D
-        f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
-        P = p - half * f
-        force_evals += 1
-        iterations += 1
     if not math.isfinite(err) or not (np.isfinite(Q).all() and np.isfinite(P).all()):
         return StepRecord(q, p, iterations, math.inf, force_evals, False, h_out=math.inf)
-    return StepRecord(Q, P, iterations, err, force_evals, converged, h_out=h_now)
+    return StepRecord(Q, P, iterations, err, force_evals, converged, h_out=h_now, force=f)
 
 
 @dataclass(frozen=True)
@@ -300,15 +331,18 @@ def trajectory(
     mass: MassMatrix,
     cfg: DmmSolverConfig,
     n_steps: int,
-    per_step_hook: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+    per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps, threading H forward.
 
-    ``state`` is validated once; the steps run on its raw arrays.
-    ``per_step_hook`` is invoked after each step with the step's (q_in, q_out)
-    position pair so per-step Jacobian factors can be accumulated into the
-    N-step product.
+    ``state`` is validated once; the steps run on its raw arrays. Each step
+    after the first gets the previous step's input momentum, so its solve
+    starts from the extrapolated prediction (see ``dmm_init``).
+    ``per_step_hook`` is invoked after each step with the step's
+    (q_in, q_out, f_out), where f_out = F(q_out, q_in) is the force of the
+    solve's last update, so per-step Jacobian factors can be accumulated into
+    the N-step product without recomputing that force.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -319,8 +353,9 @@ def trajectory(
     total_it = 0
     total_err = 0.0
     all_converged = True
+    p_prev = None
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, rng=rng, h_in=h)
+        rec = dmm_step(q, p, potential, mass, cfg, rng=rng, h_in=h, p_prev=p_prev)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
@@ -330,7 +365,8 @@ def trajectory(
         total_err += rec.energy_error
         all_converged = all_converged and rec.converged
         if per_step_hook is not None:
-            per_step_hook(q, rec.q)
+            per_step_hook(q, rec.q, rec.force)
+        p_prev = p
         q, p, h = rec.q, rec.p, rec.h_out
     return TrajectoryRecord(
         q, p, total_f, total_it, total_err, all_converged, False, h_in, h
@@ -343,7 +379,6 @@ def leapfrog_trajectory(
     mass: MassMatrix,
     tau: float,
     n_steps: int,
-    per_step_hook: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` leapfrog steps with n_steps + 1 gradient evaluations.
 
@@ -364,13 +399,10 @@ def leapfrog_trajectory(
     with np.errstate(over="ignore", invalid="ignore"):
         g = grad(q)
         for _ in range(n_steps):
-            q_prev = q
             p_half = p - 0.5 * tau * g
             q = q + tau * mass.inverse_apply(p_half)
             g = grad(q)
             p = p_half - 0.5 * tau * g
-            if per_step_hook is not None:
-                per_step_hook(q_prev, q)
         finite = np.isfinite(q).all() and np.isfinite(p).all()
         h_out = total_energy(q, p, potential, mass) if finite else math.inf
     if not math.isfinite(h_out):

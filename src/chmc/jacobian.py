@@ -40,9 +40,11 @@ class JacobianMode:
 
     ``derivative_source`` is ignored for J0. The finite-difference source uses
     forward differences of the force with step h_fd * max(1, |component|) and
-    works for any target: it costs 3 force evaluations per step on separable
-    targets and 2d + 1 otherwise. The analytic source requires the target to
-    provide force-Jacobian diagonals (separable targets) or full matrices.
+    works for any target. Its base value F(Q, q) is the force of the solve's
+    last update, which the trajectory hands over, so its probes cost 2 force
+    evaluations per step on separable targets and 2d otherwise. The analytic
+    source requires the target to provide force-Jacobian diagonals
+    (separable targets) or full matrices.
     """
 
     kind: str
@@ -66,16 +68,18 @@ def force_jacobians(
     h_fd: float = DEFAULT_FD_STEP,
     dd_guard: float = 1e-8,
     diagonal_only: bool = False,
+    f0=None,
 ):
     """Jacobians of the force with respect to q and Q.
 
     Returns (d_q F, d_Q F, n_force_evaluations): full d x d matrices, or just
     their diagonals when ``diagonal_only``. The finite-difference source uses
-    forward differences. On a separable target F_i depends only on
-    (Q_i, q_i), so one perturbation of all components at once recovers each
-    diagonal (3 force evaluations); other targets perturb one component at a
-    time (2d + 1 force evaluations). Callers should hand in well-separated
-    (Q, q) pairs, which a converged step provides.
+    forward differences from the base value f0 = F(Q, q), computed here (one
+    force evaluation) unless the caller passes it in. On a separable target
+    F_i depends only on (Q_i, q_i), so one perturbation of all components at
+    once recovers each diagonal (2 probe evaluations); other targets perturb
+    one component at a time (2d probe evaluations). Callers should hand in
+    well-separated (Q, q) pairs, which a converged step provides.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -90,7 +94,10 @@ def force_jacobians(
             raise ValueError("target provides no analytic force Jacobians")
         d_q, d_Q, n_evals = np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
     else:
-        f0, _ = force_and_evals(Q, q, potential, dd_guard)
+        n_evals = 0
+        if f0 is None:
+            f0, _ = force_and_evals(Q, q, potential, dd_guard)
+            n_evals = 1
         f0 = np.asarray(f0, dtype=float)
         if is_separable(potential):
             # one-colour column compression (Curtis, Powell & Reid 1974): the
@@ -101,11 +108,10 @@ def force_jacobians(
             hQ = h_fd * np.maximum(1.0, np.abs(Q))
             fQ, _ = force_and_evals(Q + hQ, q, potential, dd_guard)
             d_Q = (np.asarray(fQ) - f0) / hQ
-            n_evals = 3
+            n_evals += 2
         else:
             d_q = np.empty((d, d))
             d_Q = np.empty((d, d))
-            n_evals = 1
             for j in range(d):
                 hq = h_fd * max(1.0, abs(q[j]))
                 q_pert = q.copy()
@@ -168,9 +174,12 @@ def step_jacobian(
     mode: JacobianMode,
     potential,
     dd_guard: float = 1e-8,
+    f0=None,
 ) -> tuple:
     """Determinant factor of one step at the converged (Q, q) pair.
 
+    ``f0``, the force F(Q, q) when the caller already has it, is handed to
+    ``force_jacobians`` as the finite-difference base value.
     Returns (value, n_force_evaluations of the derivative probes). J0 is
     exactly 1. J1 adds the first trace term; with a diagonal mass only
     the 2d Jacobian diagonals are touched. JFull evaluates the determinant
@@ -186,13 +195,14 @@ def step_jacobian(
     if mode.kind == "J1":
         if mass.is_diagonal:
             d_q, d_Q, n = force_jacobians(
-                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True
+                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
+                f0=f0,
             )
             trace = float(((d_q - d_Q) * mass.inverse_diagonal()).sum())
         else:
             _warn_dense_mass_once()
             d_qF, d_QF, n = force_jacobians(
-                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard
+                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, f0=f0
             )
             trace = float(np.trace(mass.inverse_matmul(d_qF - d_QF)))
         return 1.0 + c * trace, n
@@ -200,14 +210,16 @@ def step_jacobian(
     # JFull: separable targets with a diagonal mass stay O(d)
     if mass.is_diagonal and is_separable(potential):
         d_q, d_Q, n = force_jacobians(
-            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True
+            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
+            f0=f0,
         )
         inv_m = mass.inverse_diagonal()
         # Python floats iterate faster than NumPy scalars; the logs are the same
         return signed_log_ratio(signed_log((1.0 + c * (inv_m * d_q)).tolist()),
                                 signed_log((1.0 + c * (inv_m * d_Q)).tolist())), n
 
-    d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard)
+    d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd,
+                                    dd_guard, f0=f0)
     d = q.size
     identity = np.eye(d)
     num = identity + c * mass.inverse_matmul(d_qF)
@@ -216,7 +228,11 @@ def step_jacobian(
 
 
 class JacobianAccumulator:
-    """Trajectory hook that folds per-step factors into the N-step product."""
+    """Trajectory hook that folds per-step factors into the N-step product.
+
+    Called with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
+    step's last update, is reused as the probes' base value (None recomputes it).
+    """
 
     def __init__(self, mode: JacobianMode, tau: float, mass: MassMatrix, potential,
                  dd_guard: float = 1e-8):
@@ -228,9 +244,9 @@ class JacobianAccumulator:
         self.factors = []
         self.extra_force_evals = 0
 
-    def __call__(self, q_in: np.ndarray, q_out: np.ndarray) -> None:
+    def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out=None) -> None:
         value, n = step_jacobian(q_out, q_in, self.tau, self.mass, self.mode,
-                                 self.potential, self.dd_guard)
+                                 self.potential, self.dd_guard, f_out)
         self.factors.append(value)
         self.extra_force_evals += n
 

@@ -93,6 +93,49 @@ def assert_record_is_plain(rec, state, potential, mass, cfg):
     assert rec.converged == (err <= cfg.delta)
 
 
+def quartic_draws(rng, d):
+    """Exact draws from exp(-sum q^4): |q_i|^4 ~ Gamma(1/4, 1), fair-coin sign."""
+    mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
+    return np.where(rng.random(d) < 0.5, -mag, mag)
+
+
+def predictor_corrector_loop(state, t, mass, cfg, n_steps):
+    """Reference trajectory on a separable target, written out.
+
+    Euler first iterate on step 1, Q0 = q + (tau/2) M^-1 (3p - p_prev) on
+    later steps, then chord updates with D frozen at the first plain update
+    and the energy test after every update (never before the first).
+    Returns (q, p, total updates).
+    """
+    q, p = state.q, state.p
+    half = 0.5 * cfg.tau
+    h = t.evaluate(q) + mass.kinetic(p)
+    p_prev = None
+    updates = 0
+    for _ in range(n_steps):
+        if p_prev is None:
+            Q = q + cfg.tau * mass.inverse_apply(p)
+        else:
+            Q = q + half * mass.inverse_apply(3.0 * p - p_prev)
+        assert (np.abs(Q - q) >= cfg.dd_guard * np.maximum(1.0, np.abs(q))).all()
+        P = p - half * t.closed_form_force(Q, q)
+        g = q + half * mass.inverse_apply(P + p)
+        D = 1.0 + (half * half) * mass.inverse_apply(t.closed_form_force_jacobian_diag(g, q)[1])
+        n = 0
+        while True:
+            Q = Q + (g - Q) / D
+            P = p - half * t.closed_form_force(Q, q)
+            n += 1
+            h_new = t.evaluate(Q) + mass.kinetic(P)
+            if abs(h_new - h) <= cfg.delta or n >= cfg.max_fpi:
+                break
+            g = q + half * mass.inverse_apply(P + p)
+        updates += n
+        p_prev = p
+        q, p, h = Q, P, h_new
+    return q, p, updates
+
+
 class TestLeapfrog:
     def test_harmonic_step_example(self):
         t = MultivariateGaussian([0.0], [[1.0]])
@@ -232,6 +275,34 @@ class TestFixedPointInit:
         p = -10 * 1e-8 / 0.1  # |tau p| = 10 dd_guard: no displacement
         Q0, _, _ = dmm_init(np.array([1.0]), np.array([p]), cfg, MassMatrix.identity(1), t)
         assert Q0[0] == pytest.approx(1.0 + 0.1 * p, rel=1e-15)
+
+    def test_extrapolated_prediction_example(self):
+        # Q0 = q + (tau/2)(3p - p_prev): here 0.05 (3 - 1.2)
+        cfg = DmmSolverConfig(tau=0.1)
+        t = QuarticGeneralizedGaussian(1)
+        Q0, _, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t,
+                            p_prev=np.array([1.2]))
+        assert Q0[0] == pytest.approx(0.09, rel=1e-14)
+
+    def test_extrapolated_prediction_engages_guard(self):
+        # 3p - p_prev = -3e-8: displaced by the full guard towards its sign
+        cfg = DmmSolverConfig(tau=0.1, dd_guard=1e-8)
+        t = QuarticGeneralizedGaussian(2)
+        Q0, _, _ = dmm_init(np.array([0.5, 0.5]), np.array([0.1, 0.1]), cfg,
+                            MassMatrix.identity(2), t, p_prev=np.array([0.3, 0.30000003]))
+        assert Q0[0] == pytest.approx(0.5 + 1e-8, rel=1e-15)
+        assert Q0[1] == pytest.approx(0.5 - 1e-8, rel=1e-15)
+
+    def test_gradient_euler_shares_prediction(self):
+        mass = MassMatrix.identity(3)
+        t = QuarticGeneralizedGaussian(3)
+        q, p, p_prev = np.array([0.3, -0.2, 1.0]), np.array([0.5, 1.0, -0.7]), np.ones(3)
+        for previous in (None, p_prev):
+            Q_pos, _, _ = dmm_init(q, p, DmmSolverConfig(tau=0.1), mass, t, p_prev=previous)
+            Q_grad, _, n = dmm_init(q, p, DmmSolverConfig(tau=0.1, init_mode="gradient-euler"),
+                                    mass, t, p_prev=previous)
+            np.testing.assert_array_equal(Q_grad, Q_pos)
+            assert n == 2
 
     def test_gradient_euler_requires_gradient(self):
         cfg = DmmSolverConfig(tau=0.1, init_mode="gradient-euler")
@@ -404,12 +475,14 @@ class TestChordSolve:
         assert math.isfinite(rec.energy_error)
         assert_record_is_plain(rec, s, t, mass, cfg)
 
-    def test_converged_first_iterate_makes_no_jacobian_call(self):
+    def test_rest_state_converges_after_one_update(self):
+        # the first iterate is never tested: even the rest state takes one update
         t = SeparableDoubleWell(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
         rec = dmm_step(np.array([0.0]), np.array([0.0]), t, MassMatrix.identity(1), cfg)
-        assert rec.converged and rec.fpi_iterations == 0
-        assert t.jacobian_calls == 0
+        assert rec.converged and rec.fpi_iterations == 1
+        assert rec.force_evaluations == 2
+        assert t.jacobian_calls == 1
 
     def test_capped_solve_converges_at_d2560(self):
         # the separation config's setting: with plain updates no step of this
@@ -423,10 +496,72 @@ class TestChordSolve:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         steps = []
         rec = trajectory(s, t, MassMatrix.identity(d), cfg, 40,
-                         per_step_hook=lambda q_in, q_out: steps.append(q_out))
+                         per_step_hook=lambda q_in, q_out, f_out: steps.append(q_out))
         assert len(steps) == 40
         assert rec.all_converged and not rec.failed
         assert rec.total_energy_error <= 40 * cfg.delta
+
+
+class TestPredictorCorrector:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
+    def test_trajectory_matches_hand_written_loop(self, kind):
+        rng = np.random.default_rng(45)
+        d = 40
+        t = QuarticGeneralizedGaussian(d)
+        mass = (MassMatrix.identity(d) if kind == "identity"
+                else MassMatrix.diagonal(rng.uniform(0.5, 2.0, d)))
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        for _ in range(3):
+            s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
+            q, p, updates = predictor_corrector_loop(s, t, mass, cfg, 40)
+            rec = trajectory(s, t, mass, cfg, 40)
+            np.testing.assert_array_equal(rec.q, q)
+            np.testing.assert_array_equal(rec.p, p)
+            assert rec.total_fpi_iterations == updates
+            assert rec.total_force_evaluations == 40 + updates
+
+    def test_updates_per_step_pin(self):
+        # 2.67 updates per step with an Euler first iterate tested before any update
+        rng = np.random.default_rng(46)
+        d = 40
+        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        updates = 0
+        for _ in range(10):
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            updates += trajectory(s, t, mass, cfg, 40).total_fpi_iterations
+        assert updates / 400 <= 2.2
+
+    def test_black_box_forces_per_step_pin(self):
+        # plain updates: 6.1-6.3 forces per step with an Euler first iterate
+        # tested before any update, 5.5-5.75 with the predictor (six seeds)
+        rng = np.random.default_rng(47)
+        d = 10
+        t, mass = BlackBoxQuartic(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        forces = 0
+        for _ in range(20):
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            forces += trajectory(s, t, mass, cfg, 40).total_force_evaluations
+        assert forces / 800 <= 5.9
+
+    @pytest.mark.parametrize("case", ["quartic-d1", "gaussian-d3"])
+    def test_random_perturb_start_always_moves(self, case):
+        # a start next to (q, p) sits on the input energy surface; testing it
+        # before an update would return the input unchanged
+        rng = np.random.default_rng(48)
+        if case == "quartic-d1":
+            t = QuarticGeneralizedGaussian(1)
+        else:
+            t = MultivariateGaussian(np.zeros(3), np.eye(3))
+        mass = MassMatrix.identity(t.dim)
+        cfg = DmmSolverConfig(tau=0.1, init_mode="random-perturb")
+        for _ in range(200):
+            q, p = rng.uniform(-1.5, 1.5, t.dim), rng.uniform(-1.5, 1.5, t.dim)
+            rec = dmm_step(q, p, t, mass, cfg, rng=rng)
+            assert rec.fpi_iterations >= 1
+            moving = p != 0.0
+            assert (np.abs(rec.q - q)[moving] > 1e-6).all()
 
 
 class TestReversibility:
@@ -478,7 +613,8 @@ class TestTrajectory:
         pairs = []
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
         rec = trajectory(s, t, MassMatrix.identity(2), DmmSolverConfig(tau=0.1), 5,
-                         per_step_hook=lambda q_in, q_out: pairs.append((q_in.copy(), q_out.copy())))
+                         per_step_hook=lambda q_in, q_out, f_out:
+                         pairs.append((q_in.copy(), q_out.copy())))
         assert len(pairs) == 5
         np.testing.assert_array_equal(pairs[0][0], s.q)
         np.testing.assert_array_equal(pairs[-1][1], rec.q)

@@ -200,6 +200,30 @@ class TestTrajectoryJacobian:
         assert trajectory_product([-0.5, 2.0]) == pytest.approx(-1.0, rel=1e-14)
         assert trajectory_product([-0.5, -2.0]) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_probes_reuse_the_solve_force(self, kind, separable):
+        # the base force of the probes is the solve's last force: 2 probe
+        # calls per step (2d per component), and the same factors bit for bit
+        # as probes that recompute it
+        rng = np.random.default_rng(50)
+        d, n_steps = 12, 40
+        t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
+        mass = MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
+        state = PhaseState(np.where(rng.random(d) < 0.5, -mag, mag), rng.standard_normal(d))
+        reused = JacobianAccumulator(JacobianMode(kind), 0.1, mass, t)
+        recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, mass, t)
+        trajectory(state, t, mass, cfg, n_steps, per_step_hook=reused)
+        trajectory(state, t, mass, cfg, n_steps,
+                   per_step_hook=lambda q_in, q_out, f_out: recomputed(q_in, q_out))
+        per_step = 2 if separable else 2 * d
+        assert reused.extra_force_evals == per_step * n_steps
+        assert recomputed.extra_force_evals == (per_step + 1) * n_steps
+        assert reused.factors == recomputed.factors
+        assert reused.product == recomputed.product
+
     def test_gaussian_forty_steps_product_is_one(self):
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
         mass = MassMatrix.identity(2)
