@@ -127,7 +127,9 @@ class MethodSpec:
     delta: float = _default(DmmSolverConfig, "delta")
     max_fpi: int = _default(DmmSolverConfig, "max_fpi")
     dd_guard: float = _default(DmmSolverConfig, "dd_guard")
-    init_mode: str = _default(DmmSolverConfig, "init_mode")
+    # a single choice; the key stays so that specs and meta.json keep their shape
+    init_mode: str = field(default="position-euler",
+                           metadata={"choices": ("position-euler",)})
     # a spec cannot carry the vector an explicit start needs
     initial_state: str = field(default=_default(SamplerConfig, "initial_state_mode"),
                                metadata={"choices": ("zeros", "standard-normal")})
@@ -152,7 +154,7 @@ class MethodSpec:
 
     def solver(self) -> DmmSolverConfig:
         return DmmSolverConfig(tau=self.tau, delta=self.delta, max_fpi=self.max_fpi,
-                               dd_guard=self.dd_guard, init_mode=self.init_mode)
+                               dd_guard=self.dd_guard)
 
     def jacobian_mode(self) -> JacobianMode:
         return JacobianMode(self.jacobian_kind, self.jacobian_source, self.jacobian_h_fd)
@@ -227,7 +229,7 @@ _METHOD_KEYS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
 # method key, and the top level iterations and burn_in
 _ENTRY_KEYS = ("name", "method", "jacobian")
 _TOP_METHOD_KEYS = ("iterations", "burn_in")
-_CHMC_ONLY_KEYS = ("jacobian", "jacobian_source", "jacobian_h_fd") + tuple(
+_CHMC_ONLY_KEYS = ("jacobian", "jacobian_source", "jacobian_h_fd", "init_mode") + tuple(
     f.name for f in fields(DmmSolverConfig) if f.name != "tau")
 
 

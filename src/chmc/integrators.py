@@ -22,15 +22,15 @@ force-evaluation count for the same progress, so the sequential form is used
 throughout.
 
 Eliminating P leaves the position equation Q = g(Q) with
-g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). On a separable target with
-a diagonal mass its Jacobian I + (tau/2)^2 M^-1 dF/dQ is a diagonal D, and
+g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). The mass is diagonal, so on
+a separable target its Jacobian I + (tau/2)^2 M^-1 dF/dQ is a diagonal D, and
 the update becomes the chord (simplified Newton) step Q <- Q + (g - Q) / D
 (Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6). D is
 frozen at g(Q0), the first plain update, which lies closer to the solution
 than the first iterate Q0 and so gives a faster contraction. The chord step
 has the same fixed point and stopping rule, needs one force-Jacobian-diagonal
-call per step, and cuts the number of updates. Other targets and dense
-masses use the plain update Q <- g.
+call per step, and cuts the number of updates. Other targets use the plain
+update Q <- g.
 
 Leapfrog reuses each step's end-of-step gradient for the next step's first
 half-kick: an n-step trajectory makes n + 1 gradient evaluations.
@@ -47,8 +47,6 @@ import numpy as np
 from .phase import MassMatrix, PhaseState, hamiltonian, total_energy
 from .targets import is_separable
 
-INIT_MODES = ("position-euler", "gradient-euler", "random-perturb")
-
 
 @dataclass(frozen=True)
 class DmmSolverConfig:
@@ -59,17 +57,15 @@ class DmmSolverConfig:
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative divided-difference guard; component i uses
         the threshold dd_guard * max(1, |q_i|).
-    init_mode: how the initial iterate (the predictor) is built; see
-        ``dmm_init``. Both Euler modes take the Euler position on a
-        trajectory's first step and the extrapolated one afterwards. The
-        energy test never looks at this iterate: it runs after each update.
+
+    The initial iterate (the predictor) comes from ``dmm_init``; the energy
+    test never looks at it, because it runs after each update.
     """
 
     tau: float
     delta: float = 1e-8
     max_fpi: int = 10
     dd_guard: float = 1e-8
-    init_mode: str = "position-euler"
 
     def __post_init__(self):
         if not (self.tau >= 0.0 and math.isfinite(self.tau)):
@@ -80,8 +76,6 @@ class DmmSolverConfig:
             raise ValueError("max_fpi must be >= 1")
         if not (self.dd_guard > 0.0):
             raise ValueError("dd_guard must be positive")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -187,37 +181,20 @@ def _guarded_start(q, v, scale, mass, dd_guard):
     return Q0
 
 
-def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, rng=None,
-             p_prev=None):
+def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=None):
     """Initial iterate of the implicit solve: (Q0, P0, force_evaluations).
 
-    position-euler (default, gradient-free): the predicted position with the
-    divided-difference guard applied, then P0 = p - (tau/2) F(Q0, q). The
-    prediction is the Euler step Q0 = q + tau M^-1 p when ``p_prev`` is None
-    (a trajectory's first step); otherwise ``p_prev`` is the previous step's
-    input momentum and Q0 = q + (tau/2) M^-1 (3p - p_prev), the Euler step
-    corrected by the previous step's final force at no target call.
-
-    gradient-euler: same Q0, momentum half-step from the gradient analogue of
-    the force, grad U(Q0) + grad U(q).
-
-    random-perturb: Q0 = q + Uniform(+-10 tau dd_guard) noise, P0 = p; it
-    ignores ``p_prev``.
+    Gradient-free: the predicted position with the divided-difference guard
+    applied, then P0 = p - (tau/2) F(Q0, q). The prediction is the Euler step
+    Q0 = q + tau M^-1 p when ``p_prev`` is None (a trajectory's first step);
+    otherwise ``p_prev`` is the previous step's input momentum and
+    Q0 = q + (tau/2) M^-1 (3p - p_prev), the Euler step corrected by the
+    previous step's final force at no target call.
     """
-    if cfg.init_mode == "random-perturb":
-        if rng is None:
-            raise ValueError("random-perturb init needs an rng")
-        scale = 10.0 * cfg.tau * cfg.dd_guard
-        return q + rng.uniform(-scale, scale, size=q.size), p.copy(), 0
     if p_prev is None:
         Q0 = _guarded_start(q, p, cfg.tau, mass, cfg.dd_guard)
     else:
         Q0 = _guarded_start(q, 3.0 * p - p_prev, 0.5 * cfg.tau, mass, cfg.dd_guard)
-    if cfg.init_mode == "gradient-euler":
-        if potential.gradient is None:
-            raise ValueError("gradient-euler init requires a potential gradient")
-        g = potential.gradient(Q0) + potential.gradient(q)
-        return Q0, p - 0.5 * cfg.tau * g, 2
     f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
     return Q0, p - 0.5 * cfg.tau * f, 1
 
@@ -226,12 +203,12 @@ def _chord_scale(Q, q, half, mass, potential):
     """Diagonal D = 1 + (tau/2)^2 M^-1 dF/dQ at (Q, q) for the chord update.
 
     Costs one ``closed_form_force_jacobian_diag`` call, made at the first
-    update, so one Jacobian-diagonal call per step. Returns None when
-    the target is not separable, the mass is dense, or some D_i is not a
-    finite positive number (a non-convex region can make the frozen Newton
-    step point the wrong way); the caller then keeps the plain update.
+    update, so one Jacobian-diagonal call per step. Returns None when the
+    target is not separable or some D_i is not a finite positive number (a
+    non-convex region can make the frozen Newton step point the wrong way);
+    the caller then keeps the plain update.
     """
-    if not (mass.is_diagonal and is_separable(potential)):
+    if not is_separable(potential):
         return None
     _, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
     # a diagonal M^-1 applied to the vector d_Q is diag(M^-1) * d_Q
@@ -248,7 +225,6 @@ def dmm_step(
     potential,
     mass: MassMatrix,
     cfg: DmmSolverConfig,
-    rng: Optional[np.random.Generator] = None,
     h_in: Optional[float] = None,
     init_guess: Optional[tuple] = None,
     p_prev: Optional[np.ndarray] = None,
@@ -260,17 +236,16 @@ def dmm_step(
     ``init_guess``, a (Q, P) pair that overrides it (warm-starts reverse
     solves). At least one fixed-point update always runs before the first
     energy test: the first iterate is a guess, and testing it would let a
-    guess that happens to sit on the input energy surface (such as the
-    ``random-perturb`` start next to (q, p)) return the input unchanged.
+    guess that happens to sit on the input energy surface (such as an
+    ``init_guess`` next to (q, p)) return the input unchanged.
     The last iterate is returned whether or not the tolerance was met
     (``converged`` records which); an unconverged iterate still enters the
     acceptance ratio through its true energy error.
 
-    On a separable target with a diagonal mass, one
-    ``closed_form_force_jacobian_diag`` call at the first update sets up the
-    chord update (see the module docstring); that call is not counted in
-    ``force_evaluations``, which counts forces only. Otherwise each update is
-    the plain fixed-point update.
+    On a separable target, one ``closed_form_force_jacobian_diag`` call at
+    the first update sets up the chord update (see the module docstring);
+    that call is not counted in ``force_evaluations``, which counts forces
+    only. Otherwise each update is the plain fixed-point update.
     """
     if h_in is None:
         h_in = hamiltonian(PhaseState(q, p), potential, mass)
@@ -282,7 +257,7 @@ def dmm_step(
         Q, P = init_guess
         force_evals = 0
     else:
-        Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, rng, p_prev)
+        Q, P, force_evals = dmm_init(q, p, cfg, mass, potential, p_prev)
 
     g = q + half * mass.inverse_apply(P + p)
     D = _chord_scale(g, q, half, mass, potential)
@@ -332,7 +307,6 @@ def trajectory(
     cfg: DmmSolverConfig,
     n_steps: int,
     per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps, threading H forward.
 
@@ -355,7 +329,7 @@ def trajectory(
     all_converged = True
     p_prev = None
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, rng=rng, h_in=h, p_prev=p_prev)
+        rec = dmm_step(q, p, potential, mass, cfg, h_in=h, p_prev=p_prev)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):

@@ -15,8 +15,6 @@ nor lose the sign.
 
 from __future__ import annotations
 
-import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +23,6 @@ import numpy as np
 from .integrators import force_and_evals
 from .phase import MassMatrix
 from .targets import is_separable
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
 
@@ -132,14 +128,6 @@ def force_jacobians(
     return d_q, d_Q, n_evals
 
 
-@functools.cache  # one warning per process
-def _warn_dense_mass_once():
-    logger.warning(
-        "J1 with a dense mass matrix needs full force-Jacobian matrices; "
-        "expect O(d^2) extra work per step"
-    )
-
-
 def signed_log(factors) -> tuple:
     """(sign, log|product|) of the factors, the form ``np.linalg.slogdet`` returns.
 
@@ -181,34 +169,26 @@ def step_jacobian(
     ``f0``, the force F(Q, q) when the caller already has it, is handed to
     ``force_jacobians`` as the finite-difference base value.
     Returns (value, n_force_evaluations of the derivative probes). J0 is
-    exactly 1. J1 adds the first trace term; with a diagonal mass only
-    the 2d Jacobian diagonals are touched. JFull evaluates the determinant
-    ratio through pivoted triangular factorization in log-magnitude + sign
-    form; on a separable target with a diagonal mass both matrices are
-    diagonal, so it takes the O(d) product of their diagonals instead, from
-    either derivative source. A singular denominator yields factor 0, which
-    rejects the proposal upstream.
+    exactly 1. J1 adds the first trace term, which touches only the 2d
+    Jacobian diagonals. JFull evaluates the determinant ratio through
+    pivoted triangular factorization in log-magnitude + sign form; on a
+    separable target both matrices are diagonal, so it takes the O(d)
+    product of their diagonals instead, from either derivative source. A
+    singular denominator yields factor 0, which rejects the proposal upstream.
     """
     if mode.kind == "J0":
         return 1.0, 0
     c = 0.25 * tau * tau
     if mode.kind == "J1":
-        if mass.is_diagonal:
-            d_q, d_Q, n = force_jacobians(
-                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
-                f0=f0,
-            )
-            trace = float(((d_q - d_Q) * mass.inverse_diagonal()).sum())
-        else:
-            _warn_dense_mass_once()
-            d_qF, d_QF, n = force_jacobians(
-                Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, f0=f0
-            )
-            trace = float(np.trace(mass.inverse_matmul(d_qF - d_QF)))
+        d_q, d_Q, n = force_jacobians(
+            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
+            f0=f0,
+        )
+        trace = float(((d_q - d_Q) * mass.inverse_diagonal()).sum())
         return 1.0 + c * trace, n
 
-    # JFull: separable targets with a diagonal mass stay O(d)
-    if mass.is_diagonal and is_separable(potential):
+    # JFull: separable targets stay O(d)
+    if is_separable(potential):
         d_q, d_Q, n = force_jacobians(
             Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
             f0=f0,
@@ -220,10 +200,10 @@ def step_jacobian(
 
     d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd,
                                     dd_guard, f0=f0)
-    d = q.size
-    identity = np.eye(d)
-    num = identity + c * mass.inverse_matmul(d_qF)
-    den = identity + c * mass.inverse_matmul(d_QF)
+    identity = np.eye(q.size)
+    inv_m = mass.inverse_diagonal()[:, None]
+    num = identity + c * (inv_m * d_qF)
+    den = identity + c * (inv_m * d_QF)
     return signed_log_ratio(np.linalg.slogdet(num), np.linalg.slogdet(den)), n
 
 

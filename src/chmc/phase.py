@@ -46,15 +46,13 @@ class PhaseState:
 
 
 class MassMatrix:
-    """Constant symmetric positive-definite mass matrix in factored form.
+    """Constant diagonal positive-definite mass matrix.
 
-    The triangular factor is computed once at construction; per-step code
-    only applies it, never refactorizes.
-    Kinds: 'identity', 'diagonal', 'dense'. Only the dense kind needs scipy,
-    which is imported there so that ``import chmc`` does not load it.
+    The inverse and square-root diagonals are computed once at construction;
+    per-step code only applies them. Kinds: 'identity', 'diagonal'.
     """
 
-    def __init__(self, kind: str, dim: int, *, diag=None, matrix=None):
+    def __init__(self, kind: str, dim: int, *, diag=None):
         self.kind = kind
         self.dim = int(dim)
         if self.dim < 1:
@@ -71,18 +69,6 @@ class MassMatrix:
             self._sqrt_diag = np.sqrt(diag)
             for a in (self._inv_diag, self._sqrt_diag):
                 a.setflags(write=False)
-        elif kind == "dense":
-            m = np.array(matrix, dtype=float, copy=True)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("dense mass needs a d x d matrix")
-            if not np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
-                raise ValueError("dense mass matrix must be symmetric")
-            m = 0.5 * (m + m.T)
-            try:
-                self._chol = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("dense mass matrix is not positive definite") from exc
-            self._chol.setflags(write=False)
         else:
             raise ValueError(f"unknown mass matrix kind: {kind!r}")
 
@@ -95,45 +81,17 @@ class MassMatrix:
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
         return cls("diagonal", diag.size, diag=diag)
 
-    @classmethod
-    def dense(cls, matrix) -> "MassMatrix":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls("dense", matrix.shape[0], matrix=matrix)
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 @ b through the Cholesky factor (dense kind only)."""
-        from scipy.linalg import cho_solve
-
-        return cho_solve((self._chol, True), b)
-
-    @property
-    def is_diagonal(self) -> bool:
-        """True when M (hence M^-1) has no off-diagonal structure."""
-        return self.kind != "dense"
-
     def inverse_apply(self, v: np.ndarray) -> np.ndarray:
-        """M^-1 @ v via the triangular factor (the production path)."""
+        """M^-1 @ v, elementwise."""
         if self.kind == "identity":
             return np.asarray(v, dtype=float)
-        if self.kind == "diagonal":
-            return self._inv_diag * v
-        return self._solve(v)
+        return self._inv_diag * v
 
     def inverse_diagonal(self) -> np.ndarray:
-        """diag(M^-1) as a vector; the dense kind solves for it on each call."""
+        """diag(M^-1) as a fresh vector."""
         if self.kind == "identity":
             return np.ones(self.dim)
-        if self.kind == "diagonal":
-            return self._inv_diag.copy()
-        return np.diag(self._solve(np.eye(self.dim))).copy()
-
-    def inverse_matmul(self, a: np.ndarray) -> np.ndarray:
-        """M^-1 @ A for a d x d matrix A."""
-        if self.kind == "identity":
-            return np.asarray(a, dtype=float)
-        if self.kind == "diagonal":
-            return self._inv_diag[:, None] * a
-        return self._solve(a)
+        return self._inv_diag.copy()
 
     def kinetic(self, p: np.ndarray) -> float:
         """K(p) = p^T M^-1 p / 2."""
@@ -142,13 +100,11 @@ class MassMatrix:
         return 0.5 * float(p @ self.inverse_apply(p))
 
     def sample_momentum(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw p ~ N(0, M) as L @ xi with L L^T = M and xi standard normal."""
+        """Draw p ~ N(0, M) as sqrt(M) * xi with xi standard normal."""
         xi = rng.standard_normal(self.dim)
         if self.kind == "identity":
             return xi
-        if self.kind == "diagonal":
-            return self._sqrt_diag * xi
-        return self._chol @ xi
+        return self._sqrt_diag * xi
 
 
 def total_energy(q: np.ndarray, p: np.ndarray, potential, mass: MassMatrix) -> float:

@@ -122,12 +122,12 @@ def chmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConf
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
     if cfg.jacobian_mode.kind == "J0":
-        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps, rng=rng)
+        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps)
         return _accept_reject(theta, rec, 1.0, 0, rng)
     accumulator = JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
                                       cfg.solver.dd_guard)
     rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps,
-                     per_step_hook=accumulator, rng=rng)
+                     per_step_hook=accumulator)
     return _accept_reject(theta, rec, accumulator.product, accumulator.extra_force_evals, rng)
 
 

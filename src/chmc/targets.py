@@ -16,7 +16,7 @@ class Potential:
 
     Optional capabilities (left as None when unavailable):
 
-    - ``gradient(q)``: grad U, enables leapfrog HMC and gradient-based init.
+    - ``gradient(q)``: grad U, enables leapfrog HMC.
     - ``closed_form_force(Q, q)``: analytic divided-difference force, i.e. the
       componentwise two-path difference quotient of U evaluated in closed form.
     - ``closed_form_force_jacobian_diag(Q, q)``: (diag dF/dq, diag dF/dQ).
@@ -26,9 +26,9 @@ class Potential:
     ``closed_form_force_jacobian`` declares the target separable (see
     ``is_separable``): F_i depends only on (Q_i, q_i), so both force
     Jacobians are diagonal. The declaration also selects the chord solve of
-    the implicit step (with a diagonal mass), the analytic Jacobian path
-    embeds the diagonals, and the finite-difference path perturbs all
-    components at once, so the declaration must hold.
+    the implicit step, the analytic Jacobian path embeds the diagonals, and
+    the finite-difference path perturbs all components at once, so the
+    declaration must hold.
     """
 
     gradient = None

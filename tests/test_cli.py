@@ -119,7 +119,7 @@ methods: []
 
     @pytest.mark.parametrize("entry", [
         "jacobian: J1", "jacobian_source: analytic", "jacobian_h_fd: 1.0e-6",
-        "delta: 0.5", "max_fpi: 3", "dd_guard: 1.0e-6", "init_mode: gradient-euler",
+        "delta: 0.5", "max_fpi: 3", "dd_guard: 1.0e-6", "init_mode: position-euler",
     ])
     def test_chmc_fields_on_leapfrog_entry_rejected(self, entry):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -132,10 +132,20 @@ methods: []
 
     def test_defaults_still_apply_to_every_method(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
-            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 3, init_mode: gradient-euler}")
+            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 3, init_mode: position-euler}")
         spec = validate_spec(text)
         assert [m.max_fpi for m in spec.methods] == [3, 3]
-        assert spec.methods[1].sampler_config(seed=0).solver.init_mode == "gradient-euler"
+        assert [m.init_mode for m in spec.methods] == ["position-euler"] * 2
+        assert spec.methods[1].sampler_config(seed=0).solver.max_fpi == 3
+
+    def test_removed_init_mode_rejected(self):
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "delta: 1.0e-8}", "delta: 1.0e-8, init_mode: gradient-euler}")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert err.value.errors == [
+            f"methods[{i}].init_mode: expected one of ['position-euler'], got 'gradient-euler'"
+            for i in (0, 1)]
 
     def test_range_errors_come_from_dataclasses_all_collected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(

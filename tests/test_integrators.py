@@ -293,32 +293,6 @@ class TestFixedPointInit:
         assert Q0[0] == pytest.approx(0.5 + 1e-8, rel=1e-15)
         assert Q0[1] == pytest.approx(0.5 - 1e-8, rel=1e-15)
 
-    def test_gradient_euler_shares_prediction(self):
-        mass = MassMatrix.identity(3)
-        t = QuarticGeneralizedGaussian(3)
-        q, p, p_prev = np.array([0.3, -0.2, 1.0]), np.array([0.5, 1.0, -0.7]), np.ones(3)
-        for previous in (None, p_prev):
-            Q_pos, _, _ = dmm_init(q, p, DmmSolverConfig(tau=0.1), mass, t, p_prev=previous)
-            Q_grad, _, n = dmm_init(q, p, DmmSolverConfig(tau=0.1, init_mode="gradient-euler"),
-                                    mass, t, p_prev=previous)
-            np.testing.assert_array_equal(Q_grad, Q_pos)
-            assert n == 2
-
-    def test_gradient_euler_requires_gradient(self):
-        cfg = DmmSolverConfig(tau=0.1, init_mode="gradient-euler")
-        with pytest.raises(ValueError):
-            dmm_init(np.array([0.0]), np.array([1.0]), cfg,
-                     MassMatrix.identity(1), BlackBoxQuartic(1))
-
-    def test_random_perturb_stays_near(self):
-        cfg = DmmSolverConfig(tau=0.1, init_mode="random-perturb")
-        t = QuarticGeneralizedGaussian(2)
-        rng = np.random.default_rng(0)
-        s = PhaseState([0.2, -0.4], [1.0, 1.0])
-        Q0, P0, _ = dmm_init(s.q, s.p, cfg, MassMatrix.identity(2), t, rng=rng)
-        assert np.all(np.abs(Q0 - s.q) <= 10 * 0.1 * 1e-8)
-        np.testing.assert_array_equal(P0, s.p)
-
 
 class TestDmmStep:
     def test_linear_potential_exact_cancellation(self):
@@ -441,7 +415,7 @@ class TestChordSolve:
             assert np.max(np.abs(rec.q - Q)) <= 1e-8
             assert np.max(np.abs(rec.p - P)) <= 1e-8
 
-    @pytest.mark.parametrize("case", ["gaussian", "black-box", "dense-mass"])
+    @pytest.mark.parametrize("case", ["gaussian", "black-box"])
     def test_other_targets_and_dense_mass_keep_plain_update(self, case):
         rng = np.random.default_rng(39)
         dim = 4
@@ -449,12 +423,8 @@ class TestChordSolve:
         if case == "gaussian":
             a = rng.standard_normal((dim, dim))
             t = MultivariateGaussian(rng.standard_normal(dim), a @ a.T + dim * np.eye(dim))
-        elif case == "black-box":
-            t = BlackBoxQuartic(dim)
         else:
-            t = QuarticGeneralizedGaussian(dim)
-            a = 0.3 * rng.standard_normal((dim, dim))
-            mass = MassMatrix.dense(a @ a.T + np.eye(dim))
+            t = BlackBoxQuartic(dim)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         for _ in range(10):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
@@ -547,18 +517,19 @@ class TestPredictorCorrector:
 
     @pytest.mark.parametrize("case", ["quartic-d1", "gaussian-d3"])
     def test_random_perturb_start_always_moves(self, case):
-        # a start next to (q, p) sits on the input energy surface; testing it
-        # before an update would return the input unchanged
+        # a first iterate perturbed off (q, p) by 1e-9 sits on the input
+        # energy surface; testing it before an update would return the input
+        # unchanged
         rng = np.random.default_rng(48)
         if case == "quartic-d1":
             t = QuarticGeneralizedGaussian(1)
         else:
             t = MultivariateGaussian(np.zeros(3), np.eye(3))
         mass = MassMatrix.identity(t.dim)
-        cfg = DmmSolverConfig(tau=0.1, init_mode="random-perturb")
+        cfg = DmmSolverConfig(tau=0.1)
         for _ in range(200):
             q, p = rng.uniform(-1.5, 1.5, t.dim), rng.uniform(-1.5, 1.5, t.dim)
-            rec = dmm_step(q, p, t, mass, cfg, rng=rng)
+            rec = dmm_step(q, p, t, mass, cfg, init_guess=(q + 1e-9, p))
             assert rec.fpi_iterations >= 1
             moving = p != 0.0
             assert (np.abs(rec.q - q)[moving] > 1e-6).all()
@@ -714,5 +685,3 @@ class TestSolverConfig:
             DmmSolverConfig(tau=0.1, max_fpi=0)
         with pytest.raises(ValueError):
             DmmSolverConfig(tau=0.1, dd_guard=-1e-8)
-        with pytest.raises(ValueError):
-            DmmSolverConfig(tau=0.1, init_mode="newton")

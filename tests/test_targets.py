@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -192,3 +194,24 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_source_file_imports_scipy():
+    # scipy is a test-only dependency: no module of the package may import it,
+    # lazily or not
+    package = os.path.dirname(os.path.abspath(chmc.__file__))
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(package, "**", "*.py"), recursive=True)):
+        name = os.path.relpath(path, package)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{name}:{node.lineno}" for m in modules
+                          if m.split(".")[0] == "scipy"]
+    assert offenders == []
