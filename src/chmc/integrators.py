@@ -13,13 +13,25 @@ P ~ p - (tau/2) F_prev, giving Q0 = q + (tau/2) M^-1 (3p - p_prev) (Hairer,
 Lubich & Wanner, Geometric Numerical Integration, VIII.6, "starting
 approximations"). The corrector is fixed-point iteration: the first iterate
 is a guess, so at least one update always runs, and the solve stops at the
-first updated iterate whose energy error |H(Q, P) - H(q, p)| drops to the
-tolerance ``delta`` or after ``max_fpi`` updates. Each update substitutes the
-freshly advanced position into the force, so it costs exactly one force
-evaluation and one energy test; the literal simultaneous (Jacobi) pairing of
-the two update lines stalls every other iterate and doubles the
-force-evaluation count for the same progress, so the sequential form is used
-throughout.
+first updated iterate whose energy error drops to the tolerance ``delta`` or
+after ``max_fpi`` updates. Each update substitutes the freshly advanced
+position into the force, so it costs exactly one force evaluation; the
+literal simultaneous (Jacobi) pairing of the two update lines stalls every
+other iterate and doubles the force-evaluation count for the same progress,
+so the sequential form is used throughout.
+
+The energy test makes no target call. The force is a discrete gradient,
+F(Q, q) . (Q - q) = 2 (U(Q) - U(q)) (see ``Potential``), so at an iterate
+with f = F(Q, q), P = p - (tau/2) f and g = q + (tau/2) M^-1 (P + p), the
+next update's target position,
+
+    H(Q, P) - H(q, p) = f . (Q - g) / 2
+
+exactly (McLachlan, Quispel & Robidoux, "Geometric integration using
+discrete gradients", Phil. Trans. R. Soc. A 357, 1999). A trajectory
+evaluates U once at each end, and clears ``all_converged`` when the true
+|H_out - H_in| exceeds n_steps * delta, which the identity rules out (up to
+rounding) unless a target's force breaks the contract.
 
 Eliminating P leaves the position equation Q = g(Q) with
 g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). The mass is diagonal, so on
@@ -82,11 +94,11 @@ class DmmSolverConfig:
 class StepRecord:
     """Outcome of one energy-preserving step, ending at the arrays (q, p).
 
-    ``energy_error`` is the achieved |H_out - H_in| (inf when the solve blew
-    up, in which case (q, p) is the input pair and the caller must reject).
-    ``h_out`` carries H(q, p) forward so trajectories never re-evaluate the
-    Hamiltonian of a state they already know, and ``force`` is F(q, q_in),
-    the force of the last update (None when no update ran), which the
+    ``energy_error`` is |f . (Q - g)| / 2 at the last update, the
+    discrete-gradient value of |H(q, p) - H(q_in, p_in)| (see the module
+    docstring); it is inf when the solve blew up, in which case (q, p) is
+    the input pair and the caller must reject. ``force`` is F(q, q_in), the
+    force of the last update (None when no update ran), which the
     finite-difference Jacobian probes reuse as their base value.
     """
 
@@ -96,7 +108,6 @@ class StepRecord:
     energy_error: float
     force_evaluations: int
     converged: bool
-    h_out: float = math.nan
     force: Optional[np.ndarray] = None
 
 
@@ -170,11 +181,16 @@ def _guarded_start(q, v, scale, mass, dd_guard):
     Any component whose predicted displacement is below the guard threshold
     is pushed a full threshold away from q, towards sign(v_i) (+1 when
     v_i == 0), so the divided differences of the first force evaluation stay
-    well posed.
+    well posed. The per-component thresholds are bounded by
+    dd_guard * max(1, max|q|), so a displacement that clears that bound
+    everywhere needs no threshold array.
     """
     Q0 = q + scale * mass.inverse_apply(v)
+    dist = np.abs(Q0 - q)
+    if dist.min() >= dd_guard * max(1.0, float(np.abs(q).max())):
+        return Q0
     eps = dd_guard * np.maximum(1.0, np.abs(q))
-    small = np.abs(Q0 - q) < eps
+    small = dist < eps
     if small.any():
         direction = np.where(v >= 0.0, 1.0, -1.0)
         Q0 = np.where(small, q + direction * eps, Q0)
@@ -225,7 +241,6 @@ def dmm_step(
     potential,
     mass: MassMatrix,
     cfg: DmmSolverConfig,
-    h_in: Optional[float] = None,
     init_guess: Optional[tuple] = None,
     p_prev: Optional[np.ndarray] = None,
 ) -> StepRecord:
@@ -237,20 +252,20 @@ def dmm_step(
     solves). At least one fixed-point update always runs before the first
     energy test: the first iterate is a guess, and testing it would let a
     guess that happens to sit on the input energy surface (such as an
-    ``init_guess`` next to (q, p)) return the input unchanged.
+    ``init_guess`` next to (q, p)) return the input unchanged. The energy
+    test is the discrete-gradient identity, so the solve never calls
+    ``potential.evaluate`` (a divided-difference force does, to form F).
     The last iterate is returned whether or not the tolerance was met
     (``converged`` records which); an unconverged iterate still enters the
-    acceptance ratio through its true energy error.
+    acceptance ratio through the trajectory's true energy error.
 
     On a separable target, one ``closed_form_force_jacobian_diag`` call at
     the first update sets up the chord update (see the module docstring);
     that call is not counted in ``force_evaluations``, which counts forces
     only. Otherwise each update is the plain fixed-point update.
     """
-    if h_in is None:
-        h_in = hamiltonian(PhaseState(q, p), potential, mass)
     if cfg.tau == 0.0:
-        return StepRecord(q, p, 0, 0.0, 0, True, h_out=h_in)
+        return StepRecord(q, p, 0, 0.0, 0, True)
 
     half = 0.5 * cfg.tau
     if init_guess is not None:
@@ -268,25 +283,27 @@ def dmm_step(
         P = p - half * f
         force_evals += 1
         iterations += 1
-        h_now = total_energy(Q, P, potential, mass)
-        err = abs(h_now - h_in)
+        g = q + half * mass.inverse_apply(P + p)
+        err = abs(0.5 * float(f @ (Q - g)))
         converged = err <= cfg.delta
         if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
             break
-        g = q + half * mass.inverse_apply(P + p)
     if not math.isfinite(err) or not (np.isfinite(Q).all() and np.isfinite(P).all()):
-        return StepRecord(q, p, iterations, math.inf, force_evals, False, h_out=math.inf)
-    return StepRecord(Q, P, iterations, err, force_evals, converged, h_out=h_now, force=f)
+        return StepRecord(q, p, iterations, math.inf, force_evals, False)
+    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f)
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Aggregated outcome of an N-step trajectory, ending at the arrays (q, p).
 
-    ``total_energy_error`` sums the per-step |dH| for the energy-preserving
-    map (bounded by N delta when every step converged); for leapfrog it is
-    the endpoint |H_out - H_in|. A failed trajectory reports h_out = +inf and
-    leaves (q, p) at the last valid state.
+    ``total_energy_error`` sums the per-step discrete-gradient |dH| for the
+    energy-preserving map; for leapfrog it is the endpoint |H_out - H_in|.
+    For the energy-preserving map ``all_converged`` means every step met
+    delta and the true |H_out - H_in| is at most N delta, the premise of the
+    N delta acceptance bound. A failed trajectory (a step blew up, or H_out
+    is not finite) reports h_out = +inf and leaves (q, p) at the last state
+    with finite components.
     """
 
     q: np.ndarray
@@ -308,11 +325,15 @@ def trajectory(
     n_steps: int,
     per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> TrajectoryRecord:
-    """Compose ``n_steps`` energy-preserving steps, threading H forward.
+    """Compose ``n_steps`` energy-preserving steps; H is evaluated at the two ends only.
 
     ``state`` is validated once; the steps run on its raw arrays. Each step
     after the first gets the previous step's input momentum, so its solve
-    starts from the extrapolated prediction (see ``dmm_init``).
+    starts from the extrapolated prediction (see ``dmm_init``). The end
+    check |H_out - H_in| <= n_steps * delta turns the discrete-gradient
+    contract of the target's force into a check on every trajectory: with
+    every step converged, only a force that breaks it can fail the check,
+    and then ``all_converged`` is False.
     ``per_step_hook`` is invoked after each step with the step's
     (q_in, q_out, f_out), where f_out = F(q_out, q_in) is the force of the
     solve's last update, so per-step Jacobian factors can be accumulated into
@@ -322,14 +343,13 @@ def trajectory(
         raise ValueError("n_steps must be >= 1")
     h_in = hamiltonian(state, potential, mass)
     q, p = state.q, state.p
-    h = h_in
     total_f = 0
     total_it = 0
     total_err = 0.0
     all_converged = True
     p_prev = None
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, h_in=h, p_prev=p_prev)
+        rec = dmm_step(q, p, potential, mass, cfg, p_prev=p_prev)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
@@ -341,9 +361,13 @@ def trajectory(
         if per_step_hook is not None:
             per_step_hook(q, rec.q, rec.force)
         p_prev = p
-        q, p, h = rec.q, rec.p, rec.h_out
+        q, p = rec.q, rec.p
+    h_out = total_energy(q, p, potential, mass)
+    if not math.isfinite(h_out):
+        return TrajectoryRecord(q, p, total_f, total_it, math.inf, False, True, h_in, math.inf)
+    all_converged = all_converged and abs(h_out - h_in) <= n_steps * cfg.delta
     return TrajectoryRecord(
-        q, p, total_f, total_it, total_err, all_converged, False, h_in, h
+        q, p, total_f, total_it, total_err, all_converged, False, h_in, h_out
     )
 
 

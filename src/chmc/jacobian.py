@@ -68,8 +68,9 @@ def force_jacobians(
 ):
     """Jacobians of the force with respect to q and Q.
 
-    Returns (d_q F, d_Q F, n_force_evaluations): full d x d matrices, or just
-    their diagonals when ``diagonal_only``. The finite-difference source uses
+    Returns (d_q F, d_Q F, n_force_evaluations): the diagonals on a separable
+    target (see ``is_separable``) or when ``diagonal_only``, full d x d
+    matrices otherwise. The finite-difference source uses
     forward differences from the base value f0 = F(Q, q), computed here (one
     force evaluation) unless the caller passes it in. On a separable target
     F_i depends only on (Q_i, q_i), so one perturbation of all components at
@@ -120,11 +121,9 @@ def force_jacobians(
                 fQ, _ = force_and_evals(Q_pert, q, potential, dd_guard)
                 d_Q[:, j] = (np.asarray(fQ) - f0) / hQ
                 n_evals += 2
-    # each route yields diagonals or matrices; return the requested form
+    # matrix routes reduce to their diagonals on request
     if diagonal_only and d_q.ndim == 2:
         return np.diag(d_q).copy(), np.diag(d_Q).copy(), n_evals
-    if not diagonal_only and d_q.ndim == 1:
-        return np.diag(d_q), np.diag(d_Q), n_evals
     return d_q, d_Q, n_evals
 
 

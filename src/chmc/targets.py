@@ -26,9 +26,18 @@ class Potential:
     ``closed_form_force_jacobian`` declares the target separable (see
     ``is_separable``): F_i depends only on (Q_i, q_i), so both force
     Jacobians are diagonal. The declaration also selects the chord solve of
-    the implicit step, the analytic Jacobian path embeds the diagonals, and
-    the finite-difference path perturbs all components at once, so the
-    declaration must hold.
+    the implicit step, the Jacobian code returns diagonals instead of d x d
+    matrices, and the finite-difference path perturbs all components at
+    once, so the declaration must hold.
+
+    A ``closed_form_force`` must be a discrete gradient:
+    F(Q, q) . (Q - q) = 2 (U(Q) - U(q)) for all Q, q. The two-path divided
+    differences satisfy it by telescoping, and so does every closed form
+    here. The implicit step measures its energy error through this identity
+    instead of evaluating U. A force that breaks it (the implicit-midpoint
+    force 2 grad U((Q + q)/2), say) lets steps report convergence while H
+    drifts; the trajectory's end check |H_out - H_in| <= N delta then
+    clears ``all_converged``.
     """
 
     gradient = None

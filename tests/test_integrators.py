@@ -5,6 +5,8 @@ import pytest
 
 from chmc import (
     DmmSolverConfig,
+    JacobianAccumulator,
+    JacobianMode,
     MassMatrix,
     MultivariateGaussian,
     PhaseState,
@@ -31,10 +33,15 @@ class CountingQuartic(QuarticGeneralizedGaussian):
     def __init__(self, dim):
         super().__init__(dim)
         self.gradient_calls = 0
+        self.evaluate_calls = 0
 
     def gradient(self, q):
         self.gradient_calls += 1
         return super().gradient(q)
+
+    def evaluate(self, q):
+        self.evaluate_calls += 1
+        return super().evaluate(q)
 
 
 class BlackBoxQuartic(Potential):
@@ -43,6 +50,22 @@ class BlackBoxQuartic(Potential):
     def evaluate(self, q):
         t = q * q
         return float((t * t).sum())
+
+
+class MidpointGradientQuartic(Potential):
+    """Quartic whose closed-form force is 2 grad U((Q + q)/2), the implicit midpoint force.
+
+    It agrees with the discrete gradient 2 (Q^2 + q^2)(Q + q) to O(|Q - q|^2)
+    but breaks F(Q, q) . (Q - q) = 2 (U(Q) - U(q)).
+    """
+
+    def evaluate(self, q):
+        t = q * q
+        return float((t * t).sum())
+
+    def closed_form_force(self, Q, q):
+        m = 0.5 * (Q + q)
+        return 8.0 * m * m * m
 
 
 class SeparableDoubleWell(Potential):
@@ -64,23 +87,30 @@ class SeparableDoubleWell(Potential):
         return 2.0 * (2.0 * q * s + c) - 20.0, 2.0 * (2.0 * Q * s + c) - 20.0
 
 
+def discrete_gradient_error(q, p, Q, f, half, mass):
+    """|f . (Q - g)| / 2 with P = p - half f and g = q + half M^-1 (P + p)."""
+    g = q + half * mass.inverse_apply((p - half * f) + p)
+    return abs(0.5 * float(f @ (Q - g)))
+
+
 def plain_fixed_point(state, potential, mass, cfg):
     """Reference solve with the plain update Q <- g, written out.
 
-    Returns (Q, P, updates, |dH|).
+    The energy error is the discrete-gradient value f . (Q - g) / 2 that
+    ``dmm_step`` tests. Returns (Q, P, updates, |dH|).
     """
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
-    h_in = hamiltonian(state, potential, mass)
     Q, P, _ = dmm_init(q, p, cfg, mass, potential)
-    err = abs(float(potential.evaluate(Q)) + mass.kinetic(P) - h_in)
+    f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
+    err = discrete_gradient_error(q, p, Q, f, half, mass)
     updates = 0
     while err > cfg.delta and updates < cfg.max_fpi and math.isfinite(err):
         Q = q + half * mass.inverse_apply(P + p)
         f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
         P = p - half * f
         updates += 1
-        err = abs(float(potential.evaluate(Q)) + mass.kinetic(P) - h_in)
+        err = discrete_gradient_error(q, p, Q, f, half, mass)
     return Q, P, updates, err
 
 
@@ -104,7 +134,9 @@ def predictor_corrector_loop(state, t, mass, cfg, n_steps):
 
     Euler first iterate on step 1, Q0 = q + (tau/2) M^-1 (3p - p_prev) on
     later steps, then chord updates with D frozen at the first plain update
-    and the energy test after every update (never before the first).
+    and the energy test after every update (never before the first). The
+    test here forms the true |dH| from U; ``dmm_step``'s discrete-gradient
+    value makes the same stop decisions on these draws.
     Returns (q, p, total updates).
     """
     q, p = state.q, state.p
@@ -275,6 +307,25 @@ class TestFixedPointInit:
         p = -10 * 1e-8 / 0.1  # |tau p| = 10 dd_guard: no displacement
         Q0, _, _ = dmm_init(np.array([1.0]), np.array([p]), cfg, MassMatrix.identity(1), t)
         assert Q0[0] == pytest.approx(1.0 + 0.1 * p, rel=1e-15)
+
+    def test_guard_prescreen_matches_componentwise_thresholds(self):
+        # the scalar bound dd_guard * max(1, max|q|) only decides whether the
+        # per-component thresholds are built; the first iterate is the same
+        cfg = DmmSolverConfig(tau=0.1, dd_guard=1e-8)
+        t = QuarticGeneralizedGaussian(3)
+        q = np.array([0.5, 40.0, -3.0])
+        cases = (np.array([1.0, -2.0, 0.5]),     # every component clears the bound
+                 np.array([1e-9, -2.0, 0.5]),    # component 0 below its threshold
+                 np.array([2e-7, -2.0, 0.5]),    # below the bound, above its threshold
+                 np.array([2e-7, 1e-6, -0.0]),   # components 1 and 2 displaced
+                 np.array([2e-7, 1e-6, 0.5]))    # only component 1, which needs |q_1|
+        for p in cases:
+            Q0, _, _ = dmm_init(q, p, cfg, MassMatrix.identity(3), t)
+            expected = q + cfg.tau * p
+            eps = cfg.dd_guard * np.maximum(1.0, np.abs(q))
+            small = np.abs(expected - q) < eps
+            expected = np.where(small, q + np.where(p >= 0.0, 1.0, -1.0) * eps, expected)
+            np.testing.assert_array_equal(Q0, expected)
 
     def test_extrapolated_prediction_example(self):
         # Q0 = q + (tau/2)(3p - p_prev): here 0.05 (3 - 1.2)
@@ -629,6 +680,87 @@ class TestTrajectory:
         rec = trajectory(PhaseState([0.1], [1.0]), Nan(1), MassMatrix.identity(1),
                          DmmSolverConfig(tau=0.1), 3)
         assert rec.failed and rec.h_out == math.inf
+
+
+class TestDiscreteGradientEnergy:
+    @pytest.mark.parametrize("case", ["quartic", "gaussian", "black-box-guarded",
+                                      "quartic-diagonal-mass"])
+    def test_identity_matches_true_energy_change(self, case):
+        # f . (Q - g) / 2 == H(Q, P) - H(q, p) at arbitrary iterates Q, not just
+        # at the fixed point
+        rng = np.random.default_rng(50)
+        d, half, guard = 4, 0.05, 1e-8
+        mass = MassMatrix.identity(d)
+        if case == "gaussian":
+            a = rng.standard_normal((d, d))
+            t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
+        elif case == "black-box-guarded":
+            t = BlackBoxQuartic(d)
+        else:
+            t = QuarticGeneralizedGaussian(d)
+            if case == "quartic-diagonal-mass":
+                mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        for _ in range(50):
+            q, p = rng.uniform(-1.5, 1.5, d), rng.uniform(-1.5, 1.5, d)
+            Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
+            if case == "black-box-guarded":
+                Q[0] = q[0] + 0.3 * guard * max(1.0, abs(q[0]))
+                assert abs(Q[0] - q[0]) < guard * max(1.0, abs(q[0]))
+            f, _ = force_and_evals(Q, q, t, guard)
+            P = p - half * f
+            g = q + half * mass.inverse_apply(P + p)
+            h_in = t.evaluate(q) + mass.kinetic(p)
+            true_dh = t.evaluate(Q) + mass.kinetic(P) - h_in
+            assert abs(0.5 * float(f @ (Q - g)) - true_dh) <= 1e-12 * (1.0 + abs(h_in))
+        # the solve's reported error, chord or plain update alike
+        cfg = DmmSolverConfig(tau=2 * half, delta=1e-8, dd_guard=guard)
+        rec = dmm_step(q, p, t, mass, cfg)
+        true_err = abs(t.evaluate(rec.q) + mass.kinetic(rec.p) - h_in)
+        assert abs(rec.energy_error - true_err) <= 1e-12 * (1.0 + abs(h_in))
+
+    @pytest.mark.parametrize("mode", [None, JacobianMode("J1"), JacobianMode("JFull")])
+    def test_trajectory_evaluates_potential_twice(self, mode):
+        # J0 and the finite-difference J1 / JFull hooks: U only at the two ends
+        rng = np.random.default_rng(51)
+        d = 6
+        mass = MassMatrix.identity(d)
+        updates = set()
+        for delta, max_fpi in ((1e-8, 1), (1e-8, 10), (1e-14, 50)):
+            cfg = DmmSolverConfig(tau=0.1, delta=delta, max_fpi=max_fpi)
+            t = CountingQuartic(d)
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            hook = None if mode is None else JacobianAccumulator(mode, cfg.tau, mass, t)
+            rec = trajectory(s, t, mass, cfg, 12, per_step_hook=hook)
+            assert t.evaluate_calls == 2
+            updates.add(rec.total_fpi_iterations)
+            t.evaluate_calls = 0
+            dmm_step(s.q, s.p, t, mass, cfg)
+            assert t.evaluate_calls == 0
+        assert len(updates) == 3
+
+    def test_force_that_is_not_a_discrete_gradient_clears_all_converged(self, monkeypatch):
+        import chmc.integrators as integrators
+
+        converged = []
+
+        def recording_step(*args, **kwargs):
+            rec = dmm_step(*args, **kwargs)
+            converged.append(rec.converged)
+            return rec
+
+        monkeypatch.setattr(integrators, "dmm_step", recording_step)
+        s = PhaseState([0.8, -1.1], [1.2, 0.5])
+        mass = MassMatrix.identity(2)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
+        rec = trajectory(s, MidpointGradientQuartic(2), mass, cfg, 40)
+        assert converged == [True] * 40
+        assert not rec.failed
+        assert abs(rec.h_out - rec.h_in) > 40 * cfg.delta
+        assert not rec.all_converged
+        # the discrete gradient of the same U passes the check
+        converged.clear()
+        rec = trajectory(s, QuarticGeneralizedGaussian(2), mass, cfg, 40)
+        assert converged == [True] * 40 and rec.all_converged
 
 
 class TestOrderOfAccuracy:

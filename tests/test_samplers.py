@@ -21,6 +21,7 @@ from chmc import (
     chmc_iteration,
     hmc_iteration,
     run_chain,
+    trajectory,
 )
 
 
@@ -133,6 +134,25 @@ class TestChmcIteration:
         theta = np.array([0.5])
         new_theta, out = chmc_iteration(theta, Nan(1), MassMatrix.identity(1), cfg, rng)
         assert not out.accepted and out.alpha == 0.0
+        assert new_theta is theta
+
+    def test_infinite_final_energy_rejects(self):
+        # U = inf outside the box, closed-form force finite everywhere: the
+        # steps converge and only the trajectory's final H is infinite
+        class BoxedQuartic(QuarticGeneralizedGaussian):
+            def evaluate(self, q):
+                return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
+
+        t, mass = BoxedQuartic(1), MassMatrix.identity(1)
+        cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0)
+        theta = np.array([0.9])
+        p0 = mass.sample_momentum(chain_rng(0, 0))
+        rec = trajectory(PhaseState(theta, p0), t, mass, cfg.solver, cfg.n_steps)
+        assert rec.failed and not rec.all_converged
+        assert rec.h_out == math.inf and rec.total_energy_error == math.inf
+        assert abs(rec.q[0]) > 1.0 and np.isfinite(rec.p).all()
+        new_theta, out = chmc_iteration(theta, t, mass, cfg, chain_rng(0, 0))
+        assert not out.accepted and out.alpha == 0.0 and out.delta_H == math.inf
         assert new_theta is theta
 
     def test_acceptance_lower_bound_every_iteration(self):

@@ -7,6 +7,7 @@ benchmark without any failing test. These tests only read perfbench.
 
 import ast
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chmc
@@ -62,6 +64,19 @@ class TestPerfbenchHooks:
             module, _, attr = chain.rpartition(".")
             owner = importlib.import_module(f"chmc.{module}") if module else chmc
             assert hasattr(owner, attr), f"chmc.{chain}"
+
+    def test_step_record_feeds_solver_metrics(self):
+        # spans.py reads these through getattr; a missing one silently turns
+        # the solver metrics into "unmeasured"
+        assert {"fpi_iterations", "converged"} <= {
+            f.name for f in dataclasses.fields(chmc.StepRecord)}
+        tracer = load_perfbench("spans").Tracer()
+        rec = chmc.dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]),
+                            chmc.QuarticGeneralizedGaussian(2), chmc.MassMatrix.identity(2),
+                            chmc.DmmSolverConfig(tau=0.1))
+        tracer._on_step(rec)
+        assert tracer.solver == {"steps": 1, "fpi": rec.fpi_iterations,
+                                 "unconverged": 0 if rec.converged else 1, "measured": True}
 
 
     def test_table_workload_yaml_validates(self, monkeypatch):
