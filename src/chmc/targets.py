@@ -80,11 +80,11 @@ class QuarticGeneralizedGaussian(Potential):
         return 2.0 * (Q * Q + q * q) * (Q + q)
 
     def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
-        s = Q + q
-        c = Q * Q + q * q
-        d_q = 2.0 * (2.0 * q * s + c)
-        d_Q = 2.0 * (2.0 * Q * s + c)
-        return d_q, d_Q
+        # 2 (2 x s + c) with the factors of two folded into s and c: 10 array
+        # ops instead of 12, the same bits unless an intermediate is subnormal
+        s4 = 4.0 * (Q + q)
+        c2 = 2.0 * (Q * Q + q * q)
+        return s4 * q + c2, s4 * Q + c2
 
 
 class MultivariateGaussian(Potential):

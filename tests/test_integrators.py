@@ -34,6 +34,8 @@ class CountingQuartic(QuarticGeneralizedGaussian):
         super().__init__(dim)
         self.gradient_calls = 0
         self.evaluate_calls = 0
+        self.force_calls = 0
+        self.jacobian_diag_calls = 0
 
     def gradient(self, q):
         self.gradient_calls += 1
@@ -42,6 +44,18 @@ class CountingQuartic(QuarticGeneralizedGaussian):
     def evaluate(self, q):
         self.evaluate_calls += 1
         return super().evaluate(q)
+
+    def closed_form_force(self, Q, q):
+        self.force_calls += 1
+        return super().closed_form_force(Q, q)
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        self.jacobian_diag_calls += 1
+        return super().closed_form_force_jacobian_diag(Q, q)
+
+    def target_calls(self):
+        return (self.gradient_calls + self.evaluate_calls + self.force_calls
+                + self.jacobian_diag_calls)
 
 
 class BlackBoxQuartic(Potential):
@@ -87,31 +101,59 @@ class SeparableDoubleWell(Potential):
         return 2.0 * (2.0 * q * s + c) - 20.0, 2.0 * (2.0 * Q * s + c) - 20.0
 
 
-def discrete_gradient_error(q, p, Q, f, half, mass):
-    """|f . (Q - g)| / 2 with P = p - half f and g = q + half M^-1 (P + p)."""
-    g = q + half * mass.inverse_apply((p - half * f) + p)
-    return abs(0.5 * float(f @ (Q - g)))
+class SeparableQuadratic(Potential):
+    """U = sum a_i q_i^2 / 2 declared separable: F(Q, q) = a (Q + q) is linear in (Q, q)."""
+
+    def __init__(self, a):
+        super().__init__(len(a))
+        self.a = np.asarray(a, dtype=float)
+
+    def evaluate(self, q):
+        return 0.5 * float(self.a @ (q * q))
+
+    def closed_form_force(self, Q, q):
+        return self.a * (Q + q)
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        return self.a.copy(), self.a.copy()
+
+
+def record_steps(monkeypatch):
+    """Route ``trajectory``'s steps through a recorder of (q, p, kwargs, record)."""
+    import chmc.integrators as integrators
+
+    steps = []
+
+    def recording_step(q, p, *args, **kwargs):
+        rec = dmm_step(q, p, *args, **kwargs)
+        steps.append((q, p, kwargs, rec))
+        return rec
+
+    monkeypatch.setattr(integrators, "dmm_step", recording_step)
+    return steps
 
 
 def plain_fixed_point(state, potential, mass, cfg):
     """Reference solve with the plain update Q <- g, written out.
 
-    The energy error is the discrete-gradient value f . (Q - g) / 2 that
-    ``dmm_step`` tests. Returns (Q, P, updates, |dH|).
+    g = a - (tau/2)^2 M^-1 f with a = q + tau M^-1 p, the arithmetic
+    ``dmm_step`` uses; the energy error is the discrete-gradient value
+    |f . (g - Q)| / 2, tested after every update (never before the first).
+    Returns (Q, P, updates, |dH|).
     """
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
-    Q, P, _ = dmm_init(q, p, cfg, mass, potential)
-    f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
-    err = discrete_gradient_error(q, p, Q, f, half, mass)
+    a = q + cfg.tau * mass.inverse_apply(p)
+    _, f, _ = dmm_init(q, p, cfg, mass, potential)
     updates = 0
-    while err > cfg.delta and updates < cfg.max_fpi and math.isfinite(err):
-        Q = q + half * mass.inverse_apply(P + p)
+    while True:
+        Q = a - half * half * mass.inverse_apply(f)
         f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
-        P = p - half * f
         updates += 1
-        err = discrete_gradient_error(q, p, Q, f, half, mass)
-    return Q, P, updates, err
+        g = a - half * half * mass.inverse_apply(f)
+        err = abs(0.5 * float(f @ (g - Q)))
+        if err <= cfg.delta or updates >= cfg.max_fpi or not math.isfinite(err):
+            return Q, p - half * f, updates, err
 
 
 def assert_record_is_plain(rec, state, potential, mass, cfg):
@@ -132,38 +174,44 @@ def quartic_draws(rng, d):
 def predictor_corrector_loop(state, t, mass, cfg, n_steps):
     """Reference trajectory on a separable target, written out.
 
-    Euler first iterate on step 1, Q0 = q + (tau/2) M^-1 (3p - p_prev) on
-    later steps, then chord updates with D frozen at the first plain update
-    and the energy test after every update (never before the first). The
-    test here forms the true |dH| from U; ``dmm_step``'s discrete-gradient
-    value makes the same stop decisions on these draws.
+    Euler first iterate on step 1; on later steps Q_pc = q + (tau/2) M^-1
+    (3p - p_prev), moved by the previous step's chord diagonal D_prev to
+    q_prev + (Q_pc - q_prev) / D_prev. Then chord updates Q + r / D with D
+    frozen at the first plain update, r = g - Q and
+    g = a - (tau/2)^2 M^-1 f, a = q + tau M^-1 p, and the energy test after
+    every update (never before the first). The test here forms the true |dH|
+    from U; ``dmm_step``'s discrete-gradient value makes the same stop
+    decisions on these draws.
     Returns (q, p, total updates).
     """
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
     h = t.evaluate(q) + mass.kinetic(p)
-    p_prev = None
+    p_prev = q_prev = D_prev = None
     updates = 0
     for _ in range(n_steps):
         if p_prev is None:
             Q = q + cfg.tau * mass.inverse_apply(p)
         else:
             Q = q + half * mass.inverse_apply(3.0 * p - p_prev)
+            Q = q_prev + (Q - q_prev) / D_prev
         assert (np.abs(Q - q) >= cfg.dd_guard * np.maximum(1.0, np.abs(q))).all()
-        P = p - half * t.closed_form_force(Q, q)
-        g = q + half * mass.inverse_apply(P + p)
+        a = q + cfg.tau * mass.inverse_apply(p)
+        g = a - half * half * mass.inverse_apply(t.closed_form_force(Q, q))
         D = 1.0 + (half * half) * mass.inverse_apply(t.closed_form_force_jacobian_diag(g, q)[1])
+        assert (D > 0.0).all()
         n = 0
         while True:
             Q = Q + (g - Q) / D
-            P = p - half * t.closed_form_force(Q, q)
+            f = t.closed_form_force(Q, q)
+            P = p - half * f
             n += 1
             h_new = t.evaluate(Q) + mass.kinetic(P)
             if abs(h_new - h) <= cfg.delta or n >= cfg.max_fpi:
                 break
-            g = q + half * mass.inverse_apply(P + p)
+            g = a - half * half * mass.inverse_apply(f)
         updates += n
-        p_prev = p
+        p_prev, q_prev, D_prev = p, q, D
         q, p, h = Q, P, h_new
     return q, p, updates
 
@@ -282,10 +330,10 @@ class TestFixedPointInit:
     def test_position_euler_example(self):
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, P0, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t)
+        Q0, f0, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t)
         assert Q0[0] == pytest.approx(0.1, rel=1e-15)
-        # P0 = p - (tau/2) F(Q0, q) with F = 2 (0.01)(0.1) = 0.002
-        assert P0[0] == pytest.approx(1.0 - 0.05 * 0.002, rel=1e-12)
+        # f0 = F(Q0, q) = 2 (0.01)(0.1)
+        assert f0[0] == pytest.approx(0.002, rel=1e-12)
 
     def test_zero_momentum_engages_guard(self):
         cfg = DmmSolverConfig(tau=0.1, dd_guard=1e-8)
@@ -334,6 +382,23 @@ class TestFixedPointInit:
         Q0, _, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t,
                             p_prev=np.array([1.2]))
         assert Q0[0] == pytest.approx(0.09, rel=1e-14)
+
+    def test_chord_linearized_prediction_example(self):
+        # Q_pc = 0.09 as above, then q_prev + (Q_pc - q_prev) / D_prev = -0.1 + 0.19 / 1.5
+        cfg = DmmSolverConfig(tau=0.1)
+        t = QuarticGeneralizedGaussian(1)
+        Q0, _, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t,
+                            p_prev=np.array([1.2]), chord_prev=(np.array([-0.1]), np.array([1.5])))
+        assert Q0[0] == pytest.approx(-0.1 + 0.19 / 1.5, rel=1e-14)
+
+    def test_chord_linearized_prediction_engages_guard(self):
+        # Q_pc = 0.51 moved back onto q = 0.5 by the chord: displaced by the
+        # full guard towards sign(3p - p_prev) = +1
+        cfg = DmmSolverConfig(tau=0.1, dd_guard=1e-8)
+        t = QuarticGeneralizedGaussian(1)
+        Q0, _, _ = dmm_init(np.array([0.5]), np.array([0.1]), cfg, MassMatrix.identity(1), t,
+                            p_prev=np.array([0.1]), chord_prev=(np.array([0.49]), np.array([2.0])))
+        assert Q0[0] == pytest.approx(0.5 + 1e-8, rel=1e-15)
 
     def test_extrapolated_prediction_engages_guard(self):
         # 3p - p_prev = -3e-8: displaced by the full guard towards its sign
@@ -486,8 +551,8 @@ class TestChordSolve:
         mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.5, delta=1e-8, max_fpi=4)
         s = PhaseState([0.1, -0.2], [0.3, 0.1])
-        _, P0, _ = dmm_init(s.q, s.p, cfg, mass, t)
-        g0 = s.q + 0.25 * (P0 + s.p)
+        _, f0, _ = dmm_init(s.q, s.p, cfg, mass, t)
+        g0 = s.q + 0.5 * s.p - 0.25 * 0.25 * f0
         _, d_Q = t.closed_form_force_jacobian_diag(g0, s.q)
         assert (1.0 + 0.25 * 0.25 * d_Q <= 0.0).any()
         t.jacobian_calls = 0
@@ -565,6 +630,66 @@ class TestPredictorCorrector:
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
             forces += trajectory(s, t, mass, cfg, 40).total_force_evaluations
         assert forces / 800 <= 5.9
+
+    def test_linear_force_predictor_is_exact(self, monkeypatch):
+        # F = a (Q + q) is its own chord model: from step 2 on the first
+        # iterate is the solution to rounding, where Q_pc is not, and every
+        # step converges after one update (step 1 too: its D is exact)
+        steps = record_steps(monkeypatch)
+        rng = np.random.default_rng(49)
+        d = 40
+        t = SeparableQuadratic(rng.uniform(1.0, 50.0, d))
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        s = PhaseState(rng.standard_normal(d), mass.sample_momentum(rng))
+        rec = trajectory(s, t, mass, cfg, 40)
+        assert rec.all_converged and rec.total_fpi_iterations == 40
+        assert steps[0][2]["chord_prev"] is None
+        for q, p, kwargs, step in steps[1:]:
+            assert step.converged and step.fpi_iterations == 1
+            Q0, _, _ = dmm_init(q, p, cfg, mass, t, **kwargs)
+            Q_pc, _, _ = dmm_init(q, p, cfg, mass, t, p_prev=kwargs["p_prev"])
+            scale = 1.0 + np.abs(step.q).max()
+            assert np.abs(Q0 - step.q).max() <= 1e-14 * scale
+            assert np.abs(Q_pc - step.q).max() > 1e-6 * scale
+
+    def test_cost_pin_at_d2560(self):
+        # the separation config's setting; the Euler-corrected start without
+        # the chord model took 2.90 updates and 4.95 target calls per step
+        rng = np.random.default_rng(4243)
+        d, n_traj = 2560, 10
+        t, mass = CountingQuartic(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
+        updates = 0
+        for _ in range(n_traj):
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            rec = trajectory(s, t, mass, cfg, 40)
+            assert rec.all_converged and not rec.failed
+            updates += rec.total_fpi_iterations
+        assert updates / (40 * n_traj) <= 2.1
+        assert t.target_calls() / (40 * n_traj) <= 4.2
+
+    @pytest.mark.parametrize("case", ["gaussian", "black-box"])
+    def test_targets_without_chord_keep_extrapolated_start(self, case, monkeypatch):
+        rng = np.random.default_rng(44)
+        d = 4
+        mass = MassMatrix.identity(d)
+        if case == "gaussian":
+            a = rng.standard_normal((d, d))
+            t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
+        else:
+            t = BlackBoxQuartic(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
+        s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+        q, p, p_prev = s.q, s.p, None
+        for _ in range(10):
+            step = dmm_step(q, p, t, mass, cfg, p_prev=p_prev)
+            p_prev, q, p = p, step.q, step.p
+        steps = record_steps(monkeypatch)
+        rec = trajectory(s, t, mass, cfg, 10)
+        np.testing.assert_array_equal(rec.q, q)
+        np.testing.assert_array_equal(rec.p, p)
+        assert all(kw["chord_prev"] is None and step.chord is None for _, _, kw, step in steps)
 
     @pytest.mark.parametrize("case", ["quartic-d1", "gaussian-d3"])
     def test_random_perturb_start_always_moves(self, case):
@@ -739,28 +864,19 @@ class TestDiscreteGradientEnergy:
         assert len(updates) == 3
 
     def test_force_that_is_not_a_discrete_gradient_clears_all_converged(self, monkeypatch):
-        import chmc.integrators as integrators
-
-        converged = []
-
-        def recording_step(*args, **kwargs):
-            rec = dmm_step(*args, **kwargs)
-            converged.append(rec.converged)
-            return rec
-
-        monkeypatch.setattr(integrators, "dmm_step", recording_step)
+        steps = record_steps(monkeypatch)
         s = PhaseState([0.8, -1.1], [1.2, 0.5])
         mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
         rec = trajectory(s, MidpointGradientQuartic(2), mass, cfg, 40)
-        assert converged == [True] * 40
+        assert [step.converged for *_, step in steps] == [True] * 40
         assert not rec.failed
         assert abs(rec.h_out - rec.h_in) > 40 * cfg.delta
         assert not rec.all_converged
         # the discrete gradient of the same U passes the check
-        converged.clear()
+        steps.clear()
         rec = trajectory(s, QuarticGeneralizedGaussian(2), mass, cfg, 40)
-        assert converged == [True] * 40 and rec.all_converged
+        assert [step.converged for *_, step in steps] == [True] * 40 and rec.all_converged
 
 
 class TestOrderOfAccuracy:

@@ -85,6 +85,24 @@ class TestQuarticForce:
                 assert d_q[i] == pytest.approx(fd_q, rel=1e-6)
                 assert d_Q[i] == pytest.approx(fd_Q, rel=1e-6)
 
+    def test_jacobian_diagonals_match_unfolded_expression(self):
+        # 2 (2 x (Q + q) + Q^2 + q^2) with the factors of two applied last:
+        # the folded form differs only by exact power-of-two scalings, so the
+        # bits agree wherever no intermediate is subnormal, and below that by
+        # a few units of the smallest subnormal
+        rng = np.random.default_rng(24)
+        n = 100_000
+        Q, q = (10.0 ** rng.uniform(-300.0, 75.0, n) * rng.choice([-1.0, 1.0], n)
+                for _ in range(2))
+        d_q, d_Q = QuarticGeneralizedGaussian(n).closed_form_force_jacobian_diag(Q, q)
+        s, c = Q + q, Q * Q + q * q
+        for new, old in ((d_q, 2.0 * (2.0 * q * s + c)), (d_Q, 2.0 * (2.0 * Q * s + c))):
+            assert np.isfinite(old).all()
+            normal = np.abs(old) >= 1e-300
+            assert normal.mean() > 0.5
+            np.testing.assert_array_equal(new[normal], old[normal])
+            assert np.abs(new - old).max() <= 20 * 5e-324
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         t = QuarticGeneralizedGaussian(4)
