@@ -11,7 +11,6 @@ from .diagnostics import (
     CovarianceTracker,
     StreamingCovariance,
     covariance_error,
-    finalize_summary,
 )
 from .integrators import (
     DmmSolverConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "divided_difference_force",
     "dmm_init",
     "dmm_step",
-    "finalize_summary",
     "force_jacobians",
     "hamiltonian",
     "hmc_iteration",

@@ -137,9 +137,9 @@ class MethodSpec:
     def __post_init__(self):
         errors = _field_errors(self)
         if not errors:
-            # each dataclass reports its first violated range; the sampler
-            # check leaves out the solver and Jacobian knobs, which the first
-            # two cover
+            # each dataclass reports its first violated range, and a message
+            # two of them share (a bad tau) is kept once; the sampler check
+            # leaves out the solver and Jacobian knobs, which the first two cover
             checks = (self.solver, self.jacobian_mode,
                       lambda: SamplerConfig(self.method, self.tau, self.total_time,
                                             self.iterations, self.burn_in,
@@ -148,7 +148,8 @@ class MethodSpec:
                 try:
                     check()
                 except ValueError as exc:
-                    errors.append(str(exc))
+                    if str(exc) not in errors:
+                        errors.append(str(exc))
         if errors:
             raise ConfigError(errors)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +101,7 @@ class CovarianceTracker:
 
 @dataclass
 class ChainSummary:
-    """Per-chain reduction of the iteration stream.
+    """Per-chain reduction of the iteration stream (see ``run_chain``).
 
     mean_energy_error averages the proposal's |dH| over all iterations,
     accepted or not; mean_force_evals divides total integrator force
@@ -114,26 +113,3 @@ class ChainSummary:
     mean_force_evals: float
     wall_time_seconds: float
     covariance_error_trace: list = field(default_factory=list)
-    iterations: int = 0
-    accepted: int = 0
-
-
-def finalize_summary(outcomes, wall_time_seconds: float, n_steps: int,
-                     covariance_error_trace=None) -> ChainSummary:
-    """Reduce a finished iteration stream into the reported table quantities."""
-    outcomes = list(outcomes)
-    n = len(outcomes)
-    if n == 0:
-        raise ValueError("cannot summarize an empty chain")
-    accepted = sum(1 for o in outcomes if o.accepted)
-    energy = math.fsum(abs(o.delta_H) for o in outcomes) / n
-    force = math.fsum(o.force_evals for o in outcomes) / (n * n_steps)
-    return ChainSummary(
-        mean_acceptance_pct=100.0 * accepted / n,
-        mean_energy_error=energy,
-        mean_force_evals=force,
-        wall_time_seconds=wall_time_seconds,
-        covariance_error_trace=list(covariance_error_trace or []),
-        iterations=n,
-        accepted=accepted,
-    )

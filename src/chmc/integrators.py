@@ -21,9 +21,8 @@ one free chord contraction into the start:
     Q0 = q_prev + (Q_pc - q_prev) / D_prev
 
 On a separable quadratic target the force is linear in its arguments and
-this Q0 is the solution up to rounding; on the quartic at d = 2560 it cuts
-the updates per step from about 2.9 to 2.0. Without a chord (a non-separable
-or black-box target, or an invalid D) the start stays Q_pc.
+this Q0 is the solution up to rounding. Without a chord (a non-separable or
+black-box target, or an invalid D) the start stays Q_pc.
 
 The corrector is fixed-point iteration: the first iterate is a guess, so at
 least one update always runs, and the solve stops at the first updated
@@ -78,7 +77,7 @@ from .targets import is_separable
 class DmmSolverConfig:
     """Knobs of the implicit energy-preserving step.
 
-    tau: time step (tau == 0 is admitted as the exact identity map).
+    tau: time step, finite and positive.
     delta: absolute per-step energy tolerance.
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative divided-difference guard; component i uses
@@ -94,8 +93,8 @@ class DmmSolverConfig:
     dd_guard: float = 1e-8
 
     def __post_init__(self):
-        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be finite and >= 0")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ValueError("tau must be finite and positive")
         if not (self.delta > 0.0):
             raise ValueError("delta must be positive")
         if self.max_fpi < 1:
@@ -217,7 +216,7 @@ def _guarded_start(q, Q0, v, dd_guard):
 
 def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=None,
              chord_prev=None):
-    """Initial iterate of the implicit solve: (Q0, f0, force_evaluations).
+    """Initial iterate of the implicit solve: (Q0, f0), at one force evaluation.
 
     Gradient-free: the predicted position Q0 with the divided-difference
     guard applied, and its force f0 = F(Q0, q), which fixes the iterate's
@@ -243,7 +242,7 @@ def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=Non
             Q0 = q_prev + (Q0 - q_prev) / D_prev
     Q0 = _guarded_start(q, Q0, v, cfg.dd_guard)
     f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
-    return Q0, f, 1
+    return Q0, f
 
 
 def _chord_scale(Q, q, half, mass, potential):
@@ -302,16 +301,14 @@ def dmm_step(
     that call is not counted in ``force_evaluations``, which counts forces
     only. Otherwise each update is the plain fixed-point update.
     """
-    if cfg.tau == 0.0:
-        return StepRecord(q, p, 0, 0.0, 0, True)
-
     half = 0.5 * cfg.tau
     if init_guess is not None:
         Q, P = init_guess
         f = (p - P) / half
         force_evals = 0
     else:
-        Q, f, force_evals = dmm_init(q, p, cfg, mass, potential, p_prev, chord_prev)
+        Q, f = dmm_init(q, p, cfg, mass, potential, p_prev, chord_prev)
+        force_evals = 1
 
     a = q + cfg.tau * mass.inverse_apply(p)
     half2 = half * half
@@ -340,22 +337,18 @@ def dmm_step(
 class TrajectoryRecord:
     """Aggregated outcome of an N-step trajectory, ending at the arrays (q, p).
 
-    ``total_energy_error`` sums the per-step discrete-gradient |dH| for the
-    energy-preserving map; for leapfrog it is the endpoint |H_out - H_in|.
     For the energy-preserving map ``all_converged`` means every step met
     delta and the true |H_out - H_in| is at most N delta, the premise of the
-    N delta acceptance bound. A failed trajectory (a step blew up, or H_out
-    is not finite) reports h_out = +inf and leaves (q, p) at the last state
-    with finite components.
+    N delta acceptance bound. An ``h_out`` of +inf marks a failed trajectory
+    (a step blew up, or H_out is not finite), which the sampler rejects; it
+    leaves (q, p) at the last state with finite components.
     """
 
     q: np.ndarray
     p: np.ndarray
     total_force_evaluations: int
     total_fpi_iterations: int
-    total_energy_error: float
     all_converged: bool
-    failed: bool
     h_in: float
     h_out: float
 
@@ -389,7 +382,6 @@ def trajectory(
     q, p = state.q, state.p
     total_f = 0
     total_it = 0
-    total_err = 0.0
     all_converged = True
     p_prev = chord_prev = None
     for _ in range(n_steps):
@@ -397,10 +389,7 @@ def trajectory(
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
-            return TrajectoryRecord(
-                q, p, total_f, total_it, math.inf, False, True, h_in, math.inf
-            )
-        total_err += rec.energy_error
+            return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
         all_converged = all_converged and rec.converged
         if per_step_hook is not None:
             per_step_hook(q, rec.q, rec.force)
@@ -409,11 +398,9 @@ def trajectory(
         q, p = rec.q, rec.p
     h_out = total_energy(q, p, potential, mass)
     if not math.isfinite(h_out):
-        return TrajectoryRecord(q, p, total_f, total_it, math.inf, False, True, h_in, math.inf)
+        return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
     all_converged = all_converged and abs(h_out - h_in) <= n_steps * cfg.delta
-    return TrajectoryRecord(
-        q, p, total_f, total_it, total_err, all_converged, False, h_in, h_out
-    )
+    return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out)
 
 
 def leapfrog_trajectory(
@@ -429,7 +416,7 @@ def leapfrog_trajectory(
     half-kick; the positions and momenta equal those of a kick-drift-kick
     loop that evaluates both gradients every step, bit for bit. A trajectory
     that leaves the finite range (steep targets can blow up the explicit
-    update) is flagged failed for automatic rejection upstream.
+    update) fails: it reports h_out = +inf, which the sampler rejects.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -449,8 +436,5 @@ def leapfrog_trajectory(
         finite = np.isfinite(q).all() and np.isfinite(p).all()
         h_out = total_energy(q, p, potential, mass) if finite else math.inf
     if not math.isfinite(h_out):
-        return TrajectoryRecord(state.q, state.p, total_f, 0, math.inf, True, True,
-                                h_in, math.inf)
-    return TrajectoryRecord(
-        q, p, total_f, 0, abs(h_out - h_in), True, False, h_in, h_out
-    )
+        return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf)
+    return TrajectoryRecord(q, p, total_f, 0, True, h_in, h_out)

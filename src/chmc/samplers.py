@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diagnostics import ChainSummary, CovarianceTracker, finalize_summary
+from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import DmmSolverConfig, leapfrog_trajectory, trajectory
 from .jacobian import JacobianAccumulator, JacobianMode
 from .phase import MassMatrix, PhaseState
@@ -144,7 +145,7 @@ def _accept_reject(theta: np.ndarray, rec, jacobian_product: float, jacobian_eva
                    rng: np.random.Generator):
     """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf."""
     u = rng.random()
-    if rec.failed:
+    if rec.h_out == math.inf:
         alpha, delta_h, accepted = 0.0, math.inf, False
     else:
         delta_h = rec.h_out - rec.h_in
@@ -184,17 +185,22 @@ def run_chain(
 
     Sinks are callables ``sink(iteration, outcome, theta_or_None)``; theta is
     passed only for retained (post burn-in) iterations so samples never need
-    to be stored. Identical (seed, config, target) give bit-identical output.
+    to be stored. The summary is reduced on the fly from the accepted count,
+    the integer force-evaluation sum and the |dH| column, which ``math.fsum``
+    adds exactly. Identical (seed, config, target) give bit-identical output.
     """
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
-    outcomes = []
+    accepted = force_evals = 0
+    energy_errors = array("d")
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.iterations):
             theta, outcome = iterate(theta, target, mass, cfg, rng)
-            outcomes.append(outcome)
+            accepted += outcome.accepted
+            force_evals += outcome.force_evals
+            energy_errors.append(abs(outcome.delta_H))
             retained = i >= cfg.burn_in
             if retained and covariance_tracker is not None:
                 covariance_tracker.update(i, theta)
@@ -202,4 +208,11 @@ def run_chain(
                 sink(i, outcome, theta if retained else None)
     wall = time.perf_counter() - start
     trace = covariance_tracker.trace if covariance_tracker is not None else []
-    return finalize_summary(outcomes, wall, cfg.n_steps, covariance_error_trace=trace)
+    n = cfg.iterations
+    return ChainSummary(
+        mean_acceptance_pct=100.0 * accepted / n,
+        mean_energy_error=math.fsum(energy_errors) / n,
+        mean_force_evals=force_evals / (n * cfg.n_steps),
+        wall_time_seconds=wall,
+        covariance_error_trace=list(trace),
+    )

@@ -80,8 +80,8 @@ class QuarticGeneralizedGaussian(Potential):
         return 2.0 * (Q * Q + q * q) * (Q + q)
 
     def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
-        # 2 (2 x s + c) with the factors of two folded into s and c: 10 array
-        # ops instead of 12, the same bits unless an intermediate is subnormal
+        # 2 (2 x s + c) with the factors of two folded into s and c; the same
+        # bits as the unfolded form unless an intermediate is subnormal
         s4 = 4.0 * (Q + q)
         c2 = 2.0 * (Q * Q + q * q)
         return s4 * q + c2, s4 * Q + c2

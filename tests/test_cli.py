@@ -46,6 +46,15 @@ class TestValidateSpec:
                           .replace("tau: 0.1", "tau: 0.0"))
         assert any("tau" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("tau", ["0.0", "-0.1"])
+    def test_bad_tau_reported_once_per_method(self, tau):
+        # the solver and the sampler both refuse it, in the same words
+        with pytest.raises(ConfigError) as err:
+            validate_spec(MINIMAL.format(chains=1, iterations=1, out="x")
+                          .replace("tau: 0.1", f"tau: {tau}"))
+        assert err.value.errors == ["methods[0]: tau must be finite and positive",
+                                    "methods[1]: tau must be finite and positive"]
+
     def test_non_integral_steps(self):
         with pytest.raises(ConfigError) as err:
             validate_spec(MINIMAL.format(chains=1, iterations=1, out="x")

@@ -1,24 +1,40 @@
+import math
+
 import numpy as np
 import pytest
 
 from chmc import (
     CovarianceTracker,
+    JacobianMode,
     MassMatrix,
     QuarticGeneralizedGaussian,
     SamplerConfig,
     StreamingCovariance,
     covariance_error,
-    finalize_summary,
     quartic_target_variance,
     run_chain,
 )
-from chmc.samplers import IterationOutcome
 
 
-def outcome(accepted=True, delta_h=0.0, force_evals=2):
-    return IterationOutcome(accepted=accepted, alpha=1.0, delta_H=delta_h,
-                            jacobian_product=1.0, force_evals=force_evals,
-                            fpi_iterations_total=0)
+def summarize_with_sink(cfg, target):
+    """The chain's summary and every outcome its sink saw."""
+    seen = []
+    summary = run_chain(cfg, target, MassMatrix.identity(target.dim),
+                        sinks=[lambda i, o, th: seen.append(o)])
+    return summary, seen
+
+
+def summary_means(summary):
+    return (summary.mean_acceptance_pct, summary.mean_energy_error,
+            summary.mean_force_evals)
+
+
+def reduce_outcomes(outcomes, n_steps):
+    """The three reported means, reduced from the whole outcome list."""
+    n = len(outcomes)
+    return (100.0 * sum(1 for o in outcomes if o.accepted) / n,
+            math.fsum(abs(o.delta_H) for o in outcomes) / n,
+            math.fsum(o.force_evals for o in outcomes) / (n * n_steps))
 
 
 class TestStreamingCovariance:
@@ -117,19 +133,53 @@ class TestCovarianceTracker:
         assert tracker.last_recorded(10 ** 9) is None
 
 
+@pytest.fixture(scope="module")
+def chmc_j1_chain_with_rejections():
+    cfg = SamplerConfig(method="chmc", tau=0.5, total_time=1.0, iterations=40, seed=5,
+                        jacobian_mode=JacobianMode("J1"))
+    summary, seen = summarize_with_sink(cfg, QuarticGeneralizedGaussian(3))
+    assert 0 < sum(1 for o in seen if o.accepted) < cfg.iterations
+    return cfg, summary, seen
+
+
 class TestFinalizeSummary:
-    def test_acceptance_ratio(self):
-        s = finalize_summary([outcome(True), outcome(True), outcome(False)], 1.0, 4)
-        assert s.mean_acceptance_pct == pytest.approx(100 * 2 / 3, rel=1e-12)
+    """The means run_chain finalizes from its running values, checked bit for bit
+    against the reduction of the outcomes a sink saw."""
 
-    def test_zero_energy_errors(self):
-        s = finalize_summary([outcome(delta_h=0.0)] * 5, 1.0, 4)
-        assert s.mean_energy_error == 0.0
+    def test_leapfrog_means_equal_reduction_of_outcomes(self):
+        cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=4.0,
+                            iterations=25, seed=6)
+        summary, seen = summarize_with_sink(cfg, QuarticGeneralizedGaussian(2))
+        assert len(seen) == cfg.iterations
+        assert summary_means(summary) == reduce_outcomes(seen, cfg.n_steps)
 
-    def test_energy_error_uses_all_proposals(self):
-        outs = [outcome(True, 0.5), outcome(False, 1.5)]
-        s = finalize_summary(outs, 1.0, 4)
-        assert s.mean_energy_error == pytest.approx(1.0, rel=1e-12)
+    def test_acceptance_ratio(self, chmc_j1_chain_with_rejections):
+        # the two count means: accepted / n and force evaluations / (n n_steps)
+        cfg, summary, seen = chmc_j1_chain_with_rejections
+        acceptance, _, force = reduce_outcomes(seen, cfg.n_steps)
+        assert (summary.mean_acceptance_pct, summary.mean_force_evals) == (acceptance, force)
+
+    def test_energy_error_uses_all_proposals(self, chmc_j1_chain_with_rejections):
+        cfg, summary, seen = chmc_j1_chain_with_rejections
+        rejected = [abs(o.delta_H) for o in seen if not o.accepted]
+        accepted = [abs(o.delta_H) for o in seen if o.accepted]
+        assert max(rejected) > 0.0
+        assert summary.mean_energy_error == reduce_outcomes(seen, cfg.n_steps)[1]
+        assert summary.mean_energy_error != math.fsum(accepted) / len(accepted)
+
+    def test_failed_trajectory_gives_infinite_energy_error(self):
+        # U = inf outside the box: the first trajectory from 0.9 leaves it
+        class BoxedQuartic(QuarticGeneralizedGaussian):
+            def evaluate(self, q):
+                return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
+
+        cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0,
+                            initial_state_mode="explicit", initial_state=np.array([0.9]))
+        summary, seen = summarize_with_sink(cfg, BoxedQuartic(1))
+        assert seen[0].delta_H == math.inf and not seen[0].accepted
+        assert summary.mean_energy_error == math.inf
+        acceptance, _, force = reduce_outcomes(seen, cfg.n_steps)
+        assert (summary.mean_acceptance_pct, summary.mean_force_evals) == (acceptance, force)
 
     def test_leapfrog_force_evals_n_steps_plus_one(self):
         t = QuarticGeneralizedGaussian(2)
@@ -137,7 +187,3 @@ class TestFinalizeSummary:
                             iterations=25, seed=6)
         summary = run_chain(cfg, t, MassMatrix.identity(2))
         assert summary.mean_force_evals == (cfg.n_steps + 1) / cfg.n_steps
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            finalize_summary([], 1.0, 4)

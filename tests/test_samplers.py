@@ -148,8 +148,7 @@ class TestChmcIteration:
         theta = np.array([0.9])
         p0 = mass.sample_momentum(chain_rng(0, 0))
         rec = trajectory(PhaseState(theta, p0), t, mass, cfg.solver, cfg.n_steps)
-        assert rec.failed and not rec.all_converged
-        assert rec.h_out == math.inf and rec.total_energy_error == math.inf
+        assert rec.h_out == math.inf and not rec.all_converged
         assert abs(rec.q[0]) > 1.0 and np.isfinite(rec.p).all()
         new_theta, out = chmc_iteration(theta, t, mass, cfg, chain_rng(0, 0))
         assert not out.accepted and out.alpha == 0.0 and out.delta_H == math.inf
@@ -230,10 +229,15 @@ class TestRunChain:
         # boundary: a single retained sample, counters fully populated
         t = QuarticGeneralizedGaussian(2)
         cfg = quartic_cfg(iterations=11, burn_in=10)
-        retained = []
-        summary = run_chain(cfg, t, MassMatrix.identity(2),
-                            sinks=[lambda i, o, th: retained.append(th) if th is not None else None])
-        assert summary.iterations == 11
+        iterations, retained = [], []
+
+        def sink(i, o, th):
+            iterations.append(i)
+            if th is not None:
+                retained.append(th)
+
+        run_chain(cfg, t, MassMatrix.identity(2), sinks=[sink])
+        assert iterations == list(range(11))
         assert len(retained) == 1
 
     def test_zeros_initial_state_is_deterministic_start(self):

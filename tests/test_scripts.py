@@ -78,6 +78,42 @@ class TestPerfbenchHooks:
         assert tracer.solver == {"steps": 1, "fpi": rec.fpi_iterations,
                                  "unconverged": 0 if rec.converged else 1, "measured": True}
 
+    def test_run_chain_names_the_benchmark_reads(self, tmp_path):
+        # workloads.py binds run_chain's arguments by name, reads its summary,
+        # its sinks' outcomes and run_experiment's results by attribute and key
+        from chmc.cli import run_experiment, validate_spec
+
+        bind_arguments = load_perfbench("spans").bind_arguments
+        cfg = chmc.SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=0.5, iterations=3)
+        target, mass = chmc.QuarticGeneralizedGaussian(2), chmc.MassMatrix.identity(2)
+        tracker = chmc.CovarianceTracker(2, 1.0, record_stride=1)
+        b = bind_arguments(chmc.run_chain, (cfg, target, mass),
+                           {"chain_index": 0, "covariance_tracker": tracker})
+        assert {"cfg", "target", "mass", "sinks", "chain_index",
+                "covariance_tracker"} <= set(b.arguments)
+        seen = []
+        b.arguments["sinks"] = list(b.arguments["sinks"]) + [lambda i, o, th: seen.append(o)]
+        summary = chmc.run_chain(*b.args, **b.kwargs)
+        for name in ("mean_acceptance_pct", "mean_energy_error", "mean_force_evals"):
+            assert isinstance(getattr(summary, name), float), name
+        assert len(seen) == 3
+        for o in seen:
+            assert isinstance(o.accepted, bool) and isinstance(o.all_steps_converged, bool)
+            assert isinstance(o.delta_H, float)
+        manifest = run_experiment(validate_spec(f"""
+target: {{kind: quartic, dimension: 2}}
+chains: 2
+iterations: 4
+record_stride: 2
+output_dir: {tmp_path / 'o'}
+defaults: {{tau: 0.1, total_time: 0.5}}
+methods:
+  - {{name: hmc-lf, method: hmc-leapfrog}}
+  - {{name: chmc-j0, method: chmc}}
+"""))
+        assert len(manifest["results"]) == 4
+        for res in manifest["results"].values():
+            assert isinstance(res["final_cov_error"], float)
 
     def test_table_workload_yaml_validates(self, monkeypatch):
         # workloads.py imports its sibling modules by their bare names
