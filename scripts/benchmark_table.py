@@ -26,6 +26,7 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "quartic_d40.yaml"
 def main() -> int:
     base = load_spec(str(CONFIG))
     first = base.methods[0]
+    first_chmc = next(m for m in base.methods if m.method == "chmc")
     names = [m.name for m in base.methods]
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -33,7 +34,7 @@ def main() -> int:
     parser.add_argument("--chains", type=int, default=base.chains)
     parser.add_argument("--iterations", type=int, default=first.iterations)
     parser.add_argument("--burn-in", type=int, default=first.burn_in)
-    parser.add_argument("--max-fpi", type=int, default=first.max_fpi)
+    parser.add_argument("--max-fpi", type=int, default=first_chmc.max_fpi)
     parser.add_argument("--methods", nargs="+", default=names, choices=names)
     parser.add_argument("--seed", type=int, default=base.seed)
     parser.add_argument("--out", default="out/benchmark_table")
@@ -42,9 +43,10 @@ def main() -> int:
 
     by_name = {m.name: m for m in base.methods}
     try:
-        methods = tuple(replace(by_name[n], iterations=args.iterations,
-                                burn_in=args.burn_in, max_fpi=args.max_fpi)
-                        for n in args.methods)
+        # max_fpi is a chmc-only field, which a leapfrog spec refuses
+        methods = tuple(replace(m, iterations=args.iterations, burn_in=args.burn_in,
+                                **({"max_fpi": args.max_fpi} if m.method == "chmc" else {}))
+                        for m in map(by_name.get, args.methods))
         specs = [replace(base, dimension=d, methods=methods, chains=args.chains,
                          seed=args.seed, workers=args.workers,
                          output_dir=os.path.join(args.out, f"d{d}"))

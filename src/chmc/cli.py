@@ -77,6 +77,11 @@ def _default(cls, name: str):
     return next(f.default for f in fields(cls) if f.name == name)
 
 
+def _chmc_only(default, **metadata):
+    """A field only chmc reads: None unless set; a chmc spec fills in ``default``."""
+    return field(default=None, metadata=dict(metadata, chmc_only=default))
+
+
 def _field_errors(spec) -> list:
     """Each field's type, minimum and choice violations, named by YAML key.
 
@@ -85,6 +90,8 @@ def _field_errors(spec) -> list:
     errors = []
     for f in fields(spec):
         key, value = _YAML_KEY.get(f.name, f.name), getattr(spec, f.name)
+        if value is None and "chmc_only" in f.metadata:
+            continue
         minimum, choices = f.metadata.get("minimum"), f.metadata.get("choices")
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if choices is not None and value not in choices:
@@ -111,8 +118,9 @@ class MethodSpec:
     """One sampler variant: ``SamplerConfig`` in flat form, with solver knobs resolved.
 
     Defaults and range checks come from ``SamplerConfig``, ``DmmSolverConfig``
-    and ``JacobianMode``; only chmc reads the solver and Jacobian fields.
-    Construction raises ``ConfigError`` listing every violation.
+    and ``JacobianMode``; a chmc spec fills each chmc-only field left None
+    from them, and a leapfrog spec refuses any other value. Construction
+    raises ``ConfigError`` listing every violation.
     """
 
     name: str
@@ -121,29 +129,37 @@ class MethodSpec:
     total_time: float
     iterations: int
     burn_in: int = _default(SamplerConfig, "burn_in")
-    jacobian_kind: str = "J0"
-    jacobian_source: str = _default(JacobianMode, "derivative_source")
-    jacobian_h_fd: float = _default(JacobianMode, "h_fd")
-    delta: float = _default(DmmSolverConfig, "delta")
-    max_fpi: int = _default(DmmSolverConfig, "max_fpi")
-    dd_guard: float = _default(DmmSolverConfig, "dd_guard")
+    jacobian_kind: str = _chmc_only("J0")
+    jacobian_source: str = _chmc_only(_default(JacobianMode, "derivative_source"))
+    jacobian_h_fd: float = _chmc_only(_default(JacobianMode, "h_fd"))
+    delta: float = _chmc_only(_default(DmmSolverConfig, "delta"))
+    max_fpi: int = _chmc_only(_default(DmmSolverConfig, "max_fpi"))
+    dd_guard: float = _chmc_only(_default(DmmSolverConfig, "dd_guard"))
     # a single choice; the key stays so that specs and meta.json keep their shape
-    init_mode: str = field(default="position-euler",
-                           metadata={"choices": ("position-euler",)})
+    init_mode: str = _chmc_only("position-euler", choices=("position-euler",))
     # a spec cannot carry the vector an explicit start needs
     initial_state: str = field(default=_default(SamplerConfig, "initial_state_mode"),
                                metadata={"choices": ("zeros", "standard-normal")})
 
     def __post_init__(self):
-        errors = _field_errors(self)
+        chmc = self.method == "chmc"
+        errors = []
+        for f in fields(self):
+            if "chmc_only" not in f.metadata:
+                continue
+            if chmc and getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, f.metadata["chmc_only"])
+            elif self.method == "hmc-leapfrog" and getattr(self, f.name) is not None:
+                errors.append(f"{_YAML_KEY.get(f.name, f.name)}: only applies to chmc")
+        errors += _field_errors(self)
         if not errors:
             # each dataclass reports its first violated range, and a message
             # two of them share (a bad tau) is kept once; the sampler check
-            # leaves out the solver and Jacobian knobs, which the first two cover
-            checks = (self.solver, self.jacobian_mode,
-                      lambda: SamplerConfig(self.method, self.tau, self.total_time,
-                                            self.iterations, self.burn_in,
-                                            initial_state_mode=self.initial_state))
+            # leaves out the solver and Jacobian knobs, which a chmc spec checks first
+            checks = (self.solver, self.jacobian_mode) if chmc else ()
+            checks += (lambda: SamplerConfig(self.method, self.tau, self.total_time,
+                                             self.iterations, self.burn_in,
+                                             initial_state_mode=self.initial_state),)
             for check in checks:
                 try:
                     check()
@@ -230,8 +246,6 @@ _METHOD_KEYS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
 # method key, and the top level iterations and burn_in
 _ENTRY_KEYS = ("name", "method", "jacobian")
 _TOP_METHOD_KEYS = ("iterations", "burn_in")
-_CHMC_ONLY_KEYS = ("jacobian", "jacobian_source", "jacobian_h_fd", "init_mode") + tuple(
-    f.name for f in fields(DmmSolverConfig) if f.name != "tau")
 
 
 def _mapping(raw, path, errors) -> dict:
@@ -265,9 +279,10 @@ def validate_spec(text: str) -> ExperimentSpec:
 
     The keys, defaults and checks are the fields of ``ExperimentSpec`` and
     ``MethodSpec`` (see ``_YAML_KEY`` for the keys spelled otherwise);
-    ``defaults`` holds method values shared by every entry. Every violation
-    is collected (no fail-fast) and reported through a single ConfigError
-    whose ``errors`` list names the offending field paths.
+    ``defaults`` holds method values shared by every entry (its chmc-only
+    keys by the chmc entries). Every violation is collected (no fail-fast)
+    and reported through a single ConfigError whose ``errors`` list names
+    the offending field paths.
     """
     errors: list[str] = []
     try:
@@ -291,15 +306,17 @@ def validate_spec(text: str) -> ExperimentSpec:
     for path, mapping, known in levels:
         errors.extend(f"{path}.{key}: unknown field" for key in mapping if key not in known)
 
-    shared = [defaults, {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}]
+    top_keys = {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}
+    chmc_only = {k for k, f in zip(_METHOD_KEYS, fields(MethodSpec)) if "chmc_only" in f.metadata}
+    if not any(entry.get("method") == "chmc" for entry in entries.values()):
+        errors.extend(f"defaults.{key}: only applies to chmc, and no method is chmc"
+                      for key in defaults if key in chmc_only)
     methods = []
     for path, entry in entries.items():
-        if entry.get("method") == "hmc-leapfrog":
-            # keys under ``defaults`` still apply to every method
-            errors.extend(f"{path}.{key}: only applies to chmc"
-                          for key in _CHMC_ONLY_KEYS if key in entry)
         found = []
-        methods.append(_build(MethodSpec, [entry] + shared, found))
+        chmc = entry.get("method") == "chmc"
+        shared = {k: v for k, v in defaults.items() if chmc or k not in chmc_only}
+        methods.append(_build(MethodSpec, [entry, shared, top_keys], found))
         # a field's own violation reads path.key: ..., a dataclass's path: ...
         errors.extend(f"{path}.{e}" if e.partition(":")[0] in _METHOD_KEYS else f"{path}: {e}"
                       for e in found)
@@ -379,8 +396,7 @@ def _run_task(spec: ExperimentSpec, method_idx: int, chain_idx: int) -> dict:
         "mean_energy_error": summary.mean_energy_error,
         "mean_force_evals": summary.mean_force_evals,
         "wall_time_s": summary.wall_time_seconds,
-        "final_cov_error": summary.covariance_error_trace[-1][1]
-        if summary.covariance_error_trace else math.nan,
+        "final_cov_error": tracker.trace[-1][1] if tracker.trace else math.nan,
         "trace_file": os.path.basename(trace_path),
     }
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,4 +112,3 @@ class ChainSummary:
     mean_energy_error: float
     mean_force_evals: float
     wall_time_seconds: float
-    covariance_error_trace: list = field(default_factory=list)

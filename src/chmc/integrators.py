@@ -80,8 +80,8 @@ class DmmSolverConfig:
     tau: time step, finite and positive.
     delta: absolute per-step energy tolerance.
     max_fpi: cap on fixed-point updates per step.
-    dd_guard: base of the relative divided-difference guard; component i uses
-        the threshold dd_guard * max(1, |q_i|).
+    dd_guard: base of the relative guard of ``divided_difference_force``;
+        component i uses the threshold dd_guard * max(1, |q_i|).
 
     The initial iterate (the predictor) comes from ``dmm_init``; the energy
     test never looks at it, because it runs after each update.
@@ -192,55 +192,28 @@ def force_and_evals(Q: np.ndarray, q: np.ndarray, potential, guard: float):
     return divided_difference_force(Q, q, potential, guard)
 
 
-def _guarded_start(q, Q0, v, dd_guard):
-    """Predicted position Q0 with degenerate components displaced.
-
-    Any component whose predicted displacement |Q0_i - q_i| is below the
-    guard threshold is pushed a full threshold away from q, towards sign(v_i)
-    (+1 when v_i == 0), where v is the momentum the prediction steps along,
-    so the divided differences of the first force evaluation stay well
-    posed. The per-component thresholds are bounded by
-    dd_guard * max(1, max|q|), so a displacement that clears that bound
-    everywhere needs no threshold array.
-    """
-    dist = np.abs(Q0 - q)
-    if dist.min() >= dd_guard * max(1.0, float(np.abs(q).max())):
-        return Q0
-    eps = dd_guard * np.maximum(1.0, np.abs(q))
-    small = dist < eps
-    if small.any():
-        direction = np.where(v >= 0.0, 1.0, -1.0)
-        Q0 = np.where(small, q + direction * eps, Q0)
-    return Q0
-
-
 def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=None,
              chord_prev=None):
     """Initial iterate of the implicit solve: (Q0, f0), at one force evaluation.
 
-    Gradient-free: the predicted position Q0 with the divided-difference
-    guard applied, and its force f0 = F(Q0, q), which fixes the iterate's
-    momentum P0 = p - (tau/2) f0. The prediction is the Euler step
-    Q0 = q + tau M^-1 p when ``p_prev`` is None (a trajectory's first step).
-    Otherwise ``p_prev`` is the previous step's input momentum and
-    Q_pc = q + (tau/2) M^-1 (3p - p_prev) is the Euler step corrected by the
-    previous step's final force, at no target call. ``chord_prev`` is the
+    Gradient-free: the predicted position Q0 and its force f0 = F(Q0, q),
+    which fixes the iterate's momentum P0 = p - (tau/2) f0. The prediction is
+    the Euler step Q0 = q + tau M^-1 p when ``p_prev`` is None (a trajectory's
+    first step). Otherwise ``p_prev`` is the previous step's input momentum
+    and Q_pc = q + (tau/2) M^-1 (3p - p_prev) is the Euler step corrected by
+    the previous step's final force, at no target call. ``chord_prev`` is the
     previous step's input position and validated chord diagonal,
     (q_prev, D_prev) with D_prev = ``StepRecord.chord``; it folds one chord
     contraction into the start, Q0 = q_prev + (Q_pc - q_prev) / D_prev (see
-    the module docstring). Without it, Q0 = Q_pc. The guard acts on the
-    final Q0 and displaces towards the sign of the momentum stepped along.
+    the module docstring). Without it, Q0 = Q_pc.
     """
     if p_prev is None:
-        v = p
         Q0 = q + cfg.tau * mass.inverse_apply(p)
     else:
-        v = 3.0 * p - p_prev
-        Q0 = q + (0.5 * cfg.tau) * mass.inverse_apply(v)
+        Q0 = q + (0.5 * cfg.tau) * mass.inverse_apply(3.0 * p - p_prev)
         if chord_prev is not None:
             q_prev, D_prev = chord_prev
             Q0 = q_prev + (Q0 - q_prev) / D_prev
-    Q0 = _guarded_start(q, Q0, v, cfg.dd_guard)
     f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
     return Q0, f
 

@@ -207,12 +207,10 @@ def run_chain(
             for sink in sinks:
                 sink(i, outcome, theta if retained else None)
     wall = time.perf_counter() - start
-    trace = covariance_tracker.trace if covariance_tracker is not None else []
     n = cfg.iterations
     return ChainSummary(
         mean_acceptance_pct=100.0 * accepted / n,
         mean_energy_error=math.fsum(energy_errors) / n,
         mean_force_evals=force_evals / (n * cfg.n_steps),
         wall_time_seconds=wall,
-        covariance_error_trace=list(trace),
     )

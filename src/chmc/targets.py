@@ -30,7 +30,8 @@ class Potential:
     matrices, and the finite-difference path perturbs all components at
     once, so the declaration must hold.
 
-    A ``closed_form_force`` must be a discrete gradient:
+    A ``closed_form_force`` must be defined at Q_i = q_i, where the solver
+    may evaluate it on any update, and must be a discrete gradient:
     F(Q, q) . (Q - q) = 2 (U(Q) - U(q)) for all Q, q. The two-path divided
     differences satisfy it by telescoping, and so does every closed form
     here. The implicit step measures its energy error through this identity

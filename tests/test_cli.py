@@ -65,7 +65,8 @@ class TestValidateSpec:
         spec = validate_spec(MINIMAL.format(chains=1, iterations=1, out="x"))
         assert spec.covariance_mode == "auto"
         assert spec.record_stride == 5
-        assert spec.methods[0].max_fpi == 10
+        assert spec.methods[0].max_fpi is None
+        assert spec.methods[1].max_fpi == 10
         assert spec.methods[1].jacobian_kind == "J0"
         assert spec.methods[1].delta == 1e-8
 
@@ -140,12 +141,38 @@ methods: []
         assert err.value.errors == [f"methods[0].{key}: only applies to chmc"]
 
     def test_defaults_still_apply_to_every_method(self):
+        # every method takes the shared keys, only chmc the chmc-only ones
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
             "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 3, init_mode: position-euler}")
         spec = validate_spec(text)
-        assert [m.max_fpi for m in spec.methods] == [3, 3]
-        assert [m.init_mode for m in spec.methods] == ["position-euler"] * 2
+        assert [m.total_time for m in spec.methods] == [1.0, 1.0]
+        assert [m.max_fpi for m in spec.methods] == [None, 3]
+        assert [m.init_mode for m in spec.methods] == [None, "position-euler"]
         assert spec.methods[1].sampler_config(seed=0).solver.max_fpi == 3
+
+    def test_chmc_only_defaults_need_a_chmc_entry(self):
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "  - {name: chmc-j0, method: chmc, jacobian: J0}\n", "")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert err.value.errors == ["defaults.delta: only applies to chmc, and no method is chmc"]
+
+    def test_leapfrog_spec_built_in_code_refuses_chmc_fields(self):
+        with pytest.raises(ConfigError) as err:
+            MethodSpec(name="x", method="hmc-leapfrog", tau=0.1, total_time=1.0,
+                       iterations=10, max_fpi=3, jacobian_kind="JFull")
+        assert err.value.errors == ["jacobian: only applies to chmc",
+                                    "max_fpi: only applies to chmc"]
+        leapfrog = MethodSpec(name="x", method="hmc-leapfrog", tau=0.1, total_time=1.0,
+                              iterations=10)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(leapfrog, dd_guard=1e-6)
+        assert err.value.errors == ["dd_guard: only applies to chmc"]
+        chmc = dataclasses.replace(leapfrog, method="chmc")
+        assert (chmc.jacobian_kind, chmc.max_fpi) == ("J0", 10)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(chmc, method="hmc-leapfrog")
+        assert len(err.value.errors) == 7
 
     def test_removed_init_mode_rejected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -153,8 +180,7 @@ methods: []
         with pytest.raises(ConfigError) as err:
             validate_spec(text)
         assert err.value.errors == [
-            f"methods[{i}].init_mode: expected one of ['position-euler'], got 'gradient-euler'"
-            for i in (0, 1)]
+            "methods[1].init_mode: expected one of ['position-euler'], got 'gradient-euler'"]
 
     def test_range_errors_come_from_dataclasses_all_collected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -162,10 +188,11 @@ methods: []
             "total_time: 1.0", "total_time: 3.95")
         with pytest.raises(ConfigError) as err:
             validate_spec(text)
-        for i in (0, 1):
-            for needle in ("max_fpi must be >= 1", "h_fd must be positive",
-                           "n_steps not integral"):
-                assert any(e.startswith(f"methods[{i}]: {needle}") for e in err.value.errors)
+        # the solver and Jacobian messages only on the chmc entry
+        assert [e.partition(" must")[0] for e in err.value.errors] == [
+            "methods[0]: n_steps not integral: total_time / tau",
+            "methods[1]: max_fpi", "methods[1]: h_fd",
+            "methods[1]: n_steps not integral: total_time / tau"]
 
     def test_duplicate_method_names(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace("chmc-j0", "hmc-lf")
@@ -234,6 +261,16 @@ class TestRunExperiment:
         assert meta["covariance_mode"] == "full"
         assert meta["seed"] == 11
         assert meta["spec"]["dimension"] == 3
+
+    def test_meta_records_null_chmc_fields_for_leapfrog(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(validate_spec(MINIMAL.format(chains=1, iterations=2, out=out)))
+        leapfrog, chmc = json.loads((out / "meta.json").read_text())["spec"]["methods"]
+        chmc_only = ("jacobian_kind", "jacobian_source", "jacobian_h_fd", "delta",
+                     "max_fpi", "dd_guard", "init_mode")
+        assert [leapfrog[k] for k in chmc_only] == [None] * 7
+        assert [chmc[k] for k in chmc_only] == [
+            "J0", "finite-difference", 2.0 ** -26, 1e-8, 10, 1e-8, "position-euler"]
 
     def test_trace_columns_and_length(self, tmp_path):
         out = tmp_path / "run"

@@ -124,7 +124,43 @@ methods:
         p = dict(workloads.plan("table-d40", 6.0), seed=11)
         spec = validate_spec(workloads.table_yaml(p, "out"))
         assert [m.name for m in spec.methods] == [m["name"] for m in p["methods"]]
-        assert {m.dd_guard for m in spec.methods} == {workloads.DD_GUARD}
+        assert {m.dd_guard for m in spec.methods if m.method == "chmc"} == {workloads.DD_GUARD}
+
+    def test_every_method_runs_through_the_counting_proxy(self, monkeypatch):
+        # CountingTarget forwards only dim and the target calls; a sampler
+        # that reads any other target attribute would crash the benchmark
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        counting = load_perfbench("workloads").CountingTarget
+
+        class BlackBoxQuartic(chmc.Potential):
+            def evaluate(self, q):
+                t = q * q
+                return float((t * t).sum())
+
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, -0.3], [0.2, -0.3, 0.8]])
+        quartic, gaussian = chmc.QuarticGeneralizedGaussian(3), chmc.MultivariateGaussian(
+            np.zeros(3), cov)
+        cases = [(quartic, None), (gaussian, None)]
+        cases += [(t, chmc.JacobianMode(kind, source)) for t in (quartic, gaussian)
+                  for kind in ("J0", "J1", "JFull")
+                  for source in ("analytic", "finite-difference")]
+        cases += [(BlackBoxQuartic(3), chmc.JacobianMode(kind)) for kind in ("J0", "J1")]
+
+        def outcomes(cfg, target):
+            seen = []
+            chmc.run_chain(cfg, target, chmc.MassMatrix.identity(3),
+                           sinks=[lambda i, o, th: seen.append((repr(o), th.tobytes()))])
+            return seen
+
+        for target, mode in cases:
+            if mode is None:
+                cfg = chmc.SamplerConfig("hmc-leapfrog", 0.1, 0.5, iterations=3, seed=4)
+            else:
+                cfg = chmc.SamplerConfig("chmc", 0.1, 0.5, iterations=3, seed=4,
+                                         jacobian_mode=mode)
+            proxy = counting(target)
+            assert outcomes(cfg, proxy) == outcomes(cfg, target), (type(target), mode)
+            assert sum(proxy.counts.values()) > 0
 
 
 def run_benchmark_table(*flags):
