@@ -12,17 +12,29 @@ every later step the previous step's final force F_prev = (p_prev - p) /
 extrapolates P ~ p - (tau/2) F_prev, giving
 Q_pc = q + (tau/2) M^-1 (3p - p_prev) (Hairer, Lubich & Wanner, Geometric
 Numerical Integration, VIII.6, "starting approximations"). Q_pc is the
-position equation below with F(Q, q) frozen at F_prev = F(q, q_prev). When
-the previous step ran chord updates, its chord diagonal D_prev is a Newton
-model of that force, F(Q, q) ~ F(q, q_prev) + J (Q - q_prev) with
-D_prev = 1 + (tau/2)^2 M^-1 J, and solving the linearized equation folds
-one free chord contraction into the start:
+position equation below with F(Q, q) frozen at F_prev = F(q, q_prev). On a
+separable target the previous step also hands over a predicted chord
+diagonal D_pred = 1 + (tau/2)^2 M^-1 J, a Newton model of that force,
+F(Q, q) ~ F(q, q_prev) + J (Q - q_prev), and solving the linearized
+equation folds one free chord contraction into the start:
 
-    Q0 = q_prev + (Q_pc - q_prev) / D_prev
+    Q0 = q_prev + (Q_pc - q_prev) / D_pred
 
-On a separable quadratic target the force is linear in its arguments and
-this Q0 is the solution up to rounding. Without a chord (a non-separable or
-black-box target, or an invalid D) the start stays Q_pc.
+The model wants J = U''(q), the curvature at this step's start. Per
+component, with h = Q - q and m = (Q + q)/2, the divided-difference force is
+F = 2 U'(m) + O(h^2), so dF/dQ = U''(m) + U'''(m) h/6 + O(h^2),
+dF/dq = U''(m) - U'''(m) h/6 + O(h^2), and
+
+    2 dF/dQ - dF/dq = U''(m) + U'''(m) h/2 + O(h^2) = U''(Q) + O(h^2).
+
+At the previous step's (Q, q) = (q, q_prev) this is the wanted curvature,
+where dF/dQ alone is only first-order, so the previous step's one
+Jacobian-diagonal call also yields
+D_pred = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq) (see ``_chord_scale``). On a
+separable quadratic target the force is linear in its arguments and this Q0
+is the solution up to rounding. Without D_pred (a trajectory's first step,
+a non-separable or black-box target, or a D_pred that is not finite and
+positive) the start stays Q_pc.
 
 The corrector is fixed-point iteration: the first iterate is a guess, so at
 least one update always runs, and the solve stops at the first updated
@@ -51,11 +63,20 @@ g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). The mass is diagonal, so on
 a separable target its Jacobian I + (tau/2)^2 M^-1 dF/dQ is a diagonal D, and
 the update becomes the chord (simplified Newton) step Q <- Q + (g - Q) / D
 (Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6). D is
-frozen at g(Q0), the first plain update, which lies closer to the solution
-than the first iterate Q0 and so gives a faster contraction. The chord step
-has the same fixed point and stopping rule, needs one force-Jacobian-diagonal
-call per step, and cuts the number of updates. Other targets use the plain
-update Q <- g.
+frozen at one point X per step. With the residual R(Q) = Q - g(Q), the
+solution is Q* = Q0 - R(Q0) / S, where S, the secant slope of R between Q0
+and Q*, equals R' = D at their midpoint up to O(|Q* - Q0|^2). With a
+predicted chord, Q* - Q0 ~ (g(Q0) - Q0) / D_pred, so
+
+    X = Q0 + (g(Q0) - Q0) / (2 D_pred)
+
+estimates that midpoint and the first update lands far closer to Q* than a
+chord frozen at either end. Without one, X = g(Q0), the first plain update,
+which lies closer to the solution than Q0. The chord step has the same fixed
+point and stopping rule, needs one force-Jacobian-diagonal call per step,
+and cuts the number of updates: on the quartic at tau = 0.1 and
+delta = 1e-8, from exact draws, about 1.1 per step at d = 2560 and 1.03 at
+d = 40. Other targets use the plain update Q <- g.
 
 Leapfrog reuses each step's end-of-step gradient for the next step's first
 half-kick: an n-step trajectory makes n + 1 gradient evaluations.
@@ -113,9 +134,12 @@ class StepRecord:
     the input pair and the caller must reject. ``force`` is F(q, q_in), the
     force of the last update (None when no update ran), which the
     finite-difference Jacobian probes reuse as their base value. ``chord``
-    is the validated chord diagonal D = 1 + (tau/2)^2 M^-1 dF/dQ the updates
-    used (None when they were plain updates), which the next step of a
-    trajectory reuses in its predictor (see ``dmm_init``).
+    is the next step's predicted chord diagonal
+    D_next = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq), from this step's
+    Jacobian-diagonal call, which the next step of a trajectory uses in its
+    predictor and for its Jacobian point (see ``dmm_init`` and the module
+    docstring). It is None unless every entry is finite and positive, and
+    always None on a target without the chord solve.
     """
 
     q: np.ndarray
@@ -202,40 +226,50 @@ def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=Non
     first step). Otherwise ``p_prev`` is the previous step's input momentum
     and Q_pc = q + (tau/2) M^-1 (3p - p_prev) is the Euler step corrected by
     the previous step's final force, at no target call. ``chord_prev`` is the
-    previous step's input position and validated chord diagonal,
-    (q_prev, D_prev) with D_prev = ``StepRecord.chord``; it folds one chord
-    contraction into the start, Q0 = q_prev + (Q_pc - q_prev) / D_prev (see
-    the module docstring). Without it, Q0 = Q_pc.
+    previous step's input position and predicted chord diagonal,
+    (q_prev, D_pred) with D_pred = ``StepRecord.chord``, the second-order
+    model 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq) of this step's chord; it
+    folds one chord contraction into the start,
+    Q0 = q_prev + (Q_pc - q_prev) / D_pred (see the module docstring).
+    Without it, Q0 = Q_pc.
     """
     if p_prev is None:
         Q0 = q + cfg.tau * mass.inverse_apply(p)
     else:
         Q0 = q + (0.5 * cfg.tau) * mass.inverse_apply(3.0 * p - p_prev)
         if chord_prev is not None:
-            q_prev, D_prev = chord_prev
-            Q0 = q_prev + (Q0 - q_prev) / D_prev
+            q_prev, D_pred = chord_prev
+            Q0 = q_prev + (Q0 - q_prev) / D_pred
     f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
     return Q0, f
 
 
-def _chord_scale(Q, q, half, mass, potential):
-    """Diagonal D = 1 + (tau/2)^2 M^-1 dF/dQ at (Q, q) for the chord update.
+def _valid_chord(D):
+    """D when every D_i is a finite positive number, else None."""
+    # NaN fails the first comparison
+    return D if D.min() > 0.0 and D.max() < math.inf else None
 
-    Costs one ``closed_form_force_jacobian_diag`` call, made at the first
-    update, so one Jacobian-diagonal call per step. Returns None when the
-    target is not separable or some D_i is not a finite positive number (a
-    non-convex region can make the frozen Newton step point the wrong way);
-    the caller then keeps the plain update.
+
+def _chord_scale(X, q, half2, mass, potential):
+    """Chord diagonals (D, D_next) from one Jacobian-diagonal call at (X, q).
+
+    With half2 = (tau/2)^2, D = 1 + half2 M^-1 dF/dQ is this step's chord and
+    D_next = 1 + half2 M^-1 (2 dF/dQ - dF/dq) the next step's predicted
+    chord (see the module docstring). Costs one
+    ``closed_form_force_jacobian_diag`` call, so one per step. Each diagonal
+    is None when some entry is not a finite positive number (a non-convex
+    region can make the frozen Newton step point the wrong way); both are
+    None when the target is not separable. Without D the caller keeps the
+    plain update; without D_next the next step starts from Q_pc.
     """
     if not is_separable(potential):
-        return None
-    _, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
-    # a diagonal M^-1 applied to the vector d_Q is diag(M^-1) * d_Q
-    D = 1.0 + (half * half) * mass.inverse_apply(np.asarray(d_Q, dtype=float))
-    # NaN fails the first comparison
-    if not (D.min() > 0.0 and D.max() < math.inf):
-        return None
-    return D
+        return None, None
+    d_q, d_Q = potential.closed_form_force_jacobian_diag(X, q)
+    d_Q = np.asarray(d_Q, dtype=float)
+    # a diagonal M^-1 applied to a vector v is diag(M^-1) * v
+    D = 1.0 + half2 * mass.inverse_apply(d_Q)
+    D_next = 1.0 + half2 * mass.inverse_apply(2.0 * d_Q - d_q)
+    return _valid_chord(D), _valid_chord(D_next)
 
 
 def dmm_step(
@@ -252,7 +286,7 @@ def dmm_step(
 
     The first iterate comes from ``dmm_init`` (``p_prev``, the previous
     step's input momentum, selects the extrapolated prediction, and
-    ``chord_prev``, the previous step's (q_prev, D_prev), its chord-linearized
+    ``chord_prev``, the previous step's (q_prev, D_pred), its chord-linearized
     form), or from ``init_guess``, a (Q, P) pair that overrides it
     (warm-starts reverse solves). At least one fixed-point update always runs
     before the first energy test: the first iterate is a guess, and testing
@@ -269,10 +303,13 @@ def dmm_step(
     r = g - Q serves both the energy test |f . r| / 2 and the chord update
     Q + r / D, and the momentum P = p - (tau/2) f is formed once, at exit.
 
-    On a separable target, one ``closed_form_force_jacobian_diag`` call at
-    the first update sets up the chord update (see the module docstring);
-    that call is not counted in ``force_evaluations``, which counts forces
-    only. Otherwise each update is the plain fixed-point update.
+    On a separable target, one ``closed_form_force_jacobian_diag`` call per
+    step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) with D_pred from
+    ``chord_prev`` (at X = g(Q0) without it), sets up this step's chord
+    update and the next step's predicted chord ``StepRecord.chord`` (see the
+    module docstring and ``_chord_scale``); that call is not counted in
+    ``force_evaluations``, which counts forces only. Otherwise each update is
+    the plain fixed-point update.
     """
     half = 0.5 * cfg.tau
     if init_guess is not None:
@@ -286,8 +323,9 @@ def dmm_step(
     a = q + cfg.tau * mass.inverse_apply(p)
     half2 = half * half
     g = a - half2 * mass.inverse_apply(f)
-    D = _chord_scale(g, q, half, mass, potential)
     r = g - Q
+    X = g if chord_prev is None else Q + r / (2.0 * chord_prev[1])
+    D, D_next = _chord_scale(X, q, half2, mass, potential)
     iterations = 0
     while True:
         Q = g if D is None else Q + r / D
@@ -303,7 +341,7 @@ def dmm_step(
     P = p - half * f
     if not math.isfinite(err) or not (np.isfinite(Q).all() and np.isfinite(P).all()):
         return StepRecord(q, p, iterations, math.inf, force_evals, False)
-    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f, chord=D)
+    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f, chord=D_next)
 
 
 @dataclass(frozen=True)
@@ -338,9 +376,9 @@ def trajectory(
 
     ``state`` is validated once; the steps run on its raw arrays. Each step
     after the first gets the previous step's input momentum and, when that
-    step ran chord updates, its input position and chord diagonal, so its
-    solve starts from the extrapolated prediction or its chord-linearized
-    form (see ``dmm_init``). The end check |H_out - H_in| <= n_steps * delta
+    step predicted a valid chord, its input position and predicted chord
+    diagonal, so its solve starts from the extrapolated prediction or its
+    chord-linearized form (see ``dmm_init``). The end check |H_out - H_in| <= n_steps * delta
     turns the discrete-gradient contract of the target's force into a check
     on every trajectory: with every step converged, only a force that breaks
     it can fail the check, and then ``all_converged`` is False.
