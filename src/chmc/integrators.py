@@ -38,12 +38,12 @@ positive) the start stays Q_pc.
 
 The corrector is fixed-point iteration: the first iterate is a guess, so at
 least one update always runs, and the solve stops at the first updated
-iterate whose energy error drops to the tolerance ``delta`` or after
-``max_fpi`` updates. Each update substitutes the freshly advanced position
-into the force, so it costs exactly one force evaluation; the literal
-simultaneous (Jacobi) pairing of the two update lines stalls every other
-iterate and doubles the force-evaluation count for the same progress, so the
-sequential form is used throughout.
+iterate whose energy error drops to the tolerance ``delta``, or to the
+rounding floor of that error (see ``dmm_step``), or after ``max_fpi``
+updates. Each update substitutes the freshly advanced position into the
+force, so it costs exactly one force evaluation; the literal simultaneous
+(Jacobi) pairing of the two update lines stalls every other iterate and
+doubles the force-evaluation count for the same progress.
 
 The energy test makes no target call. The force is a discrete gradient,
 F(Q, q) . (Q - q) = 2 (U(Q) - U(q)) (see ``Potential``), so at an iterate
@@ -55,8 +55,9 @@ next update's target position,
 exactly (McLachlan, Quispel & Robidoux, "Geometric integration using
 discrete gradients", Phil. Trans. R. Soc. A 357, 1999). A trajectory
 evaluates U once at each end, and clears ``all_converged`` when the true
-|H_out - H_in| exceeds n_steps * delta, which the identity rules out (up to
-rounding) unless a target's force breaks the contract.
+|H_out - H_in| exceeds the sum of its steps' tolerances (n_steps * delta
+above the rounding floor) plus a few ulps of |H_in| + |H_out|, which the
+identity rules out unless a target's force breaks the contract.
 
 Eliminating P leaves the position equation Q = g(Q) with
 g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). The mass is diagonal, so on
@@ -80,6 +81,13 @@ d = 40. Other targets use the plain update Q <- g.
 
 Leapfrog reuses each step's end-of-step gradient for the next step's first
 half-kick: an n-step trajectory makes n + 1 gradient evaluations.
+
+Both loops write their temporaries into work rows made once per trajectory:
+a ``StepScratch`` for ``dmm_step``, which also looks up the force, the
+Jacobian-diagonal call and diag(M^-1) once, and one copy of p that leapfrog
+kicks in place. Arrays that leave a step or reach the target (the iterates
+Q, the Jacobian point X, P, the force, the (D, D_next) block) are fresh, and
+each in-place operation rounds as the expression it replaces.
 """
 
 from __future__ import annotations
@@ -103,9 +111,6 @@ class DmmSolverConfig:
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative guard of ``divided_difference_force``;
         component i uses the threshold dd_guard * max(1, |q_i|).
-
-    The initial iterate (the predictor) comes from ``dmm_init``; the energy
-    test never looks at it, because it runs after each update.
     """
 
     tau: float
@@ -139,7 +144,8 @@ class StepRecord:
     Jacobian-diagonal call, which the next step of a trajectory uses in its
     predictor and for its Jacobian point (see ``dmm_init`` and the module
     docstring). It is None unless every entry is finite and positive, and
-    always None on a target without the chord solve.
+    always None on a target without the chord solve. ``tolerance`` is what
+    the error was tested against: delta, or its larger rounding floor.
     """
 
     q: np.ndarray
@@ -150,6 +156,7 @@ class StepRecord:
     converged: bool
     force: Optional[np.ndarray] = None
     chord: Optional[np.ndarray] = None
+    tolerance: float = math.inf
 
 
 def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: float = 1e-8):
@@ -216,8 +223,35 @@ def force_and_evals(Q: np.ndarray, q: np.ndarray, potential, guard: float):
     return divided_difference_force(Q, q, potential, guard)
 
 
+_ROUNDING = 4.0 * math.ulp(1.0)  # a few ulps: the energy tests' rounding floor
+
+
+def _scaled_inverse(inv_m, c, v, out=None):
+    """c * M^-1 v (into ``out`` if given) from inv_m = diag(M^-1), None for M = I."""
+    if inv_m is not None:
+        v = out = np.multiply(inv_m, v, out)
+    return np.multiply(v, c, out)
+
+
+class StepScratch:
+    """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
+    (closed form, else divided differences), ``jacobian_diag`` (None unless
+    separable), ``inv_m`` (None for M = I) and the work rows a, g, r and t."""
+
+    def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
+        force = potential.closed_form_force
+        if force is None:
+            def force(Q, q):
+                return divided_difference_force(Q, q, potential, cfg.dd_guard)[0]
+        self.force = force
+        self.jacobian_diag = (potential.closed_form_force_jacobian_diag
+                              if is_separable(potential) else None)
+        self.inv_m = None if mass.kind == "identity" else mass.inverse_diagonal()
+        self.a, self.g, self.r, self.t = np.empty((4, mass.dim))
+
+
 def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=None,
-             chord_prev=None):
+             chord_prev=None, scratch: Optional[StepScratch] = None):
     """Initial iterate of the implicit solve: (Q0, f0), at one force evaluation.
 
     Gradient-free: the predicted position Q0 and its force f0 = F(Q0, q),
@@ -227,49 +261,47 @@ def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=Non
     and Q_pc = q + (tau/2) M^-1 (3p - p_prev) is the Euler step corrected by
     the previous step's final force, at no target call. ``chord_prev`` is the
     previous step's input position and predicted chord diagonal,
-    (q_prev, D_pred) with D_pred = ``StepRecord.chord``, the second-order
-    model 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq) of this step's chord; it
-    folds one chord contraction into the start,
-    Q0 = q_prev + (Q_pc - q_prev) / D_pred (see the module docstring).
-    Without it, Q0 = Q_pc.
+    (q_prev, D_pred) with D_pred = ``StepRecord.chord``; it folds one chord
+    contraction into the start, Q0 = q_prev + (Q_pc - q_prev) / D_pred (see
+    the module docstring). Without it, Q0 = Q_pc. ``scratch`` (see
+    ``dmm_step``) changes no result.
     """
+    s = StepScratch(potential, mass, cfg) if scratch is None else scratch
     if p_prev is None:
-        Q0 = q + cfg.tau * mass.inverse_apply(p)
+        Q0 = q + _scaled_inverse(s.inv_m, cfg.tau, p, s.t)
     else:
-        Q0 = q + (0.5 * cfg.tau) * mass.inverse_apply(3.0 * p - p_prev)
-        if chord_prev is not None:
+        t = np.multiply(p, 3.0, s.t)
+        _scaled_inverse(s.inv_m, 0.5 * cfg.tau, np.subtract(t, p_prev, t), t)
+        if chord_prev is None:
+            Q0 = q + t
+        else:
             q_prev, D_pred = chord_prev
-            Q0 = q_prev + (Q0 - q_prev) / D_pred
-    f, _ = force_and_evals(Q0, q, potential, cfg.dd_guard)
-    return Q0, f
+            np.subtract(np.add(q, t, t), q_prev, t)
+            Q0 = q_prev + np.divide(t, D_pred, t)
+    return Q0, s.force(Q0, q)
 
 
-def _valid_chord(D):
-    """D when every D_i is a finite positive number, else None."""
-    # NaN fails the first comparison
-    return D if D.min() > 0.0 and D.max() < math.inf else None
-
-
-def _chord_scale(X, q, half2, mass, potential):
-    """Chord diagonals (D, D_next) from one Jacobian-diagonal call at (X, q).
+def _chord_scale(diagonals, half2, inv_m):
+    """Chord diagonals (D, D_next) from one Jacobian-diagonal pair (dF/dq, dF/dQ).
 
     With half2 = (tau/2)^2, D = 1 + half2 M^-1 dF/dQ is this step's chord and
     D_next = 1 + half2 M^-1 (2 dF/dQ - dF/dq) the next step's predicted
-    chord (see the module docstring). Costs one
-    ``closed_form_force_jacobian_diag`` call, so one per step. Each diagonal
-    is None when some entry is not a finite positive number (a non-convex
-    region can make the frozen Newton step point the wrong way); both are
-    None when the target is not separable. Without D the caller keeps the
-    plain update; without D_next the next step starts from Q_pc.
+    chord, the rows of one fresh (2, d) block that one min and one max check
+    (row by row only when that fails). Each is None unless finite and
+    positive (a non-convex region can make the frozen Newton step point the
+    wrong way); without D the step keeps the plain update, without D_next
+    the next step starts from Q_pc.
     """
-    if not is_separable(potential):
-        return None, None
-    d_q, d_Q = potential.closed_form_force_jacobian_diag(X, q)
-    d_Q = np.asarray(d_Q, dtype=float)
-    # a diagonal M^-1 applied to a vector v is diag(M^-1) * v
-    D = 1.0 + half2 * mass.inverse_apply(d_Q)
-    D_next = 1.0 + half2 * mass.inverse_apply(2.0 * d_Q - d_q)
-    return _valid_chord(D), _valid_chord(D_next)
+    d_q, d_Q = diagonals
+    block = np.empty((2, np.size(d_Q)))
+    D, D_next = block
+    _scaled_inverse(inv_m, half2, d_Q, D)
+    np.subtract(np.multiply(d_Q, 2.0, D_next), d_q, D_next)
+    _scaled_inverse(inv_m, half2, D_next, D_next)
+    block += 1.0
+    if block.min() > 0.0 and block.max() < math.inf:  # NaN fails the first comparison
+        return D, D_next
+    return tuple(row if row.min() > 0.0 and row.max() < math.inf else None for row in block)
 
 
 def dmm_step(
@@ -281,6 +313,7 @@ def dmm_step(
     init_guess: Optional[tuple] = None,
     p_prev: Optional[np.ndarray] = None,
     chord_prev: Optional[tuple] = None,
+    scratch: Optional[StepScratch] = None,
 ) -> StepRecord:
     """One implicit energy-preserving step from the arrays (q, p).
 
@@ -302,57 +335,66 @@ def dmm_step(
     once, the next target is g = a - (tau/2)^2 M^-1 f, the residual
     r = g - Q serves both the energy test |f . r| / 2 and the chord update
     Q + r / D, and the momentum P = p - (tau/2) f is formed once, at exit.
+    An update that misses delta still converges when its error is within a
+    few ulps of sum_i |f_i| (|Q_i| + |g_i|), the rounding floor of f . r.
 
     On a separable target, one ``closed_form_force_jacobian_diag`` call per
-    step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) with D_pred from
-    ``chord_prev`` (at X = g(Q0) without it), sets up this step's chord
-    update and the next step's predicted chord ``StepRecord.chord`` (see the
-    module docstring and ``_chord_scale``); that call is not counted in
-    ``force_evaluations``, which counts forces only. Otherwise each update is
-    the plain fixed-point update.
+    step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) (X = g(Q0) without
+    ``chord_prev``), sets up this step's chord update and ``StepRecord.chord``
+    (see ``_chord_scale``); ``force_evaluations`` counts forces only. Other
+    targets take plain updates. ``scratch`` (a fresh ``StepScratch`` when
+    None) changes no result.
     """
+    s = StepScratch(potential, mass, cfg) if scratch is None else scratch
     half = 0.5 * cfg.tau
     if init_guess is not None:
         Q, P = init_guess
         f = (p - P) / half
         force_evals = 0
     else:
-        Q, f = dmm_init(q, p, cfg, mass, potential, p_prev, chord_prev)
+        Q, f = dmm_init(q, p, cfg, mass, potential, p_prev, chord_prev, s)
         force_evals = 1
 
-    a = q + cfg.tau * mass.inverse_apply(p)
+    a, g, r, t, inv_m = s.a, s.g, s.r, s.t, s.inv_m
+    np.add(q, _scaled_inverse(inv_m, cfg.tau, p, a), a)
     half2 = half * half
-    g = a - half2 * mass.inverse_apply(f)
-    r = g - Q
-    X = g if chord_prev is None else Q + r / (2.0 * chord_prev[1])
-    D, D_next = _chord_scale(X, q, half2, mass, potential)
+    np.subtract(a, _scaled_inverse(inv_m, half2, f, g), g)
+    np.subtract(g, Q, r)
+    D = D_next = None
+    if s.jacobian_diag is not None:
+        X = (g.copy() if chord_prev is None
+             else Q + np.divide(r, np.multiply(chord_prev[1], 2.0, t), t))
+        D, D_next = _chord_scale(s.jacobian_diag(X, q), half2, inv_m)
     iterations = 0
     while True:
-        Q = g if D is None else Q + r / D
-        f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
+        Q = g.copy() if D is None else Q + np.divide(r, D, t)
+        f = s.force(Q, q)
         force_evals += 1
         iterations += 1
-        g = a - half2 * mass.inverse_apply(f)
-        r = g - Q
-        err = abs(0.5 * float(f @ r))
-        converged = err <= cfg.delta
+        np.subtract(a, _scaled_inverse(inv_m, half2, f, g), g)
+        err = abs(0.5 * float(f @ np.subtract(g, Q, r)))
+        tol = (max(cfg.delta, _ROUNDING * float(np.abs(f) @ (np.abs(Q) + np.abs(g))))
+               if cfg.delta < err < math.inf else cfg.delta)
+        converged = err <= tol
         if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
             break
-    P = p - half * f
-    if not math.isfinite(err) or not (np.isfinite(Q).all() and np.isfinite(P).all()):
+    P = np.subtract(p, np.multiply(f, half, t))
+    # a finite f . (g - Q) already implies finite f, g and Q
+    if not (err < math.inf and np.isfinite(P).all()):
         return StepRecord(q, p, iterations, math.inf, force_evals, False)
-    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f, chord=D_next)
+    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f, chord=D_next,
+                      tolerance=tol)
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Aggregated outcome of an N-step trajectory, ending at the arrays (q, p).
 
-    For the energy-preserving map ``all_converged`` means every step met
-    delta and the true |H_out - H_in| is at most N delta, the premise of the
-    N delta acceptance bound. An ``h_out`` of +inf marks a failed trajectory
-    (a step blew up, or H_out is not finite), which the sampler rejects; it
-    leaves (q, p) at the last state with finite components.
+    For the energy-preserving map ``all_converged`` means every step met its
+    tolerance and the true |H_out - H_in| is at most their sum plus a few
+    ulps, the premise of the N delta acceptance bound. An ``h_out`` of +inf
+    marks a failed trajectory (a step blew up, or H_out is not finite), which
+    the sampler rejects; (q, p) is then the last all-finite state.
     """
 
     q: np.ndarray
@@ -378,10 +420,11 @@ def trajectory(
     after the first gets the previous step's input momentum and, when that
     step predicted a valid chord, its input position and predicted chord
     diagonal, so its solve starts from the extrapolated prediction or its
-    chord-linearized form (see ``dmm_init``). The end check |H_out - H_in| <= n_steps * delta
-    turns the discrete-gradient contract of the target's force into a check
-    on every trajectory: with every step converged, only a force that breaks
-    it can fail the check, and then ``all_converged`` is False.
+    chord-linearized form (see ``dmm_init``). The end check, |H_out - H_in|
+    at most the sum of the steps' ``tolerance`` plus a few ulps of
+    |H_in| + |H_out|, turns the target's discrete-gradient contract into a
+    check on every trajectory: with every step converged, only a force that
+    breaks it can fail the check, and then ``all_converged`` is False.
     ``per_step_hook`` is invoked after each step with the step's
     (q_in, q_out, f_out), where f_out = F(q_out, q_in) is the force of the
     solve's last update, so per-step Jacobian factors can be accumulated into
@@ -391,17 +434,19 @@ def trajectory(
         raise ValueError("n_steps must be >= 1")
     h_in = hamiltonian(state, potential, mass)
     q, p = state.q, state.p
-    total_f = 0
-    total_it = 0
-    all_converged = True
+    total_f = total_it = 0
+    all_converged, allowed = True, 0.0
     p_prev = chord_prev = None
+    scratch = StepScratch(potential, mass, cfg)
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, p_prev=p_prev, chord_prev=chord_prev)
+        rec = dmm_step(q, p, potential, mass, cfg, p_prev=p_prev, chord_prev=chord_prev,
+                       scratch=scratch)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
             return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
         all_converged = all_converged and rec.converged
+        allowed += rec.tolerance
         if per_step_hook is not None:
             per_step_hook(q, rec.q, rec.force)
         p_prev = p
@@ -410,7 +455,8 @@ def trajectory(
     h_out = total_energy(q, p, potential, mass)
     if not math.isfinite(h_out):
         return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
-    all_converged = all_converged and abs(h_out - h_in) <= n_steps * cfg.delta
+    allowed += _ROUNDING * (abs(h_in) + abs(h_out))
+    all_converged = all_converged and abs(h_out - h_in) <= allowed
     return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out)
 
 
@@ -424,10 +470,11 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps + 1 gradient evaluations.
 
     Each step's end-of-step gradient is reused for the next step's first
-    half-kick; the positions and momenta equal those of a kick-drift-kick
-    loop that evaluates both gradients every step, bit for bit. A trajectory
-    that leaves the finite range (steep targets can blow up the explicit
-    update) fails: it reports h_out = +inf, which the sampler rejects.
+    half-kick, and both half-kicks of a gradient subtract one (tau/2) grad U
+    product from a copy of p, bit for bit as a kick-drift-kick loop that
+    evaluates both gradients every step. A trajectory that leaves the finite
+    range (steep targets can blow up the explicit update) fails: it reports
+    h_out = +inf, which the sampler rejects.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -435,15 +482,17 @@ def leapfrog_trajectory(
         raise ValueError("leapfrog requires a potential gradient")
     h_in = hamiltonian(state, potential, mass)
     grad = potential.gradient
-    q, p = state.q, state.p
+    inv_m = None if mass.kind == "identity" else mass.inverse_diagonal()
+    kick, t = np.empty((2, state.dim))
+    q, p = state.q, state.p.copy()
     total_f = n_steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        g = grad(q)
+        np.multiply(grad(q), 0.5 * tau, kick)
         for _ in range(n_steps):
-            p_half = p - 0.5 * tau * g
-            q = q + tau * mass.inverse_apply(p_half)
-            g = grad(q)
-            p = p_half - 0.5 * tau * g
+            p -= kick
+            q = q + _scaled_inverse(inv_m, tau, p, t)
+            np.multiply(grad(q), 0.5 * tau, kick)
+            p -= kick
         finite = np.isfinite(q).all() and np.isfinite(p).all()
         h_out = total_energy(q, p, potential, mass) if finite else math.inf
     if not math.isfinite(h_out):

@@ -58,7 +58,8 @@ class MassMatrix:
         if self.dim < 1:
             raise ValueError("mass matrix needs dimension >= 1")
         if kind == "identity":
-            pass
+            self._inv_diag = np.ones(self.dim)
+            self._inv_diag.setflags(write=False)
         elif kind == "diagonal":
             diag = np.array(diag, dtype=float, copy=True, ndmin=1)
             if diag.ndim != 1 or diag.size != self.dim:
@@ -88,10 +89,8 @@ class MassMatrix:
         return self._inv_diag * v
 
     def inverse_diagonal(self) -> np.ndarray:
-        """diag(M^-1) as a fresh vector."""
-        if self.kind == "identity":
-            return np.ones(self.dim)
-        return self._inv_diag.copy()
+        """diag(M^-1), one cached read-only vector."""
+        return self._inv_diag
 
     def kinetic(self, p: np.ndarray) -> float:
         """K(p) = p^T M^-1 p / 2."""

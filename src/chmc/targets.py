@@ -39,6 +39,11 @@ class Potential:
     force 2 grad U((Q + q)/2), say) lets steps report convergence while H
     drifts; the trajectory's end check |H_out - H_in| <= N delta then
     clears ``all_converged``.
+
+    The integrators never write an array after handing it to a capability,
+    nor one that a capability returns, so a capability may keep or return
+    views of its arguments. The exception is ``divided_difference_force``,
+    which rewrites its two substitution paths between ``evaluate`` calls.
     """
 
     gradient = None
@@ -65,27 +70,34 @@ class QuarticGeneralizedGaussian(Potential):
     """Separable quartic well U(q) = sum_i q_i^4.
 
     The benchmark target: a generalized Gaussian with unit scale and shape
-    parameter 4, whose per-component variance is Gamma(3/4)/Gamma(1/4).
+    parameter 4, whose per-component variance is Gamma(3/4)/Gamma(1/4). The
+    methods compute in place, in the operation order of their comments.
     """
 
     def evaluate(self, q: np.ndarray) -> float:
+        # sum((q q)(q q))
         t = q * q
-        return float((t * t).sum())
+        return float(np.multiply(t, t, t).sum())
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        return 4.0 * (q * q) * q
+        # 4 (q q) q
+        t = q * q
+        return np.multiply(np.multiply(t, 4.0, t), q, t)
 
     def closed_form_force(self, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # 2 (Q_i^2 + q_i^2)(Q_i + q_i) == 2 (Q_i^4 - q_i^4)/(Q_i - q_i), also
-        # defined at Q_i == q_i.
-        return 2.0 * (Q * Q + q * q) * (Q + q)
+        # 2 (Q Q + q q)(Q + q) == 2 (Q^4 - q^4)/(Q - q), also defined at Q == q
+        c, t = Q * Q, q * q
+        np.multiply(np.add(c, t, c), 2.0, c)
+        return np.multiply(c, np.add(Q, q, t), c)
 
     def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
-        # 2 (2 x s + c) with the factors of two folded into s and c; the same
-        # bits as the unfolded form unless an intermediate is subnormal
-        s4 = 4.0 * (Q + q)
-        c2 = 2.0 * (Q * Q + q * q)
-        return s4 * q + c2, s4 * Q + c2
+        # (s4 q + c2, s4 Q + c2), s4 = 4 (Q + q), c2 = 2 (Q Q + q q): 2 (2 x s + c)
+        # with the twos folded in, the same bits unless an intermediate is subnormal
+        s4, c2, t = Q + q, Q * Q, q * q
+        np.multiply(s4, 4.0, s4)
+        np.multiply(np.add(c2, t, c2), 2.0, c2)
+        t = np.add(np.multiply(s4, q, t), c2, t)
+        return t, np.add(np.multiply(s4, Q, s4), c2, s4)
 
 
 class MultivariateGaussian(Potential):

@@ -976,6 +976,270 @@ class TestOrderOfAccuracy:
         assert 1.8 <= self.slope(taus, errors) <= 2.2
 
 
+class RecordingTarget(Potential):
+    """A target whose capabilities log every array they take or return.
+
+    Each log entry is (array, copy made at the call). ``evaluate`` calls made
+    inside ``divided_difference_force`` are left out, because that force
+    rewrites its two substitution paths between them (see ``Potential``);
+    ``record_divided_differences`` logs that force's own arguments and result.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner.dim)
+        self.inner = inner
+        self.log = []
+        self.inside_force = False
+        for name in ("gradient", "closed_form_force", "closed_form_force_jacobian_diag",
+                     "closed_form_force_jacobian"):
+            fn = getattr(inner, name)
+            if fn is not None:
+                setattr(self, name, self.logged(fn))
+
+    def note(self, arrays):
+        self.log.extend((a, a.copy()) for a in arrays if isinstance(a, np.ndarray))
+
+    def logged(self, fn):
+        def call(*args):
+            self.note(args)
+            out = fn(*args)
+            self.note(out if isinstance(out, tuple) else (out,))
+            return out
+        return call
+
+    def evaluate(self, q):
+        if not self.inside_force:
+            self.note((q,))
+        return self.inner.evaluate(q)
+
+
+def record_divided_differences(monkeypatch, target):
+    import chmc.integrators as integrators
+
+    force = integrators.divided_difference_force
+
+    def logged(Q, q, potential, guard=1e-8):
+        target.note((Q, q))
+        target.inside_force = True
+        try:
+            f, n = force(Q, q, potential, guard)
+        finally:
+            target.inside_force = False
+        target.note((f,))
+        return f, n
+
+    monkeypatch.setattr(integrators, "divided_difference_force", logged)
+
+
+def record_copies(rec):
+    """(array, copy) for every array a step or trajectory record hands out."""
+    arrays = (rec.q, rec.p, getattr(rec, "force", None), getattr(rec, "chord", None))
+    return [(a, a.copy()) for a in arrays if a is not None]
+
+
+def chmc_run(kind, source):
+    def run(state, target, mass):
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=10)
+        hook = (None if kind == "J0"
+                else JacobianAccumulator(JacobianMode(kind, source), cfg.tau, mass, target))
+        return trajectory(state, target, mass, cfg, 8, per_step_hook=hook)
+    return run
+
+
+class TestArrayOwnership:
+    """The loops write no array after handing it to a target capability, none
+    a capability returns, and none that a step or trajectory record holds."""
+
+    def check(self, monkeypatch, target, kind, run):
+        import chmc.integrators as integrators
+
+        recording = RecordingTarget(target)
+        record_divided_differences(monkeypatch, recording)
+        kept = []
+        step = integrators.dmm_step
+
+        def kept_step(*args, **kwargs):
+            rec = step(*args, **kwargs)
+            kept.extend(record_copies(rec))
+            return rec
+
+        monkeypatch.setattr(integrators, "dmm_step", kept_step)
+        rng = np.random.default_rng(54)
+        d = target.dim
+        mass = (MassMatrix.identity(d) if kind == "identity"
+                else MassMatrix.diagonal(rng.uniform(0.5, 2.0, d)))
+        # the second trajectory must leave every record of the first alone
+        for _ in range(2):
+            s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
+            kept.extend(record_copies(run(s, recording, mass)))
+        assert recording.log and kept
+        for array, copy in recording.log + kept:
+            np.testing.assert_array_equal(array, copy)
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
+    @pytest.mark.parametrize("source", ["finite-difference", "analytic"])
+    @pytest.mark.parametrize("mode", ["J0", "J1", "JFull"])
+    def test_chmc_trajectories(self, monkeypatch, mode, source, kind):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind, chmc_run(mode, source))
+
+    def test_black_box_trajectory(self, monkeypatch):
+        self.check(monkeypatch, BlackBoxQuartic(4), "identity",
+                   chmc_run("J0", "finite-difference"))
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
+    def test_leapfrog_trajectory(self, monkeypatch, kind):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind,
+                   lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 8))
+
+
+class PoisonedForce(Potential):
+    """F = Q + q, except component 1, which is ``value``."""
+
+    def __init__(self, dim, value):
+        super().__init__(dim)
+        self.value = value
+
+    def evaluate(self, q):
+        return 0.5 * float(q @ q)
+
+    def closed_form_force(self, Q, q):
+        f = Q + q
+        f[1] = self.value
+        return f
+
+
+class SeparablePoisonedForce(PoisonedForce):
+    def closed_form_force_jacobian_diag(self, Q, q):
+        return np.ones(self.dim), np.ones(self.dim)
+
+
+class ConstantForce(Potential):
+    """F = -1e308 in every component, declared separable with zero diagonals when asked."""
+
+    def __init__(self, dim, separable):
+        super().__init__(dim)
+        if separable:
+            self.closed_form_force_jacobian_diag = lambda Q, q: (np.zeros(dim), np.zeros(dim))
+
+    def evaluate(self, q):
+        return -1e308 * float(q.sum())
+
+    def closed_form_force(self, Q, q):
+        return np.full(Q.shape, -1e308)
+
+
+class InjectedDiagonals(Potential):
+    """F = a (Q + q); the Jacobian-diagonal call returns the given (dF/dq, dF/dQ)."""
+
+    def __init__(self, a, d_q, d_Q):
+        super().__init__(len(a))
+        self.a, self.d_q, self.d_Q = a, d_q, d_Q
+
+    def evaluate(self, q):
+        return 0.5 * float(self.a @ (q * q))
+
+    def closed_form_force(self, Q, q):
+        return self.a * (Q + q)
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        return self.d_q.copy(), self.d_Q.copy()
+
+
+class TestStepChecks:
+    """The step's finiteness and chord-validity checks decide as they always have."""
+
+    @pytest.mark.parametrize("target_cls", [PoisonedForce, SeparablePoisonedForce])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_force_component_fails_the_step(self, value, target_cls):
+        q, p = np.array([0.3, -0.2, 0.5]), np.array([1.0, 0.4, -0.7])
+        with np.errstate(invalid="ignore", over="ignore"):
+            rec = dmm_step(q, p, target_cls(3, value), MassMatrix.identity(3),
+                           DmmSolverConfig(tau=0.1))
+        assert rec.q is q and rec.p is p
+        assert rec.energy_error == math.inf and not rec.converged
+        assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
+        assert rec.force is None and rec.chord is None
+
+    @pytest.mark.parametrize("separable", [False, True])
+    def test_momentum_overflow_fails_the_step(self, separable):
+        # tau = 0.5 from (0, 1.7e308): the first update lands on the fixed
+        # point g = 0.85e308 + 0.0625e308 with zero energy error, but
+        # P = 1.7e308 + 0.25e308 overflows
+        q, p = np.zeros(2), np.full(2, 1.7e308)
+        with np.errstate(over="ignore"):
+            rec = dmm_step(q, p, ConstantForce(2, separable), MassMatrix.identity(2),
+                           DmmSolverConfig(tau=0.5))
+        assert rec.q is q and rec.p is p
+        assert rec.energy_error == math.inf and not rec.converged
+        assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
+
+    @pytest.mark.parametrize("row, value, chord_used, chord_kept", [
+        (None, None, True, True),
+        ("D", -1.0, False, False),  # D_1 = 0
+        ("D", -3.0, False, False),  # D_1 = -2
+        ("D", math.nan, False, False),
+        ("D", math.inf, False, False),
+        ("D_next", 1.0 + 2.0 * 1.5, True, False),  # D_next_1 = 0
+        ("D_next", 3.0 + 2.0 * 1.5, True, False),  # D_next_1 = -2
+        ("D_next", math.nan, True, False),
+        ("D_next", -math.inf, True, False),  # D_next_1 = +inf
+    ])
+    def test_bad_chord_entry_decides(self, row, value, chord_used, chord_kept):
+        # tau = 2, M = I: D = 1 + dF/dQ and D_next = 1 + (2 dF/dQ - dF/dq).
+        # The bad value enters dF/dQ (spoiling D, and with it D_next) or only
+        # dF/dq (spoiling D_next alone); one update shows the chord decision
+        a = np.array([0.5, 1.5, 2.5])
+        d_q, d_Q = a.copy(), a.copy()
+        if row == "D":
+            d_Q[1] = value
+        elif row == "D_next":
+            d_q[1] = value
+        t = InjectedDiagonals(a, d_q, d_Q)
+        q, p = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
+        with np.errstate(invalid="ignore"):
+            rec = dmm_step(q, p, t, MassMatrix.identity(3), DmmSolverConfig(tau=2.0, max_fpi=1))
+        Q0 = q + 2.0 * p
+        g0 = Q0 - t.closed_form_force(Q0, q)
+        with np.errstate(invalid="ignore"):
+            D, D_next = 1.0 + d_Q, 1.0 + (2.0 * d_Q - d_q)
+        np.testing.assert_array_equal(rec.q, Q0 + (g0 - Q0) / D if chord_used else g0)
+        if chord_kept:
+            np.testing.assert_array_equal(rec.chord, D_next)
+        else:
+            assert rec.chord is None
+
+
+class TestRoundingFloor:
+    def test_delta_below_the_floor_converges_at_d2560(self, monkeypatch):
+        # delta = 1e-14 lies below the rounding floor of f . r at d = 2560.
+        # Without the floor the first of these trajectories has a step that
+        # runs to the cap of 50 updates and reports all_converged False
+        steps = record_steps(monkeypatch)
+        rng = np.random.default_rng(55)
+        d = 2560
+        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
+        for _ in range(3):
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            assert trajectory(s, t, mass, cfg, 40).all_converged
+        assert len(steps) == 120
+        assert all(step.converged for *_, step in steps)
+        assert max(step.fpi_iterations for *_, step in steps) < cfg.max_fpi
+        assert any(step.tolerance > cfg.delta for *_, step in steps)
+
+    def test_floor_is_unused_at_working_tolerance(self, monkeypatch):
+        # at delta = 1e-8 every step meets delta itself, so each step's
+        # tolerance is delta and the end check is N delta plus a few ulps
+        steps = record_steps(monkeypatch)
+        rng = np.random.default_rng(56)
+        d = 2560
+        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
+        s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+        assert trajectory(s, t, mass, cfg, 40).all_converged
+        assert [step.tolerance for *_, step in steps] == [cfg.delta] * 40
+
+
 class TestSolverConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,18 @@ class TestMassMatrix:
                 v = rng.standard_normal(4)
                 np.testing.assert_allclose(m.inverse_apply(mat @ v), v, rtol=1e-12, atol=1e-12)
 
+    def test_inverse_diagonal_is_one_cached_read_only_vector(self):
+        diag = np.array([0.5, 2.0, 4.0])
+        for m, expected in ((MassMatrix.identity(3), np.ones(3)),
+                            (MassMatrix.diagonal(diag), 1.0 / diag)):
+            inv = m.inverse_diagonal()
+            assert m.inverse_diagonal() is inv
+            assert not inv.flags.writeable
+            np.testing.assert_array_equal(inv, expected)
+            # the cached vector multiplies bit for bit as inverse_apply
+            v = np.array([0.1, -3.0, 7.0])
+            np.testing.assert_array_equal(inv * v, m.inverse_apply(v))
+
 
 class TestSampleMomentum:
     def test_identity_variance(self):
