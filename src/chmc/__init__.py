@@ -36,6 +36,7 @@ from .phase import (
 from .samplers import (
     IterationOutcome,
     SamplerConfig,
+    StateCache,
     acceptance_probability,
     chain_rng,
     chmc_iteration,
@@ -64,6 +65,7 @@ __all__ = [
     "Potential",
     "QuarticGeneralizedGaussian",
     "SamplerConfig",
+    "StateCache",
     "StepRecord",
     "StreamingCovariance",
     "TrajectoryRecord",

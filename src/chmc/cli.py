@@ -459,8 +459,11 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
             "mean_energy_error": "mean |delta H| of the proposal over all iterations, accepted or not",
             "mean_force_evals": "integrator force evaluations / (iterations * n_steps); "
                                 "leapfrog reuses each step's end gradient for the next "
-                                "step, so it makes n_steps + 1 per trajectory; "
-                                "Jacobian finite-difference probes are not included",
+                                "step and the chain carries the first half-kick at its "
+                                "position, so it makes n_steps per trajectory after the "
+                                "chain's first, which makes n_steps + 1; H_in reuses U "
+                                "of the chain state; Jacobian finite-difference probes "
+                                "are not included",
             "covariance_error": "l-infinity deviation of the sample covariance from the target; "
                                 "diagonal entries only in diagonal mode",
             "wall_time_s": "per-chain monotonic wall time; summed across chains in mean rows",

@@ -77,20 +77,21 @@ class CovarianceTracker:
 
     The trace holds (iteration, l-infinity covariance error) pairs at a fixed
     stride so long runs produce plot-ready curves, not per-iteration dumps.
+    The target's diagonal or full matrix is built once, at construction.
     """
 
     def __init__(self, dim: int, target_cov, diagonal: bool = False, record_stride: int = 10):
         if record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         self.stream = StreamingCovariance(dim, diagonal=diagonal)
-        self.target_cov = target_cov
+        self.target = _target(target_cov, dim, diagonal)
         self.record_stride = record_stride
         self.trace: list[tuple[int, float]] = []
 
     def update(self, iteration: int, theta: np.ndarray) -> None:
         self.stream.update(theta)
         if self.stream.count >= 2 and self.stream.count % self.record_stride == 0:
-            self.trace.append((iteration, covariance_error(self.stream, self.target_cov)))
+            self.trace.append((iteration, covariance_error(self.stream, self.target)))
 
     def last_recorded(self, iteration: int):
         """Error recorded at exactly this iteration, else None."""

@@ -54,7 +54,8 @@ next update's target position,
 
 exactly (McLachlan, Quispel & Robidoux, "Geometric integration using
 discrete gradients", Phil. Trans. R. Soc. A 357, 1999). A trajectory
-evaluates U once at each end, and clears ``all_converged`` when the true
+evaluates U only at its end (and at its start unless the caller passes
+U(q) in), and clears ``all_converged`` when the true
 |H_out - H_in| exceeds the sum of its steps' tolerances (n_steps * delta
 above the rounding floor) plus a few ulps of |H_in| + |H_out|, which the
 identity rules out unless a target's force breaks the contract.
@@ -80,7 +81,13 @@ delta = 1e-8, from exact draws, about 1.1 per step at d = 2560 and 1.03 at
 d = 40. Other targets use the plain update Q <- g.
 
 Leapfrog reuses each step's end-of-step gradient for the next step's first
-half-kick: an n-step trajectory makes n + 1 gradient evaluations.
+half-kick, so an n-step trajectory makes n gradient evaluations plus one
+for its first half-kick (tau/2) grad U(q), which the caller may pass in
+instead. Both trajectories report U and leapfrog its half-kick at each end,
+so a chain hands the values at its current position to the next
+trajectory: the end values after an accept, the start values after a
+reject. These are the bits a fresh evaluation gives, and a chain iteration
+then evaluates U once and, for leapfrog, the gradient n times.
 
 Both loops write their temporaries into work rows made once per trajectory:
 a ``StepScratch`` for ``dmm_step``, which also looks up the force, the
@@ -98,7 +105,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phase import MassMatrix, PhaseState, hamiltonian, total_energy
+from .phase import MassMatrix, PhaseState, hamiltonian, potential_energy
 from .targets import is_separable
 
 
@@ -226,6 +233,16 @@ def force_and_evals(Q: np.ndarray, q: np.ndarray, potential, guard: float):
 _ROUNDING = 4.0 * math.ulp(1.0)  # a few ulps: the energy tests' rounding floor
 
 
+def _norm(w):
+    """2-norm of a non-negative vector, scaled in place by its largest entry so
+    that no square overflows where the norm itself is finite."""
+    s = float(w.max())
+    if not 0.0 < s < math.inf:
+        return s
+    np.divide(w, s, w)
+    return s * math.sqrt(float(w @ w))
+
+
 def _scaled_inverse(inv_m, c, v, out=None):
     """c * M^-1 v (into ``out`` if given) from inv_m = diag(M^-1), None for M = I."""
     if inv_m is not None:
@@ -336,7 +353,11 @@ def dmm_step(
     r = g - Q serves both the energy test |f . r| / 2 and the chord update
     Q + r / D, and the momentum P = p - (tau/2) f is formed once, at exit.
     An update that misses delta still converges when its error is within a
-    few ulps of sum_i |f_i| (|Q_i| + |g_i|), the rounding floor of f . r.
+    few ulps of the 2-norm of the vector f_i (|Q_i| + |g_i|), the rounding
+    floor of f . r: rounding errors of its d products add like independent
+    draws, so their sum grows as sqrt(d), where the absolute sum
+    sum_i |f_i| (|Q_i| + |g_i|) grows as d and at d = 2560 let steps stop
+    three orders of magnitude above what the solve reaches.
 
     On a separable target, one ``closed_form_force_jacobian_diag`` call per
     step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) (X = g(Q0) without
@@ -373,7 +394,8 @@ def dmm_step(
         iterations += 1
         np.subtract(a, _scaled_inverse(inv_m, half2, f, g), g)
         err = abs(0.5 * float(f @ np.subtract(g, Q, r)))
-        tol = (max(cfg.delta, _ROUNDING * float(np.abs(f) @ (np.abs(Q) + np.abs(g))))
+        tol = (max(cfg.delta, _ROUNDING * _norm(np.multiply(
+                   np.abs(f), np.add(np.abs(Q), np.abs(g), t), t)))
                if cfg.delta < err < math.inf else cfg.delta)
         converged = err <= tol
         if converged or iterations >= cfg.max_fpi or not math.isfinite(err):
@@ -395,6 +417,14 @@ class TrajectoryRecord:
     ulps, the premise of the N delta acceptance bound. An ``h_out`` of +inf
     marks a failed trajectory (a step blew up, or H_out is not finite), which
     the sampler rejects; (q, p) is then the last all-finite state.
+
+    ``u_in`` and ``u_out`` are U at the start and end positions as
+    ``potential_energy`` gives them (``u_out`` is +inf on failure). For
+    leapfrog, ``kick_in`` and ``kick_out`` are the first half-kick
+    (tau/2) grad U at the two positions, arrays the integrator made and
+    never writes again (``kick_out`` is None on failure); both are None for
+    the energy-preserving map. A chain passes the values at the position it
+    keeps to its next trajectory.
     """
 
     q: np.ndarray
@@ -404,6 +434,10 @@ class TrajectoryRecord:
     all_converged: bool
     h_in: float
     h_out: float
+    u_in: float
+    u_out: float
+    kick_in: Optional[np.ndarray] = None
+    kick_out: Optional[np.ndarray] = None
 
 
 def trajectory(
@@ -413,9 +447,13 @@ def trajectory(
     cfg: DmmSolverConfig,
     n_steps: int,
     per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
+    u_in: Optional[float] = None,
 ) -> TrajectoryRecord:
-    """Compose ``n_steps`` energy-preserving steps; H is evaluated at the two ends only.
+    """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
 
+    ``u_in``, when given, is U(state.q) as ``potential_energy`` gives it (a
+    chain passes the value its last trajectory reported for the position it
+    kept); without it the trajectory also evaluates U at its start.
     ``state`` is validated once; the steps run on its raw arrays. Each step
     after the first gets the previous step's input momentum and, when that
     step predicted a valid chord, its input position and predicted chord
@@ -432,7 +470,9 @@ def trajectory(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h_in = hamiltonian(state, potential, mass)
+    if u_in is None:
+        u_in = potential_energy(state.q, potential)
+    h_in = hamiltonian(state, potential, mass, u_in)
     q, p = state.q, state.p
     total_f = total_it = 0
     all_converged, allowed = True, 0.0
@@ -444,7 +484,8 @@ def trajectory(
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
-            return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
+            return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in,
+                                    math.inf)
         all_converged = all_converged and rec.converged
         allowed += rec.tolerance
         if per_step_hook is not None:
@@ -452,12 +493,13 @@ def trajectory(
         p_prev = p
         chord_prev = None if rec.chord is None else (q, rec.chord)
         q, p = rec.q, rec.p
-    h_out = total_energy(q, p, potential, mass)
+    u_out = potential_energy(q, potential)
+    h_out = u_out + mass.kinetic(p)
     if not math.isfinite(h_out):
-        return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf)
+        return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in, math.inf)
     allowed += _ROUNDING * (abs(h_in) + abs(h_out))
     all_converged = all_converged and abs(h_out - h_in) <= allowed
-    return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out)
+    return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out, u_in, u_out)
 
 
 def leapfrog_trajectory(
@@ -466,9 +508,15 @@ def leapfrog_trajectory(
     mass: MassMatrix,
     tau: float,
     n_steps: int,
+    u_in: Optional[float] = None,
+    kick_in: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
-    """Compose ``n_steps`` leapfrog steps with n_steps + 1 gradient evaluations.
+    """Compose ``n_steps`` leapfrog steps with n_steps gradient evaluations,
+    plus one for the first half-kick when ``kick_in`` is None.
 
+    ``u_in`` and ``kick_in`` are U(state.q) and (tau/2) grad U(state.q) when
+    the caller has them (a chain's values from its last trajectory); the
+    trajectory never writes ``kick_in``, and evaluates what it is not given.
     Each step's end-of-step gradient is reused for the next step's first
     half-kick, and both half-kicks of a gradient subtract one (tau/2) grad U
     product from a copy of p, bit for bit as a kick-drift-kick loop that
@@ -480,21 +528,31 @@ def leapfrog_trajectory(
         raise ValueError("n_steps must be >= 1")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
-    h_in = hamiltonian(state, potential, mass)
+    if u_in is None:
+        u_in = potential_energy(state.q, potential)
+    h_in = hamiltonian(state, potential, mass, u_in)
     grad = potential.gradient
+    half = 0.5 * tau
     inv_m = None if mass.kind == "identity" else mass.inverse_diagonal()
-    kick, t = np.empty((2, state.dim))
+    buf, t = np.empty((2, state.dim))
     q, p = state.q, state.p.copy()
-    total_f = n_steps + 1
+    total_f = n_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(grad(q), 0.5 * tau, kick)
+        if kick_in is None:
+            kick_in = np.multiply(grad(q), half)
+            total_f += 1
+        kick = kick_in
         for _ in range(n_steps):
             p -= kick
             q = q + _scaled_inverse(inv_m, tau, p, t)
-            np.multiply(grad(q), 0.5 * tau, kick)
+            kick = np.multiply(grad(q), half, buf)
             p -= kick
-        finite = np.isfinite(q).all() and np.isfinite(p).all()
-        h_out = total_energy(q, p, potential, mass) if finite else math.inf
+        h_out = math.inf
+        if np.isfinite(q).all() and np.isfinite(p).all():
+            u_out = potential_energy(q, potential)
+            h_out = u_out + mass.kinetic(p)
     if not math.isfinite(h_out):
-        return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf)
-    return TrajectoryRecord(q, p, total_f, 0, True, h_in, h_out)
+        return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf, u_in,
+                                math.inf, kick_in)
+    return TrajectoryRecord(q, p, total_f, 0, True, h_in, h_out, u_in, u_out, kick_in,
+                            kick.copy())

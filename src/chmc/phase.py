@@ -106,20 +106,24 @@ class MassMatrix:
         return self._sqrt_diag * xi
 
 
-def total_energy(q: np.ndarray, p: np.ndarray, potential, mass: MassMatrix) -> float:
-    """H(q, p) = U(q) + p^T M^-1 p / 2 on raw arrays, the one place H is formed.
+def potential_energy(q: np.ndarray, potential) -> float:
+    """U(q) on a raw array, the one place U enters the Hamiltonian.
 
     A non-finite potential value is mapped to +inf so that proposals into
     forbidden regions are auto-rejected upstream instead of raising.
     """
     u = float(potential.evaluate(q))
-    return (u if math.isfinite(u) else math.inf) + mass.kinetic(p)
+    return u if math.isfinite(u) else math.inf
 
 
-def hamiltonian(state: PhaseState, potential, mass: MassMatrix) -> float:
-    """``total_energy`` of a validated state, after checking its dimension."""
+def hamiltonian(state: PhaseState, potential, mass: MassMatrix,
+                u: float | None = None) -> float:
+    """H(q, p) = U(q) + p^T M^-1 p / 2 of a validated state, after checking its
+    dimension. ``u``, when given, is ``potential_energy(state.q, potential)``
+    already computed, and no evaluation is made.
+    """
     if state.dim != potential.dim:
         raise ValueError(f"state dimension {state.dim} != potential dimension {potential.dim}")
     if state.dim != mass.dim:
         raise ValueError(f"state dimension {state.dim} != mass dimension {mass.dim}")
-    return total_energy(state.q, state.p, potential, mass)
+    return (potential_energy(state.q, potential) if u is None else u) + mass.kinetic(state.p)

@@ -8,6 +8,11 @@ share one accept/reject step. Momentum is discarded after every iteration and
 never negated on rejection, so exactly one uniform draw is consumed per
 iteration regardless of the outcome, keeping RNG streams aligned across
 method variants for paired comparisons.
+
+A chain carries U and, for leapfrog, the first half-kick (tau/2) grad U at
+its current position from one iteration to the next (see ``StateCache``),
+so an iteration after the first evaluates U once, at the proposal, and
+leapfrog calls the gradient n_steps times.
 """
 
 from __future__ import annotations
@@ -87,9 +92,11 @@ class IterationOutcome:
     """Per-iteration record streamed to diagnostics sinks.
 
     ``delta_H`` is the proposal's H(q*, p*) - H(q0, p0) (+inf on trajectory
-    failure). ``force_evals`` counts integrator force evaluations only;
-    Jacobian finite-difference probes are tallied separately in
-    ``jacobian_force_evals``.
+    failure). ``force_evals`` counts integrator force evaluations only: for
+    leapfrog the gradient calls made, n_steps in a chain that carries its
+    first half-kick (see ``StateCache``) and n_steps + 1 otherwise, as on a
+    chain's first iteration. Jacobian finite-difference probes are tallied
+    separately in ``jacobian_force_evals``.
     """
 
     accepted: bool
@@ -117,33 +124,57 @@ def acceptance_probability(delta_h: float, jacobian_product: float) -> float:
     return math.exp(log_alpha)
 
 
+class StateCache:
+    """U and leapfrog's first half-kick at a chain's current position theta.
+
+    ``u`` is U(theta) as ``potential_energy`` gives it and ``kick`` is
+    (tau/2) grad U(theta), an array the integrator made; both are None until
+    an iteration computes them. An iteration that gets a cache passes them
+    to its trajectory, then stores the trajectory's end values if it accepts
+    and its start values if it rejects (a failed trajectory included). They
+    are the bits a fresh evaluation at theta gives, so the chain is the same
+    and only the target calls drop.
+    """
+
+    __slots__ = ("u", "kick")
+
+    def __init__(self):
+        self.u = self.kick = None
+
+
 def chmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
-                   rng: np.random.Generator):
+                   rng: np.random.Generator, cache: Optional[StateCache] = None):
     """One conservative-sampler iteration: refresh p, integrate, accept/reject."""
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
+    u = None if cache is None else cache.u
     if cfg.jacobian_mode.kind == "J0":
-        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps)
-        return _accept_reject(theta, rec, 1.0, 0, rng)
+        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps, u_in=u)
+        return _accept_reject(theta, rec, 1.0, 0, rng, cache)
     accumulator = JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
                                       cfg.solver.dd_guard)
     rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps,
-                     per_step_hook=accumulator)
-    return _accept_reject(theta, rec, accumulator.product, accumulator.extra_force_evals, rng)
+                     per_step_hook=accumulator, u_in=u)
+    return _accept_reject(theta, rec, accumulator.product, accumulator.extra_force_evals, rng,
+                          cache)
 
 
 def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, cache: Optional[StateCache] = None):
     """One leapfrog-HMC iteration; the proposal map is volume preserving (J = 1)."""
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
-    rec = leapfrog_trajectory(state, target, mass, cfg.tau, cfg.n_steps)
-    return _accept_reject(theta, rec, 1.0, 0, rng)
+    u, kick = (None, None) if cache is None else (cache.u, cache.kick)
+    rec = leapfrog_trajectory(state, target, mass, cfg.tau, cfg.n_steps, u_in=u, kick_in=kick)
+    return _accept_reject(theta, rec, 1.0, 0, rng, cache)
 
 
 def _accept_reject(theta: np.ndarray, rec, jacobian_product: float, jacobian_evals: int,
-                   rng: np.random.Generator):
-    """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf."""
+                   rng: np.random.Generator, cache: Optional[StateCache]):
+    """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf.
+
+    ``cache``, when given, takes the values at the position kept.
+    """
     u = rng.random()
     if rec.h_out == math.inf:
         alpha, delta_h, accepted = 0.0, math.inf, False
@@ -154,6 +185,9 @@ def _accept_reject(theta: np.ndarray, rec, jacobian_product: float, jacobian_eva
     outcome = IterationOutcome(accepted, alpha, delta_h, jacobian_product,
                                rec.total_force_evaluations, rec.total_fpi_iterations,
                                rec.all_converged, jacobian_evals)
+    if cache is not None:
+        cache.u, cache.kick = ((rec.u_out, rec.kick_out) if accepted
+                               else (rec.u_in, rec.kick_in))
     return (rec.q if accepted else theta), outcome
 
 
@@ -185,19 +219,21 @@ def run_chain(
 
     Sinks are callables ``sink(iteration, outcome, theta_or_None)``; theta is
     passed only for retained (post burn-in) iterations so samples never need
-    to be stored. The summary is reduced on the fly from the accepted count,
+    to be stored. U and leapfrog's first half-kick at theta ride along in a
+    ``StateCache``. The summary is reduced on the fly from the accepted count,
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
     """
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
+    cache = StateCache()
     accepted = force_evals = 0
     energy_errors = array("d")
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.iterations):
-            theta, outcome = iterate(theta, target, mass, cfg, rng)
+            theta, outcome = iterate(theta, target, mass, cfg, rng, cache)
             accepted += outcome.accepted
             force_evals += outcome.force_evals
             energy_errors.append(abs(outcome.delta_H))

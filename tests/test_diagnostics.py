@@ -133,6 +133,25 @@ class TestCovarianceTracker:
         assert tracker.last_recorded(10 ** 9) is None
 
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("target_cov", [0.7, np.array([0.5, 1.0, 2.0]),
+                                            np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1],
+                                                      [0.0, 0.1, 0.5]])],
+                             ids=["scalar", "vector", "matrix"])
+    def test_trace_equals_covariance_error_on_the_same_stream(self, target_cov, diagonal):
+        rng = np.random.default_rng(57)
+        tracker = CovarianceTracker(3, target_cov, diagonal=diagonal, record_stride=4)
+        stream = StreamingCovariance(3, diagonal=diagonal)
+        expected = []
+        for i in range(30):
+            x = rng.standard_normal(3)
+            tracker.update(i, x)
+            stream.update(x)
+            if stream.count >= 2 and stream.count % 4 == 0:
+                expected.append((i, covariance_error(stream, target_cov)))
+        assert tracker.trace == expected
+
+
 @pytest.fixture(scope="module")
 def chmc_j1_chain_with_rejections():
     cfg = SamplerConfig(method="chmc", tau=0.5, total_time=1.0, iterations=40, seed=5,
@@ -182,8 +201,11 @@ class TestFinalizeSummary:
         assert (summary.mean_acceptance_pct, summary.mean_force_evals) == (acceptance, force)
 
     def test_leapfrog_force_evals_n_steps_plus_one(self):
+        # the chain carries its first half-kick: n N gradient calls, plus one
+        # for the first iteration's start
         t = QuarticGeneralizedGaussian(2)
         cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=4.0,
                             iterations=25, seed=6)
         summary = run_chain(cfg, t, MassMatrix.identity(2))
-        assert summary.mean_force_evals == (cfg.n_steps + 1) / cfg.n_steps
+        n_n = cfg.iterations * cfg.n_steps
+        assert summary.mean_force_evals == (n_n + 1) / n_n

@@ -269,6 +269,46 @@ class TestLeapfrog:
         assert t.gradient_calls == 8
         assert rec.total_force_evaluations == 8
 
+    def test_carried_start_values_save_the_start_calls(self):
+        # handed U and the first half-kick at its start, a trajectory makes n
+        # gradient calls and evaluates U at its end only, with the same bits
+        t = CountingQuartic(3)
+        mass = MassMatrix.diagonal([0.5, 1.0, 2.0])
+        s = PhaseState([0.3, -0.2, 0.5], [1.0, 0.5, -1.0])
+        fresh = leapfrog_trajectory(s, t, mass, 0.1, 7)
+        t.gradient_calls = t.evaluate_calls = 0
+        carried = leapfrog_trajectory(s, t, mass, 0.1, 7, u_in=fresh.u_in,
+                                      kick_in=fresh.kick_in)
+        assert (t.gradient_calls, t.evaluate_calls) == (7, 1)
+        assert (fresh.total_force_evaluations, carried.total_force_evaluations) == (8, 7)
+        for name in ("q", "p", "h_in", "h_out", "u_out", "kick_out"):
+            np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
+        assert carried.kick_in is fresh.kick_in
+
+    def test_end_values_are_the_next_start_values(self):
+        # u_out and kick_out carry the bits a trajectory from the end computes
+        t = QuarticGeneralizedGaussian(4)
+        mass = MassMatrix.identity(4)
+        rec = leapfrog_trajectory(PhaseState([0.3, -0.2, 0.5, 1.1], np.ones(4)), t, mass,
+                                  0.1, 9)
+        nxt = leapfrog_trajectory(PhaseState(rec.q, np.zeros(4)), t, mass, 0.1, 9)
+        assert rec.u_out == nxt.u_in == t.evaluate(rec.q)
+        np.testing.assert_array_equal(rec.kick_out, nxt.kick_in)
+        chmc = trajectory(PhaseState(rec.q, np.ones(4)), t, mass, DmmSolverConfig(tau=0.1), 3)
+        assert chmc.u_in == rec.u_out and chmc.kick_in is None
+        assert chmc.u_out == t.evaluate(chmc.q)
+
+    def test_failure_reports_start_values_only(self):
+        class Steep(QuarticGeneralizedGaussian):
+            def gradient(self, q):
+                return np.full_like(q, 1e308) * q
+
+        t = Steep(2)
+        rec = leapfrog_trajectory(PhaseState([1.0, 1.0], [0.0, 0.0]), t,
+                                  MassMatrix.identity(2), 0.5, 3)
+        assert rec.h_out == rec.u_out == math.inf
+        assert rec.u_in == 2.0 and rec.kick_in is not None and rec.kick_out is None
+
     def test_trajectory_matches_two_gradient_loop_bitwise(self):
         # the reference re-evaluates the start-of-step gradient every step
         rng = np.random.default_rng(37)
@@ -824,7 +864,7 @@ class TestTrajectory:
         lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 5),
     ])
     def test_one_checked_hamiltonian_per_trajectory(self, monkeypatch, integrate):
-        # per-step energies come from phase.total_energy on raw arrays; only
+        # end energies come from phase.potential_energy on raw arrays; only
         # the start state goes through the dimension-checked hamiltonian
         import chmc.integrators as integrators
 
@@ -1033,8 +1073,18 @@ def record_divided_differences(monkeypatch, target):
 
 def record_copies(rec):
     """(array, copy) for every array a step or trajectory record hands out."""
-    arrays = (rec.q, rec.p, getattr(rec, "force", None), getattr(rec, "chord", None))
+    arrays = (rec.q, rec.p, getattr(rec, "force", None), getattr(rec, "chord", None),
+              getattr(rec, "kick_in", None), getattr(rec, "kick_out", None))
     return [(a, a.copy()) for a in arrays if a is not None]
+
+
+def carried_leapfrog(state, target, mass):
+    """Two leapfrog trajectories, the second started from the first's end
+    position with the end values it reported, as a chain after an accept."""
+    first = leapfrog_trajectory(state, target, mass, 0.1, 8)
+    start = PhaseState(first.q, -first.p)
+    return leapfrog_trajectory(start, target, mass, 0.1, 8, u_in=first.u_out,
+                               kick_in=first.kick_out)
 
 
 def chmc_run(kind, source):
@@ -1090,6 +1140,10 @@ class TestArrayOwnership:
     def test_leapfrog_trajectory(self, monkeypatch, kind):
         self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind,
                    lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 8))
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
+    def test_leapfrog_with_carried_kick(self, monkeypatch, kind):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind, carried_leapfrog)
 
 
 class PoisonedForce(Potential):
@@ -1226,6 +1280,34 @@ class TestRoundingFloor:
         assert all(step.converged for *_, step in steps)
         assert max(step.fpi_iterations for *_, step in steps) < cfg.max_fpi
         assert any(step.tolerance > cfg.delta for *_, step in steps)
+
+    def test_floor_below_delta_keeps_trajectories_near_the_energy_surface(self):
+        # rounding errors of the d products in f . r add like independent
+        # draws, so the floor is a 2-norm; a floor from their absolute sum,
+        # which grows as d, let these trajectories end up to 1.8e-11 away
+        d = 2560
+        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
+        errors = []
+        for seed in (1, 2, 3, 55):
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+                rec = trajectory(s, t, mass, cfg, 40)
+                assert rec.all_converged
+                errors.append(abs(rec.h_out - rec.h_in))
+        assert max(errors) <= 1e-11
+
+    def test_floor_has_no_overflow_far_from_the_mode(self):
+        # from q = 1e30 the products f_i (|Q_i| + |g_i|) are near 1e180 and
+        # their squares overflow, yet the error 3.2e179 is finite: the floor
+        # must stay finite so that the step does not pass as converged
+        d = 4
+        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        rec = dmm_step(np.full(d, 1e30), np.ones(d), t, mass,
+                       DmmSolverConfig(tau=0.1, max_fpi=3))
+        assert math.isfinite(rec.energy_error)
+        assert not rec.converged and rec.tolerance < rec.energy_error
 
     def test_floor_is_unused_at_working_tolerance(self, monkeypatch):
         # at delta = 1e-8 every step meets delta itself, so each step's

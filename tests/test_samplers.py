@@ -23,6 +23,7 @@ from chmc import (
     run_chain,
     trajectory,
 )
+from chmc.samplers import initial_position
 
 
 class TestAcceptanceProbability:
@@ -58,6 +59,49 @@ def quartic_cfg(**kw):
     defaults = dict(method="chmc", tau=0.1, total_time=4.0, iterations=50, seed=1)
     defaults.update(kw)
     return SamplerConfig(**defaults)
+
+
+class CountingQuartic(QuarticGeneralizedGaussian):
+    """Quartic that counts its calls by capability."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = dict.fromkeys(("evaluate", "gradient", "force", "jacobian_diag"), 0)
+
+    def evaluate(self, q):
+        self.calls["evaluate"] += 1
+        return super().evaluate(q)
+
+    def gradient(self, q):
+        self.calls["gradient"] += 1
+        return super().gradient(q)
+
+    def closed_form_force(self, Q, q):
+        self.calls["force"] += 1
+        return super().closed_form_force(Q, q)
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        self.calls["jacobian_diag"] += 1
+        return super().closed_form_force_jacobian_diag(Q, q)
+
+
+class BufferQuartic(QuarticGeneralizedGaussian):
+    """Quartic whose gradient writes one reused output buffer on every call."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.buf = np.empty(dim)
+
+    def gradient(self, q):
+        np.multiply(q, q, self.buf)
+        return np.multiply(np.multiply(self.buf, 4.0, self.buf), q, self.buf)
+
+
+class BoxedQuartic(QuarticGeneralizedGaussian):
+    """U = inf outside the unit box: trajectories that leave it fail."""
+
+    def evaluate(self, q):
+        return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
 
 
 class TestSamplerConfig:
@@ -139,10 +183,6 @@ class TestChmcIteration:
     def test_infinite_final_energy_rejects(self):
         # U = inf outside the box, closed-form force finite everywhere: the
         # steps converge and only the trajectory's final H is infinite
-        class BoxedQuartic(QuarticGeneralizedGaussian):
-            def evaluate(self, q):
-                return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
-
         t, mass = BoxedQuartic(1), MassMatrix.identity(1)
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0)
         theta = np.array([0.9])
@@ -199,6 +239,114 @@ class TestHmcIteration:
         theta = np.zeros(2)
         theta, out = hmc_iteration(theta, t, MassMatrix.identity(2), cfg, rng)
         assert out.force_evals == cfg.n_steps + 1
+
+
+def cached_chain(cfg, target, mass):
+    """run_chain's (theta, accepted, delta_H, alpha, outcome) per iteration."""
+    seen = []
+    run_chain(cfg, target, mass,
+              sinks=[lambda i, o, th: seen.append((th.copy(), o.accepted, o.delta_H, o.alpha, o))])
+    return seen
+
+
+def reference_chain(cfg, target, mass):
+    """The chain of run_chain, with every iteration evaluating U and the first
+    half-kick at theta afresh (no cache)."""
+    rng = chain_rng(cfg.seed, 0)
+    iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
+    theta = initial_position(cfg, target.dim, rng)
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            theta, o = iterate(theta, target, mass, cfg, rng)
+            seen.append((theta.copy(), o.accepted, o.delta_H, o.alpha, o))
+    return seen
+
+
+def assert_same_chain(cached, reference):
+    assert len(cached) == len(reference)
+    for (th, acc, dh, alpha, _), (th_r, acc_r, dh_r, alpha_r, _) in zip(cached, reference):
+        np.testing.assert_array_equal(th, th_r)
+        assert (acc, dh, alpha) == (acc_r, dh_r, alpha_r)
+
+
+CHAINS = {
+    "leapfrog-identity": (dict(method="hmc-leapfrog"), "identity"),
+    "leapfrog-diagonal": (dict(method="hmc-leapfrog"), "diagonal"),
+    "chmc-J0": (dict(), "identity"),
+    "chmc-J1": (dict(jacobian_mode=JacobianMode("J1")), "diagonal"),
+    "chmc-JFull": (dict(jacobian_mode=JacobianMode("JFull")), "identity"),
+}
+
+
+def chain_setup(name, target_cls=QuarticGeneralizedGaussian, d=3, **kw):
+    fields, kind = CHAINS[name]
+    cfg = SamplerConfig(**{**dict(method="chmc", tau=0.1, total_time=1.0, iterations=30,
+                                  seed=8), **fields, **kw})
+    mass = (MassMatrix.identity(d) if kind == "identity"
+            else MassMatrix.diagonal(np.linspace(0.5, 2.0, d)))
+    return cfg, target_cls(d), mass
+
+
+class TestStateCache:
+    """run_chain carries U and leapfrog's first half-kick at theta: fewer target
+    calls, the same chain as recomputing both every iteration."""
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_same_chain_as_recomputing(self, name):
+        cfg, t, mass = chain_setup(name)
+        assert_same_chain(cached_chain(cfg, t, mass), reference_chain(cfg, t, mass))
+
+    @pytest.mark.parametrize("name", ["leapfrog-identity", "chmc-J1"])
+    def test_same_chain_with_rejections(self, name):
+        cfg, t, mass = chain_setup(name, tau=0.5, total_time=2.0, iterations=60)
+        cached = cached_chain(cfg, t, mass)
+        assert 0 < sum(acc for _, acc, *_ in cached) < cfg.iterations
+        assert_same_chain(cached, reference_chain(cfg, t, mass))
+
+    @pytest.mark.parametrize("name", ["leapfrog-identity", "chmc-J0", "chmc-JFull"])
+    def test_failed_trajectory_leaves_the_cache(self, name):
+        # from 0.9, trajectories that leave the box fail; the chain goes on
+        # from the cached values at theta
+        cfg, t, mass = chain_setup(name, BoxedQuartic, d=1, tau=0.1, total_time=0.3,
+                                   iterations=40, seed=0, initial_state_mode="explicit",
+                                   initial_state=np.array([0.9]))
+        cached = cached_chain(cfg, t, mass)
+        failed = [dh == math.inf for _, _, dh, *_ in cached]
+        assert failed[0] and not all(failed)
+        assert_same_chain(cached, reference_chain(cfg, t, mass))
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_target_call_counts(self, name):
+        # n iterations of N steps: U once per iteration plus once at the
+        # start; leapfrog N gradient calls per iteration plus the first kick;
+        # forces, Jacobian diagonals and probes as when recomputing
+        cfg, t, mass = chain_setup(name, CountingQuartic, tau=0.5, total_time=2.0,
+                                   iterations=20)
+        n, n_steps = cfg.iterations, cfg.n_steps
+        cached = [o for *_, o in cached_chain(cfg, t, mass)]
+        calls, t.calls = t.calls, dict.fromkeys(t.calls, 0)
+        reference = [o for *_, o in reference_chain(cfg, t, mass)]
+        assert calls["evaluate"] == n + 1
+        assert t.calls["evaluate"] == 2 * n
+        if cfg.method == "hmc-leapfrog":
+            assert calls["gradient"] == n * n_steps + 1
+            assert [o.force_evals for o in cached] == [n_steps + 1] + [n_steps] * (n - 1)
+        else:
+            assert calls["gradient"] == 0
+            assert [o.force_evals for o in cached] == [o.force_evals for o in reference]
+        for key in ("force", "jacobian_diag"):
+            assert calls[key] == t.calls[key]
+        assert ([o.jacobian_force_evals for o in cached]
+                == [o.jacobian_force_evals for o in reference])
+
+    def test_reused_gradient_buffer_gives_the_same_chain(self):
+        # the cached kick is the integrator's own array, never the one the
+        # gradient returned and rewrites on its next call
+        cfg, t, mass = chain_setup("leapfrog-diagonal", tau=0.5, total_time=2.0,
+                                   iterations=60)
+        assert_same_chain(cached_chain(cfg, BufferQuartic(3), mass),
+                          cached_chain(cfg, t, mass))
 
 
 class TestRunChain:
@@ -286,6 +434,7 @@ def quartic_quantiles(n_bins):
 
 
 class TestStationaryHistogram:
+    @pytest.mark.slow
     def test_jfull_equilibrium_bin_masses(self):
         # brute-force stationary-histogram check on a discretized 1-d state
         # space: 20 equal-mass bins, batch-means standard errors
