@@ -6,11 +6,12 @@ The one-step map has
 
 whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(M^-1 (dF/dq - dF/dQ)).
 Three truncations are offered: J0 = 1 (the gradient-free sampler), J1 (the
-first-order trace term), and the exact ratio JFull. ``step_jacobian`` gives
-one step's factor and ``JacobianAccumulator`` folds them into the N-step
-product. Products and ratios go through one log-magnitude + sign form
-(``signed_log``, ``signed_log_ratio``) so long trajectories neither overflow
-nor lose the sign.
+first-order trace term), and the exact ratio JFull. A factor has one form
+from the step to the N-step product, the pair (sign, log|J|) that
+``np.linalg.slogdet`` returns, with (0, -inf) for a zero or non-finite
+factor: ``step_jacobian`` gives one step's pair and ``JacobianAccumulator``
+sums them into a running pair that it exponentiates once, so long
+trajectories neither overflow nor lose the sign.
 """
 
 from __future__ import annotations
@@ -127,30 +128,11 @@ def force_jacobians(
     return d_q, d_Q, n_evals
 
 
-def signed_log(factors) -> tuple:
-    """(sign, log|product|) of the factors, the form ``np.linalg.slogdet`` returns.
-
-    Logs are summed in index order, as slogdet sums a diagonal matrix's
-    pivots, so both routes agree bit for bit. A zero or non-finite factor
-    gives (0, -inf).
-    """
-    sign = 1.0
-    log_abs = 0.0
-    for t in factors:
-        if t == 0.0 or not math.isfinite(t):
-            return 0.0, -math.inf
-        if t < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(t))
-    return sign, log_abs
-
-
-def signed_log_ratio(num, den=(1.0, 0.0)) -> float:
-    """num / den of two (sign, log-magnitude) pairs; 0 if either is zero or not finite."""
-    (sign_n, log_n), (sign_d, log_d) = num, den
-    if sign_n == 0.0 or sign_d == 0.0 or not (math.isfinite(log_n) and math.isfinite(log_d)):
-        return 0.0
-    return float(sign_n * sign_d * math.exp(log_n - log_d))
+def _pair(sign: float, log_abs: float, n: int) -> tuple:
+    """(sign, log_abs, n), or (0, -inf, n) when the factor is zero or not finite."""
+    if sign == 0.0 or not math.isfinite(log_abs):
+        return 0.0, -math.inf, n
+    return sign, log_abs, n
 
 
 def step_jacobian(
@@ -163,47 +145,45 @@ def step_jacobian(
     dd_guard: float = 1e-8,
     f0=None,
 ) -> tuple:
-    """Determinant factor of one step at the converged (Q, q) pair.
+    """Determinant factor of one step at the converged (Q, q) pair, as (sign, log|J|).
 
     ``f0``, the force F(Q, q) when the caller already has it, is handed to
     ``force_jacobians`` as the finite-difference base value.
-    Returns (value, n_force_evaluations of the derivative probes). J0 is
-    exactly 1. J1 adds the first trace term, which touches only the 2d
-    Jacobian diagonals. JFull evaluates the determinant ratio through
-    pivoted triangular factorization in log-magnitude + sign form; on a
-    separable target both matrices are diagonal, so it takes the O(d)
-    product of their diagonals instead, from either derivative source. A
-    singular denominator yields factor 0, which rejects the proposal upstream.
+    Returns (sign, log|J|, n_force_evaluations of the derivative probes),
+    with (0, -inf) for a zero or non-finite factor, which rejects the
+    proposal upstream. J0 is exactly (1, 0). J1 is the sign and log of the
+    first trace term 1 + (tau^2/4) Tr(...), which touches only the 2d
+    Jacobian diagonals. JFull is the difference of the two determinants'
+    slogdet pairs; on a separable target both matrices are diagonal, so it
+    takes the O(d) sums of their diagonals' logs instead, from either
+    derivative source, with the sign from the count of negative entries.
     """
     if mode.kind == "J0":
-        return 1.0, 0
+        return 1.0, 0.0, 0
     c = 0.25 * tau * tau
-    if mode.kind == "J1":
+    inv_m = mass.inverse_diagonal()
+    if mode.kind == "J1" or is_separable(potential):
         d_q, d_Q, n = force_jacobians(
             Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
             f0=f0,
         )
-        trace = float(((d_q - d_Q) * mass.inverse_diagonal()).sum())
-        return 1.0 + c * trace, n
-
-    # JFull: separable targets stay O(d)
-    if is_separable(potential):
-        d_q, d_Q, n = force_jacobians(
-            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
-            f0=f0,
-        )
-        inv_m = mass.inverse_diagonal()
-        # Python floats iterate faster than NumPy scalars; the logs are the same
-        return signed_log_ratio(signed_log((1.0 + c * (inv_m * d_q)).tolist()),
-                                signed_log((1.0 + c * (inv_m * d_Q)).tolist())), n
+        if mode.kind == "J1":
+            value = 1.0 + c * float(((d_q - d_Q) * inv_m).sum())
+            log_abs = math.log(abs(value)) if value else -math.inf
+            return _pair(math.copysign(1.0, value), log_abs, n)
+        num = 1.0 + c * (inv_m * d_q)
+        den = 1.0 + c * (inv_m * d_Q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_abs = float(np.log(np.abs(num)).sum() - np.log(np.abs(den)).sum())
+        negatives = np.count_nonzero(num < 0.0) + np.count_nonzero(den < 0.0)
+        return _pair(-1.0 if negatives % 2 else 1.0, log_abs, n)
 
     d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd,
                                     dd_guard, f0=f0)
     identity = np.eye(q.size)
-    inv_m = mass.inverse_diagonal()[:, None]
-    num = identity + c * (inv_m * d_qF)
-    den = identity + c * (inv_m * d_QF)
-    return signed_log_ratio(np.linalg.slogdet(num), np.linalg.slogdet(den)), n
+    sign_n, log_n = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_qF))
+    sign_d, log_d = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_QF))
+    return _pair(float(sign_n * sign_d), float(log_n) - float(log_d), n)
 
 
 class JacobianAccumulator:
@@ -211,6 +191,8 @@ class JacobianAccumulator:
 
     Called with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
     step's last update, is reused as the probes' base value (None recomputes it).
+    It keeps the product as one running (sign, log_abs) pair: the product of
+    the steps' signs and the sum of their log|J| in step order.
     """
 
     def __init__(self, mode: JacobianMode, tau: float, mass: MassMatrix, potential,
@@ -220,15 +202,23 @@ class JacobianAccumulator:
         self.mass = mass
         self.potential = potential
         self.dd_guard = dd_guard
-        self.factors = []
+        self.sign = 1.0
+        self.log_abs = 0.0
         self.extra_force_evals = 0
 
     def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out=None) -> None:
-        value, n = step_jacobian(q_out, q_in, self.tau, self.mass, self.mode,
-                                 self.potential, self.dd_guard, f_out)
-        self.factors.append(value)
+        sign, log_abs, n = step_jacobian(q_out, q_in, self.tau, self.mass, self.mode,
+                                         self.potential, self.dd_guard, f_out)
+        self.sign *= sign
+        self.log_abs += log_abs
         self.extra_force_evals += n
 
     @property
     def product(self) -> float:
-        return signed_log_ratio(signed_log(self.factors))
+        """sign * exp(log_abs): +-inf above the float range, 0 below it or after a zero."""
+        if self.sign == 0.0:
+            return 0.0
+        try:
+            return self.sign * math.exp(self.log_abs)
+        except OverflowError:
+            return self.sign * math.inf

@@ -96,7 +96,8 @@ class IterationOutcome:
     leapfrog the gradient calls made, n_steps in a chain that carries its
     first half-kick (see ``StateCache``) and n_steps + 1 otherwise, as on a
     chain's first iteration. Jacobian finite-difference probes are tallied
-    separately in ``jacobian_force_evals``.
+    separately in ``jacobian_force_evals``. ``jacobian_product`` reads +-inf
+    above the float range and 0 below it, where its log is still finite.
     """
 
     accepted: bool

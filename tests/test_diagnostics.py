@@ -90,6 +90,7 @@ class TestCovarianceError:
         # sample variance of the +-sqrt(sigma2) stream tends to sigma2
         assert covariance_error(s, sigma2) < 1e-4
 
+    @pytest.mark.slow
     def test_iid_oracle_draws_within_clt_band(self):
         # 10^6 rejection-sampled target draws: error within 3 sqrt(Var(q^2)/n)
         rng = np.random.default_rng(54)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,39 @@ from chmc import (
     MultivariateGaussian,
     PhaseState,
     QuarticGeneralizedGaussian,
+    SamplerConfig,
+    chain_rng,
+    chmc_iteration,
     dmm_step,
     force_jacobians,
     step_jacobian,
     trajectory,
 )
-from chmc.jacobian import signed_log, signed_log_ratio
+from chmc import jacobian
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
     """The quartic without its separability declaration: probes go one by one."""
 
     closed_form_force_jacobian_diag = None
+
+
+def step_factor(*args, **kwargs):
+    """``step_jacobian``'s (sign, log|J|) pair as one float, and its probe count."""
+    sign, log_abs, n = step_jacobian(*args, **kwargs)
+    return sign * math.exp(log_abs), n
+
+
+class StiffDeclaredQuartic(QuarticGeneralizedGaussian):
+    """The quartic declaring dF/dq = 0 and dF/dQ = -2k: each component's
+    determinant ratio is 1 / (1 - (tau^2/4) 2k), which is -2 at tau = 0.1 and
+    k = 300 (a stub for the Jacobian code; the chord solve refuses these
+    diagonals and keeps plain updates)."""
+
+    k = 300.0
+
+    def closed_form_force_jacobian_diag(self, Q, q):
+        return np.zeros_like(q), np.full_like(Q, -2.0 * self.k)
 
 
 class TestForceJacobians:
@@ -93,20 +116,20 @@ class TestStepJacobian:
     def test_j0_is_one(self):
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
-        value, n = step_jacobian(rng.standard_normal(4), rng.standard_normal(4), 0.1,
-                                 MassMatrix.identity(4), JacobianMode("J0"), t)
-        assert value == 1.0 and n == 0
+        pair = step_jacobian(rng.standard_normal(4), rng.standard_normal(4), 0.1,
+                             MassMatrix.identity(4), JacobianMode("J0"), t)
+        assert pair == (1.0, 0.0, 0)
 
     def test_j1_trace_value(self):
         t = QuarticGeneralizedGaussian(1)
-        value, _ = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
-                                 JacobianMode("J1", "analytic"), t)
+        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+                               JacobianMode("J1", "analytic"), t)
         assert value == pytest.approx(1.0 + 0.0025 * (22.0 - 34.0), rel=1e-13)
 
     def test_jfull_ratio_value(self):
         t = QuarticGeneralizedGaussian(1)
-        value, _ = step_jacobian(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
-                                 JacobianMode("JFull", "analytic"), t)
+        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+                               JacobianMode("JFull", "analytic"), t)
         assert value == pytest.approx(1.055 / 1.085, rel=1e-12)
 
     @pytest.mark.parametrize("source,tol", [("analytic", 1e-12), ("finite-difference", 1e-8)])
@@ -120,8 +143,8 @@ class TestStepJacobian:
             q = rng.uniform(-2, 2, 3)
             Q = q + rng.uniform(0.05, 1.0, 3)
             for tau in (0.05, 0.1, 0.5):
-                value, _ = step_jacobian(Q, q, tau, MassMatrix.identity(3),
-                                         JacobianMode("JFull", source), t)
+                value, _ = step_factor(Q, q, tau, MassMatrix.identity(3),
+                                       JacobianMode("JFull", source), t)
                 assert value == pytest.approx(1.0, abs=tol)
 
     def test_diagonal_fast_path_matches_dense(self):
@@ -129,8 +152,8 @@ class TestStepJacobian:
         rng = np.random.default_rng(43)
         q = rng.uniform(-1.5, 1.5, 3)
         Q = q + rng.uniform(0.1, 0.8, 3)
-        fast, _ = step_jacobian(Q, q, 0.1, MassMatrix.identity(3),
-                                JacobianMode("JFull", "analytic"), t)
+        fast, _ = step_factor(Q, q, 0.1, MassMatrix.identity(3),
+                              JacobianMode("JFull", "analytic"), t)
         d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
         dense = np.linalg.det(np.eye(3) + 0.0025 * np.diag(d_q)) / np.linalg.det(
             np.eye(3) + 0.0025 * np.diag(d_Q))
@@ -160,7 +183,7 @@ class TestStepJacobian:
 
         monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
         for (Q, q), ref in zip(pairs, expected):
-            value, n = step_jacobian(Q, q, 0.1, mass, JacobianMode("JFull"), t)
+            value, n = step_factor(Q, q, 0.1, mass, JacobianMode("JFull"), t)
             assert n == 3
             assert value == pytest.approx(ref, rel=1e-12)
 
@@ -172,39 +195,95 @@ class TestStepJacobian:
         for _ in range(20):
             q = rng.uniform(-2, 2, 5)
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-            compressed, n_c = step_jacobian(Q, q, 0.1, mass, mode, t)
-            per_component, n_l = step_jacobian(Q, q, 0.1, mass, mode, loop)
+            compressed, n_c = step_factor(Q, q, 0.1, mass, mode, t)
+            per_component, n_l = step_factor(Q, q, 0.1, mass, mode, loop)
             assert compressed == per_component
             assert (n_c, n_l) == (3, 11)
+
+    def test_separable_jfull_log_sums_to_fsum_accuracy(self):
+        # d = 10240 logs per determinant: the step's log|J| stays within 5e-14
+        # of the exactly rounded sums of the same factors' logs
+        rng = np.random.default_rng(52)
+        d, c = 10240, 0.25 * 0.1 * 0.1
+        t = QuarticGeneralizedGaussian(d)
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=50)
+        inv_m = mass.inverse_diagonal()
+        for _ in range(20):
+            mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
+            q = np.where(rng.random(d) < 0.5, -mag, mag)
+            Q = dmm_step(q, mass.sample_momentum(rng), t, mass, cfg).q
+            d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
+            ref = (math.fsum(map(math.log, np.abs(1.0 + c * (inv_m * d_q)).tolist()))
+                   - math.fsum(map(math.log, np.abs(1.0 + c * (inv_m * d_Q)).tolist())))
+            sign, log_abs, _ = step_jacobian(Q, q, 0.1, mass, JacobianMode("JFull", "analytic"),
+                                             t)
+            assert sign == 1.0
+            assert abs(log_abs - ref) <= 5e-14
+
+    def test_determinant_past_the_float_range(self):
+        # (-2)^2000 = e^1386.3: the step keeps its log, which no float exp holds
+        d = 2000
+        sign, log_abs, n = step_jacobian(np.full(d, 0.5), np.full(d, 0.4), 0.1,
+                                         MassMatrix.identity(d),
+                                         JacobianMode("JFull", "analytic"),
+                                         StiffDeclaredQuartic(d))
+        assert (sign, n) == (1.0, 0)
+        assert log_abs == pytest.approx(d * math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind,k", [("J1", -8.0), ("JFull", 8.0)])
+    def test_zero_factor_is_the_zero_pair(self, kind, k, recwarn):
+        # tau = 0.5 gives tau^2/4 = 1/16: dF/dQ = 16 makes J1's 1 + (0 - 16) / 16
+        # exactly 0, dF/dQ = -16 JFull's denominator 1 - 16 / 16; NumPy warns
+        # of no division by zero
+        t = StiffDeclaredQuartic(1)
+        t.k = k
+        pair = step_jacobian(np.ones(1), np.zeros(1), 0.5, MassMatrix.identity(1),
+                             JacobianMode(kind, "analytic"), t)
+        assert pair == (0.0, -math.inf, 0)
+        assert not recwarn.list
 
     def test_diagonal_mass_scales_trace(self):
         t = QuarticGeneralizedGaussian(2)
         mass = MassMatrix.diagonal([2.0, 4.0])
         Q, q = np.array([1.0, 2.0]), np.array([0.5, 1.0])
-        value, _ = step_jacobian(Q, q, 0.2, mass, JacobianMode("J1", "analytic"), t)
+        value, _ = step_factor(Q, q, 0.2, mass, JacobianMode("J1", "analytic"), t)
         d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
         expected = 1.0 + 0.01 * ((d_q - d_Q) / np.array([2.0, 4.0])).sum()
         assert value == pytest.approx(expected, rel=1e-13)
 
 
-def trajectory_product(factors):
-    """N-step product of per-step factors through the signed-log helpers."""
-    return signed_log_ratio(signed_log(factors))
+def trajectory_product(monkeypatch, factors):
+    """N-step product of per-step factors through the accumulator's fold."""
+    pairs = iter([(math.copysign(1.0, t), math.log(abs(t))) if t else (0.0, -math.inf)
+                  for t in factors])
+    monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
+    acc = JacobianAccumulator(JacobianMode("J1"), 0.1, MassMatrix.identity(1), None)
+    for _ in factors:
+        acc(None, None)
+    return acc.product
 
 
 class TestTrajectoryJacobian:
-    def test_all_ones(self):
-        assert trajectory_product([1.0] * 10) == 1.0
+    def test_all_ones(self, monkeypatch):
+        assert trajectory_product(monkeypatch, [1.0] * 10) == 1.0
 
-    def test_two_factor_product(self):
-        assert trajectory_product([0.97, 0.97]) == pytest.approx(0.9409, rel=1e-14)
+    def test_two_factor_product(self, monkeypatch):
+        assert trajectory_product(monkeypatch, [0.97, 0.97]) == pytest.approx(0.9409, rel=1e-14)
 
-    def test_zero_factor_collapses(self):
-        assert trajectory_product([1.2, 0.0, 0.9]) == 0.0
+    def test_zero_factor_collapses(self, monkeypatch):
+        assert trajectory_product(monkeypatch, [1.2, 0.0, 0.9]) == 0.0
 
-    def test_negative_factors_keep_sign(self):
-        assert trajectory_product([-0.5, 2.0]) == pytest.approx(-1.0, rel=1e-14)
-        assert trajectory_product([-0.5, -2.0]) == pytest.approx(1.0, rel=1e-14)
+    def test_negative_factors_keep_sign(self, monkeypatch):
+        assert trajectory_product(monkeypatch, [-0.5, 2.0]) == pytest.approx(-1.0, rel=1e-14)
+        assert trajectory_product(monkeypatch, [-0.5, -2.0]) == pytest.approx(1.0, rel=1e-14)
+
+    def test_product_past_the_float_range(self, monkeypatch):
+        # 40 finite factors of e^20 multiply to e^800: +-inf above the range,
+        # 0 below it, and no OverflowError
+        assert trajectory_product(monkeypatch, [math.exp(20.0)] * 40) == math.inf
+        assert trajectory_product(monkeypatch, [-math.exp(20.0)] * 39 + [1.0]) == -math.inf
+        assert trajectory_product(monkeypatch, [math.exp(-20.0)] * 40) == 0.0
 
     @pytest.mark.parametrize("kind", ["J1", "JFull"])
     @pytest.mark.parametrize("separable", [True, False])
@@ -227,7 +306,7 @@ class TestTrajectoryJacobian:
         per_step = 2 if separable else 2 * d
         assert reused.extra_force_evals == per_step * n_steps
         assert recomputed.extra_force_evals == (per_step + 1) * n_steps
-        assert reused.factors == recomputed.factors
+        assert (reused.sign, reused.log_abs) == (recomputed.sign, recomputed.log_abs)
         assert reused.product == recomputed.product
 
     def test_gaussian_forty_steps_product_is_one(self):
@@ -238,6 +317,23 @@ class TestTrajectoryJacobian:
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
         trajectory(state, t, mass, cfg, 40, per_step_hook=acc)
         assert acc.product == pytest.approx(1.0, abs=1e-10)
+
+
+class TestProductPastTheFloatRange:
+    def test_chmc_iteration_accepts(self):
+        # 20 steps of (-2)^100 each: J = e^1386.3 reads +inf and alpha = 1 for a
+        # finite dH, where the chain used to stop on an OverflowError
+        d = 100
+        t, mass = StiffDeclaredQuartic(d), MassMatrix.identity(d)
+        cfg = SamplerConfig(method="chmc", tau=0.1, total_time=2.0, iterations=1, seed=5,
+                            jacobian_mode=JacobianMode("JFull", "analytic"))
+        rng = chain_rng(5, 0)
+        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
+        theta = np.where(rng.random(d) < 0.5, -mag, mag)
+        new_theta, out = chmc_iteration(theta, t, mass, cfg, rng)
+        assert out.jacobian_product == math.inf
+        assert math.isfinite(out.delta_H) and out.all_steps_converged
+        assert out.alpha == 1.0 and out.accepted and new_theta is not theta
 
 
 def brute_force_map_jacobian(z, target, mass, tau, h=1e-5):
@@ -272,8 +368,8 @@ class TestDeterminantAgainstBruteForce:
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
             rec = dmm_step(z.q, z.p, target, mass, cfg)
             assert rec.converged
-            value, _ = step_jacobian(rec.q, z.q, 0.1, mass,
-                                     JacobianMode("JFull", "analytic"), target)
+            value, _ = step_factor(rec.q, z.q, 0.1, mass,
+                                   JacobianMode("JFull", "analytic"), target)
             brute = brute_force_map_jacobian(z, target, mass, 0.1)
             assert value == pytest.approx(brute, rel=1e-5)
 
@@ -288,12 +384,12 @@ class TestDeterminantAgainstBruteForce:
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
             fwd = dmm_step(z.q, z.p, target, mass, cfg)
             assert fwd.converged
-            j_fwd, _ = step_jacobian(fwd.q, z.q, 0.1, mass,
-                                     JacobianMode("JFull", "analytic"), target)
+            j_fwd, _ = step_factor(fwd.q, z.q, 0.1, mass,
+                                   JacobianMode("JFull", "analytic"), target)
             back = dmm_step(fwd.q, -fwd.p, target, mass, cfg, init_guess=(z.q, -z.p))
             assert back.converged
-            j_back, _ = step_jacobian(back.q, fwd.q, 0.1, mass,
-                                      JacobianMode("JFull", "analytic"), target)
+            j_back, _ = step_factor(back.q, fwd.q, 0.1, mass,
+                                    JacobianMode("JFull", "analytic"), target)
             assert j_fwd * j_back == pytest.approx(1.0, abs=1e-6)
 
 
@@ -310,10 +406,10 @@ class TestTruncationOrders:
         self.Q = self.q + rng.uniform(0.1, 0.2, 3)
 
     def values(self, tau):
-        j1, _ = step_jacobian(self.Q, self.q, tau, self.mass, JacobianMode("J1", "analytic"),
-                              self.target)
-        jfull, _ = step_jacobian(self.Q, self.q, tau, self.mass,
-                                 JacobianMode("JFull", "analytic"), self.target)
+        j1, _ = step_factor(self.Q, self.q, tau, self.mass, JacobianMode("J1", "analytic"),
+                            self.target)
+        jfull, _ = step_factor(self.Q, self.q, tau, self.mass,
+                               JacobianMode("JFull", "analytic"), self.target)
         return j1, jfull
 
     def test_full_minus_one_is_second_order(self):

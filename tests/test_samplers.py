@@ -405,6 +405,7 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(cfg, t, MassMatrix.identity(2))
 
+    @pytest.mark.slow
     def test_quartic_variance_recovered(self):
         # smoke-level marginal correctness at small d
         from chmc import quartic_target_variance
