@@ -17,7 +17,6 @@ from .integrators import (
     StepRecord,
     TrajectoryRecord,
     divided_difference_force,
-    dmm_init,
     dmm_step,
     leapfrog_trajectory,
     trajectory,
@@ -74,7 +73,6 @@ __all__ = [
     "chmc_iteration",
     "covariance_error",
     "divided_difference_force",
-    "dmm_init",
     "dmm_step",
     "force_jacobians",
     "hamiltonian",

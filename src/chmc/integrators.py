@@ -5,16 +5,18 @@ The implicit energy-preserving step
     Q_i = q_i + (tau/2) (P + p)^T M^-1 e_i
     P_i = p_i - (tau/2) F_i(Q, q)
 
-is solved as a predictor-corrector. The predictor is the first iterate Q0.
-On a trajectory's first step it is the Euler guess Q0 = q + tau M^-1 p. On
-every later step the previous step's final force F_prev = (p_prev - p) /
-(tau/2), recovered from its input and output momenta without a target call,
-extrapolates P ~ p - (tau/2) F_prev, giving
-Q_pc = q + (tau/2) M^-1 (3p - p_prev) (Hairer, Lubich & Wanner, Geometric
-Numerical Integration, VIII.6, "starting approximations"). Q_pc is the
-position equation below with F(Q, q) frozen at F_prev = F(q, q_prev). On a
-separable target the previous step also hands over a predicted chord
-diagonal D_pred = 1 + (tau/2)^2 M^-1 J, a Newton model of that force,
+is solved as a predictor-corrector. Eliminating P leaves the position
+equation Q = g(Q) with g(Q) = a - (tau/2)^2 M^-1 F(Q, q), where
+a = q + tau M^-1 p is formed once per step. The predictor is the first
+iterate Q0. On a trajectory's first step it is the Euler guess Q0 = a. On
+every later step the previous step's final force F_prev = F(q, q_prev),
+which the trajectory carries over as ``StepRecord.force``, is frozen in g:
+Q_pc = a - (tau/2)^2 M^-1 F_prev, at no target call (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, VIII.6, "starting
+approximations"). As p = p_prev - (tau/2) F_prev, this is the momentum
+extrapolation q + (tau/2) M^-1 (3p - p_prev). On a separable target the
+previous step also hands over a predicted chord diagonal
+D_pred = 1 + (tau/2)^2 M^-1 J, a Newton model of that force,
 F(Q, q) ~ F(q, q_prev) + J (Q - q_prev), and solving the linearized
 equation folds one free chord contraction into the start:
 
@@ -60,11 +62,10 @@ U(q) in), and clears ``all_converged`` when the true
 above the rounding floor) plus a few ulps of |H_in| + |H_out|, which the
 identity rules out unless a target's force breaks the contract.
 
-Eliminating P leaves the position equation Q = g(Q) with
-g(Q) = q + tau M^-1 p - (tau/2)^2 M^-1 F(Q, q). The mass is diagonal, so on
-a separable target its Jacobian I + (tau/2)^2 M^-1 dF/dQ is a diagonal D, and
-the update becomes the chord (simplified Newton) step Q <- Q + (g - Q) / D
-(Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6). D is
+The mass is diagonal, so on a separable target the Jacobian
+I + (tau/2)^2 M^-1 dF/dQ of Q - g(Q) is a diagonal D, and the update
+becomes the chord (simplified Newton) step Q <- Q + (g - Q) / D (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, VIII.6). D is
 frozen at one point X per step. With the residual R(Q) = Q - g(Q), the
 solution is Q* = Q0 - R(Q0) / S, where S, the secant slope of R between Q0
 and Q*, equals R' = D at their midpoint up to O(|Q* - Q0|^2). With a
@@ -90,11 +91,12 @@ reject. These are the bits a fresh evaluation gives, and a chain iteration
 then evaluates U once and, for leapfrog, the gradient n times.
 
 Both loops write their temporaries into work rows made once per trajectory:
-a ``StepScratch`` for ``dmm_step``, which also looks up the force, the
-Jacobian-diagonal call and diag(M^-1) once, and one copy of p that leapfrog
-kicks in place. Arrays that leave a step or reach the target (the iterates
-Q, the Jacobian point X, P, the force, the (D, D_next) block) are fresh, and
-each in-place operation rounds as the expression it replaces.
+a ``StepScratch`` for ``dmm_step``, which also looks up the force and the
+Jacobian-diagonal call and forms tau M^-1 and (tau/2)^2 M^-1 once, and one
+copy of p that leapfrog kicks in place. Arrays that leave a step or reach
+the target (the iterates Q, the Jacobian point X, P, the force, the
+(D, D_next) block) are fresh, and each in-place operation rounds as the
+expression it replaces.
 """
 
 from __future__ import annotations
@@ -144,12 +146,13 @@ class StepRecord:
     discrete-gradient value of |H(q, p) - H(q_in, p_in)| (see the module
     docstring); it is inf when the solve blew up, in which case (q, p) is
     the input pair and the caller must reject. ``force`` is F(q, q_in), the
-    force of the last update (None when no update ran), which the
-    finite-difference Jacobian probes reuse as their base value. ``chord``
-    is the next step's predicted chord diagonal
+    force of the last update, so p = p_in - (tau/2) force (None when the step
+    failed); the finite-difference Jacobian probes reuse it as their base
+    value, and the next step of a trajectory freezes it in its predictor.
+    ``chord`` is the next step's predicted chord diagonal
     D_next = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq), from this step's
     Jacobian-diagonal call, which the next step of a trajectory uses in its
-    predictor and for its Jacobian point (see ``dmm_init`` and the module
+    predictor and for its Jacobian point (see ``dmm_step`` and the module
     docstring). It is None unless every entry is finite and positive, and
     always None on a target without the chord solve. ``tolerance`` is what
     the error was tested against: delta, or its larger rounding floor.
@@ -243,17 +246,12 @@ def _norm(w):
     return s * math.sqrt(float(w @ w))
 
 
-def _scaled_inverse(inv_m, c, v, out=None):
-    """c * M^-1 v (into ``out`` if given) from inv_m = diag(M^-1), None for M = I."""
-    if inv_m is not None:
-        v = out = np.multiply(inv_m, v, out)
-    return np.multiply(v, c, out)
-
-
 class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
     (closed form, else divided differences), ``jacobian_diag`` (None unless
-    separable), ``inv_m`` (None for M = I) and the work rows a, g, r and t."""
+    separable), ``tau_m`` = tau M^-1 and ``half2_m`` = (tau/2)^2 M^-1
+    (plain floats for M = I, diagonals otherwise) and the work rows a, g, r
+    and t."""
 
     def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
         force = potential.closed_form_force
@@ -263,46 +261,17 @@ class StepScratch:
         self.force = force
         self.jacobian_diag = (potential.closed_form_force_jacobian_diag
                               if is_separable(potential) else None)
-        self.inv_m = None if mass.kind == "identity" else mass.inverse_diagonal()
+        inv_m = 1.0 if mass.kind == "identity" else mass.inverse_diagonal()
+        half = 0.5 * cfg.tau
+        self.tau_m, self.half2_m = cfg.tau * inv_m, half * half * inv_m
         self.a, self.g, self.r, self.t = np.empty((4, mass.dim))
 
 
-def dmm_init(q, p, cfg: DmmSolverConfig, mass: MassMatrix, potential, p_prev=None,
-             chord_prev=None, scratch: Optional[StepScratch] = None):
-    """Initial iterate of the implicit solve: (Q0, f0), at one force evaluation.
-
-    Gradient-free: the predicted position Q0 and its force f0 = F(Q0, q),
-    which fixes the iterate's momentum P0 = p - (tau/2) f0. The prediction is
-    the Euler step Q0 = q + tau M^-1 p when ``p_prev`` is None (a trajectory's
-    first step). Otherwise ``p_prev`` is the previous step's input momentum
-    and Q_pc = q + (tau/2) M^-1 (3p - p_prev) is the Euler step corrected by
-    the previous step's final force, at no target call. ``chord_prev`` is the
-    previous step's input position and predicted chord diagonal,
-    (q_prev, D_pred) with D_pred = ``StepRecord.chord``; it folds one chord
-    contraction into the start, Q0 = q_prev + (Q_pc - q_prev) / D_pred (see
-    the module docstring). Without it, Q0 = Q_pc. ``scratch`` (see
-    ``dmm_step``) changes no result.
-    """
-    s = StepScratch(potential, mass, cfg) if scratch is None else scratch
-    if p_prev is None:
-        Q0 = q + _scaled_inverse(s.inv_m, cfg.tau, p, s.t)
-    else:
-        t = np.multiply(p, 3.0, s.t)
-        _scaled_inverse(s.inv_m, 0.5 * cfg.tau, np.subtract(t, p_prev, t), t)
-        if chord_prev is None:
-            Q0 = q + t
-        else:
-            q_prev, D_pred = chord_prev
-            np.subtract(np.add(q, t, t), q_prev, t)
-            Q0 = q_prev + np.divide(t, D_pred, t)
-    return Q0, s.force(Q0, q)
-
-
-def _chord_scale(diagonals, half2, inv_m):
+def _chord_scale(diagonals, half2_m):
     """Chord diagonals (D, D_next) from one Jacobian-diagonal pair (dF/dq, dF/dQ).
 
-    With half2 = (tau/2)^2, D = 1 + half2 M^-1 dF/dQ is this step's chord and
-    D_next = 1 + half2 M^-1 (2 dF/dQ - dF/dq) the next step's predicted
+    With half2_m = (tau/2)^2 M^-1, D = 1 + half2_m dF/dQ is this step's
+    chord and D_next = 1 + half2_m (2 dF/dQ - dF/dq) the next step's predicted
     chord, the rows of one fresh (2, d) block that one min and one max check
     (row by row only when that fails). Each is None unless finite and
     positive (a non-convex region can make the frozen Newton step point the
@@ -312,9 +281,9 @@ def _chord_scale(diagonals, half2, inv_m):
     d_q, d_Q = diagonals
     block = np.empty((2, np.size(d_Q)))
     D, D_next = block
-    _scaled_inverse(inv_m, half2, d_Q, D)
+    np.multiply(d_Q, half2_m, D)
     np.subtract(np.multiply(d_Q, 2.0, D_next), d_q, D_next)
-    _scaled_inverse(inv_m, half2, D_next, D_next)
+    np.multiply(D_next, half2_m, D_next)
     block += 1.0
     if block.min() > 0.0 and block.max() < math.inf:  # NaN fails the first comparison
         return D, D_next
@@ -328,20 +297,23 @@ def dmm_step(
     mass: MassMatrix,
     cfg: DmmSolverConfig,
     init_guess: Optional[tuple] = None,
-    p_prev: Optional[np.ndarray] = None,
+    f_prev: Optional[np.ndarray] = None,
     chord_prev: Optional[tuple] = None,
     scratch: Optional[StepScratch] = None,
 ) -> StepRecord:
     """One implicit energy-preserving step from the arrays (q, p).
 
-    The first iterate comes from ``dmm_init`` (``p_prev``, the previous
-    step's input momentum, selects the extrapolated prediction, and
-    ``chord_prev``, the previous step's (q_prev, D_pred), its chord-linearized
-    form), or from ``init_guess``, a (Q, P) pair that overrides it
-    (warm-starts reverse solves). At least one fixed-point update always runs
-    before the first energy test: the first iterate is a guess, and testing
-    it would let a guess that happens to sit on the input energy surface
-    (such as an ``init_guess`` next to (q, p)) return the input unchanged.
+    The first iterate Q0 costs one force evaluation. With a = q + tau M^-1 p
+    it is a on a trajectory's first step (``f_prev`` None); later, ``f_prev``
+    is the previous step's ``StepRecord.force`` and it is
+    Q_pc = a - (tau/2)^2 M^-1 f_prev, or q_prev + (Q_pc - q_prev) / D_pred
+    with ``chord_prev`` = (q_prev, D_pred), the previous step's input
+    position and ``StepRecord.chord`` (see the module docstring).
+    ``init_guess``, a (Q, P) pair, overrides the prediction at no force
+    evaluation (warm-starts reverse solves). At least one fixed-point update always runs before the
+    first energy test: the first iterate is a guess, and testing it would let
+    a guess that happens to sit on the input energy surface (such as an
+    ``init_guess`` next to (q, p)) return the input unchanged.
     The energy test is the discrete-gradient identity, so the solve never
     calls ``potential.evaluate`` (a divided-difference force does, to form F).
     The last iterate is returned whether or not the tolerance was met
@@ -368,31 +340,35 @@ def dmm_step(
     """
     s = StepScratch(potential, mass, cfg) if scratch is None else scratch
     half = 0.5 * cfg.tau
+    a, g, r, t, half2_m = s.a, s.g, s.r, s.t, s.half2_m
+    np.add(q, np.multiply(p, s.tau_m, a), a)
     if init_guess is not None:
         Q, P = init_guess
         f = (p - P) / half
         force_evals = 0
     else:
-        Q, f = dmm_init(q, p, cfg, mass, potential, p_prev, chord_prev, s)
+        Q = a if f_prev is None else np.subtract(a, np.multiply(f_prev, half2_m, t), t)
+        if chord_prev is None:
+            Q = Q.copy()
+        else:
+            q_prev, D_pred = chord_prev
+            Q = q_prev + np.divide(np.subtract(Q, q_prev, t), D_pred, t)
+        f = s.force(Q, q)
         force_evals = 1
-
-    a, g, r, t, inv_m = s.a, s.g, s.r, s.t, s.inv_m
-    np.add(q, _scaled_inverse(inv_m, cfg.tau, p, a), a)
-    half2 = half * half
-    np.subtract(a, _scaled_inverse(inv_m, half2, f, g), g)
+    np.subtract(a, np.multiply(f, half2_m, g), g)
     np.subtract(g, Q, r)
     D = D_next = None
     if s.jacobian_diag is not None:
         X = (g.copy() if chord_prev is None
              else Q + np.divide(r, np.multiply(chord_prev[1], 2.0, t), t))
-        D, D_next = _chord_scale(s.jacobian_diag(X, q), half2, inv_m)
+        D, D_next = _chord_scale(s.jacobian_diag(X, q), half2_m)
     iterations = 0
     while True:
         Q = g.copy() if D is None else Q + np.divide(r, D, t)
         f = s.force(Q, q)
         force_evals += 1
         iterations += 1
-        np.subtract(a, _scaled_inverse(inv_m, half2, f, g), g)
+        np.subtract(a, np.multiply(f, half2_m, g), g)
         err = abs(0.5 * float(f @ np.subtract(g, Q, r)))
         tol = (max(cfg.delta, _ROUNDING * _norm(np.multiply(
                    np.abs(f), np.add(np.abs(Q), np.abs(g), t), t)))
@@ -453,16 +429,18 @@ def trajectory(
 
     ``u_in``, when given, is U(state.q) as ``potential_energy`` gives it (a
     chain passes the value its last trajectory reported for the position it
-    kept); without it the trajectory also evaluates U at its start.
-    ``state`` is validated once; the steps run on its raw arrays. Each step
-    after the first gets the previous step's input momentum and, when that
-    step predicted a valid chord, its input position and predicted chord
-    diagonal, so its solve starts from the extrapolated prediction or its
-    chord-linearized form (see ``dmm_init``). The end check, |H_out - H_in|
-    at most the sum of the steps' ``tolerance`` plus a few ulps of
-    |H_in| + |H_out|, turns the target's discrete-gradient contract into a
-    check on every trajectory: with every step converged, only a force that
-    breaks it can fail the check, and then ``all_converged`` is False.
+    kept); without it the trajectory also evaluates U at its start, after
+    ``hamiltonian`` has checked the dimensions. ``state`` is validated once;
+    the steps run on its raw arrays. Each step after the first gets the
+    previous step's final force ``StepRecord.force`` and, when that step
+    predicted a valid chord, its input position and predicted chord
+    diagonal, so its solve starts from Q_pc = a - (tau/2)^2 M^-1 F_prev or
+    its chord-linearized form (see ``dmm_step``). The end check,
+    |H_out - H_in| at most the sum of the steps' ``tolerance`` plus a few
+    ulps of |H_in| + |H_out|, turns the target's discrete-gradient contract
+    into a check on every trajectory: with every step converged, only a
+    force that breaks it can fail the check, and then ``all_converged`` is
+    False.
     ``per_step_hook`` is invoked after each step with the step's
     (q_in, q_out, f_out), where f_out = F(q_out, q_in) is the force of the
     solve's last update, so per-step Jacobian factors can be accumulated into
@@ -470,16 +448,17 @@ def trajectory(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    k_in = hamiltonian(state, potential, mass, 0.0)  # K(p): dimensions checked first
     if u_in is None:
         u_in = potential_energy(state.q, potential)
-    h_in = hamiltonian(state, potential, mass, u_in)
+    h_in = u_in + k_in
     q, p = state.q, state.p
     total_f = total_it = 0
     all_converged, allowed = True, 0.0
-    p_prev = chord_prev = None
+    f_prev = chord_prev = None
     scratch = StepScratch(potential, mass, cfg)
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, p_prev=p_prev, chord_prev=chord_prev,
+        rec = dmm_step(q, p, potential, mass, cfg, f_prev=f_prev, chord_prev=chord_prev,
                        scratch=scratch)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
@@ -490,7 +469,7 @@ def trajectory(
         allowed += rec.tolerance
         if per_step_hook is not None:
             per_step_hook(q, rec.q, rec.force)
-        p_prev = p
+        f_prev = rec.force
         chord_prev = None if rec.chord is None else (q, rec.chord)
         q, p = rec.q, rec.p
     u_out = potential_energy(q, potential)
@@ -516,7 +495,8 @@ def leapfrog_trajectory(
 
     ``u_in`` and ``kick_in`` are U(state.q) and (tau/2) grad U(state.q) when
     the caller has them (a chain's values from its last trajectory); the
-    trajectory never writes ``kick_in``, and evaluates what it is not given.
+    trajectory never writes ``kick_in``, and evaluates what it is not given,
+    after ``hamiltonian`` has checked the dimensions.
     Each step's end-of-step gradient is reused for the next step's first
     half-kick, and both half-kicks of a gradient subtract one (tau/2) grad U
     product from a copy of p, bit for bit as a kick-drift-kick loop that
@@ -528,12 +508,13 @@ def leapfrog_trajectory(
         raise ValueError("n_steps must be >= 1")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
+    k_in = hamiltonian(state, potential, mass, 0.0)  # K(p): dimensions checked first
     if u_in is None:
         u_in = potential_energy(state.q, potential)
-    h_in = hamiltonian(state, potential, mass, u_in)
+    h_in = u_in + k_in
     grad = potential.gradient
     half = 0.5 * tau
-    inv_m = None if mass.kind == "identity" else mass.inverse_diagonal()
+    tau_m = tau if mass.kind == "identity" else tau * mass.inverse_diagonal()
     buf, t = np.empty((2, state.dim))
     q, p = state.q, state.p.copy()
     total_f = n_steps
@@ -544,7 +525,7 @@ def leapfrog_trajectory(
         kick = kick_in
         for _ in range(n_steps):
             p -= kick
-            q = q + _scaled_inverse(inv_m, tau, p, t)
+            q = q + np.multiply(p, tau_m, t)
             kick = np.multiply(grad(q), half, buf)
             p -= kick
         h_out = math.inf

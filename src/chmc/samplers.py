@@ -3,11 +3,12 @@
 Both follow the same outer loop: refresh the momentum from N(0, M), integrate
 N steps, and accept the proposed position with probability
 min(1, exp(-dH) * J) where J is 1 for leapfrog (volume preserving) and the
-N-step determinant product for the energy-preserving map; the two iterations
-share one accept/reject step. Momentum is discarded after every iteration and
-never negated on rejection, so exactly one uniform draw is consumed per
-iteration regardless of the outcome, keeping RNG streams aligned across
-method variants for paired comparisons.
+N-step determinant product for the energy-preserving map, taken in log
+space from its (sign, log|J|); the two iterations share one accept/reject
+step. Momentum is discarded after every iteration and never negated on
+rejection, so exactly one uniform draw is consumed per iteration regardless
+of the outcome, keeping RNG streams aligned across method variants for
+paired comparisons.
 
 A chain carries U and, for leapfrog, the first half-kick (tau/2) grad U at
 its current position from one iteration to the next (see ``StateCache``),
@@ -97,7 +98,8 @@ class IterationOutcome:
     first half-kick (see ``StateCache``) and n_steps + 1 otherwise, as on a
     chain's first iteration. Jacobian finite-difference probes are tallied
     separately in ``jacobian_force_evals``. ``jacobian_product`` reads +-inf
-    above the float range and 0 below it, where its log is still finite.
+    above the float range and 0 below it; ``alpha`` comes from its log,
+    which is still finite there.
     """
 
     accepted: bool
@@ -110,19 +112,19 @@ class IterationOutcome:
     jacobian_force_evals: int = 0
 
 
-def acceptance_probability(delta_h: float, jacobian_product: float) -> float:
-    """min(1, exp(-dH) * J), computed in log space.
+def acceptance_probability(delta_h: float, sign: float, log_abs: float) -> float:
+    """min(1, exp(-dH) * J) for J = sign * exp(log_abs), as log alpha = -dH + log|J|.
 
-    Total function: J <= 0 (or NaN) and dH = +inf (or NaN) both force 0.
+    The pair is the one ``JacobianAccumulator`` keeps, (1, 0) for J = 1, so a
+    |J| outside the float range still counts. Total function: sign <= 0 (or
+    NaN), log_abs = -inf or NaN and dH = +inf (or NaN) all force 0.
     """
-    if math.isnan(jacobian_product) or jacobian_product <= 0.0:
+    if not sign > 0.0 or math.isnan(delta_h) or delta_h == math.inf:
         return 0.0
-    if math.isnan(delta_h) or (math.isinf(delta_h) and delta_h > 0):
-        return 0.0
-    log_alpha = -delta_h + math.log(jacobian_product)
+    log_alpha = -delta_h + log_abs
     if log_alpha >= 0.0:
         return 1.0
-    return math.exp(log_alpha)
+    return 0.0 if math.isnan(log_alpha) else math.exp(log_alpha)
 
 
 class StateCache:
@@ -149,15 +151,12 @@ def chmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConf
     p0 = mass.sample_momentum(rng)
     state = PhaseState(theta, p0)
     u = None if cache is None else cache.u
-    if cfg.jacobian_mode.kind == "J0":
-        rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps, u_in=u)
-        return _accept_reject(theta, rec, 1.0, 0, rng, cache)
-    accumulator = JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
-                                      cfg.solver.dd_guard)
+    accumulator = (None if cfg.jacobian_mode.kind == "J0" else
+                   JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
+                                       cfg.solver.dd_guard))
     rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps,
                      per_step_hook=accumulator, u_in=u)
-    return _accept_reject(theta, rec, accumulator.product, accumulator.extra_force_evals, rng,
-                          cache)
+    return _accept_reject(theta, rec, rng, cache, accumulator)
 
 
 def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
@@ -167,23 +166,29 @@ def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfi
     state = PhaseState(theta, p0)
     u, kick = (None, None) if cache is None else (cache.u, cache.kick)
     rec = leapfrog_trajectory(state, target, mass, cfg.tau, cfg.n_steps, u_in=u, kick_in=kick)
-    return _accept_reject(theta, rec, 1.0, 0, rng, cache)
+    return _accept_reject(theta, rec, rng, cache)
 
 
-def _accept_reject(theta: np.ndarray, rec, jacobian_product: float, jacobian_evals: int,
-                   rng: np.random.Generator, cache: Optional[StateCache]):
+def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator,
+                   cache: Optional[StateCache], jacobian: Optional[JacobianAccumulator] = None):
     """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf.
 
-    ``cache``, when given, takes the values at the position kept.
+    ``jacobian`` is the trajectory's filled accumulator, None for J = 1 (J0
+    and leapfrog); alpha is formed from its (sign, log_abs) and the outcome
+    reports its product. ``cache``, when given, takes the values at the
+    position kept.
     """
     u = rng.random()
+    sign, log_abs, product, jacobian_evals = (
+        (1.0, 0.0, 1.0, 0) if jacobian is None
+        else (jacobian.sign, jacobian.log_abs, jacobian.product, jacobian.extra_force_evals))
     if rec.h_out == math.inf:
         alpha, delta_h, accepted = 0.0, math.inf, False
     else:
         delta_h = rec.h_out - rec.h_in
-        alpha = acceptance_probability(delta_h, jacobian_product)
+        alpha = acceptance_probability(delta_h, sign, log_abs)
         accepted = u < alpha
-    outcome = IterationOutcome(accepted, alpha, delta_h, jacobian_product,
+    outcome = IterationOutcome(accepted, alpha, delta_h, product,
                                rec.total_force_evaluations, rec.total_fpi_iterations,
                                rec.all_converged, jacobian_evals)
     if cache is not None:

@@ -13,7 +13,6 @@ from chmc import (
     Potential,
     QuarticGeneralizedGaussian,
     divided_difference_force,
-    dmm_init,
     dmm_step,
     hamiltonian,
     leapfrog_trajectory,
@@ -143,18 +142,36 @@ def record_steps(monkeypatch):
     return steps
 
 
+def first_iterate(q, p, target, mass, cfg, f_prev=None, chord_prev=None):
+    """(Q0, F(Q0, q)): the position and value of ``dmm_step``'s first force call."""
+    calls = []
+    force = target.closed_form_force
+
+    def recording(Q, q_in):
+        f = force(Q, q_in)
+        calls.append((Q.copy(), f.copy()))
+        return f
+
+    target.closed_form_force = recording
+    try:
+        dmm_step(q, p, target, mass, cfg, f_prev=f_prev, chord_prev=chord_prev)
+    finally:
+        del target.closed_form_force
+    return calls[0]
+
+
 def plain_fixed_point(state, potential, mass, cfg):
     """Reference solve with the plain update Q <- g, written out.
 
     g = a - (tau/2)^2 M^-1 f with a = q + tau M^-1 p, the arithmetic
-    ``dmm_step`` uses; the energy error is the discrete-gradient value
-    |f . (g - Q)| / 2, tested after every update (never before the first).
-    Returns (Q, P, updates, |dH|).
+    ``dmm_step`` uses, from the Euler first iterate a; the energy error is
+    the discrete-gradient value |f . (g - Q)| / 2, tested after every update
+    (never before the first). Returns (Q, P, updates, |dH|).
     """
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
     a = q + cfg.tau * mass.inverse_apply(p)
-    _, f = dmm_init(q, p, cfg, mass, potential)
+    f, _ = force_and_evals(a, q, potential, cfg.dd_guard)
     updates = 0
     while True:
         Q = a - half * half * mass.inverse_apply(f)
@@ -184,35 +201,36 @@ def quartic_draws(rng, d):
 def predictor_corrector_loop(state, t, mass, cfg, n_steps):
     """Reference trajectory on a separable target, written out.
 
-    Euler first iterate on step 1; on later steps Q_pc = q + (tau/2) M^-1
-    (3p - p_prev), moved by the previous step's predicted chord D_pred to
-    q_prev + (Q_pc - q_prev) / D_pred. One Jacobian-diagonal call per step,
-    at X = g(Q0) on step 1 and X = Q0 + (g(Q0) - Q0) / (2 D_pred) later,
-    gives this step's chord D = 1 + (tau/2)^2 M^-1 dF/dQ and the next step's
-    D_pred = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq). Then chord updates
-    Q + r / D with r = g - Q and g = a - (tau/2)^2 M^-1 f,
-    a = q + tau M^-1 p, and the energy test after every update (never before
-    the first). The test here forms the true |dH| from U; ``dmm_step``'s
-    discrete-gradient value makes the same stop decisions on these draws.
-    Returns (q, p, total updates).
+    With a = q + tau M^-1 p: the Euler first iterate a on step 1; on later
+    steps Q_pc = a - (tau/2)^2 M^-1 F_prev, the previous step's final force
+    frozen in the update target, moved by the previous step's predicted
+    chord D_pred to q_prev + (Q_pc - q_prev) / D_pred. One Jacobian-diagonal
+    call per step, at X = g(Q0) on step 1 and X = Q0 + (g(Q0) - Q0) / (2 D_pred)
+    later, gives this step's chord D = 1 + (tau/2)^2 M^-1 dF/dQ and the next
+    step's D_pred = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq). Then chord updates
+    Q + r / D with r = g - Q and g = a - (tau/2)^2 M^-1 f, and the energy
+    test after every update (never before the first). tau M^-1 and
+    (tau/2)^2 M^-1 are formed once, as ``dmm_step`` forms them. The test
+    here forms the true |dH| from U; ``dmm_step``'s discrete-gradient value
+    makes the same stop decisions on these draws. Returns (q, p, total
+    updates).
     """
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
+    tau_m, half2_m = cfg.tau * mass.inverse_diagonal(), half * half * mass.inverse_diagonal()
     h = t.evaluate(q) + mass.kinetic(p)
-    p_prev = q_prev = D_pred = None
+    f_prev = q_prev = D_pred = None
     updates = 0
     for _ in range(n_steps):
-        if p_prev is None:
-            Q = q + cfg.tau * mass.inverse_apply(p)
-        else:
-            Q = q + half * mass.inverse_apply(3.0 * p - p_prev)
+        a = q + tau_m * p
+        Q = a if f_prev is None else a - half2_m * f_prev
+        if D_pred is not None:
             Q = q_prev + (Q - q_prev) / D_pred
-        a = q + cfg.tau * mass.inverse_apply(p)
-        g = a - half * half * mass.inverse_apply(t.closed_form_force(Q, q))
+        g = a - half2_m * t.closed_form_force(Q, q)
         X = g if D_pred is None else Q + (g - Q) / (2.0 * D_pred)
         d_q, d_Q = t.closed_form_force_jacobian_diag(X, q)
-        D = 1.0 + (half * half) * mass.inverse_apply(d_Q)
-        D_next = 1.0 + (half * half) * mass.inverse_apply(2.0 * d_Q - d_q)
+        D = 1.0 + half2_m * d_Q
+        D_next = 1.0 + half2_m * (2.0 * d_Q - d_q)
         assert (D > 0.0).all() and (D_next > 0.0).all()
         n = 0
         while True:
@@ -223,9 +241,9 @@ def predictor_corrector_loop(state, t, mass, cfg, n_steps):
             h_new = t.evaluate(Q) + mass.kinetic(P)
             if abs(h_new - h) <= cfg.delta or n >= cfg.max_fpi:
                 break
-            g = a - half * half * mass.inverse_apply(f)
+            g = a - half2_m * f
         updates += n
-        p_prev, q_prev, D_pred = p, q, D_next
+        f_prev, q_prev, D_pred = f, q, D_next
         q, p, h = Q, P, h_new
     return q, p, updates
 
@@ -316,10 +334,11 @@ class TestLeapfrog:
         mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, 5))
         s = PhaseState(rng.uniform(-1.5, 1.5, 5), rng.standard_normal(5))
         tau = 0.1
+        tau_m = tau * mass.inverse_diagonal()  # tau M^-1, formed once per trajectory
         q, p = s.q, s.p
         for _ in range(25):
             p_half = p - 0.5 * tau * t.gradient(q)
-            q = q + tau * mass.inverse_apply(p_half)
+            q = q + tau_m * p_half
             p = p_half - 0.5 * tau * t.gradient(q)
         rec = leapfrog_trajectory(s, t, mass, tau, 25)
         np.testing.assert_array_equal(rec.q, q)
@@ -384,25 +403,28 @@ class TestFixedPointInit:
     def test_position_euler_example(self):
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, f0 = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t)
+        Q0, f0 = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg)
         assert Q0[0] == pytest.approx(0.1, rel=1e-15)
         # f0 = F(Q0, q) = 2 (0.01)(0.1)
         assert f0[0] == pytest.approx(0.002, rel=1e-12)
 
     def test_extrapolated_prediction_example(self):
-        # Q0 = q + (tau/2)(3p - p_prev): here 0.05 (3 - 1.2)
+        # F_prev = 4 is the force that took p_prev = 1.2 to p = 1 at tau/2 = 0.05,
+        # so Q0 = a - (tau/2)^2 F_prev = 0.1 - 0.0025 (4) is the momentum
+        # extrapolation q + (tau/2)(3p - p_prev) = 0.05 (3 - 1.2)
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t,
-                            p_prev=np.array([1.2]))
+        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg,
+                              f_prev=np.array([4.0]))
         assert Q0[0] == pytest.approx(0.09, rel=1e-14)
 
     def test_chord_linearized_prediction_example(self):
         # Q_pc = 0.09 as above, then q_prev + (Q_pc - q_prev) / D_prev = -0.1 + 0.19 / 1.5
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, _ = dmm_init(np.array([0.0]), np.array([1.0]), cfg, MassMatrix.identity(1), t,
-                            p_prev=np.array([1.2]), chord_prev=(np.array([-0.1]), np.array([1.5])))
+        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg,
+                              f_prev=np.array([4.0]),
+                              chord_prev=(np.array([-0.1]), np.array([1.5])))
         assert Q0[0] == pytest.approx(-0.1 + 0.19 / 1.5, rel=1e-14)
 
     def test_prediction_is_plain_arithmetic_at_coincident_components(self):
@@ -414,17 +436,17 @@ class TestFixedPointInit:
         q = np.array([0.5, -1.0])
         half = 0.5 * cfg.tau
         p_euler = np.array([0.0, 0.3])
-        p, p_prev = np.array([0.5, 0.25]), np.array([1.5, 0.5])
+        p, f_prev = np.array([0.5, 0.25]), np.array([20.0, 5.0])
         q_prev, D_prev = np.array([0.49, -1.1]), np.array([2.0, 1.5])
-        p_c, p_prev_c = np.array([0.1, 0.2]), np.array([0.1, 0.1])
+        p_c, f_prev_c = np.array([0.1, 0.2]), np.array([0.0, 2.0])
         cases = (
             ((q, p_euler), {}, q + cfg.tau * p_euler),
-            ((q, p), {"p_prev": p_prev}, q + half * (3.0 * p - p_prev)),
-            ((q, p_c), {"p_prev": p_prev_c, "chord_prev": (q_prev, D_prev)},
-             q_prev + (q + half * (3.0 * p_c - p_prev_c) - q_prev) / D_prev),
+            ((q, p), {"f_prev": f_prev}, q + cfg.tau * p - half * half * f_prev),
+            ((q, p_c), {"f_prev": f_prev_c, "chord_prev": (q_prev, D_prev)},
+             q_prev + (q + cfg.tau * p_c - half * half * f_prev_c - q_prev) / D_prev),
         )
         for (q_in, p_in), kwargs, expected in cases:
-            Q0, f0 = dmm_init(q_in, p_in, cfg, mass, t, **kwargs)
+            Q0, f0 = first_iterate(q_in, p_in, t, mass, cfg, **kwargs)
             assert abs(expected[0] - q[0]) < cfg.dd_guard * max(1.0, abs(q[0]))
             np.testing.assert_array_equal(Q0, expected)
             np.testing.assert_array_equal(f0, t.closed_form_force(expected, q))
@@ -572,7 +594,7 @@ class TestChordSolve:
         mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.5, delta=1e-8, max_fpi=4)
         s = PhaseState([0.1, -0.2], [0.3, 0.1])
-        _, f0 = dmm_init(s.q, s.p, cfg, mass, t)
+        f0 = t.closed_form_force(s.q + 0.5 * s.p, s.q)  # at the Euler first iterate
         g0 = s.q + 0.5 * s.p - 0.25 * 0.25 * f0
         _, d_Q = t.closed_form_force_jacobian_diag(g0, s.q)
         assert (1.0 + 0.25 * 0.25 * d_Q <= 0.0).any()
@@ -603,13 +625,13 @@ class TestChordSolve:
         t, mass = CountingQuartic(d), MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
         cfg = DmmSolverConfig(tau=0.1)
         half = 0.5 * cfg.tau
-        q, p, p_prev = quartic_draws(rng, d), rng.standard_normal(d), rng.standard_normal(d)
+        tau_m, half2_m = cfg.tau * mass.inverse_diagonal(), half * half * mass.inverse_diagonal()
+        q, p, f_prev = quartic_draws(rng, d), rng.standard_normal(d), rng.standard_normal(d)
         D_pred = rng.uniform(1.0, 1.5, d)
-        for kwargs in ({}, {"p_prev": p_prev, "chord_prev": (q - 0.1 * p_prev, D_pred)}):
-            Q0, f0 = dmm_init(q, p, cfg, mass, t, **kwargs)
-            g0 = q + cfg.tau * mass.inverse_apply(p) - half * half * mass.inverse_apply(f0)
+        for kwargs in ({}, {"f_prev": f_prev, "chord_prev": (q - 0.1 * f_prev, D_pred)}):
+            Q0, f0 = first_iterate(q, p, t, mass, cfg, **kwargs)
+            g0 = q + tau_m * p - half2_m * f0
             X = Q0 + (g0 - Q0) / (2.0 * D_pred) if kwargs else g0
-            dmm_step(q, p, t, mass, cfg, **kwargs)
             np.testing.assert_array_equal(t.jacobian_args[0], X)
             np.testing.assert_array_equal(t.jacobian_args[1], q)
 
@@ -618,8 +640,8 @@ class TestChordSolve:
         # the first step ends at (1, -4) after one update. Its Jacobian point
         # g(Q0) = 1 gives dF/dq = 48 and dF/dQ = 16: the chord D = 2 is valid,
         # the predicted D_next = 1 + (32 - 48) / 16 = 0 is not. The second
-        # step starts from Q_pc = 1 + 0.25 (3 (-4) + 4) = -1 and makes its
-        # Jacobian call at g(Q0) = -1
+        # step starts from Q_pc = a - (tau/2)^2 F_prev = 1 + 0.5 (-4) - 0 = -1
+        # and makes its Jacobian call at g(Q0) = -1
         steps = record_steps(monkeypatch)
         t, mass = SeparableDoubleWell(1), MassMatrix.identity(1)
         cfg = DmmSolverConfig(tau=0.5)
@@ -627,10 +649,10 @@ class TestChordSolve:
         (_, _, _, first), (q, p, kwargs, _) = steps
         assert first.converged and first.fpi_iterations == 1 and first.chord is None
         assert q[0] == 1.0 and p[0] == -4.0
-        assert kwargs["chord_prev"] is None
-        Q0, f0 = dmm_init(q, p, cfg, mass, t, p_prev=kwargs["p_prev"])
-        assert Q0[0] == -1.0 and f0[0] == 0.0
+        assert kwargs["chord_prev"] is None and kwargs["f_prev"] is first.force
         assert [X[0] for X, _ in t.jacobian_args] == [1.0, -1.0]
+        Q0, f0 = first_iterate(q, p, t, mass, cfg, f_prev=kwargs["f_prev"])
+        assert Q0[0] == -1.0 and f0[0] == 0.0
 
     def test_rest_state_converges_after_one_update(self):
         # the first iterate is never tested: even the rest state takes one update
@@ -719,8 +741,8 @@ class TestPredictorCorrector:
         assert steps[0][2]["chord_prev"] is None
         for q, p, kwargs, step in steps[1:]:
             assert step.converged and step.fpi_iterations == 1
-            Q0, _ = dmm_init(q, p, cfg, mass, t, **kwargs)
-            Q_pc, _ = dmm_init(q, p, cfg, mass, t, p_prev=kwargs["p_prev"])
+            Q0, _ = first_iterate(q, p, t, mass, cfg, kwargs["f_prev"], kwargs["chord_prev"])
+            Q_pc, _ = first_iterate(q, p, t, mass, cfg, kwargs["f_prev"])
             scale = 1.0 + np.abs(step.q).max()
             assert np.abs(Q0 - step.q).max() <= 1e-14 * scale
             assert np.abs(Q_pc - step.q).max() > 1e-6 * scale
@@ -755,10 +777,10 @@ class TestPredictorCorrector:
             t = BlackBoxQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-        q, p, p_prev = s.q, s.p, None
+        q, p, f_prev = s.q, s.p, None
         for _ in range(10):
-            step = dmm_step(q, p, t, mass, cfg, p_prev=p_prev)
-            p_prev, q, p = p, step.q, step.p
+            step = dmm_step(q, p, t, mass, cfg, f_prev=f_prev)
+            f_prev, q, p = step.force, step.q, step.p
         steps = record_steps(monkeypatch)
         rec = trajectory(s, t, mass, cfg, 10)
         np.testing.assert_array_equal(rec.q, q)
@@ -876,6 +898,24 @@ class TestTrajectory:
         rec = integrate(s, t, mass)
         assert len(calls) == 1
         assert rec.h_out == t.evaluate(rec.q) + mass.kinetic(rec.p)
+
+    @pytest.mark.parametrize("integrate", [
+        lambda s, t, m: trajectory(s, t, m, DmmSolverConfig(tau=0.1), 5),
+        lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 5),
+    ])
+    def test_dimensions_checked_before_any_target_call(self, integrate):
+        # a target that reads q[4] fails on a 3-vector with an IndexError;
+        # the dimension check must come first and name the mismatch
+        class FiveDimensional(Potential):
+            def evaluate(self, q):
+                return float(q[4] ** 4)
+
+            def gradient(self, q):
+                return np.array([0.0, 0.0, 0.0, 0.0, 4.0 * q[4] ** 3])
+
+        s = PhaseState([0.1, 0.2, 0.3], [1.0, -1.0, 0.5])
+        with pytest.raises(ValueError, match="state dimension 3 != potential dimension 5"):
+            integrate(s, FiveDimensional(5), MassMatrix.identity(5))
 
     def test_composed_round_trip(self):
         # trajectory, flip, trajectory, flip returns to the start
@@ -1144,6 +1184,99 @@ class TestArrayOwnership:
     @pytest.mark.parametrize("kind", ["identity", "diagonal"])
     def test_leapfrog_with_carried_kick(self, monkeypatch, kind):
         self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind, carried_leapfrog)
+
+
+class PassTally:
+    """Array passes made on the ndarray views that ``view`` returns.
+
+    Every ufunc call on such a view with an operand of more than one element
+    (a reduction such as ``.sum()`` or ``.all()`` included) counts once,
+    under ``target`` inside a call wrapped by ``as_target`` and under
+    ``solver`` otherwise, and is then forwarded on plain arrays; its array
+    results, ``out=`` targets included, come back as counted views.
+    Arithmetic on plain arrays alone escapes it, so the counts are lower
+    bounds.
+    """
+
+    def __init__(self):
+        self.target = self.solver = 0
+        self.in_target = False
+        tally = self
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if any(np.size(a) > 1 for a in inputs + (out or ())):
+                    if tally.in_target:
+                        tally.target += 1
+                    else:
+                        tally.solver += 1
+                plain = tuple(a.view(np.ndarray) if isinstance(a, Counted) else a
+                              for a in inputs)
+                if out is not None:
+                    kwargs["out"] = tuple(a.view(np.ndarray) if isinstance(a, Counted) else a
+                                          for a in out)
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if isinstance(result, tuple):
+                    return tuple(tally.view(r) if isinstance(r, np.ndarray) else r
+                                 for r in result)
+                return tally.view(result) if isinstance(result, np.ndarray) else result
+
+        self.counted = Counted
+
+    def view(self, a):
+        return a.view(self.counted)
+
+    def as_target(self, fn):
+        def call(*args):
+            self.in_target = True
+            try:
+                return fn(*args)
+            finally:
+                self.in_target = False
+        return call
+
+
+class TestArrayPasses:
+    """Array passes per trajectory, a count that repeats exactly where time does not."""
+
+    def count(self, monkeypatch, integrate):
+        """(record, tally) of one 40-step quartic trajectory at d = 2560 from an
+        exact draw, with the state, the step's work rows and the target's
+        calls counted."""
+        import chmc.integrators as integrators
+
+        tally = PassTally()
+
+        class CountedScratch(integrators.StepScratch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.a, self.g, self.r, self.t = map(tally.view, (self.a, self.g, self.r, self.t))
+
+        monkeypatch.setattr(integrators, "StepScratch", CountedScratch)
+        rng = np.random.default_rng(57)
+        d = 2560
+        s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+        object.__setattr__(s, "q", tally.view(s.q))
+        object.__setattr__(s, "p", tally.view(s.p))
+        t = QuarticGeneralizedGaussian(d)
+        for name in ("evaluate", "gradient", "closed_form_force",
+                     "closed_form_force_jacobian_diag"):
+            setattr(t, name, tally.as_target(getattr(t, name)))
+        return integrate(s, t, MassMatrix.identity(d)), tally
+
+    def test_passes_per_step_at_d2560(self, monkeypatch):
+        # the separation config's setting. With the momentum extrapolation
+        # q + (tau/2) M^-1 (3p - p_prev) as its predictor the J0 solver made
+        # 1170 passes (29.25 per step) for the same 910 target passes and 44
+        # updates; the carried force saves two passes per step
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
+        rec, j0 = self.count(monkeypatch, lambda s, t, m: trajectory(s, t, m, cfg, 40))
+        assert rec.total_fpi_iterations == 44
+        assert (j0.target, j0.solver) == (910, 1090)
+        assert j0.solver < 1170
+        _, leapfrog = self.count(monkeypatch,
+                                 lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 40))
+        assert (leapfrog.target, leapfrog.solver) == (129, 207)
 
 
 class PoisonedForce(Potential):

@@ -12,6 +12,7 @@ from chmc import (
     PhaseState,
     QuarticGeneralizedGaussian,
     SamplerConfig,
+    TrajectoryRecord,
     chain_rng,
     chmc_iteration,
     dmm_step,
@@ -334,6 +335,31 @@ class TestProductPastTheFloatRange:
         assert out.jacobian_product == math.inf
         assert math.isfinite(out.delta_H) and out.all_steps_converged
         assert out.alpha == 1.0 and out.accepted and new_theta is not theta
+
+    def test_chmc_iteration_accepts_below_the_range(self, monkeypatch):
+        # 40 steps of log|J| = -20 give |J| = e^-800, which reads 0 as a
+        # float; with dH = -900, alpha = min(1, e^100) = 1, which a rule on
+        # the product turned into 0
+        import chmc.samplers as samplers
+
+        monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (1.0, -20.0, 0))
+
+        def energy_drop(state, target, mass, cfg, n_steps, per_step_hook=None, u_in=None):
+            q_out = state.q + 1.0
+            for _ in range(n_steps):
+                per_step_hook(state.q, q_out, None)
+            return TrajectoryRecord(q_out, state.p, n_steps, n_steps, True, 900.0, 0.0, 900.0,
+                                    0.0)
+
+        monkeypatch.setattr(samplers, "trajectory", energy_drop)
+        cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=1,
+                            jacobian_mode=JacobianMode("J1", "analytic"))
+        theta = np.zeros(2)
+        new_theta, out = chmc_iteration(theta, QuarticGeneralizedGaussian(2),
+                                        MassMatrix.identity(2), cfg, chain_rng(0, 0))
+        assert out.jacobian_product == 0.0 and out.delta_H == -900.0
+        assert out.alpha == 1.0 and out.accepted
+        np.testing.assert_array_equal(new_theta, theta + 1.0)
 
 
 def brute_force_map_jacobian(z, target, mass, tau, h=1e-5):

@@ -28,31 +28,39 @@ from chmc.samplers import initial_position
 
 class TestAcceptanceProbability:
     def test_identity_proposal(self):
-        assert acceptance_probability(0.0, 1.0) == 1.0
+        assert acceptance_probability(0.0, 1.0, 0.0) == 1.0
 
     def test_log_two(self):
-        assert acceptance_probability(math.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-15)
+        assert acceptance_probability(math.log(2.0), 1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_jacobian_scales(self):
-        assert acceptance_probability(0.0, 0.97) == pytest.approx(0.97, rel=1e-12)
+        assert acceptance_probability(0.0, 1.0, math.log(0.97)) == pytest.approx(0.97, rel=1e-12)
 
     def test_capped_at_one(self):
-        assert acceptance_probability(-10.0, 0.5) == 1.0
+        assert acceptance_probability(-10.0, 1.0, math.log(0.5)) == 1.0
 
     def test_nonpositive_jacobian_rejects(self):
-        assert acceptance_probability(0.0, 0.0) == 0.0
-        assert acceptance_probability(-5.0, -0.3) == 0.0
+        assert acceptance_probability(0.0, 0.0, -math.inf) == 0.0
+        assert acceptance_probability(-5.0, -1.0, math.log(0.3)) == 0.0
 
     def test_infinite_energy_rejects(self):
-        assert acceptance_probability(math.inf, 1.0) == 0.0
+        assert acceptance_probability(math.inf, 1.0, 0.0) == 0.0
 
     def test_no_overflow_for_large_negative(self):
-        assert acceptance_probability(-1e6, 1.0) == 1.0
+        assert acceptance_probability(-1e6, 1.0, 0.0) == 1.0
 
-    @given(st.floats(-700, 700), st.floats(1e-300, 1e300))
-    def test_always_in_unit_interval(self, dh, j):
-        alpha = acceptance_probability(dh, j)
+    def test_determinant_outside_the_float_range_counts(self):
+        # |J| = e^-800 reads 0 as a float, yet dH = -900 makes up for it
+        assert acceptance_probability(-900.0, 1.0, -800.0) == 1.0
+        assert acceptance_probability(-800.0, 1.0, -800.0 + math.log(0.25)) == pytest.approx(
+            0.25, rel=1e-12)
+        assert acceptance_probability(900.0, 1.0, 800.0) == pytest.approx(math.exp(-100.0))
+
+    @given(st.floats(-700, 700), st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1e4, 1e4))
+    def test_always_in_unit_interval(self, dh, sign, log_abs):
+        alpha = acceptance_probability(dh, sign, log_abs)
         assert 0.0 <= alpha <= 1.0
+        assert sign > 0.0 or alpha == 0.0
 
 
 def quartic_cfg(**kw):
@@ -166,7 +174,7 @@ class TestChmcIteration:
             theta, out = chmc_iteration(theta, t, MassMatrix.identity(2), cfg, rng)
             assert out.jacobian_product == pytest.approx(1.0, abs=1e-12)
             assert out.alpha == pytest.approx(
-                acceptance_probability(out.delta_H, 1.0), rel=1e-12)
+                acceptance_probability(out.delta_H, 1.0, 0.0), rel=1e-12)
 
     def test_failure_rejects_with_zero_alpha(self):
         class Nan(Potential):
