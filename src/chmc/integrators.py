@@ -116,7 +116,7 @@ class DmmSolverConfig:
     """Knobs of the implicit energy-preserving step.
 
     tau: time step, finite and positive.
-    delta: absolute per-step energy tolerance.
+    delta: absolute per-step energy tolerance, finite and positive.
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative guard of ``divided_difference_force``;
         component i uses the threshold dd_guard * max(1, |q_i|).
@@ -130,12 +130,12 @@ class DmmSolverConfig:
     def __post_init__(self):
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError("tau must be finite and positive")
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
+        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+            raise ValueError("delta must be finite and positive")
         if self.max_fpi < 1:
             raise ValueError("max_fpi must be >= 1")
-        if not (self.dd_guard > 0.0):
-            raise ValueError("dd_guard must be positive")
+        if not (self.dd_guard > 0.0 and math.isfinite(self.dd_guard)):
+            raise ValueError("dd_guard must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,11 @@ def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: flo
     return force, n_evals
 
 
-def force_and_evals(Q: np.ndarray, q: np.ndarray, potential, guard: float):
-    """Closed-form force when the target provides one, else divided differences."""
+def force_function(potential, guard: float):
+    """F(Q, q): the target's closed form, else divided differences with their count dropped."""
     if potential.closed_form_force is not None:
-        return potential.closed_form_force(Q, q), 0
-    return divided_difference_force(Q, q, potential, guard)
+        return potential.closed_form_force
+    return lambda Q, q: divided_difference_force(Q, q, potential, guard)[0]
 
 
 _ROUNDING = 4.0 * math.ulp(1.0)  # a few ulps: the energy tests' rounding floor
@@ -248,17 +248,13 @@ def _norm(w):
 
 class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
-    (closed form, else divided differences), ``jacobian_diag`` (None unless
+    (resolved through ``force_function``), ``jacobian_diag`` (None unless
     separable), ``tau_m`` = tau M^-1 and ``half2_m`` = (tau/2)^2 M^-1
     (plain floats for M = I, diagonals otherwise) and the work rows a, g, r
     and t."""
 
     def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
-        force = potential.closed_form_force
-        if force is None:
-            def force(Q, q):
-                return divided_difference_force(Q, q, potential, cfg.dd_guard)[0]
-        self.force = force
+        self.force = force_function(potential, cfg.dd_guard)
         self.jacobian_diag = (potential.closed_form_force_jacobian_diag
                               if is_separable(potential) else None)
         inv_m = 1.0 if mass.kind == "identity" else mass.inverse_diagonal()

@@ -6,8 +6,10 @@ The one-step map has
 
 whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(M^-1 (dF/dq - dF/dQ)).
 Three truncations are offered: J0 = 1 (the gradient-free sampler), J1 (the
-first-order trace term), and the exact ratio JFull. A factor has one form
-from the step to the N-step product, the pair (sign, log|J|) that
+first-order trace term), and the exact ratio JFull; their dF/dq and dF/dQ come
+in closed form or from forward differences of the force, 2 probes per colour
+of columns: one colour on a separable target, d otherwise. A factor has one
+form from the step to the N-step product, the pair (sign, log|J|) that
 ``np.linalg.slogdet`` returns, with (0, -inf) for a zero or non-finite
 factor: ``step_jacobian`` gives one step's pair and ``JacobianAccumulator``
 sums them into a running pair that it exponentiates once, so long
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import force_and_evals
+from .integrators import force_function
 from .phase import MassMatrix
 from .targets import is_separable
 
@@ -39,9 +41,9 @@ class JacobianMode:
     forward differences of the force with step h_fd * max(1, |component|) and
     works for any target. Its base value F(Q, q) is the force of the solve's
     last update, which the trajectory hands over, so its probes cost 2 force
-    evaluations per step on separable targets and 2d otherwise. The analytic
-    source requires the target to provide force-Jacobian diagonals
-    (separable targets) or full matrices.
+    evaluations per colour of columns: 2 per step on separable targets (one
+    colour), 2d otherwise. The analytic source requires the target to provide
+    force-Jacobian diagonals (separable targets) or full matrices.
     """
 
     kind: str
@@ -53,8 +55,8 @@ class JacobianMode:
             raise ValueError(f"kind must be one of {JACOBIAN_KINDS}")
         if self.derivative_source not in DERIVATIVE_SOURCES:
             raise ValueError(f"derivative_source must be one of {DERIVATIVE_SOURCES}")
-        if not (self.h_fd > 0.0):
-            raise ValueError("h_fd must be positive")
+        if not (self.h_fd > 0.0 and math.isfinite(self.h_fd)):
+            raise ValueError("h_fd must be finite and positive")
 
 
 def force_jacobians(
@@ -71,60 +73,54 @@ def force_jacobians(
 
     Returns (d_q F, d_Q F, n_force_evaluations): the diagonals on a separable
     target (see ``is_separable``) or when ``diagonal_only``, full d x d
-    matrices otherwise. The finite-difference source uses
-    forward differences from the base value f0 = F(Q, q), computed here (one
-    force evaluation) unless the caller passes it in. On a separable target
-    F_i depends only on (Q_i, q_i), so one perturbation of all components at
-    once recovers each diagonal (2 probe evaluations); other targets perturb
-    one component at a time (2d probe evaluations). Callers should hand in
-    well-separated (Q, q) pairs, which a converged step provides.
+    matrices otherwise. Finite differences go forward from f0 = F(Q, q),
+    computed here (one force evaluation) unless passed in, by column
+    compression (Curtis, Powell & Reid 1974): a colour, a mask of columns
+    sharing no nonzero row, is perturbed at once in q and then in Q (2 probe
+    evaluations). A separable target has one colour, ``True`` (2 probes);
+    others one per column (2d). Callers should hand in well-separated (Q, q)
+    pairs, which a converged step provides.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
-    d = q.size
+    separable = is_separable(potential)
     if source == "analytic":
         diag_fn = potential.closed_form_force_jacobian_diag
-        if diag_fn is not None and (diagonal_only or is_separable(potential)):
+        if diag_fn is not None and (diagonal_only or separable):
             d_q, d_Q = diag_fn(Q, q)
         elif potential.closed_form_force_jacobian is not None:
             d_q, d_Q = potential.closed_form_force_jacobian(Q, q)
+            if diagonal_only:
+                d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
         else:
             raise ValueError("target provides no analytic force Jacobians")
-        d_q, d_Q, n_evals = np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
-    else:
-        n_evals = 0
-        if f0 is None:
-            f0, _ = force_and_evals(Q, q, potential, dd_guard)
-            n_evals = 1
-        f0 = np.asarray(f0, dtype=float)
-        if is_separable(potential):
-            # one-colour column compression (Curtis, Powell & Reid 1974): the
-            # same quotients the per-component loop forms on its diagonal
-            hq = h_fd * np.maximum(1.0, np.abs(q))
-            fq, _ = force_and_evals(Q, q + hq, potential, dd_guard)
-            d_q = (np.asarray(fq) - f0) / hq
-            hQ = h_fd * np.maximum(1.0, np.abs(Q))
-            fQ, _ = force_and_evals(Q + hQ, q, potential, dd_guard)
-            d_Q = (np.asarray(fQ) - f0) / hQ
-            n_evals += 2
+        return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
+    force = force_function(potential, dd_guard)
+    n_evals = 0
+    if f0 is None:
+        f0 = force(Q, q)
+        n_evals = 1
+    f0 = np.asarray(f0, dtype=float)
+    d = q.size
+    diagonal = diagonal_only or separable
+    d_q = np.empty(d if diagonal else (d, d))
+    d_Q = np.empty_like(d_q)
+    hq = h_fd * np.maximum(1.0, np.abs(q))
+    hQ = h_fd * np.maximum(1.0, np.abs(Q))
+    for j, cols in enumerate((True,) if separable else np.eye(d, dtype=bool)):
+        x = q.copy()
+        np.add(x, hq, x, where=cols)
+        diff_q = force(Q, x) - f0
+        x = Q.copy()
+        np.add(x, hQ, x, where=cols)
+        diff_Q = force(x, q) - f0
+        if diagonal:
+            np.divide(diff_q, hq, d_q, where=cols)
+            np.divide(diff_Q, hQ, d_Q, where=cols)
         else:
-            d_q = np.empty((d, d))
-            d_Q = np.empty((d, d))
-            for j in range(d):
-                hq = h_fd * max(1.0, abs(q[j]))
-                q_pert = q.copy()
-                q_pert[j] += hq
-                fq, _ = force_and_evals(Q, q_pert, potential, dd_guard)
-                d_q[:, j] = (np.asarray(fq) - f0) / hq
-                hQ = h_fd * max(1.0, abs(Q[j]))
-                Q_pert = Q.copy()
-                Q_pert[j] += hQ
-                fQ, _ = force_and_evals(Q_pert, q, potential, dd_guard)
-                d_Q[:, j] = (np.asarray(fQ) - f0) / hQ
-                n_evals += 2
-    # matrix routes reduce to their diagonals on request
-    if diagonal_only and d_q.ndim == 2:
-        return np.diag(d_q).copy(), np.diag(d_Q).copy(), n_evals
+            d_q[:, j] = diff_q / hq[j]
+            d_Q[:, j] = diff_Q / hQ[j]
+        n_evals += 2
     return d_q, d_Q, n_evals
 
 
@@ -162,27 +158,23 @@ def step_jacobian(
         return 1.0, 0.0, 0
     c = 0.25 * tau * tau
     inv_m = mass.inverse_diagonal()
-    if mode.kind == "J1" or is_separable(potential):
-        d_q, d_Q, n = force_jacobians(
-            Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard, diagonal_only=True,
-            f0=f0,
-        )
-        if mode.kind == "J1":
-            value = 1.0 + c * float(((d_q - d_Q) * inv_m).sum())
-            log_abs = math.log(abs(value)) if value else -math.inf
-            return _pair(math.copysign(1.0, value), log_abs, n)
+    diagonal = mode.kind == "J1" or is_separable(potential)
+    d_q, d_Q, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard,
+                                  diagonal_only=diagonal, f0=f0)
+    if mode.kind == "J1":
+        value = 1.0 + c * float(((d_q - d_Q) * inv_m).sum())
+        log_abs = math.log(abs(value)) if value else -math.inf
+        return _pair(math.copysign(1.0, value), log_abs, n)
+    if diagonal:
         num = 1.0 + c * (inv_m * d_q)
         den = 1.0 + c * (inv_m * d_Q)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = float(np.log(np.abs(num)).sum() - np.log(np.abs(den)).sum())
         negatives = np.count_nonzero(num < 0.0) + np.count_nonzero(den < 0.0)
         return _pair(-1.0 if negatives % 2 else 1.0, log_abs, n)
-
-    d_qF, d_QF, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd,
-                                    dd_guard, f0=f0)
     identity = np.eye(q.size)
-    sign_n, log_n = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_qF))
-    sign_d, log_d = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_QF))
+    sign_n, log_n = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_q))
+    sign_d, log_d = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_Q))
     return _pair(float(sign_n * sign_d), float(log_n) - float(log_d), n)
 
 

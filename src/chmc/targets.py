@@ -27,8 +27,8 @@ class Potential:
     ``is_separable``): F_i depends only on (Q_i, q_i), so both force
     Jacobians are diagonal. The declaration also selects the chord solve of
     the implicit step, the Jacobian code returns diagonals instead of d x d
-    matrices, and the finite-difference path perturbs all components at
-    once, so the declaration must hold.
+    matrices, and the finite-difference probes use one colour (2 force
+    evaluations, not 2d), so the declaration must hold.
 
     A ``closed_form_force`` must be defined at Q_i = q_i, where the solver
     may evaluate it on any update, and must be a discrete gradient:

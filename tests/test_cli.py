@@ -55,6 +55,15 @@ class TestValidateSpec:
         assert err.value.errors == ["methods[0]: tau must be finite and positive",
                                     "methods[1]: tau must be finite and positive"]
 
+    @pytest.mark.parametrize("key", ["delta", "dd_guard", "jacobian_h_fd"])
+    def test_non_finite_chmc_knob_reported_once(self, key):
+        # the field check names the YAML key; the dataclass check is not reached
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "jacobian: J0}", f"jacobian: J0, {key}: .inf}}")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert err.value.errors == [f"methods[1].{key}: must be finite, got inf"]
+
     def test_non_integral_steps(self):
         with pytest.raises(ConfigError) as err:
             validate_spec(MINIMAL.format(chains=1, iterations=1, out="x")

@@ -18,7 +18,7 @@ from chmc import (
     leapfrog_trajectory,
     trajectory,
 )
-from chmc.integrators import force_and_evals
+from chmc.integrators import force_function
 
 
 class LinearPotential(Potential):
@@ -171,11 +171,12 @@ def plain_fixed_point(state, potential, mass, cfg):
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
     a = q + cfg.tau * mass.inverse_apply(p)
-    f, _ = force_and_evals(a, q, potential, cfg.dd_guard)
+    force = force_function(potential, cfg.dd_guard)
+    f = force(a, q)
     updates = 0
     while True:
         Q = a - half * half * mass.inverse_apply(f)
-        f, _ = force_and_evals(Q, q, potential, cfg.dd_guard)
+        f = force(Q, q)
         updates += 1
         g = a - half * half * mass.inverse_apply(f)
         err = abs(0.5 * float(f @ (g - Q)))
@@ -454,7 +455,7 @@ class TestFixedPointInit:
         # defined there and the black-box force takes its symmetric branch
         d = 3
         q = np.array([0.5, -1.0, 0.0])
-        assert force_and_evals(q, q, BlackBoxQuartic(d), cfg.dd_guard)[1] == 2 + 6 * d
+        assert divided_difference_force(q, q, BlackBoxQuartic(d), cfg.dd_guard)[1] == 2 + 6 * d
         for target in (QuarticGeneralizedGaussian(d), BlackBoxQuartic(d)):
             rec = dmm_step(q, np.zeros(d), target, MassMatrix.identity(d), cfg)
             assert rec.converged
@@ -540,12 +541,13 @@ class TestDmmStep:
             eps = 1e-8 * np.maximum(1.0, np.abs(q))
             small = np.abs(Q - q) < eps
             Q = np.where(small, q + np.where(p >= 0, 1.0, -1.0) * eps, Q)
-            f, _ = force_and_evals(Q, q, t, 1e-8)
+            force = force_function(t, 1e-8)
+            f = force(Q, q)
             P = p - 0.05 * f
             residuals = []
             for _ in range(8):
                 Q_new = q + 0.05 * (P + p)
-                f, _ = force_and_evals(Q_new, q, t, 1e-8)
+                f = force(Q_new, q)
                 P_new = p - 0.05 * f
                 residuals.append(np.hypot(np.linalg.norm(Q_new - Q), np.linalg.norm(P_new - P)))
                 Q, P = Q_new, P_new
@@ -964,7 +966,7 @@ class TestDiscreteGradientEnergy:
             if case == "black-box-guarded":
                 Q[0] = q[0] + 0.3 * guard * max(1.0, abs(q[0]))
                 assert abs(Q[0] - q[0]) < guard * max(1.0, abs(q[0]))
-            f, _ = force_and_evals(Q, q, t, guard)
+            f = force_function(t, guard)(Q, q)
             P = p - half * f
             g = q + half * mass.inverse_apply(P + p)
             h_in = t.evaluate(q) + mass.kinetic(p)
@@ -1467,3 +1469,11 @@ class TestSolverConfig:
             DmmSolverConfig(tau=0.1, max_fpi=0)
         with pytest.raises(ValueError):
             DmmSolverConfig(tau=0.1, dd_guard=-1e-8)
+        # an infinite delta passes every step, an infinite guard fails every
+        # black-box step: both are refused as an infinite tau is
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            DmmSolverConfig(tau=math.inf)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            DmmSolverConfig(tau=0.1, delta=math.inf)
+        with pytest.raises(ValueError, match="dd_guard must be finite and positive"):
+            DmmSolverConfig(tau=0.1, dd_guard=math.inf)

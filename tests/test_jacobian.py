@@ -24,9 +24,35 @@ from chmc import jacobian
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
-    """The quartic without its separability declaration: probes go one by one."""
+    """The quartic without its separability declaration: one probe colour per column."""
 
     closed_form_force_jacobian_diag = None
+
+
+def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP, f0=None):
+    """Reference finite-difference Jacobians, one column perturbed at a time.
+
+    Returns (dF/dq, dF/dQ) as d x d matrices and the number of force
+    evaluations, 2 per column plus one for f0 when it is not given;
+    ``force_jacobians`` with one colour per column must match it bit for bit.
+    """
+    n = 0
+    if f0 is None:
+        f0 = potential.closed_form_force(Q, q)
+        n = 1
+    d = q.size
+    d_q, d_Q = np.empty((d, d)), np.empty((d, d))
+    for j in range(d):
+        hq = h_fd * max(1.0, abs(q[j]))
+        q_pert = q.copy()
+        q_pert[j] += hq
+        d_q[:, j] = (potential.closed_form_force(Q, q_pert) - f0) / hq
+        hQ = h_fd * max(1.0, abs(Q[j]))
+        Q_pert = Q.copy()
+        Q_pert[j] += hQ
+        d_Q[:, j] = (potential.closed_form_force(Q_pert, q) - f0) / hQ
+        n += 2
+    return d_q, d_Q, n
 
 
 def step_factor(*args, **kwargs):
@@ -72,7 +98,7 @@ class TestForceJacobians:
             Q = q + rng.uniform(0.05, 1.0, 3) * rng.choice([-1, 1], 3)
             a_q, a_Q, _ = force_jacobians(Q, q, t, "analytic")
             f_q, f_Q, n = force_jacobians(Q, q, t, "finite-difference")
-            assert n == 3  # separable target: compressed probes
+            assert n == 3  # separable target: one colour, 2 probes
             np.testing.assert_allclose(f_q, a_q, rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(f_Q, a_Q, rtol=1e-5, atol=1e-5)
 
@@ -90,14 +116,46 @@ class TestForceJacobians:
         for _ in range(20):
             q = rng.uniform(-2, 2, 5)
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-            # the separable target returns diagonals either way, the loop
-            # returns matrices unless diagonal_only
+            # the separable target returns diagonals either way, one colour
+            # per column returns matrices unless diagonal_only
             c_q, c_Q, n_c = force_jacobians(Q, q, t, diagonal_only=diagonal_only)
             l_q, l_Q, n_l = force_jacobians(Q, q, loop, diagonal_only=diagonal_only)
             if not diagonal_only:
                 l_q, l_Q = np.diag(l_q), np.diag(l_Q)
             assert np.array_equal(c_q, l_q) and np.array_equal(c_Q, l_Q)
             assert (n_c, n_l) == (3, 11)
+
+    @pytest.mark.parametrize("d", [5, 12])
+    @pytest.mark.parametrize("kind", ["gaussian", "quartic"])
+    def test_colour_loop_matches_per_column_reference(self, kind, d):
+        # one colour per column: the reference's quotients bit for bit, and
+        # exactly 2d probe calls (2d + 1 with f0 computed inside)
+        rng = np.random.default_rng(53 + d)
+        if kind == "gaussian":
+            a = rng.standard_normal((d, d))
+            t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
+        else:
+            t = PerComponentQuartic(d)
+        calls, force = [], t.closed_form_force
+
+        def counted(Q, q):
+            calls.append((Q, q))
+            return force(Q, q)
+
+        t.closed_form_force = counted
+        for _ in range(5):
+            q = rng.uniform(-2, 2, d)
+            Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
+            r_q, r_Q, _ = per_column_probes(Q, q, t)
+            for f0, n_ref in ((None, 2 * d + 1), (force(Q, q), 2 * d)):
+                for diagonal_only in (False, True):
+                    del calls[:]
+                    d_q, d_Q, n = force_jacobians(Q, q, t, diagonal_only=diagonal_only,
+                                                  f0=f0)
+                    assert n == len(calls) == n_ref
+                    want_q, want_Q = (np.diag(r_q), np.diag(r_Q)) if diagonal_only else (
+                        r_q, r_Q)
+                    assert np.array_equal(d_q, want_q) and np.array_equal(d_Q, want_Q)
 
     def test_non_separable_target_keeps_per_component_loop(self):
         t = MultivariateGaussian([0.0, 0.0, 0.0], np.diag([1.0, 2.0, 0.5]))
@@ -463,3 +521,8 @@ class TestModeValidation:
     def test_rejects_nonpositive_fd_step(self):
         with pytest.raises(ValueError):
             JacobianMode("JFull", h_fd=0.0)
+
+    def test_rejects_non_finite_fd_step(self):
+        # an infinite step makes every finite-difference J1 factor (0, -inf)
+        with pytest.raises(ValueError, match="h_fd must be finite and positive"):
+            JacobianMode("J1", h_fd=math.inf)

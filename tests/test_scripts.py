@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,14 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def src_env():
+    """The environment with the package source first on PYTHONPATH, for child processes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def chmc_references(path):
@@ -163,13 +172,41 @@ methods:
             assert sum(proxy.counts.values()) > 0
 
 
+def test_tracer_counts_two_probe_forces_per_j1_step():
+    # perfbench/run.py reads probes as the target.closed_form_force leaves
+    # under the jacobian.force_jacobians span; install() patches chmc for
+    # good, so it runs in a child process
+    code = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import chmc
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+cfg = chmc.SamplerConfig("chmc", 0.1, 0.5, iterations=3, seed=4,
+                         jacobian_mode=chmc.JacobianMode("J1", "finite-difference"))
+chmc.run_chain(cfg, tracer.target_proxy(chmc.QuarticGeneralizedGaussian(4)),
+               chmc.MassMatrix.identity(4))
+summary = tracer.summary()
+print(json.dumps({"leaves": summary["leaves"].get("target.closed_form_force", {}),
+                  "steps": summary["spans"]["jacobian.step_jacobian"]["count"],
+                  "solver_steps": summary["solver"]["steps"],
+                  "missing": summary["missing"]}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["missing"] == []
+    assert out["steps"] == out["solver_steps"] == 3 * 5
+    assert out["leaves"]["jacobian.force_jacobians"]["count"] == 2 * out["steps"]
+
+
 def run_benchmark_table(*flags):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "benchmark_table.py"), *flags],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=src_env(), timeout=120)
 
 
 def summary_rows(out_dir):
