@@ -2,16 +2,11 @@
 
 Public surface: phase-space primitives, built-in targets, the leapfrog and
 energy-preserving integrators, Jacobian determinant factors, the two
-samplers, streaming diagnostics, and the config-driven experiment runner in
+samplers, the covariance tracker, and the config-driven experiment runner in
 ``chmc.cli``.
 """
 
-from .diagnostics import (
-    ChainSummary,
-    CovarianceTracker,
-    StreamingCovariance,
-    covariance_error,
-)
+from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import (
     DmmSolverConfig,
     StepRecord,
@@ -66,12 +61,10 @@ __all__ = [
     "SamplerConfig",
     "StateCache",
     "StepRecord",
-    "StreamingCovariance",
     "TrajectoryRecord",
     "acceptance_probability",
     "chain_rng",
     "chmc_iteration",
-    "covariance_error",
     "divided_difference_force",
     "dmm_step",
     "force_jacobians",

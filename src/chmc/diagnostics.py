@@ -1,4 +1,4 @@
-"""Streaming statistics: online covariance, error traces, chain summaries."""
+"""Streaming diagnostics: the covariance error trace and the chain summary."""
 
 from __future__ import annotations
 
@@ -6,92 +6,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phase import require_integer
 
-class StreamingCovariance:
-    """Single-pass mean/covariance accumulator (Welford update).
 
-    Full mode keeps the d x d co-moment matrix; diagonal mode keeps only the
-    length-d second-moment vector, which is what very high-dimensional runs
-    use (a 40960^2 matrix would not fit in memory).
+class CovarianceTracker:
+    """Welford ``count``, ``mean`` and co-moment ``scatter`` of the retained
+    draws, with an error trace.
+
+    Full mode keeps the d x d ``scatter``, diagonal mode only its length-d
+    diagonal (a 40960^2 matrix would not fit in memory). ``target_cov``, a
+    scalar, a length-d vector or a d x d matrix, is reduced to the kept shape
+    once; any other shape raises ``ValueError`` at construction. Every
+    ``record_stride``-th update from the second on appends (iteration,
+    max|scatter / (count - 1) - target|), the l-infinity error of the sample
+    covariance, to ``trace``: a plot-ready curve, not a per-iteration dump.
     """
 
-    def __init__(self, dim: int, diagonal: bool = False):
-        self.dim = int(dim)
+    def __init__(self, dim: int, target_cov, diagonal: bool = False, record_stride: int = 10):
+        dim = require_integer("dim", dim)
+        if require_integer("record_stride", record_stride) < 1:
+            raise ValueError("record_stride must be >= 1")
+        t = np.array(target_cov, dtype=float)
+        if t.ndim > 2 or t.shape != (dim,) * t.ndim:
+            raise ValueError(f"target_cov must be a scalar, a length-{dim} vector or a "
+                             f"{dim} x {dim} matrix, got shape {t.shape}")
+        if diagonal:
+            self.target = np.diag(t) if t.ndim == 2 else np.full(dim, t)
+        else:
+            self.target = t if t.ndim == 2 else np.diag(np.full(dim, t))
         self.diagonal = bool(diagonal)
+        self.record_stride = record_stride
         self.count = 0
-        self.mean = np.zeros(self.dim)
-        self.scatter = np.zeros(self.dim) if self.diagonal else np.zeros((self.dim, self.dim))
+        self.mean = np.zeros(dim)
+        self.scatter = np.zeros(dim) if self.diagonal else np.zeros((dim, dim))
+        self.trace: list[tuple[int, float]] = []
 
-    def update(self, x: np.ndarray) -> None:
+    def update(self, iteration: int, theta: np.ndarray) -> None:
         self.count += 1
-        delta = x - self.mean
+        delta = theta - self.mean
         self.mean += delta / self.count
-        delta2 = x - self.mean
+        delta2 = theta - self.mean
         if self.diagonal:
             self.scatter += delta * delta2
         else:
             self.scatter += np.outer(delta, delta2)
-
-    def covariance(self) -> np.ndarray:
-        """Sample covariance with n - 1 normalization (full mode)."""
-        if self.diagonal:
-            raise ValueError("diagonal stream has no full covariance")
-        if self.count < 2:
-            raise ValueError("need at least two samples")
-        return self.scatter / (self.count - 1)
-
-    def variance_diagonal(self) -> np.ndarray:
-        """Per-component sample variance with n - 1 normalization."""
-        if self.count < 2:
-            raise ValueError("need at least two samples")
-        if self.diagonal:
-            return self.scatter / (self.count - 1)
-        return np.diag(self.scatter) / (self.count - 1)
-
-
-def _target(target_cov, dim: int, diagonal: bool) -> np.ndarray:
-    """The target covariance's diagonal (diagonal mode) or full matrix."""
-    t = np.asarray(target_cov, dtype=float)
-    if t.ndim == 0:
-        return np.full(dim, float(t)) if diagonal else float(t) * np.eye(dim)
-    if t.ndim == 1:
-        return t if diagonal else np.diag(t)
-    return np.diag(t) if diagonal else t
-
-
-def covariance_error(stream: StreamingCovariance, target_cov) -> float:
-    """l-infinity deviation of the sample covariance from the target.
-
-    ``target_cov`` may be a scalar (isotropic), a length-d vector (diagonal)
-    or a full d x d matrix. Full streams compare entrywise over the whole
-    matrix; diagonal streams compare diagonal entries only.
-    """
-    if stream.count < 2:
-        raise ValueError("need at least two samples")
-    sample = stream.variance_diagonal() if stream.diagonal else stream.covariance()
-    return float(np.max(np.abs(sample - _target(target_cov, stream.dim, stream.diagonal))))
-
-
-class CovarianceTracker:
-    """Streams retained samples and records an error trace every few updates.
-
-    The trace holds (iteration, l-infinity covariance error) pairs at a fixed
-    stride so long runs produce plot-ready curves, not per-iteration dumps.
-    The target's diagonal or full matrix is built once, at construction.
-    """
-
-    def __init__(self, dim: int, target_cov, diagonal: bool = False, record_stride: int = 10):
-        if record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        self.stream = StreamingCovariance(dim, diagonal=diagonal)
-        self.target = _target(target_cov, dim, diagonal)
-        self.record_stride = record_stride
-        self.trace: list[tuple[int, float]] = []
-
-    def update(self, iteration: int, theta: np.ndarray) -> None:
-        self.stream.update(theta)
-        if self.stream.count >= 2 and self.stream.count % self.record_stride == 0:
-            self.trace.append((iteration, covariance_error(self.stream, self.target)))
+        if self.count >= 2 and self.count % self.record_stride == 0:
+            error = np.max(np.abs(self.scatter / (self.count - 1) - self.target))
+            self.trace.append((iteration, float(error)))
 
     def last_recorded(self, iteration: int):
         """Error recorded at exactly this iteration, else None."""

@@ -107,8 +107,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phase import MassMatrix, PhaseState, hamiltonian, potential_energy
-from .targets import is_separable
+from .phase import MassMatrix, PhaseState, hamiltonian, potential_energy, require_integer
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class DmmSolverConfig:
             raise ValueError("tau must be finite and positive")
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("delta must be finite and positive")
-        if self.max_fpi < 1:
+        if require_integer("max_fpi", self.max_fpi) < 1:
             raise ValueError("max_fpi must be >= 1")
         if not (self.dd_guard > 0.0 and math.isfinite(self.dd_guard)):
             raise ValueError("dd_guard must be finite and positive")
@@ -248,15 +247,14 @@ def _norm(w):
 
 class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
-    (resolved through ``force_function``), ``jacobian_diag`` (None unless
-    separable), ``tau_m`` = tau M^-1 and ``half2_m`` = (tau/2)^2 M^-1
-    (plain floats for M = I, diagonals otherwise) and the work rows a, g, r
-    and t."""
+    (resolved through ``force_function``), ``jacobian_diag`` (the target's
+    ``closed_form_force_jacobian_diag``, None exactly when it is not
+    separable), ``tau_m`` = tau M^-1 and ``half2_m`` = (tau/2)^2 M^-1 (plain
+    floats for M = I, diagonals otherwise) and the work rows a, g, r and t."""
 
     def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
         self.force = force_function(potential, cfg.dd_guard)
-        self.jacobian_diag = (potential.closed_form_force_jacobian_diag
-                              if is_separable(potential) else None)
+        self.jacobian_diag = potential.closed_form_force_jacobian_diag
         inv_m = 1.0 if mass.kind == "identity" else mass.inverse_diagonal()
         half = 0.5 * cfg.tau
         self.tau_m, self.half2_m = cfg.tau * inv_m, half * half * inv_m

@@ -85,9 +85,8 @@ def force_jacobians(
     q = np.asarray(q, dtype=float)
     separable = is_separable(potential)
     if source == "analytic":
-        diag_fn = potential.closed_form_force_jacobian_diag
-        if diag_fn is not None and (diagonal_only or separable):
-            d_q, d_Q = diag_fn(Q, q)
+        if separable:
+            d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
         elif potential.closed_form_force_jacobian is not None:
             d_q, d_Q = potential.closed_form_force_jacobian(Q, q)
             if diagonal_only:

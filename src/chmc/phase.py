@@ -13,6 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int: a count never rounds, so only Python and NumPy integers pass."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """Position/momentum pair (q, p) with matching dimension d >= 1.
@@ -54,7 +61,7 @@ class MassMatrix:
 
     def __init__(self, kind: str, dim: int, *, diag=None):
         self.kind = kind
-        self.dim = int(dim)
+        self.dim = require_integer("dim", dim)
         if self.dim < 1:
             raise ValueError("mass matrix needs dimension >= 1")
         if kind == "identity":

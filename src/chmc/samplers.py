@@ -29,7 +29,7 @@ import numpy as np
 from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import DmmSolverConfig, leapfrog_trajectory, trajectory
 from .jacobian import JacobianAccumulator, JacobianMode
-from .phase import MassMatrix, PhaseState
+from .phase import MassMatrix, PhaseState, require_integer
 
 METHODS = ("hmc-leapfrog", "chmc")
 INITIAL_STATE_MODES = ("zeros", "standard-normal", "explicit")
@@ -67,6 +67,8 @@ class SamplerConfig:
         ratio = self.total_time / self.tau
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("n_steps not integral: total_time / tau must be a positive integer")
+        require_integer("iterations", self.iterations)
+        require_integer("burn_in", self.burn_in)
         if self.burn_in < 0 or self.iterations <= self.burn_in:
             raise ValueError("need iterations > burn_in >= 0")
         if self.initial_state_mode not in INITIAL_STATE_MODES:
@@ -225,7 +227,10 @@ def run_chain(
 
     Sinks are callables ``sink(iteration, outcome, theta_or_None)``; theta is
     passed only for retained (post burn-in) iterations so samples never need
-    to be stored. U and leapfrog's first half-kick at theta ride along in a
+    to be stored; ``covariance_tracker``, when given, is updated with each
+    retained theta before the sinks see it, so a sink reads the error it
+    recorded at that iteration through ``last_recorded``. U and leapfrog's
+    first half-kick at theta ride along in a
     ``StateCache``. The summary is reduced on the fly from the accepted count,
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .phase import require_integer
 
 class Potential:
     """Target potential U(q) = -log pi(q), up to an additive constant.
@@ -22,13 +23,14 @@ class Potential:
     - ``closed_form_force_jacobian_diag(Q, q)``: (diag dF/dq, diag dF/dQ).
     - ``closed_form_force_jacobian(Q, q)``: full (dF/dq, dF/dQ) matrices.
 
-    Defining ``closed_form_force_jacobian_diag`` without
-    ``closed_form_force_jacobian`` declares the target separable (see
-    ``is_separable``): F_i depends only on (Q_i, q_i), so both force
-    Jacobians are diagonal. The declaration also selects the chord solve of
-    the implicit step, the Jacobian code returns diagonals instead of d x d
-    matrices, and the finite-difference probes use one colour (2 force
-    evaluations, not 2d), so the declaration must hold.
+    Defining ``closed_form_force_jacobian_diag`` declares the target
+    separable, and nothing else does (see ``is_separable``): F_i depends only
+    on (Q_i, q_i), so both force Jacobians are diagonal. The declaration
+    also selects the chord solve of the implicit step, the Jacobian code
+    returns diagonals instead of d x d matrices, and the finite-difference
+    probes use one colour (2 force evaluations, not 2d), so the declaration
+    must hold. A non-separable target gives its analytic Jacobians as full
+    matrices through ``closed_form_force_jacobian``.
 
     A ``closed_form_force`` must be defined at Q_i = q_i, where the solver
     may evaluate it on any update, and must be a discrete gradient:
@@ -52,7 +54,7 @@ class Potential:
     closed_form_force_jacobian = None
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = require_integer("dim", dim)
         if self.dim < 1:
             raise ValueError("potential needs dimension >= 1")
 
@@ -62,8 +64,7 @@ class Potential:
 
 def is_separable(potential) -> bool:
     """True when the target declares a diagonal force Jacobian (see Potential)."""
-    return (potential.closed_form_force_jacobian is None
-            and potential.closed_form_force_jacobian_diag is not None)
+    return potential.closed_form_force_jacobian_diag is not None
 
 
 class QuarticGeneralizedGaussian(Potential):
@@ -137,10 +138,6 @@ class MultivariateGaussian(Potential):
 
     def closed_form_force(self, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self._sigma_inv @ (Q + q - 2.0 * self.mean)
-
-    def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
-        d = np.diag(self._sigma_inv).copy()
-        return d, d.copy()
 
     def closed_form_force_jacobian(self, Q: np.ndarray, q: np.ndarray):
         return self._sigma_inv.copy(), self._sigma_inv.copy()

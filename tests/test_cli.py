@@ -235,6 +235,20 @@ methods: []
             "methods: names must be unique",
         ]
 
+    def test_non_integer_counts_give_only_the_field_error(self):
+        # the field check refuses them before the dataclasses' own integer checks
+        with pytest.raises(ConfigError) as err:
+            MethodSpec(name="a", method="chmc", tau=0.1, total_time=4.0, iterations=5.0,
+                       burn_in=2.5, max_fpi=2.5)
+        assert err.value.errors == ["iterations: expected an integer, got 5.0",
+                                    "burn_in: expected an integer, got 2.5",
+                                    "max_fpi: expected an integer, got 2.5"]
+        spec = validate_spec(MINIMAL.format(chains=1, iterations=3, out="x"))
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(spec, dimension=3.0, record_stride=2.5)
+        assert err.value.errors == ["target.dimension: expected an integer, got 3.0",
+                                    "record_stride: expected an integer, got 2.5"]
+
     def test_replace_runs_the_same_checks(self):
         spec = validate_spec(MINIMAL.format(chains=1, iterations=3, out="x"))
         assert dataclasses.replace(spec, chains=4).chains == 4

@@ -1477,3 +1477,12 @@ class TestSolverConfig:
             DmmSolverConfig(tau=0.1, delta=math.inf)
         with pytest.raises(ValueError, match="dd_guard must be finite and positive"):
             DmmSolverConfig(tau=0.1, dd_guard=math.inf)
+
+    def test_max_fpi_must_be_an_integer(self):
+        # 2.5 would run 3 updates, True 1
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="max_fpi must be an integer"):
+                DmmSolverConfig(tau=0.1, max_fpi=bad)
+        with pytest.raises(ValueError, match="max_fpi must be >= 1"):
+            DmmSolverConfig(tau=0.1, max_fpi=np.int64(0))
+        assert DmmSolverConfig(tau=0.1, max_fpi=np.int64(3)).max_fpi == 3

@@ -132,6 +132,12 @@ class TestMassMatrix:
         with pytest.raises(ValueError):
             MassMatrix.diagonal([-1.0])
 
+    def test_dim_must_be_an_integer(self):
+        for bad in (2.7, 2.0, True):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                MassMatrix.identity(bad)
+        assert MassMatrix.identity(np.int64(3)).dim == 3
+
     def test_inverse_apply_roundtrip(self):
         rng = np.random.default_rng(3)
         diag = rng.uniform(0.5, 3.0, 4)

@@ -126,6 +126,22 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             quartic_cfg(burn_in=-1)
 
+    def test_counts_must_be_integers(self):
+        # refused at construction, not in run_chain's range() or a burn-in comparison
+        for name, bad in (("iterations", 10.0), ("iterations", True),
+                          ("burn_in", 2.5), ("burn_in", False)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                quartic_cfg(**{name: bad})
+        with pytest.raises(ValueError, match=r"need iterations > burn_in >= 0"):
+            quartic_cfg(iterations=np.int64(5), burn_in=np.int64(5))
+
+    def test_numpy_integer_counts_run(self):
+        cfg = quartic_cfg(method="hmc-leapfrog", iterations=np.int64(4), burn_in=np.int32(1))
+        seen = []
+        run_chain(cfg, QuarticGeneralizedGaussian(2), MassMatrix.identity(2),
+                  sinks=[lambda i, o, th: seen.append(th is not None)])
+        assert seen == [False, True, True, True]
+
     def test_solver_tau_must_match(self):
         with pytest.raises(ValueError):
             quartic_cfg(solver=DmmSolverConfig(tau=0.2))

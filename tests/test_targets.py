@@ -204,6 +204,32 @@ class TestQuarticVariance:
         assert quartic_target_variance() == float(gamma(0.75) / gamma(0.25))
 
 
+@pytest.mark.parametrize("make", [chmc.Potential, QuarticGeneralizedGaussian])
+def test_dim_must_be_an_integer(make):
+    for bad in (2.7, 2.0, True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            make(bad)
+    assert make(np.int64(3)).dim == 3
+
+
+def test_all_lists_exactly_the_public_names_init_binds():
+    # a name deleted from its module but left in __all__ breaks `from chmc import *`
+    with open(chmc.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    public = {name for name in bound if not name.startswith("_")} | {"__version__"}
+    assert len(chmc.__all__) == len(set(chmc.__all__))
+    assert set(chmc.__all__) == public
+    namespace = {}
+    exec("from chmc import *", namespace)
+    assert public <= set(namespace)
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(chmc.__file__)))
     code = ("import sys, chmc, chmc.cli; "
