@@ -62,19 +62,19 @@ class JacobianMode:
 def force_jacobians(
     Q: np.ndarray,
     q: np.ndarray,
+    f0: np.ndarray,
     potential,
     source: str = "finite-difference",
     h_fd: float = DEFAULT_FD_STEP,
     dd_guard: float = 1e-8,
     diagonal_only: bool = False,
-    f0=None,
 ):
     """Jacobians of the force with respect to q and Q.
 
     Returns (d_q F, d_Q F, n_force_evaluations): the diagonals on a separable
     target (see ``is_separable``) or when ``diagonal_only``, full d x d
-    matrices otherwise. Finite differences go forward from f0 = F(Q, q),
-    computed here (one force evaluation) unless passed in, by column
+    matrices otherwise. Finite differences go forward from the base force
+    f0 = F(Q, q), which the analytic source ignores, by column
     compression (Curtis, Powell & Reid 1974): a colour, a mask of columns
     sharing no nonzero row, is perturbed at once in q and then in Q (2 probe
     evaluations). A separable target has one colour, ``True`` (2 probes);
@@ -95,18 +95,14 @@ def force_jacobians(
             raise ValueError("target provides no analytic force Jacobians")
         return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
     force = force_function(potential, dd_guard)
-    n_evals = 0
-    if f0 is None:
-        f0 = force(Q, q)
-        n_evals = 1
-    f0 = np.asarray(f0, dtype=float)
     d = q.size
     diagonal = diagonal_only or separable
     d_q = np.empty(d if diagonal else (d, d))
     d_Q = np.empty_like(d_q)
     hq = h_fd * np.maximum(1.0, np.abs(q))
     hQ = h_fd * np.maximum(1.0, np.abs(Q))
-    for j, cols in enumerate((True,) if separable else np.eye(d, dtype=bool)):
+    colours = (True,) if separable else np.eye(d, dtype=bool)
+    for j, cols in enumerate(colours):
         x = q.copy()
         np.add(x, hq, x, where=cols)
         diff_q = force(Q, x) - f0
@@ -119,8 +115,7 @@ def force_jacobians(
         else:
             d_q[:, j] = diff_q / hq[j]
             d_Q[:, j] = diff_Q / hQ[j]
-        n_evals += 2
-    return d_q, d_Q, n_evals
+    return d_q, d_Q, 2 * len(colours)
 
 
 def _pair(sign: float, log_abs: float, n: int) -> tuple:
@@ -133,16 +128,16 @@ def _pair(sign: float, log_abs: float, n: int) -> tuple:
 def step_jacobian(
     Q: np.ndarray,
     q: np.ndarray,
+    f0: np.ndarray,
     tau: float,
     mass: MassMatrix,
     mode: JacobianMode,
     potential,
     dd_guard: float = 1e-8,
-    f0=None,
 ) -> tuple:
     """Determinant factor of one step at the converged (Q, q) pair, as (sign, log|J|).
 
-    ``f0``, the force F(Q, q) when the caller already has it, is handed to
+    ``f0``, the force F(Q, q) of the step's last update, is handed to
     ``force_jacobians`` as the finite-difference base value.
     Returns (sign, log|J|, n_force_evaluations of the derivative probes),
     with (0, -inf) for a zero or non-finite factor, which rejects the
@@ -158,8 +153,8 @@ def step_jacobian(
     c = 0.25 * tau * tau
     inv_m = mass.inverse_diagonal()
     diagonal = mode.kind == "J1" or is_separable(potential)
-    d_q, d_Q, n = force_jacobians(Q, q, potential, mode.derivative_source, mode.h_fd, dd_guard,
-                                  diagonal_only=diagonal, f0=f0)
+    d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, mode.h_fd,
+                                  dd_guard, diagonal_only=diagonal)
     if mode.kind == "J1":
         value = 1.0 + c * float(((d_q - d_Q) * inv_m).sum())
         log_abs = math.log(abs(value)) if value else -math.inf
@@ -181,7 +176,7 @@ class JacobianAccumulator:
     """Trajectory hook that folds per-step factors into the N-step product.
 
     Called with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
-    step's last update, is reused as the probes' base value (None recomputes it).
+    step's last update, is the probes' base value.
     It keeps the product as one running (sign, log_abs) pair: the product of
     the steps' signs and the sum of their log|J| in step order.
     """
@@ -197,9 +192,9 @@ class JacobianAccumulator:
         self.log_abs = 0.0
         self.extra_force_evals = 0
 
-    def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out=None) -> None:
-        sign, log_abs, n = step_jacobian(q_out, q_in, self.tau, self.mass, self.mode,
-                                         self.potential, self.dd_guard, f_out)
+    def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out: np.ndarray) -> None:
+        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.tau, self.mass, self.mode,
+                                         self.potential, self.dd_guard)
         self.sign *= sign
         self.log_abs += log_abs
         self.extra_force_evals += n

@@ -89,12 +89,6 @@ class MassMatrix:
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
         return cls("diagonal", diag.size, diag=diag)
 
-    def inverse_apply(self, v: np.ndarray) -> np.ndarray:
-        """M^-1 @ v, elementwise."""
-        if self.kind == "identity":
-            return np.asarray(v, dtype=float)
-        return self._inv_diag * v
-
     def inverse_diagonal(self) -> np.ndarray:
         """diag(M^-1), one cached read-only vector."""
         return self._inv_diag
@@ -103,7 +97,7 @@ class MassMatrix:
         """K(p) = p^T M^-1 p / 2."""
         if self.kind == "identity":
             return 0.5 * float(p @ p)
-        return 0.5 * float(p @ self.inverse_apply(p))
+        return 0.5 * float(p @ (self._inv_diag * p))
 
     def sample_momentum(self, rng: np.random.Generator) -> np.ndarray:
         """Draw p ~ N(0, M) as sqrt(M) * xi with xi standard normal."""

@@ -43,7 +43,9 @@ class SamplerConfig:
     integer to 1e-9 or construction fails. For the conservative sampler,
     ``solver`` carries the fixed-point knobs and must agree with ``tau``;
     ``jacobian_mode`` picks J0 (default, gradient-free), J1 or JFull. Both are
-    refused for leapfrog, and ``initial_state`` unless the mode is 'explicit'.
+    refused for leapfrog, and ``initial_state`` unless the mode is 'explicit',
+    where it must be a finite vector (kept as a read-only copy; ``run_chain``
+    checks its dimension). ``seed`` must be a non-negative integer.
     """
 
     method: str
@@ -71,10 +73,18 @@ class SamplerConfig:
         require_integer("burn_in", self.burn_in)
         if self.burn_in < 0 or self.iterations <= self.burn_in:
             raise ValueError("need iterations > burn_in >= 0")
+        if require_integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.initial_state_mode not in INITIAL_STATE_MODES:
             raise ValueError(f"initial_state_mode must be one of {INITIAL_STATE_MODES}")
         if (self.initial_state_mode == "explicit") != (self.initial_state is not None):
             raise ValueError("initial_state is given exactly when initial_state_mode is explicit")
+        if self.initial_state is not None:
+            start = np.array(self.initial_state, dtype=float, copy=True, ndmin=1)
+            if start.ndim != 1 or start.size < 1 or not np.isfinite(start).all():
+                raise ValueError("initial_state must be a finite vector of dimension >= 1")
+            start.setflags(write=False)
+            object.__setattr__(self, "initial_state", start)
         if self.method != "chmc" and not (self.solver is None and self.jacobian_mode is None):
             raise ValueError("solver and jacobian_mode only apply to chmc")
         if self.method == "chmc":
@@ -208,10 +218,9 @@ def initial_position(cfg: SamplerConfig, dim: int, rng: np.random.Generator) -> 
     if cfg.initial_state_mode == "zeros":
         return np.zeros(dim)
     if cfg.initial_state_mode == "explicit":
-        theta = np.array(cfg.initial_state, dtype=float, copy=True, ndmin=1)
-        if theta.size != dim:
+        if cfg.initial_state.size != dim:
             raise ValueError("explicit initial state has the wrong dimension")
-        return theta
+        return cfg.initial_state.copy()
     return rng.standard_normal(dim)
 
 

@@ -29,17 +29,14 @@ class PerComponentQuartic(QuarticGeneralizedGaussian):
     closed_form_force_jacobian_diag = None
 
 
-def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP, f0=None):
+def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP):
     """Reference finite-difference Jacobians, one column perturbed at a time.
 
-    Returns (dF/dq, dF/dQ) as d x d matrices and the number of force
-    evaluations, 2 per column plus one for f0 when it is not given;
-    ``force_jacobians`` with one colour per column must match it bit for bit.
+    Returns (dF/dq, dF/dQ) as d x d matrices, forward quotients from the base
+    force F(Q, q); ``force_jacobians`` with one colour per column must match
+    it bit for bit.
     """
-    n = 0
-    if f0 is None:
-        f0 = potential.closed_form_force(Q, q)
-        n = 1
+    f0 = potential.closed_form_force(Q, q)
     d = q.size
     d_q, d_Q = np.empty((d, d)), np.empty((d, d))
     for j in range(d):
@@ -51,13 +48,22 @@ def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP, f0=None):
         Q_pert = Q.copy()
         Q_pert[j] += hQ
         d_Q[:, j] = (potential.closed_form_force(Q_pert, q) - f0) / hQ
-        n += 2
-    return d_q, d_Q, n
+    return d_q, d_Q
 
 
-def step_factor(*args, **kwargs):
-    """``step_jacobian``'s (sign, log|J|) pair as one float, and its probe count."""
-    sign, log_abs, n = step_jacobian(*args, **kwargs)
+def jacobians(Q, q, potential, *args, **kwargs):
+    """``force_jacobians`` at (Q, q) from the base force F(Q, q)."""
+    return force_jacobians(Q, q, potential.closed_form_force(Q, q), potential, *args, **kwargs)
+
+
+def step_pair(Q, q, tau, mass, mode, potential):
+    """``step_jacobian`` at (Q, q) from the base force F(Q, q)."""
+    return step_jacobian(Q, q, potential.closed_form_force(Q, q), tau, mass, mode, potential)
+
+
+def step_factor(*args):
+    """``step_pair``'s (sign, log|J|) pair as one float, and its probe count."""
+    sign, log_abs, n = step_pair(*args)
     return sign * math.exp(log_abs), n
 
 
@@ -76,8 +82,8 @@ class StiffDeclaredQuartic(QuarticGeneralizedGaussian):
 class TestForceJacobians:
     def test_quartic_analytic_values(self):
         t = QuarticGeneralizedGaussian(1)
-        d_q, d_Q, n = force_jacobians(np.array([2.0]), np.array([1.0]), t, "analytic",
-                                      diagonal_only=True)
+        d_q, d_Q, n = jacobians(np.array([2.0]), np.array([1.0]), t, "analytic",
+                                diagonal_only=True)
         assert d_q[0] == pytest.approx(22.0, rel=1e-14)
         assert d_Q[0] == pytest.approx(34.0, rel=1e-14)
         assert n == 0
@@ -85,7 +91,7 @@ class TestForceJacobians:
     def test_gaussian_analytic_is_precision(self):
         cov = np.array([[2.0, 0.4], [0.4, 1.0]])
         t = MultivariateGaussian([0.0, 0.0], cov)
-        d_q, d_Q, _ = force_jacobians(np.array([1.0, 0.5]), np.array([-0.2, 0.7]), t, "analytic")
+        d_q, d_Q, _ = jacobians(np.array([1.0, 0.5]), np.array([-0.2, 0.7]), t, "analytic")
         prec = np.linalg.inv(cov)
         np.testing.assert_allclose(d_q, prec, rtol=1e-10)
         np.testing.assert_allclose(d_Q, prec, rtol=1e-10)
@@ -96,16 +102,16 @@ class TestForceJacobians:
         for _ in range(100):
             q = rng.uniform(-2, 2, 3)
             Q = q + rng.uniform(0.05, 1.0, 3) * rng.choice([-1, 1], 3)
-            a_q, a_Q, _ = force_jacobians(Q, q, t, "analytic")
-            f_q, f_Q, n = force_jacobians(Q, q, t, "finite-difference")
-            assert n == 3  # separable target: one colour, 2 probes
+            a_q, a_Q, _ = jacobians(Q, q, t, "analytic")
+            f_q, f_Q, n = jacobians(Q, q, t, "finite-difference")
+            assert n == 2  # separable target: one colour, 2 probes
             np.testing.assert_allclose(f_q, a_q, rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(f_Q, a_Q, rtol=1e-5, atol=1e-5)
 
     def test_diagonal_only_returns_vectors(self):
         t = QuarticGeneralizedGaussian(2)
-        d_q, d_Q, _ = force_jacobians(np.array([1.0, 2.0]), np.array([0.5, 1.5]), t,
-                                      "finite-difference", diagonal_only=True)
+        d_q, d_Q, _ = jacobians(np.array([1.0, 2.0]), np.array([0.5, 1.5]), t,
+                                "finite-difference", diagonal_only=True)
         assert d_q.shape == (2,) and d_Q.shape == (2,)
 
     @pytest.mark.parametrize("diagonal_only", [True, False])
@@ -118,18 +124,18 @@ class TestForceJacobians:
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
             # the separable target returns diagonals either way, one colour
             # per column returns matrices unless diagonal_only
-            c_q, c_Q, n_c = force_jacobians(Q, q, t, diagonal_only=diagonal_only)
-            l_q, l_Q, n_l = force_jacobians(Q, q, loop, diagonal_only=diagonal_only)
+            c_q, c_Q, n_c = jacobians(Q, q, t, diagonal_only=diagonal_only)
+            l_q, l_Q, n_l = jacobians(Q, q, loop, diagonal_only=diagonal_only)
             if not diagonal_only:
                 l_q, l_Q = np.diag(l_q), np.diag(l_Q)
             assert np.array_equal(c_q, l_q) and np.array_equal(c_Q, l_Q)
-            assert (n_c, n_l) == (3, 11)
+            assert (n_c, n_l) == (2, 10)
 
     @pytest.mark.parametrize("d", [5, 12])
     @pytest.mark.parametrize("kind", ["gaussian", "quartic"])
     def test_colour_loop_matches_per_column_reference(self, kind, d):
         # one colour per column: the reference's quotients bit for bit, and
-        # exactly 2d probe calls (2d + 1 with f0 computed inside)
+        # exactly 2d probe calls
         rng = np.random.default_rng(53 + d)
         if kind == "gaussian":
             a = rng.standard_normal((d, d))
@@ -146,21 +152,19 @@ class TestForceJacobians:
         for _ in range(5):
             q = rng.uniform(-2, 2, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
-            r_q, r_Q, _ = per_column_probes(Q, q, t)
-            for f0, n_ref in ((None, 2 * d + 1), (force(Q, q), 2 * d)):
-                for diagonal_only in (False, True):
-                    del calls[:]
-                    d_q, d_Q, n = force_jacobians(Q, q, t, diagonal_only=diagonal_only,
-                                                  f0=f0)
-                    assert n == len(calls) == n_ref
-                    want_q, want_Q = (np.diag(r_q), np.diag(r_Q)) if diagonal_only else (
-                        r_q, r_Q)
-                    assert np.array_equal(d_q, want_q) and np.array_equal(d_Q, want_Q)
+            r_q, r_Q = per_column_probes(Q, q, t)
+            f0 = force(Q, q)
+            for diagonal_only in (False, True):
+                del calls[:]
+                d_q, d_Q, n = force_jacobians(Q, q, f0, t, diagonal_only=diagonal_only)
+                assert n == len(calls) == 2 * d
+                want_q, want_Q = (np.diag(r_q), np.diag(r_Q)) if diagonal_only else (r_q, r_Q)
+                assert np.array_equal(d_q, want_q) and np.array_equal(d_Q, want_Q)
 
     def test_non_separable_target_keeps_per_component_loop(self):
         t = MultivariateGaussian([0.0, 0.0, 0.0], np.diag([1.0, 2.0, 0.5]))
-        _, _, n = force_jacobians(np.array([1.0, 0.5, -0.3]), np.array([0.2, -0.1, 0.4]), t)
-        assert n == 7  # 2d + 1
+        _, _, n = jacobians(np.array([1.0, 0.5, -0.3]), np.array([0.2, -0.1, 0.4]), t)
+        assert n == 6  # 2d
 
     def test_analytic_unavailable_raises(self):
         class BlackBox(QuarticGeneralizedGaussian):
@@ -168,15 +172,15 @@ class TestForceJacobians:
             closed_form_force_jacobian = None
 
         with pytest.raises(ValueError):
-            force_jacobians(np.array([1.0]), np.array([0.5]), BlackBox(1), "analytic")
+            jacobians(np.array([1.0]), np.array([0.5]), BlackBox(1), "analytic")
 
 
 class TestStepJacobian:
     def test_j0_is_one(self):
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
-        pair = step_jacobian(rng.standard_normal(4), rng.standard_normal(4), 0.1,
-                             MassMatrix.identity(4), JacobianMode("J0"), t)
+        pair = step_pair(rng.standard_normal(4), rng.standard_normal(4), 0.1,
+                         MassMatrix.identity(4), JacobianMode("J0"), t)
         assert pair == (1.0, 0.0, 0)
 
     def test_j1_trace_value(self):
@@ -229,7 +233,7 @@ class TestStepJacobian:
         for _ in range(20):
             q = rng.uniform(-2, 2, 12)
             Q = q + rng.uniform(0.05, 1.0, 12) * rng.choice([-1, 1], 12)
-            d_q, d_Q, _ = force_jacobians(Q, q, t, "finite-difference")
+            d_q, d_Q, _ = jacobians(Q, q, t, "finite-difference")
             d_qF, d_QF = np.diag(d_q), np.diag(d_Q)
             inv_m = mass.inverse_diagonal()[:, None]
             sign_n, log_n = np.linalg.slogdet(np.eye(12) + c * (inv_m * d_qF))
@@ -243,7 +247,7 @@ class TestStepJacobian:
         monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
         for (Q, q), ref in zip(pairs, expected):
             value, n = step_factor(Q, q, 0.1, mass, JacobianMode("JFull"), t)
-            assert n == 3
+            assert n == 2
             assert value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [JacobianMode("J1"), JacobianMode("JFull")])
@@ -257,7 +261,7 @@ class TestStepJacobian:
             compressed, n_c = step_factor(Q, q, 0.1, mass, mode, t)
             per_component, n_l = step_factor(Q, q, 0.1, mass, mode, loop)
             assert compressed == per_component
-            assert (n_c, n_l) == (3, 11)
+            assert (n_c, n_l) == (2, 10)
 
     def test_separable_jfull_log_sums_to_fsum_accuracy(self):
         # d = 10240 logs per determinant: the step's log|J| stays within 5e-14
@@ -275,18 +279,16 @@ class TestStepJacobian:
             d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
             ref = (math.fsum(map(math.log, np.abs(1.0 + c * (inv_m * d_q)).tolist()))
                    - math.fsum(map(math.log, np.abs(1.0 + c * (inv_m * d_Q)).tolist())))
-            sign, log_abs, _ = step_jacobian(Q, q, 0.1, mass, JacobianMode("JFull", "analytic"),
-                                             t)
+            sign, log_abs, _ = step_pair(Q, q, 0.1, mass, JacobianMode("JFull", "analytic"), t)
             assert sign == 1.0
             assert abs(log_abs - ref) <= 5e-14
 
     def test_determinant_past_the_float_range(self):
         # (-2)^2000 = e^1386.3: the step keeps its log, which no float exp holds
         d = 2000
-        sign, log_abs, n = step_jacobian(np.full(d, 0.5), np.full(d, 0.4), 0.1,
-                                         MassMatrix.identity(d),
-                                         JacobianMode("JFull", "analytic"),
-                                         StiffDeclaredQuartic(d))
+        sign, log_abs, n = step_pair(np.full(d, 0.5), np.full(d, 0.4), 0.1,
+                                     MassMatrix.identity(d), JacobianMode("JFull", "analytic"),
+                                     StiffDeclaredQuartic(d))
         assert (sign, n) == (1.0, 0)
         assert log_abs == pytest.approx(d * math.log(2.0), rel=1e-12)
 
@@ -297,8 +299,8 @@ class TestStepJacobian:
         # of no division by zero
         t = StiffDeclaredQuartic(1)
         t.k = k
-        pair = step_jacobian(np.ones(1), np.zeros(1), 0.5, MassMatrix.identity(1),
-                             JacobianMode(kind, "analytic"), t)
+        pair = step_pair(np.ones(1), np.zeros(1), 0.5, MassMatrix.identity(1),
+                         JacobianMode(kind, "analytic"), t)
         assert pair == (0.0, -math.inf, 0)
         assert not recwarn.list
 
@@ -319,7 +321,7 @@ def trajectory_product(monkeypatch, factors):
     monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
     acc = JacobianAccumulator(JacobianMode("J1"), 0.1, MassMatrix.identity(1), None)
     for _ in factors:
-        acc(None, None)
+        acc(None, None, None)
     return acc.product
 
 
@@ -349,7 +351,7 @@ class TestTrajectoryJacobian:
     def test_probes_reuse_the_solve_force(self, kind, separable):
         # the base force of the probes is the solve's last force: 2 probe
         # calls per step (2d per component), and the same factors bit for bit
-        # as probes that recompute it
+        # as probes from a freshly computed F(q_out, q_in)
         rng = np.random.default_rng(50)
         d, n_steps = 12, 40
         t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
@@ -361,10 +363,10 @@ class TestTrajectoryJacobian:
         recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, mass, t)
         trajectory(state, t, mass, cfg, n_steps, per_step_hook=reused)
         trajectory(state, t, mass, cfg, n_steps,
-                   per_step_hook=lambda q_in, q_out, f_out: recomputed(q_in, q_out))
+                   per_step_hook=lambda q_in, q_out, f_out: recomputed(
+                       q_in, q_out, t.closed_form_force(q_out, q_in)))
         per_step = 2 if separable else 2 * d
-        assert reused.extra_force_evals == per_step * n_steps
-        assert recomputed.extra_force_evals == (per_step + 1) * n_steps
+        assert reused.extra_force_evals == recomputed.extra_force_evals == per_step * n_steps
         assert (reused.sign, reused.log_abs) == (recomputed.sign, recomputed.log_abs)
         assert reused.product == recomputed.product
 

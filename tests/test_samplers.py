@@ -165,6 +165,34 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="initial_state"):
             quartic_cfg(initial_state_mode="explicit")
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        # refused at construction, not in chain_rng's SeedSequence; True is
+        # not seed 1
+        for bad, message in ((2.5, "seed must be an integer"), (True, "seed must be an integer"),
+                             (-1, "seed must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                quartic_cfg(seed=bad)
+        seen = []
+        run_chain(quartic_cfg(method="hmc-leapfrog", iterations=2, seed=np.int64(3)),
+                  QuarticGeneralizedGaussian(2), MassMatrix.identity(2),
+                  sinks=[lambda i, o, th: seen.append(th.tobytes())])
+        same = []
+        run_chain(quartic_cfg(method="hmc-leapfrog", iterations=2, seed=3),
+                  QuarticGeneralizedGaussian(2), MassMatrix.identity(2),
+                  sinks=[lambda i, o, th: same.append(th.tobytes())])
+        assert seen == same
+
+    def test_explicit_initial_state_must_be_a_finite_vector(self):
+        # refused at construction, not at the first iteration's PhaseState
+        for bad in ([math.nan, 0.0], [0.0, math.inf], np.zeros((2, 2)), []):
+            with pytest.raises(ValueError, match="initial_state must be a finite vector"):
+                quartic_cfg(initial_state_mode="explicit", initial_state=bad)
+        start = [0.5, -0.2]
+        cfg = quartic_cfg(initial_state_mode="explicit", initial_state=start)
+        start[0] = 9.0
+        assert not cfg.initial_state.flags.writeable
+        np.testing.assert_array_equal(cfg.initial_state, [0.5, -0.2])
+
 
 class TestChmcIteration:
     def test_near_identity_limit(self):

@@ -64,6 +64,22 @@ class TestPerfbenchHooks:
                    if spans._resolve(module, path) is None]
         assert missing == []
 
+    def test_every_called_mass_method_is_a_timed_leaf(self):
+        # spans.py times MassMatrix methods by name and skips a missing one,
+        # so a renamed method would silently lose its leaf timing
+        called = set()
+        for path in (ROOT / "src" / "chmc").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = node.func.value
+                    if getattr(owner, "id", getattr(owner, "attr", None)) == "mass":
+                        called.add(node.func.attr)
+        assert called == {"kinetic", "inverse_diagonal", "sample_momentum"}
+        mass_calls = load_perfbench("spans").MASS_CALLS
+        for name in sorted(called):
+            assert callable(getattr(chmc.MassMatrix, name, None)), name
+            assert name in mass_calls, name
+
     def test_workload_chmc_references_exist(self):
         imported, dotted = chmc_references(ROOT / "perfbench" / "workloads.py")
         assert imported, "no names imported from chmc"
