@@ -336,22 +336,35 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def _load_array(path: str, shape: tuple) -> np.ndarray:
-    """A .npy or comma-separated text array of the given shape."""
+    """A finite .npy or comma-separated text array of the given shape."""
     arr = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",")
     arr = np.atleast_1d(np.asarray(arr, dtype=float))
     if arr.shape != shape:
         raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: entries must be finite")
     return arr
 
 
 def build_target(spec: ExperimentSpec):
-    """Target distribution plus its covariance description for error traces."""
+    """Target distribution plus its covariance description for error traces.
+
+    A mean or covariance file that cannot be read or gives no valid Gaussian
+    raises ``ConfigError`` naming its key, before a run writes anything.
+    """
     if spec.target_kind == "quartic":
         return QuarticGeneralizedGaussian(spec.dimension), quartic_target_variance()
     d = spec.dimension
-    mean = np.zeros(d) if spec.mean_path is None else _load_array(spec.mean_path, (d,))
-    cov = np.eye(d) if spec.cov_path is None else _load_array(spec.cov_path, (d, d))
-    return MultivariateGaussian(mean, cov), cov
+    key, mean, cov = "target.mean_path", np.zeros(d), np.eye(d)
+    try:
+        if spec.mean_path is not None:
+            mean = _load_array(spec.mean_path, (d,))
+        key = "target.cov_path"
+        if spec.cov_path is not None:
+            cov = _load_array(spec.cov_path, (d, d))
+        return MultivariateGaussian(mean, cov), cov
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{key}: {exc}"]) from exc
 
 
 class _TraceWriter:
@@ -376,9 +389,10 @@ class _TraceWriter:
         ))
 
 
-def _run_task(spec: ExperimentSpec, method_idx: int, chain_idx: int) -> dict:
+def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: int) -> dict:
+    """One chain of one method; ``built`` is ``build_target(spec)``."""
     method = spec.methods[method_idx]
-    target, target_cov = build_target(spec)
+    target, target_cov = built
     mass = MassMatrix.identity(spec.dimension)
     diagonal = spec.resolved_covariance_mode() == "diagonal"
     tracker = CovarianceTracker(spec.dimension, target_cov, diagonal=diagonal,
@@ -419,16 +433,19 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     Chains are independent units of work; results are identical for any
     degree of parallelism. ``workers`` overrides ``spec.workers`` under the
     field's own check (ConfigError before any file is written); meta.json
-    records the spec's value. Returns a manifest with the per-task results
-    and output paths.
+    records the spec's value. The target is built once, before any file is
+    written (see ``build_target``). Returns a manifest with the per-task
+    results and output paths.
     """
     workers = (spec if workers is None else replace(spec, workers=workers)).workers
+    built = build_target(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
     if not os.access(spec.output_dir, os.W_OK):
         raise OSError(f"output directory {spec.output_dir!r} is not writable")
 
     tasks = [(m, c) for m in range(len(spec.methods)) for c in range(spec.chains)]
-    task_args = ([spec] * len(tasks), [m for m, _ in tasks], [c for _, c in tasks])
+    task_args = ([spec] * len(tasks), [built] * len(tasks), [m for m, _ in tasks],
+                 [c for _, c in tasks])
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(tasks, pool.map(_run_task, *task_args)))
@@ -531,6 +548,8 @@ def main(argv=None) -> int:
     if args.command in ("run", "validate"):
         try:
             spec = load_spec(args.config)
+            if args.command == "validate":
+                build_target(spec)
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR

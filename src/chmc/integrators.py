@@ -1,22 +1,22 @@
 """Leapfrog and the symmetrized energy-preserving (divided-difference) map.
 
-The implicit energy-preserving step
+The implicit energy-preserving step for H(q, p) = U(q) + p . p / 2
 
-    Q_i = q_i + (tau/2) (P + p)^T M^-1 e_i
+    Q_i = q_i + (tau/2) (P_i + p_i)
     P_i = p_i - (tau/2) F_i(Q, q)
 
 is solved as a predictor-corrector. Eliminating P leaves the position
-equation Q = g(Q) with g(Q) = a - (tau/2)^2 M^-1 F(Q, q), where
-a = q + tau M^-1 p is formed once per step. The predictor is the first
+equation Q = g(Q) with g(Q) = a - (tau/2)^2 F(Q, q), where
+a = q + tau p is formed once per step. The predictor is the first
 iterate Q0. On a trajectory's first step it is the Euler guess Q0 = a. On
 every later step the previous step's final force F_prev = F(q, q_prev),
 which the trajectory carries over as ``StepRecord.force``, is frozen in g:
-Q_pc = a - (tau/2)^2 M^-1 F_prev, at no target call (Hairer, Lubich &
+Q_pc = a - (tau/2)^2 F_prev, at no target call (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, VIII.6, "starting
 approximations"). As p = p_prev - (tau/2) F_prev, this is the momentum
-extrapolation q + (tau/2) M^-1 (3p - p_prev). On a separable target the
+extrapolation q + (tau/2) (3p - p_prev). On a separable target the
 previous step also hands over a predicted chord diagonal
-D_pred = 1 + (tau/2)^2 M^-1 J, a Newton model of that force,
+D_pred = 1 + (tau/2)^2 J, a Newton model of that force,
 F(Q, q) ~ F(q, q_prev) + J (Q - q_prev), and solving the linearized
 equation folds one free chord contraction into the start:
 
@@ -32,7 +32,7 @@ dF/dq = U''(m) - U'''(m) h/6 + O(h^2), and
 At the previous step's (Q, q) = (q, q_prev) this is the wanted curvature,
 where dF/dQ alone is only first-order, so the previous step's one
 Jacobian-diagonal call also yields
-D_pred = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq) (see ``_chord_scale``). On a
+D_pred = 1 + (tau/2)^2 (2 dF/dQ - dF/dq) (see ``_chord_scale``). On a
 separable quadratic target the force is linear in its arguments and this Q0
 is the solution up to rounding. Without D_pred (a trajectory's first step,
 a non-separable or black-box target, or a D_pred that is not finite and
@@ -49,7 +49,7 @@ doubles the force-evaluation count for the same progress.
 
 The energy test makes no target call. The force is a discrete gradient,
 F(Q, q) . (Q - q) = 2 (U(Q) - U(q)) (see ``Potential``), so at an iterate
-with f = F(Q, q), P = p - (tau/2) f and g = q + (tau/2) M^-1 (P + p), the
+with f = F(Q, q), P = p - (tau/2) f and g = q + (tau/2) (P + p), the
 next update's target position,
 
     H(Q, P) - H(q, p) = f . (Q - g) / 2
@@ -62,14 +62,13 @@ U(q) in), and clears ``all_converged`` when the true
 above the rounding floor) plus a few ulps of |H_in| + |H_out|, which the
 identity rules out unless a target's force breaks the contract.
 
-The mass is diagonal, so on a separable target the Jacobian
-I + (tau/2)^2 M^-1 dF/dQ of Q - g(Q) is a diagonal D, and the update
-becomes the chord (simplified Newton) step Q <- Q + (g - Q) / D (Hairer,
-Lubich & Wanner, Geometric Numerical Integration, VIII.6). D is
-frozen at one point X per step. With the residual R(Q) = Q - g(Q), the
-solution is Q* = Q0 - R(Q0) / S, where S, the secant slope of R between Q0
-and Q*, equals R' = D at their midpoint up to O(|Q* - Q0|^2). With a
-predicted chord, Q* - Q0 ~ (g(Q0) - Q0) / D_pred, so
+On a separable target the Jacobian I + (tau/2)^2 dF/dQ of Q - g(Q) is a
+diagonal D, and the update becomes the chord (simplified Newton) step
+Q <- Q + (g - Q) / D (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, VIII.6). D is frozen at one point X per step. With the
+residual R(Q) = Q - g(Q), the solution is Q* = Q0 - R(Q0) / S, where S, the
+secant slope of R between Q0 and Q*, equals R' = D at their midpoint up to
+O(|Q* - Q0|^2). With a predicted chord, Q* - Q0 ~ (g(Q0) - Q0) / D_pred, so
 
     X = Q0 + (g(Q0) - Q0) / (2 D_pred)
 
@@ -92,11 +91,10 @@ then evaluates U once and, for leapfrog, the gradient n times.
 
 Both loops write their temporaries into work rows made once per trajectory:
 a ``StepScratch`` for ``dmm_step``, which also looks up the force and the
-Jacobian-diagonal call and forms tau M^-1 and (tau/2)^2 M^-1 once, and one
-copy of p that leapfrog kicks in place. Arrays that leave a step or reach
-the target (the iterates Q, the Jacobian point X, P, the force, the
-(D, D_next) block) are fresh, and each in-place operation rounds as the
-expression it replaces.
+Jacobian-diagonal call, and one copy of p that leapfrog kicks in place.
+Arrays that leave a step or reach the target (the iterates Q, the Jacobian
+point X, P, the force, the (D, D_next) block) are fresh, and each in-place
+operation rounds as the expression it replaces.
 """
 
 from __future__ import annotations
@@ -149,7 +147,7 @@ class StepRecord:
     failed); the finite-difference Jacobian probes reuse it as their base
     value, and the next step of a trajectory freezes it in its predictor.
     ``chord`` is the next step's predicted chord diagonal
-    D_next = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq), from this step's
+    D_next = 1 + (tau/2)^2 (2 dF/dQ - dF/dq), from this step's
     Jacobian-diagonal call, which the next step of a trajectory uses in its
     predictor and for its Jacobian point (see ``dmm_step`` and the module
     docstring). It is None unless every entry is finite and positive, and
@@ -249,35 +247,31 @@ class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
     (resolved through ``force_function``), ``jacobian_diag`` (the target's
     ``closed_form_force_jacobian_diag``, None exactly when it is not
-    separable), ``tau_m`` = tau M^-1 and ``half2_m`` = (tau/2)^2 M^-1 (plain
-    floats for M = I, diagonals otherwise) and the work rows a, g, r and t."""
+    separable) and the work rows a, g, r and t."""
 
     def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
         self.force = force_function(potential, cfg.dd_guard)
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
-        inv_m = 1.0 if mass.kind == "identity" else mass.inverse_diagonal()
-        half = 0.5 * cfg.tau
-        self.tau_m, self.half2_m = cfg.tau * inv_m, half * half * inv_m
         self.a, self.g, self.r, self.t = np.empty((4, mass.dim))
 
 
-def _chord_scale(diagonals, half2_m):
+def _chord_scale(diagonals, half2):
     """Chord diagonals (D, D_next) from one Jacobian-diagonal pair (dF/dq, dF/dQ).
 
-    With half2_m = (tau/2)^2 M^-1, D = 1 + half2_m dF/dQ is this step's
-    chord and D_next = 1 + half2_m (2 dF/dQ - dF/dq) the next step's predicted
-    chord, the rows of one fresh (2, d) block that one min and one max check
-    (row by row only when that fails). Each is None unless finite and
-    positive (a non-convex region can make the frozen Newton step point the
-    wrong way); without D the step keeps the plain update, without D_next
-    the next step starts from Q_pc.
+    With half2 = (tau/2)^2, D = 1 + half2 dF/dQ is this step's chord and
+    D_next = 1 + half2 (2 dF/dQ - dF/dq) the next step's predicted chord,
+    the rows of one fresh (2, d) block that one min and one max check (row
+    by row only when that fails). Each is None unless finite and positive (a
+    non-convex region can make the frozen Newton step point the wrong way);
+    without D the step keeps the plain update, without D_next the next step
+    starts from Q_pc.
     """
     d_q, d_Q = diagonals
     block = np.empty((2, np.size(d_Q)))
     D, D_next = block
-    np.multiply(d_Q, half2_m, D)
+    np.multiply(d_Q, half2, D)
     np.subtract(np.multiply(d_Q, 2.0, D_next), d_q, D_next)
-    np.multiply(D_next, half2_m, D_next)
+    np.multiply(D_next, half2, D_next)
     block += 1.0
     if block.min() > 0.0 and block.max() < math.inf:  # NaN fails the first comparison
         return D, D_next
@@ -297,10 +291,10 @@ def dmm_step(
 ) -> StepRecord:
     """One implicit energy-preserving step from the arrays (q, p).
 
-    The first iterate Q0 costs one force evaluation. With a = q + tau M^-1 p
+    The first iterate Q0 costs one force evaluation. With a = q + tau p
     it is a on a trajectory's first step (``f_prev`` None); later, ``f_prev``
     is the previous step's ``StepRecord.force`` and it is
-    Q_pc = a - (tau/2)^2 M^-1 f_prev, or q_prev + (Q_pc - q_prev) / D_pred
+    Q_pc = a - (tau/2)^2 f_prev, or q_prev + (Q_pc - q_prev) / D_pred
     with ``chord_prev`` = (q_prev, D_pred), the previous step's input
     position and ``StepRecord.chord`` (see the module docstring).
     ``init_guess``, a (Q, P) pair, overrides the prediction at no force
@@ -314,8 +308,8 @@ def dmm_step(
     (``converged`` records which); an unconverged iterate still enters the
     acceptance ratio through the trajectory's true energy error.
 
-    Each update works on the position alone: with a = q + tau M^-1 p formed
-    once, the next target is g = a - (tau/2)^2 M^-1 f, the residual
+    Each update works on the position alone: with a = q + tau p formed
+    once, the next target is g = a - (tau/2)^2 f, the residual
     r = g - Q serves both the energy test |f . r| / 2 and the chord update
     Q + r / D, and the momentum P = p - (tau/2) f is formed once, at exit.
     An update that misses delta still converges when its error is within a
@@ -334,14 +328,15 @@ def dmm_step(
     """
     s = StepScratch(potential, mass, cfg) if scratch is None else scratch
     half = 0.5 * cfg.tau
-    a, g, r, t, half2_m = s.a, s.g, s.r, s.t, s.half2_m
-    np.add(q, np.multiply(p, s.tau_m, a), a)
+    half2 = half * half
+    a, g, r, t = s.a, s.g, s.r, s.t
+    np.add(q, np.multiply(p, cfg.tau, a), a)
     if init_guess is not None:
         Q, P = init_guess
         f = (p - P) / half
         force_evals = 0
     else:
-        Q = a if f_prev is None else np.subtract(a, np.multiply(f_prev, half2_m, t), t)
+        Q = a if f_prev is None else np.subtract(a, np.multiply(f_prev, half2, t), t)
         if chord_prev is None:
             Q = Q.copy()
         else:
@@ -349,20 +344,20 @@ def dmm_step(
             Q = q_prev + np.divide(np.subtract(Q, q_prev, t), D_pred, t)
         f = s.force(Q, q)
         force_evals = 1
-    np.subtract(a, np.multiply(f, half2_m, g), g)
+    np.subtract(a, np.multiply(f, half2, g), g)
     np.subtract(g, Q, r)
     D = D_next = None
     if s.jacobian_diag is not None:
         X = (g.copy() if chord_prev is None
              else Q + np.divide(r, np.multiply(chord_prev[1], 2.0, t), t))
-        D, D_next = _chord_scale(s.jacobian_diag(X, q), half2_m)
+        D, D_next = _chord_scale(s.jacobian_diag(X, q), half2)
     iterations = 0
     while True:
         Q = g.copy() if D is None else Q + np.divide(r, D, t)
         f = s.force(Q, q)
         force_evals += 1
         iterations += 1
-        np.subtract(a, np.multiply(f, half2_m, g), g)
+        np.subtract(a, np.multiply(f, half2, g), g)
         err = abs(0.5 * float(f @ np.subtract(g, Q, r)))
         tol = (max(cfg.delta, _ROUNDING * _norm(np.multiply(
                    np.abs(f), np.add(np.abs(Q), np.abs(g), t), t)))
@@ -428,7 +423,7 @@ def trajectory(
     the steps run on its raw arrays. Each step after the first gets the
     previous step's final force ``StepRecord.force`` and, when that step
     predicted a valid chord, its input position and predicted chord
-    diagonal, so its solve starts from Q_pc = a - (tau/2)^2 M^-1 F_prev or
+    diagonal, so its solve starts from Q_pc = a - (tau/2)^2 F_prev or
     its chord-linearized form (see ``dmm_step``). The end check,
     |H_out - H_in| at most the sum of the steps' ``tolerance`` plus a few
     ulps of |H_in| + |H_out|, turns the target's discrete-gradient contract
@@ -508,7 +503,6 @@ def leapfrog_trajectory(
     h_in = u_in + k_in
     grad = potential.gradient
     half = 0.5 * tau
-    tau_m = tau if mass.kind == "identity" else tau * mass.inverse_diagonal()
     buf, t = np.empty((2, state.dim))
     q, p = state.q, state.p.copy()
     total_f = n_steps
@@ -519,7 +513,7 @@ def leapfrog_trajectory(
         kick = kick_in
         for _ in range(n_steps):
             p -= kick
-            q = q + np.multiply(p, tau_m, t)
+            q = q + np.multiply(p, tau, t)
             kick = np.multiply(grad(q), half, buf)
             p -= kick
         h_out = math.inf

@@ -2,9 +2,9 @@
 
 The one-step map has
 
-    det J = det(I + (tau^2/4) M^-1 dF/dq) / det(I + (tau^2/4) M^-1 dF/dQ)
+    det J = det(I + (tau^2/4) dF/dq) / det(I + (tau^2/4) dF/dQ)
 
-whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(M^-1 (dF/dq - dF/dQ)).
+whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(dF/dq - dF/dQ).
 Three truncations are offered: J0 = 1 (the gradient-free sampler), J1 (the
 first-order trace term), and the exact ratio JFull; their dF/dq and dF/dQ come
 in closed form or from forward differences of the force, 2 probes per colour
@@ -147,28 +147,28 @@ def step_jacobian(
     slogdet pairs; on a separable target both matrices are diagonal, so it
     takes the O(d) sums of their diagonals' logs instead, from either
     derivative source, with the sign from the count of negative entries.
+    ``mass``, the identity mass, enters no factor.
     """
     if mode.kind == "J0":
         return 1.0, 0.0, 0
     c = 0.25 * tau * tau
-    inv_m = mass.inverse_diagonal()
     diagonal = mode.kind == "J1" or is_separable(potential)
     d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, mode.h_fd,
                                   dd_guard, diagonal_only=diagonal)
     if mode.kind == "J1":
-        value = 1.0 + c * float(((d_q - d_Q) * inv_m).sum())
+        value = 1.0 + c * float((d_q - d_Q).sum())
         log_abs = math.log(abs(value)) if value else -math.inf
         return _pair(math.copysign(1.0, value), log_abs, n)
     if diagonal:
-        num = 1.0 + c * (inv_m * d_q)
-        den = 1.0 + c * (inv_m * d_Q)
+        num = 1.0 + c * d_q
+        den = 1.0 + c * d_Q
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = float(np.log(np.abs(num)).sum() - np.log(np.abs(den)).sum())
         negatives = np.count_nonzero(num < 0.0) + np.count_nonzero(den < 0.0)
         return _pair(-1.0 if negatives % 2 else 1.0, log_abs, n)
     identity = np.eye(q.size)
-    sign_n, log_n = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_q))
-    sign_d, log_d = np.linalg.slogdet(identity + c * (inv_m[:, None] * d_Q))
+    sign_n, log_n = np.linalg.slogdet(identity + c * d_q)
+    sign_d, log_d = np.linalg.slogdet(identity + c * d_Q)
     return _pair(float(sign_n * sign_d), float(log_n) - float(log_d), n)
 
 

@@ -1,4 +1,4 @@
-"""Phase-space state, mass-matrix algebra, and Hamiltonian evaluation.
+"""Phase-space state, the identity mass, and Hamiltonian evaluation.
 
 ``PhaseState`` validates (q, p) at the public API; step loops run on raw
 arrays. Everything here is immutable after construction and safe to share
@@ -53,58 +53,28 @@ class PhaseState:
 
 
 class MassMatrix:
-    """Constant diagonal positive-definite mass matrix.
+    """The identity mass: K(p) = p . p / 2 and p ~ N(0, I).
 
-    The inverse and square-root diagonals are computed once at construction;
-    per-step code only applies them. Kinds: 'identity', 'diagonal'.
+    The sampler needs no other: a diagonal mass is the identity mass on
+    rescaled coordinates (see ``Potential``).
     """
 
-    def __init__(self, kind: str, dim: int, *, diag=None):
-        self.kind = kind
+    def __init__(self, dim: int):
         self.dim = require_integer("dim", dim)
         if self.dim < 1:
             raise ValueError("mass matrix needs dimension >= 1")
-        if kind == "identity":
-            self._inv_diag = np.ones(self.dim)
-            self._inv_diag.setflags(write=False)
-        elif kind == "diagonal":
-            diag = np.array(diag, dtype=float, copy=True, ndmin=1)
-            if diag.ndim != 1 or diag.size != self.dim:
-                raise ValueError("diagonal mass needs a length-d vector")
-            if not (np.isfinite(diag).all() and (diag > 0).all()):
-                raise ValueError("diagonal mass entries must be finite and positive")
-            self._inv_diag = 1.0 / diag
-            self._sqrt_diag = np.sqrt(diag)
-            for a in (self._inv_diag, self._sqrt_diag):
-                a.setflags(write=False)
-        else:
-            raise ValueError(f"unknown mass matrix kind: {kind!r}")
 
     @classmethod
     def identity(cls, dim: int) -> "MassMatrix":
-        return cls("identity", dim)
-
-    @classmethod
-    def diagonal(cls, diag) -> "MassMatrix":
-        diag = np.atleast_1d(np.asarray(diag, dtype=float))
-        return cls("diagonal", diag.size, diag=diag)
-
-    def inverse_diagonal(self) -> np.ndarray:
-        """diag(M^-1), one cached read-only vector."""
-        return self._inv_diag
+        return cls(dim)
 
     def kinetic(self, p: np.ndarray) -> float:
-        """K(p) = p^T M^-1 p / 2."""
-        if self.kind == "identity":
-            return 0.5 * float(p @ p)
-        return 0.5 * float(p @ (self._inv_diag * p))
+        """K(p) = p . p / 2."""
+        return 0.5 * float(p @ p)
 
     def sample_momentum(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw p ~ N(0, M) as sqrt(M) * xi with xi standard normal."""
-        xi = rng.standard_normal(self.dim)
-        if self.kind == "identity":
-            return xi
-        return self._sqrt_diag * xi
+        """Draw p ~ N(0, I), one standard-normal vector."""
+        return rng.standard_normal(self.dim)
 
 
 def potential_energy(q: np.ndarray, potential) -> float:
@@ -119,7 +89,7 @@ def potential_energy(q: np.ndarray, potential) -> float:
 
 def hamiltonian(state: PhaseState, potential, mass: MassMatrix,
                 u: float | None = None) -> float:
-    """H(q, p) = U(q) + p^T M^-1 p / 2 of a validated state, after checking its
+    """H(q, p) = U(q) + p . p / 2 of a validated state, after checking its
     dimension. ``u``, when given, is ``potential_energy(state.q, potential)``
     already computed, and no evaluation is made.
     """

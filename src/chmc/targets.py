@@ -46,6 +46,16 @@ class Potential:
     nor one that a capability returns, so a capability may keep or return
     views of its arguments. The exception is ``divided_difference_force``,
     which rewrites its two substitution paths between ``evaluate`` calls.
+
+    The sampler's mass is the identity. To precondition with a diagonal
+    mass diag(m), rescale the target instead: sample z = m^(1/2) q from
+    U~(z) = U(m^(-1/2) z) and map each draw back to q = m^(-1/2) z. The
+    identity-mass chain in z is the diagonal-mass chain in q (Neal 2011,
+    "MCMC using Hamiltonian dynamics", section 4.1). The capabilities of U~
+    follow from those of U with s = m^(-1/2): grad U~(z) = s grad U(s z);
+    F~(Z, z) = s F(s Z, s z), again a discrete gradient; and each force
+    Jacobian is diag(s) dF diag(s) at (s Z, s z), whose diagonal is that of
+    F divided by m.
     """
 
     gradient = None

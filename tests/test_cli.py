@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import os
@@ -32,6 +34,78 @@ methods:
   - {{name: hmc-lf, method: hmc-leapfrog}}
   - {{name: chmc-j0, method: chmc, jacobian: J0}}
 """
+
+
+# the shipped four-method table, shrunk: d = 4, 2 chains x 30 iterations
+GOLDEN = """
+target: {{kind: quartic, dimension: 4}}
+chains: 2
+iterations: 30
+seed: 20240811
+output_dir: {out}
+record_stride: 5
+workers: 1
+defaults: {{tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
+methods:
+  - {{name: hmc-lf, method: hmc-leapfrog}}
+  - {{name: chmc-j0, method: chmc, jacobian: J0}}
+  - {{name: chmc-j1, method: chmc, jacobian: J1}}
+  - {{name: chmc-jfull, method: chmc, jacobian: JFull}}
+"""
+
+# the four methods on a correlated Gaussian at d = 3, one chain
+GOLDEN_GAUSSIAN = """
+target: {{kind: gaussian, dimension: 3, mean_path: {files}/mean.npy, cov_path: {files}/cov.csv}}
+chains: 1
+iterations: 30
+seed: 20240811
+output_dir: {out}
+record_stride: 5
+workers: 1
+defaults: {{tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
+methods:
+  - {{name: hmc-lf, method: hmc-leapfrog}}
+  - {{name: chmc-j0, method: chmc, jacobian: J0}}
+  - {{name: chmc-j1, method: chmc, jacobian: J1}}
+  - {{name: chmc-jfull, method: chmc, jacobian: JFull}}
+"""
+
+# sha256 of each CSV body of GOLDEN and GOLDEN_GAUSSIAN (``csv_digests``).
+# A change may move them only if it says which outputs move and why.
+GOLDEN_DIGESTS = {
+    "summary.csv": "91e4491a5c32167b34dc0707a7e9c4c33a5529d27c7f057b8723a7ece96dcf03",
+    "trace_chmc-j0_0.csv": "c70fcb15ec2eaa74b102fee9be2de21b7592a94006616a3f7ceb5856af92d3f4",
+    "trace_chmc-j0_1.csv": "72de2f55fb22bdadcb45ae016b0c62cde34c38fd17da88449276de6b4970e119",
+    "trace_chmc-j1_0.csv": "85f84e011a170489c151673c19d247d039962ccffa412b4f8ab7791c7180aba8",
+    "trace_chmc-j1_1.csv": "3de73d62fba37635b02a1f7757193a6fd578352db882b3b5d215feb5109203d4",
+    "trace_chmc-jfull_0.csv": "bae6983a2421e9605cc864e1ce47f38b82648f870499f59e2c4e093fbd380ffa",
+    "trace_chmc-jfull_1.csv": "ccf46e02272e193306f8125bff9c529fa919fe7cae46f163c06017e932d48f60",
+    "trace_hmc-lf_0.csv": "6081f34ab906a67e519fbf27f90254260f3a82570e42b595a60a83a1aacd2df2",
+    "trace_hmc-lf_1.csv": "9abbaf22ca5940a847ae5de1edfd3dfd78fb198d72369fb7cda06f0362f7a6c1",
+}
+
+GOLDEN_GAUSSIAN_DIGESTS = {
+    "summary.csv": "ef70ae6d6b682d2329451042df14984b4a25edbfc1f95feb97492c17904ff1cb",
+    "trace_chmc-j0_0.csv": "a5ad7ff811c69b0e498e33d1bc12d8632aa54ef57a52850a98d071adcae40cee",
+    "trace_chmc-j1_0.csv": "a850e1e6eaef7142b166767d015017ec6704449bc59a5109b955fbb225b19737",
+    "trace_chmc-jfull_0.csv": "601cca442e2614c45e1aa8518069ad032dedea29fca6f82607e6d08ba0f38c31",
+    "trace_hmc-lf_0.csv": "c066f1ec7b13ae27a8f3259658f6fe2fd878393948578706e2dfcdde7915b6aa",
+}
+
+
+def csv_digests(out):
+    """sha256 of each CSV body in ``out``, summary.csv without wall_time_s."""
+    found = {}
+    for path in sorted(out.glob("*.csv")):
+        data = path.read_bytes()
+        if path.name == "summary.csv":
+            rows = list(csv.reader(io.StringIO(data.decode())))
+            col = rows[0].index("wall_time_s")
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(r[:col] + r[col + 1:] for r in rows)
+            data = buf.getvalue().encode()
+        found[path.name] = hashlib.sha256(data).hexdigest()
+    return found
 
 
 def read_csv(path):
@@ -357,6 +431,17 @@ class TestRunExperiment:
                      "trace_chmc-j0_0.csv", "trace_chmc-j0_1.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_golden_outputs(self, tmp_path):
+        run_experiment(validate_spec(GOLDEN.format(out=tmp_path)))
+        assert csv_digests(tmp_path) == GOLDEN_DIGESTS
+
+    def test_golden_gaussian_outputs(self, tmp_path):
+        np.save(tmp_path / "mean.npy", np.array([0.5, -0.25, 1.0]))
+        np.savetxt(tmp_path / "cov.csv", np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
+                                                   [0.0, -0.1, 0.6]]), delimiter=",")
+        run_experiment(validate_spec(GOLDEN_GAUSSIAN.format(out=tmp_path / "o", files=tmp_path)))
+        assert csv_digests(tmp_path / "o") == GOLDEN_GAUSSIAN_DIGESTS
+
     def test_gaussian_target_with_files(self, tmp_path):
         mean = np.array([0.5, -0.25])
         cov = np.array([[1.5, 0.2], [0.2, 0.8]])
@@ -428,6 +513,31 @@ class TestMainEntry:
         cfg.write_text(MINIMAL.format(chains=2, iterations=3, out=out))
         assert main(["run", str(cfg), "--workers", "2"]) == EXIT_OK
         assert json.loads((out / "meta.json").read_text())["spec"]["workers"] == 1
+
+    @pytest.mark.parametrize("case", ["cov-not-spd", "cov-wrong-shape", "mean-missing",
+                                      "mean-not-finite"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unusable_gaussian_file_is_config_error(self, tmp_path, capsys, command, case):
+        # validate refuses what run cannot build, and neither writes anything
+        cov = {"cov-not-spd": [[1.0, 2.0], [2.0, 1.0]], "cov-wrong-shape": np.eye(3)}
+        np.savetxt(tmp_path / "cov.csv", cov.get(case, np.eye(2)), delimiter=",")
+        np.save(tmp_path / "mean.npy", [0.0, np.nan] if case == "mean-not-finite" else np.zeros(2))
+        mean = tmp_path / ("missing.npy" if case == "mean-missing" else "mean.npy")
+        out = tmp_path / "o"
+        cfg = tmp_path / "gauss.yaml"
+        cfg.write_text(f"""
+target: {{kind: gaussian, dimension: 2, mean_path: {mean}, cov_path: {tmp_path / 'cov.csv'}}}
+iterations: 3
+output_dir: {out}
+defaults: {{tau: 0.1, total_time: 1.0}}
+methods:
+  - {{name: chmc-j0, method: chmc, jacobian: J0}}
+""")
+        key = "target.mean_path" if case.startswith("mean") else "target.cov_path"
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key}: ")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

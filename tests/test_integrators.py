@@ -16,6 +16,7 @@ from chmc import (
     dmm_step,
     hamiltonian,
     leapfrog_trajectory,
+    step_jacobian,
     trajectory,
 )
 from chmc.integrators import force_function
@@ -127,6 +128,31 @@ class SeparableQuadratic(Potential):
         return self.a.copy(), self.a.copy()
 
 
+class RescaledQuartic(Potential):
+    """The quartic in the coordinates z = m^(1/2) q, U~(z) = U(s z) with
+    s = m^(-1/2), built by the preconditioning recipe of ``Potential``: the
+    identity-mass sampler on it is the diagonal-mass sampler on the quartic."""
+
+    def __init__(self, m):
+        super().__init__(len(m))
+        self.m = np.asarray(m, dtype=float)
+        self.s = 1.0 / np.sqrt(self.m)
+        self.base = QuarticGeneralizedGaussian(self.dim)
+
+    def evaluate(self, z):
+        return self.base.evaluate(self.s * z)
+
+    def gradient(self, z):
+        return self.s * self.base.gradient(self.s * z)
+
+    def closed_form_force(self, Z, z):
+        return self.s * self.base.closed_form_force(self.s * Z, self.s * z)
+
+    def closed_form_force_jacobian_diag(self, Z, z):
+        d_q, d_Q = self.base.closed_form_force_jacobian_diag(self.s * Z, self.s * z)
+        return d_q / self.m, d_Q / self.m
+
+
 def record_steps(monkeypatch):
     """Route ``trajectory``'s steps through a recorder of (q, p, kwargs, record)."""
     import chmc.integrators as integrators
@@ -160,32 +186,32 @@ def first_iterate(q, p, target, mass, cfg, f_prev=None, chord_prev=None):
     return calls[0]
 
 
-def plain_fixed_point(state, potential, mass, cfg):
+def plain_fixed_point(state, potential, cfg):
     """Reference solve with the plain update Q <- g, written out.
 
-    g = a - (tau/2)^2 M^-1 f with a = q + tau M^-1 p, the arithmetic
-    ``dmm_step`` uses, from the Euler first iterate a; the energy error is
-    the discrete-gradient value |f . (g - Q)| / 2, tested after every update
+    g = a - (tau/2)^2 f with a = q + tau p, the arithmetic ``dmm_step``
+    uses, from the Euler first iterate a; the energy error is the
+    discrete-gradient value |f . (g - Q)| / 2, tested after every update
     (never before the first). Returns (Q, P, updates, |dH|).
     """
     q, p = state.q, state.p
-    half, inv_m = 0.5 * cfg.tau, mass.inverse_diagonal()
-    a = q + cfg.tau * (inv_m * p)
+    half = 0.5 * cfg.tau
+    a = q + cfg.tau * p
     force = force_function(potential, cfg.dd_guard)
     f = force(a, q)
     updates = 0
     while True:
-        Q = a - half * half * (inv_m * f)
+        Q = a - half * half * f
         f = force(Q, q)
         updates += 1
-        g = a - half * half * (inv_m * f)
+        g = a - half * half * f
         err = abs(0.5 * float(f @ (g - Q)))
         if err <= cfg.delta or updates >= cfg.max_fpi or not math.isfinite(err):
             return Q, p - half * f, updates, err
 
 
-def assert_record_is_plain(rec, state, potential, mass, cfg):
-    Q, P, updates, err = plain_fixed_point(state, potential, mass, cfg)
+def assert_record_is_plain(rec, state, potential, cfg):
+    Q, P, updates, err = plain_fixed_point(state, potential, cfg)
     np.testing.assert_array_equal(rec.q, Q)
     np.testing.assert_array_equal(rec.p, P)
     assert rec.fpi_iterations == updates
@@ -199,8 +225,9 @@ def quartic_draws(rng, d):
     return np.where(rng.random(d) < 0.5, -mag, mag)
 
 
-def predictor_corrector_loop(state, t, mass, cfg, n_steps):
-    """Reference trajectory on a separable target, written out.
+def predictor_corrector_loop(state, t, cfg, n_steps, m=1.0):
+    """Reference trajectory on a separable target, written out, with the
+    diagonal mass M = diag(m) (the identity by default).
 
     With a = q + tau M^-1 p: the Euler first iterate a on step 1; on later
     steps Q_pc = a - (tau/2)^2 M^-1 F_prev, the previous step's final force
@@ -211,15 +238,15 @@ def predictor_corrector_loop(state, t, mass, cfg, n_steps):
     step's D_pred = 1 + (tau/2)^2 M^-1 (2 dF/dQ - dF/dq). Then chord updates
     Q + r / D with r = g - Q and g = a - (tau/2)^2 M^-1 f, and the energy
     test after every update (never before the first). tau M^-1 and
-    (tau/2)^2 M^-1 are formed once, as ``dmm_step`` forms them. The test
-    here forms the true |dH| from U; ``dmm_step``'s discrete-gradient value
-    makes the same stop decisions on these draws. Returns (q, p, total
-    updates).
+    (tau/2)^2 M^-1 are formed once per trajectory; with M = I they are the
+    floats ``dmm_step`` uses. The test here forms the true |dH| from U;
+    ``dmm_step``'s discrete-gradient value makes the same stop decisions on
+    these draws. Returns (q, p, total updates).
     """
     q, p = state.q, state.p
-    half = 0.5 * cfg.tau
-    tau_m, half2_m = cfg.tau * mass.inverse_diagonal(), half * half * mass.inverse_diagonal()
-    h = t.evaluate(q) + mass.kinetic(p)
+    half, inv_m = 0.5 * cfg.tau, 1.0 / np.asarray(m, dtype=float)
+    tau_m, half2_m = cfg.tau * inv_m, half * half * inv_m
+    h = t.evaluate(q) + 0.5 * float(p @ (inv_m * p))
     f_prev = q_prev = D_pred = None
     updates = 0
     for _ in range(n_steps):
@@ -239,7 +266,7 @@ def predictor_corrector_loop(state, t, mass, cfg, n_steps):
             f = t.closed_form_force(Q, q)
             P = p - half * f
             n += 1
-            h_new = t.evaluate(Q) + mass.kinetic(P)
+            h_new = t.evaluate(Q) + 0.5 * float(P @ (inv_m * P))
             if abs(h_new - h) <= cfg.delta or n >= cfg.max_fpi:
                 break
             g = a - half2_m * f
@@ -292,7 +319,7 @@ class TestLeapfrog:
         # handed U and the first half-kick at its start, a trajectory makes n
         # gradient calls and evaluates U at its end only, with the same bits
         t = CountingQuartic(3)
-        mass = MassMatrix.diagonal([0.5, 1.0, 2.0])
+        mass = MassMatrix.identity(3)
         s = PhaseState([0.3, -0.2, 0.5], [1.0, 0.5, -1.0])
         fresh = leapfrog_trajectory(s, t, mass, 0.1, 7)
         t.gradient_calls = t.evaluate_calls = 0
@@ -332,14 +359,13 @@ class TestLeapfrog:
         # the reference re-evaluates the start-of-step gradient every step
         rng = np.random.default_rng(37)
         t = QuarticGeneralizedGaussian(5)
-        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, 5))
+        mass = MassMatrix.identity(5)
         s = PhaseState(rng.uniform(-1.5, 1.5, 5), rng.standard_normal(5))
         tau = 0.1
-        tau_m = tau * mass.inverse_diagonal()  # tau M^-1, formed once per trajectory
         q, p = s.q, s.p
         for _ in range(25):
             p_half = p - 0.5 * tau * t.gradient(q)
-            q = q + tau_m * p_half
+            q = q + tau * p_half
             p = p_half - 0.5 * tau * t.gradient(q)
         rec = leapfrog_trajectory(s, t, mass, tau, 25)
         np.testing.assert_array_equal(rec.q, q)
@@ -566,18 +592,18 @@ class TestChordSolve:
         for _ in range(30):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
             rec = dmm_step(s.q, s.p, t, mass, cfg)
-            _, _, plain_updates, _ = plain_fixed_point(s, t, mass, cfg)
+            _, _, plain_updates, _ = plain_fixed_point(s, t, cfg)
             assert rec.converged
             assert rec.fpi_iterations <= plain_updates
             assert rec.force_evaluations == 1 + rec.fpi_iterations
             rec = dmm_step(s.q, s.p, t, mass, tight)
-            Q, P, _, err = plain_fixed_point(s, t, mass, tight)
+            Q, P, _, err = plain_fixed_point(s, t, tight)
             assert rec.converged and err <= tight.delta
             assert np.max(np.abs(rec.q - Q)) <= 1e-8
             assert np.max(np.abs(rec.p - P)) <= 1e-8
 
     @pytest.mark.parametrize("case", ["gaussian", "black-box"])
-    def test_other_targets_and_dense_mass_keep_plain_update(self, case):
+    def test_other_targets_keep_plain_update(self, case):
         rng = np.random.default_rng(39)
         dim = 4
         mass = MassMatrix.identity(dim)
@@ -589,7 +615,7 @@ class TestChordSolve:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         for _ in range(10):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-            assert_record_is_plain(dmm_step(s.q, s.p, t, mass, cfg), s, t, mass, cfg)
+            assert_record_is_plain(dmm_step(s.q, s.p, t, mass, cfg), s, t, cfg)
 
     def test_non_positive_scale_falls_back_to_plain_update(self):
         t = SeparableDoubleWell(2)
@@ -604,35 +630,34 @@ class TestChordSolve:
         rec = dmm_step(s.q, s.p, t, mass, cfg)
         assert len(t.jacobian_args) == 1
         assert math.isfinite(rec.energy_error)
-        assert_record_is_plain(rec, s, t, mass, cfg)
+        assert_record_is_plain(rec, s, t, cfg)
 
     def test_predicted_chord_example(self):
-        # tau = 1, M = 2: from (q, p) = (0.5, 1) with P = p, f = 0 and the
-        # Jacobian point is g = q + tau p / M = 1. The quartic's diagonals
-        # there are dF/dq = 4 (1.5)(0.5) + 2 (1.25) = 5.5 and
-        # dF/dQ = 4 (1.5)(1) + 2.5 = 8.5, so D = 1 + (1/4)(1/2)(8.5) = 2.0625
-        # and D_next = 1 + (1/8)(2 (8.5) - 5.5) = 2.4375, both exact
-        t, mass = QuarticGeneralizedGaussian(1), MassMatrix.diagonal([2.0])
+        # tau = 1: from (q, p) = (0.5, 0.5) with P = p, f = 0 and the
+        # Jacobian point is g = q + tau p = 1. The quartic's diagonals there
+        # are dF/dq = 4 (1.5)(0.5) + 2 (1.25) = 5.5 and
+        # dF/dQ = 4 (1.5)(1) + 2.5 = 8.5, so D = 1 + (1/4)(8.5) = 3.125 and
+        # D_next = 1 + (1/4)(2 (8.5) - 5.5) = 3.875, both exact
+        t, mass = QuarticGeneralizedGaussian(1), MassMatrix.identity(1)
         cfg = DmmSolverConfig(tau=1.0, max_fpi=1)
-        q, p = np.array([0.5]), np.array([1.0])
+        q, p = np.array([0.5]), np.array([0.5])
         rec = dmm_step(q, p, t, mass, cfg, init_guess=(np.array([0.9]), p))
-        assert rec.chord[0] == 2.4375
-        assert rec.q[0] == pytest.approx(0.9 + 0.1 / 2.0625, rel=1e-15)
+        assert rec.chord[0] == 3.875
+        assert rec.q[0] == pytest.approx(0.9 + 0.1 / 3.125, rel=1e-15)
 
     def test_jacobian_point_is_estimated_midpoint(self):
         # with a predicted chord the Jacobian-diagonal call is made at
         # X = Q0 + (g0 - Q0) / (2 D_pred), without one at g0 = g(Q0)
         rng = np.random.default_rng(52)
         d = 5
-        t, mass = CountingQuartic(d), MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        t, mass = CountingQuartic(d), MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1)
         half = 0.5 * cfg.tau
-        tau_m, half2_m = cfg.tau * mass.inverse_diagonal(), half * half * mass.inverse_diagonal()
         q, p, f_prev = quartic_draws(rng, d), rng.standard_normal(d), rng.standard_normal(d)
         D_pred = rng.uniform(1.0, 1.5, d)
         for kwargs in ({}, {"f_prev": f_prev, "chord_prev": (q - 0.1 * f_prev, D_pred)}):
             Q0, f0 = first_iterate(q, p, t, mass, cfg, **kwargs)
-            g0 = q + tau_m * p - half2_m * f0
+            g0 = q + cfg.tau * p - half * half * f0
             X = Q0 + (g0 - Q0) / (2.0 * D_pred) if kwargs else g0
             np.testing.assert_array_equal(t.jacobian_args[0], X)
             np.testing.assert_array_equal(t.jacobian_args[1], q)
@@ -684,17 +709,15 @@ class TestChordSolve:
 
 
 class TestPredictorCorrector:
-    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
-    def test_trajectory_matches_hand_written_loop(self, kind):
+    def test_trajectory_matches_hand_written_loop(self):
         rng = np.random.default_rng(45)
         d = 40
         t = QuarticGeneralizedGaussian(d)
-        mass = (MassMatrix.identity(d) if kind == "identity"
-                else MassMatrix.diagonal(rng.uniform(0.5, 2.0, d)))
+        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         for _ in range(3):
             s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
-            q, p, updates = predictor_corrector_loop(s, t, mass, cfg, 40)
+            q, p, updates = predictor_corrector_loop(s, t, cfg, 40)
             rec = trajectory(s, t, mass, cfg, 40)
             np.testing.assert_array_equal(rec.q, q)
             np.testing.assert_array_equal(rec.p, p)
@@ -735,7 +758,7 @@ class TestPredictorCorrector:
         rng = np.random.default_rng(49)
         d = 40
         t = SeparableQuadratic(rng.uniform(1.0, 50.0, d))
-        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         s = PhaseState(rng.standard_normal(d), mass.sample_momentum(rng))
         rec = trajectory(s, t, mass, cfg, 40)
@@ -942,9 +965,70 @@ class TestTrajectory:
         assert rec.h_out == math.inf
 
 
+class TestPreconditioning:
+    """A diagonal mass diag(m) is the identity mass on the rescaled target:
+    the shipped trajectories in z = m^(1/2) q, mapped back, are diagonal-mass
+    reference loops in q."""
+
+    def case(self, seed, d):
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(0.5, 2.0, d)
+        return rng, m, np.sqrt(m), QuarticGeneralizedGaussian(d), RescaledQuartic(m)
+
+    @staticmethod
+    def assert_close(x, ref):
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_chmc_trajectory_is_the_diagonal_mass_loop(self):
+        d = 40
+        rng, m, root, t, rescaled = self.case(58, d)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        for _ in range(3):
+            q, p = quartic_draws(rng, d), root * rng.standard_normal(d)  # p ~ N(0, M)
+            q_ref, p_ref, updates = predictor_corrector_loop(PhaseState(q, p), t, cfg, 40, m)
+            rec = trajectory(PhaseState(root * q, p / root), rescaled, MassMatrix.identity(d),
+                             cfg, 40)
+            assert rec.all_converged and rec.total_fpi_iterations == updates
+            self.assert_close(rec.q / root, q_ref)
+            self.assert_close(rec.p * root, p_ref)
+
+    def test_leapfrog_is_the_diagonal_mass_loop(self):
+        d, tau = 40, 0.1
+        rng, m, root, t, rescaled = self.case(59, d)
+        q, p = quartic_draws(rng, d), root * rng.standard_normal(d)
+        rec = leapfrog_trajectory(PhaseState(root * q, p / root), rescaled,
+                                  MassMatrix.identity(d), tau, 25)
+        for _ in range(25):
+            p = p - 0.5 * tau * t.gradient(q)
+            q = q + tau * p / m
+            p = p - 0.5 * tau * t.gradient(q)
+        self.assert_close(rec.q / root, q)
+        self.assert_close(rec.p * root, p)
+
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_jacobian_factor_is_the_diagonal_mass_factor(self, kind):
+        # det(I + c M^-1 dF/dq) / det(I + c M^-1 dF/dQ) and its trace
+        # truncation: the rescaled target's diagonals are the quartic's over m
+        d, tau = 12, 0.1
+        rng, m, root, t, rescaled = self.case(60, d)
+        c, mass = 0.25 * tau * tau, MassMatrix.identity(d)
+        for _ in range(10):
+            q = rng.uniform(-2.0, 2.0, d)
+            Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
+            d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
+            if kind == "J1":
+                expected = 1.0 + c * float(((d_q - d_Q) / m).sum())
+            else:
+                expected = float(np.prod((1.0 + c * d_q / m) / (1.0 + c * d_Q / m)))
+            Z, z = root * Q, root * q
+            sign, log_abs, _ = step_jacobian(Z, z, rescaled.closed_form_force(Z, z), tau, mass,
+                                             JacobianMode(kind, "analytic"), rescaled)
+            assert sign * math.exp(log_abs) == pytest.approx(expected, rel=1e-12)
+
+
 class TestDiscreteGradientEnergy:
     @pytest.mark.parametrize("case", ["quartic", "gaussian", "black-box-guarded",
-                                      "quartic-diagonal-mass"])
+                                      "rescaled-quartic"])
     def test_identity_matches_true_energy_change(self, case):
         # f . (Q - g) / 2 == H(Q, P) - H(q, p) at arbitrary iterates Q, not just
         # at the fixed point
@@ -956,10 +1040,10 @@ class TestDiscreteGradientEnergy:
             t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
         elif case == "black-box-guarded":
             t = BlackBoxQuartic(d)
-        else:
+        elif case == "quartic":
             t = QuarticGeneralizedGaussian(d)
-            if case == "quartic-diagonal-mass":
-                mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        else:
+            t = RescaledQuartic(rng.uniform(0.5, 2.0, d))
         for _ in range(50):
             q, p = rng.uniform(-1.5, 1.5, d), rng.uniform(-1.5, 1.5, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
@@ -968,7 +1052,7 @@ class TestDiscreteGradientEnergy:
                 assert abs(Q[0] - q[0]) < guard * max(1.0, abs(q[0]))
             f = force_function(t, guard)(Q, q)
             P = p - half * f
-            g = q + half * (mass.inverse_diagonal() * (P + p))
+            g = q + half * (P + p)
             h_in = t.evaluate(q) + mass.kinetic(p)
             true_dh = t.evaluate(Q) + mass.kinetic(P) - h_in
             assert abs(0.5 * float(f @ (Q - g)) - true_dh) <= 1e-12 * (1.0 + abs(h_in))
@@ -1142,7 +1226,7 @@ class TestArrayOwnership:
     """The loops write no array after handing it to a target capability, none
     a capability returns, and none that a step or trajectory record holds."""
 
-    def check(self, monkeypatch, target, kind, run):
+    def check(self, monkeypatch, target, run):
         import chmc.integrators as integrators
 
         recording = RecordingTarget(target)
@@ -1158,8 +1242,7 @@ class TestArrayOwnership:
         monkeypatch.setattr(integrators, "dmm_step", kept_step)
         rng = np.random.default_rng(54)
         d = target.dim
-        mass = (MassMatrix.identity(d) if kind == "identity"
-                else MassMatrix.diagonal(rng.uniform(0.5, 2.0, d)))
+        mass = MassMatrix.identity(d)
         # the second trajectory must leave every record of the first alone
         for _ in range(2):
             s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
@@ -1168,24 +1251,20 @@ class TestArrayOwnership:
         for array, copy in recording.log + kept:
             np.testing.assert_array_equal(array, copy)
 
-    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
     @pytest.mark.parametrize("source", ["finite-difference", "analytic"])
     @pytest.mark.parametrize("mode", ["J0", "J1", "JFull"])
-    def test_chmc_trajectories(self, monkeypatch, mode, source, kind):
-        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind, chmc_run(mode, source))
+    def test_chmc_trajectories(self, monkeypatch, mode, source):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5), chmc_run(mode, source))
 
     def test_black_box_trajectory(self, monkeypatch):
-        self.check(monkeypatch, BlackBoxQuartic(4), "identity",
-                   chmc_run("J0", "finite-difference"))
+        self.check(monkeypatch, BlackBoxQuartic(4), chmc_run("J0", "finite-difference"))
 
-    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
-    def test_leapfrog_trajectory(self, monkeypatch, kind):
-        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind,
+    def test_leapfrog_trajectory(self, monkeypatch):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5),
                    lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 8))
 
-    @pytest.mark.parametrize("kind", ["identity", "diagonal"])
-    def test_leapfrog_with_carried_kick(self, monkeypatch, kind):
-        self.check(monkeypatch, QuarticGeneralizedGaussian(5), kind, carried_leapfrog)
+    def test_leapfrog_with_carried_kick(self, monkeypatch):
+        self.check(monkeypatch, QuarticGeneralizedGaussian(5), carried_leapfrog)
 
 
 class PassTally:
@@ -1268,7 +1347,7 @@ class TestArrayPasses:
 
     def test_passes_per_step_at_d2560(self, monkeypatch):
         # the separation config's setting. With the momentum extrapolation
-        # q + (tau/2) M^-1 (3p - p_prev) as its predictor the J0 solver made
+        # q + (tau/2) (3p - p_prev) as its predictor the J0 solver made
         # 1170 passes (29.25 per step) for the same 910 target passes and 44
         # updates; the carried force saves two passes per step
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)

@@ -74,7 +74,7 @@ class TestPerfbenchHooks:
                     owner = node.func.value
                     if getattr(owner, "id", getattr(owner, "attr", None)) == "mass":
                         called.add(node.func.attr)
-        assert called == {"kinetic", "inverse_diagonal", "sample_momentum"}
+        assert called == {"kinetic", "sample_momentum"}
         mass_calls = load_perfbench("spans").MASS_CALLS
         for name in sorted(called):
             assert callable(getattr(chmc.MassMatrix, name, None)), name
