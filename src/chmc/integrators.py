@@ -105,7 +105,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phase import MassMatrix, PhaseState, hamiltonian, potential_energy, require_integer
+from .phase import PhaseState, hamiltonian, kinetic, potential_energy, require_integer
 
 
 @dataclass(frozen=True)
@@ -247,12 +247,12 @@ class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
     (resolved through ``force_function``), ``jacobian_diag`` (the target's
     ``closed_form_force_jacobian_diag``, None exactly when it is not
-    separable) and the work rows a, g, r and t."""
+    separable) and the work rows a, g, r and t, of the target's dimension."""
 
-    def __init__(self, potential, mass: MassMatrix, cfg: DmmSolverConfig):
+    def __init__(self, potential, cfg: DmmSolverConfig):
         self.force = force_function(potential, cfg.dd_guard)
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
-        self.a, self.g, self.r, self.t = np.empty((4, mass.dim))
+        self.a, self.g, self.r, self.t = np.empty((4, potential.dim))
 
 
 def _chord_scale(diagonals, half2):
@@ -282,7 +282,6 @@ def dmm_step(
     q: np.ndarray,
     p: np.ndarray,
     potential,
-    mass: MassMatrix,
     cfg: DmmSolverConfig,
     init_guess: Optional[tuple] = None,
     f_prev: Optional[np.ndarray] = None,
@@ -326,7 +325,7 @@ def dmm_step(
     targets take plain updates. ``scratch`` (a fresh ``StepScratch`` when
     None) changes no result.
     """
-    s = StepScratch(potential, mass, cfg) if scratch is None else scratch
+    s = StepScratch(potential, cfg) if scratch is None else scratch
     half = 0.5 * cfg.tau
     half2 = half * half
     a, g, r, t = s.a, s.g, s.r, s.t
@@ -408,7 +407,6 @@ class TrajectoryRecord:
 def trajectory(
     state: PhaseState,
     potential,
-    mass: MassMatrix,
     cfg: DmmSolverConfig,
     n_steps: int,
     per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
@@ -416,10 +414,11 @@ def trajectory(
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
 
-    ``u_in``, when given, is U(state.q) as ``potential_energy`` gives it (a
-    chain passes the value its last trajectory reported for the position it
-    kept); without it the trajectory also evaluates U at its start, after
-    ``hamiltonian`` has checked the dimensions. ``state`` is validated once;
+    ``n_steps`` is an integer >= 1. ``u_in``, when given, is U(state.q) as
+    ``potential_energy`` gives it (a chain passes the value its last
+    trajectory reported for the position it kept); without it the
+    trajectory also evaluates U at its start, after ``hamiltonian`` has
+    checked the dimensions. ``state`` is validated once;
     the steps run on its raw arrays. Each step after the first gets the
     previous step's final force ``StepRecord.force`` and, when that step
     predicted a valid chord, its input position and predicted chord
@@ -435,9 +434,9 @@ def trajectory(
     solve's last update, so per-step Jacobian factors can be accumulated into
     the N-step product without recomputing that force.
     """
-    if n_steps < 1:
+    if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
-    k_in = hamiltonian(state, potential, mass, 0.0)  # K(p): dimensions checked first
+    k_in = hamiltonian(state, potential, 0.0)  # K(p): dimensions checked first
     if u_in is None:
         u_in = potential_energy(state.q, potential)
     h_in = u_in + k_in
@@ -445,10 +444,9 @@ def trajectory(
     total_f = total_it = 0
     all_converged, allowed = True, 0.0
     f_prev = chord_prev = None
-    scratch = StepScratch(potential, mass, cfg)
+    scratch = StepScratch(potential, cfg)
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, mass, cfg, f_prev=f_prev, chord_prev=chord_prev,
-                       scratch=scratch)
+        rec = dmm_step(q, p, potential, cfg, f_prev=f_prev, chord_prev=chord_prev, scratch=scratch)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
@@ -462,7 +460,7 @@ def trajectory(
         chord_prev = None if rec.chord is None else (q, rec.chord)
         q, p = rec.q, rec.p
     u_out = potential_energy(q, potential)
-    h_out = u_out + mass.kinetic(p)
+    h_out = u_out + kinetic(p)
     if not math.isfinite(h_out):
         return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in, math.inf)
     allowed += _ROUNDING * (abs(h_in) + abs(h_out))
@@ -473,7 +471,6 @@ def trajectory(
 def leapfrog_trajectory(
     state: PhaseState,
     potential,
-    mass: MassMatrix,
     tau: float,
     n_steps: int,
     u_in: Optional[float] = None,
@@ -482,10 +479,11 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps gradient evaluations,
     plus one for the first half-kick when ``kick_in`` is None.
 
-    ``u_in`` and ``kick_in`` are U(state.q) and (tau/2) grad U(state.q) when
-    the caller has them (a chain's values from its last trajectory); the
-    trajectory never writes ``kick_in``, and evaluates what it is not given,
-    after ``hamiltonian`` has checked the dimensions.
+    ``n_steps`` is an integer >= 1. ``u_in`` and ``kick_in`` are U(state.q)
+    and (tau/2) grad U(state.q) when the caller has them (a chain's values
+    from its last trajectory); the trajectory never writes ``kick_in``, and
+    evaluates what it is not given, after ``hamiltonian`` has checked the
+    dimensions.
     Each step's end-of-step gradient is reused for the next step's first
     half-kick, and both half-kicks of a gradient subtract one (tau/2) grad U
     product from a copy of p, bit for bit as a kick-drift-kick loop that
@@ -493,11 +491,11 @@ def leapfrog_trajectory(
     range (steep targets can blow up the explicit update) fails: it reports
     h_out = +inf, which the sampler rejects.
     """
-    if n_steps < 1:
+    if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
-    k_in = hamiltonian(state, potential, mass, 0.0)  # K(p): dimensions checked first
+    k_in = hamiltonian(state, potential, 0.0)  # K(p): dimensions checked first
     if u_in is None:
         u_in = potential_energy(state.q, potential)
     h_in = u_in + k_in
@@ -519,7 +517,7 @@ def leapfrog_trajectory(
         h_out = math.inf
         if np.isfinite(q).all() and np.isfinite(p).all():
             u_out = potential_energy(q, potential)
-            h_out = u_out + mass.kinetic(p)
+            h_out = u_out + kinetic(p)
     if not math.isfinite(h_out):
         return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf, u_in,
                                 math.inf, kick_in)

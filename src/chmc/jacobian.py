@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import force_function
-from .phase import MassMatrix
 from .targets import is_separable
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
@@ -130,7 +129,6 @@ def step_jacobian(
     q: np.ndarray,
     f0: np.ndarray,
     tau: float,
-    mass: MassMatrix,
     mode: JacobianMode,
     potential,
     dd_guard: float = 1e-8,
@@ -147,7 +145,6 @@ def step_jacobian(
     slogdet pairs; on a separable target both matrices are diagonal, so it
     takes the O(d) sums of their diagonals' logs instead, from either
     derivative source, with the sign from the count of negative entries.
-    ``mass``, the identity mass, enters no factor.
     """
     if mode.kind == "J0":
         return 1.0, 0.0, 0
@@ -181,11 +178,9 @@ class JacobianAccumulator:
     the steps' signs and the sum of their log|J| in step order.
     """
 
-    def __init__(self, mode: JacobianMode, tau: float, mass: MassMatrix, potential,
-                 dd_guard: float = 1e-8):
+    def __init__(self, mode: JacobianMode, tau: float, potential, dd_guard: float = 1e-8):
         self.mode = mode
         self.tau = tau
-        self.mass = mass
         self.potential = potential
         self.dd_guard = dd_guard
         self.sign = 1.0
@@ -193,7 +188,7 @@ class JacobianAccumulator:
         self.extra_force_evals = 0
 
     def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out: np.ndarray) -> None:
-        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.tau, self.mass, self.mode,
+        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.tau, self.mode,
                                          self.potential, self.dd_guard)
         self.sign *= sign
         self.log_abs += log_abs

@@ -1,4 +1,4 @@
-"""Phase-space state, the identity mass, and Hamiltonian evaluation.
+"""Phase-space state and H(q, p) = U(q) + K(p), with K(p) = p . p / 2 of the identity mass.
 
 ``PhaseState`` validates (q, p) at the public API; step loops run on raw
 arrays. Everything here is immutable after construction and safe to share
@@ -53,10 +53,10 @@ class PhaseState:
 
 
 class MassMatrix:
-    """The identity mass: K(p) = p . p / 2 and p ~ N(0, I).
+    """What is left of the identity mass: ``dim``, which ``run_chain`` alone reads and checks.
 
-    The sampler needs no other: a diagonal mass is the identity mass on
-    rescaled coordinates (see ``Potential``).
+    No step takes a mass: K(p) is ``kinetic`` and the iterations draw p ~ N(0, I). A diagonal
+    mass is the identity on rescaled coordinates (see ``Potential``).
     """
 
     def __init__(self, dim: int):
@@ -68,13 +68,10 @@ class MassMatrix:
     def identity(cls, dim: int) -> "MassMatrix":
         return cls(dim)
 
-    def kinetic(self, p: np.ndarray) -> float:
-        """K(p) = p . p / 2."""
-        return 0.5 * float(p @ p)
 
-    def sample_momentum(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw p ~ N(0, I), one standard-normal vector."""
-        return rng.standard_normal(self.dim)
+def kinetic(p: np.ndarray) -> float:
+    """K(p) = p . p / 2, the kinetic energy of the identity mass."""
+    return 0.5 * float(p @ p)
 
 
 def potential_energy(q: np.ndarray, potential) -> float:
@@ -87,14 +84,11 @@ def potential_energy(q: np.ndarray, potential) -> float:
     return u if math.isfinite(u) else math.inf
 
 
-def hamiltonian(state: PhaseState, potential, mass: MassMatrix,
-                u: float | None = None) -> float:
+def hamiltonian(state: PhaseState, potential, u: float | None = None) -> float:
     """H(q, p) = U(q) + p . p / 2 of a validated state, after checking its
     dimension. ``u``, when given, is ``potential_energy(state.q, potential)``
     already computed, and no evaluation is made.
     """
     if state.dim != potential.dim:
         raise ValueError(f"state dimension {state.dim} != potential dimension {potential.dim}")
-    if state.dim != mass.dim:
-        raise ValueError(f"state dimension {state.dim} != mass dimension {mass.dim}")
-    return (potential_energy(state.q, potential) if u is None else u) + mass.kinetic(state.p)
+    return (potential_energy(state.q, potential) if u is None else u) + kinetic(state.p)

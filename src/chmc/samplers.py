@@ -1,6 +1,6 @@
 """The two Markov chains: leapfrog HMC and the conservative sampler.
 
-Both follow the same outer loop: refresh the momentum from N(0, M), integrate
+Both follow the same outer loop: refresh the momentum from N(0, I), integrate
 N steps, and accept the proposed position with probability
 min(1, exp(-dH) * J) where J is 1 for leapfrog (volume preserving) and the
 N-step determinant product for the energy-preserving map, taken in log
@@ -157,27 +157,23 @@ class StateCache:
         self.u = self.kick = None
 
 
-def chmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
+def chmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
                    rng: np.random.Generator, cache: Optional[StateCache] = None):
-    """One conservative-sampler iteration: refresh p, integrate, accept/reject."""
-    p0 = mass.sample_momentum(rng)
-    state = PhaseState(theta, p0)
+    """One conservative-sampler iteration: draw p ~ N(0, I), integrate, accept/reject."""
+    state = PhaseState(theta, rng.standard_normal(theta.size))
     u = None if cache is None else cache.u
     accumulator = (None if cfg.jacobian_mode.kind == "J0" else
-                   JacobianAccumulator(cfg.jacobian_mode, cfg.tau, mass, target,
-                                       cfg.solver.dd_guard))
-    rec = trajectory(state, target, mass, cfg.solver, cfg.n_steps,
-                     per_step_hook=accumulator, u_in=u)
+                   JacobianAccumulator(cfg.jacobian_mode, cfg.tau, target, cfg.solver.dd_guard))
+    rec = trajectory(state, target, cfg.solver, cfg.n_steps, per_step_hook=accumulator, u_in=u)
     return _accept_reject(theta, rec, rng, cache, accumulator)
 
 
-def hmc_iteration(theta: np.ndarray, target, mass: MassMatrix, cfg: SamplerConfig,
+def hmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
                   rng: np.random.Generator, cache: Optional[StateCache] = None):
-    """One leapfrog-HMC iteration; the proposal map is volume preserving (J = 1)."""
-    p0 = mass.sample_momentum(rng)
-    state = PhaseState(theta, p0)
+    """One leapfrog-HMC iteration from p ~ N(0, I); its map is volume preserving (J = 1)."""
+    state = PhaseState(theta, rng.standard_normal(theta.size))
     u, kick = (None, None) if cache is None else (cache.u, cache.kick)
-    rec = leapfrog_trajectory(state, target, mass, cfg.tau, cfg.n_steps, u_in=u, kick_in=kick)
+    rec = leapfrog_trajectory(state, target, cfg.tau, cfg.n_steps, u_in=u, kick_in=kick)
     return _accept_reject(theta, rec, rng, cache)
 
 
@@ -243,7 +239,10 @@ def run_chain(
     ``StateCache``. The summary is reduced on the fly from the accepted count,
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
+    Of ``mass`` only its dimension is read, checked against the target's at entry.
     """
+    if mass.dim != target.dim:
+        raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
@@ -253,7 +252,7 @@ def run_chain(
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(cfg.iterations):
-            theta, outcome = iterate(theta, target, mass, cfg, rng, cache)
+            theta, outcome = iterate(theta, target, cfg, rng, cache)
             accepted += outcome.accepted
             force_evals += outcome.force_evals
             energy_errors.append(abs(outcome.delta_H))

@@ -125,6 +125,8 @@ class MultivariateGaussian(Potential):
         super().__init__(mean.size)
         if cov.shape != (self.dim, self.dim):
             raise ValueError("covariance must be d x d")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         try:

@@ -7,7 +7,6 @@ from chmc import (
     DmmSolverConfig,
     JacobianAccumulator,
     JacobianMode,
-    MassMatrix,
     MultivariateGaussian,
     PhaseState,
     Potential,
@@ -20,6 +19,7 @@ from chmc import (
     trajectory,
 )
 from chmc.integrators import force_function
+from chmc.phase import kinetic
 
 
 class LinearPotential(Potential):
@@ -168,7 +168,7 @@ def record_steps(monkeypatch):
     return steps
 
 
-def first_iterate(q, p, target, mass, cfg, f_prev=None, chord_prev=None):
+def first_iterate(q, p, target, cfg, f_prev=None, chord_prev=None):
     """(Q0, F(Q0, q)): the position and value of ``dmm_step``'s first force call."""
     calls = []
     force = target.closed_form_force
@@ -180,7 +180,7 @@ def first_iterate(q, p, target, mass, cfg, f_prev=None, chord_prev=None):
 
     target.closed_form_force = recording
     try:
-        dmm_step(q, p, target, mass, cfg, f_prev=f_prev, chord_prev=chord_prev)
+        dmm_step(q, p, target, cfg, f_prev=f_prev, chord_prev=chord_prev)
     finally:
         del target.closed_form_force
     return calls[0]
@@ -279,7 +279,7 @@ def predictor_corrector_loop(state, t, cfg, n_steps, m=1.0):
 class TestLeapfrog:
     def test_harmonic_step_example(self):
         t = MultivariateGaussian([0.0], [[1.0]])
-        out = leapfrog_trajectory(PhaseState([1.0], [0.0]), t, MassMatrix.identity(1), 0.1, 1)
+        out = leapfrog_trajectory(PhaseState([1.0], [0.0]), t, 0.1, 1)
         assert out.q[0] == pytest.approx(0.995, abs=1e-15)
         assert out.p[0] == pytest.approx(-0.09975, abs=1e-15)
 
@@ -292,26 +292,26 @@ class TestLeapfrog:
                 return np.zeros_like(q)
 
         s = PhaseState([1.0, -2.0], [0.5, 0.25])
-        out = leapfrog_trajectory(s, Flat(2), MassMatrix.identity(2), 0.3, 1)
+        out = leapfrog_trajectory(s, Flat(2), 0.3, 1)
         np.testing.assert_array_equal(out.p, s.p)
         np.testing.assert_allclose(out.q, s.q + 0.3 * s.p, rtol=1e-15)
 
     def test_zero_step_is_identity(self):
         t = QuarticGeneralizedGaussian(2)
         s = PhaseState([0.4, -0.7], [1.0, 0.2])
-        out = leapfrog_trajectory(s, t, MassMatrix.identity(2), 0.0, 1)
+        out = leapfrog_trajectory(s, t, 0.0, 1)
         np.testing.assert_array_equal(out.q, s.q)
         np.testing.assert_array_equal(out.p, s.p)
 
     def test_requires_gradient(self):
         with pytest.raises(ValueError):
             leapfrog_trajectory(PhaseState([0.0], [1.0]), BlackBoxQuartic(1),
-                                MassMatrix.identity(1), 0.1, 1)
+                                0.1, 1)
 
     def test_n_steps_plus_one_gradient_evaluations(self):
         t = CountingQuartic(3)
         s = PhaseState(np.zeros(3), np.ones(3))
-        rec = leapfrog_trajectory(s, t, MassMatrix.identity(3), 0.1, 7)
+        rec = leapfrog_trajectory(s, t, 0.1, 7)
         assert t.gradient_calls == 8
         assert rec.total_force_evaluations == 8
 
@@ -319,12 +319,10 @@ class TestLeapfrog:
         # handed U and the first half-kick at its start, a trajectory makes n
         # gradient calls and evaluates U at its end only, with the same bits
         t = CountingQuartic(3)
-        mass = MassMatrix.identity(3)
         s = PhaseState([0.3, -0.2, 0.5], [1.0, 0.5, -1.0])
-        fresh = leapfrog_trajectory(s, t, mass, 0.1, 7)
+        fresh = leapfrog_trajectory(s, t, 0.1, 7)
         t.gradient_calls = t.evaluate_calls = 0
-        carried = leapfrog_trajectory(s, t, mass, 0.1, 7, u_in=fresh.u_in,
-                                      kick_in=fresh.kick_in)
+        carried = leapfrog_trajectory(s, t, 0.1, 7, u_in=fresh.u_in, kick_in=fresh.kick_in)
         assert (t.gradient_calls, t.evaluate_calls) == (7, 1)
         assert (fresh.total_force_evaluations, carried.total_force_evaluations) == (8, 7)
         for name in ("q", "p", "h_in", "h_out", "u_out", "kick_out"):
@@ -334,13 +332,11 @@ class TestLeapfrog:
     def test_end_values_are_the_next_start_values(self):
         # u_out and kick_out carry the bits a trajectory from the end computes
         t = QuarticGeneralizedGaussian(4)
-        mass = MassMatrix.identity(4)
-        rec = leapfrog_trajectory(PhaseState([0.3, -0.2, 0.5, 1.1], np.ones(4)), t, mass,
-                                  0.1, 9)
-        nxt = leapfrog_trajectory(PhaseState(rec.q, np.zeros(4)), t, mass, 0.1, 9)
+        rec = leapfrog_trajectory(PhaseState([0.3, -0.2, 0.5, 1.1], np.ones(4)), t, 0.1, 9)
+        nxt = leapfrog_trajectory(PhaseState(rec.q, np.zeros(4)), t, 0.1, 9)
         assert rec.u_out == nxt.u_in == t.evaluate(rec.q)
         np.testing.assert_array_equal(rec.kick_out, nxt.kick_in)
-        chmc = trajectory(PhaseState(rec.q, np.ones(4)), t, mass, DmmSolverConfig(tau=0.1), 3)
+        chmc = trajectory(PhaseState(rec.q, np.ones(4)), t, DmmSolverConfig(tau=0.1), 3)
         assert chmc.u_in == rec.u_out and chmc.kick_in is None
         assert chmc.u_out == t.evaluate(chmc.q)
 
@@ -351,7 +347,7 @@ class TestLeapfrog:
 
         t = Steep(2)
         rec = leapfrog_trajectory(PhaseState([1.0, 1.0], [0.0, 0.0]), t,
-                                  MassMatrix.identity(2), 0.5, 3)
+                                  0.5, 3)
         assert rec.h_out == rec.u_out == math.inf
         assert rec.u_in == 2.0 and rec.kick_in is not None and rec.kick_out is None
 
@@ -359,7 +355,6 @@ class TestLeapfrog:
         # the reference re-evaluates the start-of-step gradient every step
         rng = np.random.default_rng(37)
         t = QuarticGeneralizedGaussian(5)
-        mass = MassMatrix.identity(5)
         s = PhaseState(rng.uniform(-1.5, 1.5, 5), rng.standard_normal(5))
         tau = 0.1
         q, p = s.q, s.p
@@ -367,7 +362,7 @@ class TestLeapfrog:
             p_half = p - 0.5 * tau * t.gradient(q)
             q = q + tau * p_half
             p = p_half - 0.5 * tau * t.gradient(q)
-        rec = leapfrog_trajectory(s, t, mass, tau, 25)
+        rec = leapfrog_trajectory(s, t, tau, 25)
         np.testing.assert_array_equal(rec.q, q)
         np.testing.assert_array_equal(rec.p, p)
 
@@ -430,7 +425,7 @@ class TestFixedPointInit:
     def test_position_euler_example(self):
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, f0 = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg)
+        Q0, f0 = first_iterate(np.array([0.0]), np.array([1.0]), t, cfg)
         assert Q0[0] == pytest.approx(0.1, rel=1e-15)
         # f0 = F(Q0, q) = 2 (0.01)(0.1)
         assert f0[0] == pytest.approx(0.002, rel=1e-12)
@@ -441,15 +436,14 @@ class TestFixedPointInit:
         # extrapolation q + (tau/2)(3p - p_prev) = 0.05 (3 - 1.2)
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg,
-                              f_prev=np.array([4.0]))
+        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, cfg, f_prev=np.array([4.0]))
         assert Q0[0] == pytest.approx(0.09, rel=1e-14)
 
     def test_chord_linearized_prediction_example(self):
         # Q_pc = 0.09 as above, then q_prev + (Q_pc - q_prev) / D_prev = -0.1 + 0.19 / 1.5
         cfg = DmmSolverConfig(tau=0.1)
         t = QuarticGeneralizedGaussian(1)
-        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg,
+        Q0, _ = first_iterate(np.array([0.0]), np.array([1.0]), t, cfg,
                               f_prev=np.array([4.0]),
                               chord_prev=(np.array([-0.1]), np.array([1.5])))
         assert Q0[0] == pytest.approx(-0.1 + 0.19 / 1.5, rel=1e-14)
@@ -459,7 +453,7 @@ class TestFixedPointInit:
         # difference threshold of) q_0; the force handles that, the predictor
         # does not move it
         cfg = DmmSolverConfig(tau=0.1, dd_guard=1e-8)
-        t, mass = QuarticGeneralizedGaussian(2), MassMatrix.identity(2)
+        t = QuarticGeneralizedGaussian(2)
         q = np.array([0.5, -1.0])
         half = 0.5 * cfg.tau
         p_euler = np.array([0.0, 0.3])
@@ -473,7 +467,7 @@ class TestFixedPointInit:
              q_prev + (q + cfg.tau * p_c - half * half * f_prev_c - q_prev) / D_prev),
         )
         for (q_in, p_in), kwargs, expected in cases:
-            Q0, f0 = first_iterate(q_in, p_in, t, mass, cfg, **kwargs)
+            Q0, f0 = first_iterate(q_in, p_in, t, cfg, **kwargs)
             assert abs(expected[0] - q[0]) < cfg.dd_guard * max(1.0, abs(q[0]))
             np.testing.assert_array_equal(Q0, expected)
             np.testing.assert_array_equal(f0, t.closed_form_force(expected, q))
@@ -483,7 +477,7 @@ class TestFixedPointInit:
         q = np.array([0.5, -1.0, 0.0])
         assert divided_difference_force(q, q, BlackBoxQuartic(d), cfg.dd_guard)[1] == 2 + 6 * d
         for target in (QuarticGeneralizedGaussian(d), BlackBoxQuartic(d)):
-            rec = dmm_step(q, np.zeros(d), target, MassMatrix.identity(d), cfg)
+            rec = dmm_step(q, np.zeros(d), target, cfg)
             assert rec.converged
             assert np.isfinite(rec.q).all() and np.isfinite(rec.p).all()
 
@@ -493,7 +487,7 @@ class TestDmmStep:
         # constant force: the solve lands on the fixed point in one update
         t = LinearPotential(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
-        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg)
+        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, cfg)
         assert rec.q[0] == pytest.approx(0.095, rel=1e-15)
         assert rec.p[0] == pytest.approx(0.9, rel=1e-15)
         assert rec.energy_error == 0.0
@@ -502,7 +496,7 @@ class TestDmmStep:
     def test_quartic_converges_to_tolerance(self):
         t = QuarticGeneralizedGaussian(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, MassMatrix.identity(1), cfg)
+        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, cfg)
         assert rec.converged and rec.energy_error <= 1e-8
 
     def test_force_evaluations_count_init_plus_updates(self):
@@ -510,14 +504,14 @@ class TestDmmStep:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         rng = np.random.default_rng(5)
         s = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
-        rec = dmm_step(s.q, s.p, t, MassMatrix.identity(4), cfg)
+        rec = dmm_step(s.q, s.p, t, cfg)
         assert rec.force_evaluations == 1 + rec.fpi_iterations
 
     def test_unconverged_iterate_still_returned(self):
         t = QuarticGeneralizedGaussian(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-16, max_fpi=1)
         s = PhaseState([1.1, -0.8], [0.9, 1.2])
-        rec = dmm_step(s.q, s.p, t, MassMatrix.identity(2), cfg)
+        rec = dmm_step(s.q, s.p, t, cfg)
         assert not rec.converged
         assert rec.fpi_iterations == 1
         assert np.isfinite(rec.energy_error)
@@ -528,21 +522,19 @@ class TestDmmStep:
             def evaluate(self, q):
                 return math.nan
 
-        rec = dmm_step(np.array([0.5]), np.array([1.0]), Nan(1), MassMatrix.identity(1),
-                       DmmSolverConfig(tau=0.1))
+        rec = dmm_step(np.array([0.5]), np.array([1.0]), Nan(1), DmmSolverConfig(tau=0.1))
         assert not rec.converged and rec.energy_error == math.inf
         assert rec.q[0] == 0.5
 
     def test_energy_preservation_at_tight_tolerance(self):
         # near-exact fixed points: |dH| at the 1e-11 level for d <= 4
         rng = np.random.default_rng(32)
-        mass = MassMatrix.identity(4)
         for target in (QuarticGeneralizedGaussian(4),
                        MultivariateGaussian(np.zeros(4), np.eye(4))):
             cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
             for _ in range(50):
                 s = PhaseState(rng.uniform(-1.5, 1.5, 4), rng.uniform(-1.5, 1.5, 4))
-                rec = dmm_step(s.q, s.p, target, mass, cfg)
+                rec = dmm_step(s.q, s.p, target, cfg)
                 assert rec.converged
                 assert rec.energy_error <= 1e-11
 
@@ -550,8 +542,8 @@ class TestDmmStep:
         t = QuarticGeneralizedGaussian(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
         s = PhaseState([0.4, -0.2], [1.0, 0.5])
-        rec = dmm_step(s.q, s.p, t, MassMatrix.identity(2), cfg)
-        warm = dmm_step(s.q, s.p, t, MassMatrix.identity(2), cfg, init_guess=(rec.q, rec.p))
+        rec = dmm_step(s.q, s.p, t, cfg)
+        warm = dmm_step(s.q, s.p, t, cfg, init_guess=(rec.q, rec.p))
         assert warm.converged
         assert warm.fpi_iterations <= rec.fpi_iterations
 
@@ -559,7 +551,6 @@ class TestDmmStep:
         # successive fixed-point residual norms shrink monotonically at tau = 0.1
         rng = np.random.default_rng(33)
         t = QuarticGeneralizedGaussian(3)
-        mass = MassMatrix.identity(3)
         for _ in range(25):
             q = rng.uniform(-2, 2, 3)
             p = rng.uniform(-2, 2, 3)
@@ -586,17 +577,16 @@ class TestChordSolve:
     def test_no_more_updates_than_plain_loop(self, dim):
         rng = np.random.default_rng(38)
         t = QuarticGeneralizedGaussian(dim)
-        mass = MassMatrix.identity(dim)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
         tight = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(30):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-            rec = dmm_step(s.q, s.p, t, mass, cfg)
+            rec = dmm_step(s.q, s.p, t, cfg)
             _, _, plain_updates, _ = plain_fixed_point(s, t, cfg)
             assert rec.converged
             assert rec.fpi_iterations <= plain_updates
             assert rec.force_evaluations == 1 + rec.fpi_iterations
-            rec = dmm_step(s.q, s.p, t, mass, tight)
+            rec = dmm_step(s.q, s.p, t, tight)
             Q, P, _, err = plain_fixed_point(s, t, tight)
             assert rec.converged and err <= tight.delta
             assert np.max(np.abs(rec.q - Q)) <= 1e-8
@@ -606,7 +596,6 @@ class TestChordSolve:
     def test_other_targets_keep_plain_update(self, case):
         rng = np.random.default_rng(39)
         dim = 4
-        mass = MassMatrix.identity(dim)
         if case == "gaussian":
             a = rng.standard_normal((dim, dim))
             t = MultivariateGaussian(rng.standard_normal(dim), a @ a.T + dim * np.eye(dim))
@@ -615,11 +604,10 @@ class TestChordSolve:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         for _ in range(10):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-            assert_record_is_plain(dmm_step(s.q, s.p, t, mass, cfg), s, t, cfg)
+            assert_record_is_plain(dmm_step(s.q, s.p, t, cfg), s, t, cfg)
 
     def test_non_positive_scale_falls_back_to_plain_update(self):
         t = SeparableDoubleWell(2)
-        mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.5, delta=1e-8, max_fpi=4)
         s = PhaseState([0.1, -0.2], [0.3, 0.1])
         f0 = t.closed_form_force(s.q + 0.5 * s.p, s.q)  # at the Euler first iterate
@@ -627,7 +615,7 @@ class TestChordSolve:
         _, d_Q = t.closed_form_force_jacobian_diag(g0, s.q)
         assert (1.0 + 0.25 * 0.25 * d_Q <= 0.0).any()
         t.jacobian_args.clear()
-        rec = dmm_step(s.q, s.p, t, mass, cfg)
+        rec = dmm_step(s.q, s.p, t, cfg)
         assert len(t.jacobian_args) == 1
         assert math.isfinite(rec.energy_error)
         assert_record_is_plain(rec, s, t, cfg)
@@ -638,10 +626,10 @@ class TestChordSolve:
         # are dF/dq = 4 (1.5)(0.5) + 2 (1.25) = 5.5 and
         # dF/dQ = 4 (1.5)(1) + 2.5 = 8.5, so D = 1 + (1/4)(8.5) = 3.125 and
         # D_next = 1 + (1/4)(2 (8.5) - 5.5) = 3.875, both exact
-        t, mass = QuarticGeneralizedGaussian(1), MassMatrix.identity(1)
+        t = QuarticGeneralizedGaussian(1)
         cfg = DmmSolverConfig(tau=1.0, max_fpi=1)
         q, p = np.array([0.5]), np.array([0.5])
-        rec = dmm_step(q, p, t, mass, cfg, init_guess=(np.array([0.9]), p))
+        rec = dmm_step(q, p, t, cfg, init_guess=(np.array([0.9]), p))
         assert rec.chord[0] == 3.875
         assert rec.q[0] == pytest.approx(0.9 + 0.1 / 3.125, rel=1e-15)
 
@@ -650,13 +638,13 @@ class TestChordSolve:
         # X = Q0 + (g0 - Q0) / (2 D_pred), without one at g0 = g(Q0)
         rng = np.random.default_rng(52)
         d = 5
-        t, mass = CountingQuartic(d), MassMatrix.identity(d)
+        t = CountingQuartic(d)
         cfg = DmmSolverConfig(tau=0.1)
         half = 0.5 * cfg.tau
         q, p, f_prev = quartic_draws(rng, d), rng.standard_normal(d), rng.standard_normal(d)
         D_pred = rng.uniform(1.0, 1.5, d)
         for kwargs in ({}, {"f_prev": f_prev, "chord_prev": (q - 0.1 * f_prev, D_pred)}):
-            Q0, f0 = first_iterate(q, p, t, mass, cfg, **kwargs)
+            Q0, f0 = first_iterate(q, p, t, cfg, **kwargs)
             g0 = q + cfg.tau * p - half * half * f0
             X = Q0 + (g0 - Q0) / (2.0 * D_pred) if kwargs else g0
             np.testing.assert_array_equal(t.jacobian_args[0], X)
@@ -670,22 +658,22 @@ class TestChordSolve:
         # step starts from Q_pc = a - (tau/2)^2 F_prev = 1 + 0.5 (-4) - 0 = -1
         # and makes its Jacobian call at g(Q0) = -1
         steps = record_steps(monkeypatch)
-        t, mass = SeparableDoubleWell(1), MassMatrix.identity(1)
+        t = SeparableDoubleWell(1)
         cfg = DmmSolverConfig(tau=0.5)
-        trajectory(PhaseState([3.0], [-4.0]), t, mass, cfg, 2)
+        trajectory(PhaseState([3.0], [-4.0]), t, cfg, 2)
         (_, _, _, first), (q, p, kwargs, _) = steps
         assert first.converged and first.fpi_iterations == 1 and first.chord is None
         assert q[0] == 1.0 and p[0] == -4.0
         assert kwargs["chord_prev"] is None and kwargs["f_prev"] is first.force
         assert [X[0] for X, _ in t.jacobian_args] == [1.0, -1.0]
-        Q0, f0 = first_iterate(q, p, t, mass, cfg, f_prev=kwargs["f_prev"])
+        Q0, f0 = first_iterate(q, p, t, cfg, f_prev=kwargs["f_prev"])
         assert Q0[0] == -1.0 and f0[0] == 0.0
 
     def test_rest_state_converges_after_one_update(self):
         # the first iterate is never tested: even the rest state takes one update
         t = SeparableDoubleWell(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
-        rec = dmm_step(np.array([0.0]), np.array([0.0]), t, MassMatrix.identity(1), cfg)
+        rec = dmm_step(np.array([0.0]), np.array([0.0]), t, cfg)
         assert rec.converged and rec.fpi_iterations == 1
         assert rec.force_evaluations == 2
         assert len(t.jacobian_args) == 1
@@ -701,7 +689,7 @@ class TestChordSolve:
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         steps = []
-        rec = trajectory(s, t, MassMatrix.identity(d), cfg, 40,
+        rec = trajectory(s, t, cfg, 40,
                          per_step_hook=lambda q_in, q_out, f_out: steps.append(q_out))
         assert len(steps) == 40
         assert rec.all_converged and rec.h_out != math.inf
@@ -713,12 +701,11 @@ class TestPredictorCorrector:
         rng = np.random.default_rng(45)
         d = 40
         t = QuarticGeneralizedGaussian(d)
-        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         for _ in range(3):
-            s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
             q, p, updates = predictor_corrector_loop(s, t, cfg, 40)
-            rec = trajectory(s, t, mass, cfg, 40)
+            rec = trajectory(s, t, cfg, 40)
             np.testing.assert_array_equal(rec.q, q)
             np.testing.assert_array_equal(rec.p, p)
             assert rec.total_fpi_iterations == updates
@@ -729,12 +716,12 @@ class TestPredictorCorrector:
         # g(Q0), 2.67 with an Euler first iterate tested before any update
         rng = np.random.default_rng(46)
         d = 40
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         updates = 0
         for _ in range(10):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            updates += trajectory(s, t, mass, cfg, 40).total_fpi_iterations
+            updates += trajectory(s, t, cfg, 40).total_fpi_iterations
         assert updates / 400 <= 1.15
 
     def test_black_box_forces_per_step_pin(self):
@@ -742,12 +729,12 @@ class TestPredictorCorrector:
         # tested before any update, 5.5-5.75 with the predictor (six seeds)
         rng = np.random.default_rng(47)
         d = 10
-        t, mass = BlackBoxQuartic(d), MassMatrix.identity(d)
+        t = BlackBoxQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         forces = 0
         for _ in range(20):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            forces += trajectory(s, t, mass, cfg, 40).total_force_evaluations
+            forces += trajectory(s, t, cfg, 40).total_force_evaluations
         assert forces / 800 <= 5.9
 
     def test_linear_force_predictor_is_exact(self, monkeypatch):
@@ -758,16 +745,15 @@ class TestPredictorCorrector:
         rng = np.random.default_rng(49)
         d = 40
         t = SeparableQuadratic(rng.uniform(1.0, 50.0, d))
-        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        s = PhaseState(rng.standard_normal(d), mass.sample_momentum(rng))
-        rec = trajectory(s, t, mass, cfg, 40)
+        s = PhaseState(rng.standard_normal(d), rng.standard_normal(d))
+        rec = trajectory(s, t, cfg, 40)
         assert rec.all_converged and rec.total_fpi_iterations == 40
         assert steps[0][2]["chord_prev"] is None
         for q, p, kwargs, step in steps[1:]:
             assert step.converged and step.fpi_iterations == 1
-            Q0, _ = first_iterate(q, p, t, mass, cfg, kwargs["f_prev"], kwargs["chord_prev"])
-            Q_pc, _ = first_iterate(q, p, t, mass, cfg, kwargs["f_prev"])
+            Q0, _ = first_iterate(q, p, t, cfg, kwargs["f_prev"], kwargs["chord_prev"])
+            Q_pc, _ = first_iterate(q, p, t, cfg, kwargs["f_prev"])
             scale = 1.0 + np.abs(step.q).max()
             assert np.abs(Q0 - step.q).max() <= 1e-14 * scale
             assert np.abs(Q_pc - step.q).max() > 1e-6 * scale
@@ -779,12 +765,12 @@ class TestPredictorCorrector:
         # without a chord model 2.90 and 4.95
         rng = np.random.default_rng(4243)
         d, n_traj = 2560, 10
-        t, mass = CountingQuartic(d), MassMatrix.identity(d)
+        t = CountingQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         updates = 0
         for _ in range(n_traj):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            rec = trajectory(s, t, mass, cfg, 40)
+            rec = trajectory(s, t, cfg, 40)
             assert rec.all_converged and rec.h_out != math.inf
             updates += rec.total_fpi_iterations
         assert updates / (40 * n_traj) <= 1.25
@@ -794,7 +780,6 @@ class TestPredictorCorrector:
     def test_targets_without_chord_keep_extrapolated_start(self, case, monkeypatch):
         rng = np.random.default_rng(44)
         d = 4
-        mass = MassMatrix.identity(d)
         if case == "gaussian":
             a = rng.standard_normal((d, d))
             t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
@@ -804,10 +789,10 @@ class TestPredictorCorrector:
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         q, p, f_prev = s.q, s.p, None
         for _ in range(10):
-            step = dmm_step(q, p, t, mass, cfg, f_prev=f_prev)
+            step = dmm_step(q, p, t, cfg, f_prev=f_prev)
             f_prev, q, p = step.force, step.q, step.p
         steps = record_steps(monkeypatch)
-        rec = trajectory(s, t, mass, cfg, 10)
+        rec = trajectory(s, t, cfg, 10)
         np.testing.assert_array_equal(rec.q, q)
         np.testing.assert_array_equal(rec.p, p)
         assert all(kw["chord_prev"] is None and step.chord is None for _, _, kw, step in steps)
@@ -822,11 +807,10 @@ class TestPredictorCorrector:
             t = QuarticGeneralizedGaussian(1)
         else:
             t = MultivariateGaussian(np.zeros(3), np.eye(3))
-        mass = MassMatrix.identity(t.dim)
         cfg = DmmSolverConfig(tau=0.1)
         for _ in range(200):
             q, p = rng.uniform(-1.5, 1.5, t.dim), rng.uniform(-1.5, 1.5, t.dim)
-            rec = dmm_step(q, p, t, mass, cfg, init_guess=(q + 1e-9, p))
+            rec = dmm_step(q, p, t, cfg, init_guess=(q + 1e-9, p))
             assert rec.fpi_iterations >= 1
             moving = p != 0.0
             assert (np.abs(rec.q - q)[moving] > 1e-6).all()
@@ -838,16 +822,15 @@ class TestReversibility:
         # R o step o R o step = identity, reverse solve warm-started at the
         # known answer, 100 random states per target
         rng = np.random.default_rng(34)
-        mass = MassMatrix.identity(dim)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=200)
         targets = (QuarticGeneralizedGaussian(dim),
                    MultivariateGaussian(np.zeros(dim), np.eye(dim)))
         for target in targets:
             for _ in range(50):
                 z = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-                fwd = dmm_step(z.q, z.p, target, mass, cfg)
+                fwd = dmm_step(z.q, z.p, target, cfg)
                 assert fwd.converged
-                back = dmm_step(fwd.q, -fwd.p, target, mass, cfg, init_guess=(z.q, -z.p))
+                back = dmm_step(fwd.q, -fwd.p, target, cfg, init_guess=(z.q, -z.p))
                 # R(back) = (back.q, -back.p)
                 assert np.max(np.abs(back.q - z.q)) <= 1e-8
                 assert np.max(np.abs(-back.p - z.p)) <= 1e-8
@@ -860,13 +843,13 @@ class TestReversibility:
         # than 2e-8, so the median and a loose maximum are pinned
         rng = np.random.default_rng(53)
         d = 40
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         misses = []
         for _ in range(10):
             z = PhaseState(0.6 * rng.standard_normal(d), rng.standard_normal(d))
-            fwd = trajectory(z, t, mass, cfg, 40)
-            back = trajectory(PhaseState(fwd.q, -fwd.p), t, mass, cfg, 40)
+            fwd = trajectory(z, t, cfg, 40)
+            back = trajectory(PhaseState(fwd.q, -fwd.p), t, cfg, 40)
             assert fwd.all_converged and back.all_converged
             misses.append(max(np.abs(back.q - z.q).max(), np.abs(-back.p - z.p).max()))
         assert np.median(misses) <= 2e-8
@@ -876,22 +859,20 @@ class TestReversibility:
 class TestTrajectory:
     def test_single_step_matches_dmm_step(self):
         t = QuarticGeneralizedGaussian(2)
-        mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.1)
         s = PhaseState([0.1, -0.3], [0.7, 0.2])
-        rec = trajectory(s, t, mass, cfg, 1)
-        step = dmm_step(s.q, s.p, t, mass, cfg)
+        rec = trajectory(s, t, cfg, 1)
+        step = dmm_step(s.q, s.p, t, cfg)
         np.testing.assert_array_equal(rec.q, step.q)
         np.testing.assert_array_equal(rec.p, step.p)
         assert rec.total_force_evaluations == step.force_evaluations
 
     def test_energy_bound_over_forty_steps(self):
         t = QuarticGeneralizedGaussian(4)
-        mass = MassMatrix.identity(4)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=50)
         rng = np.random.default_rng(35)
         s = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
-        rec = trajectory(s, t, mass, cfg, 40)
+        rec = trajectory(s, t, cfg, 40)
         assert rec.all_converged
         assert abs(rec.h_out - rec.h_in) <= 40 * 1e-8
 
@@ -899,7 +880,7 @@ class TestTrajectory:
         t = QuarticGeneralizedGaussian(2)
         pairs = []
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
-        rec = trajectory(s, t, MassMatrix.identity(2), DmmSolverConfig(tau=0.1), 5,
+        rec = trajectory(s, t, DmmSolverConfig(tau=0.1), 5,
                          per_step_hook=lambda q_in, q_out, f_out:
                          pairs.append((q_in.copy(), q_out.copy())))
         assert len(pairs) == 5
@@ -907,8 +888,8 @@ class TestTrajectory:
         np.testing.assert_array_equal(pairs[-1][1], rec.q)
 
     @pytest.mark.parametrize("integrate", [
-        lambda s, t, m: trajectory(s, t, m, DmmSolverConfig(tau=0.1), 5),
-        lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 5),
+        lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
+        lambda s, t: leapfrog_trajectory(s, t, 0.1, 5),
     ])
     def test_one_checked_hamiltonian_per_trajectory(self, monkeypatch, integrate):
         # end energies come from phase.potential_energy on raw arrays; only
@@ -918,15 +899,15 @@ class TestTrajectory:
         calls = []
         monkeypatch.setattr(integrators, "hamiltonian",
                             lambda *args: calls.append(args) or hamiltonian(*args))
-        t, mass = QuarticGeneralizedGaussian(2), MassMatrix.identity(2)
+        t = QuarticGeneralizedGaussian(2)
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
-        rec = integrate(s, t, mass)
+        rec = integrate(s, t)
         assert len(calls) == 1
-        assert rec.h_out == t.evaluate(rec.q) + mass.kinetic(rec.p)
+        assert rec.h_out == t.evaluate(rec.q) + kinetic(rec.p)
 
     @pytest.mark.parametrize("integrate", [
-        lambda s, t, m: trajectory(s, t, m, DmmSolverConfig(tau=0.1), 5),
-        lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 5),
+        lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
+        lambda s, t: leapfrog_trajectory(s, t, 0.1, 5),
     ])
     def test_dimensions_checked_before_any_target_call(self, integrate):
         # a target that reads q[4] fails on a 3-vector with an IndexError;
@@ -940,17 +921,31 @@ class TestTrajectory:
 
         s = PhaseState([0.1, 0.2, 0.3], [1.0, -1.0, 0.5])
         with pytest.raises(ValueError, match="state dimension 3 != potential dimension 5"):
-            integrate(s, FiveDimensional(5), MassMatrix.identity(5))
+            integrate(s, FiveDimensional(5))
+
+    @pytest.mark.parametrize("integrate", [
+        lambda s, t, n: trajectory(s, t, DmmSolverConfig(tau=0.1), n),
+        lambda s, t, n: leapfrog_trajectory(s, t, 0.1, n),
+    ], ids=["chmc", "leapfrog"])
+    def test_step_count_must_be_an_integer(self, integrate):
+        # True would run one step, 2.5 fail with a TypeError in range()
+        t = QuarticGeneralizedGaussian(2)
+        s = PhaseState([0.1, 0.2], [1.0, -1.0])
+        for bad in (True, 2.5, 2.0):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                integrate(s, t, bad)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            integrate(s, t, np.int64(0))
+        assert integrate(s, t, np.int64(2)).h_out == integrate(s, t, 2).h_out
 
     def test_composed_round_trip(self):
         # trajectory, flip, trajectory, flip returns to the start
         t = QuarticGeneralizedGaussian(3)
-        mass = MassMatrix.identity(3)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=200)
         rng = np.random.default_rng(36)
         z = PhaseState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        fwd = trajectory(z, t, mass, cfg, 5)
-        back = trajectory(PhaseState(fwd.q, -fwd.p), t, mass, cfg, 5)
+        fwd = trajectory(z, t, cfg, 5)
+        back = trajectory(PhaseState(fwd.q, -fwd.p), t, cfg, 5)
         # R(back) = (back.q, -back.p)
         assert np.max(np.abs(back.q - z.q)) <= 1e-7
         assert np.max(np.abs(-back.p - z.p)) <= 1e-7
@@ -960,8 +955,7 @@ class TestTrajectory:
             def evaluate(self, q):
                 return math.nan
 
-        rec = trajectory(PhaseState([0.1], [1.0]), Nan(1), MassMatrix.identity(1),
-                         DmmSolverConfig(tau=0.1), 3)
+        rec = trajectory(PhaseState([0.1], [1.0]), Nan(1), DmmSolverConfig(tau=0.1), 3)
         assert rec.h_out == math.inf
 
 
@@ -986,8 +980,7 @@ class TestPreconditioning:
         for _ in range(3):
             q, p = quartic_draws(rng, d), root * rng.standard_normal(d)  # p ~ N(0, M)
             q_ref, p_ref, updates = predictor_corrector_loop(PhaseState(q, p), t, cfg, 40, m)
-            rec = trajectory(PhaseState(root * q, p / root), rescaled, MassMatrix.identity(d),
-                             cfg, 40)
+            rec = trajectory(PhaseState(root * q, p / root), rescaled, cfg, 40)
             assert rec.all_converged and rec.total_fpi_iterations == updates
             self.assert_close(rec.q / root, q_ref)
             self.assert_close(rec.p * root, p_ref)
@@ -997,7 +990,7 @@ class TestPreconditioning:
         rng, m, root, t, rescaled = self.case(59, d)
         q, p = quartic_draws(rng, d), root * rng.standard_normal(d)
         rec = leapfrog_trajectory(PhaseState(root * q, p / root), rescaled,
-                                  MassMatrix.identity(d), tau, 25)
+                                  tau, 25)
         for _ in range(25):
             p = p - 0.5 * tau * t.gradient(q)
             q = q + tau * p / m
@@ -1011,7 +1004,7 @@ class TestPreconditioning:
         # truncation: the rescaled target's diagonals are the quartic's over m
         d, tau = 12, 0.1
         rng, m, root, t, rescaled = self.case(60, d)
-        c, mass = 0.25 * tau * tau, MassMatrix.identity(d)
+        c = 0.25 * tau * tau
         for _ in range(10):
             q = rng.uniform(-2.0, 2.0, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
@@ -1021,7 +1014,7 @@ class TestPreconditioning:
             else:
                 expected = float(np.prod((1.0 + c * d_q / m) / (1.0 + c * d_Q / m)))
             Z, z = root * Q, root * q
-            sign, log_abs, _ = step_jacobian(Z, z, rescaled.closed_form_force(Z, z), tau, mass,
+            sign, log_abs, _ = step_jacobian(Z, z, rescaled.closed_form_force(Z, z), tau,
                                              JacobianMode(kind, "analytic"), rescaled)
             assert sign * math.exp(log_abs) == pytest.approx(expected, rel=1e-12)
 
@@ -1034,7 +1027,6 @@ class TestDiscreteGradientEnergy:
         # at the fixed point
         rng = np.random.default_rng(50)
         d, half, guard = 4, 0.05, 1e-8
-        mass = MassMatrix.identity(d)
         if case == "gaussian":
             a = rng.standard_normal((d, d))
             t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
@@ -1053,13 +1045,13 @@ class TestDiscreteGradientEnergy:
             f = force_function(t, guard)(Q, q)
             P = p - half * f
             g = q + half * (P + p)
-            h_in = t.evaluate(q) + mass.kinetic(p)
-            true_dh = t.evaluate(Q) + mass.kinetic(P) - h_in
+            h_in = t.evaluate(q) + kinetic(p)
+            true_dh = t.evaluate(Q) + kinetic(P) - h_in
             assert abs(0.5 * float(f @ (Q - g)) - true_dh) <= 1e-12 * (1.0 + abs(h_in))
         # the solve's reported error, chord or plain update alike
         cfg = DmmSolverConfig(tau=2 * half, delta=1e-8, dd_guard=guard)
-        rec = dmm_step(q, p, t, mass, cfg)
-        true_err = abs(t.evaluate(rec.q) + mass.kinetic(rec.p) - h_in)
+        rec = dmm_step(q, p, t, cfg)
+        true_err = abs(t.evaluate(rec.q) + kinetic(rec.p) - h_in)
         assert abs(rec.energy_error - true_err) <= 1e-12 * (1.0 + abs(h_in))
 
     @pytest.mark.parametrize("mode", [None, JacobianMode("J1"), JacobianMode("JFull")])
@@ -1067,34 +1059,32 @@ class TestDiscreteGradientEnergy:
         # J0 and the finite-difference J1 / JFull hooks: U only at the two ends
         rng = np.random.default_rng(51)
         d = 6
-        mass = MassMatrix.identity(d)
         updates = set()
         for delta, max_fpi in ((1e-8, 1), (1e-8, 10), (1e-14, 50)):
             cfg = DmmSolverConfig(tau=0.1, delta=delta, max_fpi=max_fpi)
             t = CountingQuartic(d)
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            hook = None if mode is None else JacobianAccumulator(mode, cfg.tau, mass, t)
-            rec = trajectory(s, t, mass, cfg, 12, per_step_hook=hook)
+            hook = None if mode is None else JacobianAccumulator(mode, cfg.tau, t)
+            rec = trajectory(s, t, cfg, 12, per_step_hook=hook)
             assert t.evaluate_calls == 2
             updates.add(rec.total_fpi_iterations)
             t.evaluate_calls = 0
-            dmm_step(s.q, s.p, t, mass, cfg)
+            dmm_step(s.q, s.p, t, cfg)
             assert t.evaluate_calls == 0
         assert len(updates) == 3
 
     def test_force_that_is_not_a_discrete_gradient_clears_all_converged(self, monkeypatch):
         steps = record_steps(monkeypatch)
         s = PhaseState([0.8, -1.1], [1.2, 0.5])
-        mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
-        rec = trajectory(s, MidpointGradientQuartic(2), mass, cfg, 40)
+        rec = trajectory(s, MidpointGradientQuartic(2), cfg, 40)
         assert [step.converged for *_, step in steps] == [True] * 40
         assert rec.h_out != math.inf
         assert abs(rec.h_out - rec.h_in) > 40 * cfg.delta
         assert not rec.all_converged
         # the discrete gradient of the same U passes the check
         steps.clear()
-        rec = trajectory(s, QuarticGeneralizedGaussian(2), mass, cfg, 40)
+        rec = trajectory(s, QuarticGeneralizedGaussian(2), cfg, 40)
         assert [step.converged for *_, step in steps] == [True] * 40 and rec.all_converged
 
 
@@ -1108,36 +1098,32 @@ class TestOrderOfAccuracy:
 
     def test_dmm_global_error_is_second_order(self):
         target = MultivariateGaussian([0.0], [[1.0]])
-        mass = MassMatrix.identity(1)
         q_exact, p_exact = self.exact_harmonic_flow(1.0, 0.4, 1.0)
         taus = [0.2, 0.1, 0.05, 0.025]
         errors = []
         for tau in taus:
             cfg = DmmSolverConfig(tau=tau, delta=1e-14, max_fpi=500)
-            rec = trajectory(PhaseState([1.0], [0.4]), target, mass, cfg, int(round(1.0 / tau)))
+            rec = trajectory(PhaseState([1.0], [0.4]), target, cfg, int(round(1.0 / tau)))
             errors.append(np.hypot(rec.q[0] - q_exact, rec.p[0] - p_exact))
         assert 1.9 <= self.slope(taus, errors) <= 2.1
 
     def test_leapfrog_global_error_is_second_order(self):
         target = MultivariateGaussian([0.0], [[1.0]])
-        mass = MassMatrix.identity(1)
         q_exact, p_exact = self.exact_harmonic_flow(1.0, 0.4, 1.0)
         taus = [0.2, 0.1, 0.05, 0.025]
         errors = []
         for tau in taus:
             state = PhaseState([1.0], [0.4])
-            rec = leapfrog_trajectory(state, target, mass, tau, int(round(1.0 / tau)))
+            rec = leapfrog_trajectory(state, target, tau, int(round(1.0 / tau)))
             errors.append(np.hypot(rec.q[0] - q_exact, rec.p[0] - p_exact))
         assert 1.9 <= self.slope(taus, errors) <= 2.1
 
     def test_leapfrog_energy_error_is_second_order(self):
         target = MultivariateGaussian([0.0], [[1.0]])
-        mass = MassMatrix.identity(1)
         taus = [0.2, 0.1, 0.05, 0.025]
         errors = []
         for tau in taus:
-            rec = leapfrog_trajectory(PhaseState([1.0], [0.4]), target, mass, tau,
-                                      int(round(1.0 / tau)))
+            rec = leapfrog_trajectory(PhaseState([1.0], [0.4]), target, tau, int(round(1.0 / tau)))
             errors.append(abs(rec.h_out - rec.h_in))
         assert 1.8 <= self.slope(taus, errors) <= 2.2
 
@@ -1204,21 +1190,20 @@ def record_copies(rec):
     return [(a, a.copy()) for a in arrays if a is not None]
 
 
-def carried_leapfrog(state, target, mass):
+def carried_leapfrog(state, target):
     """Two leapfrog trajectories, the second started from the first's end
     position with the end values it reported, as a chain after an accept."""
-    first = leapfrog_trajectory(state, target, mass, 0.1, 8)
+    first = leapfrog_trajectory(state, target, 0.1, 8)
     start = PhaseState(first.q, -first.p)
-    return leapfrog_trajectory(start, target, mass, 0.1, 8, u_in=first.u_out,
-                               kick_in=first.kick_out)
+    return leapfrog_trajectory(start, target, 0.1, 8, u_in=first.u_out, kick_in=first.kick_out)
 
 
 def chmc_run(kind, source):
-    def run(state, target, mass):
+    def run(state, target):
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=10)
         hook = (None if kind == "J0"
-                else JacobianAccumulator(JacobianMode(kind, source), cfg.tau, mass, target))
-        return trajectory(state, target, mass, cfg, 8, per_step_hook=hook)
+                else JacobianAccumulator(JacobianMode(kind, source), cfg.tau, target))
+        return trajectory(state, target, cfg, 8, per_step_hook=hook)
     return run
 
 
@@ -1242,11 +1227,10 @@ class TestArrayOwnership:
         monkeypatch.setattr(integrators, "dmm_step", kept_step)
         rng = np.random.default_rng(54)
         d = target.dim
-        mass = MassMatrix.identity(d)
         # the second trajectory must leave every record of the first alone
         for _ in range(2):
-            s = PhaseState(quartic_draws(rng, d), mass.sample_momentum(rng))
-            kept.extend(record_copies(run(s, recording, mass)))
+            s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            kept.extend(record_copies(run(s, recording)))
         assert recording.log and kept
         for array, copy in recording.log + kept:
             np.testing.assert_array_equal(array, copy)
@@ -1261,7 +1245,7 @@ class TestArrayOwnership:
 
     def test_leapfrog_trajectory(self, monkeypatch):
         self.check(monkeypatch, QuarticGeneralizedGaussian(5),
-                   lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 8))
+                   lambda s, t: leapfrog_trajectory(s, t, 0.1, 8))
 
     def test_leapfrog_with_carried_kick(self, monkeypatch):
         self.check(monkeypatch, QuarticGeneralizedGaussian(5), carried_leapfrog)
@@ -1343,7 +1327,7 @@ class TestArrayPasses:
         for name in ("evaluate", "gradient", "closed_form_force",
                      "closed_form_force_jacobian_diag"):
             setattr(t, name, tally.as_target(getattr(t, name)))
-        return integrate(s, t, MassMatrix.identity(d)), tally
+        return integrate(s, t), tally
 
     def test_passes_per_step_at_d2560(self, monkeypatch):
         # the separation config's setting. With the momentum extrapolation
@@ -1351,12 +1335,12 @@ class TestArrayPasses:
         # 1170 passes (29.25 per step) for the same 910 target passes and 44
         # updates; the carried force saves two passes per step
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
-        rec, j0 = self.count(monkeypatch, lambda s, t, m: trajectory(s, t, m, cfg, 40))
+        rec, j0 = self.count(monkeypatch, lambda s, t: trajectory(s, t, cfg, 40))
         assert rec.total_fpi_iterations == 44
         assert (j0.target, j0.solver) == (910, 1090)
         assert j0.solver < 1170
         _, leapfrog = self.count(monkeypatch,
-                                 lambda s, t, m: leapfrog_trajectory(s, t, m, 0.1, 40))
+                                 lambda s, t: leapfrog_trajectory(s, t, 0.1, 40))
         assert (leapfrog.target, leapfrog.solver) == (129, 207)
 
 
@@ -1421,8 +1405,7 @@ class TestStepChecks:
     def test_non_finite_force_component_fails_the_step(self, value, target_cls):
         q, p = np.array([0.3, -0.2, 0.5]), np.array([1.0, 0.4, -0.7])
         with np.errstate(invalid="ignore", over="ignore"):
-            rec = dmm_step(q, p, target_cls(3, value), MassMatrix.identity(3),
-                           DmmSolverConfig(tau=0.1))
+            rec = dmm_step(q, p, target_cls(3, value), DmmSolverConfig(tau=0.1))
         assert rec.q is q and rec.p is p
         assert rec.energy_error == math.inf and not rec.converged
         assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
@@ -1435,8 +1418,7 @@ class TestStepChecks:
         # P = 1.7e308 + 0.25e308 overflows
         q, p = np.zeros(2), np.full(2, 1.7e308)
         with np.errstate(over="ignore"):
-            rec = dmm_step(q, p, ConstantForce(2, separable), MassMatrix.identity(2),
-                           DmmSolverConfig(tau=0.5))
+            rec = dmm_step(q, p, ConstantForce(2, separable), DmmSolverConfig(tau=0.5))
         assert rec.q is q and rec.p is p
         assert rec.energy_error == math.inf and not rec.converged
         assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
@@ -1465,7 +1447,7 @@ class TestStepChecks:
         t = InjectedDiagonals(a, d_q, d_Q)
         q, p = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
         with np.errstate(invalid="ignore"):
-            rec = dmm_step(q, p, t, MassMatrix.identity(3), DmmSolverConfig(tau=2.0, max_fpi=1))
+            rec = dmm_step(q, p, t, DmmSolverConfig(tau=2.0, max_fpi=1))
         Q0 = q + 2.0 * p
         g0 = Q0 - t.closed_form_force(Q0, q)
         with np.errstate(invalid="ignore"):
@@ -1485,11 +1467,11 @@ class TestRoundingFloor:
         steps = record_steps(monkeypatch)
         rng = np.random.default_rng(55)
         d = 2560
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
         for _ in range(3):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            assert trajectory(s, t, mass, cfg, 40).all_converged
+            assert trajectory(s, t, cfg, 40).all_converged
         assert len(steps) == 120
         assert all(step.converged for *_, step in steps)
         assert max(step.fpi_iterations for *_, step in steps) < cfg.max_fpi
@@ -1500,14 +1482,14 @@ class TestRoundingFloor:
         # draws, so the floor is a 2-norm; a floor from their absolute sum,
         # which grows as d, let these trajectories end up to 1.8e-11 away
         d = 2560
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
         errors = []
         for seed in (1, 2, 3, 55):
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-                rec = trajectory(s, t, mass, cfg, 40)
+                rec = trajectory(s, t, cfg, 40)
                 assert rec.all_converged
                 errors.append(abs(rec.h_out - rec.h_in))
         assert max(errors) <= 1e-11
@@ -1517,9 +1499,8 @@ class TestRoundingFloor:
         # their squares overflow, yet the error 3.2e179 is finite: the floor
         # must stay finite so that the step does not pass as converged
         d = 4
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
-        rec = dmm_step(np.full(d, 1e30), np.ones(d), t, mass,
-                       DmmSolverConfig(tau=0.1, max_fpi=3))
+        t = QuarticGeneralizedGaussian(d)
+        rec = dmm_step(np.full(d, 1e30), np.ones(d), t, DmmSolverConfig(tau=0.1, max_fpi=3))
         assert math.isfinite(rec.energy_error)
         assert not rec.converged and rec.tolerance < rec.energy_error
 
@@ -1529,10 +1510,10 @@ class TestRoundingFloor:
         steps = record_steps(monkeypatch)
         rng = np.random.default_rng(56)
         d = 2560
-        t, mass = QuarticGeneralizedGaussian(d), MassMatrix.identity(d)
+        t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-        assert trajectory(s, t, mass, cfg, 40).all_converged
+        assert trajectory(s, t, cfg, 40).all_converged
         assert [step.tolerance for *_, step in steps] == [cfg.delta] * 40
 
 

@@ -7,7 +7,6 @@ from chmc import (
     DmmSolverConfig,
     JacobianAccumulator,
     JacobianMode,
-    MassMatrix,
     MultivariateGaussian,
     PhaseState,
     QuarticGeneralizedGaussian,
@@ -56,9 +55,9 @@ def jacobians(Q, q, potential, *args, **kwargs):
     return force_jacobians(Q, q, potential.closed_form_force(Q, q), potential, *args, **kwargs)
 
 
-def step_pair(Q, q, tau, mass, mode, potential):
+def step_pair(Q, q, tau, mode, potential):
     """``step_jacobian`` at (Q, q) from the base force F(Q, q)."""
-    return step_jacobian(Q, q, potential.closed_form_force(Q, q), tau, mass, mode, potential)
+    return step_jacobian(Q, q, potential.closed_form_force(Q, q), tau, mode, potential)
 
 
 def step_factor(*args):
@@ -180,18 +179,18 @@ class TestStepJacobian:
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
         pair = step_pair(rng.standard_normal(4), rng.standard_normal(4), 0.1,
-                         MassMatrix.identity(4), JacobianMode("J0"), t)
+                         JacobianMode("J0"), t)
         assert pair == (1.0, 0.0, 0)
 
     def test_j1_trace_value(self):
         t = QuarticGeneralizedGaussian(1)
-        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1,
                                JacobianMode("J1", "analytic"), t)
         assert value == pytest.approx(1.0 + 0.0025 * (22.0 - 34.0), rel=1e-13)
 
     def test_jfull_ratio_value(self):
         t = QuarticGeneralizedGaussian(1)
-        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1, MassMatrix.identity(1),
+        value, _ = step_factor(np.array([2.0]), np.array([1.0]), 0.1,
                                JacobianMode("JFull", "analytic"), t)
         assert value == pytest.approx(1.055 / 1.085, rel=1e-12)
 
@@ -206,8 +205,7 @@ class TestStepJacobian:
             q = rng.uniform(-2, 2, 3)
             Q = q + rng.uniform(0.05, 1.0, 3)
             for tau in (0.05, 0.1, 0.5):
-                value, _ = step_factor(Q, q, tau, MassMatrix.identity(3),
-                                       JacobianMode("JFull", source), t)
+                value, _ = step_factor(Q, q, tau, JacobianMode("JFull", source), t)
                 assert value == pytest.approx(1.0, abs=tol)
 
     def test_diagonal_fast_path_matches_dense(self):
@@ -215,8 +213,7 @@ class TestStepJacobian:
         rng = np.random.default_rng(43)
         q = rng.uniform(-1.5, 1.5, 3)
         Q = q + rng.uniform(0.1, 0.8, 3)
-        fast, _ = step_factor(Q, q, 0.1, MassMatrix.identity(3),
-                              JacobianMode("JFull", "analytic"), t)
+        fast, _ = step_factor(Q, q, 0.1, JacobianMode("JFull", "analytic"), t)
         d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
         dense = np.linalg.det(np.eye(3) + 0.0025 * np.diag(d_q)) / np.linalg.det(
             np.eye(3) + 0.0025 * np.diag(d_Q))
@@ -227,7 +224,6 @@ class TestStepJacobian:
         # probe diagonals embedded in matrices stays the reference
         rng = np.random.default_rng(49)
         t = QuarticGeneralizedGaussian(12)
-        mass = MassMatrix.identity(12)
         c = 0.25 * 0.1 * 0.1
         pairs, expected = [], []
         for _ in range(20):
@@ -244,7 +240,7 @@ class TestStepJacobian:
 
         monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
         for (Q, q), ref in zip(pairs, expected):
-            value, n = step_factor(Q, q, 0.1, mass, JacobianMode("JFull"), t)
+            value, n = step_factor(Q, q, 0.1, JacobianMode("JFull"), t)
             assert n == 2
             assert value == pytest.approx(ref, rel=1e-12)
 
@@ -252,12 +248,11 @@ class TestStepJacobian:
     def test_finite_difference_factor_same_on_both_probe_routes(self, mode):
         rng = np.random.default_rng(48)
         t, loop = QuarticGeneralizedGaussian(5), PerComponentQuartic(5)
-        mass = MassMatrix.identity(5)
         for _ in range(20):
             q = rng.uniform(-2, 2, 5)
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-            compressed, n_c = step_factor(Q, q, 0.1, mass, mode, t)
-            per_component, n_l = step_factor(Q, q, 0.1, mass, mode, loop)
+            compressed, n_c = step_factor(Q, q, 0.1, mode, t)
+            per_component, n_l = step_factor(Q, q, 0.1, mode, loop)
             assert compressed == per_component
             assert (n_c, n_l) == (2, 10)
 
@@ -267,16 +262,15 @@ class TestStepJacobian:
         rng = np.random.default_rng(52)
         d, c = 10240, 0.25 * 0.1 * 0.1
         t = QuarticGeneralizedGaussian(d)
-        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=50)
         for _ in range(20):
             mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
             q = np.where(rng.random(d) < 0.5, -mag, mag)
-            Q = dmm_step(q, mass.sample_momentum(rng), t, mass, cfg).q
+            Q = dmm_step(q, rng.standard_normal(d), t, cfg).q
             d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
             ref = (math.fsum(map(math.log, np.abs(1.0 + c * d_q).tolist()))
                    - math.fsum(map(math.log, np.abs(1.0 + c * d_Q).tolist())))
-            sign, log_abs, _ = step_pair(Q, q, 0.1, mass, JacobianMode("JFull", "analytic"), t)
+            sign, log_abs, _ = step_pair(Q, q, 0.1, JacobianMode("JFull", "analytic"), t)
             assert sign == 1.0
             assert abs(log_abs - ref) <= 5e-14
 
@@ -284,7 +278,7 @@ class TestStepJacobian:
         # (-2)^2000 = e^1386.3: the step keeps its log, which no float exp holds
         d = 2000
         sign, log_abs, n = step_pair(np.full(d, 0.5), np.full(d, 0.4), 0.1,
-                                     MassMatrix.identity(d), JacobianMode("JFull", "analytic"),
+                                     JacobianMode("JFull", "analytic"),
                                      StiffDeclaredQuartic(d))
         assert (sign, n) == (1.0, 0)
         assert log_abs == pytest.approx(d * math.log(2.0), rel=1e-12)
@@ -296,8 +290,7 @@ class TestStepJacobian:
         # of no division by zero
         t = StiffDeclaredQuartic(1)
         t.k = k
-        pair = step_pair(np.ones(1), np.zeros(1), 0.5, MassMatrix.identity(1),
-                         JacobianMode(kind, "analytic"), t)
+        pair = step_pair(np.ones(1), np.zeros(1), 0.5, JacobianMode(kind, "analytic"), t)
         assert pair == (0.0, -math.inf, 0)
         assert not recwarn.list
 
@@ -307,7 +300,7 @@ def trajectory_product(monkeypatch, factors):
     pairs = iter([(math.copysign(1.0, t), math.log(abs(t))) if t else (0.0, -math.inf)
                   for t in factors])
     monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
-    acc = JacobianAccumulator(JacobianMode("J1"), 0.1, MassMatrix.identity(1), None)
+    acc = JacobianAccumulator(JacobianMode("J1"), 0.1, None)
     for _ in factors:
         acc(None, None, None)
     return acc.product
@@ -343,14 +336,13 @@ class TestTrajectoryJacobian:
         rng = np.random.default_rng(50)
         d, n_steps = 12, 40
         t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
-        mass = MassMatrix.identity(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
         state = PhaseState(np.where(rng.random(d) < 0.5, -mag, mag), rng.standard_normal(d))
-        reused = JacobianAccumulator(JacobianMode(kind), 0.1, mass, t)
-        recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, mass, t)
-        trajectory(state, t, mass, cfg, n_steps, per_step_hook=reused)
-        trajectory(state, t, mass, cfg, n_steps,
+        reused = JacobianAccumulator(JacobianMode(kind), 0.1, t)
+        recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, t)
+        trajectory(state, t, cfg, n_steps, per_step_hook=reused)
+        trajectory(state, t, cfg, n_steps,
                    per_step_hook=lambda q_in, q_out, f_out: recomputed(
                        q_in, q_out, t.closed_form_force(q_out, q_in)))
         per_step = 2 if separable else 2 * d
@@ -360,11 +352,10 @@ class TestTrajectoryJacobian:
 
     def test_gaussian_forty_steps_product_is_one(self):
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
-        mass = MassMatrix.identity(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
-        acc = JacobianAccumulator(JacobianMode("JFull", "analytic"), 0.1, mass, t)
+        acc = JacobianAccumulator(JacobianMode("JFull", "analytic"), 0.1, t)
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
-        trajectory(state, t, mass, cfg, 40, per_step_hook=acc)
+        trajectory(state, t, cfg, 40, per_step_hook=acc)
         assert acc.product == pytest.approx(1.0, abs=1e-10)
 
 
@@ -373,13 +364,13 @@ class TestProductPastTheFloatRange:
         # 20 steps of (-2)^100 each: J = e^1386.3 reads +inf and alpha = 1 for a
         # finite dH, where the chain used to stop on an OverflowError
         d = 100
-        t, mass = StiffDeclaredQuartic(d), MassMatrix.identity(d)
+        t = StiffDeclaredQuartic(d)
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=2.0, iterations=1, seed=5,
                             jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(5, 0)
         mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
         theta = np.where(rng.random(d) < 0.5, -mag, mag)
-        new_theta, out = chmc_iteration(theta, t, mass, cfg, rng)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng)
         assert out.jacobian_product == math.inf
         assert math.isfinite(out.delta_H) and out.all_steps_converged
         assert out.alpha == 1.0 and out.accepted and new_theta is not theta
@@ -392,7 +383,7 @@ class TestProductPastTheFloatRange:
 
         monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (1.0, -20.0, 0))
 
-        def energy_drop(state, target, mass, cfg, n_steps, per_step_hook=None, u_in=None):
+        def energy_drop(state, target, cfg, n_steps, per_step_hook=None, u_in=None):
             q_out = state.q + 1.0
             for _ in range(n_steps):
                 per_step_hook(state.q, q_out, None)
@@ -404,19 +395,19 @@ class TestProductPastTheFloatRange:
                             jacobian_mode=JacobianMode("J1", "analytic"))
         theta = np.zeros(2)
         new_theta, out = chmc_iteration(theta, QuarticGeneralizedGaussian(2),
-                                        MassMatrix.identity(2), cfg, chain_rng(0, 0))
+                                        cfg, chain_rng(0, 0))
         assert out.jacobian_product == 0.0 and out.delta_H == -900.0
         assert out.alpha == 1.0 and out.accepted
         np.testing.assert_array_equal(new_theta, theta + 1.0)
 
 
-def brute_force_map_jacobian(z, target, mass, tau, h=1e-5):
+def brute_force_map_jacobian(z, target, tau, h=1e-5):
     """Central finite differences of the tightly solved one-step map."""
     d = z.dim
     cfg = DmmSolverConfig(tau=tau, delta=1e-13, max_fpi=200)
 
     def apply_map(vec):
-        rec = dmm_step(vec[:d], vec[d:], target, mass, cfg)
+        rec = dmm_step(vec[:d], vec[d:], target, cfg)
         assert rec.converged
         return np.concatenate([rec.q, rec.p])
 
@@ -436,15 +427,13 @@ class TestDeterminantAgainstBruteForce:
     def test_det_ratio_matches_full_map_jacobian(self, dim):
         rng = np.random.default_rng(44)
         target = QuarticGeneralizedGaussian(dim)
-        mass = MassMatrix.identity(dim)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(5):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            rec = dmm_step(z.q, z.p, target, mass, cfg)
+            rec = dmm_step(z.q, z.p, target, cfg)
             assert rec.converged
-            value, _ = step_factor(rec.q, z.q, 0.1, mass,
-                                   JacobianMode("JFull", "analytic"), target)
-            brute = brute_force_map_jacobian(z, target, mass, 0.1)
+            value, _ = step_factor(rec.q, z.q, 0.1, JacobianMode("JFull", "analytic"), target)
+            brute = brute_force_map_jacobian(z, target, 0.1)
             assert value == pytest.approx(brute, rel=1e-5)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -452,18 +441,15 @@ class TestDeterminantAgainstBruteForce:
         # det J at z times det J at R(step(z)) is 1
         rng = np.random.default_rng(45)
         target = QuarticGeneralizedGaussian(dim)
-        mass = MassMatrix.identity(dim)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(10):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            fwd = dmm_step(z.q, z.p, target, mass, cfg)
+            fwd = dmm_step(z.q, z.p, target, cfg)
             assert fwd.converged
-            j_fwd, _ = step_factor(fwd.q, z.q, 0.1, mass,
-                                   JacobianMode("JFull", "analytic"), target)
-            back = dmm_step(fwd.q, -fwd.p, target, mass, cfg, init_guess=(z.q, -z.p))
+            j_fwd, _ = step_factor(fwd.q, z.q, 0.1, JacobianMode("JFull", "analytic"), target)
+            back = dmm_step(fwd.q, -fwd.p, target, cfg, init_guess=(z.q, -z.p))
             assert back.converged
-            j_back, _ = step_factor(back.q, fwd.q, 0.1, mass,
-                                    JacobianMode("JFull", "analytic"), target)
+            j_back, _ = step_factor(back.q, fwd.q, 0.1, JacobianMode("JFull", "analytic"), target)
             assert j_fwd * j_back == pytest.approx(1.0, abs=1e-6)
 
 
@@ -474,16 +460,13 @@ class TestTruncationOrders:
     # letting higher orders contaminate the tau = 0.2 end of the fit.
     def setup_method(self):
         self.target = QuarticGeneralizedGaussian(3)
-        self.mass = MassMatrix.identity(3)
         rng = np.random.default_rng(46)
         self.q = rng.uniform(0.5, 1.0, 3)
         self.Q = self.q + rng.uniform(0.1, 0.2, 3)
 
     def values(self, tau):
-        j1, _ = step_factor(self.Q, self.q, tau, self.mass, JacobianMode("J1", "analytic"),
-                            self.target)
-        jfull, _ = step_factor(self.Q, self.q, tau, self.mass,
-                               JacobianMode("JFull", "analytic"), self.target)
+        j1, _ = step_factor(self.Q, self.q, tau, JacobianMode("J1", "analytic"), self.target)
+        jfull, _ = step_factor(self.Q, self.q, tau, JacobianMode("JFull", "analytic"), self.target)
         return j1, jfull
 
     def test_full_minus_one_is_second_order(self):

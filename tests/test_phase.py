@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,13 @@ from chmc import (
     MultivariateGaussian,
     PhaseState,
     QuarticGeneralizedGaussian,
+    SamplerConfig,
+    TrajectoryRecord,
+    chmc_iteration,
     hamiltonian,
+    hmc_iteration,
 )
+from chmc.phase import kinetic
 
 
 def random_spd(rng, d):
@@ -62,10 +69,9 @@ class TestNegateMomentum:
 
     def test_zero_momentum_keeps_energy(self):
         t = QuarticGeneralizedGaussian(2)
-        m = MassMatrix.identity(2)
         s = PhaseState([0.3, -0.7], [0.0, 0.0])
-        h0 = hamiltonian(s, t, m)
-        h1 = hamiltonian(negate_momentum(s), t, m)
+        h0 = hamiltonian(s, t)
+        h1 = hamiltonian(negate_momentum(s), t)
         assert h0 == h1
 
     @pytest.mark.parametrize("target_dim", [1, 3, 8])
@@ -75,52 +81,50 @@ class TestNegateMomentum:
         quartic = QuarticGeneralizedGaussian(target_dim)
         gauss = MultivariateGaussian(
             rng.standard_normal(target_dim), random_spd(rng, target_dim))
-        mass = MassMatrix.identity(target_dim)
         for target in (quartic, gauss):
             for _ in range(100):
                 s = PhaseState(rng.standard_normal(target_dim), rng.standard_normal(target_dim))
-                assert hamiltonian(s, target, mass) == pytest.approx(
-                    hamiltonian(negate_momentum(s), target, mass), rel=1e-15)
+                assert hamiltonian(s, target) == pytest.approx(
+                    hamiltonian(negate_momentum(s), target), rel=1e-15)
 
 
 class TestHamiltonian:
     def test_zero_state(self):
         t = QuarticGeneralizedGaussian(1)
-        h = hamiltonian(PhaseState([0.0], [0.0]), t, MassMatrix.identity(1))
+        h = hamiltonian(PhaseState([0.0], [0.0]), t)
         assert h == 0.0
 
     def test_unit_position(self):
         t = QuarticGeneralizedGaussian(1)
-        s, m = PhaseState([1.0], [0.0]), MassMatrix.identity(1)
-        h = hamiltonian(s, t, m)
-        assert t.evaluate(s.q) == 1.0 and m.kinetic(s.p) == 0.0 and h == 1.0
+        s = PhaseState([1.0], [0.0])
+        h = hamiltonian(s, t)
+        assert t.evaluate(s.q) == 1.0 and kinetic(s.p) == 0.0 and h == 1.0
 
     def test_two_dimensional(self):
         t = QuarticGeneralizedGaussian(2)
-        s, m = PhaseState([1.0, 1.0], [1.0, 1.0]), MassMatrix.identity(2)
-        h = hamiltonian(s, t, m)
+        s = PhaseState([1.0, 1.0], [1.0, 1.0])
+        h = hamiltonian(s, t)
         assert h == pytest.approx(3.0, rel=1e-15)
-        assert t.evaluate(s.q) == pytest.approx(2.0) and m.kinetic(s.p) == pytest.approx(1.0)
+        assert t.evaluate(s.q) == pytest.approx(2.0) and kinetic(s.p) == pytest.approx(1.0)
 
     def test_total_is_stored_sum(self):
         rng = np.random.default_rng(1)
         t = QuarticGeneralizedGaussian(3)
-        m = MassMatrix.identity(3)
         s = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
-        h = hamiltonian(s, t, m)
-        assert h == t.evaluate(s.q) + m.kinetic(s.p)
+        h = hamiltonian(s, t)
+        assert h == t.evaluate(s.q) + kinetic(s.p)
 
     def test_dimension_mismatch(self):
         t = QuarticGeneralizedGaussian(2)
         with pytest.raises(ValueError):
-            hamiltonian(PhaseState([1.0], [1.0]), t, MassMatrix.identity(1))
+            hamiltonian(PhaseState([1.0], [1.0]), t)
 
     def test_non_finite_potential_becomes_inf(self):
         class Hole(QuarticGeneralizedGaussian):
             def evaluate(self, q):
                 return float("nan")
 
-        h = hamiltonian(PhaseState([1.0], [1.0]), Hole(1), MassMatrix.identity(1))
+        h = hamiltonian(PhaseState([1.0], [1.0]), Hole(1))
         # nan + K would stay nan; the potential was mapped to +inf first
         assert h == np.inf
 
@@ -134,21 +138,48 @@ class TestMassMatrix:
 
     def test_kinetic_is_half_p_p(self):
         rng = np.random.default_rng(3)
-        m = MassMatrix.identity(4)
         for _ in range(20):
             p = rng.standard_normal(4)
-            assert m.kinetic(p) == 0.5 * float(p @ p)
+            assert kinetic(p) == 0.5 * float(p @ p)
 
 
 class TestSampleMomentum:
-    def test_identity_variance(self):
-        rng = np.random.default_rng(11)
-        m = MassMatrix.identity(1)
-        draws = np.array([m.sample_momentum(rng)[0] for _ in range(10 ** 5)])
-        assert abs(draws.var() - 1.0) < 0.05
+    """Both iterations draw p ~ N(0, I) as one standard-normal vector of the
+    chain's generator, then one uniform for the accept/reject step."""
 
-    def test_same_seed_same_stream(self):
-        # one standard-normal vector: the generator's own stream, draw for draw
-        m = MassMatrix.identity(2)
-        np.testing.assert_array_equal(m.sample_momentum(np.random.default_rng(5)),
-                                      np.random.default_rng(5).standard_normal(2))
+    @staticmethod
+    def momenta(monkeypatch, iterate, d, iterations, rng):
+        """The momenta ``iterate`` hands its trajectory, which is stubbed to fail."""
+        import chmc.samplers as samplers
+
+        drawn = []
+
+        def record(state, *args, **kwargs):
+            drawn.append(state.p)
+            return TrajectoryRecord(state.q, state.p, 0, 0, False, 0.0, math.inf, 0.0, math.inf)
+
+        monkeypatch.setattr(samplers, "trajectory", record)
+        monkeypatch.setattr(samplers, "leapfrog_trajectory", record)
+        method = "chmc" if iterate is chmc_iteration else "hmc-leapfrog"
+        cfg = SamplerConfig(method, 0.1, 0.5, iterations=1)
+        theta, target = np.zeros(d), QuarticGeneralizedGaussian(d)
+        for _ in range(iterations):
+            iterate(theta, target, cfg, rng)
+        return np.array(drawn)
+
+    def test_identity_variance(self, monkeypatch):
+        for iterate in (chmc_iteration, hmc_iteration):
+            draws = self.momenta(monkeypatch, iterate, 10, 10 ** 4, np.random.default_rng(11))
+            assert abs(draws.var() - 1.0) < 0.05
+            assert abs(draws.mean()) < 0.02
+
+    def test_same_seed_same_stream(self, monkeypatch):
+        # one standard-normal vector, then one uniform: the generator's own
+        # stream, draw for draw
+        ref = np.random.default_rng(5)
+        first = ref.standard_normal(2)
+        ref.random()
+        second = ref.standard_normal(2)
+        for iterate in (chmc_iteration, hmc_iteration):
+            draws = self.momenta(monkeypatch, iterate, 2, 2, np.random.default_rng(5))
+            np.testing.assert_array_equal(draws, [first, second])

@@ -224,7 +224,7 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=1e-6, total_time=1e-6, iterations=2, seed=9)
         rng = chain_rng(9, 0)
         theta = np.array([0.3, -0.8, 0.5])
-        new_theta, out = chmc_iteration(theta, t, MassMatrix.identity(3), cfg, rng)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng)
         assert out.alpha >= 1.0 - 1e-6
         assert out.accepted
         np.testing.assert_allclose(new_theta, theta, atol=1e-5)
@@ -238,7 +238,7 @@ class TestChmcIteration:
         rng = chain_rng(4, 0)
         theta = np.array([0.5, 0.5])
         for _ in range(5):
-            theta, out = chmc_iteration(theta, t, MassMatrix.identity(2), cfg, rng)
+            theta, out = chmc_iteration(theta, t, cfg, rng)
             assert out.jacobian_product == pytest.approx(1.0, abs=1e-12)
             assert out.alpha == pytest.approx(
                 acceptance_probability(out.delta_H, 1.0, 0.0), rel=1e-12)
@@ -251,28 +251,27 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=1.0, iterations=2, seed=2)
         rng = chain_rng(2, 0)
         theta = np.array([0.5])
-        new_theta, out = chmc_iteration(theta, Nan(1), MassMatrix.identity(1), cfg, rng)
+        new_theta, out = chmc_iteration(theta, Nan(1), cfg, rng)
         assert not out.accepted and out.alpha == 0.0
         assert new_theta is theta
 
     def test_infinite_final_energy_rejects(self):
         # U = inf outside the box, closed-form force finite everywhere: the
         # steps converge and only the trajectory's final H is infinite
-        t, mass = BoxedQuartic(1), MassMatrix.identity(1)
+        t = BoxedQuartic(1)
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0)
         theta = np.array([0.9])
-        p0 = mass.sample_momentum(chain_rng(0, 0))
-        rec = trajectory(PhaseState(theta, p0), t, mass, cfg.solver, cfg.n_steps)
+        p0 = chain_rng(0, 0).standard_normal(1)
+        rec = trajectory(PhaseState(theta, p0), t, cfg.solver, cfg.n_steps)
         assert rec.h_out == math.inf and not rec.all_converged
         assert abs(rec.q[0]) > 1.0 and np.isfinite(rec.p).all()
-        new_theta, out = chmc_iteration(theta, t, mass, cfg, chain_rng(0, 0))
+        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0))
         assert not out.accepted and out.alpha == 0.0 and out.delta_H == math.inf
         assert new_theta is theta
 
     def test_acceptance_lower_bound_every_iteration(self):
         # alpha >= min(1, exp(-N delta) J^N) whenever every step converged
         t = QuarticGeneralizedGaussian(4)
-        mass = MassMatrix.identity(4)
         for mode in (JacobianMode("J0"), JacobianMode("J1", "analytic"),
                      JacobianMode("JFull", "analytic")):
             cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=100,
@@ -282,7 +281,7 @@ class TestChmcIteration:
             theta = rng.standard_normal(4)
             n_delta = cfg.n_steps * cfg.solver.delta
             for _ in range(cfg.iterations):
-                theta, out = chmc_iteration(theta, t, mass, cfg, rng)
+                theta, out = chmc_iteration(theta, t, cfg, rng)
                 if out.all_steps_converged:
                     bound = min(1.0, math.exp(-n_delta) * out.jacobian_product)
                     assert out.alpha + 1e-14 >= bound
@@ -302,7 +301,7 @@ class TestHmcIteration:
         rng = chain_rng(3, 0)
         theta = np.array([1.0, -1.0])
         for _ in range(5):
-            theta, out = hmc_iteration(theta, Flat(2), MassMatrix.identity(2), cfg, rng)
+            theta, out = hmc_iteration(theta, Flat(2), cfg, rng)
             assert out.delta_H == 0.0
             assert out.alpha == 1.0 and out.accepted
 
@@ -312,7 +311,7 @@ class TestHmcIteration:
                             iterations=3, seed=5)
         rng = chain_rng(5, 0)
         theta = np.zeros(2)
-        theta, out = hmc_iteration(theta, t, MassMatrix.identity(2), cfg, rng)
+        theta, out = hmc_iteration(theta, t, cfg, rng)
         assert out.force_evals == cfg.n_steps + 1
 
 
@@ -324,7 +323,7 @@ def cached_chain(cfg, target, mass):
     return seen
 
 
-def reference_chain(cfg, target, mass):
+def reference_chain(cfg, target):
     """The chain of run_chain, with every iteration evaluating U and the first
     half-kick at theta afresh (no cache)."""
     rng = chain_rng(cfg.seed, 0)
@@ -333,7 +332,7 @@ def reference_chain(cfg, target, mass):
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            theta, o = iterate(theta, target, mass, cfg, rng)
+            theta, o = iterate(theta, target, cfg, rng)
             seen.append((theta.copy(), o.accepted, o.delta_H, o.alpha, o))
     return seen
 
@@ -366,21 +365,21 @@ class TestStateCache:
     @pytest.mark.parametrize("name", list(CHAINS))
     def test_same_chain_as_recomputing(self, name):
         cfg, t, mass = chain_setup(name)
-        assert_same_chain(cached_chain(cfg, t, mass), reference_chain(cfg, t, mass))
+        assert_same_chain(cached_chain(cfg, t, mass), reference_chain(cfg, t))
 
     @pytest.mark.parametrize("name", ["leapfrog", "chmc-J1"])
     def test_same_chain_on_a_rescaled_target(self, name):
         # the diagonal-mass chain of the recipe: an anisotropic target
         cfg, _, mass = chain_setup(name)
         t = RescaledQuartic(np.linspace(0.5, 2.0, 3))
-        assert_same_chain(cached_chain(cfg, t, mass), reference_chain(cfg, t, mass))
+        assert_same_chain(cached_chain(cfg, t, mass), reference_chain(cfg, t))
 
     @pytest.mark.parametrize("name", ["leapfrog", "chmc-J1"])
     def test_same_chain_with_rejections(self, name):
         cfg, t, mass = chain_setup(name, tau=0.5, total_time=2.0, iterations=60)
         cached = cached_chain(cfg, t, mass)
         assert 0 < sum(acc for _, acc, *_ in cached) < cfg.iterations
-        assert_same_chain(cached, reference_chain(cfg, t, mass))
+        assert_same_chain(cached, reference_chain(cfg, t))
 
     @pytest.mark.parametrize("name", ["leapfrog", "chmc-J0", "chmc-JFull"])
     def test_failed_trajectory_leaves_the_cache(self, name):
@@ -392,7 +391,7 @@ class TestStateCache:
         cached = cached_chain(cfg, t, mass)
         failed = [dh == math.inf for _, _, dh, *_ in cached]
         assert failed[0] and not all(failed)
-        assert_same_chain(cached, reference_chain(cfg, t, mass))
+        assert_same_chain(cached, reference_chain(cfg, t))
 
     @pytest.mark.parametrize("name", list(CHAINS))
     def test_target_call_counts(self, name):
@@ -404,7 +403,7 @@ class TestStateCache:
         n, n_steps = cfg.iterations, cfg.n_steps
         cached = [o for *_, o in cached_chain(cfg, t, mass)]
         calls, t.calls = t.calls, dict.fromkeys(t.calls, 0)
-        reference = [o for *_, o in reference_chain(cfg, t, mass)]
+        reference = [o for *_, o in reference_chain(cfg, t)]
         assert calls["evaluate"] == n + 1
         assert t.calls["evaluate"] == 2 * n
         if cfg.method == "hmc-leapfrog":
@@ -475,6 +474,14 @@ class TestRunChain:
         # from the origin the first trajectory is identical across chains with
         # identical momenta, so just assert it ran and produced a finite dH
         assert len(outs) == 1 and math.isfinite(outs[0])
+
+    def test_mass_dimension_checked_before_the_first_draw(self):
+        # the mass is read here alone, so a wrong one fails at entry
+        seen = []
+        with pytest.raises(ValueError, match="mass dimension 5 != target dimension 3"):
+            run_chain(quartic_cfg(iterations=2), QuarticGeneralizedGaussian(3), MassMatrix(5),
+                      sinks=[lambda i, o, th: seen.append(i)])
+        assert seen == []
 
     def test_explicit_initial_state_dimension_checked(self):
         t = QuarticGeneralizedGaussian(2)

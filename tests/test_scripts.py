@@ -64,21 +64,25 @@ class TestPerfbenchHooks:
                    if spans._resolve(module, path) is None]
         assert missing == []
 
-    def test_every_called_mass_method_is_a_timed_leaf(self):
-        # spans.py times MassMatrix methods by name and skips a missing one,
-        # so a renamed method would silently lose its leaf timing
-        called = set()
-        for path in (ROOT / "src" / "chmc").glob("*.py"):
+    def test_run_chain_is_the_only_reader_of_the_mass(self):
+        # the steps run on the identity mass without reading one; run_chain
+        # keeps its mass argument because workloads.py passes one, checks its
+        # dimension and reads nothing else of it
+        with_mass, calls = [], []
+        for path in sorted((ROOT / "src" / "chmc").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if "mass" in {x.arg for x in params if x is not None}:
+                        with_mass.append(f"{path.name}:{getattr(node, 'name', 'lambda')}")
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                     owner = node.func.value
                     if getattr(owner, "id", getattr(owner, "attr", None)) == "mass":
-                        called.add(node.func.attr)
-        assert called == {"kinetic", "sample_momentum"}
-        mass_calls = load_perfbench("spans").MASS_CALLS
-        for name in sorted(called):
-            assert callable(getattr(chmc.MassMatrix, name, None)), name
-            assert name in mass_calls, name
+                        calls.append(f"{path.name}:{node.lineno}")
+        assert with_mass == ["samplers.py:run_chain"]
+        assert calls == []
+        assert [n for n in vars(chmc.MassMatrix) if not n.startswith("_")] == ["identity"]
 
     def test_workload_chmc_references_exist(self):
         imported, dotted = chmc_references(ROOT / "perfbench" / "workloads.py")
@@ -97,8 +101,7 @@ class TestPerfbenchHooks:
             f.name for f in dataclasses.fields(chmc.StepRecord)}
         tracer = load_perfbench("spans").Tracer()
         rec = chmc.dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]),
-                            chmc.QuarticGeneralizedGaussian(2), chmc.MassMatrix.identity(2),
-                            chmc.DmmSolverConfig(tau=0.1))
+                            chmc.QuarticGeneralizedGaussian(2), chmc.DmmSolverConfig(tau=0.1))
         tracer._on_step(rec)
         assert tracer.solver == {"steps": 1, "fpi": rec.fpi_iterations,
                                  "unconverged": 0 if rec.converged else 1, "measured": True}

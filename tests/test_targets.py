@@ -171,6 +171,17 @@ class TestGaussianTarget:
         with pytest.raises(ValueError):
             MultivariateGaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-variance", "nan-covariance"])
+    def test_rejects_non_finite_input(self, mean, cov):
+        # finiteness is checked first: a NaN covariance would otherwise fail
+        # the symmetry test, for the wrong reason
+        with pytest.raises(ValueError, match="must be finite"):
+            MultivariateGaussian(mean, cov)
+
 
 class TestQuarticVariance:
     def test_against_quadrature_oracle(self):
