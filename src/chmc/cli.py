@@ -152,6 +152,9 @@ class MethodSpec:
             elif self.method == "hmc-leapfrog" and getattr(self, f.name) is not None:
                 errors.append(f"{_YAML_KEY.get(f.name, f.name)}: only applies to chmc")
         errors += _field_errors(self)
+        # the name is part of each trace file's name
+        if isinstance(self.name, str) and ("/" in self.name or "\0" in self.name):
+            errors.append(f"name: must not contain '/' or NUL, got {self.name!r}")
         if not errors:
             # each dataclass reports its first violated range, and a message
             # two of them share (a bad tau) is kept once; the sampler check
@@ -337,7 +340,8 @@ def load_spec(path: str) -> ExperimentSpec:
 
 def _load_array(path: str, shape: tuple) -> np.ndarray:
     """A finite .npy or comma-separated text array of the given shape."""
-    arr = np.load(path) if path.endswith(".npy") else np.loadtxt(path, delimiter=",")
+    arr = (np.load(path) if path.endswith(".npy")
+           else np.loadtxt(path, delimiter=",", ndmin=len(shape)))
     arr = np.atleast_1d(np.asarray(arr, dtype=float))
     if arr.shape != shape:
         raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")

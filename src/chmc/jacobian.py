@@ -66,14 +66,13 @@ def force_jacobians(
     source: str = "finite-difference",
     h_fd: float = DEFAULT_FD_STEP,
     dd_guard: float = 1e-8,
-    diagonal_only: bool = False,
 ):
     """Jacobians of the force with respect to q and Q.
 
-    Returns (d_q F, d_Q F, n_force_evaluations): the diagonals on a separable
-    target (see ``is_separable``) or when ``diagonal_only``, full d x d
-    matrices otherwise. Finite differences go forward from the base force
-    f0 = F(Q, q), which the analytic source ignores, by column
+    Returns (d_q F, d_Q F, n_force_evaluations): the diagonals when the
+    target declares separability (see ``is_separable``), full d x d matrices
+    otherwise, from either source. Finite differences go forward from the
+    base force f0 = F(Q, q), which the analytic source ignores, by column
     compression (Curtis, Powell & Reid 1974): a colour, a mask of columns
     sharing no nonzero row, is perturbed at once in q and then in Q (2 probe
     evaluations). A separable target has one colour, ``True`` (2 probes);
@@ -84,19 +83,15 @@ def force_jacobians(
     q = np.asarray(q, dtype=float)
     separable = is_separable(potential)
     if source == "analytic":
-        if separable:
-            d_q, d_Q = potential.closed_form_force_jacobian_diag(Q, q)
-        elif potential.closed_form_force_jacobian is not None:
-            d_q, d_Q = potential.closed_form_force_jacobian(Q, q)
-            if diagonal_only:
-                d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
-        else:
+        closed_form = (potential.closed_form_force_jacobian_diag if separable
+                       else potential.closed_form_force_jacobian)
+        if closed_form is None:
             raise ValueError("target provides no analytic force Jacobians")
+        d_q, d_Q = closed_form(Q, q)
         return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
     force = force_function(potential, dd_guard)
     d = q.size
-    diagonal = diagonal_only or separable
-    d_q = np.empty(d if diagonal else (d, d))
+    d_q = np.empty(d if separable else (d, d))
     d_Q = np.empty_like(d_q)
     hq = h_fd * np.maximum(1.0, np.abs(q))
     hQ = h_fd * np.maximum(1.0, np.abs(Q))
@@ -108,7 +103,7 @@ def force_jacobians(
         x = Q.copy()
         np.add(x, hQ, x, where=cols)
         diff_Q = force(x, q) - f0
-        if diagonal:
+        if separable:
             np.divide(diff_q, hq, d_q, where=cols)
             np.divide(diff_Q, hQ, d_Q, where=cols)
         else:
@@ -140,23 +135,24 @@ def step_jacobian(
     Returns (sign, log|J|, n_force_evaluations of the derivative probes),
     with (0, -inf) for a zero or non-finite factor, which rejects the
     proposal upstream. J0 is exactly (1, 0). J1 is the sign and log of the
-    first trace term 1 + (tau^2/4) Tr(...), which touches only the 2d
-    Jacobian diagonals. JFull is the difference of the two determinants'
-    slogdet pairs; on a separable target both matrices are diagonal, so it
-    takes the O(d) sums of their diagonals' logs instead, from either
-    derivative source, with the sign from the count of negative entries.
+    first trace term 1 + (tau^2/4) Tr(...), which reads the diagonals of
+    whatever ``force_jacobians`` returns. JFull is the difference of the two
+    determinants' slogdet pairs; for a separable target's diagonals it takes
+    the O(d) sums of their logs instead, with the sign from the count of
+    negative entries.
     """
     if mode.kind == "J0":
         return 1.0, 0.0, 0
     c = 0.25 * tau * tau
-    diagonal = mode.kind == "J1" or is_separable(potential)
     d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, mode.h_fd,
-                                  dd_guard, diagonal_only=diagonal)
+                                  dd_guard)
     if mode.kind == "J1":
+        if d_q.ndim == 2:
+            d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
         value = 1.0 + c * float((d_q - d_Q).sum())
         log_abs = math.log(abs(value)) if value else -math.inf
         return _pair(math.copysign(1.0, value), log_abs, n)
-    if diagonal:
+    if d_q.ndim == 1:
         num = 1.0 + c * d_q
         den = 1.0 + c * d_Q
         with np.errstate(divide="ignore", invalid="ignore"):

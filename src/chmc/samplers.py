@@ -239,10 +239,13 @@ def run_chain(
     ``StateCache``. The summary is reduced on the fly from the accepted count,
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
-    Of ``mass`` only its dimension is read, checked against the target's at entry.
+    Of ``mass`` only its dimension is read. It is checked against the target's,
+    and ``chain_index`` as a non-negative integer, before the first draw.
     """
     if mass.dim != target.dim:
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
+    if require_integer("chain_index", chain_index) < 0:
+        raise ValueError(f"chain_index must be >= 0, got {chain_index!r}")
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)

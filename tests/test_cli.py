@@ -539,6 +539,48 @@ methods:
         assert len(err) == 1 and err[0].startswith(f"config error: {key}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\0b"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_method_name_that_is_no_file_name_is_config_error(self, tmp_path, capsys,
+                                                               command, name):
+        # the name is part of each trace file's name
+        out = tmp_path / "o"
+        cfg = tmp_path / "name.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=out).replace(
+            "name: chmc-j0", f'name: "{name}"'))
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: methods[1].name: must not contain '/' or NUL")
+        assert not out.exists()
+
+    def test_one_dimensional_gaussian_text_files(self, tmp_path, capsys):
+        # a one-value text file keeps the axes its shape needs
+        (tmp_path / "mean.csv").write_text("0.5\n")
+        (tmp_path / "cov.csv").write_text("2.0\n")
+        out = tmp_path / "o"
+        cfg = tmp_path / "gauss.yaml"
+        cfg.write_text(f"""
+target: {{kind: gaussian, dimension: 1, mean_path: {tmp_path / 'mean.csv'},
+          cov_path: {tmp_path / 'cov.csv'}}}
+iterations: 3
+output_dir: {out}
+defaults: {{tau: 0.1, total_time: 1.0}}
+methods:
+  - {{name: chmc-jfull, method: chmc, jacobian: JFull, jacobian_source: analytic}}
+""")
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert len(read_csv(out / "trace_chmc-jfull_0.csv")) == 3
+        (tmp_path / "cov.csv").write_text("1.0,0.2\n")
+        cfg.write_text(cfg.read_text().replace("dimension: 1", "dimension: 2").replace(
+            f"mean_path: {tmp_path / 'mean.csv'},", ""))
+        capsys.readouterr()
+        assert main(["validate", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: target.cov_path: {tmp_path / 'cov.csv'}: "
+            "expected shape (2, 2), got (1, 2)"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR
 

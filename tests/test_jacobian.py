@@ -81,8 +81,7 @@ class StiffDeclaredQuartic(QuarticGeneralizedGaussian):
 class TestForceJacobians:
     def test_quartic_analytic_values(self):
         t = QuarticGeneralizedGaussian(1)
-        d_q, d_Q, n = jacobians(np.array([2.0]), np.array([1.0]), t, "analytic",
-                                diagonal_only=True)
+        d_q, d_Q, n = jacobians(np.array([2.0]), np.array([1.0]), t, "analytic")
         assert d_q[0] == pytest.approx(22.0, rel=1e-14)
         assert d_Q[0] == pytest.approx(34.0, rel=1e-14)
         assert n == 0
@@ -107,27 +106,19 @@ class TestForceJacobians:
             np.testing.assert_allclose(f_q, a_q, rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(f_Q, a_Q, rtol=1e-5, atol=1e-5)
 
-    def test_diagonal_only_returns_vectors(self):
-        t = QuarticGeneralizedGaussian(2)
-        d_q, d_Q, _ = jacobians(np.array([1.0, 2.0]), np.array([0.5, 1.5]), t,
-                                "finite-difference", diagonal_only=True)
-        assert d_q.shape == (2,) and d_Q.shape == (2,)
-
-    @pytest.mark.parametrize("diagonal_only", [True, False])
-    def test_compressed_probes_match_per_component_loop(self, diagonal_only):
+    def test_compressed_probes_match_per_component_loop(self):
         rng = np.random.default_rng(47)
         t = QuarticGeneralizedGaussian(5)
         loop = PerComponentQuartic(5)
         for _ in range(20):
             q = rng.uniform(-2, 2, 5)
             Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-            # the separable target returns diagonals either way, one colour
-            # per column returns matrices unless diagonal_only
-            c_q, c_Q, n_c = jacobians(Q, q, t, diagonal_only=diagonal_only)
-            l_q, l_Q, n_l = jacobians(Q, q, loop, diagonal_only=diagonal_only)
-            if not diagonal_only:
-                l_q, l_Q = np.diag(l_q), np.diag(l_Q)
-            assert np.array_equal(c_q, l_q) and np.array_equal(c_Q, l_Q)
+            # the separable target returns diagonals, one colour per column
+            # returns matrices
+            c_q, c_Q, n_c = jacobians(Q, q, t)
+            l_q, l_Q, n_l = jacobians(Q, q, loop)
+            assert c_q.shape == c_Q.shape == (5,)
+            assert np.array_equal(c_q, np.diag(l_q)) and np.array_equal(c_Q, np.diag(l_Q))
             assert (n_c, n_l) == (2, 10)
 
     @pytest.mark.parametrize("d", [5, 12])
@@ -153,12 +144,10 @@ class TestForceJacobians:
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
             r_q, r_Q = per_column_probes(Q, q, t)
             f0 = force(Q, q)
-            for diagonal_only in (False, True):
-                del calls[:]
-                d_q, d_Q, n = force_jacobians(Q, q, f0, t, diagonal_only=diagonal_only)
-                assert n == len(calls) == 2 * d
-                want_q, want_Q = (np.diag(r_q), np.diag(r_Q)) if diagonal_only else (r_q, r_Q)
-                assert np.array_equal(d_q, want_q) and np.array_equal(d_Q, want_Q)
+            del calls[:]
+            d_q, d_Q, n = force_jacobians(Q, q, f0, t)
+            assert n == len(calls) == 2 * d
+            assert np.array_equal(d_q, r_q) and np.array_equal(d_Q, r_Q)
 
     def test_non_separable_target_keeps_per_component_loop(self):
         t = MultivariateGaussian([0.0, 0.0, 0.0], np.diag([1.0, 2.0, 0.5]))
@@ -243,6 +232,31 @@ class TestStepJacobian:
             value, n = step_factor(Q, q, 0.1, JacobianMode("JFull"), t)
             assert n == 2
             assert value == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("source", ["analytic", "finite-difference"])
+    def test_correlated_gaussian_pairs_match_dense_formulas(self, source):
+        # d = 12 passes numpy's 8-element pairwise-summation block: J1 sums
+        # the difference of the matrices' diagonals, JFull takes the slogdet
+        # difference, bit for bit from both derivative sources
+        rng = np.random.default_rng(54)
+        d, c = 12, 0.25 * 0.1 * 0.1
+        a = rng.standard_normal((d, d))
+        t = MultivariateGaussian(rng.standard_normal(d), a @ a.T + d * np.eye(d))
+        for _ in range(5):
+            q = rng.uniform(-2, 2, d)
+            Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
+            if source == "analytic":
+                d_q, d_Q = t.closed_form_force_jacobian(Q, q)
+            else:
+                d_q, d_Q = per_column_probes(Q, q, t)
+            value = 1.0 + c * float((np.diag(d_q) - np.diag(d_Q)).sum())
+            j1 = (math.copysign(1.0, value), math.log(abs(value)))
+            sign_n, log_n = np.linalg.slogdet(np.eye(d) + c * d_q)
+            sign_d, log_d = np.linalg.slogdet(np.eye(d) + c * d_Q)
+            jfull = (float(sign_n * sign_d), float(log_n) - float(log_d))
+            n = 0 if source == "analytic" else 2 * d
+            assert step_pair(Q, q, 0.1, JacobianMode("J1", source), t) == (*j1, n)
+            assert step_pair(Q, q, 0.1, JacobianMode("JFull", source), t) == (*jfull, n)
 
     @pytest.mark.parametrize("mode", [JacobianMode("J1"), JacobianMode("JFull")])
     def test_finite_difference_factor_same_on_both_probe_routes(self, mode):

@@ -483,6 +483,18 @@ class TestRunChain:
                       sinks=[lambda i, o, th: seen.append(i)])
         assert seen == []
 
+    def test_chain_index_checked_before_the_first_draw(self):
+        # True is not chain 1, and neither 2.5 nor -1 reaches chain_rng
+        seen = []
+        for bad, message in ((True, "chain_index must be an integer"),
+                             (2.5, "chain_index must be an integer"),
+                             (-1, "chain_index must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                run_chain(quartic_cfg(iterations=2), QuarticGeneralizedGaussian(2),
+                          MassMatrix.identity(2), sinks=[lambda i, o, th: seen.append(i)],
+                          chain_index=bad)
+        assert seen == []
+
     def test_explicit_initial_state_dimension_checked(self):
         t = QuarticGeneralizedGaussian(2)
         cfg = quartic_cfg(iterations=2, initial_state_mode="explicit",

@@ -222,6 +222,45 @@ print(json.dumps({"leaves": summary["leaves"].get("target.closed_form_force", {}
     assert out["leaves"]["jacobian.force_jacobians"]["count"] == 2 * out["steps"]
 
 
+def test_every_wrap_point_is_reached(tmp_path):
+    # a wrap point that still resolves but is no longer called would read 0
+    # in its per-layer metrics; install() patches chmc for good, so it runs
+    # in a child process
+    code = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import chmc.cli
+from spans import WRAP_POINTS, Tracer
+
+tracer = Tracer()
+tracer.install()
+spec = chmc.cli.validate_spec('''
+target: {kind: quartic, dimension: 3}
+chains: 1
+iterations: 3
+output_dir: %s
+defaults: {tau: 0.1, total_time: 0.5}
+methods:
+  - {name: hmc-lf, method: hmc-leapfrog}
+  - {name: chmc-j0, method: chmc, jacobian: J0}
+  - {name: chmc-j1, method: chmc, jacobian: J1}
+  - {name: chmc-jfull, method: chmc, jacobian: JFull}
+''' % sys.argv[2])
+chmc.cli.run_experiment(spec, workers=1)
+summary = tracer.summary()
+print(json.dumps({"missing": summary["missing"],
+                  "counts": {span: summary["spans"].get(span, {}).get("count", 0)
+                             for _, _, span in WRAP_POINTS}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["missing"] == []
+    assert [span for span, count in out["counts"].items() if count <= 0] == []
+
+
 def run_benchmark_table(*flags):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "benchmark_table.py"), *flags],
