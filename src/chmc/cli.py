@@ -340,9 +340,10 @@ def load_spec(path: str) -> ExperimentSpec:
 
 def _load_array(path: str, shape: tuple) -> np.ndarray:
     """A finite .npy or comma-separated text array of the given shape."""
-    arr = (np.load(path) if path.endswith(".npy")
-           else np.loadtxt(path, delimiter=",", ndmin=len(shape)))
-    arr = np.atleast_1d(np.asarray(arr, dtype=float))
+    arr = np.asarray(np.load(path) if path.endswith(".npy")
+                     else np.loadtxt(path, delimiter=",", ndmin=len(shape)), dtype=float)
+    if arr.ndim == 0:  # a 0-d .npy holds one value, as a one-entry text file does
+        arr = arr.reshape((1,) * len(shape))
     if arr.shape != shape:
         raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

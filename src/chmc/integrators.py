@@ -80,21 +80,26 @@ and cuts the number of updates: on the quartic at tau = 0.1 and
 delta = 1e-8, from exact draws, about 1.1 per step at d = 2560 and 1.03 at
 d = 40. Other targets use the plain update Q <- g.
 
-Leapfrog reuses each step's end-of-step gradient for the next step's first
-half-kick, so an n-step trajectory makes n gradient evaluations plus one
-for its first half-kick (tau/2) grad U(q), which the caller may pass in
-instead. Both trajectories report U and leapfrog its half-kick at each end,
-so a chain hands the values at its current position to the next
-trajectory: the end values after an accept, the start values after a
-reject. These are the bits a fresh evaluation gives, and a chain iteration
-then evaluates U once and, for leapfrog, the gradient n times.
+Leapfrog merges each step's closing half-kick with the next step's opening
+one (Neal 2011, "MCMC using Hamiltonian dynamics"). It runs on the scaled
+momentum w = tau p, formed once as tau (p - (tau/2) grad U(q)); a step is
+the drift q <- q + w and one kick w <- w - tau^2 grad U(q), and at the end
+p = w / tau + (tau/2) grad U(q). An n-step trajectory makes n gradient
+evaluations plus one for its first half-kick (tau/2) grad U(q), which the
+caller may pass in instead. Both trajectories report U and leapfrog its
+half-kick at each end, so a chain hands the values at its current position
+to the next trajectory: the end values after an accept, the start values
+after a reject. These are the bits a fresh evaluation gives, and a chain
+iteration then evaluates U once and, for leapfrog, the gradient n times.
 
 Both loops write their temporaries into work rows made once per trajectory:
 a ``StepScratch`` for ``dmm_step``, which also looks up the force and the
-Jacobian-diagonal call, and one copy of p that leapfrog kicks in place.
-Arrays that leave a step or reach the target (the iterates Q, the Jacobian
-point X, P, the force, the (D, D_next) block) are fresh, and each in-place
-operation rounds as the expression it replaces.
+Jacobian-diagonal call, and w and one row for leapfrog. Their ufunc scalars
+(tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d arrays made once per
+trajectory or per module (see ``scalar_operand``). Arrays that leave a step
+or reach the target (the iterates Q, the Jacobian point X, P, the force, the
+(D, D_next) block) are fresh, and each in-place operation rounds as the
+expression it replaces.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .phase import PhaseState, hamiltonian, kinetic, potential_energy, require_integer
+from .phase import (PhaseState, hamiltonian, kinetic, potential_energy, require_integer,
+                    scalar_operand)
 
 
 @dataclass(frozen=True)
@@ -243,25 +249,32 @@ def _norm(w):
     return s * math.sqrt(float(w @ w))
 
 
+_ONE, _TWO = scalar_operand(1.0), scalar_operand(2.0)
+
+
 class StepScratch:
     """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
     (resolved through ``force_function``), ``jacobian_diag`` (the target's
     ``closed_form_force_jacobian_diag``, None exactly when it is not
-    separable) and the work rows a, g, r and t, of the target's dimension."""
+    separable), the step's ufunc scalars tau, tau/2 and (tau/2)^2 (see
+    ``scalar_operand``) and the work rows a, g, r and t, of the target's
+    dimension."""
 
     def __init__(self, potential, cfg: DmmSolverConfig):
         self.force = force_function(potential, cfg.dd_guard)
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
+        half = 0.5 * cfg.tau
+        self.tau, self.half, self.half2 = map(scalar_operand, (cfg.tau, half, half * half))
         self.a, self.g, self.r, self.t = np.empty((4, potential.dim))
 
 
 def _chord_scale(diagonals, half2):
     """Chord diagonals (D, D_next) from one Jacobian-diagonal pair (dF/dq, dF/dQ).
 
-    With half2 = (tau/2)^2, D = 1 + half2 dF/dQ is this step's chord and
-    D_next = 1 + half2 (2 dF/dQ - dF/dq) the next step's predicted chord,
-    the rows of one fresh (2, d) block that one min and one max check (row
-    by row only when that fails). Each is None unless finite and positive (a
+    With half2 = (tau/2)^2 (a 0-d array in ``dmm_step``), D = 1 + half2 dF/dQ
+    is this step's chord and D_next = 1 + half2 (2 dF/dQ - dF/dq) the next
+    step's predicted chord, the rows of one fresh (2, d) block that one min
+    and one max check (row by row only when that fails). Each is None unless finite and positive (a
     non-convex region can make the frozen Newton step point the wrong way);
     without D the step keeps the plain update, without D_next the next step
     starts from Q_pc.
@@ -270,9 +283,9 @@ def _chord_scale(diagonals, half2):
     block = np.empty((2, np.size(d_Q)))
     D, D_next = block
     np.multiply(d_Q, half2, D)
-    np.subtract(np.multiply(d_Q, 2.0, D_next), d_q, D_next)
+    np.subtract(np.multiply(d_Q, _TWO, D_next), d_q, D_next)
     np.multiply(D_next, half2, D_next)
-    block += 1.0
+    np.add(block, _ONE, block)
     if block.min() > 0.0 and block.max() < math.inf:  # NaN fails the first comparison
         return D, D_next
     return tuple(row if row.min() > 0.0 and row.max() < math.inf else None for row in block)
@@ -326,10 +339,9 @@ def dmm_step(
     None) changes no result.
     """
     s = StepScratch(potential, cfg) if scratch is None else scratch
-    half = 0.5 * cfg.tau
-    half2 = half * half
+    half, half2 = s.half, s.half2
     a, g, r, t = s.a, s.g, s.r, s.t
-    np.add(q, np.multiply(p, cfg.tau, a), a)
+    np.add(q, np.multiply(p, s.tau, a), a)
     if init_guess is not None:
         Q, P = init_guess
         f = (p - P) / half
@@ -348,7 +360,7 @@ def dmm_step(
     D = D_next = None
     if s.jacobian_diag is not None:
         X = (g.copy() if chord_prev is None
-             else Q + np.divide(r, np.multiply(chord_prev[1], 2.0, t), t))
+             else Q + np.divide(r, np.multiply(chord_prev[1], _TWO, t), t))
         D, D_next = _chord_scale(s.jacobian_diag(X, q), half2)
     iterations = 0
     while True:
@@ -479,20 +491,23 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps gradient evaluations,
     plus one for the first half-kick when ``kick_in`` is None.
 
-    ``n_steps`` is an integer >= 1. ``u_in`` and ``kick_in`` are U(state.q)
-    and (tau/2) grad U(state.q) when the caller has them (a chain's values
-    from its last trajectory); the trajectory never writes ``kick_in``, and
-    evaluates what it is not given, after ``hamiltonian`` has checked the
-    dimensions.
-    Each step's end-of-step gradient is reused for the next step's first
-    half-kick, and both half-kicks of a gradient subtract one (tau/2) grad U
-    product from a copy of p, bit for bit as a kick-drift-kick loop that
-    evaluates both gradients every step. A trajectory that leaves the finite
-    range (steep targets can blow up the explicit update) fails: it reports
+    ``n_steps`` is an integer >= 1 and ``tau`` finite and positive. ``u_in``
+    and ``kick_in`` are U(state.q) and (tau/2) grad U(state.q) when the caller
+    has them (a chain's values from its last trajectory); the trajectory never
+    writes ``kick_in``, and evaluates what it is not given, after
+    ``hamiltonian`` has checked the dimensions.
+    The loop carries w = tau p and makes one kick tau^2 grad U per step (see
+    the module docstring); p = w / tau + (tau/2) grad U is formed once, after
+    the last step. This is the kick-drift-kick map with its inner half-kicks
+    merged, so it agrees with a loop that evaluates both gradients every step
+    up to rounding, not bit for bit. A trajectory that leaves the finite range
+    (steep targets can blow up the explicit update) fails: it reports
     h_out = +inf, which the sampler rejects.
     """
     if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError("tau must be finite and positive")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
     k_in = hamiltonian(state, potential, 0.0)  # K(p): dimensions checked first
@@ -500,20 +515,22 @@ def leapfrog_trajectory(
         u_in = potential_energy(state.q, potential)
     h_in = u_in + k_in
     grad = potential.gradient
-    half = 0.5 * tau
-    buf, t = np.empty((2, state.dim))
-    q, p = state.q, state.p.copy()
+    dt, half, dt2 = map(scalar_operand, (tau, 0.5 * tau, tau * tau))
+    buf = np.empty(state.dim)
+    q = state.q
     total_f = n_steps
     with np.errstate(over="ignore", invalid="ignore"):
         if kick_in is None:
             kick_in = np.multiply(grad(q), half)
             total_f += 1
-        kick = kick_in
+        w = np.subtract(state.p, kick_in)
+        np.multiply(w, dt, w)
         for _ in range(n_steps):
-            p -= kick
-            q = q + np.multiply(p, tau, t)
-            kick = np.multiply(grad(q), half, buf)
-            p -= kick
+            q = q + w
+            g = grad(q)
+            np.subtract(w, np.multiply(g, dt2, buf), w)
+        kick = np.multiply(g, half)
+        p = np.add(np.divide(w, dt, w), kick, w)
         h_out = math.inf
         if np.isfinite(q).all() and np.isfinite(p).all():
             u_out = potential_energy(q, potential)
@@ -521,5 +538,4 @@ def leapfrog_trajectory(
     if not math.isfinite(h_out):
         return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf, u_in,
                                 math.inf, kick_in)
-    return TrajectoryRecord(q, p, total_f, 0, True, h_in, h_out, u_in, u_out, kick_in,
-                            kick.copy())
+    return TrajectoryRecord(q, p, total_f, 0, True, h_in, h_out, u_in, u_out, kick_in, kick)

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import force_function
+from .phase import scalar_operand
 from .targets import is_separable
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+_ZERO, _ONE = scalar_operand(0.0), scalar_operand(1.0)
 
 JACOBIAN_KINDS = ("J0", "J1", "JFull")
 DERIVATIVE_SOURCES = ("analytic", "finite-difference")
@@ -91,25 +93,22 @@ def force_jacobians(
         return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
     force = force_function(potential, dd_guard)
     d = q.size
-    d_q = np.empty(d if separable else (d, d))
-    d_Q = np.empty_like(d_q)
-    hq = h_fd * np.maximum(1.0, np.abs(q))
-    hQ = h_fd * np.maximum(1.0, np.abs(Q))
-    colours = (True,) if separable else np.eye(d, dtype=bool)
-    for j, cols in enumerate(colours):
-        x = q.copy()
-        np.add(x, hq, x, where=cols)
-        diff_q = force(Q, x) - f0
-        x = Q.copy()
-        np.add(x, hQ, x, where=cols)
-        diff_Q = force(x, q) - f0
-        if separable:
-            np.divide(diff_q, hq, d_q, where=cols)
-            np.divide(diff_Q, hQ, d_Q, where=cols)
-        else:
-            d_q[:, j] = diff_q / hq[j]
-            d_Q[:, j] = diff_Q / hQ[j]
-    return d_q, d_Q, 2 * len(colours)
+    hq = np.multiply(np.maximum(np.abs(q), _ONE), h_fd)
+    hQ = np.multiply(np.maximum(np.abs(Q), _ONE), h_fd)
+    up_q, up_Q = q + hq, Q + hQ
+    # each colour's (q probe, Q probe, step in q, step in Q, d_q column, d_Q column);
+    # a probe point is fresh, as a target may keep its arguments
+    if separable:  # one colour, every column: its probes are up_q and up_Q
+        d_q, d_Q = np.empty((2, d))
+        colours = ((up_q, up_Q, hq, hQ, d_q, d_Q),)
+    else:  # colour j perturbs column j alone
+        eye = np.eye(d, dtype=bool)
+        d_q, d_Q = np.empty((2, d, d))
+        colours = zip(np.where(eye, up_q, q), np.where(eye, up_Q, Q), hq, hQ, d_q.T, d_Q.T)
+    for x_q, x_Q, h_q, h_Q, col_q, col_Q in colours:
+        np.divide(np.subtract(force(Q, x_q), f0, col_q), h_q, col_q)
+        np.divide(np.subtract(force(x_Q, q), f0, col_Q), h_Q, col_Q)
+    return d_q, d_Q, 2 if separable else 2 * d
 
 
 def _pair(sign: float, log_abs: float, n: int) -> tuple:
@@ -153,11 +152,11 @@ def step_jacobian(
         log_abs = math.log(abs(value)) if value else -math.inf
         return _pair(math.copysign(1.0, value), log_abs, n)
     if d_q.ndim == 1:
-        num = 1.0 + c * d_q
-        den = 1.0 + c * d_Q
+        num = _ONE + c * d_q
+        den = _ONE + c * d_Q
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = float(np.log(np.abs(num)).sum() - np.log(np.abs(den)).sum())
-        negatives = np.count_nonzero(num < 0.0) + np.count_nonzero(den < 0.0)
+        negatives = np.count_nonzero(num < _ZERO) + np.count_nonzero(den < _ZERO)
         return _pair(-1.0 if negatives % 2 else 1.0, log_abs, n)
     identity = np.eye(q.size)
     sign_n, log_n = np.linalg.slogdet(identity + c * d_q)

@@ -20,6 +20,17 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def scalar_operand(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array, built once for a hot loop's ufunc calls.
+
+    It rounds as the Python float does, and a ufunc takes it without the
+    conversion it makes for a Python float on every call.
+    """
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """Position/momentum pair (q, p) with matching dimension d >= 1.

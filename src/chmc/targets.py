@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .phase import require_integer
+from .phase import require_integer, scalar_operand
+
+_TWO, _FOUR = scalar_operand(2.0), scalar_operand(4.0)
+
 
 class Potential:
     """Target potential U(q) = -log pi(q), up to an additive constant.
@@ -82,7 +85,8 @@ class QuarticGeneralizedGaussian(Potential):
 
     The benchmark target: a generalized Gaussian with unit scale and shape
     parameter 4, whose per-component variance is Gamma(3/4)/Gamma(1/4). The
-    methods compute in place, in the operation order of their comments.
+    methods compute in place, in the operation order of their comments, with
+    their constants as 0-d array operands (see ``scalar_operand``).
     """
 
     def evaluate(self, q: np.ndarray) -> float:
@@ -93,20 +97,20 @@ class QuarticGeneralizedGaussian(Potential):
     def gradient(self, q: np.ndarray) -> np.ndarray:
         # 4 (q q) q
         t = q * q
-        return np.multiply(np.multiply(t, 4.0, t), q, t)
+        return np.multiply(np.multiply(t, _FOUR, t), q, t)
 
     def closed_form_force(self, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
         # 2 (Q Q + q q)(Q + q) == 2 (Q^4 - q^4)/(Q - q), also defined at Q == q
         c, t = Q * Q, q * q
-        np.multiply(np.add(c, t, c), 2.0, c)
+        np.multiply(np.add(c, t, c), _TWO, c)
         return np.multiply(c, np.add(Q, q, t), c)
 
     def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
         # (s4 q + c2, s4 Q + c2), s4 = 4 (Q + q), c2 = 2 (Q Q + q q): 2 (2 x s + c)
         # with the twos folded in, the same bits unless an intermediate is subnormal
         s4, c2, t = Q + q, Q * Q, q * q
-        np.multiply(s4, 4.0, s4)
-        np.multiply(np.add(c2, t, c2), 2.0, c2)
+        np.multiply(s4, _FOUR, s4)
+        np.multiply(np.add(c2, t, c2), _TWO, c2)
         t = np.add(np.multiply(s4, q, t), c2, t)
         return t, np.add(np.multiply(s4, Q, s4), c2, s4)
 

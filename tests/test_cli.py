@@ -16,6 +16,7 @@ from chmc.cli import (
     EXIT_RUNTIME_ERROR,
     ExperimentSpec,
     MethodSpec,
+    build_target,
     format_table,
     main,
     run_experiment,
@@ -73,23 +74,23 @@ methods:
 # sha256 of each CSV body of GOLDEN and GOLDEN_GAUSSIAN (``csv_digests``).
 # A change may move them only if it says which outputs move and why.
 GOLDEN_DIGESTS = {
-    "summary.csv": "91e4491a5c32167b34dc0707a7e9c4c33a5529d27c7f057b8723a7ece96dcf03",
+    "summary.csv": "0efc76d604e2312d7cc6a66c44ea9193017581fb9ef826865501fa6ad3d5f2fd",
     "trace_chmc-j0_0.csv": "c70fcb15ec2eaa74b102fee9be2de21b7592a94006616a3f7ceb5856af92d3f4",
     "trace_chmc-j0_1.csv": "72de2f55fb22bdadcb45ae016b0c62cde34c38fd17da88449276de6b4970e119",
     "trace_chmc-j1_0.csv": "85f84e011a170489c151673c19d247d039962ccffa412b4f8ab7791c7180aba8",
     "trace_chmc-j1_1.csv": "3de73d62fba37635b02a1f7757193a6fd578352db882b3b5d215feb5109203d4",
     "trace_chmc-jfull_0.csv": "bae6983a2421e9605cc864e1ce47f38b82648f870499f59e2c4e093fbd380ffa",
     "trace_chmc-jfull_1.csv": "ccf46e02272e193306f8125bff9c529fa919fe7cae46f163c06017e932d48f60",
-    "trace_hmc-lf_0.csv": "6081f34ab906a67e519fbf27f90254260f3a82570e42b595a60a83a1aacd2df2",
-    "trace_hmc-lf_1.csv": "9abbaf22ca5940a847ae5de1edfd3dfd78fb198d72369fb7cda06f0362f7a6c1",
+    "trace_hmc-lf_0.csv": "5bf65ecb49fc21bf9a5578b17778e291e52253268e0c439fb43c223abf4dc8f2",
+    "trace_hmc-lf_1.csv": "d695931b259944b978783d38e474a697e49a78162ca7ae022980d8fa7d10be84",
 }
 
 GOLDEN_GAUSSIAN_DIGESTS = {
-    "summary.csv": "ef70ae6d6b682d2329451042df14984b4a25edbfc1f95feb97492c17904ff1cb",
+    "summary.csv": "c179adccf36a1025833a24c8ea557903499b4752926bd3fd0b48b492010c79ac",
     "trace_chmc-j0_0.csv": "a5ad7ff811c69b0e498e33d1bc12d8632aa54ef57a52850a98d071adcae40cee",
     "trace_chmc-j1_0.csv": "a850e1e6eaef7142b166767d015017ec6704449bc59a5109b955fbb225b19737",
     "trace_chmc-jfull_0.csv": "601cca442e2614c45e1aa8518069ad032dedea29fca6f82607e6d08ba0f38c31",
-    "trace_hmc-lf_0.csv": "c066f1ec7b13ae27a8f3259658f6fe2fd878393948578706e2dfcdde7915b6aa",
+    "trace_hmc-lf_0.csv": "2a43a516978c1b91c3b67a68a8d42f96d3c86500a0b1682ec8d3dd689538e24b",
 }
 
 
@@ -554,15 +555,22 @@ methods:
         assert err[0].startswith("config error: methods[1].name: must not contain '/' or NUL")
         assert not out.exists()
 
-    def test_one_dimensional_gaussian_text_files(self, tmp_path, capsys):
-        # a one-value text file keeps the axes its shape needs
-        (tmp_path / "mean.csv").write_text("0.5\n")
-        (tmp_path / "cov.csv").write_text("2.0\n")
+    @pytest.mark.parametrize("suffix, refused", [("csv", "(1, 2)"), ("npy", "(2,)")])
+    def test_one_dimensional_gaussian_files(self, tmp_path, capsys, suffix, refused):
+        # a one-value file, text or a 0-d .npy, takes the axes its shape needs
+        def write(name, *values):
+            path = tmp_path / f"{name}.{suffix}"
+            if suffix == "npy":
+                np.save(path, np.array(values[0] if len(values) == 1 else values))
+            else:
+                path.write_text(",".join(map(str, values)) + "\n")
+            return path
+
+        mean, cov = write("mean", 0.5), write("cov", 2.0)
         out = tmp_path / "o"
         cfg = tmp_path / "gauss.yaml"
         cfg.write_text(f"""
-target: {{kind: gaussian, dimension: 1, mean_path: {tmp_path / 'mean.csv'},
-          cov_path: {tmp_path / 'cov.csv'}}}
+target: {{kind: gaussian, dimension: 1, mean_path: {mean}, cov_path: {cov}}}
 iterations: 3
 output_dir: {out}
 defaults: {{tau: 0.1, total_time: 1.0}}
@@ -572,14 +580,15 @@ methods:
         assert main(["validate", str(cfg)]) == EXIT_OK
         assert main(["run", str(cfg)]) == EXIT_OK
         assert len(read_csv(out / "trace_chmc-jfull_0.csv")) == 3
-        (tmp_path / "cov.csv").write_text("1.0,0.2\n")
+        target, _ = build_target(validate_spec(cfg.read_text()))
+        assert (target.mean.tolist(), target.cov.tolist()) == ([0.5], [[2.0]])
+        write("cov", 1.0, 0.2)
         cfg.write_text(cfg.read_text().replace("dimension: 1", "dimension: 2").replace(
-            f"mean_path: {tmp_path / 'mean.csv'},", ""))
+            f"mean_path: {mean},", ""))
         capsys.readouterr()
         assert main(["validate", str(cfg)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: target.cov_path: {tmp_path / 'cov.csv'}: "
-            "expected shape (2, 2), got (1, 2)"]
+            f"config error: target.cov_path: {cov}: expected shape (2, 2), got {refused}"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

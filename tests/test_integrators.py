@@ -296,12 +296,12 @@ class TestLeapfrog:
         np.testing.assert_array_equal(out.p, s.p)
         np.testing.assert_allclose(out.q, s.q + 0.3 * s.p, rtol=1e-15)
 
-    def test_zero_step_is_identity(self):
+    @pytest.mark.parametrize("tau", [0.0, -0.1, math.inf, math.nan])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        # the loop carries w = tau p, which loses p at tau = 0
         t = QuarticGeneralizedGaussian(2)
-        s = PhaseState([0.4, -0.7], [1.0, 0.2])
-        out = leapfrog_trajectory(s, t, 0.0, 1)
-        np.testing.assert_array_equal(out.q, s.q)
-        np.testing.assert_array_equal(out.p, s.p)
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            leapfrog_trajectory(PhaseState([0.4, -0.7], [1.0, 0.2]), t, tau, 1)
 
     def test_requires_gradient(self):
         with pytest.raises(ValueError):
@@ -351,11 +351,37 @@ class TestLeapfrog:
         assert rec.h_out == rec.u_out == math.inf
         assert rec.u_in == 2.0 and rec.kick_in is not None and rec.kick_out is None
 
-    def test_trajectory_matches_two_gradient_loop_bitwise(self):
-        # the reference re-evaluates the start-of-step gradient every step
-        rng = np.random.default_rng(37)
+    @staticmethod
+    def start(seed, d=5):
+        rng = np.random.default_rng(seed)
+        return PhaseState(rng.uniform(-1.5, 1.5, d), rng.standard_normal(d))
+
+    def test_trajectory_matches_one_kick_loop_bitwise(self):
+        # scaled momentum w = tau p: one kick tau^2 grad U per step, half-kicks
+        # (tau/2) grad U only at the two ends
         t = QuarticGeneralizedGaussian(5)
-        s = PhaseState(rng.uniform(-1.5, 1.5, 5), rng.standard_normal(5))
+        s = self.start(37)
+        tau = 0.1
+        kick_in = 0.5 * tau * t.gradient(s.q)
+        q, w = s.q, tau * (s.p - kick_in)
+        for _ in range(25):
+            q = q + w
+            g = t.gradient(q)
+            w = w - tau * tau * g
+        p = w / tau + 0.5 * tau * g
+        rec = leapfrog_trajectory(s, t, tau, 25)
+        np.testing.assert_array_equal(rec.q, q)
+        np.testing.assert_array_equal(rec.p, p)
+        np.testing.assert_array_equal(rec.kick_in, kick_in)
+        np.testing.assert_array_equal(rec.kick_out, 0.5 * tau * g)
+
+    @pytest.mark.parametrize("seed", [37, 38, 39])
+    def test_trajectory_is_the_kick_drift_kick_loop_to_rounding(self, seed):
+        # the textbook loop re-evaluates the start-of-step gradient every step;
+        # over 200 such starts the two differ by at most 3.3e-15 (q) and 7.1e-15
+        # (p) relative to the largest component
+        t = QuarticGeneralizedGaussian(5)
+        s = self.start(seed)
         tau = 0.1
         q, p = s.q, s.p
         for _ in range(25):
@@ -363,8 +389,20 @@ class TestLeapfrog:
             q = q + tau * p_half
             p = p_half - 0.5 * tau * t.gradient(q)
         rec = leapfrog_trajectory(s, t, tau, 25)
-        np.testing.assert_array_equal(rec.q, q)
-        np.testing.assert_array_equal(rec.p, p)
+        assert np.abs(rec.q - q).max() <= 1e-13 * np.abs(q).max()
+        assert np.abs(rec.p - p).max() <= 1e-13 * np.abs(p).max()
+
+    @pytest.mark.parametrize("seed", [37, 38, 39])
+    def test_momentum_flip_round_trip(self, seed):
+        # leapfrog is reversible: 25 steps, p negated, 25 steps back return to
+        # the start; over 200 starts the error is at most 5.3e-15 relative
+        t = QuarticGeneralizedGaussian(5)
+        s = self.start(seed)
+        out = leapfrog_trajectory(s, t, 0.1, 25)
+        back = leapfrog_trajectory(PhaseState(out.q, -out.p), t, 0.1, 25)
+        assert np.abs(back.q - s.q).max() <= 1e-13 * np.abs(s.q).max()
+        assert np.abs(back.p + s.p).max() <= 1e-13 * np.abs(s.p).max()
+        assert np.abs(out.q - s.q).max() > 0.1
 
 
 class TestDividedDifferenceForce:
@@ -1304,8 +1342,8 @@ class PassTally:
 class TestArrayPasses:
     """Array passes per trajectory, a count that repeats exactly where time does not."""
 
-    def count(self, monkeypatch, integrate):
-        """(record, tally) of one 40-step quartic trajectory at d = 2560 from an
+    def count(self, monkeypatch, integrate, d=2560):
+        """(record, tally) of one quartic trajectory at dimension d from an
         exact draw, with the state, the step's work rows and the target's
         calls counted."""
         import chmc.integrators as integrators
@@ -1319,7 +1357,6 @@ class TestArrayPasses:
 
         monkeypatch.setattr(integrators, "StepScratch", CountedScratch)
         rng = np.random.default_rng(57)
-        d = 2560
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         object.__setattr__(s, "q", tally.view(s.q))
         object.__setattr__(s, "p", tally.view(s.p))
@@ -1341,7 +1378,25 @@ class TestArrayPasses:
         assert j0.solver < 1170
         _, leapfrog = self.count(monkeypatch,
                                  lambda s, t: leapfrog_trajectory(s, t, 0.1, 40))
-        assert (leapfrog.target, leapfrog.solver) == (129, 207)
+        # 207 with the two half-kicks of a kick-drift-kick loop in every step
+        assert (leapfrog.target, leapfrog.solver) == (129, 132)
+
+    def test_own_calls_per_step_at_d40(self, monkeypatch):
+        # the table config's dimension, where a step's time is the dispatch of
+        # its calls: a leapfrog step makes 3 of its own (drift, tau^2 grad U,
+        # kick) and 3 in its gradient, a J0 step 26.55 of its own for 1.05
+        # updates
+        counts = {}
+        for n in (40, 41):
+            _, tally = self.count(monkeypatch,
+                                  lambda s, t: leapfrog_trajectory(s, t, 0.1, n), d=40)
+            counts[n] = (tally.target, tally.solver)
+        assert counts[40] == (129, 132)
+        assert counts[41] == (132, 135)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        rec, j0 = self.count(monkeypatch, lambda s, t: trajectory(s, t, cfg, 40), d=40)
+        assert rec.total_fpi_iterations == 42
+        assert (j0.target, j0.solver) == (898, 1062)
 
 
 class PoisonedForce(Potential):

@@ -191,6 +191,76 @@ methods:
             assert sum(proxy.counts.values()) > 0
 
 
+# Functions on the per-step path, and the operator expressions in them that
+# take a float literal. Those work on Python floats or NumPy scalars only: an
+# expression cannot be typed from the source, so each is listed here.
+HOT_PATH = {
+    "integrators.py": {
+        "leapfrog_trajectory": {"tau > 0.0", "0.5 * tau"},
+        "dmm_step": {"0.5 * float(f @ np.subtract(g, Q, r))"},
+        "_chord_scale": {"block.min() > 0.0", "row.min() > 0.0"},
+    },
+    "jacobian.py": {
+        "force_jacobians": set(),
+        "step_jacobian": {"0.25 * tau", "1.0 + c * float((d_q - d_Q).sum())"},
+    },
+    "targets.py": {
+        "evaluate": set(),
+        "gradient": set(),
+        "closed_form_force": set(),
+        "closed_form_force_jacobian_diag": set(),
+    },
+}
+
+
+def _float_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def _ufunc_called(call):
+    """The ufunc that ``np.<ufunc>(...)`` or ``np.<ufunc>.<method>(...)`` calls, else None."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute):
+        func = func.value
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "np":
+        found = getattr(np, func.attr, None)
+        return found if isinstance(found, np.ufunc) else None
+    return None
+
+
+def test_hot_path_ufuncs_take_no_float_literal():
+    # a ufunc converts a Python float operand on every call, which adds about
+    # half to the call's cost at d = 40 and shows in no pass count; the hot
+    # path passes 0-d arrays made once per module or trajectory (``scalar_operand``)
+    literal_calls, operators = [], {}
+    for name, functions in HOT_PATH.items():
+        tree = ast.parse((ROOT / "src" / "chmc" / name).read_text(encoding="utf-8"))
+        if name == "targets.py":  # the quartic's capabilities
+            tree = next(n for n in tree.body
+                        if isinstance(n, ast.ClassDef) and n.name == "QuarticGeneralizedGaussian")
+        found = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert set(functions) <= set(found), name
+        for fn in functions:
+            operators[fn] = set()
+            for node in ast.walk(found[fn]):
+                if isinstance(node, ast.Call) and _ufunc_called(node) is not None:
+                    args = list(node.args) + [k.value for k in node.keywords]
+                    if any(map(_float_literal, args)):
+                        literal_calls.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+                operands = (
+                    [node.left, node.right] if isinstance(node, ast.BinOp)
+                    else [node.value] if isinstance(node, ast.AugAssign)
+                    else [node.left, *node.comparators] if isinstance(node, ast.Compare)
+                    else [])
+                if any(map(_float_literal, operands)):
+                    operators[fn].add(ast.unparse(node))
+    assert literal_calls == []
+    assert operators == {fn: expr for functions in HOT_PATH.values()
+                         for fn, expr in functions.items()}
+
+
 def test_tracer_counts_two_probe_forces_per_j1_step():
     # perfbench/run.py reads probes as the target.closed_form_force leaves
     # under the jacobian.force_jacobians span; install() patches chmc for
