@@ -84,32 +84,30 @@ Leapfrog merges each step's closing half-kick with the next step's opening
 one (Neal 2011, "MCMC using Hamiltonian dynamics"). It runs on the scaled
 momentum w = tau p, formed once as tau (p - (tau/2) grad U(q)); a step is
 the drift q <- q + w and one kick w <- w - tau^2 grad U(q), and at the end
-p = w / tau + (tau/2) grad U(q). An n-step trajectory makes n gradient
-evaluations plus one for its first half-kick (tau/2) grad U(q), which the
-caller may pass in instead. Both trajectories report U and leapfrog its
-half-kick at each end, so a chain hands the values at its current position
-to the next trajectory: the end values after an accept, the start values
-after a reject. These are the bits a fresh evaluation gives, and a chain
-iteration then evaluates U once and, for leapfrog, the gradient n times.
+p = w / tau + (tau/2) grad U(q). Both trajectories report U, and leapfrog
+its half-kick, at each end, with the bits of a fresh evaluation, for the
+chain to carry to its next trajectory (see ``samplers.StateCache``).
 
 Both loops write their temporaries into work rows made once per trajectory:
-a ``StepScratch`` for ``dmm_step``, which also looks up the force and the
-Jacobian-diagonal call, and w and one row for leapfrog. Their ufunc scalars
-(tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d arrays made once per
-trajectory or per module (see ``scalar_operand``). Arrays that leave a step
-or reach the target (the iterates Q, the Jacobian point X, P, the force, the
-(D, D_next) block) are fresh, and each in-place operation rounds as the
-expression it replaces.
+a ``StepScratch`` for ``dmm_step``, and w and one row for leapfrog. Their
+ufunc scalars (tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d
+arrays made once per trajectory or per module (see ``scalar_operand``).
+Arrays that leave a step or reach the target (the iterates Q, the Jacobian
+point X, P, the force, the (D, D_next) block) are fresh, and each in-place
+operation rounds as the expression it replaces. The scratch also resolves
+the force once; a J1 or JFull trajectory's Jacobian factor
+(``JacobianAccumulator``) probes that same force.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from .jacobian import JacobianAccumulator, JacobianMode
 from .phase import (PhaseState, hamiltonian, kinetic, potential_energy, require_integer,
                     scalar_operand)
 
@@ -196,10 +194,11 @@ def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: flo
     y = Q.copy()  # descending substitution path, starts at Q
     u_x_prev = float(potential.evaluate(x))
     u_y_prev = float(potential.evaluate(y))
-    n_evals = 2
+    n_evals = 2 + 2 * d
     force = np.empty(d)
     for i in range(d):
-        if abs(dq[i]) < eps[i]:
+        guarded = abs(dq[i]) < eps[i]
+        if guarded:
             m = 0.5 * (Q[i] + q[i])
             h = eps[i]
             x[i] = m + 0.5 * h
@@ -211,21 +210,15 @@ def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: flo
             y[i] = m - 0.5 * h
             v_minus = float(potential.evaluate(y))
             force[i] = (u_plus - u_minus + v_plus - v_minus) / h
-            # advance both paths past component i and refresh the running values
-            x[i] = Q[i]
-            u_x_prev = float(potential.evaluate(x))
-            y[i] = q[i]
-            u_y_prev = float(potential.evaluate(y))
-            n_evals += 6
-        else:
-            x[i] = Q[i]
-            u_x = float(potential.evaluate(x))
-            y[i] = q[i]
-            u_y = float(potential.evaluate(y))
+            n_evals += 4
+        # advance both paths past component i
+        x[i] = Q[i]
+        u_x = float(potential.evaluate(x))
+        y[i] = q[i]
+        u_y = float(potential.evaluate(y))
+        if not guarded:
             force[i] = ((u_x - u_x_prev) + (u_y_prev - u_y)) / dq[i]
-            u_x_prev = u_x
-            u_y_prev = u_y
-            n_evals += 2
+        u_x_prev, u_y_prev = u_x, u_y
     return force, n_evals
 
 
@@ -326,10 +319,8 @@ def dmm_step(
     Q + r / D, and the momentum P = p - (tau/2) f is formed once, at exit.
     An update that misses delta still converges when its error is within a
     few ulps of the 2-norm of the vector f_i (|Q_i| + |g_i|), the rounding
-    floor of f . r: rounding errors of its d products add like independent
-    draws, so their sum grows as sqrt(d), where the absolute sum
-    sum_i |f_i| (|Q_i| + |g_i|) grows as d and at d = 2560 let steps stop
-    three orders of magnitude above what the solve reaches.
+    floor of f . r: the rounding errors of its d products add like
+    independent draws, so they grow as sqrt(d), not as d.
 
     On a separable target, one ``closed_form_force_jacobian_diag`` call per
     step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) (X = g(Q0) without
@@ -400,7 +391,8 @@ class TrajectoryRecord:
     (tau/2) grad U at the two positions, arrays the integrator made and
     never writes again (``kick_out`` is None on failure); both are None for
     the energy-preserving map. A chain passes the values at the position it
-    keeps to its next trajectory.
+    keeps to its next trajectory. ``jacobian`` is a J1 or JFull trajectory's
+    factor over the steps it completed, None for J0 and leapfrog (J = 1).
     """
 
     q: np.ndarray
@@ -414,6 +406,7 @@ class TrajectoryRecord:
     u_out: float
     kick_in: Optional[np.ndarray] = None
     kick_out: Optional[np.ndarray] = None
+    jacobian: Optional[JacobianAccumulator] = None
 
 
 def trajectory(
@@ -421,7 +414,7 @@ def trajectory(
     potential,
     cfg: DmmSolverConfig,
     n_steps: int,
-    per_step_hook: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
+    jacobian_mode: Optional[JacobianMode] = None,
     u_in: Optional[float] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
@@ -430,21 +423,17 @@ def trajectory(
     ``potential_energy`` gives it (a chain passes the value its last
     trajectory reported for the position it kept); without it the
     trajectory also evaluates U at its start, after ``hamiltonian`` has
-    checked the dimensions. ``state`` is validated once;
-    the steps run on its raw arrays. Each step after the first gets the
-    previous step's final force ``StepRecord.force`` and, when that step
-    predicted a valid chord, its input position and predicted chord
-    diagonal, so its solve starts from Q_pc = a - (tau/2)^2 F_prev or
-    its chord-linearized form (see ``dmm_step``). The end check,
-    |H_out - H_in| at most the sum of the steps' ``tolerance`` plus a few
-    ulps of |H_in| + |H_out|, turns the target's discrete-gradient contract
-    into a check on every trajectory: with every step converged, only a
-    force that breaks it can fail the check, and then ``all_converged`` is
-    False.
-    ``per_step_hook`` is invoked after each step with the step's
-    (q_in, q_out, f_out), where f_out = F(q_out, q_in) is the force of the
-    solve's last update, so per-step Jacobian factors can be accumulated into
-    the N-step product without recomputing that force.
+    checked the dimensions. The steps run on the raw arrays of ``state``,
+    and each after the first starts its solve from the previous step's
+    force and predicted chord (see ``dmm_step``). ``all_converged`` also
+    needs |H_out - H_in| within the sum of the steps' ``tolerance`` plus a
+    few ulps of |H_in| + |H_out|, which only a force that breaks the
+    discrete-gradient contract can miss (see the module docstring).
+
+    For a J1 or JFull ``jacobian_mode`` it builds the factor, a
+    ``JacobianAccumulator`` on the solve's ``StepScratch.force``, feeds it each
+    step's (q_in, q_out, F(q_out, q_in)), the last update's force, so no probe
+    recomputes it, and returns it as ``jacobian``; J0 and no mode build none.
     """
     if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
@@ -457,27 +446,31 @@ def trajectory(
     all_converged, allowed = True, 0.0
     f_prev = chord_prev = None
     scratch = StepScratch(potential, cfg)
+    acc = (None if jacobian_mode is None or jacobian_mode.kind == "J0"
+           else JacobianAccumulator(jacobian_mode, cfg.tau, potential, scratch.force))
     for _ in range(n_steps):
         rec = dmm_step(q, p, potential, cfg, f_prev=f_prev, chord_prev=chord_prev, scratch=scratch)
         total_f += rec.force_evaluations
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
-            return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in,
-                                    math.inf)
+            break
         all_converged = all_converged and rec.converged
         allowed += rec.tolerance
-        if per_step_hook is not None:
-            per_step_hook(q, rec.q, rec.force)
+        if acc is not None:
+            acc(q, rec.q, rec.force)
         f_prev = rec.force
         chord_prev = None if rec.chord is None else (q, rec.chord)
         q, p = rec.q, rec.p
-    u_out = potential_energy(q, potential)
-    h_out = u_out + kinetic(p)
-    if not math.isfinite(h_out):
-        return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in, math.inf)
-    allowed += _ROUNDING * (abs(h_in) + abs(h_out))
-    all_converged = all_converged and abs(h_out - h_in) <= allowed
-    return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out, u_in, u_out)
+    else:  # every step finite: check the end energy
+        u_out = potential_energy(q, potential)
+        h_out = u_out + kinetic(p)
+        if math.isfinite(h_out):
+            allowed += _ROUNDING * (abs(h_in) + abs(h_out))
+            all_converged = all_converged and abs(h_out - h_in) <= allowed
+            return TrajectoryRecord(q, p, total_f, total_it, all_converged, h_in, h_out, u_in,
+                                    u_out, jacobian=acc)
+    return TrajectoryRecord(q, p, total_f, total_it, False, h_in, math.inf, u_in, math.inf,
+                            jacobian=acc)
 
 
 def leapfrog_trajectory(

@@ -5,15 +5,16 @@ The one-step map has
     det J = det(I + (tau^2/4) dF/dq) / det(I + (tau^2/4) dF/dQ)
 
 whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(dF/dq - dF/dQ).
-Three truncations are offered: J0 = 1 (the gradient-free sampler), J1 (the
-first-order trace term), and the exact ratio JFull; their dF/dq and dF/dQ come
-in closed form or from forward differences of the force, 2 probes per colour
+Three truncations are offered: J0 = 1 (the gradient-free sampler, which
+builds no factor), J1 (the first-order trace term), and the exact ratio
+JFull; their dF/dq and dF/dQ come in closed form or from forward
+differences of the force the trajectory's solve uses, 2 probes per colour
 of columns: one colour on a separable target, d otherwise. A factor has one
 form from the step to the N-step product, the pair (sign, log|J|) that
 ``np.linalg.slogdet`` returns, with (0, -inf) for a zero or non-finite
-factor: ``step_jacobian`` gives one step's pair and ``JacobianAccumulator``
-sums them into a running pair that it exponentiates once, so long
-trajectories neither overflow nor lose the sign.
+factor: ``step_jacobian`` gives one step's pair and ``JacobianAccumulator``,
+which ``integrators.trajectory`` builds, sums them into a running pair that
+it exponentiates once, so long trajectories neither overflow nor lose the sign.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import force_function
 from .phase import scalar_operand
 from .targets import is_separable
 
@@ -38,13 +38,14 @@ DERIVATIVE_SOURCES = ("analytic", "finite-difference")
 class JacobianMode:
     """Which determinant truncation to use and where its derivatives come from.
 
-    ``derivative_source`` is ignored for J0. The finite-difference source uses
-    forward differences of the force with step h_fd * max(1, |component|) and
-    works for any target. Its base value F(Q, q) is the force of the solve's
-    last update, which the trajectory hands over, so its probes cost 2 force
-    evaluations per colour of columns: 2 per step on separable targets (one
-    colour), 2d otherwise. The analytic source requires the target to provide
-    force-Jacobian diagonals (separable targets) or full matrices.
+    ``derivative_source`` is ignored for J0, which has no factor. The
+    finite-difference source differentiates the force the solve uses, with
+    step h_fd * max(1, |component|), and works for any target. Its base
+    value F(Q, q) is the force of the solve's last update, which the
+    trajectory hands over, so its probes cost 2 force evaluations per colour
+    of columns: 2 per step on separable targets (one colour), 2d otherwise.
+    The analytic source requires the target to provide force-Jacobian
+    diagonals (separable targets) or full matrices.
     """
 
     kind: str
@@ -67,19 +68,21 @@ def force_jacobians(
     potential,
     source: str = "finite-difference",
     h_fd: float = DEFAULT_FD_STEP,
-    dd_guard: float = 1e-8,
+    force=None,
 ):
     """Jacobians of the force with respect to q and Q.
 
     Returns (d_q F, d_Q F, n_force_evaluations): the diagonals when the
     target declares separability (see ``is_separable``), full d x d matrices
-    otherwise, from either source. Finite differences go forward from the
-    base force f0 = F(Q, q), which the analytic source ignores, by column
-    compression (Curtis, Powell & Reid 1974): a colour, a mask of columns
-    sharing no nonzero row, is perturbed at once in q and then in Q (2 probe
-    evaluations). A separable target has one colour, ``True`` (2 probes);
-    others one per column (2d). Callers should hand in well-separated (Q, q)
-    pairs, which a converged step provides.
+    otherwise, from either source. Finite differences differentiate
+    ``force``, the solve's F (by default the target's ``closed_form_force``,
+    so a black-box target must pass it, or gets a ``ValueError``). They go
+    forward from its value f0 = F(Q, q), which the analytic source ignores,
+    by column compression (Curtis, Powell & Reid 1974): a colour, a mask of
+    columns sharing no nonzero row, is perturbed at once in q and then in Q
+    (2 probe evaluations). A separable target has one colour, ``True`` (2
+    probes); others one per column (2d). Callers should hand in
+    well-separated (Q, q) pairs, which a converged step provides.
     """
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -91,7 +94,9 @@ def force_jacobians(
             raise ValueError("target provides no analytic force Jacobians")
         d_q, d_Q = closed_form(Q, q)
         return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
-    force = force_function(potential, dd_guard)
+    force = potential.closed_form_force if force is None else force
+    if force is None:
+        raise ValueError("black-box target: finite differences need the solve's force")
     d = q.size
     hq = np.multiply(np.maximum(np.abs(q), _ONE), h_fd)
     hQ = np.multiply(np.maximum(np.abs(Q), _ONE), h_fd)
@@ -125,26 +130,26 @@ def step_jacobian(
     tau: float,
     mode: JacobianMode,
     potential,
-    dd_guard: float = 1e-8,
+    force=None,
 ) -> tuple:
     """Determinant factor of one step at the converged (Q, q) pair, as (sign, log|J|).
 
-    ``f0``, the force F(Q, q) of the step's last update, is handed to
-    ``force_jacobians`` as the finite-difference base value.
+    ``f0``, the step's last force F(Q, q), and ``force``, the solve's F, are
+    handed to ``force_jacobians`` for the finite-difference probes.
     Returns (sign, log|J|, n_force_evaluations of the derivative probes),
     with (0, -inf) for a zero or non-finite factor, which rejects the
-    proposal upstream. J0 is exactly (1, 0). J1 is the sign and log of the
-    first trace term 1 + (tau^2/4) Tr(...), which reads the diagonals of
-    whatever ``force_jacobians`` returns. JFull is the difference of the two
-    determinants' slogdet pairs; for a separable target's diagonals it takes
-    the O(d) sums of their logs instead, with the sign from the count of
-    negative entries.
+    proposal upstream. J0 has no factor and is refused. J1 is the sign and
+    log of the first trace term 1 + (tau^2/4) Tr(...), which reads the
+    diagonals of whatever ``force_jacobians`` returns. JFull is the
+    difference of the two determinants' slogdet pairs; for a separable
+    target's diagonals it takes the O(d) sums of their logs instead, with
+    the sign from the count of negative entries.
     """
     if mode.kind == "J0":
-        return 1.0, 0.0, 0
+        raise ValueError("J0 has no step factor: its trajectories build no Jacobian")
     c = 0.25 * tau * tau
     d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, mode.h_fd,
-                                  dd_guard)
+                                  force)
     if mode.kind == "J1":
         if d_q.ndim == 2:
             d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
@@ -165,26 +170,27 @@ def step_jacobian(
 
 
 class JacobianAccumulator:
-    """Trajectory hook that folds per-step factors into the N-step product.
+    """A J1 or JFull trajectory's Jacobian factor, the N-step product of step factors.
 
-    Called with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
-    step's last update, is the probes' base value.
+    ``integrators.trajectory`` builds one on its solve's ``force`` and calls
+    it after each step with (q_in, q_out, f_out); f_out, the force
+    F(q_out, q_in) of the step's last update, is the probes' base value.
     It keeps the product as one running (sign, log_abs) pair: the product of
     the steps' signs and the sum of their log|J| in step order.
     """
 
-    def __init__(self, mode: JacobianMode, tau: float, potential, dd_guard: float = 1e-8):
+    def __init__(self, mode: JacobianMode, tau: float, potential, force=None):
         self.mode = mode
         self.tau = tau
         self.potential = potential
-        self.dd_guard = dd_guard
+        self.force = force
         self.sign = 1.0
         self.log_abs = 0.0
         self.extra_force_evals = 0
 
     def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out: np.ndarray) -> None:
         sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.tau, self.mode,
-                                         self.potential, self.dd_guard)
+                                         self.potential, self.force)
         self.sign *= sign
         self.log_abs += log_abs
         self.extra_force_evals += n

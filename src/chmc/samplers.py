@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import DmmSolverConfig, leapfrog_trajectory, trajectory
-from .jacobian import JacobianAccumulator, JacobianMode
+from .jacobian import JacobianMode
 from .phase import MassMatrix, PhaseState, require_integer
 
 METHODS = ("hmc-leapfrog", "chmc")
@@ -127,9 +127,9 @@ class IterationOutcome:
 def acceptance_probability(delta_h: float, sign: float, log_abs: float) -> float:
     """min(1, exp(-dH) * J) for J = sign * exp(log_abs), as log alpha = -dH + log|J|.
 
-    The pair is the one ``JacobianAccumulator`` keeps, (1, 0) for J = 1, so a
-    |J| outside the float range still counts. Total function: sign <= 0 (or
-    NaN), log_abs = -inf or NaN and dH = +inf (or NaN) all force 0.
+    The pair is a trajectory factor's (sign, log_abs), (1, 0) for J = 1, so
+    a |J| outside the float range still counts. Total function: sign <= 0
+    (or NaN), log_abs = -inf or NaN and dH = +inf (or NaN) all force 0.
     """
     if not sign > 0.0 or math.isnan(delta_h) or delta_h == math.inf:
         return 0.0
@@ -162,10 +162,8 @@ def chmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
     """One conservative-sampler iteration: draw p ~ N(0, I), integrate, accept/reject."""
     state = PhaseState(theta, rng.standard_normal(theta.size))
     u = None if cache is None else cache.u
-    accumulator = (None if cfg.jacobian_mode.kind == "J0" else
-                   JacobianAccumulator(cfg.jacobian_mode, cfg.tau, target, cfg.solver.dd_guard))
-    rec = trajectory(state, target, cfg.solver, cfg.n_steps, per_step_hook=accumulator, u_in=u)
-    return _accept_reject(theta, rec, rng, cache, accumulator)
+    rec = trajectory(state, target, cfg.solver, cfg.n_steps, cfg.jacobian_mode, u_in=u)
+    return _accept_reject(theta, rec, rng, cache)
 
 
 def hmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
@@ -178,18 +176,18 @@ def hmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
 
 
 def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator,
-                   cache: Optional[StateCache], jacobian: Optional[JacobianAccumulator] = None):
+                   cache: Optional[StateCache]):
     """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf.
 
-    ``jacobian`` is the trajectory's filled accumulator, None for J = 1 (J0
+    ``rec.jacobian`` is the trajectory's Jacobian factor, None for J = 1 (J0
     and leapfrog); alpha is formed from its (sign, log_abs) and the outcome
     reports its product. ``cache``, when given, takes the values at the
     position kept.
     """
     u = rng.random()
+    j = rec.jacobian
     sign, log_abs, product, jacobian_evals = (
-        (1.0, 0.0, 1.0, 0) if jacobian is None
-        else (jacobian.sign, jacobian.log_abs, jacobian.product, jacobian.extra_force_evals))
+        (1.0, 0.0, 1.0, 0) if j is None else (j.sign, j.log_abs, j.product, j.extra_force_evals))
     if rec.h_out == math.inf:
         alpha, delta_h, accepted = 0.0, math.inf, False
     else:

@@ -33,7 +33,9 @@ class Potential:
     returns diagonals instead of d x d matrices, and the finite-difference
     probes use one colour (2 force evaluations, not 2d), so the declaration
     must hold. A non-separable target gives its analytic Jacobians as full
-    matrices through ``closed_form_force_jacobian``.
+    matrices through ``closed_form_force_jacobian``. Without a closed-form
+    force, the solve and the finite-difference Jacobian probes share one
+    divided-difference force.
 
     A ``closed_form_force`` must be defined at Q_i = q_i, where the solver
     may evaluate it on any update, and must be a discrete gradient:

@@ -5,7 +5,6 @@ import pytest
 
 from chmc import (
     DmmSolverConfig,
-    JacobianAccumulator,
     JacobianMode,
     MultivariateGaussian,
     PhaseState,
@@ -450,6 +449,32 @@ class TestDividedDifferenceForce:
         assert f[0] == pytest.approx(8.0, rel=1e-5)
         assert f[1] == pytest.approx(30.0, rel=1e-11)
 
+    def test_evaluated_points_in_order(self):
+        # each path starts at its end point and advances one component at a
+        # time; the coincident component 1 first takes its four midpoint
+        # probes, x's then y's, from where the paths stand: 2 (d + 1) + 4 calls
+        points = []
+
+        class Recording(BlackBoxQuartic):
+            def evaluate(self, x):
+                points.append(x.copy())
+                return super().evaluate(x)
+
+        guard = 1e-8
+        q, Q = np.array([0.5, 1.0, -0.25]), np.array([1.5, 1.0, 0.25])
+        lo, hi = 1.0 - 0.5 * guard, 1.0 + 0.5 * guard
+        f, n = divided_difference_force(Q, q, Recording(3), guard)
+        expected = [q, Q,
+                    [1.5, 1.0, -0.25], [0.5, 1.0, 0.25],  # past component 0
+                    [1.5, hi, -0.25], [1.5, lo, -0.25], [0.5, hi, 0.25], [0.5, lo, 0.25],
+                    [1.5, 1.0, -0.25], [0.5, 1.0, 0.25],  # past component 1
+                    Q, q]  # past component 2
+        assert n == len(points) == len(expected) == 12
+        for point, want in zip(points, expected):
+            np.testing.assert_array_equal(point, want)
+        assert f[1] == pytest.approx(8.0, rel=1e-5)
+        np.testing.assert_allclose(f[[0, 2]], [2 * (1.5 ** 2 + 0.25) * 2.0, 0.0], atol=1e-12)
+
     def test_non_finite_potential_propagates(self):
         class Hole(Potential):
             def evaluate(self, q):
@@ -716,9 +741,10 @@ class TestChordSolve:
         assert rec.force_evaluations == 2
         assert len(t.jacobian_args) == 1
 
-    def test_capped_solve_converges_at_d2560(self):
+    def test_capped_solve_converges_at_d2560(self, monkeypatch):
         # the separation config's setting: with plain updates no step of this
         # trajectory reaches delta within 5 updates
+        steps = record_steps(monkeypatch)
         rng = np.random.default_rng(40)
         d = 2560
         mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
@@ -726,9 +752,7 @@ class TestChordSolve:
         s = PhaseState(q, rng.standard_normal(d))
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
-        steps = []
-        rec = trajectory(s, t, cfg, 40,
-                         per_step_hook=lambda q_in, q_out, f_out: steps.append(q_out))
+        rec = trajectory(s, t, cfg, 40)
         assert len(steps) == 40
         assert rec.all_converged and rec.h_out != math.inf
         assert abs(rec.h_out - rec.h_in) <= 40 * cfg.delta
@@ -914,16 +938,17 @@ class TestTrajectory:
         assert rec.all_converged
         assert abs(rec.h_out - rec.h_in) <= 40 * 1e-8
 
-    def test_hook_sees_every_step(self):
+    def test_factor_sees_every_step(self, monkeypatch):
+        # the steps chain from the start to the end position, and the J1
+        # factor folds in each of them: 2 probe forces per step
+        steps = record_steps(monkeypatch)
         t = QuarticGeneralizedGaussian(2)
-        pairs = []
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
-        rec = trajectory(s, t, DmmSolverConfig(tau=0.1), 5,
-                         per_step_hook=lambda q_in, q_out, f_out:
-                         pairs.append((q_in.copy(), q_out.copy())))
-        assert len(pairs) == 5
-        np.testing.assert_array_equal(pairs[0][0], s.q)
-        np.testing.assert_array_equal(pairs[-1][1], rec.q)
+        rec = trajectory(s, t, DmmSolverConfig(tau=0.1), 5, JacobianMode("J1"))
+        assert len(steps) == 5
+        np.testing.assert_array_equal(steps[0][0], s.q)
+        np.testing.assert_array_equal(steps[-1][3].q, rec.q)
+        assert rec.jacobian.extra_force_evals == 2 * 5
 
     @pytest.mark.parametrize("integrate", [
         lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
@@ -1094,7 +1119,7 @@ class TestDiscreteGradientEnergy:
 
     @pytest.mark.parametrize("mode", [None, JacobianMode("J1"), JacobianMode("JFull")])
     def test_trajectory_evaluates_potential_twice(self, mode):
-        # J0 and the finite-difference J1 / JFull hooks: U only at the two ends
+        # J0 and the finite-difference J1 / JFull factors: U only at the two ends
         rng = np.random.default_rng(51)
         d = 6
         updates = set()
@@ -1102,8 +1127,7 @@ class TestDiscreteGradientEnergy:
             cfg = DmmSolverConfig(tau=0.1, delta=delta, max_fpi=max_fpi)
             t = CountingQuartic(d)
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            hook = None if mode is None else JacobianAccumulator(mode, cfg.tau, t)
-            rec = trajectory(s, t, cfg, 12, per_step_hook=hook)
+            rec = trajectory(s, t, cfg, 12, mode)
             assert t.evaluate_calls == 2
             updates.add(rec.total_fpi_iterations)
             t.evaluate_calls = 0
@@ -1239,9 +1263,7 @@ def carried_leapfrog(state, target):
 def chmc_run(kind, source):
     def run(state, target):
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=10)
-        hook = (None if kind == "J0"
-                else JacobianAccumulator(JacobianMode(kind, source), cfg.tau, target))
-        return trajectory(state, target, cfg, 8, per_step_hook=hook)
+        return trajectory(state, target, cfg, 8, JacobianMode(kind, source))
     return run
 
 

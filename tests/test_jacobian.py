@@ -9,6 +9,7 @@ from chmc import (
     JacobianMode,
     MultivariateGaussian,
     PhaseState,
+    Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
     TrajectoryRecord,
@@ -20,6 +21,33 @@ from chmc import (
     trajectory,
 )
 from chmc import jacobian
+from chmc.integrators import StepScratch
+
+
+class BlackBoxQuartic(Potential):
+    """The quartic with only ``evaluate`` and ``gradient``: its force is divided differences."""
+
+    def evaluate(self, q):
+        t = q * q
+        return float((t * t).sum())
+
+    def gradient(self, q):
+        return 4.0 * q ** 3
+
+
+def record_steps(monkeypatch):
+    """(q_in, StepRecord) of every step ``trajectory`` takes."""
+    import chmc.integrators as integrators
+
+    steps, step = [], integrators.dmm_step
+
+    def recording_step(q, *args, **kwargs):
+        rec = step(q, *args, **kwargs)
+        steps.append((q, rec))
+        return rec
+
+    monkeypatch.setattr(integrators, "dmm_step", recording_step)
+    return steps
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
@@ -162,14 +190,25 @@ class TestForceJacobians:
         with pytest.raises(ValueError):
             jacobians(np.array([1.0]), np.array([0.5]), BlackBox(1), "analytic")
 
+    def test_black_box_needs_the_solve_force(self):
+        t, Q, q = BlackBoxQuartic(2), np.array([1.0, 0.2]), np.array([0.5, -0.1])
+        f0 = StepScratch(t, DmmSolverConfig(tau=0.1)).force(Q, q)
+        with pytest.raises(ValueError, match="solve's force"):
+            force_jacobians(Q, q, f0, t)
+
 
 class TestStepJacobian:
-    def test_j0_is_one(self):
+    def test_j0_is_refused(self):
+        # J0's factor is 1 without a computation: its trajectories build no
+        # factor, and a step asked for one refuses
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
-        pair = step_pair(rng.standard_normal(4), rng.standard_normal(4), 0.1,
-                         JacobianMode("J0"), t)
-        assert pair == (1.0, 0.0, 0)
+        with pytest.raises(ValueError, match="J0"):
+            step_pair(rng.standard_normal(4), rng.standard_normal(4), 0.1,
+                      JacobianMode("J0"), t)
+        state = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
+        rec = trajectory(state, t, DmmSolverConfig(tau=0.1), 3, JacobianMode("J0"))
+        assert rec.jacobian is None
 
     def test_j1_trace_value(self):
         t = QuarticGeneralizedGaussian(1)
@@ -343,22 +382,22 @@ class TestTrajectoryJacobian:
 
     @pytest.mark.parametrize("kind", ["J1", "JFull"])
     @pytest.mark.parametrize("separable", [True, False])
-    def test_probes_reuse_the_solve_force(self, kind, separable):
+    def test_probes_reuse_the_solve_force(self, monkeypatch, kind, separable):
         # the base force of the probes is the solve's last force: 2 probe
         # calls per step (2d per component), and the same factors bit for bit
         # as probes from a freshly computed F(q_out, q_in)
+        steps = record_steps(monkeypatch)
         rng = np.random.default_rng(50)
         d, n_steps = 12, 40
         t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
         state = PhaseState(np.where(rng.random(d) < 0.5, -mag, mag), rng.standard_normal(d))
-        reused = JacobianAccumulator(JacobianMode(kind), 0.1, t)
+        reused = trajectory(state, t, cfg, n_steps, JacobianMode(kind)).jacobian
         recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, t)
-        trajectory(state, t, cfg, n_steps, per_step_hook=reused)
-        trajectory(state, t, cfg, n_steps,
-                   per_step_hook=lambda q_in, q_out, f_out: recomputed(
-                       q_in, q_out, t.closed_form_force(q_out, q_in)))
+        for q_in, rec in steps:
+            recomputed(q_in, rec.q, t.closed_form_force(rec.q, q_in))
+        assert len(steps) == n_steps
         per_step = 2 if separable else 2 * d
         assert reused.extra_force_evals == recomputed.extra_force_evals == per_step * n_steps
         assert (reused.sign, reused.log_abs) == (recomputed.sign, recomputed.log_abs)
@@ -367,10 +406,36 @@ class TestTrajectoryJacobian:
     def test_gaussian_forty_steps_product_is_one(self):
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
-        acc = JacobianAccumulator(JacobianMode("JFull", "analytic"), 0.1, t)
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
-        trajectory(state, t, cfg, 40, per_step_hook=acc)
-        assert acc.product == pytest.approx(1.0, abs=1e-10)
+        rec = trajectory(state, t, cfg, 40, JacobianMode("JFull", "analytic"))
+        assert rec.jacobian.product == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_factor_differentiates_the_solve_force(self, monkeypatch, kind):
+        # a black-box target's probes take the solve's divided differences,
+        # under the solver's guard: at a guard of 1e-3, components 1 and 3
+        # move less than it, so probes built under the default guard differ
+        steps = record_steps(monkeypatch)
+        t, mode = BlackBoxQuartic(4), JacobianMode(kind)
+        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, dd_guard=1e-3)
+        state = PhaseState([0.3, -0.8, 1.1, 0.05], [1.0, 1e-3, -0.5, 2e-3])
+        factor = trajectory(state, t, cfg, 6, mode).jacobian
+        assert len(steps) == 6
+        assert any((np.abs(rec.q - q_in) < 1e-3 * np.maximum(1.0, np.abs(q_in))).any()
+                   for q_in, rec in steps)
+
+        def hand_loop(force):
+            sign, log_abs, n = 1.0, 0.0, 0
+            for q_in, rec in steps:
+                s, lg, k = step_jacobian(rec.q, q_in, rec.force, cfg.tau, mode, t, force)
+                sign, log_abs, n = sign * s, log_abs + lg, n + k
+            return sign, log_abs, n
+
+        own = hand_loop(StepScratch(t, cfg).force)
+        assert (factor.sign, factor.log_abs, factor.extra_force_evals) == own
+        assert own[2] == 6 * 2 * 4
+        default = hand_loop(StepScratch(t, DmmSolverConfig(tau=0.1)).force)
+        assert default[1] != own[1]
 
 
 class TestProductPastTheFloatRange:
@@ -397,12 +462,13 @@ class TestProductPastTheFloatRange:
 
         monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (1.0, -20.0, 0))
 
-        def energy_drop(state, target, cfg, n_steps, per_step_hook=None, u_in=None):
+        def energy_drop(state, target, cfg, n_steps, jacobian_mode=None, u_in=None):
             q_out = state.q + 1.0
+            factor = JacobianAccumulator(jacobian_mode, cfg.tau, target)
             for _ in range(n_steps):
-                per_step_hook(state.q, q_out, None)
+                factor(state.q, q_out, None)
             return TrajectoryRecord(q_out, state.p, n_steps, n_steps, True, 900.0, 0.0, 900.0,
-                                    0.0)
+                                    0.0, jacobian=factor)
 
         monkeypatch.setattr(samplers, "trajectory", energy_drop)
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=1,

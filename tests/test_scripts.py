@@ -84,6 +84,40 @@ class TestPerfbenchHooks:
         assert calls == []
         assert [n for n in vars(chmc.MassMatrix) if not n.startswith("_")] == ["identity"]
 
+    def test_the_trajectory_owns_its_jacobian_factor(self):
+        # the layers run targets <- jacobian <- integrators <- samplers: the
+        # trajectory builds the factor on its solve's force, so no hook, no
+        # relayed guard and no J0 branch is left above it
+        src = ROOT / "src" / "chmc"
+        assert [p.name for p in src.glob("*.py")
+                if "per_step_hook" in p.read_text(encoding="utf-8")] == []
+        trees = {name: ast.parse((src / name).read_text(encoding="utf-8"))
+                 for name in ("jacobian.py", "samplers.py")}
+        imports = [node.module for node in ast.walk(trees["jacobian.py"])
+                   if isinstance(node, ast.ImportFrom)]
+        assert "integrators" not in imports and "chmc.integrators" not in imports
+        guard_params, accumulators, j0_tests = [], [], []
+        for name, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if "dd_guard" in {x.arg for x in params if x is not None}:
+                        guard_params.append(f"{name}:{getattr(node, 'name', 'lambda')}")
+                if name != "samplers.py":
+                    continue
+                if "JacobianAccumulator" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None),
+                                             getattr(node, "name", None)):
+                    accumulators.append(node.lineno)
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(c, ast.Constant) and c.value == "J0"
+                        for c in [node.left, *node.comparators]):
+                    j0_tests.append(node.lineno)
+        assert guard_params == []
+        assert accumulators == []
+        assert j0_tests == []
+
     def test_workload_chmc_references_exist(self):
         imported, dotted = chmc_references(ROOT / "perfbench" / "workloads.py")
         assert imported, "no names imported from chmc"
@@ -329,6 +363,25 @@ print(json.dumps({"missing": summary["missing"],
     out = json.loads(proc.stdout)
     assert out["missing"] == []
     assert [span for span, count in out["counts"].items() if count <= 0] == []
+
+
+@pytest.mark.parametrize("workload", ["table-d40", "separation-d2560"])
+def test_short_records_give_every_metric(tmp_path, monkeypatch, workload):
+    # a wrap point that no trace reaches, or a record the metrics cannot
+    # read, turns metrics into null and the benchmark's last line into
+    # malformed output; run.py's own child runner writes into tmp_path
+    run = load_perfbench("run")
+    monkeypatch.setattr(run, "OUT", str(tmp_path))
+    plain = run.child(workload, 5, 0.3, "run", "run")
+    traced = run.child(workload, 5, 0.3, "trace", "trace")
+    assert traced["trace"]["missing"] == []
+    assert traced["digest"] == plain["digest"]
+    assert traced["counts"]["target_calls"] == plain["counts"]["target_calls"]
+    layers, unmeasured = run.per_layer(traced, plain)
+    metrics = {**run.end_to_end(plain, [plain["setup_s"]]), **layers}
+    assert unmeasured == []
+    assert [k for k, v in metrics.items() if v is None] == []
+    json.dumps({"metrics": metrics}, allow_nan=False)
 
 
 def run_benchmark_table(*flags):
