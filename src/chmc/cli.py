@@ -131,7 +131,6 @@ class MethodSpec:
     burn_in: int = _default(SamplerConfig, "burn_in")
     jacobian_kind: str = _chmc_only("J0")
     jacobian_source: str = _chmc_only(_default(JacobianMode, "derivative_source"))
-    jacobian_h_fd: float = _chmc_only(_default(JacobianMode, "h_fd"))
     delta: float = _chmc_only(_default(DmmSolverConfig, "delta"))
     max_fpi: int = _chmc_only(_default(DmmSolverConfig, "max_fpi"))
     dd_guard: float = _chmc_only(_default(DmmSolverConfig, "dd_guard"))
@@ -177,7 +176,7 @@ class MethodSpec:
                                dd_guard=self.dd_guard)
 
     def jacobian_mode(self) -> JacobianMode:
-        return JacobianMode(self.jacobian_kind, self.jacobian_source, self.jacobian_h_fd)
+        return JacobianMode(self.jacobian_kind, self.jacobian_source)
 
     def sampler_config(self, seed: int) -> SamplerConfig:
         chmc = self.method == "chmc"
@@ -416,7 +415,6 @@ def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: in
         "mean_force_evals": summary.mean_force_evals,
         "wall_time_s": summary.wall_time_seconds,
         "final_cov_error": tracker.trace[-1][1] if tracker.trace else math.nan,
-        "trace_file": os.path.basename(trace_path),
     }
 
 

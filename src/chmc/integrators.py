@@ -96,7 +96,8 @@ Arrays that leave a step or reach the target (the iterates Q, the Jacobian
 point X, P, the force, the (D, D_next) block) are fresh, and each in-place
 operation rounds as the expression it replaces. The scratch also resolves
 the force once; a J1 or JFull trajectory's Jacobian factor
-(``JacobianAccumulator``) probes that same force.
+(``JacobianAccumulator``) probes that same force and takes the same
+(tau/2)^2.
 """
 
 from __future__ import annotations
@@ -414,7 +415,7 @@ def trajectory(
     potential,
     cfg: DmmSolverConfig,
     n_steps: int,
-    jacobian_mode: Optional[JacobianMode] = None,
+    jacobian_mode: JacobianMode = JacobianMode("J0"),
     u_in: Optional[float] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
@@ -431,9 +432,10 @@ def trajectory(
     discrete-gradient contract can miss (see the module docstring).
 
     For a J1 or JFull ``jacobian_mode`` it builds the factor, a
-    ``JacobianAccumulator`` on the solve's ``StepScratch.force``, feeds it each
-    step's (q_in, q_out, F(q_out, q_in)), the last update's force, so no probe
-    recomputes it, and returns it as ``jacobian``; J0 and no mode build none.
+    ``JacobianAccumulator`` on the solve's ``StepScratch`` (its force and
+    (tau/2)^2), feeds it each step's (q_in, q_out, F(q_out, q_in)), the last
+    update's force, so no probe recomputes it, and returns it as
+    ``jacobian``; J0, the default, builds none.
     """
     if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
@@ -446,8 +448,8 @@ def trajectory(
     all_converged, allowed = True, 0.0
     f_prev = chord_prev = None
     scratch = StepScratch(potential, cfg)
-    acc = (None if jacobian_mode is None or jacobian_mode.kind == "J0"
-           else JacobianAccumulator(jacobian_mode, cfg.tau, potential, scratch.force))
+    acc = (None if jacobian_mode.kind == "J0"
+           else JacobianAccumulator(jacobian_mode, scratch.half2, potential, scratch.force))
     for _ in range(n_steps):
         rec = dmm_step(q, p, potential, cfg, f_prev=f_prev, chord_prev=chord_prev, scratch=scratch)
         total_f += rec.force_evaluations

@@ -8,13 +8,16 @@ whose expansion in tau^2 starts at 1 + (tau^2/4) Tr(dF/dq - dF/dQ).
 Three truncations are offered: J0 = 1 (the gradient-free sampler, which
 builds no factor), J1 (the first-order trace term), and the exact ratio
 JFull; their dF/dq and dF/dQ come in closed form or from forward
-differences of the force the trajectory's solve uses, 2 probes per colour
-of columns: one colour on a separable target, d otherwise. A factor has one
-form from the step to the N-step product, the pair (sign, log|J|) that
-``np.linalg.slogdet`` returns, with (0, -inf) for a zero or non-finite
-factor: ``step_jacobian`` gives one step's pair and ``JacobianAccumulator``,
-which ``integrators.trajectory`` builds, sums them into a running pair that
-it exponentiates once, so long trajectories neither overflow nor lose the sign.
+differences of the force the trajectory's solve uses, at the fixed step
+``DEFAULT_FD_STEP`` = sqrt(eps), 2 probes per colour of columns: one colour
+on a separable target, d otherwise. The trajectory decides the factor's
+inputs, its solve's force and (tau/2)^2 and the mode's derivative source,
+and hands each down. A factor has one form from the step to the N-step
+product, the pair (sign, log|J|) that ``np.linalg.slogdet`` returns, with
+(0, -inf) for a zero or non-finite factor: ``step_jacobian`` gives one
+step's pair and ``JacobianAccumulator``, which ``integrators.trajectory``
+builds, sums them into a running pair that it exponentiates once, so long
+trajectories neither overflow nor lose the sign.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .phase import scalar_operand
 from .targets import is_separable
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
-_ZERO, _ONE = scalar_operand(0.0), scalar_operand(1.0)
+_ZERO, _ONE, _FD_STEP = map(scalar_operand, (0.0, 1.0, DEFAULT_FD_STEP))
 
 JACOBIAN_KINDS = ("J0", "J1", "JFull")
 DERIVATIVE_SOURCES = ("analytic", "finite-difference")
@@ -40,25 +43,22 @@ class JacobianMode:
 
     ``derivative_source`` is ignored for J0, which has no factor. The
     finite-difference source differentiates the force the solve uses, with
-    step h_fd * max(1, |component|), and works for any target. Its base
-    value F(Q, q) is the force of the solve's last update, which the
-    trajectory hands over, so its probes cost 2 force evaluations per colour
-    of columns: 2 per step on separable targets (one colour), 2d otherwise.
-    The analytic source requires the target to provide force-Jacobian
-    diagonals (separable targets) or full matrices.
+    step ``DEFAULT_FD_STEP`` * max(1, |component|), and works for any
+    target. Its base value F(Q, q) is the force of the solve's last update,
+    which the trajectory hands over, so its probes cost 2 force evaluations
+    per colour of columns: 2 per step on separable targets (one colour), 2d
+    otherwise. The analytic source requires the target to provide
+    force-Jacobian diagonals (separable targets) or full matrices.
     """
 
     kind: str
     derivative_source: str = "finite-difference"
-    h_fd: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
         if self.kind not in JACOBIAN_KINDS:
             raise ValueError(f"kind must be one of {JACOBIAN_KINDS}")
         if self.derivative_source not in DERIVATIVE_SOURCES:
             raise ValueError(f"derivative_source must be one of {DERIVATIVE_SOURCES}")
-        if not (self.h_fd > 0.0 and math.isfinite(self.h_fd)):
-            raise ValueError("h_fd must be finite and positive")
 
 
 def force_jacobians(
@@ -66,22 +66,21 @@ def force_jacobians(
     q: np.ndarray,
     f0: np.ndarray,
     potential,
-    source: str = "finite-difference",
-    h_fd: float = DEFAULT_FD_STEP,
-    force=None,
+    source: str,
+    force,
 ):
     """Jacobians of the force with respect to q and Q.
 
     Returns (d_q F, d_Q F, n_force_evaluations): the diagonals when the
     target declares separability (see ``is_separable``), full d x d matrices
     otherwise, from either source. Finite differences differentiate
-    ``force``, the solve's F (by default the target's ``closed_form_force``,
-    so a black-box target must pass it, or gets a ``ValueError``). They go
-    forward from its value f0 = F(Q, q), which the analytic source ignores,
-    by column compression (Curtis, Powell & Reid 1974): a colour, a mask of
-    columns sharing no nonzero row, is perturbed at once in q and then in Q
-    (2 probe evaluations). A separable target has one colour, ``True`` (2
-    probes); others one per column (2d). Callers should hand in
+    ``force``, the solve's F, forward from its value f0 = F(Q, q) (the
+    analytic source ignores both ``force`` and f0), at the step
+    ``DEFAULT_FD_STEP`` * max(1, |component|), by column compression
+    (Curtis, Powell & Reid 1974): a colour, a mask of columns sharing no
+    nonzero row, is perturbed at once in q and then in Q (2 probe
+    evaluations). A separable target has one colour, ``True`` (2 probes);
+    others one per column (2d). Callers should hand in
     well-separated (Q, q) pairs, which a converged step provides.
     """
     Q = np.asarray(Q, dtype=float)
@@ -94,12 +93,9 @@ def force_jacobians(
             raise ValueError("target provides no analytic force Jacobians")
         d_q, d_Q = closed_form(Q, q)
         return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
-    force = potential.closed_form_force if force is None else force
-    if force is None:
-        raise ValueError("black-box target: finite differences need the solve's force")
     d = q.size
-    hq = np.multiply(np.maximum(np.abs(q), _ONE), h_fd)
-    hQ = np.multiply(np.maximum(np.abs(Q), _ONE), h_fd)
+    hq = np.multiply(np.maximum(np.abs(q), _ONE), _FD_STEP)
+    hQ = np.multiply(np.maximum(np.abs(Q), _ONE), _FD_STEP)
     up_q, up_Q = q + hq, Q + hQ
     # each colour's (q probe, Q probe, step in q, step in Q, d_q column, d_Q column);
     # a probe point is fresh, as a target may keep its arguments
@@ -127,19 +123,20 @@ def step_jacobian(
     Q: np.ndarray,
     q: np.ndarray,
     f0: np.ndarray,
-    tau: float,
+    c,
     mode: JacobianMode,
     potential,
-    force=None,
+    force,
 ) -> tuple:
     """Determinant factor of one step at the converged (Q, q) pair, as (sign, log|J|).
 
     ``f0``, the step's last force F(Q, q), and ``force``, the solve's F, are
-    handed to ``force_jacobians`` for the finite-difference probes.
+    handed to ``force_jacobians`` for the finite-difference probes; ``c`` is
+    (tau/2)^2, the trajectory's 0-d ``StepScratch.half2``.
     Returns (sign, log|J|, n_force_evaluations of the derivative probes),
     with (0, -inf) for a zero or non-finite factor, which rejects the
     proposal upstream. J0 has no factor and is refused. J1 is the sign and
-    log of the first trace term 1 + (tau^2/4) Tr(...), which reads the
+    log of the first trace term 1 + c Tr(...), which reads the
     diagonals of whatever ``force_jacobians`` returns. JFull is the
     difference of the two determinants' slogdet pairs; for a separable
     target's diagonals it takes the O(d) sums of their logs instead, with
@@ -147,9 +144,7 @@ def step_jacobian(
     """
     if mode.kind == "J0":
         raise ValueError("J0 has no step factor: its trajectories build no Jacobian")
-    c = 0.25 * tau * tau
-    d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, mode.h_fd,
-                                  force)
+    d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, force)
     if mode.kind == "J1":
         if d_q.ndim == 2:
             d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
@@ -172,16 +167,17 @@ def step_jacobian(
 class JacobianAccumulator:
     """A J1 or JFull trajectory's Jacobian factor, the N-step product of step factors.
 
-    ``integrators.trajectory`` builds one on its solve's ``force`` and calls
-    it after each step with (q_in, q_out, f_out); f_out, the force
-    F(q_out, q_in) of the step's last update, is the probes' base value.
+    ``integrators.trajectory`` builds one on its solve's ``StepScratch``
+    values, (tau/2)^2 as ``half2`` and the force F, and calls it after each
+    step with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
+    step's last update, is the probes' base value.
     It keeps the product as one running (sign, log_abs) pair: the product of
     the steps' signs and the sum of their log|J| in step order.
     """
 
-    def __init__(self, mode: JacobianMode, tau: float, potential, force=None):
+    def __init__(self, mode: JacobianMode, half2, potential, force):
         self.mode = mode
-        self.tau = tau
+        self.half2 = half2
         self.potential = potential
         self.force = force
         self.sign = 1.0
@@ -189,7 +185,7 @@ class JacobianAccumulator:
         self.extra_force_evals = 0
 
     def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out: np.ndarray) -> None:
-        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.tau, self.mode,
+        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.half2, self.mode,
                                          self.potential, self.force)
         self.sign *= sign
         self.log_abs += log_abs

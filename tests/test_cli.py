@@ -130,7 +130,7 @@ class TestValidateSpec:
         assert err.value.errors == ["methods[0]: tau must be finite and positive",
                                     "methods[1]: tau must be finite and positive"]
 
-    @pytest.mark.parametrize("key", ["delta", "dd_guard", "jacobian_h_fd"])
+    @pytest.mark.parametrize("key", ["delta", "dd_guard"])
     def test_non_finite_chmc_knob_reported_once(self, key):
         # the field check names the YAML key; the dataclass check is not reached
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -212,7 +212,7 @@ methods: []
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("entry", [
-        "jacobian: J1", "jacobian_source: analytic", "jacobian_h_fd: 1.0e-6",
+        "jacobian: J1", "jacobian_source: analytic",
         "delta: 0.5", "max_fpi: 3", "dd_guard: 1.0e-6", "init_mode: position-euler",
     ])
     def test_chmc_fields_on_leapfrog_entry_rejected(self, entry):
@@ -256,7 +256,7 @@ methods: []
         assert (chmc.jacobian_kind, chmc.max_fpi) == ("J0", 10)
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(chmc, method="hmc-leapfrog")
-        assert len(err.value.errors) == 7
+        assert len(err.value.errors) == 6
 
     def test_removed_init_mode_rejected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -268,14 +268,14 @@ methods: []
 
     def test_range_errors_come_from_dataclasses_all_collected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
-            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 0, jacobian_h_fd: -1.0}").replace(
+            "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 0}").replace(
             "total_time: 1.0", "total_time: 3.95")
         with pytest.raises(ConfigError) as err:
             validate_spec(text)
         # the solver and Jacobian messages only on the chmc entry
         assert [e.partition(" must")[0] for e in err.value.errors] == [
             "methods[0]: n_steps not integral: total_time / tau",
-            "methods[1]: max_fpi", "methods[1]: h_fd",
+            "methods[1]: max_fpi",
             "methods[1]: n_steps not integral: total_time / tau"]
 
     def test_duplicate_method_names(self):
@@ -364,11 +364,11 @@ class TestRunExperiment:
         out = tmp_path / "run"
         run_experiment(validate_spec(MINIMAL.format(chains=1, iterations=2, out=out)))
         leapfrog, chmc = json.loads((out / "meta.json").read_text())["spec"]["methods"]
-        chmc_only = ("jacobian_kind", "jacobian_source", "jacobian_h_fd", "delta",
-                     "max_fpi", "dd_guard", "init_mode")
-        assert [leapfrog[k] for k in chmc_only] == [None] * 7
+        chmc_only = ("jacobian_kind", "jacobian_source", "delta", "max_fpi", "dd_guard",
+                     "init_mode")
+        assert [leapfrog[k] for k in chmc_only] == [None] * 6
         assert [chmc[k] for k in chmc_only] == [
-            "J0", "finite-difference", 2.0 ** -26, 1e-8, 10, 1e-8, "position-euler"]
+            "J0", "finite-difference", 1e-8, 10, 1e-8, "position-euler"]
 
     def test_trace_columns_and_length(self, tmp_path):
         out = tmp_path / "run"
@@ -553,6 +553,22 @@ methods:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: methods[1].name: must not contain '/' or NUL")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, path", [
+        ("delta: 1.0e-8}", "defaults"),
+        ("jacobian: J0}", "methods[1]"),
+    ], ids=["defaults", "methods"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_finite_difference_step_is_no_field(self, tmp_path, capsys, command, where, path):
+        # the probes' step is fixed at sqrt(eps): a spec cannot set it
+        out = tmp_path / "o"
+        cfg = tmp_path / "h_fd.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=out).replace(
+            where, where[:-1] + ", jacobian_h_fd: 1.0e-6}"))
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {path}.jacobian_h_fd: unknown field"]
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix, refused", [("csv", "(1, 2)"), ("npy", "(2,)")])

@@ -1077,8 +1077,9 @@ class TestPreconditioning:
             else:
                 expected = float(np.prod((1.0 + c * d_q / m) / (1.0 + c * d_Q / m)))
             Z, z = root * Q, root * q
-            sign, log_abs, _ = step_jacobian(Z, z, rescaled.closed_form_force(Z, z), tau,
-                                             JacobianMode(kind, "analytic"), rescaled)
+            force = rescaled.closed_form_force
+            sign, log_abs, _ = step_jacobian(Z, z, force(Z, z), c, JacobianMode(kind, "analytic"),
+                                             rescaled, force)
             assert sign * math.exp(log_abs) == pytest.approx(expected, rel=1e-12)
 
 
@@ -1117,7 +1118,8 @@ class TestDiscreteGradientEnergy:
         true_err = abs(t.evaluate(rec.q) + kinetic(rec.p) - h_in)
         assert abs(rec.energy_error - true_err) <= 1e-12 * (1.0 + abs(h_in))
 
-    @pytest.mark.parametrize("mode", [None, JacobianMode("J1"), JacobianMode("JFull")])
+    @pytest.mark.parametrize("mode", [JacobianMode("J0"), JacobianMode("J1"),
+                                      JacobianMode("JFull")])
     def test_trajectory_evaluates_potential_twice(self, mode):
         # J0 and the finite-difference J1 / JFull factors: U only at the two ends
         rng = np.random.default_rng(51)

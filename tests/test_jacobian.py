@@ -56,7 +56,7 @@ class PerComponentQuartic(QuarticGeneralizedGaussian):
     closed_form_force_jacobian_diag = None
 
 
-def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP):
+def per_column_probes(Q, q, potential):
     """Reference finite-difference Jacobians, one column perturbed at a time.
 
     Returns (dF/dq, dF/dQ) as d x d matrices, forward quotients from the base
@@ -64,7 +64,7 @@ def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP):
     it bit for bit.
     """
     f0 = potential.closed_form_force(Q, q)
-    d = q.size
+    d, h_fd = q.size, jacobian.DEFAULT_FD_STEP
     d_q, d_Q = np.empty((d, d)), np.empty((d, d))
     for j in range(d):
         hq = h_fd * max(1.0, abs(q[j]))
@@ -78,14 +78,21 @@ def per_column_probes(Q, q, potential, h_fd=jacobian.DEFAULT_FD_STEP):
     return d_q, d_Q
 
 
-def jacobians(Q, q, potential, *args, **kwargs):
-    """``force_jacobians`` at (Q, q) from the base force F(Q, q)."""
-    return force_jacobians(Q, q, potential.closed_form_force(Q, q), potential, *args, **kwargs)
+def jacobians(Q, q, potential, source="finite-difference"):
+    """``force_jacobians`` of the target's closed-form force at (Q, q)."""
+    force = potential.closed_form_force
+    return force_jacobians(Q, q, force(Q, q), potential, source, force)
+
+
+def half2(tau):
+    """(tau/2)^2, the ``StepScratch.half2`` a trajectory hands to the Jacobian code."""
+    return StepScratch(QuarticGeneralizedGaussian(1), DmmSolverConfig(tau=tau)).half2
 
 
 def step_pair(Q, q, tau, mode, potential):
-    """``step_jacobian`` at (Q, q) from the base force F(Q, q)."""
-    return step_jacobian(Q, q, potential.closed_form_force(Q, q), tau, mode, potential)
+    """``step_jacobian`` of the target's closed-form force at (Q, q)."""
+    force = potential.closed_form_force
+    return step_jacobian(Q, q, force(Q, q), half2(tau), mode, potential, force)
 
 
 def step_factor(*args):
@@ -166,14 +173,12 @@ class TestForceJacobians:
             calls.append((Q, q))
             return force(Q, q)
 
-        t.closed_form_force = counted
         for _ in range(5):
             q = rng.uniform(-2, 2, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
             r_q, r_Q = per_column_probes(Q, q, t)
-            f0 = force(Q, q)
             del calls[:]
-            d_q, d_Q, n = force_jacobians(Q, q, f0, t)
+            d_q, d_Q, n = force_jacobians(Q, q, force(Q, q), t, "finite-difference", counted)
             assert n == len(calls) == 2 * d
             assert np.array_equal(d_q, r_q) and np.array_equal(d_Q, r_Q)
 
@@ -189,12 +194,6 @@ class TestForceJacobians:
 
         with pytest.raises(ValueError):
             jacobians(np.array([1.0]), np.array([0.5]), BlackBox(1), "analytic")
-
-    def test_black_box_needs_the_solve_force(self):
-        t, Q, q = BlackBoxQuartic(2), np.array([1.0, 0.2]), np.array([0.5, -0.1])
-        f0 = StepScratch(t, DmmSolverConfig(tau=0.1)).force(Q, q)
-        with pytest.raises(ValueError, match="solve's force"):
-            force_jacobians(Q, q, f0, t)
 
 
 class TestStepJacobian:
@@ -309,6 +308,23 @@ class TestStepJacobian:
             assert compressed == per_component
             assert (n_c, n_l) == (2, 10)
 
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_half2_operand_gives_the_float_quarter_tau_squared_pair(self, kind):
+        # the trajectory's 0-d (tau/2)^2 is 0.25 * tau * tau bit for bit, and
+        # the step factor it gives is the one the float gives, on both routes
+        rng = np.random.default_rng(52)
+        taus = 10.0 ** rng.uniform(-6.0, 2.0, 2000)
+        assert all(half2(tau) == 0.25 * tau * tau for tau in taus)
+        mode = JacobianMode(kind)
+        for t in (QuarticGeneralizedGaussian(5), PerComponentQuartic(5)):
+            force = t.closed_form_force
+            for tau in taus[:20]:
+                q = rng.uniform(-2, 2, 5)
+                Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
+                f0 = force(Q, q)
+                assert (step_jacobian(Q, q, f0, half2(tau), mode, t, force)
+                        == step_jacobian(Q, q, f0, 0.25 * tau * tau, mode, t, force))
+
     def test_separable_jfull_log_sums_to_fsum_accuracy(self):
         # d = 10240 logs per determinant: the step's log|J| stays within 5e-14
         # of the exactly rounded sums of the same factors' logs
@@ -353,7 +369,7 @@ def trajectory_product(monkeypatch, factors):
     pairs = iter([(math.copysign(1.0, t), math.log(abs(t))) if t else (0.0, -math.inf)
                   for t in factors])
     monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
-    acc = JacobianAccumulator(JacobianMode("J1"), 0.1, None)
+    acc = JacobianAccumulator(JacobianMode("J1"), None, None, None)
     for _ in factors:
         acc(None, None, None)
     return acc.product
@@ -394,7 +410,7 @@ class TestTrajectoryJacobian:
         mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
         state = PhaseState(np.where(rng.random(d) < 0.5, -mag, mag), rng.standard_normal(d))
         reused = trajectory(state, t, cfg, n_steps, JacobianMode(kind)).jacobian
-        recomputed = JacobianAccumulator(JacobianMode(kind), 0.1, t)
+        recomputed = JacobianAccumulator(JacobianMode(kind), half2(0.1), t, t.closed_form_force)
         for q_in, rec in steps:
             recomputed(q_in, rec.q, t.closed_form_force(rec.q, q_in))
         assert len(steps) == n_steps
@@ -409,6 +425,21 @@ class TestTrajectoryJacobian:
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
         rec = trajectory(state, t, cfg, 40, JacobianMode("JFull", "analytic"))
         assert rec.jacobian.product == pytest.approx(1.0, abs=1e-10)
+
+    def test_default_mode_is_j0(self, monkeypatch):
+        # a trajectory without a mode is J0's: no factor and no probe call
+        rng = np.random.default_rng(53)
+        t, cfg = QuarticGeneralizedGaussian(6), DmmSolverConfig(tau=0.1)
+        state = PhaseState(rng.standard_normal(6), rng.standard_normal(6))
+        explicit = trajectory(state, t, cfg, 8, JacobianMode("J0"))
+        monkeypatch.setattr(jacobian, "force_jacobians", None)
+        default = trajectory(state, t, cfg, 8)
+        assert default.jacobian is None is explicit.jacobian
+        assert np.array_equal(default.q, explicit.q) and np.array_equal(default.p, explicit.p)
+        assert ((default.total_force_evaluations, default.total_fpi_iterations,
+                 default.h_in, default.h_out)
+                == (explicit.total_force_evaluations, explicit.total_fpi_iterations,
+                    explicit.h_in, explicit.h_out))
 
     @pytest.mark.parametrize("kind", ["J1", "JFull"])
     def test_factor_differentiates_the_solve_force(self, monkeypatch, kind):
@@ -427,7 +458,7 @@ class TestTrajectoryJacobian:
         def hand_loop(force):
             sign, log_abs, n = 1.0, 0.0, 0
             for q_in, rec in steps:
-                s, lg, k = step_jacobian(rec.q, q_in, rec.force, cfg.tau, mode, t, force)
+                s, lg, k = step_jacobian(rec.q, q_in, rec.force, half2(cfg.tau), mode, t, force)
                 sign, log_abs, n = sign * s, log_abs + lg, n + k
             return sign, log_abs, n
 
@@ -462,9 +493,9 @@ class TestProductPastTheFloatRange:
 
         monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (1.0, -20.0, 0))
 
-        def energy_drop(state, target, cfg, n_steps, jacobian_mode=None, u_in=None):
+        def energy_drop(state, target, cfg, n_steps, jacobian_mode, u_in=None):
             q_out = state.q + 1.0
-            factor = JacobianAccumulator(jacobian_mode, cfg.tau, target)
+            factor = JacobianAccumulator(jacobian_mode, None, target, None)
             for _ in range(n_steps):
                 factor(state.q, q_out, None)
             return TrajectoryRecord(q_out, state.p, n_steps, n_steps, True, 900.0, 0.0, 900.0,
@@ -570,12 +601,3 @@ class TestModeValidation:
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError):
             JacobianMode("J1", "symbolic")
-
-    def test_rejects_nonpositive_fd_step(self):
-        with pytest.raises(ValueError):
-            JacobianMode("JFull", h_fd=0.0)
-
-    def test_rejects_non_finite_fd_step(self):
-        # an infinite step makes every finite-difference J1 factor (0, -inf)
-        with pytest.raises(ValueError, match="h_fd must be finite and positive"):
-            JacobianMode("J1", h_fd=math.inf)

@@ -236,7 +236,7 @@ HOT_PATH = {
     },
     "jacobian.py": {
         "force_jacobians": set(),
-        "step_jacobian": {"0.25 * tau", "1.0 + c * float((d_q - d_Q).sum())"},
+        "step_jacobian": {"1.0 + c * float((d_q - d_Q).sum())"},
     },
     "targets.py": {
         "evaluate": set(),
