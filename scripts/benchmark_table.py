@@ -47,8 +47,8 @@ def main() -> int:
         methods = tuple(replace(m, iterations=args.iterations, burn_in=args.burn_in,
                                 **({"max_fpi": args.max_fpi} if m.method == "chmc" else {}))
                         for m in map(by_name.get, args.methods))
-        specs = [replace(base, dimension=d, methods=methods, chains=args.chains,
-                         seed=args.seed, workers=args.workers,
+        specs = [replace(base, target=replace(base.target, dimension=d), methods=methods,
+                         chains=args.chains, seed=args.seed, workers=args.workers,
                          output_dir=os.path.join(args.out, f"d{d}"))
                  for d in args.dims]
     except ConfigError as exc:
@@ -57,7 +57,7 @@ def main() -> int:
         return EXIT_CONFIG_ERROR
 
     for spec in specs:
-        print(f"== quartic d={spec.dimension}: {spec.chains} chains x "
+        print(f"== quartic d={spec.target.dimension}: {spec.chains} chains x "
               f"{args.iterations} iterations ==")
         run_experiment(spec)
         print(format_table(spec.output_dir))

@@ -7,8 +7,10 @@ writes three artifacts into the output directory:
   per method (metric columns averaged, wall time summed across chains).
 - ``trace_<method>_<chain>.csv``: one row per iteration with the covariance
   error filled at the recording stride.
-- ``meta.json``: the fully resolved configuration, seed, covariance mode,
-  library version and reporting conventions (schema_version 1).
+- ``meta.json``: seed, covariance mode, library version, reporting
+  conventions (schema_version 1) and, as ``spec``, the fully resolved run
+  spec with the YAML's keys and nesting: ``validate_spec`` loads it back as
+  the spec that ran.
 
 Floats are serialized with 17 significant digits so every summary value is
 recomputable from its trace bit-for-bit; reruns with the same spec and seed
@@ -66,13 +68,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-# YAML keys that differ from the field they set: the target fields sit under
-# ``target``, and a methods entry names its Jacobian kind ``jacobian``
-_YAML_KEY = {"target_kind": "target.kind", "dimension": "target.dimension",
-             "mean_path": "target.mean_path", "cov_path": "target.cov_path",
-             "jacobian_kind": "jacobian"}
-
-
 def _default(cls, name: str):
     return next(f.default for f in fields(cls) if f.name == name)
 
@@ -82,14 +77,14 @@ def _chmc_only(default, **metadata):
     return field(default=None, metadata=dict(metadata, chmc_only=default))
 
 
-def _field_errors(spec) -> list:
-    """Each field's type, minimum and choice violations, named by YAML key.
+def _field_errors(spec, prefix: str = "") -> list:
+    """Each field's type, minimum and choice violations, named ``prefix`` + YAML key.
 
     Float fields are stored as floats: YAML 4 reaches meta.json as 4.0.
     """
     errors = []
     for f in fields(spec):
-        key, value = _YAML_KEY.get(f.name, f.name), getattr(spec, f.name)
+        key, value = prefix + f.name, getattr(spec, f.name)
         if value is None and "chmc_only" in f.metadata:
             continue
         minimum, choices = f.metadata.get("minimum"), f.metadata.get("choices")
@@ -129,16 +124,13 @@ class MethodSpec:
     total_time: float
     iterations: int
     burn_in: int = _default(SamplerConfig, "burn_in")
-    jacobian_kind: str = _chmc_only("J0")
+    jacobian: str = _chmc_only("J0")
     jacobian_source: str = _chmc_only(_default(JacobianMode, "derivative_source"))
     delta: float = _chmc_only(_default(DmmSolverConfig, "delta"))
     max_fpi: int = _chmc_only(_default(DmmSolverConfig, "max_fpi"))
     dd_guard: float = _chmc_only(_default(DmmSolverConfig, "dd_guard"))
     # a single choice; the key stays so that specs and meta.json keep their shape
     init_mode: str = _chmc_only("position-euler", choices=("position-euler",))
-    # a spec cannot carry the vector an explicit start needs
-    initial_state: str = field(default=_default(SamplerConfig, "initial_state_mode"),
-                               metadata={"choices": ("zeros", "standard-normal")})
 
     def __post_init__(self):
         chmc = self.method == "chmc"
@@ -149,7 +141,7 @@ class MethodSpec:
             if chmc and getattr(self, f.name) is None:
                 object.__setattr__(self, f.name, f.metadata["chmc_only"])
             elif self.method == "hmc-leapfrog" and getattr(self, f.name) is not None:
-                errors.append(f"{_YAML_KEY.get(f.name, f.name)}: only applies to chmc")
+                errors.append(f"{f.name}: only applies to chmc")
         errors += _field_errors(self)
         # the name is part of each trace file's name
         if isinstance(self.name, str) and ("/" in self.name or "\0" in self.name):
@@ -160,8 +152,7 @@ class MethodSpec:
             # leaves out the solver and Jacobian knobs, which a chmc spec checks first
             checks = (self.solver, self.jacobian_mode) if chmc else ()
             checks += (lambda: SamplerConfig(self.method, self.tau, self.total_time,
-                                             self.iterations, self.burn_in,
-                                             initial_state_mode=self.initial_state),)
+                                             self.iterations, self.burn_in),)
             for check in checks:
                 try:
                     check()
@@ -176,7 +167,7 @@ class MethodSpec:
                                dd_guard=self.dd_guard)
 
     def jacobian_mode(self) -> JacobianMode:
-        return JacobianMode(self.jacobian_kind, self.jacobian_source)
+        return JacobianMode(self.jacobian, self.jacobian_source)
 
     def sampler_config(self, seed: int) -> SamplerConfig:
         chmc = self.method == "chmc"
@@ -189,10 +180,29 @@ class MethodSpec:
             seed=seed,
             jacobian_mode=self.jacobian_mode() if chmc else None,
             solver=self.solver() if chmc else None,
-            initial_state_mode=self.initial_state,
         )
 
 
+@dataclass(frozen=True)
+class TargetSpec:
+    """The ``target`` mapping (a Gaussian without files: zero mean, unit covariance);
+    construction raises ``ConfigError`` listing every violation by YAML path."""
+
+    kind: str = field(metadata={"choices": TARGET_KINDS})
+    dimension: int = field(metadata={"minimum": 1})
+    mean_path: Optional[str] = None
+    cov_path: Optional[str] = None
+
+    def __post_init__(self):
+        errors = _field_errors(self, "target.")
+        for key in ("mean_path", "cov_path"):
+            if getattr(self, key) is not None and self.kind == "quartic":
+                errors.append(f"target.{key}: only applies to the gaussian target")
+        if errors:
+            raise ConfigError(errors)
+
+
+_NO_TARGET = "target: expected a TargetSpec"
 _NO_METHODS = "methods: required non-empty list"
 
 
@@ -203,8 +213,7 @@ class ExperimentSpec:
     Construction raises ``ConfigError`` listing every violation by YAML path.
     """
 
-    target_kind: str = field(metadata={"choices": TARGET_KINDS})
-    dimension: int = field(metadata={"minimum": 1})
+    target: TargetSpec
     methods: tuple
     output_dir: str
     chains: int = field(default=1, metadata={"minimum": 1})
@@ -212,21 +221,18 @@ class ExperimentSpec:
     covariance_mode: str = field(default="auto", metadata={"choices": COVARIANCE_MODES})
     record_stride: int = field(default=10, metadata={"minimum": 1})
     workers: int = field(default=1, metadata={"minimum": 1})
-    mean_path: Optional[str] = None
-    cov_path: Optional[str] = None
 
     def __post_init__(self):
         errors = _field_errors(self)
+        if not isinstance(self.target, TargetSpec):
+            errors.append(_NO_TARGET)
         if not (isinstance(self.methods, tuple) and self.methods
                 and all(isinstance(m, MethodSpec) for m in self.methods)):
             errors.append(_NO_METHODS)
         elif len({m.name for m in self.methods}) != len(self.methods):
             errors.append("methods: names must be unique")
-        for key in ("mean_path", "cov_path"):
-            if getattr(self, key) is not None and self.target_kind == "quartic":
-                errors.append(f"target.{key}: only applies to the gaussian target")
-        if (self.covariance_mode == "full" and isinstance(self.dimension, int)
-                and self.dimension > DIAGONAL_ONLY_ABOVE):
+        if (self.covariance_mode == "full" and isinstance(self.target, TargetSpec)
+                and self.target.dimension > DIAGONAL_ONLY_ABOVE):
             errors.append(
                 f"covariance_mode: full mode is unavailable above d = {DIAGONAL_ONLY_ABOVE}; "
                 "use diagonal or auto")
@@ -235,7 +241,7 @@ class ExperimentSpec:
 
     def resolved_covariance_mode(self) -> str:
         if self.covariance_mode == "auto":
-            return "diagonal" if self.dimension > DIAGONAL_ONLY_ABOVE else "full"
+            return "diagonal" if self.target.dimension > DIAGONAL_ONLY_ABOVE else "full"
         return self.covariance_mode
 
 
@@ -243,7 +249,7 @@ def _format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-_METHOD_KEYS = tuple(_YAML_KEY.get(f.name, f.name) for f in fields(MethodSpec))
+_METHOD_KEYS = tuple(f.name for f in fields(MethodSpec))
 # keys each methods entry sets for itself; ``defaults`` may set every other
 # method key, and the top level iterations and burn_in
 _ENTRY_KEYS = ("name", "method", "jacobian")
@@ -258,15 +264,13 @@ def _mapping(raw, path, errors) -> dict:
     return {}
 
 
-def _build(cls, sources: list, errors: list):
-    """``cls`` with each field read by YAML key from the first of ``sources``
-    that holds it, else its default; None after adding its violations to
-    ``errors``."""
-    values = {}
-    for f in fields(cls):
-        key = _YAML_KEY.get(f.name, f.name)
-        values[f.name] = next((s[key] for s in sources if key in s), f.default)
-    found = [f"{_YAML_KEY.get(n, n)}: required" for n, v in values.items() if v is MISSING]
+def _build(cls, sources: list, errors: list, prefix: str = ""):
+    """``cls`` with each field read by its YAML key from the first of
+    ``sources`` that holds it, else its default; None after adding its
+    violations to ``errors`` (a missing key named after ``prefix``)."""
+    values = {f.name: next((s[f.name] for s in sources if f.name in s), f.default)
+              for f in fields(cls)}
+    found = [f"{prefix}{n}: required" for n, v in values.items() if v is MISSING]
     if not found:
         try:
             return cls(**values)
@@ -279,12 +283,11 @@ def _build(cls, sources: list, errors: list):
 def validate_spec(text: str) -> ExperimentSpec:
     """Parse and fully validate a YAML run specification.
 
-    The keys, defaults and checks are the fields of ``ExperimentSpec`` and
-    ``MethodSpec`` (see ``_YAML_KEY`` for the keys spelled otherwise);
-    ``defaults`` holds method values shared by every entry (its chmc-only
-    keys by the chmc entries). Every violation is collected (no fail-fast)
-    and reported through a single ConfigError whose ``errors`` list names
-    the offending field paths.
+    The keys, defaults and checks are the fields of ``ExperimentSpec``, its
+    ``TargetSpec`` and each ``MethodSpec``; ``defaults`` holds method values
+    shared by every entry (its chmc-only keys by the chmc entries). Every
+    violation is collected (no fail-fast) and reported through a single
+    ConfigError whose ``errors`` list names the offending field paths.
     """
     errors: list[str] = []
     try:
@@ -299,17 +302,16 @@ def validate_spec(text: str) -> ExperimentSpec:
     listed = raw.get("methods")
     entries = {f"methods[{i}]": _mapping(e, f"methods[{i}]", errors)
                for i, e in enumerate(listed if isinstance(listed, list) else [])}
-    spec_keys = [_YAML_KEY.get(f.name, f.name) for f in fields(ExperimentSpec)]
     levels = [
-        ("config", raw, {k.partition(".")[0] for k in spec_keys} | {"defaults", *_TOP_METHOD_KEYS}),
-        ("target", target, {k.partition(".")[2] for k in spec_keys if k.startswith("target.")}),
+        ("config", raw, {f.name for f in fields(ExperimentSpec)} | {"defaults", *_TOP_METHOD_KEYS}),
+        ("target", target, {f.name for f in fields(TargetSpec)}),
         ("defaults", defaults, set(_METHOD_KEYS) - set(_ENTRY_KEYS)),
     ] + [(path, entry, set(_METHOD_KEYS)) for path, entry in entries.items()]
     for path, mapping, known in levels:
         errors.extend(f"{path}.{key}: unknown field" for key in mapping if key not in known)
 
     top_keys = {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}
-    chmc_only = {k for k, f in zip(_METHOD_KEYS, fields(MethodSpec)) if "chmc_only" in f.metadata}
+    chmc_only = {f.name for f in fields(MethodSpec) if "chmc_only" in f.metadata}
     if not any(entry.get("method") == "chmc" for entry in entries.values()):
         errors.extend(f"defaults.{key}: only applies to chmc, and no method is chmc"
                       for key in defaults if key in chmc_only)
@@ -323,10 +325,11 @@ def validate_spec(text: str) -> ExperimentSpec:
         errors.extend(f"{path}.{e}" if e.partition(":")[0] in _METHOD_KEYS else f"{path}: {e}"
                       for e in found)
     built = tuple(m for m in methods if m is not None)
-    top = dict(raw, methods=built, **{f"target.{k}": v for k, v in target.items()})
+    top = dict(raw, target=_build(TargetSpec, [target], errors, "target."), methods=built)
     spec = _build(ExperimentSpec, [top], errors)
-    if methods and not built:  # every entry failed and has said why
-        errors = [e for e in errors if e != _NO_METHODS]
+    # a failed target, and a methods list whose every entry failed, have said why
+    said = (_NO_TARGET, _NO_METHODS) if methods and not built else (_NO_TARGET,)
+    errors = [e for e in errors if e not in said]
     if errors:
         raise ConfigError(errors)
     return spec
@@ -356,16 +359,17 @@ def build_target(spec: ExperimentSpec):
     A mean or covariance file that cannot be read or gives no valid Gaussian
     raises ``ConfigError`` naming its key, before a run writes anything.
     """
-    if spec.target_kind == "quartic":
-        return QuarticGeneralizedGaussian(spec.dimension), quartic_target_variance()
-    d = spec.dimension
+    target = spec.target
+    if target.kind == "quartic":
+        return QuarticGeneralizedGaussian(target.dimension), quartic_target_variance()
+    d = target.dimension
     key, mean, cov = "target.mean_path", np.zeros(d), np.eye(d)
     try:
-        if spec.mean_path is not None:
-            mean = _load_array(spec.mean_path, (d,))
+        if target.mean_path is not None:
+            mean = _load_array(target.mean_path, (d,))
         key = "target.cov_path"
-        if spec.cov_path is not None:
-            cov = _load_array(spec.cov_path, (d, d))
+        if target.cov_path is not None:
+            cov = _load_array(target.cov_path, (d, d))
         return MultivariateGaussian(mean, cov), cov
     except (OSError, ValueError) as exc:
         raise ConfigError([f"{key}: {exc}"]) from exc
@@ -397,9 +401,9 @@ def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: in
     """One chain of one method; ``built`` is ``build_target(spec)``."""
     method = spec.methods[method_idx]
     target, target_cov = built
-    mass = MassMatrix.identity(spec.dimension)
+    mass = MassMatrix.identity(spec.target.dimension)
     diagonal = spec.resolved_covariance_mode() == "diagonal"
-    tracker = CovarianceTracker(spec.dimension, target_cov, diagonal=diagonal,
+    tracker = CovarianceTracker(spec.target.dimension, target_cov, diagonal=diagonal,
                                 record_stride=spec.record_stride)
     cfg = method.sampler_config(spec.seed)
     trace_path = os.path.join(spec.output_dir, f"trace_{method.name}_{chain_idx}.csv")
@@ -462,12 +466,12 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
         writer.writerow(SUMMARY_COLUMNS)
         for m, method in enumerate(spec.methods):
             for c in range(spec.chains):
-                writer.writerow(_summary_row(method, spec.dimension, c, results[(m, c)]))
+                writer.writerow(_summary_row(method, spec.target.dimension, c, results[(m, c)]))
         for m, method in enumerate(spec.methods):
             rows = [results[(m, c)] for c in range(spec.chains)]
             mean_metrics = {k: math.fsum(r[k] for r in rows) / len(rows) for k in metric_keys}
             mean_metrics["wall_time_s"] = math.fsum(r["wall_time_s"] for r in rows)
-            writer.writerow(_summary_row(method, spec.dimension, "mean", mean_metrics))
+            writer.writerow(_summary_row(method, spec.target.dimension, "mean", mean_metrics))
 
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -560,7 +564,7 @@ def main(argv=None) -> int:
             return _config_error(exc)
         if args.command == "validate":
             print(f"ok: {len(spec.methods)} method(s), {spec.chains} chain(s), "
-                  f"target {spec.target_kind} d={spec.dimension}")
+                  f"target {spec.target.kind} d={spec.target.dimension}")
             return EXIT_OK
         try:
             manifest = run_experiment(spec, workers=args.workers)

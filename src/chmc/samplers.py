@@ -32,7 +32,7 @@ from .jacobian import JacobianMode
 from .phase import MassMatrix, PhaseState, require_integer
 
 METHODS = ("hmc-leapfrog", "chmc")
-INITIAL_STATE_MODES = ("zeros", "standard-normal", "explicit")
+INITIAL_STATE_MODES = ("standard-normal", "explicit")
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,6 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 def initial_position(cfg: SamplerConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
-    if cfg.initial_state_mode == "zeros":
-        return np.zeros(dim)
     if cfg.initial_state_mode == "explicit":
         if cfg.initial_state.size != dim:
             raise ValueError("explicit initial state has the wrong dimension")

@@ -158,7 +158,7 @@ class MultivariateGaussian(Potential):
         return self._sigma_inv @ (Q + q - 2.0 * self.mean)
 
     def closed_form_force_jacobian(self, Q: np.ndarray, q: np.ndarray):
-        return self._sigma_inv.copy(), self._sigma_inv.copy()
+        return self._sigma_inv, self._sigma_inv
 
 
 def quartic_target_variance() -> float:

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from chmc.cli import (
     ConfigError,
@@ -16,6 +17,7 @@ from chmc.cli import (
     EXIT_RUNTIME_ERROR,
     ExperimentSpec,
     MethodSpec,
+    TargetSpec,
     build_target,
     format_table,
     main,
@@ -151,7 +153,7 @@ class TestValidateSpec:
         assert spec.record_stride == 5
         assert spec.methods[0].max_fpi is None
         assert spec.methods[1].max_fpi == 10
-        assert spec.methods[1].jacobian_kind == "J0"
+        assert spec.methods[1].jacobian == "J0"
         assert spec.methods[1].delta == 1e-8
 
     def test_all_violations_reported(self):
@@ -187,18 +189,6 @@ methods: []
         with pytest.raises(ConfigError) as err:
             validate_spec(text + "\ncovariance_mode: full\n")
         assert any("covariance_mode" in e for e in err.value.errors)
-
-    def test_initial_state_reaches_sampler_and_meta(self, tmp_path):
-        out = tmp_path / "run"
-        text = MINIMAL.format(chains=1, iterations=1, out=out).replace(
-            "delta: 1.0e-8}", "delta: 1.0e-8, initial_state: zeros}")
-        spec = validate_spec(text)
-        for method in spec.methods:
-            assert method.initial_state == "zeros"
-            assert method.sampler_config(seed=0).initial_state_mode == "zeros"
-        run_experiment(spec)
-        meta = json.loads((out / "meta.json").read_text())
-        assert [m["initial_state"] for m in meta["spec"]["methods"]] == ["zeros", "zeros"]
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         text = MINIMAL.format(chains=1, iterations=1, out=tmp_path / "o").replace(
@@ -244,7 +234,7 @@ methods: []
     def test_leapfrog_spec_built_in_code_refuses_chmc_fields(self):
         with pytest.raises(ConfigError) as err:
             MethodSpec(name="x", method="hmc-leapfrog", tau=0.1, total_time=1.0,
-                       iterations=10, max_fpi=3, jacobian_kind="JFull")
+                       iterations=10, max_fpi=3, jacobian="JFull")
         assert err.value.errors == ["jacobian: only applies to chmc",
                                     "max_fpi: only applies to chmc"]
         leapfrog = MethodSpec(name="x", method="hmc-leapfrog", tau=0.1, total_time=1.0,
@@ -253,7 +243,7 @@ methods: []
             dataclasses.replace(leapfrog, dd_guard=1e-6)
         assert err.value.errors == ["dd_guard: only applies to chmc"]
         chmc = dataclasses.replace(leapfrog, method="chmc")
-        assert (chmc.jacobian_kind, chmc.max_fpi) == ("J0", 10)
+        assert (chmc.jacobian, chmc.max_fpi) == ("J0", 10)
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(chmc, method="hmc-leapfrog")
         assert len(err.value.errors) == 6
@@ -299,11 +289,15 @@ methods: []
         method = MethodSpec(name="a", method="chmc", tau=0.1, total_time=4, iterations=5)
         assert isinstance(method.total_time, float)
         with pytest.raises(ConfigError) as err:
-            ExperimentSpec(target_kind="banana", dimension=0, methods=(method, method),
-                           output_dir="o", chains=0, seed=-1, workers=True)
+            TargetSpec(kind="banana", dimension=0)
         assert err.value.errors == [
             "target.kind: expected one of ['quartic', 'gaussian'], got 'banana'",
-            "target.dimension: must be >= 1, got 0",
+            "target.dimension: must be >= 1, got 0"]
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(target=TargetSpec(kind="quartic", dimension=1),
+                           methods=(method, method), output_dir="o", chains=0, seed=-1,
+                           workers=True)
+        assert err.value.errors == [
             "chains: must be >= 1, got 0",
             "seed: must be >= 0, got -1",
             "workers: expected an integer, got True",
@@ -320,9 +314,11 @@ methods: []
                                     "max_fpi: expected an integer, got 2.5"]
         spec = validate_spec(MINIMAL.format(chains=1, iterations=3, out="x"))
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(spec, dimension=3.0, record_stride=2.5)
-        assert err.value.errors == ["target.dimension: expected an integer, got 3.0",
-                                    "record_stride: expected an integer, got 2.5"]
+            dataclasses.replace(spec.target, dimension=3.0)
+        assert err.value.errors == ["target.dimension: expected an integer, got 3.0"]
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(spec, record_stride=2.5)
+        assert err.value.errors == ["record_stride: expected an integer, got 2.5"]
 
     def test_replace_runs_the_same_checks(self):
         spec = validate_spec(MINIMAL.format(chains=1, iterations=3, out="x"))
@@ -358,13 +354,13 @@ class TestRunExperiment:
         assert meta["schema_version"] == 1
         assert meta["covariance_mode"] == "full"
         assert meta["seed"] == 11
-        assert meta["spec"]["dimension"] == 3
+        assert meta["spec"]["target"]["dimension"] == 3
 
     def test_meta_records_null_chmc_fields_for_leapfrog(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(validate_spec(MINIMAL.format(chains=1, iterations=2, out=out)))
         leapfrog, chmc = json.loads((out / "meta.json").read_text())["spec"]["methods"]
-        chmc_only = ("jacobian_kind", "jacobian_source", "delta", "max_fpi", "dd_guard",
+        chmc_only = ("jacobian", "jacobian_source", "delta", "max_fpi", "dd_guard",
                      "init_mode")
         assert [leapfrog[k] for k in chmc_only] == [None] * 6
         assert [chmc[k] for k in chmc_only] == [
@@ -442,6 +438,19 @@ class TestRunExperiment:
                                                    [0.0, -0.1, 0.6]]), delimiter=",")
         run_experiment(validate_spec(GOLDEN_GAUSSIAN.format(out=tmp_path / "o", files=tmp_path)))
         assert csv_digests(tmp_path / "o") == GOLDEN_GAUSSIAN_DIGESTS
+
+    @pytest.mark.parametrize("template", [GOLDEN, GOLDEN_GAUSSIAN, MINIMAL],
+                             ids=["golden", "golden-gaussian", "minimal"])
+    def test_meta_spec_loads_back_as_the_spec_that_ran(self, tmp_path, template):
+        # meta.json's spec has the YAML's keys and nesting; MINIMAL's leapfrog
+        # entry records its chmc-only fields as null
+        np.save(tmp_path / "mean.npy", np.array([0.5, -0.25, 1.0]))
+        np.savetxt(tmp_path / "cov.csv", np.eye(3), delimiter=",")
+        text = template.format(out=tmp_path / "o", files=tmp_path, chains=2, iterations=3)
+        spec = validate_spec(text)
+        run_experiment(spec)
+        meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+        assert validate_spec(yaml.safe_dump(meta["spec"])) == spec
 
     def test_gaussian_target_with_files(self, tmp_path):
         mean = np.array([0.5, -0.25])
@@ -555,20 +564,24 @@ methods:
         assert err[0].startswith("config error: methods[1].name: must not contain '/' or NUL")
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", ["jacobian_h_fd: 1.0e-6", "initial_state: standard-normal"],
+                             ids=["jacobian_h_fd", "initial_state"])
     @pytest.mark.parametrize("where, path", [
         ("delta: 1.0e-8}", "defaults"),
         ("jacobian: J0}", "methods[1]"),
     ], ids=["defaults", "methods"])
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_finite_difference_step_is_no_field(self, tmp_path, capsys, command, where, path):
-        # the probes' step is fixed at sqrt(eps): a spec cannot set it
+    def test_removed_keys_are_no_fields(self, tmp_path, capsys, command, where, path, entry):
+        # the probes' step is fixed at sqrt(eps), and spec chains start
+        # standard-normal: a spec can set neither
         out = tmp_path / "o"
-        cfg = tmp_path / "h_fd.yaml"
+        cfg = tmp_path / "removed.yaml"
         cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=out).replace(
-            where, where[:-1] + ", jacobian_h_fd: 1.0e-6}"))
+            where, f"{where[:-1]}, {entry}}}"))
         assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"config error: {path}.jacobian_h_fd: unknown field"]
+        key = entry.partition(":")[0]
+        assert err == [f"config error: {path}.{key}: unknown field"]
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix, refused", [("csv", "(1, 2)"), ("npy", "(2,)")])

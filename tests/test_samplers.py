@@ -468,7 +468,8 @@ class TestRunChain:
     def test_zeros_initial_state_is_deterministic_start(self):
         t = QuarticGeneralizedGaussian(2)
         mass = MassMatrix.identity(2)
-        cfg = quartic_cfg(iterations=1, initial_state_mode="zeros", method="hmc-leapfrog")
+        cfg = quartic_cfg(iterations=1, initial_state_mode="explicit",
+                          initial_state=np.zeros(2), method="hmc-leapfrog")
         outs = []
         run_chain(cfg, t, mass, sinks=[lambda i, o, th: outs.append(o.delta_H)])
         # from the origin the first trajectory is identical across chains with

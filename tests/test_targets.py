@@ -146,6 +146,8 @@ class TestGaussianTarget:
         d_q, d_Q = t.closed_form_force_jacobian(np.array([1.0, 2.0]), np.array([0.5, -0.3]))
         np.testing.assert_allclose(d_q, prec, rtol=1e-10)
         np.testing.assert_allclose(d_Q, prec, rtol=1e-10)
+        # both are the target's own read-only precision, not copies per call
+        assert not (d_q.flags.writeable or d_Q.flags.writeable)
         for Q, q in separated_pairs(rng, 2, 20):
             fd_q = np.empty((2, 2))
             fd_Q = np.empty((2, 2))
