@@ -68,6 +68,25 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a mapping key given twice, where it keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+            try:
+                first = lines.get(key)
+            except TypeError:  # unhashable: the base constructor names it
+                break
+            if first is not None:
+                raise ConfigError([f"{key}: duplicate key at line {line} (first at line {first})"])
+            lines[key] = line
+        return super().construct_mapping(node, deep=deep)
+
+
 def _default(cls, name: str):
     return next(f.default for f in fields(cls) if f.name == name)
 
@@ -287,11 +306,12 @@ def validate_spec(text: str) -> ExperimentSpec:
     ``TargetSpec`` and each ``MethodSpec``; ``defaults`` holds method values
     shared by every entry (its chmc-only keys by the chmc entries). Every
     violation is collected (no fail-fast) and reported through a single
-    ConfigError whose ``errors`` list names the offending field paths.
+    ConfigError whose ``errors`` list names the offending field paths; a key
+    given twice in one mapping is refused alone, naming the key and its line.
     """
     errors: list[str] = []
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
@@ -341,9 +361,12 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def _load_array(path: str, shape: tuple) -> np.ndarray:
-    """A finite .npy or comma-separated text array of the given shape."""
-    arr = np.asarray(np.load(path) if path.endswith(".npy")
-                     else np.loadtxt(path, delimiter=",", ndmin=len(shape)), dtype=float)
+    """A finite, real .npy or comma-separated text array of the given shape."""
+    arr = (np.load(path) if path.endswith(".npy")
+           else np.loadtxt(path, delimiter=",", ndmin=len(shape)))
+    if arr.dtype.kind not in "iuf":  # complex would lose its imaginary part, bool reads as 0/1
+        raise ValueError(f"{path}: expected integer or floating entries, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim == 0:  # a 0-d .npy holds one value, as a one-entry text file does
         arr = arr.reshape((1,) * len(shape))
     if arr.shape != shape:

@@ -121,7 +121,9 @@ class DmmSolverConfig:
     delta: absolute per-step energy tolerance, finite and positive.
     max_fpi: cap on fixed-point updates per step.
     dd_guard: base of the relative guard of ``divided_difference_force``;
-        component i uses the threshold dd_guard * max(1, |q_i|).
+        component i uses the threshold dd_guard * max(1, |q_i|). Only that
+        black-box force reads it, so it has no effect on a target with a
+        closed-form force, which every target a YAML spec builds has.
     """
 
     tau: float
@@ -144,10 +146,11 @@ class DmmSolverConfig:
 class StepRecord:
     """Outcome of one energy-preserving step, ending at the arrays (q, p).
 
-    ``energy_error`` is |f . (Q - g)| / 2 at the last update, the
-    discrete-gradient value of |H(q, p) - H(q_in, p_in)| (see the module
-    docstring); it is inf when the solve blew up, in which case (q, p) is
-    the input pair and the caller must reject. ``force`` is F(q, q_in), the
+    The step made ``fpi_iterations`` + 1 forces: the first iterate's and
+    one per update. ``energy_error`` is |f . (Q - g)| / 2 at the last
+    update, the discrete-gradient value of |H(q, p) - H(q_in, p_in)| (see
+    the module docstring); it is inf when the solve blew up, in which case
+    (q, p) is the input pair and the caller must reject. ``force`` is F(q, q_in), the
     force of the last update, so p = p_in - (tau/2) force (None when the step
     failed); the finite-difference Jacobian probes reuse it as their base
     value, and the next step of a trajectory freezes it in its predictor.
@@ -164,7 +167,6 @@ class StepRecord:
     p: np.ndarray
     fpi_iterations: int
     energy_error: float
-    force_evaluations: int
     converged: bool
     force: Optional[np.ndarray] = None
     chord: Optional[np.ndarray] = None
@@ -290,7 +292,6 @@ def dmm_step(
     p: np.ndarray,
     potential,
     cfg: DmmSolverConfig,
-    init_guess: Optional[tuple] = None,
     f_prev: Optional[np.ndarray] = None,
     chord_prev: Optional[tuple] = None,
     scratch: Optional[StepScratch] = None,
@@ -303,11 +304,10 @@ def dmm_step(
     Q_pc = a - (tau/2)^2 f_prev, or q_prev + (Q_pc - q_prev) / D_pred
     with ``chord_prev`` = (q_prev, D_pred), the previous step's input
     position and ``StepRecord.chord`` (see the module docstring).
-    ``init_guess``, a (Q, P) pair, overrides the prediction at no force
-    evaluation (warm-starts reverse solves). At least one fixed-point update always runs before the
-    first energy test: the first iterate is a guess, and testing it would let
-    a guess that happens to sit on the input energy surface (such as an
-    ``init_guess`` next to (q, p)) return the input unchanged.
+    At least one fixed-point update always runs before the first energy
+    test: the first iterate is a guess, and testing it would let a guess
+    that happens to sit on the input energy surface return the input
+    unchanged.
     The energy test is the discrete-gradient identity, so the solve never
     calls ``potential.evaluate`` (a divided-difference force does, to form F).
     The last iterate is returned whether or not the tolerance was met
@@ -326,27 +326,20 @@ def dmm_step(
     On a separable target, one ``closed_form_force_jacobian_diag`` call per
     step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) (X = g(Q0) without
     ``chord_prev``), sets up this step's chord update and ``StepRecord.chord``
-    (see ``_chord_scale``); ``force_evaluations`` counts forces only. Other
-    targets take plain updates. ``scratch`` (a fresh ``StepScratch`` when
-    None) changes no result.
+    (see ``_chord_scale``). Other targets take plain updates. ``scratch``
+    (a fresh ``StepScratch`` when None) changes no result.
     """
     s = StepScratch(potential, cfg) if scratch is None else scratch
     half, half2 = s.half, s.half2
     a, g, r, t = s.a, s.g, s.r, s.t
     np.add(q, np.multiply(p, s.tau, a), a)
-    if init_guess is not None:
-        Q, P = init_guess
-        f = (p - P) / half
-        force_evals = 0
+    Q = a if f_prev is None else np.subtract(a, np.multiply(f_prev, half2, t), t)
+    if chord_prev is None:
+        Q = Q.copy()
     else:
-        Q = a if f_prev is None else np.subtract(a, np.multiply(f_prev, half2, t), t)
-        if chord_prev is None:
-            Q = Q.copy()
-        else:
-            q_prev, D_pred = chord_prev
-            Q = q_prev + np.divide(np.subtract(Q, q_prev, t), D_pred, t)
-        f = s.force(Q, q)
-        force_evals = 1
+        q_prev, D_pred = chord_prev
+        Q = q_prev + np.divide(np.subtract(Q, q_prev, t), D_pred, t)
+    f = s.force(Q, q)
     np.subtract(a, np.multiply(f, half2, g), g)
     np.subtract(g, Q, r)
     D = D_next = None
@@ -358,7 +351,6 @@ def dmm_step(
     while True:
         Q = g.copy() if D is None else Q + np.divide(r, D, t)
         f = s.force(Q, q)
-        force_evals += 1
         iterations += 1
         np.subtract(a, np.multiply(f, half2, g), g)
         err = abs(0.5 * float(f @ np.subtract(g, Q, r)))
@@ -371,9 +363,8 @@ def dmm_step(
     P = np.subtract(p, np.multiply(f, half, t))
     # a finite f . (g - Q) already implies finite f, g and Q
     if not (err < math.inf and np.isfinite(P).all()):
-        return StepRecord(q, p, iterations, math.inf, force_evals, False)
-    return StepRecord(Q, P, iterations, err, force_evals, converged, force=f, chord=D_next,
-                      tolerance=tol)
+        return StepRecord(q, p, iterations, math.inf, False)
+    return StepRecord(Q, P, iterations, err, converged, force=f, chord=D_next, tolerance=tol)
 
 
 @dataclass(frozen=True)
@@ -422,13 +413,13 @@ def trajectory(
 
     ``n_steps`` is an integer >= 1. ``u_in``, when given, is U(state.q) as
     ``potential_energy`` gives it (a chain passes the value its last
-    trajectory reported for the position it kept); without it the
-    trajectory also evaluates U at its start, after ``hamiltonian`` has
-    checked the dimensions. The steps run on the raw arrays of ``state``,
-    and each after the first starts its solve from the previous step's
-    force and predicted chord (see ``dmm_step``). ``all_converged`` also
-    needs |H_out - H_in| within the sum of the steps' ``tolerance`` plus a
-    few ulps of |H_in| + |H_out|, which only a force that breaks the
+    trajectory reported for the position it kept); without it
+    ``hamiltonian`` evaluates U at the start, after checking the
+    dimensions. The steps run on the raw arrays of ``state``, and each
+    after the first starts its solve from the previous step's force and
+    predicted chord (see ``dmm_step``). ``all_converged`` also needs
+    |H_out - H_in| within the sum of the steps' ``tolerance`` plus a few
+    ulps of |H_in| + |H_out|, which only a force that breaks the
     discrete-gradient contract can miss (see the module docstring).
 
     For a J1 or JFull ``jacobian_mode`` it builds the factor, a
@@ -439,10 +430,7 @@ def trajectory(
     """
     if require_integer("n_steps", n_steps) < 1:
         raise ValueError("n_steps must be >= 1")
-    k_in = hamiltonian(state, potential, 0.0)  # K(p): dimensions checked first
-    if u_in is None:
-        u_in = potential_energy(state.q, potential)
-    h_in = u_in + k_in
+    u_in, h_in = hamiltonian(state, potential, u_in)
     q, p = state.q, state.p
     total_f = total_it = 0
     all_converged, allowed = True, 0.0
@@ -452,7 +440,7 @@ def trajectory(
            else JacobianAccumulator(jacobian_mode, scratch.half2, potential, scratch.force))
     for _ in range(n_steps):
         rec = dmm_step(q, p, potential, cfg, f_prev=f_prev, chord_prev=chord_prev, scratch=scratch)
-        total_f += rec.force_evaluations
+        total_f += rec.fpi_iterations + 1
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):
             break
@@ -505,10 +493,7 @@ def leapfrog_trajectory(
         raise ValueError("tau must be finite and positive")
     if potential.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
-    k_in = hamiltonian(state, potential, 0.0)  # K(p): dimensions checked first
-    if u_in is None:
-        u_in = potential_energy(state.q, potential)
-    h_in = u_in + k_in
+    u_in, h_in = hamiltonian(state, potential, u_in)
     grad = potential.gradient
     dt, half, dt2 = map(scalar_operand, (tau, 0.5 * tau, tau * tau))
     buf = np.empty(state.dim)

@@ -95,11 +95,13 @@ def potential_energy(q: np.ndarray, potential) -> float:
     return u if math.isfinite(u) else math.inf
 
 
-def hamiltonian(state: PhaseState, potential, u: float | None = None) -> float:
-    """H(q, p) = U(q) + p . p / 2 of a validated state, after checking its
-    dimension. ``u``, when given, is ``potential_energy(state.q, potential)``
-    already computed, and no evaluation is made.
+def hamiltonian(state: PhaseState, potential, u: float | None = None) -> tuple[float, float]:
+    """(U, H) of a validated state, H(q, p) = U(q) + p . p / 2, after checking
+    its dimension. U is ``u`` when given (``potential_energy(state.q, potential)``
+    already computed), else evaluated here, after the check.
     """
     if state.dim != potential.dim:
         raise ValueError(f"state dimension {state.dim} != potential dimension {potential.dim}")
-    return (potential_energy(state.q, potential) if u is None else u) + kinetic(state.p)
+    if u is None:
+        u = potential_energy(state.q, potential)
+    return u, u + kinetic(state.p)

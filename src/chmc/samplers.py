@@ -144,11 +144,11 @@ class StateCache:
 
     ``u`` is U(theta) as ``potential_energy`` gives it and ``kick`` is
     (tau/2) grad U(theta), an array the integrator made; both are None until
-    an iteration computes them. An iteration that gets a cache passes them
-    to its trajectory, then stores the trajectory's end values if it accepts
-    and its start values if it rejects (a failed trajectory included). They
-    are the bits a fresh evaluation at theta gives, so the chain is the same
-    and only the target calls drop.
+    an iteration computes them. ``run_chain`` hands one to every iteration,
+    which passes them to its trajectory, then stores the trajectory's end
+    values if it accepts and its start values if it rejects (a failed
+    trajectory included). They are the bits a fresh evaluation at theta
+    gives, so the chain is the same and only the target calls drop.
     """
 
     __slots__ = ("u", "kick")
@@ -158,31 +158,28 @@ class StateCache:
 
 
 def chmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
-                   rng: np.random.Generator, cache: Optional[StateCache] = None):
+                   rng: np.random.Generator, cache: StateCache):
     """One conservative-sampler iteration: draw p ~ N(0, I), integrate, accept/reject."""
     state = PhaseState(theta, rng.standard_normal(theta.size))
-    u = None if cache is None else cache.u
-    rec = trajectory(state, target, cfg.solver, cfg.n_steps, cfg.jacobian_mode, u_in=u)
+    rec = trajectory(state, target, cfg.solver, cfg.n_steps, cfg.jacobian_mode, u_in=cache.u)
     return _accept_reject(theta, rec, rng, cache)
 
 
 def hmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
-                  rng: np.random.Generator, cache: Optional[StateCache] = None):
+                  rng: np.random.Generator, cache: StateCache):
     """One leapfrog-HMC iteration from p ~ N(0, I); its map is volume preserving (J = 1)."""
     state = PhaseState(theta, rng.standard_normal(theta.size))
-    u, kick = (None, None) if cache is None else (cache.u, cache.kick)
-    rec = leapfrog_trajectory(state, target, cfg.tau, cfg.n_steps, u_in=u, kick_in=kick)
+    rec = leapfrog_trajectory(state, target, cfg.tau, cfg.n_steps, u_in=cache.u,
+                              kick_in=cache.kick)
     return _accept_reject(theta, rec, rng, cache)
 
 
-def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator,
-                   cache: Optional[StateCache]):
+def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator, cache: StateCache):
     """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf.
 
     ``rec.jacobian`` is the trajectory's Jacobian factor, None for J = 1 (J0
     and leapfrog); alpha is formed from its (sign, log_abs) and the outcome
-    reports its product. ``cache``, when given, takes the values at the
-    position kept.
+    reports its product. ``cache`` takes the values at the position kept.
     """
     u = rng.random()
     j = rec.jacobian
@@ -197,9 +194,7 @@ def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator,
     outcome = IterationOutcome(accepted, alpha, delta_h, product,
                                rec.total_force_evaluations, rec.total_fpi_iterations,
                                rec.all_converged, jacobian_evals)
-    if cache is not None:
-        cache.u, cache.kick = ((rec.u_out, rec.kick_out) if accepted
-                               else (rec.u_in, rec.kick_in))
+    cache.u, cache.kick = (rec.u_out, rec.kick_out) if accepted else (rec.u_in, rec.kick_in)
     return (rec.q if accepted else theta), outcome
 
 

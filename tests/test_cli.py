@@ -177,6 +177,15 @@ methods: []
         assert "methods[0].tau: required" in err.value.errors
         assert "methods: required non-empty list" not in err.value.errors
 
+    @pytest.mark.parametrize("text", ['target: !!map "quartic"\n', "target: !!map [1]\n",
+                                      "target: [\n"], ids=["scalar", "sequence", "unclosed"])
+    def test_malformed_yaml_is_one_config_error(self, text):
+        # the duplicate-key check leaves a node that is no mapping to YAML's own error
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith("config is not valid YAML: ")
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError) as err:
             validate_spec(MINIMAL.format(chains=1, iterations=1, out="x")
@@ -547,6 +556,74 @@ methods:
         assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    @staticmethod
+    def gaussian_files(tmp_path, key, convert):
+        """A gaussian spec at d = 2 whose ``key`` file holds its array through ``convert``."""
+        paths = {}
+        for name, value in (("mean_path", np.array([1.0, 3.0])), ("cov_path", np.eye(2))):
+            paths[name] = tmp_path / f"{name}.npy"
+            np.save(paths[name], convert(value) if name == key else value)
+        cfg = tmp_path / "gauss.yaml"
+        cfg.write_text(f"""
+target: {{kind: gaussian, dimension: 2, mean_path: {paths['mean_path']},
+         cov_path: {paths['cov_path']}}}
+iterations: 3
+output_dir: {tmp_path / 'o'}
+defaults: {{tau: 0.1, total_time: 1.0}}
+methods:
+  - {{name: chmc-j0, method: chmc, jacobian: J0}}
+""")
+        return cfg, paths[key]
+
+    @pytest.mark.parametrize("dtype, convert", [
+        ("complex128", lambda a: a + 2j),
+        ("bool", lambda a: a != 0.0),
+    ], ids=["complex", "bool"])
+    @pytest.mark.parametrize("key", ["mean_path", "cov_path"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_gaussian_arrays_must_be_real_numbers(self, tmp_path, capsys, command, key, dtype,
+                                                  convert):
+        # a complex array would lose its imaginary part and a bool one read as 0/1
+        cfg, path = self.gaussian_files(tmp_path, key, convert)
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: target.{key}: {path}: expected integer or floating entries, "
+            f"got dtype {dtype}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["mean_path", "cov_path"])
+    def test_integer_gaussian_arrays_are_numbers(self, tmp_path, key):
+        cfg, _ = self.gaussian_files(tmp_path, key, lambda a: a.astype(np.int64))
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        target, _ = build_target(validate_spec(cfg.read_text()))
+        assert (target.mean.tolist(), target.cov.tolist()) == ([1.0, 3.0], np.eye(2).tolist())
+
+    @pytest.mark.parametrize("first, second", [
+        ("seed: 1", "seed: 2"),
+        ("  tau: 0.1", "  tau: 0.2"),
+        ("    jacobian: J1", "    jacobian: JFull"),
+    ], ids=["top", "defaults", "methods"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys, command, first, second):
+        # YAML loaders keep the last of two equal keys, so a spec with one
+        # would run a value that another reader of the file takes as unset
+        out = tmp_path / "o"
+        lines = ["target:", "  kind: quartic", "  dimension: 2", "seed: 1", "iterations: 3",
+                 f"output_dir: {out}", "defaults:", "  tau: 0.1", "  total_time: 1.0",
+                 "methods:", "  - name: chmc", "    method: chmc", "    jacobian: J1"]
+        cfg = tmp_path / "dup.yaml"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+        line = lines.index(first) + 1
+        lines.insert(line, second)
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        key = first.strip().partition(":")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key}: duplicate key at line {line + 1} (first at line {line})"]
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["a/b", "a\\0b"])

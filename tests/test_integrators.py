@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +19,7 @@ from chmc import (
     step_jacobian,
     trajectory,
 )
-from chmc.integrators import force_function
+from chmc.integrators import StepRecord, force_function
 from chmc.phase import kinetic
 
 
@@ -183,6 +185,17 @@ def first_iterate(q, p, target, cfg, f_prev=None, chord_prev=None):
     finally:
         del target.closed_form_force
     return calls[0]
+
+
+def counted_step(q, p, target, cfg, **kwargs):
+    """``dmm_step``'s record and the number of forces it made."""
+    calls = []
+    force = target.closed_form_force
+    target.closed_form_force = lambda Q, q_in: calls.append(Q) or force(Q, q_in)
+    try:
+        return dmm_step(q, p, target, cfg, **kwargs), len(calls)
+    finally:
+        del target.closed_form_force
 
 
 def plain_fixed_point(state, potential, cfg):
@@ -567,8 +580,8 @@ class TestDmmStep:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         rng = np.random.default_rng(5)
         s = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
-        rec = dmm_step(s.q, s.p, t, cfg)
-        assert rec.force_evaluations == 1 + rec.fpi_iterations
+        rec, forces = counted_step(s.q, s.p, t, cfg)
+        assert forces == 1 + rec.fpi_iterations
 
     def test_unconverged_iterate_still_returned(self):
         t = QuarticGeneralizedGaussian(2)
@@ -600,15 +613,6 @@ class TestDmmStep:
                 rec = dmm_step(s.q, s.p, target, cfg)
                 assert rec.converged
                 assert rec.energy_error <= 1e-11
-
-    def test_warm_start_init_guess(self):
-        t = QuarticGeneralizedGaussian(2)
-        cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
-        s = PhaseState([0.4, -0.2], [1.0, 0.5])
-        rec = dmm_step(s.q, s.p, t, cfg)
-        warm = dmm_step(s.q, s.p, t, cfg, init_guess=(rec.q, rec.p))
-        assert warm.converged
-        assert warm.fpi_iterations <= rec.fpi_iterations
 
     def test_contraction_residuals_decrease(self):
         # successive fixed-point residual norms shrink monotonically at tau = 0.1
@@ -644,11 +648,11 @@ class TestChordSolve:
         tight = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(30):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-            rec = dmm_step(s.q, s.p, t, cfg)
+            rec, forces = counted_step(s.q, s.p, t, cfg)
             _, _, plain_updates, _ = plain_fixed_point(s, t, cfg)
             assert rec.converged
             assert rec.fpi_iterations <= plain_updates
-            assert rec.force_evaluations == 1 + rec.fpi_iterations
+            assert forces == 1 + rec.fpi_iterations
             rec = dmm_step(s.q, s.p, t, tight)
             Q, P, _, err = plain_fixed_point(s, t, tight)
             assert rec.converged and err <= tight.delta
@@ -684,17 +688,19 @@ class TestChordSolve:
         assert_record_is_plain(rec, s, t, cfg)
 
     def test_predicted_chord_example(self):
-        # tau = 1: from (q, p) = (0.5, 0.5) with P = p, f = 0 and the
-        # Jacobian point is g = q + tau p = 1. The quartic's diagonals there
-        # are dF/dq = 4 (1.5)(0.5) + 2 (1.25) = 5.5 and
-        # dF/dQ = 4 (1.5)(1) + 2.5 = 8.5, so D = 1 + (1/4)(8.5) = 3.125 and
-        # D_next = 1 + (1/4)(2 (8.5) - 5.5) = 3.875, both exact
+        # tau = 1: from (q, p) = (0.5, 0.5) the Euler first iterate is
+        # Q0 = q + tau p = 1, where F = 2 (1 + 0.25)(1.5) = 3.75, so the
+        # Jacobian point is g = 1 - 3.75 / 4 = 1/16. The quartic's diagonals
+        # there are dF/dq = 2 (2 q (Q + q) + Q^2 + q^2) = 209/128 and
+        # dF/dQ = 2 (2 Q (Q + q) + Q^2 + q^2) = 83/128, so
+        # D = 1 + (1/4)(83/128) = 595/512 and
+        # D_next = 1 + (1/4)(2 (83/128) - 209/128) = 469/512, all dyadic and exact
         t = QuarticGeneralizedGaussian(1)
         cfg = DmmSolverConfig(tau=1.0, max_fpi=1)
         q, p = np.array([0.5]), np.array([0.5])
-        rec = dmm_step(q, p, t, cfg, init_guess=(np.array([0.9]), p))
-        assert rec.chord[0] == 3.875
-        assert rec.q[0] == pytest.approx(0.9 + 0.1 / 3.125, rel=1e-15)
+        rec = dmm_step(q, p, t, cfg)
+        assert rec.chord[0] == 469 / 512
+        assert rec.q[0] == pytest.approx(1.0 + (1 / 16 - 1.0) / (595 / 512), rel=1e-15)
 
     def test_jacobian_point_is_estimated_midpoint(self):
         # with a predicted chord the Jacobian-diagonal call is made at
@@ -736,9 +742,9 @@ class TestChordSolve:
         # the first iterate is never tested: even the rest state takes one update
         t = SeparableDoubleWell(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
-        rec = dmm_step(np.array([0.0]), np.array([0.0]), t, cfg)
+        rec, forces = counted_step(np.array([0.0]), np.array([0.0]), t, cfg)
         assert rec.converged and rec.fpi_iterations == 1
-        assert rec.force_evaluations == 2
+        assert forces == 2
         assert len(t.jacobian_args) == 1
 
     def test_capped_solve_converges_at_d2560(self, monkeypatch):
@@ -861,9 +867,9 @@ class TestPredictorCorrector:
 
     @pytest.mark.parametrize("case", ["quartic-d1", "gaussian-d3"])
     def test_random_perturb_start_always_moves(self, case):
-        # a first iterate perturbed off (q, p) by 1e-9 sits on the input
-        # energy surface; testing it before an update would return the input
-        # unchanged
+        # an f_prev that puts Q_pc = q + tau p - (tau/2)^2 f_prev 1e-9 from q
+        # gives a first iterate on the input energy surface; testing it
+        # before an update would return the input unchanged
         rng = np.random.default_rng(48)
         if case == "quartic-d1":
             t = QuarticGeneralizedGaussian(1)
@@ -872,7 +878,10 @@ class TestPredictorCorrector:
         cfg = DmmSolverConfig(tau=0.1)
         for _ in range(200):
             q, p = rng.uniform(-1.5, 1.5, t.dim), rng.uniform(-1.5, 1.5, t.dim)
-            rec = dmm_step(q, p, t, cfg, init_guess=(q + 1e-9, p))
+            f_prev = (cfg.tau * p - 1e-9) / 0.05 ** 2
+            Q0, _ = first_iterate(q, p, t, cfg, f_prev)
+            assert np.abs(Q0 - q - 1e-9).max() <= 1e-15
+            rec = dmm_step(q, p, t, cfg, f_prev=f_prev)
             assert rec.fpi_iterations >= 1
             moving = p != 0.0
             assert (np.abs(rec.q - q)[moving] > 1e-6).all()
@@ -881,8 +890,8 @@ class TestPredictorCorrector:
 class TestReversibility:
     @pytest.mark.parametrize("dim", [1, 4, 8])
     def test_single_step_round_trip(self, dim):
-        # R o step o R o step = identity, reverse solve warm-started at the
-        # known answer, 100 random states per target
+        # R o step o R o step = identity, the reverse solve started from its
+        # Euler first iterate as any first step is, 50 random states per target
         rng = np.random.default_rng(34)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=200)
         targets = (QuarticGeneralizedGaussian(dim),
@@ -892,7 +901,7 @@ class TestReversibility:
                 z = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
                 fwd = dmm_step(z.q, z.p, target, cfg)
                 assert fwd.converged
-                back = dmm_step(fwd.q, -fwd.p, target, cfg, init_guess=(z.q, -z.p))
+                back = dmm_step(fwd.q, -fwd.p, target, cfg)
                 # R(back) = (back.q, -back.p)
                 assert np.max(np.abs(back.q - z.q)) <= 1e-8
                 assert np.max(np.abs(-back.p - z.p)) <= 1e-8
@@ -924,10 +933,10 @@ class TestTrajectory:
         cfg = DmmSolverConfig(tau=0.1)
         s = PhaseState([0.1, -0.3], [0.7, 0.2])
         rec = trajectory(s, t, cfg, 1)
-        step = dmm_step(s.q, s.p, t, cfg)
+        step, forces = counted_step(s.q, s.p, t, cfg)
         np.testing.assert_array_equal(rec.q, step.q)
         np.testing.assert_array_equal(rec.p, step.p)
-        assert rec.total_force_evaluations == step.force_evaluations
+        assert rec.total_force_evaluations == forces
 
     def test_energy_bound_over_forty_steps(self):
         t = QuarticGeneralizedGaussian(4)
@@ -950,22 +959,30 @@ class TestTrajectory:
         np.testing.assert_array_equal(steps[-1][3].q, rec.q)
         assert rec.jacobian.extra_force_evals == 2 * 5
 
+    def test_a_step_has_only_the_entries_a_chain_takes(self):
+        # no warm start: the first iterate is the predictor; no force count
+        # of its own: a step makes fpi_iterations + 1 forces
+        assert set(inspect.signature(dmm_step).parameters) == {
+            "q", "p", "potential", "cfg", "f_prev", "chord_prev", "scratch"}
+        assert "force_evaluations" not in {f.name for f in dataclasses.fields(StepRecord)}
+
     @pytest.mark.parametrize("integrate", [
         lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
         lambda s, t: leapfrog_trajectory(s, t, 0.1, 5),
     ])
     def test_one_checked_hamiltonian_per_trajectory(self, monkeypatch, integrate):
         # end energies come from phase.potential_energy on raw arrays; only
-        # the start state goes through the dimension-checked hamiltonian
+        # the start state goes through the dimension-checked hamiltonian,
+        # whose (U, H) are the record's (u_in, h_in)
         import chmc.integrators as integrators
 
         calls = []
         monkeypatch.setattr(integrators, "hamiltonian",
-                            lambda *args: calls.append(args) or hamiltonian(*args))
+                            lambda *args: calls.append(hamiltonian(*args)) or calls[-1])
         t = QuarticGeneralizedGaussian(2)
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
         rec = integrate(s, t)
-        assert len(calls) == 1
+        assert calls == [(rec.u_in, rec.h_in)]
         assert rec.h_out == t.evaluate(rec.q) + kinetic(rec.p)
 
     @pytest.mark.parametrize("integrate", [
@@ -1484,10 +1501,10 @@ class TestStepChecks:
     def test_non_finite_force_component_fails_the_step(self, value, target_cls):
         q, p = np.array([0.3, -0.2, 0.5]), np.array([1.0, 0.4, -0.7])
         with np.errstate(invalid="ignore", over="ignore"):
-            rec = dmm_step(q, p, target_cls(3, value), DmmSolverConfig(tau=0.1))
+            rec, forces = counted_step(q, p, target_cls(3, value), DmmSolverConfig(tau=0.1))
         assert rec.q is q and rec.p is p
         assert rec.energy_error == math.inf and not rec.converged
-        assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
+        assert (rec.fpi_iterations, forces) == (1, 2)
         assert rec.force is None and rec.chord is None
 
     @pytest.mark.parametrize("separable", [False, True])
@@ -1497,10 +1514,11 @@ class TestStepChecks:
         # P = 1.7e308 + 0.25e308 overflows
         q, p = np.zeros(2), np.full(2, 1.7e308)
         with np.errstate(over="ignore"):
-            rec = dmm_step(q, p, ConstantForce(2, separable), DmmSolverConfig(tau=0.5))
+            rec, forces = counted_step(q, p, ConstantForce(2, separable),
+                                       DmmSolverConfig(tau=0.5))
         assert rec.q is q and rec.p is p
         assert rec.energy_error == math.inf and not rec.converged
-        assert (rec.fpi_iterations, rec.force_evaluations) == (1, 2)
+        assert (rec.fpi_iterations, forces) == (1, 2)
 
     @pytest.mark.parametrize("row, value, chord_used, chord_kept", [
         (None, None, True, True),

@@ -11,6 +11,7 @@ from chmc import (
     PhaseState,
     QuarticGeneralizedGaussian,
     SamplerConfig,
+    StateCache,
     TrajectoryRecord,
     chmc_iteration,
     hamiltonian,
@@ -50,6 +51,11 @@ class TestPhaseState:
         np.testing.assert_array_equal(s.q, s.p)
 
 
+def energy(s, target):
+    """H(q, p), the second entry of ``hamiltonian``'s (U, H)."""
+    return hamiltonian(s, target)[1]
+
+
 def negate_momentum(s):
     """The momentum flip R(q, p) = (q, -p), written as the integrators write it."""
     return PhaseState(s.q, -s.p)
@@ -70,8 +76,8 @@ class TestNegateMomentum:
     def test_zero_momentum_keeps_energy(self):
         t = QuarticGeneralizedGaussian(2)
         s = PhaseState([0.3, -0.7], [0.0, 0.0])
-        h0 = hamiltonian(s, t)
-        h1 = hamiltonian(negate_momentum(s), t)
+        h0 = energy(s, t)
+        h1 = energy(negate_momentum(s), t)
         assert h0 == h1
 
     @pytest.mark.parametrize("target_dim", [1, 3, 8])
@@ -84,49 +90,62 @@ class TestNegateMomentum:
         for target in (quartic, gauss):
             for _ in range(100):
                 s = PhaseState(rng.standard_normal(target_dim), rng.standard_normal(target_dim))
-                assert hamiltonian(s, target) == pytest.approx(
-                    hamiltonian(negate_momentum(s), target), rel=1e-15)
+                assert energy(s, target) == pytest.approx(
+                    energy(negate_momentum(s), target), rel=1e-15)
 
 
 class TestHamiltonian:
     def test_zero_state(self):
         t = QuarticGeneralizedGaussian(1)
-        h = hamiltonian(PhaseState([0.0], [0.0]), t)
-        assert h == 0.0
+        assert hamiltonian(PhaseState([0.0], [0.0]), t) == (0.0, 0.0)
 
     def test_unit_position(self):
         t = QuarticGeneralizedGaussian(1)
         s = PhaseState([1.0], [0.0])
-        h = hamiltonian(s, t)
-        assert t.evaluate(s.q) == 1.0 and kinetic(s.p) == 0.0 and h == 1.0
+        u, h = hamiltonian(s, t)
+        assert t.evaluate(s.q) == 1.0 and kinetic(s.p) == 0.0 and (u, h) == (1.0, 1.0)
 
     def test_two_dimensional(self):
         t = QuarticGeneralizedGaussian(2)
         s = PhaseState([1.0, 1.0], [1.0, 1.0])
-        h = hamiltonian(s, t)
-        assert h == pytest.approx(3.0, rel=1e-15)
+        u, h = hamiltonian(s, t)
+        assert u == pytest.approx(2.0, rel=1e-15) and h == pytest.approx(3.0, rel=1e-15)
         assert t.evaluate(s.q) == pytest.approx(2.0) and kinetic(s.p) == pytest.approx(1.0)
 
     def test_total_is_stored_sum(self):
         rng = np.random.default_rng(1)
         t = QuarticGeneralizedGaussian(3)
         s = PhaseState(rng.standard_normal(3), rng.standard_normal(3))
-        h = hamiltonian(s, t)
-        assert h == t.evaluate(s.q) + kinetic(s.p)
+        u, h = hamiltonian(s, t)
+        assert u == t.evaluate(s.q) and h == u + kinetic(s.p)
 
-    def test_dimension_mismatch(self):
-        t = QuarticGeneralizedGaussian(2)
-        with pytest.raises(ValueError):
-            hamiltonian(PhaseState([1.0], [1.0]), t)
+    def test_given_u_is_not_evaluated(self):
+        # the chain's cached U(q) is returned as is, with H = U + K(p)
+        class NoEvaluate(QuarticGeneralizedGaussian):
+            def evaluate(self, q):
+                raise AssertionError("evaluated")
+
+        s = PhaseState([1.0, 2.0], [3.0, 4.0])
+        assert hamiltonian(s, NoEvaluate(2), 7.0) == (7.0, 7.0 + kinetic(s.p))
+
+    @pytest.mark.parametrize("u", [None, 1.0])
+    def test_dimension_mismatch(self, u):
+        # checked first, whether U is given or evaluated
+        class Unreachable(QuarticGeneralizedGaussian):
+            def evaluate(self, q):
+                raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="state dimension 1 != potential dimension 2"):
+            hamiltonian(PhaseState([1.0], [1.0]), Unreachable(2), u)
 
     def test_non_finite_potential_becomes_inf(self):
         class Hole(QuarticGeneralizedGaussian):
             def evaluate(self, q):
                 return float("nan")
 
-        h = hamiltonian(PhaseState([1.0], [1.0]), Hole(1))
+        u, h = hamiltonian(PhaseState([1.0], [1.0]), Hole(1))
         # nan + K would stay nan; the potential was mapped to +inf first
-        assert h == np.inf
+        assert u == h == np.inf
 
 
 class TestMassMatrix:
@@ -163,8 +182,9 @@ class TestSampleMomentum:
         method = "chmc" if iterate is chmc_iteration else "hmc-leapfrog"
         cfg = SamplerConfig(method, 0.1, 0.5, iterations=1)
         theta, target = np.zeros(d), QuarticGeneralizedGaussian(d)
+        cache = StateCache()
         for _ in range(iterations):
-            iterate(theta, target, cfg, rng)
+            iterate(theta, target, cfg, rng, cache)
         return np.array(drawn)
 
     def test_identity_variance(self, monkeypatch):

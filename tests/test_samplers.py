@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from chmc import (
     Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
+    StateCache,
     acceptance_probability,
     chain_rng,
     chmc_iteration,
@@ -23,6 +25,7 @@ from chmc import (
     run_chain,
     trajectory,
 )
+from chmc import samplers
 from chmc.samplers import initial_position
 
 
@@ -224,7 +227,7 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=1e-6, total_time=1e-6, iterations=2, seed=9)
         rng = chain_rng(9, 0)
         theta = np.array([0.3, -0.8, 0.5])
-        new_theta, out = chmc_iteration(theta, t, cfg, rng)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache())
         assert out.alpha >= 1.0 - 1e-6
         assert out.accepted
         np.testing.assert_allclose(new_theta, theta, atol=1e-5)
@@ -236,9 +239,9 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=2.0, iterations=5, seed=4,
                             jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(4, 0)
-        theta = np.array([0.5, 0.5])
+        theta, cache = np.array([0.5, 0.5]), StateCache()
         for _ in range(5):
-            theta, out = chmc_iteration(theta, t, cfg, rng)
+            theta, out = chmc_iteration(theta, t, cfg, rng, cache)
             assert out.jacobian_product == pytest.approx(1.0, abs=1e-12)
             assert out.alpha == pytest.approx(
                 acceptance_probability(out.delta_H, 1.0, 0.0), rel=1e-12)
@@ -251,7 +254,7 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=1.0, iterations=2, seed=2)
         rng = chain_rng(2, 0)
         theta = np.array([0.5])
-        new_theta, out = chmc_iteration(theta, Nan(1), cfg, rng)
+        new_theta, out = chmc_iteration(theta, Nan(1), cfg, rng, StateCache())
         assert not out.accepted and out.alpha == 0.0
         assert new_theta is theta
 
@@ -265,7 +268,7 @@ class TestChmcIteration:
         rec = trajectory(PhaseState(theta, p0), t, cfg.solver, cfg.n_steps)
         assert rec.h_out == math.inf and not rec.all_converged
         assert abs(rec.q[0]) > 1.0 and np.isfinite(rec.p).all()
-        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0))
+        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0), StateCache())
         assert not out.accepted and out.alpha == 0.0 and out.delta_H == math.inf
         assert new_theta is theta
 
@@ -278,10 +281,10 @@ class TestChmcIteration:
                                 seed=13, jacobian_mode=mode,
                                 solver=DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=25))
             rng = chain_rng(13, 0)
-            theta = rng.standard_normal(4)
+            theta, cache = rng.standard_normal(4), StateCache()
             n_delta = cfg.n_steps * cfg.solver.delta
             for _ in range(cfg.iterations):
-                theta, out = chmc_iteration(theta, t, cfg, rng)
+                theta, out = chmc_iteration(theta, t, cfg, rng, cache)
                 if out.all_steps_converged:
                     bound = min(1.0, math.exp(-n_delta) * out.jacobian_product)
                     assert out.alpha + 1e-14 >= bound
@@ -299,9 +302,9 @@ class TestHmcIteration:
         cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=4.0,
                             iterations=5, seed=3)
         rng = chain_rng(3, 0)
-        theta = np.array([1.0, -1.0])
+        theta, cache = np.array([1.0, -1.0]), StateCache()
         for _ in range(5):
-            theta, out = hmc_iteration(theta, Flat(2), cfg, rng)
+            theta, out = hmc_iteration(theta, Flat(2), cfg, rng, cache)
             assert out.delta_H == 0.0
             assert out.alpha == 1.0 and out.accepted
 
@@ -311,7 +314,7 @@ class TestHmcIteration:
                             iterations=3, seed=5)
         rng = chain_rng(5, 0)
         theta = np.zeros(2)
-        theta, out = hmc_iteration(theta, t, cfg, rng)
+        theta, out = hmc_iteration(theta, t, cfg, rng, StateCache())
         assert out.force_evals == cfg.n_steps + 1
 
 
@@ -325,14 +328,14 @@ def cached_chain(cfg, target, mass):
 
 def reference_chain(cfg, target):
     """The chain of run_chain, with every iteration evaluating U and the first
-    half-kick at theta afresh (no cache)."""
+    half-kick at theta afresh (an empty cache each time)."""
     rng = chain_rng(cfg.seed, 0)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            theta, o = iterate(theta, target, cfg, rng)
+            theta, o = iterate(theta, target, cfg, rng, StateCache())
             seen.append((theta.copy(), o.accepted, o.delta_H, o.alpha, o))
     return seen
 
@@ -361,6 +364,12 @@ def chain_setup(name, target_cls=QuarticGeneralizedGaussian, d=3, **kw):
 class TestStateCache:
     """run_chain carries U and leapfrog's first half-kick at theta: fewer target
     calls, the same chain as recomputing both every iteration."""
+
+    def test_iterations_require_the_cache(self):
+        # run_chain always passes one; a fresh StateCache recomputes both values
+        for iterate in (chmc_iteration, hmc_iteration, samplers._accept_reject):
+            cache = inspect.signature(iterate).parameters["cache"]
+            assert cache.default is inspect.Parameter.empty
 
     @pytest.mark.parametrize("name", list(CHAINS))
     def test_same_chain_as_recomputing(self, name):
