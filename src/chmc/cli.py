@@ -43,7 +43,6 @@ from .targets import MultivariateGaussian, QuarticGeneralizedGaussian, quartic_t
 SCHEMA_VERSION = 1
 
 TARGET_KINDS = ("quartic", "gaussian")
-COVARIANCE_MODES = ("full", "diagonal", "auto")
 DIAGONAL_ONLY_ABOVE = 2048
 
 SUMMARY_COLUMNS = (
@@ -118,8 +117,6 @@ def _field_errors(spec, prefix: str = "") -> list:
             errors.append(f"{key}: must be finite, got {value!r}")
         elif f.type == "str" and not (isinstance(value, str) and value):
             errors.append(f"{key}: required non-empty string")
-        elif f.type == "Optional[str]" and not (value is None or isinstance(value, str)):
-            errors.append(f"{key}: expected a path string")
         elif minimum is not None and value < minimum:
             errors.append(f"{key}: must be >= {minimum}, got {value}")
         elif f.type == "float":
@@ -204,20 +201,14 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """The ``target`` mapping (a Gaussian without files: zero mean, unit covariance);
+    """The ``target`` mapping: the separable quartic or N(0, I) at ``dimension``;
     construction raises ``ConfigError`` listing every violation by YAML path."""
 
     kind: str = field(metadata={"choices": TARGET_KINDS})
     dimension: int = field(metadata={"minimum": 1})
-    mean_path: Optional[str] = None
-    cov_path: Optional[str] = None
 
     def __post_init__(self):
-        errors = _field_errors(self, "target.")
-        for key in ("mean_path", "cov_path"):
-            if getattr(self, key) is not None and self.kind == "quartic":
-                errors.append(f"target.{key}: only applies to the gaussian target")
-        if errors:
+        if errors := _field_errors(self, "target."):
             raise ConfigError(errors)
 
 
@@ -230,6 +221,7 @@ class ExperimentSpec:
     """Fully validated experiment: target, method variants, chain layout.
 
     Construction raises ``ConfigError`` listing every violation by YAML path.
+    The covariance tracker keeps the diagonal alone above ``DIAGONAL_ONLY_ABOVE``.
     """
 
     target: TargetSpec
@@ -237,7 +229,8 @@ class ExperimentSpec:
     output_dir: str
     chains: int = field(default=1, metadata={"minimum": 1})
     seed: int = field(default=0, metadata={"minimum": 0})
-    covariance_mode: str = field(default="auto", metadata={"choices": COVARIANCE_MODES})
+    # a single choice; the key stays so that specs and meta.json keep their shape
+    covariance_mode: str = field(default="auto", metadata={"choices": ("auto",)})
     record_stride: int = field(default=10, metadata={"minimum": 1})
     workers: int = field(default=1, metadata={"minimum": 1})
 
@@ -250,18 +243,8 @@ class ExperimentSpec:
             errors.append(_NO_METHODS)
         elif len({m.name for m in self.methods}) != len(self.methods):
             errors.append("methods: names must be unique")
-        if (self.covariance_mode == "full" and isinstance(self.target, TargetSpec)
-                and self.target.dimension > DIAGONAL_ONLY_ABOVE):
-            errors.append(
-                f"covariance_mode: full mode is unavailable above d = {DIAGONAL_ONLY_ABOVE}; "
-                "use diagonal or auto")
         if errors:
             raise ConfigError(errors)
-
-    def resolved_covariance_mode(self) -> str:
-        if self.covariance_mode == "auto":
-            return "diagonal" if self.target.dimension > DIAGONAL_ONLY_ABOVE else "full"
-        return self.covariance_mode
 
 
 def _format_float(x: float) -> str:
@@ -304,10 +287,11 @@ def validate_spec(text: str) -> ExperimentSpec:
 
     The keys, defaults and checks are the fields of ``ExperimentSpec``, its
     ``TargetSpec`` and each ``MethodSpec``; ``defaults`` holds method values
-    shared by every entry (its chmc-only keys by the chmc entries). Every
-    violation is collected (no fail-fast) and reported through a single
-    ConfigError whose ``errors`` list names the offending field paths; a key
-    given twice in one mapping is refused alone, naming the key and its line.
+    shared by every entry (its chmc-only keys, which may not be null, by the
+    chmc entries). Every violation is collected (no fail-fast) and reported
+    through a single ConfigError whose ``errors`` list names the offending
+    field paths; a key given twice in one mapping is refused alone, naming the
+    key and its line.
     """
     errors: list[str] = []
     try:
@@ -332,9 +316,15 @@ def validate_spec(text: str) -> ExperimentSpec:
 
     top_keys = {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}
     chmc_only = {f.name for f in fields(MethodSpec) if "chmc_only" in f.metadata}
-    if not any(entry.get("method") == "chmc" for entry in entries.values()):
+    chmc_entries = {path: e for path, e in entries.items() if e.get("method") == "chmc"}
+    if not chmc_entries:
         errors.extend(f"defaults.{key}: only applies to chmc, and no method is chmc"
                       for key in defaults if key in chmc_only)
+    # null stands for "unset" only on a leapfrog entry, where meta.json records it
+    chmc_levels = {"defaults": defaults, **chmc_entries} if chmc_entries else {}
+    errors.extend(f"{path}.{key}: a chmc method needs a value, got null"
+                  for path, mapping in chmc_levels.items()
+                  for key in mapping if key in chmc_only and mapping[key] is None)
     methods = []
     for path, entry in entries.items():
         found = []
@@ -360,42 +350,12 @@ def load_spec(path: str) -> ExperimentSpec:
         return validate_spec(fh.read())
 
 
-def _load_array(path: str, shape: tuple) -> np.ndarray:
-    """A finite, real .npy or comma-separated text array of the given shape."""
-    arr = (np.load(path) if path.endswith(".npy")
-           else np.loadtxt(path, delimiter=",", ndmin=len(shape)))
-    if arr.dtype.kind not in "iuf":  # complex would lose its imaginary part, bool reads as 0/1
-        raise ValueError(f"{path}: expected integer or floating entries, got dtype {arr.dtype}")
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 0:  # a 0-d .npy holds one value, as a one-entry text file does
-        arr = arr.reshape((1,) * len(shape))
-    if arr.shape != shape:
-        raise ValueError(f"{path}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: entries must be finite")
-    return arr
-
-
 def build_target(spec: ExperimentSpec):
-    """Target distribution plus its covariance description for error traces.
-
-    A mean or covariance file that cannot be read or gives no valid Gaussian
-    raises ``ConfigError`` naming its key, before a run writes anything.
-    """
-    target = spec.target
-    if target.kind == "quartic":
-        return QuarticGeneralizedGaussian(target.dimension), quartic_target_variance()
-    d = target.dimension
-    key, mean, cov = "target.mean_path", np.zeros(d), np.eye(d)
-    try:
-        if target.mean_path is not None:
-            mean = _load_array(target.mean_path, (d,))
-        key = "target.cov_path"
-        if target.cov_path is not None:
-            cov = _load_array(target.cov_path, (d, d))
-        return MultivariateGaussian(mean, cov), cov
-    except (OSError, ValueError) as exc:
-        raise ConfigError([f"{key}: {exc}"]) from exc
+    """Target distribution plus its covariance for error traces."""
+    d = spec.target.dimension
+    if spec.target.kind == "quartic":
+        return QuarticGeneralizedGaussian(d), quartic_target_variance()
+    return MultivariateGaussian(np.zeros(d), np.eye(d)), np.eye(d)
 
 
 class _TraceWriter:
@@ -425,7 +385,7 @@ def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: in
     method = spec.methods[method_idx]
     target, target_cov = built
     mass = MassMatrix.identity(spec.target.dimension)
-    diagonal = spec.resolved_covariance_mode() == "diagonal"
+    diagonal = spec.target.dimension > DIAGONAL_ONLY_ABOVE
     tracker = CovarianceTracker(spec.target.dimension, target_cov, diagonal=diagonal,
                                 record_stride=spec.record_stride)
     cfg = method.sampler_config(spec.seed)
@@ -463,9 +423,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     Chains are independent units of work; results are identical for any
     degree of parallelism. ``workers`` overrides ``spec.workers`` under the
     field's own check (ConfigError before any file is written); meta.json
-    records the spec's value. The target is built once, before any file is
-    written (see ``build_target``). Returns a manifest with the per-task
-    results and output paths.
+    records the spec's value. Returns a manifest with the per-task results
+    and output paths.
     """
     workers = (spec if workers is None else replace(spec, workers=workers)).workers
     built = build_target(spec)
@@ -500,7 +459,8 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
         "seed": spec.seed,
-        "covariance_mode": spec.resolved_covariance_mode(),
+        "covariance_mode": ("diagonal" if spec.target.dimension > DIAGONAL_ONLY_ABOVE
+                            else "full"),
         "spec": asdict(spec),
         "conventions": {
             "mean_energy_error": "mean |delta H| of the proposal over all iterations, accepted or not",
@@ -578,8 +538,6 @@ def main(argv=None) -> int:
     if args.command in ("run", "validate"):
         try:
             spec = load_spec(args.config)
-            if args.command == "validate":
-                build_target(spec)
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
@@ -602,8 +560,9 @@ def main(argv=None) -> int:
 
     try:
         print(format_table(args.output_dir))
-    except OSError as exc:
-        print(f"cannot read summary: {exc}", file=sys.stderr)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # no file, column or number
+        reason = f"no column {exc}" if isinstance(exc, KeyError) else exc
+        print(f"cannot read summary: {reason}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     return EXIT_OK
 

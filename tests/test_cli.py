@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
+import chmc.cli
+from chmc import MultivariateGaussian
 from chmc.cli import (
     ConfigError,
     EXIT_CONFIG_ERROR,
@@ -56,9 +58,10 @@ methods:
   - {{name: chmc-jfull, method: chmc, jacobian: JFull}}
 """
 
-# the four methods on a correlated Gaussian at d = 3, one chain
+# the four methods on a Gaussian at d = 3, one chain; the golden run hands
+# in a correlated one (``hand_in_gaussian``)
 GOLDEN_GAUSSIAN = """
-target: {{kind: gaussian, dimension: 3, mean_path: {files}/mean.npy, cov_path: {files}/cov.csv}}
+target: {{kind: gaussian, dimension: 3}}
 chains: 1
 iterations: 30
 seed: 20240811
@@ -109,6 +112,13 @@ def csv_digests(out):
             data = buf.getvalue().encode()
         found[path.name] = hashlib.sha256(data).hexdigest()
     return found
+
+
+def hand_in_gaussian(monkeypatch, mean, cov):
+    """Make ``run_experiment`` sample N(mean, cov) where the spec builds N(0, I)."""
+    mean, cov = np.array(mean, dtype=float), np.array(cov, dtype=float)
+    monkeypatch.setattr(chmc.cli, "build_target",
+                        lambda spec: (MultivariateGaussian(mean, cov), cov))
 
 
 def read_csv(path):
@@ -232,6 +242,13 @@ methods: []
         assert [m.max_fpi for m in spec.methods] == [None, 3]
         assert [m.init_mode for m in spec.methods] == [None, "position-euler"]
         assert spec.methods[1].sampler_config(seed=0).solver.max_fpi == 3
+
+    def test_gaussian_target_is_standard_normal(self):
+        spec = validate_spec(MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "quartic", "gaussian"))
+        target, cov = build_target(spec)
+        assert (target.mean.tolist(), target.cov.tolist()) == ([0.0] * 3, np.eye(3).tolist())
+        assert cov.tolist() == np.eye(3).tolist()
 
     def test_chmc_only_defaults_need_a_chmc_entry(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -441,11 +458,10 @@ class TestRunExperiment:
         run_experiment(validate_spec(GOLDEN.format(out=tmp_path)))
         assert csv_digests(tmp_path) == GOLDEN_DIGESTS
 
-    def test_golden_gaussian_outputs(self, tmp_path):
-        np.save(tmp_path / "mean.npy", np.array([0.5, -0.25, 1.0]))
-        np.savetxt(tmp_path / "cov.csv", np.array([[1.5, 0.2, 0.0], [0.2, 0.8, -0.1],
-                                                   [0.0, -0.1, 0.6]]), delimiter=",")
-        run_experiment(validate_spec(GOLDEN_GAUSSIAN.format(out=tmp_path / "o", files=tmp_path)))
+    def test_golden_gaussian_outputs(self, tmp_path, monkeypatch):
+        hand_in_gaussian(monkeypatch, [0.5, -0.25, 1.0],
+                         [[1.5, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 0.6]])
+        run_experiment(validate_spec(GOLDEN_GAUSSIAN.format(out=tmp_path / "o")))
         assert csv_digests(tmp_path / "o") == GOLDEN_GAUSSIAN_DIGESTS
 
     @pytest.mark.parametrize("template", [GOLDEN, GOLDEN_GAUSSIAN, MINIMAL],
@@ -453,25 +469,16 @@ class TestRunExperiment:
     def test_meta_spec_loads_back_as_the_spec_that_ran(self, tmp_path, template):
         # meta.json's spec has the YAML's keys and nesting; MINIMAL's leapfrog
         # entry records its chmc-only fields as null
-        np.save(tmp_path / "mean.npy", np.array([0.5, -0.25, 1.0]))
-        np.savetxt(tmp_path / "cov.csv", np.eye(3), delimiter=",")
-        text = template.format(out=tmp_path / "o", files=tmp_path, chains=2, iterations=3)
+        text = template.format(out=tmp_path / "o", chains=2, iterations=3)
         spec = validate_spec(text)
         run_experiment(spec)
         meta = json.loads((tmp_path / "o" / "meta.json").read_text())
         assert validate_spec(yaml.safe_dump(meta["spec"])) == spec
 
-    def test_gaussian_target_with_files(self, tmp_path):
-        mean = np.array([0.5, -0.25])
-        cov = np.array([[1.5, 0.2], [0.2, 0.8]])
-        np.save(tmp_path / "mean.npy", mean)
-        np.savetxt(tmp_path / "cov.csv", cov, delimiter=",")
+    def test_gaussian_target_with_files(self, tmp_path, monkeypatch):
+        hand_in_gaussian(monkeypatch, [0.5, -0.25], [[1.5, 0.2], [0.2, 0.8]])
         text = f"""
-target:
-  kind: gaussian
-  dimension: 2
-  mean_path: {tmp_path / 'mean.npy'}
-  cov_path: {tmp_path / 'cov.csv'}
+target: {{kind: gaussian, dimension: 2}}
 chains: 1
 iterations: 10
 seed: 2
@@ -532,73 +539,6 @@ class TestMainEntry:
         cfg.write_text(MINIMAL.format(chains=2, iterations=3, out=out))
         assert main(["run", str(cfg), "--workers", "2"]) == EXIT_OK
         assert json.loads((out / "meta.json").read_text())["spec"]["workers"] == 1
-
-    @pytest.mark.parametrize("case", ["cov-not-spd", "cov-wrong-shape", "mean-missing",
-                                      "mean-not-finite"])
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_unusable_gaussian_file_is_config_error(self, tmp_path, capsys, command, case):
-        # validate refuses what run cannot build, and neither writes anything
-        cov = {"cov-not-spd": [[1.0, 2.0], [2.0, 1.0]], "cov-wrong-shape": np.eye(3)}
-        np.savetxt(tmp_path / "cov.csv", cov.get(case, np.eye(2)), delimiter=",")
-        np.save(tmp_path / "mean.npy", [0.0, np.nan] if case == "mean-not-finite" else np.zeros(2))
-        mean = tmp_path / ("missing.npy" if case == "mean-missing" else "mean.npy")
-        out = tmp_path / "o"
-        cfg = tmp_path / "gauss.yaml"
-        cfg.write_text(f"""
-target: {{kind: gaussian, dimension: 2, mean_path: {mean}, cov_path: {tmp_path / 'cov.csv'}}}
-iterations: 3
-output_dir: {out}
-defaults: {{tau: 0.1, total_time: 1.0}}
-methods:
-  - {{name: chmc-j0, method: chmc, jacobian: J0}}
-""")
-        key = "target.mean_path" if case.startswith("mean") else "target.cov_path"
-        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: {key}: ")
-        assert not out.exists()
-
-    @staticmethod
-    def gaussian_files(tmp_path, key, convert):
-        """A gaussian spec at d = 2 whose ``key`` file holds its array through ``convert``."""
-        paths = {}
-        for name, value in (("mean_path", np.array([1.0, 3.0])), ("cov_path", np.eye(2))):
-            paths[name] = tmp_path / f"{name}.npy"
-            np.save(paths[name], convert(value) if name == key else value)
-        cfg = tmp_path / "gauss.yaml"
-        cfg.write_text(f"""
-target: {{kind: gaussian, dimension: 2, mean_path: {paths['mean_path']},
-         cov_path: {paths['cov_path']}}}
-iterations: 3
-output_dir: {tmp_path / 'o'}
-defaults: {{tau: 0.1, total_time: 1.0}}
-methods:
-  - {{name: chmc-j0, method: chmc, jacobian: J0}}
-""")
-        return cfg, paths[key]
-
-    @pytest.mark.parametrize("dtype, convert", [
-        ("complex128", lambda a: a + 2j),
-        ("bool", lambda a: a != 0.0),
-    ], ids=["complex", "bool"])
-    @pytest.mark.parametrize("key", ["mean_path", "cov_path"])
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_gaussian_arrays_must_be_real_numbers(self, tmp_path, capsys, command, key, dtype,
-                                                  convert):
-        # a complex array would lose its imaginary part and a bool one read as 0/1
-        cfg, path = self.gaussian_files(tmp_path, key, convert)
-        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: target.{key}: {path}: expected integer or floating entries, "
-            f"got dtype {dtype}"]
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("key", ["mean_path", "cov_path"])
-    def test_integer_gaussian_arrays_are_numbers(self, tmp_path, key):
-        cfg, _ = self.gaussian_files(tmp_path, key, lambda a: a.astype(np.int64))
-        assert main(["validate", str(cfg)]) == EXIT_OK
-        target, _ = build_target(validate_spec(cfg.read_text()))
-        assert (target.mean.tolist(), target.cov.tolist()) == ([1.0, 3.0], np.eye(2).tolist())
 
     @pytest.mark.parametrize("first, second", [
         ("seed: 1", "seed: 2"),
@@ -661,46 +601,65 @@ methods:
         assert err == [f"config error: {path}.{key}: unknown field"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("suffix, refused", [("csv", "(1, 2)"), ("npy", "(2,)")])
-    def test_one_dimensional_gaussian_files(self, tmp_path, capsys, suffix, refused):
-        # a one-value file, text or a 0-d .npy, takes the axes its shape needs
-        def write(name, *values):
-            path = tmp_path / f"{name}.{suffix}"
-            if suffix == "npy":
-                np.save(path, np.array(values[0] if len(values) == 1 else values))
-            else:
-                path.write_text(",".join(map(str, values)) + "\n")
-            return path
-
-        mean, cov = write("mean", 0.5), write("cov", 2.0)
+    @pytest.mark.parametrize("where, entry, error", [
+        ("target", "mean_path: mean.npy", "target.mean_path: unknown field"),
+        ("target", "cov_path: cov.csv", "target.cov_path: unknown field"),
+        ("config", "covariance_mode: full",
+         "covariance_mode: expected one of ['auto'], got 'full'"),
+        ("config", "covariance_mode: diagonal",
+         "covariance_mode: expected one of ['auto'], got 'diagonal'"),
+    ], ids=["mean_path", "cov_path", "full", "diagonal"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_gaussian_files_and_covariance_modes_are_refused(self, tmp_path, capsys, command,
+                                                             where, entry, error):
+        # a spec's Gaussian is N(0, I), and the tracker's shape follows d alone
         out = tmp_path / "o"
-        cfg = tmp_path / "gauss.yaml"
-        cfg.write_text(f"""
-target: {{kind: gaussian, dimension: 1, mean_path: {mean}, cov_path: {cov}}}
-iterations: 3
-output_dir: {out}
-defaults: {{tau: 0.1, total_time: 1.0}}
-methods:
-  - {{name: chmc-jfull, method: chmc, jacobian: JFull, jacobian_source: analytic}}
-""")
-        assert main(["validate", str(cfg)]) == EXIT_OK
-        assert main(["run", str(cfg)]) == EXIT_OK
-        assert len(read_csv(out / "trace_chmc-jfull_0.csv")) == 3
-        target, _ = build_target(validate_spec(cfg.read_text()))
-        assert (target.mean.tolist(), target.cov.tolist()) == ([0.5], [[2.0]])
-        write("cov", 1.0, 0.2)
-        cfg.write_text(cfg.read_text().replace("dimension: 1", "dimension: 2").replace(
-            f"mean_path: {mean},", ""))
-        capsys.readouterr()
-        assert main(["validate", str(cfg)]) == EXIT_CONFIG_ERROR
+        text = MINIMAL.format(chains=1, iterations=1, out=out).replace("quartic", "gaussian")
+        if where == "target":
+            text = text.replace("dimension: 3}", f"dimension: 3, {entry}}}")
+        cfg = tmp_path / "removed.yaml"
+        cfg.write_text(text + (entry + "\n" if where == "config" else ""))
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, nulls, keys", [
+        ("delta: 1.0e-8}", "delta: null, max_fpi: null}", ["defaults.delta", "defaults.max_fpi"]),
+        ("jacobian: J0}", "jacobian: null, jacobian_source: null}",
+         ["methods[1].jacobian", "methods[1].jacobian_source"]),
+    ], ids=["defaults", "methods"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_null_chmc_knob_is_config_error(self, tmp_path, capsys, command, where, nulls, keys):
+        # a null would run the default, unlike what the spec seems to say;
+        # only a leapfrog entry, as meta.json records it, may give one
+        out = tmp_path / "o"
+        cfg = tmp_path / "null.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=out).replace(where, nulls))
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: target.cov_path: {cov}: expected shape (2, 2), got {refused}"]
+            f"config error: {key}: a chmc method needs a value, got null" for key in keys]
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR
 
     def test_table_missing_dir(self, tmp_path):
         assert main(["table", str(tmp_path / "missing")]) == EXIT_RUNTIME_ERROR
+
+    @pytest.mark.parametrize("header, row, reason", [
+        ("method,d,tau,T,delta,mean_acceptance_pct,mean_energy_error,mean_force_evals,wall_time_s",
+         "hmc-lf,3,0.1,1,,90,0.1,1,0.5", "no column 'chain'"),
+        ("method,d,tau,T,delta,chain,mean_acceptance_pct,mean_energy_error,mean_force_evals,"
+         "wall_time_s", "hmc-lf,3,0.1,1,,mean,n/a,0.1,1,0.5",
+         "could not convert string to float: 'n/a'"),
+    ], ids=["no-chain-column", "not-a-number"])
+    def test_table_on_malformed_summary_is_runtime_error(self, tmp_path, capsys, header, row,
+                                                          reason):
+        (tmp_path / "summary.csv").write_text(f"{header}\n{row}\n")
+        assert main(["table", str(tmp_path)]) == EXIT_RUNTIME_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"cannot read summary: {reason}"]
+        assert captured.out == ""
 
 
 class TestFormatTable:
