@@ -10,6 +10,7 @@ from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import (
     DmmSolverConfig,
     StepRecord,
+    StepScratch,
     TrajectoryRecord,
     divided_difference_force,
     dmm_step,
@@ -61,6 +62,7 @@ __all__ = [
     "SamplerConfig",
     "StateCache",
     "StepRecord",
+    "StepScratch",
     "TrajectoryRecord",
     "acceptance_probability",
     "chain_rng",

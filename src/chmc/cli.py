@@ -490,12 +490,12 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
 
 
 def format_table(output_dir: str) -> str:
-    """Pretty-print the per-method mean rows of a finished run."""
+    """Pretty-print the per-method mean rows of a run; ValueError on a summary without any."""
     summary_path = os.path.join(output_dir, "summary.csv")
     with open(summary_path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh) if r["chain"] == "mean"]
     if not rows:
-        return "no method-mean rows found"
+        raise ValueError("no method-mean rows")
     headers = ("method", "d", "tau", "T", "mean acc %", "mean |dH|", "mean F evals", "time (s)")
     table = [
         (r["method"], r["d"], "%g" % float(r["tau"]), "%g" % float(r["T"]),

@@ -94,8 +94,9 @@ ufunc scalars (tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d
 arrays made once per trajectory or per module (see ``scalar_operand``).
 Arrays that leave a step or reach the target (the iterates Q, the Jacobian
 point X, P, the force, the (D, D_next) block) are fresh, and each in-place
-operation rounds as the expression it replaces. The scratch also resolves
-the force once; a J1 or JFull trajectory's Jacobian factor
+operation rounds as the expression it replaces. The scratch is also the
+step's one configuration: it keeps the ``DmmSolverConfig`` and alone
+resolves the force, once; a J1 or JFull trajectory's Jacobian factor
 (``JacobianAccumulator``) probes that same force and takes the same
 (tau/2)^2.
 """
@@ -225,13 +226,6 @@ def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: flo
     return force, n_evals
 
 
-def force_function(potential, guard: float):
-    """F(Q, q): the target's closed form, else divided differences with their count dropped."""
-    if potential.closed_form_force is not None:
-        return potential.closed_form_force
-    return lambda Q, q: divided_difference_force(Q, q, potential, guard)[0]
-
-
 _ROUNDING = 4.0 * math.ulp(1.0)  # a few ulps: the energy tests' rounding floor
 
 
@@ -249,15 +243,20 @@ _ONE, _TWO = scalar_operand(1.0), scalar_operand(2.0)
 
 
 class StepScratch:
-    """What ``dmm_step`` looks up and writes, made once per trajectory: ``force``
-    (resolved through ``force_function``), ``jacobian_diag`` (the target's
-    ``closed_form_force_jacobian_diag``, None exactly when it is not
+    """Everything ``dmm_step`` reads and writes, made once per trajectory from a
+    target and a ``DmmSolverConfig``: ``cfg`` itself (delta, max_fpi),
+    ``force`` F(Q, q) (the target's closed form, else divided differences of U
+    under ``cfg.dd_guard`` with their count dropped), ``jacobian_diag`` (the
+    target's ``closed_form_force_jacobian_diag``, None exactly when it is not
     separable), the step's ufunc scalars tau, tau/2 and (tau/2)^2 (see
     ``scalar_operand``) and the work rows a, g, r and t, of the target's
     dimension."""
 
     def __init__(self, potential, cfg: DmmSolverConfig):
-        self.force = force_function(potential, cfg.dd_guard)
+        self.cfg = cfg
+        self.force = potential.closed_form_force
+        if self.force is None:
+            self.force = lambda Q, q: divided_difference_force(Q, q, potential, cfg.dd_guard)[0]
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
         half = 0.5 * cfg.tau
         self.tau, self.half, self.half2 = map(scalar_operand, (cfg.tau, half, half * half))
@@ -290,13 +289,12 @@ def _chord_scale(diagonals, half2):
 def dmm_step(
     q: np.ndarray,
     p: np.ndarray,
-    potential,
-    cfg: DmmSolverConfig,
+    scratch: StepScratch,
     f_prev: Optional[np.ndarray] = None,
     chord_prev: Optional[tuple] = None,
-    scratch: Optional[StepScratch] = None,
 ) -> StepRecord:
-    """One implicit energy-preserving step from the arrays (q, p).
+    """One implicit energy-preserving step from the arrays (q, p), with the
+    target and configuration of ``scratch``, its trajectory's ``StepScratch``.
 
     The first iterate Q0 costs one force evaluation. With a = q + tau p
     it is a on a trajectory's first step (``f_prev`` None); later, ``f_prev``
@@ -309,7 +307,7 @@ def dmm_step(
     that happens to sit on the input energy surface return the input
     unchanged.
     The energy test is the discrete-gradient identity, so the solve never
-    calls ``potential.evaluate`` (a divided-difference force does, to form F).
+    calls the target's ``evaluate`` (a divided-difference force does, to form F).
     The last iterate is returned whether or not the tolerance was met
     (``converged`` records which); an unconverged iterate still enters the
     acceptance ratio through the trajectory's true energy error.
@@ -326,10 +324,9 @@ def dmm_step(
     On a separable target, one ``closed_form_force_jacobian_diag`` call per
     step, at X = Q0 + (g(Q0) - Q0) / (2 D_pred) (X = g(Q0) without
     ``chord_prev``), sets up this step's chord update and ``StepRecord.chord``
-    (see ``_chord_scale``). Other targets take plain updates. ``scratch``
-    (a fresh ``StepScratch`` when None) changes no result.
+    (see ``_chord_scale``). Other targets take plain updates.
     """
-    s = StepScratch(potential, cfg) if scratch is None else scratch
+    s, cfg = scratch, scratch.cfg
     half, half2 = s.half, s.half2
     a, g, r, t = s.a, s.g, s.r, s.t
     np.add(q, np.multiply(p, s.tau, a), a)
@@ -439,7 +436,7 @@ def trajectory(
     acc = (None if jacobian_mode.kind == "J0"
            else JacobianAccumulator(jacobian_mode, scratch.half2, potential, scratch.force))
     for _ in range(n_steps):
-        rec = dmm_step(q, p, potential, cfg, f_prev=f_prev, chord_prev=chord_prev, scratch=scratch)
+        rec = dmm_step(q, p, scratch, f_prev=f_prev, chord_prev=chord_prev)
         total_f += rec.fpi_iterations + 1
         total_it += rec.fpi_iterations
         if not math.isfinite(rec.energy_error):

@@ -126,6 +126,11 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# the columns ``chmc table`` reads from summary.csv
+SUMMARY_HEADER = ("method,d,tau,T,delta,chain,mean_acceptance_pct,mean_energy_error,"
+                  "mean_force_evals,wall_time_s")
+
+
 class TestValidateSpec:
     def test_zero_tau_names_field(self):
         with pytest.raises(ConfigError) as err:
@@ -646,16 +651,18 @@ class TestMainEntry:
     def test_table_missing_dir(self, tmp_path):
         assert main(["table", str(tmp_path / "missing")]) == EXIT_RUNTIME_ERROR
 
-    @pytest.mark.parametrize("header, row, reason", [
-        ("method,d,tau,T,delta,mean_acceptance_pct,mean_energy_error,mean_force_evals,wall_time_s",
-         "hmc-lf,3,0.1,1,,90,0.1,1,0.5", "no column 'chain'"),
-        ("method,d,tau,T,delta,chain,mean_acceptance_pct,mean_energy_error,mean_force_evals,"
-         "wall_time_s", "hmc-lf,3,0.1,1,,mean,n/a,0.1,1,0.5",
+    @pytest.mark.parametrize("body, reason", [
+        ("method,d,tau,T,delta,mean_acceptance_pct,mean_energy_error,mean_force_evals,"
+         "wall_time_s\nhmc-lf,3,0.1,1,,90,0.1,1,0.5\n", "no column 'chain'"),
+        (f"{SUMMARY_HEADER}\nhmc-lf,3,0.1,1,,mean,n/a,0.1,1,0.5\n",
          "could not convert string to float: 'n/a'"),
-    ], ids=["no-chain-column", "not-a-number"])
-    def test_table_on_malformed_summary_is_runtime_error(self, tmp_path, capsys, header, row,
-                                                          reason):
-        (tmp_path / "summary.csv").write_text(f"{header}\n{row}\n")
+        # a summary cut short before its mean rows (a killed run) is no finished run
+        ("", "no method-mean rows"),
+        (f"{SUMMARY_HEADER}\n", "no method-mean rows"),
+        (f"{SUMMARY_HEADER}\nhmc-lf,3,0.1,1,,0,90,0.1,1,0.5\n", "no method-mean rows"),
+    ], ids=["no-chain-column", "not-a-number", "empty", "header-only", "no-mean-row"])
+    def test_table_on_malformed_summary_is_runtime_error(self, tmp_path, capsys, body, reason):
+        (tmp_path / "summary.csv").write_text(body)
         assert main(["table", str(tmp_path)]) == EXIT_RUNTIME_ERROR
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"cannot read summary: {reason}"]

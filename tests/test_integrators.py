@@ -12,6 +12,8 @@ from chmc import (
     PhaseState,
     Potential,
     QuarticGeneralizedGaussian,
+    StepRecord,
+    StepScratch,
     divided_difference_force,
     dmm_step,
     hamiltonian,
@@ -19,7 +21,6 @@ from chmc import (
     step_jacobian,
     trajectory,
 )
-from chmc.integrators import StepRecord, force_function
 from chmc.phase import kinetic
 
 
@@ -181,7 +182,7 @@ def first_iterate(q, p, target, cfg, f_prev=None, chord_prev=None):
 
     target.closed_form_force = recording
     try:
-        dmm_step(q, p, target, cfg, f_prev=f_prev, chord_prev=chord_prev)
+        dmm_step(q, p, StepScratch(target, cfg), f_prev=f_prev, chord_prev=chord_prev)
     finally:
         del target.closed_form_force
     return calls[0]
@@ -193,7 +194,7 @@ def counted_step(q, p, target, cfg, **kwargs):
     force = target.closed_form_force
     target.closed_form_force = lambda Q, q_in: calls.append(Q) or force(Q, q_in)
     try:
-        return dmm_step(q, p, target, cfg, **kwargs), len(calls)
+        return dmm_step(q, p, StepScratch(target, cfg), **kwargs), len(calls)
     finally:
         del target.closed_form_force
 
@@ -209,7 +210,7 @@ def plain_fixed_point(state, potential, cfg):
     q, p = state.q, state.p
     half = 0.5 * cfg.tau
     a = q + cfg.tau * p
-    force = force_function(potential, cfg.dd_guard)
+    force = StepScratch(potential, cfg).force
     f = force(a, q)
     updates = 0
     while True:
@@ -553,7 +554,7 @@ class TestFixedPointInit:
         q = np.array([0.5, -1.0, 0.0])
         assert divided_difference_force(q, q, BlackBoxQuartic(d), cfg.dd_guard)[1] == 2 + 6 * d
         for target in (QuarticGeneralizedGaussian(d), BlackBoxQuartic(d)):
-            rec = dmm_step(q, np.zeros(d), target, cfg)
+            rec = dmm_step(q, np.zeros(d), StepScratch(target, cfg))
             assert rec.converged
             assert np.isfinite(rec.q).all() and np.isfinite(rec.p).all()
 
@@ -563,7 +564,7 @@ class TestDmmStep:
         # constant force: the solve lands on the fixed point in one update
         t = LinearPotential(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8)
-        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, cfg)
+        rec = dmm_step(np.array([0.0]), np.array([1.0]), StepScratch(t, cfg))
         assert rec.q[0] == pytest.approx(0.095, rel=1e-15)
         assert rec.p[0] == pytest.approx(0.9, rel=1e-15)
         assert rec.energy_error == 0.0
@@ -572,7 +573,7 @@ class TestDmmStep:
     def test_quartic_converges_to_tolerance(self):
         t = QuarticGeneralizedGaussian(1)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        rec = dmm_step(np.array([0.0]), np.array([1.0]), t, cfg)
+        rec = dmm_step(np.array([0.0]), np.array([1.0]), StepScratch(t, cfg))
         assert rec.converged and rec.energy_error <= 1e-8
 
     def test_force_evaluations_count_init_plus_updates(self):
@@ -587,7 +588,7 @@ class TestDmmStep:
         t = QuarticGeneralizedGaussian(2)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-16, max_fpi=1)
         s = PhaseState([1.1, -0.8], [0.9, 1.2])
-        rec = dmm_step(s.q, s.p, t, cfg)
+        rec = dmm_step(s.q, s.p, StepScratch(t, cfg))
         assert not rec.converged
         assert rec.fpi_iterations == 1
         assert np.isfinite(rec.energy_error)
@@ -598,7 +599,8 @@ class TestDmmStep:
             def evaluate(self, q):
                 return math.nan
 
-        rec = dmm_step(np.array([0.5]), np.array([1.0]), Nan(1), DmmSolverConfig(tau=0.1))
+        rec = dmm_step(np.array([0.5]), np.array([1.0]),
+                       StepScratch(Nan(1), DmmSolverConfig(tau=0.1)))
         assert not rec.converged and rec.energy_error == math.inf
         assert rec.q[0] == 0.5
 
@@ -610,7 +612,7 @@ class TestDmmStep:
             cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
             for _ in range(50):
                 s = PhaseState(rng.uniform(-1.5, 1.5, 4), rng.uniform(-1.5, 1.5, 4))
-                rec = dmm_step(s.q, s.p, target, cfg)
+                rec = dmm_step(s.q, s.p, StepScratch(target, cfg))
                 assert rec.converged
                 assert rec.energy_error <= 1e-11
 
@@ -625,7 +627,7 @@ class TestDmmStep:
             eps = 1e-8 * np.maximum(1.0, np.abs(q))
             small = np.abs(Q - q) < eps
             Q = np.where(small, q + np.where(p >= 0, 1.0, -1.0) * eps, Q)
-            force = force_function(t, 1e-8)
+            force = StepScratch(t, DmmSolverConfig(tau=0.1, dd_guard=1e-8)).force
             f = force(Q, q)
             P = p - 0.05 * f
             residuals = []
@@ -653,7 +655,7 @@ class TestChordSolve:
             assert rec.converged
             assert rec.fpi_iterations <= plain_updates
             assert forces == 1 + rec.fpi_iterations
-            rec = dmm_step(s.q, s.p, t, tight)
+            rec = dmm_step(s.q, s.p, StepScratch(t, tight))
             Q, P, _, err = plain_fixed_point(s, t, tight)
             assert rec.converged and err <= tight.delta
             assert np.max(np.abs(rec.q - Q)) <= 1e-8
@@ -671,7 +673,7 @@ class TestChordSolve:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=20)
         for _ in range(10):
             s = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-            assert_record_is_plain(dmm_step(s.q, s.p, t, cfg), s, t, cfg)
+            assert_record_is_plain(dmm_step(s.q, s.p, StepScratch(t, cfg)), s, t, cfg)
 
     def test_non_positive_scale_falls_back_to_plain_update(self):
         t = SeparableDoubleWell(2)
@@ -682,7 +684,7 @@ class TestChordSolve:
         _, d_Q = t.closed_form_force_jacobian_diag(g0, s.q)
         assert (1.0 + 0.25 * 0.25 * d_Q <= 0.0).any()
         t.jacobian_args.clear()
-        rec = dmm_step(s.q, s.p, t, cfg)
+        rec = dmm_step(s.q, s.p, StepScratch(t, cfg))
         assert len(t.jacobian_args) == 1
         assert math.isfinite(rec.energy_error)
         assert_record_is_plain(rec, s, t, cfg)
@@ -698,7 +700,7 @@ class TestChordSolve:
         t = QuarticGeneralizedGaussian(1)
         cfg = DmmSolverConfig(tau=1.0, max_fpi=1)
         q, p = np.array([0.5]), np.array([0.5])
-        rec = dmm_step(q, p, t, cfg)
+        rec = dmm_step(q, p, StepScratch(t, cfg))
         assert rec.chord[0] == 469 / 512
         assert rec.q[0] == pytest.approx(1.0 + (1 / 16 - 1.0) / (595 / 512), rel=1e-15)
 
@@ -857,7 +859,7 @@ class TestPredictorCorrector:
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         q, p, f_prev = s.q, s.p, None
         for _ in range(10):
-            step = dmm_step(q, p, t, cfg, f_prev=f_prev)
+            step = dmm_step(q, p, StepScratch(t, cfg), f_prev=f_prev)
             f_prev, q, p = step.force, step.q, step.p
         steps = record_steps(monkeypatch)
         rec = trajectory(s, t, cfg, 10)
@@ -881,7 +883,7 @@ class TestPredictorCorrector:
             f_prev = (cfg.tau * p - 1e-9) / 0.05 ** 2
             Q0, _ = first_iterate(q, p, t, cfg, f_prev)
             assert np.abs(Q0 - q - 1e-9).max() <= 1e-15
-            rec = dmm_step(q, p, t, cfg, f_prev=f_prev)
+            rec = dmm_step(q, p, StepScratch(t, cfg), f_prev=f_prev)
             assert rec.fpi_iterations >= 1
             moving = p != 0.0
             assert (np.abs(rec.q - q)[moving] > 1e-6).all()
@@ -899,9 +901,9 @@ class TestReversibility:
         for target in targets:
             for _ in range(50):
                 z = PhaseState(rng.uniform(-1.5, 1.5, dim), rng.uniform(-1.5, 1.5, dim))
-                fwd = dmm_step(z.q, z.p, target, cfg)
+                fwd = dmm_step(z.q, z.p, StepScratch(target, cfg))
                 assert fwd.converged
-                back = dmm_step(fwd.q, -fwd.p, target, cfg)
+                back = dmm_step(fwd.q, -fwd.p, StepScratch(target, cfg))
                 # R(back) = (back.q, -back.p)
                 assert np.max(np.abs(back.q - z.q)) <= 1e-8
                 assert np.max(np.abs(-back.p - z.p)) <= 1e-8
@@ -960,11 +962,30 @@ class TestTrajectory:
         assert rec.jacobian.extra_force_evals == 2 * 5
 
     def test_a_step_has_only_the_entries_a_chain_takes(self):
-        # no warm start: the first iterate is the predictor; no force count
-        # of its own: a step makes fpi_iterations + 1 forces
-        assert set(inspect.signature(dmm_step).parameters) == {
-            "q", "p", "potential", "cfg", "f_prev", "chord_prev", "scratch"}
+        # no warm start: the first iterate is the predictor; no target or
+        # configuration beside its scratch; no force count of its own: a
+        # step makes fpi_iterations + 1 forces
+        assert list(inspect.signature(dmm_step).parameters) == [
+            "q", "p", "scratch", "f_prev", "chord_prev"]
         assert "force_evaluations" not in {f.name for f in dataclasses.fields(StepRecord)}
+
+    def test_scratch_resolves_the_force(self):
+        # the closed form where the target has one, else divided differences
+        # of U under the configuration's guard
+        rng = np.random.default_rng(58)
+        d = 4
+        q, Q = rng.uniform(-1.5, 1.5, d), rng.uniform(-1.5, 1.5, d)
+        Q[0] = q[0] + 1e-7
+        quartic = QuarticGeneralizedGaussian(d)
+        assert StepScratch(quartic, DmmSolverConfig(tau=0.1)).force == quartic.closed_form_force
+        black_box, forces = BlackBoxQuartic(d), []
+        for guard in (1e-8, 1e-6):
+            cfg = DmmSolverConfig(tau=0.1, dd_guard=guard)
+            forces.append(StepScratch(black_box, cfg).force(Q, q))
+            np.testing.assert_array_equal(
+                forces[-1], divided_difference_force(Q, q, black_box, cfg.dd_guard)[0])
+        # the guard decides the branch of component 0, so the two differ
+        assert forces[0][0] != forces[1][0]
 
     @pytest.mark.parametrize("integrate", [
         lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
@@ -1117,21 +1138,22 @@ class TestDiscreteGradientEnergy:
             t = QuarticGeneralizedGaussian(d)
         else:
             t = RescaledQuartic(rng.uniform(0.5, 2.0, d))
+        cfg = DmmSolverConfig(tau=2 * half, delta=1e-8, dd_guard=guard)
+        scratch = StepScratch(t, cfg)
         for _ in range(50):
             q, p = rng.uniform(-1.5, 1.5, d), rng.uniform(-1.5, 1.5, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
             if case == "black-box-guarded":
                 Q[0] = q[0] + 0.3 * guard * max(1.0, abs(q[0]))
                 assert abs(Q[0] - q[0]) < guard * max(1.0, abs(q[0]))
-            f = force_function(t, guard)(Q, q)
+            f = scratch.force(Q, q)
             P = p - half * f
             g = q + half * (P + p)
             h_in = t.evaluate(q) + kinetic(p)
             true_dh = t.evaluate(Q) + kinetic(P) - h_in
             assert abs(0.5 * float(f @ (Q - g)) - true_dh) <= 1e-12 * (1.0 + abs(h_in))
         # the solve's reported error, chord or plain update alike
-        cfg = DmmSolverConfig(tau=2 * half, delta=1e-8, dd_guard=guard)
-        rec = dmm_step(q, p, t, cfg)
+        rec = dmm_step(q, p, scratch)
         true_err = abs(t.evaluate(rec.q) + kinetic(rec.p) - h_in)
         assert abs(rec.energy_error - true_err) <= 1e-12 * (1.0 + abs(h_in))
 
@@ -1150,7 +1172,7 @@ class TestDiscreteGradientEnergy:
             assert t.evaluate_calls == 2
             updates.add(rec.total_fpi_iterations)
             t.evaluate_calls = 0
-            dmm_step(s.q, s.p, t, cfg)
+            dmm_step(s.q, s.p, StepScratch(t, cfg))
             assert t.evaluate_calls == 0
         assert len(updates) == 3
 
@@ -1544,7 +1566,7 @@ class TestStepChecks:
         t = InjectedDiagonals(a, d_q, d_Q)
         q, p = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.2])
         with np.errstate(invalid="ignore"):
-            rec = dmm_step(q, p, t, DmmSolverConfig(tau=2.0, max_fpi=1))
+            rec = dmm_step(q, p, StepScratch(t, DmmSolverConfig(tau=2.0, max_fpi=1)))
         Q0 = q + 2.0 * p
         g0 = Q0 - t.closed_form_force(Q0, q)
         with np.errstate(invalid="ignore"):
@@ -1597,7 +1619,8 @@ class TestRoundingFloor:
         # must stay finite so that the step does not pass as converged
         d = 4
         t = QuarticGeneralizedGaussian(d)
-        rec = dmm_step(np.full(d, 1e30), np.ones(d), t, DmmSolverConfig(tau=0.1, max_fpi=3))
+        rec = dmm_step(np.full(d, 1e30), np.ones(d),
+                       StepScratch(t, DmmSolverConfig(tau=0.1, max_fpi=3)))
         assert math.isfinite(rec.energy_error)
         assert not rec.converged and rec.tolerance < rec.energy_error
 

@@ -13,6 +13,7 @@ from chmc import (
     QuarticGeneralizedGaussian,
     SamplerConfig,
     StateCache,
+    StepScratch,
     TrajectoryRecord,
     chain_rng,
     chmc_iteration,
@@ -22,7 +23,6 @@ from chmc import (
     trajectory,
 )
 from chmc import jacobian
-from chmc.integrators import StepScratch
 
 
 class BlackBoxQuartic(Potential):
@@ -336,7 +336,7 @@ class TestStepJacobian:
         for _ in range(20):
             mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
             q = np.where(rng.random(d) < 0.5, -mag, mag)
-            Q = dmm_step(q, rng.standard_normal(d), t, cfg).q
+            Q = dmm_step(q, rng.standard_normal(d), StepScratch(t, cfg)).q
             d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
             ref = (math.fsum(map(math.log, np.abs(1.0 + c * d_q).tolist()))
                    - math.fsum(map(math.log, np.abs(1.0 + c * d_Q).tolist())))
@@ -516,10 +516,10 @@ class TestProductPastTheFloatRange:
 def brute_force_map_jacobian(z, target, tau, h=1e-5):
     """Central finite differences of the tightly solved one-step map."""
     d = z.dim
-    cfg = DmmSolverConfig(tau=tau, delta=1e-13, max_fpi=200)
+    scratch = StepScratch(target, DmmSolverConfig(tau=tau, delta=1e-13, max_fpi=200))
 
     def apply_map(vec):
-        rec = dmm_step(vec[:d], vec[d:], target, cfg)
+        rec = dmm_step(vec[:d], vec[d:], scratch)
         assert rec.converged
         return np.concatenate([rec.q, rec.p])
 
@@ -542,7 +542,7 @@ class TestDeterminantAgainstBruteForce:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(5):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            rec = dmm_step(z.q, z.p, target, cfg)
+            rec = dmm_step(z.q, z.p, StepScratch(target, cfg))
             assert rec.converged
             value, _ = step_factor(rec.q, z.q, 0.1, JacobianMode("JFull", "analytic"), target)
             brute = brute_force_map_jacobian(z, target, 0.1)
@@ -556,10 +556,10 @@ class TestDeterminantAgainstBruteForce:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-13, max_fpi=200)
         for _ in range(10):
             z = PhaseState(rng.uniform(-1.2, 1.2, dim), rng.uniform(0.5, 1.5, dim))
-            fwd = dmm_step(z.q, z.p, target, cfg)
+            fwd = dmm_step(z.q, z.p, StepScratch(target, cfg))
             assert fwd.converged
             j_fwd, _ = step_factor(fwd.q, z.q, 0.1, JacobianMode("JFull", "analytic"), target)
-            back = dmm_step(fwd.q, -fwd.p, target, cfg)
+            back = dmm_step(fwd.q, -fwd.p, StepScratch(target, cfg))
             assert back.converged
             j_back, _ = step_factor(back.q, fwd.q, 0.1, JacobianMode("JFull", "analytic"), target)
             assert j_fwd * j_back == pytest.approx(1.0, abs=1e-6)

@@ -134,8 +134,9 @@ class TestPerfbenchHooks:
         assert {"fpi_iterations", "converged"} <= {
             f.name for f in dataclasses.fields(chmc.StepRecord)}
         tracer = load_perfbench("spans").Tracer()
-        rec = chmc.dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]),
-                            chmc.QuarticGeneralizedGaussian(2), chmc.DmmSolverConfig(tau=0.1))
+        scratch = chmc.StepScratch(chmc.QuarticGeneralizedGaussian(2),
+                                   chmc.DmmSolverConfig(tau=0.1))
+        rec = chmc.dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]), scratch)
         tracer._on_step(rec)
         assert tracer.solver == {"steps": 1, "fpi": rec.fpi_iterations,
                                  "unconverged": 0 if rec.converged else 1, "measured": True}
