@@ -1,43 +1,23 @@
 """Conservative Hamiltonian Monte Carlo with energy-preserving proposals.
 
-Public surface: phase-space primitives, built-in targets, the leapfrog and
-energy-preserving integrators, Jacobian determinant factors, the two
-samplers, the covariance tracker, and the config-driven experiment runner in
-``chmc.cli``.
+Public surface: the chain API. ``run_chain`` runs one chain of a validated
+``SamplerConfig`` (with its ``DmmSolverConfig`` and ``JacobianMode``) on a
+``Potential``, streaming ``IterationOutcome`` records and returning a
+``ChainSummary``; ``CovarianceTracker`` follows the retained draws. Two
+targets ship, and ``chmc.cli`` runs YAML experiment specs.
+
+``run_chain`` and ``chmc.cli`` are the one place where a chain's inputs are
+checked. The step-level layers below them (``integrators``, ``jacobian``,
+``phase`` and the iterations in ``samplers``) are internals: they stay
+importable from their modules, trust the raw arrays and counts the chain
+hands them, and may change signature without notice.
 """
 
 from .diagnostics import ChainSummary, CovarianceTracker
-from .integrators import (
-    DmmSolverConfig,
-    StepRecord,
-    StepScratch,
-    TrajectoryRecord,
-    divided_difference_force,
-    dmm_step,
-    leapfrog_trajectory,
-    trajectory,
-)
-from .jacobian import (
-    JacobianAccumulator,
-    JacobianMode,
-    force_jacobians,
-    step_jacobian,
-)
-from .phase import (
-    MassMatrix,
-    PhaseState,
-    hamiltonian,
-)
-from .samplers import (
-    IterationOutcome,
-    SamplerConfig,
-    StateCache,
-    acceptance_probability,
-    chain_rng,
-    chmc_iteration,
-    hmc_iteration,
-    run_chain,
-)
+from .integrators import DmmSolverConfig
+from .jacobian import JacobianMode
+from .phase import MassMatrix
+from .samplers import IterationOutcome, SamplerConfig, run_chain
 from .targets import (
     MultivariateGaussian,
     Potential,
@@ -52,30 +32,13 @@ __all__ = [
     "CovarianceTracker",
     "DmmSolverConfig",
     "IterationOutcome",
-    "JacobianAccumulator",
     "JacobianMode",
     "MassMatrix",
     "MultivariateGaussian",
-    "PhaseState",
     "Potential",
     "QuarticGeneralizedGaussian",
     "SamplerConfig",
-    "StateCache",
-    "StepRecord",
-    "StepScratch",
-    "TrajectoryRecord",
-    "acceptance_probability",
-    "chain_rng",
-    "chmc_iteration",
-    "divided_difference_force",
-    "dmm_step",
-    "force_jacobians",
-    "hamiltonian",
-    "hmc_iteration",
-    "leapfrog_trajectory",
     "quartic_target_variance",
     "run_chain",
-    "step_jacobian",
-    "trajectory",
     "__version__",
 ]

@@ -560,7 +560,8 @@ def main(argv=None) -> int:
 
     try:
         print(format_table(args.output_dir))
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # no file, column or number
+    # no file, a row csv cannot split, no column, or no number
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
         reason = f"no column {exc}" if isinstance(exc, KeyError) else exc
         print(f"cannot read summary: {reason}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

@@ -184,14 +184,11 @@ def divided_difference_force(Q: np.ndarray, q: np.ndarray, potential, guard: flo
     difference across the midpoint of each path (the analytic limit of the
     quotient, still gradient-free).
 
-    Returns (force, n_potential_evaluations). Non-finite potential values
-    propagate into the force and are handled by rejection upstream.
+    Q and q are float vectors of the target's dimension, as the step hands
+    them over. Returns (force, n_potential_evaluations). Non-finite potential
+    values propagate into the force and are handled by rejection upstream.
     """
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(q, dtype=float)
     d = q.size
-    if Q.shape != q.shape:
-        raise ValueError("Q and q must have the same shape")
     dq = Q - q
     eps = guard * np.maximum(1.0, np.abs(q))
     x = q.copy()  # ascending substitution path, starts at q
@@ -408,7 +405,8 @@ def trajectory(
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
 
-    ``n_steps`` is an integer >= 1. ``u_in``, when given, is U(state.q) as
+    ``n_steps`` is an integer >= 1, as ``SamplerConfig`` makes it; it is not
+    checked here. ``u_in``, when given, is U(state.q) as
     ``potential_energy`` gives it (a chain passes the value its last
     trajectory reported for the position it kept); without it
     ``hamiltonian`` evaluates U at the start, after checking the
@@ -425,8 +423,6 @@ def trajectory(
     update's force, so no probe recomputes it, and returns it as
     ``jacobian``; J0, the default, builds none.
     """
-    if require_integer("n_steps", n_steps) < 1:
-        raise ValueError("n_steps must be >= 1")
     u_in, h_in = hamiltonian(state, potential, u_in)
     q, p = state.q, state.p
     total_f = total_it = 0
@@ -471,11 +467,13 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps gradient evaluations,
     plus one for the first half-kick when ``kick_in`` is None.
 
-    ``n_steps`` is an integer >= 1 and ``tau`` finite and positive. ``u_in``
-    and ``kick_in`` are U(state.q) and (tau/2) grad U(state.q) when the caller
-    has them (a chain's values from its last trajectory); the trajectory never
-    writes ``kick_in``, and evaluates what it is not given, after
-    ``hamiltonian`` has checked the dimensions.
+    ``n_steps`` is an integer >= 1, ``tau`` finite and positive and
+    ``potential.gradient`` present, as ``SamplerConfig`` and ``run_chain``
+    make them; none is checked here. ``u_in`` and ``kick_in`` are U(state.q)
+    and (tau/2) grad U(state.q) when the caller has them (a chain's values
+    from its last trajectory); the trajectory never writes ``kick_in``, and
+    evaluates what it is not given, after ``hamiltonian`` has checked the
+    dimensions.
     The loop carries w = tau p and makes one kick tau^2 grad U per step (see
     the module docstring); p = w / tau + (tau/2) grad U is formed once, after
     the last step. This is the kick-drift-kick map with its inner half-kicks
@@ -484,12 +482,6 @@ def leapfrog_trajectory(
     (steep targets can blow up the explicit update) fails: it reports
     h_out = +inf, which the sampler rejects.
     """
-    if require_integer("n_steps", n_steps) < 1:
-        raise ValueError("n_steps must be >= 1")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError("tau must be finite and positive")
-    if potential.gradient is None:
-        raise ValueError("leapfrog requires a potential gradient")
     u_in, h_in = hamiltonian(state, potential, u_in)
     grad = potential.gradient
     dt, half, dt2 = map(scalar_operand, (tau, 0.5 * tau, tau * tau))

@@ -81,10 +81,9 @@ def force_jacobians(
     nonzero row, is perturbed at once in q and then in Q (2 probe
     evaluations). A separable target has one colour, ``True`` (2 probes);
     others one per column (2d). Callers should hand in
-    well-separated (Q, q) pairs, which a converged step provides.
+    well-separated (Q, q) pairs, which a converged step provides, as float
+    vectors, and a capability returns float arrays; neither is converted here.
     """
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(q, dtype=float)
     separable = is_separable(potential)
     if source == "analytic":
         closed_form = (potential.closed_form_force_jacobian_diag if separable
@@ -92,7 +91,7 @@ def force_jacobians(
         if closed_form is None:
             raise ValueError("target provides no analytic force Jacobians")
         d_q, d_Q = closed_form(Q, q)
-        return np.asarray(d_q, dtype=float), np.asarray(d_Q, dtype=float), 0
+        return d_q, d_Q, 0
     d = q.size
     hq = np.multiply(np.maximum(np.abs(q), _ONE), _FD_STEP)
     hQ = np.multiply(np.maximum(np.abs(Q), _ONE), _FD_STEP)
@@ -135,15 +134,13 @@ def step_jacobian(
     (tau/2)^2, the trajectory's 0-d ``StepScratch.half2``.
     Returns (sign, log|J|, n_force_evaluations of the derivative probes),
     with (0, -inf) for a zero or non-finite factor, which rejects the
-    proposal upstream. J0 has no factor and is refused. J1 is the sign and
-    log of the first trace term 1 + c Tr(...), which reads the
-    diagonals of whatever ``force_jacobians`` returns. JFull is the
-    difference of the two determinants' slogdet pairs; for a separable
-    target's diagonals it takes the O(d) sums of their logs instead, with
-    the sign from the count of negative entries.
+    proposal upstream. ``mode`` is J1 or JFull: J0 has no factor, and its
+    trajectories build none. J1 is the sign and log of the first trace term
+    1 + c Tr(...), which reads the diagonals of whatever ``force_jacobians``
+    returns. JFull is the difference of the two determinants' slogdet pairs;
+    for a separable target's diagonals it takes the O(d) sums of their logs
+    instead, with the sign from the count of negative entries.
     """
-    if mode.kind == "J0":
-        raise ValueError("J0 has no step factor: its trajectories build no Jacobian")
     d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, force)
     if mode.kind == "J1":
         if d_q.ndim == 2:

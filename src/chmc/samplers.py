@@ -231,12 +231,16 @@ def run_chain(
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
     Of ``mass`` only its dimension is read. It is checked against the target's,
-    and ``chain_index`` as a non-negative integer, before the first draw.
+    ``chain_index`` as a non-negative integer, and a leapfrog chain's target for
+    a gradient, before the first draw: this is the chain's one validation
+    boundary, and the iterations and trajectories below it check none of it.
     """
     if mass.dim != target.dim:
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
     if require_integer("chain_index", chain_index) < 0:
         raise ValueError(f"chain_index must be >= 0, got {chain_index!r}")
+    if cfg.method != "chmc" and target.gradient is None:
+        raise ValueError("leapfrog requires a potential gradient")
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)

@@ -660,7 +660,11 @@ class TestMainEntry:
         ("", "no method-mean rows"),
         (f"{SUMMARY_HEADER}\n", "no method-mean rows"),
         (f"{SUMMARY_HEADER}\nhmc-lf,3,0.1,1,,0,90,0.1,1,0.5\n", "no method-mean rows"),
-    ], ids=["no-chain-column", "not-a-number", "empty", "header-only", "no-mean-row"])
+        # csv refuses a field over its 131,072-character limit
+        (f"{SUMMARY_HEADER}\nhmc-lf,3,0.1,1,,mean,{'9' * 131073},0.1,1,0.5\n",
+         "field larger than field limit (131072)"),
+    ], ids=["no-chain-column", "not-a-number", "empty", "header-only", "no-mean-row",
+            "field-over-csv-limit"])
     def test_table_on_malformed_summary_is_runtime_error(self, tmp_path, capsys, body, reason):
         (tmp_path / "summary.csv").write_text(body)
         assert main(["table", str(tmp_path)]) == EXIT_RUNTIME_ERROR

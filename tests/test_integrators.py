@@ -8,20 +8,23 @@ import pytest
 from chmc import (
     DmmSolverConfig,
     JacobianMode,
+    MassMatrix,
     MultivariateGaussian,
-    PhaseState,
     Potential,
     QuarticGeneralizedGaussian,
+    SamplerConfig,
+    run_chain,
+)
+from chmc.integrators import (
     StepRecord,
     StepScratch,
     divided_difference_force,
     dmm_step,
-    hamiltonian,
     leapfrog_trajectory,
-    step_jacobian,
     trajectory,
 )
-from chmc.phase import kinetic
+from chmc.jacobian import step_jacobian
+from chmc.phase import PhaseState, hamiltonian, kinetic
 
 
 class LinearPotential(Potential):
@@ -311,15 +314,26 @@ class TestLeapfrog:
 
     @pytest.mark.parametrize("tau", [0.0, -0.1, math.inf, math.nan])
     def test_tau_must_be_finite_and_positive(self, tau):
-        # the loop carries w = tau p, which loses p at tau = 0
-        t = QuarticGeneralizedGaussian(2)
+        # the loop carries w = tau p, which loses p at tau = 0; the trajectory
+        # takes tau on trust, and a chain's config refuses it
         with pytest.raises(ValueError, match="tau must be finite and positive"):
-            leapfrog_trajectory(PhaseState([0.4, -0.7], [1.0, 0.2]), t, tau, 1)
+            SamplerConfig(method="hmc-leapfrog", tau=tau, total_time=0.1, iterations=2)
 
     def test_requires_gradient(self):
-        with pytest.raises(ValueError):
-            leapfrog_trajectory(PhaseState([0.0], [1.0]), BlackBoxQuartic(1),
-                                0.1, 1)
+        # the trajectory takes the gradient on trust: run_chain refuses a
+        # leapfrog chain on a gradient-free target before any sink or target call
+        class CountingBlackBox(BlackBoxQuartic):
+            evaluations = 0
+
+            def evaluate(self, q):
+                self.evaluations += 1
+                return super().evaluate(q)
+
+        seen, target = [], CountingBlackBox(1)
+        cfg = SamplerConfig(method="hmc-leapfrog", tau=0.1, total_time=0.1, iterations=2)
+        with pytest.raises(ValueError, match="leapfrog requires a potential gradient"):
+            run_chain(cfg, target, MassMatrix.identity(1), sinks=[lambda i, o, th: seen.append(i)])
+        assert seen == [] and target.evaluations == 0
 
     def test_n_steps_plus_one_gradient_evaluations(self):
         t = CountingQuartic(3)
@@ -868,7 +882,7 @@ class TestPredictorCorrector:
         assert all(kw["chord_prev"] is None and step.chord is None for _, _, kw, step in steps)
 
     @pytest.mark.parametrize("case", ["quartic-d1", "gaussian-d3"])
-    def test_random_perturb_start_always_moves(self, case):
+    def test_first_iterate_on_the_energy_surface_still_moves(self, case):
         # an f_prev that puts Q_pc = q + tau p - (tau/2)^2 f_prev 1e-9 from q
         # gives a first iterate on the input energy surface; testing it
         # before an update would return the input unchanged
@@ -1023,21 +1037,6 @@ class TestTrajectory:
         s = PhaseState([0.1, 0.2, 0.3], [1.0, -1.0, 0.5])
         with pytest.raises(ValueError, match="state dimension 3 != potential dimension 5"):
             integrate(s, FiveDimensional(5))
-
-    @pytest.mark.parametrize("integrate", [
-        lambda s, t, n: trajectory(s, t, DmmSolverConfig(tau=0.1), n),
-        lambda s, t, n: leapfrog_trajectory(s, t, 0.1, n),
-    ], ids=["chmc", "leapfrog"])
-    def test_step_count_must_be_an_integer(self, integrate):
-        # True would run one step, 2.5 fail with a TypeError in range()
-        t = QuarticGeneralizedGaussian(2)
-        s = PhaseState([0.1, 0.2], [1.0, -1.0])
-        for bad in (True, 2.5, 2.0):
-            with pytest.raises(ValueError, match="n_steps must be an integer"):
-                integrate(s, t, bad)
-        with pytest.raises(ValueError, match="n_steps must be >= 1"):
-            integrate(s, t, np.int64(0))
-        assert integrate(s, t, np.int64(2)).h_out == integrate(s, t, 2).h_out
 
     def test_composed_round_trip(self):
         # trajectory, flip, trajectory, flip returns to the start

@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from chmc import (
     MassMatrix,
     MultivariateGaussian,
-    PhaseState,
     QuarticGeneralizedGaussian,
     SamplerConfig,
-    StateCache,
-    TrajectoryRecord,
-    chmc_iteration,
-    hamiltonian,
-    hmc_iteration,
 )
-from chmc.phase import kinetic
+from chmc.integrators import TrajectoryRecord
+from chmc.phase import PhaseState, hamiltonian, kinetic
+from chmc.samplers import StateCache, chmc_iteration, hmc_iteration
 
 
 def random_spd(rng, d):

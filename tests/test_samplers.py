@@ -13,20 +13,22 @@ from chmc import (
     JacobianMode,
     MassMatrix,
     MultivariateGaussian,
-    PhaseState,
     Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
+    run_chain,
+)
+from chmc import samplers
+from chmc.integrators import trajectory
+from chmc.phase import PhaseState
+from chmc.samplers import (
     StateCache,
     acceptance_probability,
     chain_rng,
     chmc_iteration,
     hmc_iteration,
-    run_chain,
-    trajectory,
+    initial_position,
 )
-from chmc import samplers
-from chmc.samplers import initial_position
 
 
 class TestAcceptanceProbability:
@@ -142,6 +144,10 @@ class TestSamplerConfig:
     def test_non_integral_steps_rejected(self):
         with pytest.raises(ValueError, match="n_steps not integral"):
             SamplerConfig(method="chmc", tau=0.1, total_time=3.95, iterations=10)
+        # a ratio that rounds to 0 steps is refused too: the trajectories
+        # take n_steps >= 1 on trust
+        with pytest.raises(ValueError, match="n_steps not integral"):
+            SamplerConfig(method="chmc", tau=0.1, total_time=1e-12, iterations=10)
 
     def test_n_steps_value(self):
         assert quartic_cfg().n_steps == 40
@@ -288,6 +294,20 @@ class TestChmcIteration:
                 if out.all_steps_converged:
                     bound = min(1.0, math.exp(-n_delta) * out.jacobian_product)
                     assert out.alpha + 1e-14 >= bound
+
+    @pytest.mark.xfail(strict=True, reason="known defect 3: an unconverged trajectory "
+                       "enters the acceptance ratio through its true energy error")
+    def test_unconverged_trajectory_never_accepted(self):
+        # from a far start one update per step converges no trajectory: every
+        # iteration is unconverged, and a step that fails its check must reject
+        start = 2.0 * np.random.default_rng(1).standard_normal(8)
+        cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=20, seed=3,
+                            solver=DmmSolverConfig(tau=0.1, max_fpi=1),
+                            initial_state_mode="explicit", initial_state=start)
+        seen = []
+        run_chain(cfg, QuarticGeneralizedGaussian(8), MassMatrix.identity(8),
+                  sinks=[lambda i, o, th: seen.append(o)])
+        assert [o for o in seen if o.accepted and not o.all_steps_converged] == []
 
 
 class TestHmcIteration:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import chmc
+from chmc.integrators import StepRecord, StepScratch, dmm_step
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,7 +122,9 @@ class TestPerfbenchHooks:
     def test_workload_chmc_references_exist(self):
         imported, dotted = chmc_references(ROOT / "perfbench" / "workloads.py")
         assert imported, "no names imported from chmc"
-        assert [n for n in sorted(imported) if not hasattr(chmc, n)] == []
+        # the benchmark drives the chain API only: the step-level internals
+        # may change signature without breaking it
+        assert sorted(imported - set(chmc.__all__)) == []
         assert {"cli.run_chain", "cli.DIAGONAL_ONLY_ABOVE"} <= dotted
         for chain in sorted(dotted):
             module, _, attr = chain.rpartition(".")
@@ -132,11 +135,10 @@ class TestPerfbenchHooks:
         # spans.py reads these through getattr; a missing one silently turns
         # the solver metrics into "unmeasured"
         assert {"fpi_iterations", "converged"} <= {
-            f.name for f in dataclasses.fields(chmc.StepRecord)}
+            f.name for f in dataclasses.fields(StepRecord)}
         tracer = load_perfbench("spans").Tracer()
-        scratch = chmc.StepScratch(chmc.QuarticGeneralizedGaussian(2),
-                                   chmc.DmmSolverConfig(tau=0.1))
-        rec = chmc.dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]), scratch)
+        scratch = StepScratch(chmc.QuarticGeneralizedGaussian(2), chmc.DmmSolverConfig(tau=0.1))
+        rec = dmm_step(np.array([0.3, -0.2]), np.array([1.0, 0.5]), scratch)
         tracer._on_step(rec)
         assert tracer.solver == {"steps": 1, "fpi": rec.fpi_iterations,
                                  "unconverged": 0 if rec.converged else 1, "measured": True}
@@ -231,7 +233,7 @@ methods:
 # expression cannot be typed from the source, so each is listed here.
 HOT_PATH = {
     "integrators.py": {
-        "leapfrog_trajectory": {"tau > 0.0", "0.5 * tau"},
+        "leapfrog_trajectory": {"0.5 * tau"},
         "dmm_step": {"0.5 * float(f @ np.subtract(g, Q, r))"},
         "_chord_scale": {"block.min() > 0.0", "row.min() > 0.0"},
     },

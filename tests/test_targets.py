@@ -13,9 +13,9 @@ import chmc
 from chmc import (
     MultivariateGaussian,
     QuarticGeneralizedGaussian,
-    divided_difference_force,
     quartic_target_variance,
 )
+from chmc.integrators import divided_difference_force
 
 
 def central_gradient(f, q, h=1e-6):
@@ -241,6 +241,16 @@ def test_all_lists_exactly_the_public_names_init_binds():
     namespace = {}
     exec("from chmc import *", namespace)
     assert public <= set(namespace)
+
+
+def test_all_is_the_chain_api():
+    # the step-level layers (trajectories, steps, Jacobian factors, phase
+    # states, iterations) are internals of their modules, not exports
+    assert sorted(chmc.__all__) == [
+        "ChainSummary", "CovarianceTracker", "DmmSolverConfig", "IterationOutcome",
+        "JacobianMode", "MassMatrix", "MultivariateGaussian", "Potential",
+        "QuarticGeneralizedGaussian", "SamplerConfig", "__version__",
+        "quartic_target_variance", "run_chain"]
 
 
 def test_import_loads_no_scipy():
