@@ -252,24 +252,25 @@ def _format_float(x: float) -> str:
 
 
 _METHOD_KEYS = tuple(f.name for f in fields(MethodSpec))
-# keys each methods entry sets for itself; ``defaults`` may set every other
-# method key, and the top level iterations and burn_in
+# keys each methods entry sets for itself; ``defaults`` holds every other
+# method key that the entries share, iterations and burn_in included
 _ENTRY_KEYS = ("name", "method", "jacobian")
-_TOP_METHOD_KEYS = ("iterations", "burn_in")
 
 
-def _mapping(raw, path, errors) -> dict:
-    """The YAML mapping ``raw`` ({} when absent), or {} after reporting anything else."""
+def _mapping(raw, path, errors) -> Optional[dict]:
+    """The YAML mapping ``raw`` ({} when absent), or None after reporting anything else."""
     if raw is None or isinstance(raw, dict):
         return raw or {}
     errors.append(f"{path}: expected a mapping")
-    return {}
+    return None
 
 
 def _build(cls, sources: list, errors: list, prefix: str = ""):
-    """``cls`` with each field read by its YAML key from the first of
-    ``sources`` that holds it, else its default; None after adding its
-    violations to ``errors`` (a missing key named after ``prefix``)."""
+    """``cls`` with each field read by its YAML key from the first of ``sources``
+    that holds it, else its default; None after adding its violations to ``errors``
+    (a missing key named after ``prefix``), or if a source is None (no mapping)."""
+    if any(s is None for s in sources):
+        return None
     values = {f.name: next((s[f.name] for s in sources if f.name in s), f.default)
               for f in fields(cls)}
     found = [f"{prefix}{n}: required" for n, v in values.items() if v is MISSING]
@@ -286,12 +287,12 @@ def validate_spec(text: str) -> ExperimentSpec:
     """Parse and fully validate a YAML run specification.
 
     The keys, defaults and checks are the fields of ``ExperimentSpec``, its
-    ``TargetSpec`` and each ``MethodSpec``; ``defaults`` holds method values
-    shared by every entry (its chmc-only keys, which may not be null, by the
-    chmc entries). Every violation is collected (no fail-fast) and reported
-    through a single ConfigError whose ``errors`` list names the offending
-    field paths; a key given twice in one mapping is refused alone, naming the
-    key and its line.
+    ``TargetSpec`` and each ``MethodSpec``; a method value comes from its entry,
+    else from ``defaults``, the values every entry shares (its chmc-only keys,
+    which may not be null, only for chmc entries), else from the field default.
+    Every violation is collected (no fail-fast) and reported through a single
+    ConfigError naming the offending field paths; a section that is no mapping
+    builds nothing, and a key given twice in one mapping is refused alone.
     """
     errors: list[str] = []
     try:
@@ -307,30 +308,29 @@ def validate_spec(text: str) -> ExperimentSpec:
     entries = {f"methods[{i}]": _mapping(e, f"methods[{i}]", errors)
                for i, e in enumerate(listed if isinstance(listed, list) else [])}
     levels = [
-        ("config", raw, {f.name for f in fields(ExperimentSpec)} | {"defaults", *_TOP_METHOD_KEYS}),
+        ("config", raw, {f.name for f in fields(ExperimentSpec)} | {"defaults"}),
         ("target", target, {f.name for f in fields(TargetSpec)}),
         ("defaults", defaults, set(_METHOD_KEYS) - set(_ENTRY_KEYS)),
     ] + [(path, entry, set(_METHOD_KEYS)) for path, entry in entries.items()]
     for path, mapping, known in levels:
-        errors.extend(f"{path}.{key}: unknown field" for key in mapping if key not in known)
+        errors.extend(f"{path}.{key}: unknown field" for key in mapping or () if key not in known)
 
-    top_keys = {k: raw[k] for k in _TOP_METHOD_KEYS if k in raw}
     chmc_only = {f.name for f in fields(MethodSpec) if "chmc_only" in f.metadata}
-    chmc_entries = {path: e for path, e in entries.items() if e.get("method") == "chmc"}
-    if not chmc_entries:
+    chmc_entries = {path: e for path, e in entries.items() if e and e.get("method") == "chmc"}
+    if not chmc_entries and None not in entries.values():  # a non-mapping entry may be chmc
         errors.extend(f"defaults.{key}: only applies to chmc, and no method is chmc"
-                      for key in defaults if key in chmc_only)
+                      for key in defaults or () if key in chmc_only)
     # null stands for "unset" only on a leapfrog entry, where meta.json records it
-    chmc_levels = {"defaults": defaults, **chmc_entries} if chmc_entries else {}
+    chmc_levels = {"defaults": defaults or {}, **chmc_entries} if chmc_entries else {}
     errors.extend(f"{path}.{key}: a chmc method needs a value, got null"
                   for path, mapping in chmc_levels.items()
                   for key in mapping if key in chmc_only and mapping[key] is None)
     methods = []
     for path, entry in entries.items():
         found = []
-        chmc = entry.get("method") == "chmc"
-        shared = {k: v for k, v in defaults.items() if chmc or k not in chmc_only}
-        methods.append(_build(MethodSpec, [entry, shared, top_keys], found))
+        shared = None if defaults is None else {
+            k: v for k, v in defaults.items() if path in chmc_entries or k not in chmc_only}
+        methods.append(_build(MethodSpec, [entry, shared], found))
         # a field's own violation reads path.key: ..., a dataclass's path: ...
         errors.extend(f"{path}.{e}" if e.partition(":")[0] in _METHOD_KEYS else f"{path}: {e}"
                       for e in found)

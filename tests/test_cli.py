@@ -30,11 +30,10 @@ from chmc.cli import (
 MINIMAL = """
 target: {{kind: quartic, dimension: 3}}
 chains: {chains}
-iterations: {iterations}
 seed: 11
 output_dir: {out}
 record_stride: 5
-defaults: {{tau: 0.1, total_time: 1.0, delta: 1.0e-8}}
+defaults: {{iterations: {iterations}, tau: 0.1, total_time: 1.0, delta: 1.0e-8}}
 methods:
   - {{name: hmc-lf, method: hmc-leapfrog}}
   - {{name: chmc-j0, method: chmc, jacobian: J0}}
@@ -45,12 +44,11 @@ methods:
 GOLDEN = """
 target: {{kind: quartic, dimension: 4}}
 chains: 2
-iterations: 30
 seed: 20240811
 output_dir: {out}
 record_stride: 5
 workers: 1
-defaults: {{tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
+defaults: {{iterations: 30, tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
 methods:
   - {{name: hmc-lf, method: hmc-leapfrog}}
   - {{name: chmc-j0, method: chmc, jacobian: J0}}
@@ -63,12 +61,11 @@ methods:
 GOLDEN_GAUSSIAN = """
 target: {{kind: gaussian, dimension: 3}}
 chains: 1
-iterations: 30
 seed: 20240811
 output_dir: {out}
 record_stride: 5
 workers: 1
-defaults: {{tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
+defaults: {{iterations: 30, tau: 0.1, total_time: 1.0, delta: 1.0e-8, max_fpi: 10}}
 methods:
   - {{name: hmc-lf, method: hmc-leapfrog}}
   - {{name: chmc-j0, method: chmc, jacobian: J0}}
@@ -193,13 +190,51 @@ methods: []
         assert "methods: required non-empty list" not in err.value.errors
 
     @pytest.mark.parametrize("text", ['target: !!map "quartic"\n', "target: !!map [1]\n",
-                                      "target: [\n"], ids=["scalar", "sequence", "unclosed"])
+                                      "target: [\n", "{[1]: 2}\n"],
+                             ids=["scalar", "sequence", "unclosed", "unhashable-key"])
     def test_malformed_yaml_is_one_config_error(self, text):
         # the duplicate-key check leaves a node that is no mapping to YAML's own error
         with pytest.raises(ConfigError) as err:
             validate_spec(text)
         assert len(err.value.errors) == 1
         assert err.value.errors[0].startswith("config is not valid YAML: ")
+
+    @pytest.mark.parametrize("text", ["", "3\n", "[1, 2]\n"], ids=["empty", "scalar", "list"])
+    def test_config_that_is_no_mapping_is_one_error(self, text):
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert err.value.errors == ["config must be a mapping"]
+
+    @pytest.mark.parametrize("section, value, error", [
+        ("target", 3, "target: expected a mapping"),
+        ("defaults", 3, "defaults: expected a mapping"),
+        ("methods", [3], "methods[0]: expected a mapping"),
+    ], ids=["target", "defaults", "methods-entry"])
+    def test_section_that_is_no_mapping_is_one_error(self, section, value, error):
+        # it builds nothing, so nothing built from it reports a missing field
+        raw = yaml.safe_load(MINIMAL.format(chains=1, iterations=1, out="x"))
+        with pytest.raises(ConfigError) as err:
+            validate_spec(yaml.safe_dump(dict(raw, **{section: value})))
+        assert err.value.errors == [error]
+
+    def test_merge_key_is_no_duplicate(self):
+        # a key an entry spells out wins over the one YAML's << merges in
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "  - {name: chmc-j0, method: chmc, jacobian: J0}",
+            "  - &j0 {name: chmc-j0, method: chmc, jacobian: J0}\n"
+            "  - {<<: *j0, name: chmc-j1, jacobian: J1}")
+        spec = validate_spec(text)
+        assert [(m.name, m.method, m.jacobian) for m in spec.methods[1:]] == [
+            ("chmc-j0", "chmc", "J0"), ("chmc-j1", "chmc", "J1")]
+
+    @pytest.mark.parametrize("entry", ["iterations: 100", "burn_in: 10"],
+                             ids=["iterations", "burn_in"])
+    def test_top_level_method_values_are_unknown_fields(self, entry):
+        # shared method values live in defaults alone: at the top level,
+        # defaults' iterations would win over this one without a word
+        with pytest.raises(ConfigError) as err:
+            validate_spec(MINIMAL.format(chains=1, iterations=50, out="x") + entry + "\n")
+        assert err.value.errors == [f"config.{entry.partition(':')[0]}: unknown field"]
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -485,10 +520,9 @@ class TestRunExperiment:
         text = f"""
 target: {{kind: gaussian, dimension: 2}}
 chains: 1
-iterations: 10
 seed: 2
 output_dir: {tmp_path / 'gout'}
-defaults: {{tau: 0.1, total_time: 1.0}}
+defaults: {{iterations: 10, tau: 0.1, total_time: 1.0}}
 methods:
   - {{name: chmc-jfull, method: chmc, jacobian: JFull, jacobian_source: analytic}}
 """
@@ -529,6 +563,18 @@ class TestMainEntry:
         cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=blocker / "sub"))
         assert main(["run", str(cfg)]) == EXIT_RUNTIME_ERROR
 
+    def test_output_dir_without_write_access_is_runtime_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a root user may write anywhere, so the refusal is simulated
+        out = tmp_path / "o"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=out))
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert main(["run", str(cfg)]) == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"run failed: output directory {str(out)!r} is not writable"]
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_flag_below_one_is_config_error(self, tmp_path, capsys, workers):
         out = tmp_path / "o"
@@ -555,8 +601,8 @@ class TestMainEntry:
         # YAML loaders keep the last of two equal keys, so a spec with one
         # would run a value that another reader of the file takes as unset
         out = tmp_path / "o"
-        lines = ["target:", "  kind: quartic", "  dimension: 2", "seed: 1", "iterations: 3",
-                 f"output_dir: {out}", "defaults:", "  tau: 0.1", "  total_time: 1.0",
+        lines = ["target:", "  kind: quartic", "  dimension: 2", "seed: 1", f"output_dir: {out}",
+                 "defaults:", "  iterations: 3", "  tau: 0.1", "  total_time: 1.0",
                  "methods:", "  - name: chmc", "    method: chmc", "    jacobian: J1"]
         cfg = tmp_path / "dup.yaml"
         cfg.write_text("\n".join(lines) + "\n")

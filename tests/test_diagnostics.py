@@ -12,6 +12,7 @@ from chmc import (
     quartic_target_variance,
     run_chain,
 )
+from support import BoxedQuartic
 
 
 def summarize_with_sink(cfg, target):
@@ -249,10 +250,6 @@ class TestFinalizeSummary:
 
     def test_failed_trajectory_gives_infinite_energy_error(self):
         # U = inf outside the box: the first trajectory from 0.9 leaves it
-        class BoxedQuartic(QuarticGeneralizedGaussian):
-            def evaluate(self, q):
-                return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
-
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0,
                             initial_state_mode="explicit", initial_state=np.array([0.9]))
         summary, seen = summarize_with_sink(cfg, BoxedQuartic(1))

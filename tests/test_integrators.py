@@ -25,6 +25,7 @@ from chmc.integrators import (
 )
 from chmc.jacobian import step_jacobian
 from chmc.phase import PhaseState, hamiltonian, kinetic
+from support import BlackBoxQuartic, CountingQuartic, RescaledQuartic, quartic_draws, record_steps
 
 
 class LinearPotential(Potential):
@@ -32,50 +33,6 @@ class LinearPotential(Potential):
 
     def evaluate(self, q):
         return float(q.sum())
-
-
-class CountingQuartic(QuarticGeneralizedGaussian):
-    """Quartic that counts its target calls.
-
-    ``jacobian_args`` keeps the (Q, q) of the last Jacobian-diagonal call.
-    """
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.gradient_calls = 0
-        self.evaluate_calls = 0
-        self.force_calls = 0
-        self.jacobian_diag_calls = 0
-        self.jacobian_args = None
-
-    def gradient(self, q):
-        self.gradient_calls += 1
-        return super().gradient(q)
-
-    def evaluate(self, q):
-        self.evaluate_calls += 1
-        return super().evaluate(q)
-
-    def closed_form_force(self, Q, q):
-        self.force_calls += 1
-        return super().closed_form_force(Q, q)
-
-    def closed_form_force_jacobian_diag(self, Q, q):
-        self.jacobian_diag_calls += 1
-        self.jacobian_args = (Q.copy(), q.copy())
-        return super().closed_form_force_jacobian_diag(Q, q)
-
-    def target_calls(self):
-        return (self.gradient_calls + self.evaluate_calls + self.force_calls
-                + self.jacobian_diag_calls)
-
-
-class BlackBoxQuartic(Potential):
-    """Quartic well exposing only evaluate(); forces must come from differences."""
-
-    def evaluate(self, q):
-        t = q * q
-        return float((t * t).sum())
 
 
 class MidpointGradientQuartic(Potential):
@@ -131,46 +88,6 @@ class SeparableQuadratic(Potential):
 
     def closed_form_force_jacobian_diag(self, Q, q):
         return self.a.copy(), self.a.copy()
-
-
-class RescaledQuartic(Potential):
-    """The quartic in the coordinates z = m^(1/2) q, U~(z) = U(s z) with
-    s = m^(-1/2), built by the preconditioning recipe of ``Potential``: the
-    identity-mass sampler on it is the diagonal-mass sampler on the quartic."""
-
-    def __init__(self, m):
-        super().__init__(len(m))
-        self.m = np.asarray(m, dtype=float)
-        self.s = 1.0 / np.sqrt(self.m)
-        self.base = QuarticGeneralizedGaussian(self.dim)
-
-    def evaluate(self, z):
-        return self.base.evaluate(self.s * z)
-
-    def gradient(self, z):
-        return self.s * self.base.gradient(self.s * z)
-
-    def closed_form_force(self, Z, z):
-        return self.s * self.base.closed_form_force(self.s * Z, self.s * z)
-
-    def closed_form_force_jacobian_diag(self, Z, z):
-        d_q, d_Q = self.base.closed_form_force_jacobian_diag(self.s * Z, self.s * z)
-        return d_q / self.m, d_Q / self.m
-
-
-def record_steps(monkeypatch):
-    """Route ``trajectory``'s steps through a recorder of (q, p, kwargs, record)."""
-    import chmc.integrators as integrators
-
-    steps = []
-
-    def recording_step(q, p, *args, **kwargs):
-        rec = dmm_step(q, p, *args, **kwargs)
-        steps.append((q, p, kwargs, rec))
-        return rec
-
-    monkeypatch.setattr(integrators, "dmm_step", recording_step)
-    return steps
 
 
 def first_iterate(q, p, target, cfg, f_prev=None, chord_prev=None):
@@ -233,12 +150,6 @@ def assert_record_is_plain(rec, state, potential, cfg):
     assert rec.fpi_iterations == updates
     assert rec.energy_error == err
     assert rec.converged == (err <= cfg.delta)
-
-
-def quartic_draws(rng, d):
-    """Exact draws from exp(-sum q^4): |q_i|^4 ~ Gamma(1/4, 1), fair-coin sign."""
-    mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
-    return np.where(rng.random(d) < 0.5, -mag, mag)
 
 
 def predictor_corrector_loop(state, t, cfg, n_steps, m=1.0):
@@ -339,7 +250,7 @@ class TestLeapfrog:
         t = CountingQuartic(3)
         s = PhaseState(np.zeros(3), np.ones(3))
         rec = leapfrog_trajectory(s, t, 0.1, 7)
-        assert t.gradient_calls == 8
+        assert t.calls["gradient"] == 8
         assert rec.total_force_evaluations == 8
 
     def test_carried_start_values_save_the_start_calls(self):
@@ -348,9 +259,9 @@ class TestLeapfrog:
         t = CountingQuartic(3)
         s = PhaseState([0.3, -0.2, 0.5], [1.0, 0.5, -1.0])
         fresh = leapfrog_trajectory(s, t, 0.1, 7)
-        t.gradient_calls = t.evaluate_calls = 0
+        t.calls.update(gradient=0, evaluate=0)
         carried = leapfrog_trajectory(s, t, 0.1, 7, u_in=fresh.u_in, kick_in=fresh.kick_in)
-        assert (t.gradient_calls, t.evaluate_calls) == (7, 1)
+        assert (t.calls["gradient"], t.calls["evaluate"]) == (7, 1)
         assert (fresh.total_force_evaluations, carried.total_force_evaluations) == (8, 7)
         for name in ("q", "p", "h_in", "h_out", "u_out", "kick_out"):
             np.testing.assert_array_equal(getattr(carried, name), getattr(fresh, name))
@@ -769,9 +680,7 @@ class TestChordSolve:
         steps = record_steps(monkeypatch)
         rng = np.random.default_rng(40)
         d = 2560
-        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
-        q = np.where(rng.random(d) < 0.5, -mag, mag)
-        s = PhaseState(q, rng.standard_normal(d))
+        s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         rec = trajectory(s, t, cfg, 40)
@@ -1168,11 +1077,11 @@ class TestDiscreteGradientEnergy:
             t = CountingQuartic(d)
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
             rec = trajectory(s, t, cfg, 12, mode)
-            assert t.evaluate_calls == 2
+            assert t.calls["evaluate"] == 2
             updates.add(rec.total_fpi_iterations)
-            t.evaluate_calls = 0
+            t.calls["evaluate"] = 0
             dmm_step(s.q, s.p, StepScratch(t, cfg))
-            assert t.evaluate_calls == 0
+            assert t.calls["evaluate"] == 0
         assert len(updates) == 3
 
     def test_force_that_is_not_a_discrete_gradient_clears_all_converged(self, monkeypatch):

@@ -7,7 +7,6 @@ from chmc import (
     DmmSolverConfig,
     JacobianMode,
     MultivariateGaussian,
-    Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
 )
@@ -16,32 +15,7 @@ from chmc.integrators import StepScratch, TrajectoryRecord, dmm_step, trajectory
 from chmc.jacobian import JacobianAccumulator, force_jacobians, step_jacobian
 from chmc.phase import PhaseState
 from chmc.samplers import StateCache, chain_rng, chmc_iteration
-
-
-class BlackBoxQuartic(Potential):
-    """The quartic with only ``evaluate`` and ``gradient``: its force is divided differences."""
-
-    def evaluate(self, q):
-        t = q * q
-        return float((t * t).sum())
-
-    def gradient(self, q):
-        return 4.0 * q ** 3
-
-
-def record_steps(monkeypatch):
-    """(q_in, StepRecord) of every step ``trajectory`` takes."""
-    import chmc.integrators as integrators
-
-    steps, step = [], integrators.dmm_step
-
-    def recording_step(q, *args, **kwargs):
-        rec = step(q, *args, **kwargs)
-        steps.append((q, rec))
-        return rec
-
-    monkeypatch.setattr(integrators, "dmm_step", recording_step)
-    return steps
+from support import BlackBoxQuartic, quartic_draws, record_steps
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
@@ -324,8 +298,7 @@ class TestStepJacobian:
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=50)
         for _ in range(20):
-            mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
-            q = np.where(rng.random(d) < 0.5, -mag, mag)
+            q = quartic_draws(rng, d)
             Q = dmm_step(q, rng.standard_normal(d), StepScratch(t, cfg)).q
             d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
             ref = (math.fsum(map(math.log, np.abs(1.0 + c * d_q).tolist()))
@@ -398,11 +371,10 @@ class TestTrajectoryJacobian:
         d, n_steps = 12, 40
         t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
-        state = PhaseState(np.where(rng.random(d) < 0.5, -mag, mag), rng.standard_normal(d))
+        state = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         reused = trajectory(state, t, cfg, n_steps, JacobianMode(kind)).jacobian
         recomputed = JacobianAccumulator(JacobianMode(kind), half2(0.1), t, t.closed_form_force)
-        for q_in, rec in steps:
+        for q_in, *_, rec in steps:
             recomputed(q_in, rec.q, t.closed_form_force(rec.q, q_in))
         assert len(steps) == n_steps
         per_step = 2 if separable else 2 * d
@@ -444,11 +416,11 @@ class TestTrajectoryJacobian:
         factor = trajectory(state, t, cfg, 6, mode).jacobian
         assert len(steps) == 6
         assert any((np.abs(rec.q - q_in) < 1e-3 * np.maximum(1.0, np.abs(q_in))).any()
-                   for q_in, rec in steps)
+                   for q_in, *_, rec in steps)
 
         def hand_loop(force):
             sign, log_abs, n = 1.0, 0.0, 0
-            for q_in, rec in steps:
+            for q_in, *_, rec in steps:
                 s, lg, k = step_jacobian(rec.q, q_in, rec.force, half2(cfg.tau), mode, t, force)
                 sign, log_abs, n = sign * s, log_abs + lg, n + k
             return sign, log_abs, n
@@ -469,8 +441,7 @@ class TestProductPastTheFloatRange:
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=2.0, iterations=1, seed=5,
                             jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(5, 0)
-        mag = rng.gamma(0.25, 1.0, size=d) ** 0.25
-        theta = np.where(rng.random(d) < 0.5, -mag, mag)
+        theta = quartic_draws(rng, d)
         new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache())
         assert out.jacobian_product == math.inf
         assert math.isfinite(out.delta_H) and out.all_steps_converged

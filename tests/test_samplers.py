@@ -29,6 +29,7 @@ from chmc.samplers import (
     hmc_iteration,
     initial_position,
 )
+from support import BoxedQuartic, CountingQuartic, RescaledQuartic
 
 
 class TestAcceptanceProbability:
@@ -74,30 +75,6 @@ def quartic_cfg(**kw):
     return SamplerConfig(**defaults)
 
 
-class CountingQuartic(QuarticGeneralizedGaussian):
-    """Quartic that counts its calls by capability."""
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.calls = dict.fromkeys(("evaluate", "gradient", "force", "jacobian_diag"), 0)
-
-    def evaluate(self, q):
-        self.calls["evaluate"] += 1
-        return super().evaluate(q)
-
-    def gradient(self, q):
-        self.calls["gradient"] += 1
-        return super().gradient(q)
-
-    def closed_form_force(self, Q, q):
-        self.calls["force"] += 1
-        return super().closed_form_force(Q, q)
-
-    def closed_form_force_jacobian_diag(self, Q, q):
-        self.calls["jacobian_diag"] += 1
-        return super().closed_form_force_jacobian_diag(Q, q)
-
-
 class BufferQuartic(QuarticGeneralizedGaussian):
     """Quartic whose gradient writes one reused output buffer on every call."""
 
@@ -110,36 +87,6 @@ class BufferQuartic(QuarticGeneralizedGaussian):
         return np.multiply(np.multiply(self.buf, 4.0, self.buf), q, self.buf)
 
 
-class RescaledQuartic(QuarticGeneralizedGaussian):
-    """The quartic in z = m^(1/2) q by the preconditioning recipe of
-    ``Potential``: U~(z) = U(s z) with s = m^(-1/2)."""
-
-    def __init__(self, m):
-        super().__init__(len(m))
-        self.m = np.asarray(m, dtype=float)
-        self.s = 1.0 / np.sqrt(self.m)
-
-    def evaluate(self, z):
-        return super().evaluate(self.s * z)
-
-    def gradient(self, z):
-        return self.s * super().gradient(self.s * z)
-
-    def closed_form_force(self, Z, z):
-        return self.s * super().closed_form_force(self.s * Z, self.s * z)
-
-    def closed_form_force_jacobian_diag(self, Z, z):
-        d_q, d_Q = super().closed_form_force_jacobian_diag(self.s * Z, self.s * z)
-        return d_q / self.m, d_Q / self.m
-
-
-class BoxedQuartic(QuarticGeneralizedGaussian):
-    """U = inf outside the unit box: trajectories that leave it fail."""
-
-    def evaluate(self, q):
-        return math.inf if np.abs(q).max() > 1.0 else super().evaluate(q)
-
-
 class TestSamplerConfig:
     def test_non_integral_steps_rejected(self):
         with pytest.raises(ValueError, match="n_steps not integral"):
@@ -148,6 +95,16 @@ class TestSamplerConfig:
         # take n_steps >= 1 on trust
         with pytest.raises(ValueError, match="n_steps not integral"):
             SamplerConfig(method="chmc", tau=0.1, total_time=1e-12, iterations=10)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"method": "nuts"}, "method must be one of"),
+        ({"total_time": 0.0}, "total_time must be finite and positive"),
+        ({"total_time": -4.0}, "total_time must be finite and positive"),
+        ({"initial_state_mode": "prior"}, "initial_state_mode must be one of"),
+    ], ids=["method", "zero-time", "negative-time", "initial-state-mode"])
+    def test_unknown_choice_or_non_positive_time_refused(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            quartic_cfg(**field)
 
     def test_n_steps_value(self):
         assert quartic_cfg().n_steps == 40

@@ -21,6 +21,7 @@ import pytest
 
 import chmc
 from chmc.integrators import StepRecord, StepScratch, dmm_step
+from support import BlackBoxQuartic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,10 +169,9 @@ class TestPerfbenchHooks:
         manifest = run_experiment(validate_spec(f"""
 target: {{kind: quartic, dimension: 2}}
 chains: 2
-iterations: 4
 record_stride: 2
 output_dir: {tmp_path / 'o'}
-defaults: {{tau: 0.1, total_time: 0.5}}
+defaults: {{iterations: 4, tau: 0.1, total_time: 0.5}}
 methods:
   - {{name: hmc-lf, method: hmc-leapfrog}}
   - {{name: chmc-j0, method: chmc}}
@@ -196,12 +196,6 @@ methods:
         # that reads any other target attribute would crash the benchmark
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         counting = load_perfbench("workloads").CountingTarget
-
-        class BlackBoxQuartic(chmc.Potential):
-            def evaluate(self, q):
-                t = q * q
-                return float((t * t).sum())
-
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, -0.3], [0.2, -0.3, 0.8]])
         quartic, gaussian = chmc.QuarticGeneralizedGaussian(3), chmc.MultivariateGaussian(
             np.zeros(3), cov)
@@ -344,9 +338,8 @@ tracer.install()
 spec = chmc.cli.validate_spec('''
 target: {kind: quartic, dimension: 3}
 chains: 1
-iterations: 3
 output_dir: %s
-defaults: {tau: 0.1, total_time: 0.5}
+defaults: {iterations: 3, tau: 0.1, total_time: 0.5}
 methods:
   - {name: hmc-lf, method: hmc-leapfrog}
   - {name: chmc-j0, method: chmc, jacobian: J0}

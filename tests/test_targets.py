@@ -172,6 +172,10 @@ class TestGaussianTarget:
     def test_rejects_bad_covariance(self):
         with pytest.raises(ValueError):
             MultivariateGaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        with pytest.raises(ValueError, match="must be d x d"):
+            MultivariateGaussian([0.0, 0.0], np.eye(3))
+        with pytest.raises(ValueError, match="must be symmetric"):
+            MultivariateGaussian([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("mean, cov", [
         ([np.nan, 0.0], np.eye(2)),
@@ -223,6 +227,13 @@ def test_dim_must_be_an_integer(make):
         with pytest.raises(ValueError, match="dim must be an integer"):
             make(bad)
     assert make(np.int64(3)).dim == 3
+    with pytest.raises(ValueError, match="needs dimension >= 1"):
+        make(0)
+
+
+def test_base_potential_has_no_density():
+    with pytest.raises(NotImplementedError):
+        chmc.Potential(1).evaluate(np.zeros(1))
 
 
 def test_all_lists_exactly_the_public_names_init_binds():
