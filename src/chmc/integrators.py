@@ -95,10 +95,12 @@ arrays made once per trajectory or per module (see ``scalar_operand``).
 Arrays that leave a step or reach the target (the iterates Q, the Jacobian
 point X, P, the force, the (D, D_next) block) are fresh, and each in-place
 operation rounds as the expression it replaces. The scratch is also the
-step's one configuration: it keeps the ``DmmSolverConfig`` and alone
-resolves the force, once; a J1 or JFull trajectory's Jacobian factor
-(``JacobianAccumulator``) probes that same force and takes the same
-(tau/2)^2.
+step's one configuration: it keeps the ``DmmSolverConfig``, alone
+resolves the force and alone reads the target's force-Jacobian
+capabilities, once; a J1 or JFull trajectory's Jacobian factor
+(``JacobianAccumulator``) is built on it, so it probes that same force,
+takes the same (tau/2)^2 and settles its route from the same separability
+declaration.
 """
 
 from __future__ import annotations
@@ -245,9 +247,13 @@ class StepScratch:
     ``force`` F(Q, q) (the target's closed form, else divided differences of U
     under ``cfg.dd_guard`` with their count dropped), ``jacobian_diag`` (the
     target's ``closed_form_force_jacobian_diag``, None exactly when it is not
-    separable), the step's ufunc scalars tau, tau/2 and (tau/2)^2 (see
+    separable), ``jacobian_dense`` (its ``closed_form_force_jacobian``, or
+    None), the step's ufunc scalars tau, tau/2 and (tau/2)^2 (see
     ``scalar_operand``) and the work rows a, g, r and t, of the target's
-    dimension."""
+    dimension. It is the one reader of the target's force-Jacobian
+    capabilities: ``dmm_step`` takes its chord from ``jacobian_diag``, and a
+    ``jacobian.JacobianAccumulator`` built on it settles the factor's route
+    from both."""
 
     def __init__(self, potential, cfg: DmmSolverConfig):
         self.cfg = cfg
@@ -255,6 +261,7 @@ class StepScratch:
         if self.force is None:
             self.force = lambda Q, q: divided_difference_force(Q, q, potential, cfg.dd_guard)[0]
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
+        self.jacobian_dense = potential.closed_form_force_jacobian
         half = 0.5 * cfg.tau
         self.tau, self.half, self.half2 = map(scalar_operand, (cfg.tau, half, half * half))
         self.a, self.g, self.r, self.t = np.empty((4, potential.dim))
@@ -418,10 +425,11 @@ def trajectory(
     discrete-gradient contract can miss (see the module docstring).
 
     For a J1 or JFull ``jacobian_mode`` it builds the factor, a
-    ``JacobianAccumulator`` on the solve's ``StepScratch`` (its force and
-    (tau/2)^2), feeds it each step's (q_in, q_out, F(q_out, q_in)), the last
-    update's force, so no probe recomputes it, and returns it as
-    ``jacobian``; J0, the default, builds none.
+    ``JacobianAccumulator`` on the solve's ``StepScratch`` (its force,
+    (tau/2)^2 and force-Jacobian capabilities), feeds it each step's
+    (q_in, q_out, F(q_out, q_in)), the last update's force, so no probe
+    recomputes it, and returns it as ``jacobian``; J0, the default, builds
+    none.
     """
     u_in, h_in = hamiltonian(state, potential, u_in)
     q, p = state.q, state.p
@@ -429,8 +437,7 @@ def trajectory(
     all_converged, allowed = True, 0.0
     f_prev = chord_prev = None
     scratch = StepScratch(potential, cfg)
-    acc = (None if jacobian_mode.kind == "J0"
-           else JacobianAccumulator(jacobian_mode, scratch.half2, potential, scratch.force))
+    acc = None if jacobian_mode.kind == "J0" else JacobianAccumulator(jacobian_mode, scratch)
     for _ in range(n_steps):
         rec = dmm_step(q, p, scratch, f_prev=f_prev, chord_prev=chord_prev)
         total_f += rec.fpi_iterations + 1

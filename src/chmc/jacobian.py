@@ -10,14 +10,19 @@ builds no factor), J1 (the first-order trace term), and the exact ratio
 JFull; their dF/dq and dF/dQ come in closed form or from forward
 differences of the force the trajectory's solve uses, at the fixed step
 ``DEFAULT_FD_STEP`` = sqrt(eps), 2 probes per colour of columns: one colour
-on a separable target, d otherwise. The trajectory decides the factor's
-inputs, its solve's force and (tau/2)^2 and the mode's derivative source,
-and hands each down. A factor has one form from the step to the N-step
+on a separable target, d otherwise.
+
+A J1 or JFull trajectory builds one ``JacobianAccumulator`` on its solve's
+``StepScratch``, and its construction settles the factor's route once:
+separable or dense (the scratch's ``jacobian_diag`` exists or not), the
+closed-form Jacobians or the finite-difference probes of the scratch's
+force (``analytic_jacobians``), J1 or JFull, and (tau/2)^2. Each step it
+hands itself to ``step_jacobian``, which hands it to ``force_jacobians``;
+neither sees the target. A factor has one form from the step to the N-step
 product, the pair (sign, log|J|) that ``np.linalg.slogdet`` returns, with
 (0, -inf) for a zero or non-finite factor: ``step_jacobian`` gives one
-step's pair and ``JacobianAccumulator``, which ``integrators.trajectory``
-builds, sums them into a running pair that it exponentiates once, so long
-trajectories neither overflow nor lose the sign.
+step's pair and the accumulator sums them into a running pair that it
+exponentiates once, so long trajectories neither overflow nor lose the sign.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import scalar_operand
-from .targets import is_separable
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
 _ZERO, _ONE, _FD_STEP = map(scalar_operand, (0.0, 1.0, DEFAULT_FD_STEP))
@@ -48,7 +52,8 @@ class JacobianMode:
     which the trajectory hands over, so its probes cost 2 force evaluations
     per colour of columns: 2 per step on separable targets (one colour), 2d
     otherwise. The analytic source requires the target to provide
-    force-Jacobian diagonals (separable targets) or full matrices.
+    force-Jacobian diagonals (separable targets) or full matrices, and
+    ``run_chain`` refuses a chain whose target provides neither.
     """
 
     kind: str
@@ -61,54 +66,57 @@ class JacobianMode:
             raise ValueError(f"derivative_source must be one of {DERIVATIVE_SOURCES}")
 
 
-def force_jacobians(
-    Q: np.ndarray,
-    q: np.ndarray,
-    f0: np.ndarray,
-    potential,
-    source: str,
-    force,
-):
-    """Jacobians of the force with respect to q and Q.
+def analytic_jacobians(mode: JacobianMode, scratch):
+    """The closed-form force Jacobians that ``mode`` takes from a ``StepScratch``.
 
-    Returns (d_q F, d_Q F, n_force_evaluations): the diagonals when the
-    target declares separability (see ``is_separable``), full d x d matrices
-    otherwise, from either source. Finite differences differentiate
-    ``force``, the solve's F, forward from its value f0 = F(Q, q) (the
-    analytic source ignores both ``force`` and f0), at the step
+    None for J0 and for the finite-difference source; otherwise the
+    scratch's ``jacobian_diag`` on a separable target, else its
+    ``jacobian_dense``. Raises ValueError when the analytic source finds
+    neither, so no factor falls back to finite differences.
+    """
+    if mode.kind == "J0" or mode.derivative_source != "analytic":
+        return None
+    found = scratch.jacobian_diag or scratch.jacobian_dense
+    if found is None:
+        raise ValueError("derivative_source analytic needs the target's "
+                         "closed_form_force_jacobian_diag or closed_form_force_jacobian")
+    return found
+
+
+def force_jacobians(Q: np.ndarray, q: np.ndarray, f0: np.ndarray, acc):
+    """Jacobians of the force with respect to q and Q, on the route of ``acc``.
+
+    Returns (d_q F, d_Q F, n_force_evaluations): the diagonals when
+    ``acc.separable``, full d x d matrices otherwise. With
+    ``acc.closed_form`` they are its value at (Q, q), at no force
+    evaluation. Otherwise finite differences differentiate ``acc.force``,
+    the solve's F, forward from its value f0 = F(Q, q), at the step
     ``DEFAULT_FD_STEP`` * max(1, |component|), by column compression
     (Curtis, Powell & Reid 1974): a colour, a mask of columns sharing no
     nonzero row, is perturbed at once in q and then in Q (2 probe
     evaluations). A separable target has one colour, ``True`` (2 probes);
-    others one per column (2d). Callers should hand in
-    well-separated (Q, q) pairs, which a converged step provides, as float
-    vectors, and a capability returns float arrays; neither is converted here.
+    others one per column, the rows of ``acc.eye`` (2d). Callers should
+    hand in well-separated (Q, q) pairs, which a converged step provides, as
+    float vectors, and a capability returns float arrays; neither is
+    converted here.
     """
-    separable = is_separable(potential)
-    if source == "analytic":
-        closed_form = (potential.closed_form_force_jacobian_diag if separable
-                       else potential.closed_form_force_jacobian)
-        if closed_form is None:
-            raise ValueError("target provides no analytic force Jacobians")
-        d_q, d_Q = closed_form(Q, q)
-        return d_q, d_Q, 0
-    d = q.size
+    if acc.closed_form is not None:
+        return (*acc.closed_form(Q, q), 0)
     hq = np.multiply(np.maximum(np.abs(q), _ONE), _FD_STEP)
     hQ = np.multiply(np.maximum(np.abs(Q), _ONE), _FD_STEP)
     up_q, up_Q = q + hq, Q + hQ
     # each colour's (q probe, Q probe, step in q, step in Q, d_q column, d_Q column);
     # a probe point is fresh, as a target may keep its arguments
-    if separable:  # one colour, every column: its probes are up_q and up_Q
-        d_q, d_Q = np.empty((2, d))
+    if acc.separable:  # one colour, every column: its probes are up_q and up_Q
+        d_q, d_Q = np.empty((2, q.size))
         colours = ((up_q, up_Q, hq, hQ, d_q, d_Q),)
     else:  # colour j perturbs column j alone
-        eye = np.eye(d, dtype=bool)
-        d_q, d_Q = np.empty((2, d, d))
-        colours = zip(np.where(eye, up_q, q), np.where(eye, up_Q, Q), hq, hQ, d_q.T, d_Q.T)
+        d_q, d_Q = np.empty((2, q.size, q.size))
+        colours = zip(np.where(acc.eye, up_q, q), np.where(acc.eye, up_Q, Q), hq, hQ, d_q.T, d_Q.T)
     for x_q, x_Q, h_q, h_Q, col_q, col_Q in colours:
-        np.divide(np.subtract(force(Q, x_q), f0, col_q), h_q, col_q)
-        np.divide(np.subtract(force(x_Q, q), f0, col_Q), h_Q, col_Q)
-    return d_q, d_Q, 2 if separable else 2 * d
+        np.divide(np.subtract(acc.force(Q, x_q), f0, col_q), h_q, col_q)
+        np.divide(np.subtract(acc.force(x_Q, q), f0, col_Q), h_Q, col_Q)
+    return d_q, d_Q, 2 if acc.separable else 2 * q.size
 
 
 def _pair(sign: float, log_abs: float, n: int) -> tuple:
@@ -118,72 +126,70 @@ def _pair(sign: float, log_abs: float, n: int) -> tuple:
     return sign, log_abs, n
 
 
-def step_jacobian(
-    Q: np.ndarray,
-    q: np.ndarray,
-    f0: np.ndarray,
-    c,
-    mode: JacobianMode,
-    potential,
-    force,
-) -> tuple:
-    """Determinant factor of one step at the converged (Q, q) pair, as (sign, log|J|).
+def step_jacobian(Q: np.ndarray, q: np.ndarray, f0: np.ndarray, acc) -> tuple:
+    """Determinant factor of one step at the converged (Q, q) pair, on the route of ``acc``.
 
-    ``f0``, the step's last force F(Q, q), and ``force``, the solve's F, are
-    handed to ``force_jacobians`` for the finite-difference probes; ``c`` is
-    (tau/2)^2, the trajectory's 0-d ``StepScratch.half2``.
-    Returns (sign, log|J|, n_force_evaluations of the derivative probes),
-    with (0, -inf) for a zero or non-finite factor, which rejects the
-    proposal upstream. ``mode`` is J1 or JFull: J0 has no factor, and its
-    trajectories build none. J1 is the sign and log of the first trace term
-    1 + c Tr(...), which reads the diagonals of whatever ``force_jacobians``
-    returns. JFull is the difference of the two determinants' slogdet pairs;
-    for a separable target's diagonals it takes the O(d) sums of their logs
-    instead, with the sign from the count of negative entries.
+    ``f0`` is the step's last force F(Q, q), the base value of the
+    finite-difference probes; c = ``acc.half2`` is (tau/2)^2, the
+    trajectory's 0-d ``StepScratch.half2``. Returns (sign, log|J|,
+    n_force_evaluations of the derivative probes), with (0, -inf) for a zero
+    or non-finite factor, which rejects the proposal upstream. J1 is the
+    sign and log of the first trace term 1 + c Tr(...), which reads the
+    diagonals of whatever ``force_jacobians`` returns. JFull is the
+    difference of the two determinants' slogdet pairs, with ``acc.eye`` as
+    the identity; for a separable target's diagonals it takes the
+    O(d) sums of their logs instead, with the sign from the count of
+    negative entries.
     """
-    d_q, d_Q, n = force_jacobians(Q, q, f0, potential, mode.derivative_source, force)
-    if mode.kind == "J1":
-        if d_q.ndim == 2:
+    d_q, d_Q, n = force_jacobians(Q, q, f0, acc)
+    c = acc.half2
+    if not acc.jfull:
+        if not acc.separable:
             d_q, d_Q = np.diagonal(d_q), np.diagonal(d_Q)
         value = 1.0 + c * float((d_q - d_Q).sum())
         log_abs = math.log(abs(value)) if value else -math.inf
         return _pair(math.copysign(1.0, value), log_abs, n)
-    if d_q.ndim == 1:
+    if acc.separable:
         num = _ONE + c * d_q
         den = _ONE + c * d_Q
         with np.errstate(divide="ignore", invalid="ignore"):
             log_abs = float(np.log(np.abs(num)).sum() - np.log(np.abs(den)).sum())
         negatives = np.count_nonzero(num < _ZERO) + np.count_nonzero(den < _ZERO)
         return _pair(-1.0 if negatives % 2 else 1.0, log_abs, n)
-    identity = np.eye(q.size)
-    sign_n, log_n = np.linalg.slogdet(identity + c * d_q)
-    sign_d, log_d = np.linalg.slogdet(identity + c * d_Q)
+    sign_n, log_n = np.linalg.slogdet(acc.eye + c * d_q)
+    sign_d, log_d = np.linalg.slogdet(acc.eye + c * d_Q)
     return _pair(float(sign_n * sign_d), float(log_n) - float(log_d), n)
 
 
 class JacobianAccumulator:
     """A J1 or JFull trajectory's Jacobian factor, the N-step product of step factors.
 
-    ``integrators.trajectory`` builds one on its solve's ``StepScratch``
-    values, (tau/2)^2 as ``half2`` and the force F, and calls it after each
-    step with (q_in, q_out, f_out); f_out, the force F(q_out, q_in) of the
-    step's last update, is the probes' base value.
+    ``integrators.trajectory`` builds one on its solve's ``StepScratch`` and
+    calls it after each step with (q_in, q_out, f_out); f_out, the force
+    F(q_out, q_in) of the step's last update, is the probes' base value.
+    Construction settles the route that ``step_jacobian`` and
+    ``force_jacobians`` read: ``separable`` (the scratch has a
+    ``jacobian_diag``), ``closed_form`` (see ``analytic_jacobians``), the
+    scratch's ``force`` and ``half2``, ``jfull`` (JFull, not J1), and on the
+    dense route ``eye``, the boolean identity that serves as the probes'
+    colour masks and as JFull's identity (adding it casts each entry to
+    1.0 or 0.0 exactly), made here once rather than on every step.
     It keeps the product as one running (sign, log_abs) pair: the product of
     the steps' signs and the sum of their log|J| in step order.
     """
 
-    def __init__(self, mode: JacobianMode, half2, potential, force):
-        self.mode = mode
-        self.half2 = half2
-        self.potential = potential
-        self.force = force
+    def __init__(self, mode: JacobianMode, scratch):
+        self.separable = scratch.jacobian_diag is not None
+        self.closed_form = analytic_jacobians(mode, scratch)
+        self.force, self.half2 = scratch.force, scratch.half2
+        self.jfull = mode.kind == "JFull"
+        self.eye = None if self.separable else np.eye(scratch.a.size, dtype=bool)
         self.sign = 1.0
         self.log_abs = 0.0
         self.extra_force_evals = 0
 
     def __call__(self, q_in: np.ndarray, q_out: np.ndarray, f_out: np.ndarray) -> None:
-        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self.half2, self.mode,
-                                         self.potential, self.force)
+        sign, log_abs, n = step_jacobian(q_out, q_in, f_out, self)
         self.sign *= sign
         self.log_abs += log_abs
         self.extra_force_evals += n

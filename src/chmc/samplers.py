@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import ChainSummary, CovarianceTracker
-from .integrators import DmmSolverConfig, leapfrog_trajectory, trajectory
-from .jacobian import JacobianMode
+from .integrators import DmmSolverConfig, StepScratch, leapfrog_trajectory, trajectory
+from .jacobian import JacobianMode, analytic_jacobians
 from .phase import MassMatrix, PhaseState, require_integer
 
 METHODS = ("hmc-leapfrog", "chmc")
@@ -231,15 +231,20 @@ def run_chain(
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
     Of ``mass`` only its dimension is read. It is checked against the target's,
-    ``chain_index`` as a non-negative integer, and a leapfrog chain's target for
-    a gradient, before the first draw: this is the chain's one validation
-    boundary, and the iterations and trajectories below it check none of it.
+    ``chain_index`` as a non-negative integer, a leapfrog chain's target for
+    a gradient, and the target of a J1 or JFull chain with the analytic
+    derivative source for closed-form force Jacobians (the route its
+    trajectories' factors settle through ``analytic_jacobians``), before the
+    first draw: this is the chain's one validation boundary, and the
+    iterations and trajectories below it check none of it.
     """
     if mass.dim != target.dim:
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
     if require_integer("chain_index", chain_index) < 0:
         raise ValueError(f"chain_index must be >= 0, got {chain_index!r}")
-    if cfg.method != "chmc" and target.gradient is None:
+    if cfg.method == "chmc":
+        analytic_jacobians(cfg.jacobian_mode, StepScratch(target, cfg.solver))
+    elif target.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
     rng = chain_rng(cfg.seed, chain_index)
     iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration

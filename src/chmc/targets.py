@@ -27,12 +27,13 @@ class Potential:
     - ``closed_form_force_jacobian(Q, q)``: full (dF/dq, dF/dQ) matrices.
 
     Defining ``closed_form_force_jacobian_diag`` declares the target
-    separable, and nothing else does (see ``is_separable``): F_i depends only
-    on (Q_i, q_i), so both force Jacobians are diagonal. The declaration
-    also selects the chord solve of the implicit step, the Jacobian code
-    returns diagonals instead of d x d matrices, and the finite-difference
-    probes use one colour (2 force evaluations, not 2d), so the declaration
-    must hold. A non-separable target gives its analytic Jacobians as full
+    separable, and nothing else does: F_i depends only on (Q_i, q_i), so
+    both force Jacobians are diagonal. A trajectory's
+    ``integrators.StepScratch`` reads the declaration once, and it selects
+    the chord solve of the implicit step and the Jacobian factor's diagonal
+    route: diagonals instead of d x d matrices, and finite-difference probes
+    in one colour (2 force evaluations, not 2d), so the declaration must
+    hold. A non-separable target gives its analytic Jacobians as full
     matrices through ``closed_form_force_jacobian``. Without a closed-form
     force, the solve and the finite-difference Jacobian probes share one
     divided-difference force.
@@ -75,11 +76,6 @@ class Potential:
 
     def evaluate(self, q: np.ndarray) -> float:
         raise NotImplementedError
-
-
-def is_separable(potential) -> bool:
-    """True when the target declares a diagonal force Jacobian (see Potential)."""
-    return potential.closed_form_force_jacobian_diag is not None
 
 
 class QuarticGeneralizedGaussian(Potential):

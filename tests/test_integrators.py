@@ -23,7 +23,7 @@ from chmc.integrators import (
     leapfrog_trajectory,
     trajectory,
 )
-from chmc.jacobian import step_jacobian
+from chmc.jacobian import JacobianAccumulator, step_jacobian
 from chmc.phase import PhaseState, hamiltonian, kinetic
 from support import BlackBoxQuartic, CountingQuartic, RescaledQuartic, quartic_draws, record_steps
 
@@ -1014,6 +1014,8 @@ class TestPreconditioning:
         d, tau = 12, 0.1
         rng, m, root, t, rescaled = self.case(60, d)
         c = 0.25 * tau * tau
+        acc = JacobianAccumulator(JacobianMode(kind, "analytic"),
+                                  StepScratch(rescaled, DmmSolverConfig(tau=tau)))
         for _ in range(10):
             q = rng.uniform(-2.0, 2.0, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
@@ -1023,9 +1025,7 @@ class TestPreconditioning:
             else:
                 expected = float(np.prod((1.0 + c * d_q / m) / (1.0 + c * d_Q / m)))
             Z, z = root * Q, root * q
-            force = rescaled.closed_form_force
-            sign, log_abs, _ = step_jacobian(Z, z, force(Z, z), c, JacobianMode(kind, "analytic"),
-                                             rescaled, force)
+            sign, log_abs, _ = step_jacobian(Z, z, acc.force(Z, z), acc)
             assert sign * math.exp(log_abs) == pytest.approx(expected, rel=1e-12)
 
 

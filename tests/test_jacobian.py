@@ -46,10 +46,15 @@ def per_column_probes(Q, q, potential):
     return d_q, d_Q
 
 
+def accumulator(potential, mode=JacobianMode("J1"), tau=0.1):
+    """The factor a trajectory builds on its ``StepScratch``, with the default solver."""
+    return JacobianAccumulator(mode, StepScratch(potential, DmmSolverConfig(tau=tau)))
+
+
 def jacobians(Q, q, potential, source="finite-difference"):
     """``force_jacobians`` of the target's closed-form force at (Q, q)."""
-    force = potential.closed_form_force
-    return force_jacobians(Q, q, force(Q, q), potential, source, force)
+    acc = accumulator(potential, JacobianMode("J1", source))
+    return force_jacobians(Q, q, acc.force(Q, q), acc)
 
 
 def half2(tau):
@@ -59,8 +64,8 @@ def half2(tau):
 
 def step_pair(Q, q, tau, mode, potential):
     """``step_jacobian`` of the target's closed-form force at (Q, q)."""
-    force = potential.closed_form_force
-    return step_jacobian(Q, q, force(Q, q), half2(tau), mode, potential, force)
+    acc = accumulator(potential, mode, tau)
+    return step_jacobian(Q, q, acc.force(Q, q), acc)
 
 
 def step_factor(*args):
@@ -141,12 +146,14 @@ class TestForceJacobians:
             calls.append((Q, q))
             return force(Q, q)
 
+        acc = accumulator(t)
+        acc.force = counted  # the probes call the accumulator's force alone
         for _ in range(5):
             q = rng.uniform(-2, 2, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
             r_q, r_Q = per_column_probes(Q, q, t)
             del calls[:]
-            d_q, d_Q, n = force_jacobians(Q, q, force(Q, q), t, "finite-difference", counted)
+            d_q, d_Q, n = force_jacobians(Q, q, force(Q, q), acc)
             assert n == len(calls) == 2 * d
             assert np.array_equal(d_q, r_q) and np.array_equal(d_Q, r_Q)
 
@@ -282,13 +289,13 @@ class TestStepJacobian:
         assert all(half2(tau) == 0.25 * tau * tau for tau in taus)
         mode = JacobianMode(kind)
         for t in (QuarticGeneralizedGaussian(5), PerComponentQuartic(5)):
-            force = t.closed_form_force
             for tau in taus[:20]:
                 q = rng.uniform(-2, 2, 5)
                 Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-                f0 = force(Q, q)
-                assert (step_jacobian(Q, q, f0, half2(tau), mode, t, force)
-                        == step_jacobian(Q, q, f0, 0.25 * tau * tau, mode, t, force))
+                acc, as_float = accumulator(t, mode, tau), accumulator(t, mode, tau)
+                as_float.half2 = 0.25 * tau * tau
+                f0 = acc.force(Q, q)
+                assert step_jacobian(Q, q, f0, acc) == step_jacobian(Q, q, f0, as_float)
 
     def test_separable_jfull_log_sums_to_fsum_accuracy(self):
         # d = 10240 logs per determinant: the step's log|J| stays within 5e-14
@@ -333,7 +340,7 @@ def trajectory_product(monkeypatch, factors):
     pairs = iter([(math.copysign(1.0, t), math.log(abs(t))) if t else (0.0, -math.inf)
                   for t in factors])
     monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
-    acc = JacobianAccumulator(JacobianMode("J1"), None, None, None)
+    acc = accumulator(QuarticGeneralizedGaussian(1))
     for _ in factors:
         acc(None, None, None)
     return acc.product
@@ -373,7 +380,7 @@ class TestTrajectoryJacobian:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         state = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         reused = trajectory(state, t, cfg, n_steps, JacobianMode(kind)).jacobian
-        recomputed = JacobianAccumulator(JacobianMode(kind), half2(0.1), t, t.closed_form_force)
+        recomputed = JacobianAccumulator(JacobianMode(kind), StepScratch(t, cfg))
         for q_in, *_, rec in steps:
             recomputed(q_in, rec.q, t.closed_form_force(rec.q, q_in))
         assert len(steps) == n_steps
@@ -418,17 +425,17 @@ class TestTrajectoryJacobian:
         assert any((np.abs(rec.q - q_in) < 1e-3 * np.maximum(1.0, np.abs(q_in))).any()
                    for q_in, *_, rec in steps)
 
-        def hand_loop(force):
-            sign, log_abs, n = 1.0, 0.0, 0
+        def hand_loop(scratch):
+            acc, sign, log_abs, n = JacobianAccumulator(mode, scratch), 1.0, 0.0, 0
             for q_in, *_, rec in steps:
-                s, lg, k = step_jacobian(rec.q, q_in, rec.force, half2(cfg.tau), mode, t, force)
+                s, lg, k = step_jacobian(rec.q, q_in, rec.force, acc)
                 sign, log_abs, n = sign * s, log_abs + lg, n + k
             return sign, log_abs, n
 
-        own = hand_loop(StepScratch(t, cfg).force)
+        own = hand_loop(StepScratch(t, cfg))
         assert (factor.sign, factor.log_abs, factor.extra_force_evals) == own
         assert own[2] == 6 * 2 * 4
-        default = hand_loop(StepScratch(t, DmmSolverConfig(tau=0.1)).force)
+        default = hand_loop(StepScratch(t, DmmSolverConfig(tau=0.1)))
         assert default[1] != own[1]
 
 
@@ -457,7 +464,7 @@ class TestProductPastTheFloatRange:
 
         def energy_drop(state, target, cfg, n_steps, jacobian_mode, u_in=None):
             q_out = state.q + 1.0
-            factor = JacobianAccumulator(jacobian_mode, None, target, None)
+            factor = JacobianAccumulator(jacobian_mode, StepScratch(target, cfg))
             for _ in range(n_steps):
                 factor(state.q, q_out, None)
             return TrajectoryRecord(q_out, state.p, n_steps, n_steps, True, 900.0, 0.0, 900.0,

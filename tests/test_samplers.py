@@ -482,6 +482,26 @@ class TestRunChain:
                           chain_index=bad)
         assert seen == []
 
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_analytic_source_without_closed_form_refused_before_the_first_draw(self, kind):
+        # a target with neither force-Jacobian capability fails at entry, not
+        # after a draw, a U and a whole step, and never falls back to finite
+        # differences; the finite-difference source and J0 still run on it
+        class NoJacobians(CountingQuartic):
+            closed_form_force_jacobian_diag = None
+
+        t, seen = NoJacobians(3), []
+        sink = [lambda i, o, th: seen.append(i)]
+        cfg = quartic_cfg(iterations=2, jacobian_mode=JacobianMode(kind, "analytic"))
+        with pytest.raises(ValueError, match="needs the target's closed_form_force_jacobian_diag "
+                                             "or closed_form_force_jacobian"):
+            run_chain(cfg, t, MassMatrix.identity(3), sinks=sink)
+        assert t.target_calls() == 0 and seen == []
+        for mode in (JacobianMode(kind), JacobianMode("J0", "analytic")):
+            run_chain(quartic_cfg(iterations=2, jacobian_mode=mode), t, MassMatrix.identity(3),
+                      sinks=sink)
+        assert seen == [0, 1, 0, 1]
+
     def test_explicit_initial_state_dimension_checked(self):
         t = QuarticGeneralizedGaussian(2)
         cfg = quartic_cfg(iterations=2, initial_state_mode="explicit",

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +88,10 @@ class TestPerfbenchHooks:
         assert [n for n in vars(chmc.MassMatrix) if not n.startswith("_")] == ["identity"]
 
     def test_the_trajectory_owns_its_jacobian_factor(self):
-        # the layers run targets <- jacobian <- integrators <- samplers: the
-        # trajectory builds the factor on its solve's force, so no hook, no
-        # relayed guard and no J0 branch is left above it
+        # the layers run jacobian <- integrators <- samplers, and none of them
+        # imports targets: the trajectory builds the factor on its solve's
+        # StepScratch, so no hook, no relayed guard and no J0 branch is left
+        # above it, and the factor's route is settled from the scratch alone
         src = ROOT / "src" / "chmc"
         assert [p.name for p in src.glob("*.py")
                 if "per_step_hook" in p.read_text(encoding="utf-8")] == []
@@ -98,6 +100,31 @@ class TestPerfbenchHooks:
         imports = [node.module for node in ast.walk(trees["jacobian.py"])
                    if isinstance(node, ast.ImportFrom)]
         assert "integrators" not in imports and "chmc.integrators" not in imports
+        assert "targets" not in imports and "chmc.targets" not in imports
+        potential_params = [
+            node.name for node in ast.walk(trees["jacobian.py"])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "potential" in {x.arg for x in node.args.posonlyargs + node.args.args
+                                + node.args.kwonlyargs}]
+        assert potential_params == []
+        # the force-Jacobian capabilities are read once per trajectory, by its
+        # StepScratch; targets.py only defines them
+        readers = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    for fn in node.body:
+                        if isinstance(fn, ast.FunctionDef):
+                            for inner in ast.walk(fn):
+                                scopes.setdefault(inner, f"{node.name}.{fn.name}")
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                        "closed_form_force_jacobian_diag", "closed_form_force_jacobian"):
+                    readers.append(f"{path.name}:{scopes.get(node, '-')}:{node.attr}")
+        assert readers == ["integrators.py:StepScratch.__init__:closed_form_force_jacobian_diag",
+                           "integrators.py:StepScratch.__init__:closed_form_force_jacobian"]
         guard_params, accumulators, j0_tests = [], [], []
         for name, tree in trees.items():
             for node in ast.walk(tree):
@@ -295,7 +322,8 @@ def test_hot_path_ufuncs_take_no_float_literal():
 def test_tracer_counts_two_probe_forces_per_j1_step():
     # perfbench/run.py reads probes as the target.closed_form_force leaves
     # under the jacobian.force_jacobians span; install() patches chmc for
-    # good, so it runs in a child process
+    # good, so each source runs in a child process. The analytic source
+    # makes one Jacobian-diagonal call per step under that span instead
     code = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -305,22 +333,28 @@ from spans import Tracer
 tracer = Tracer()
 tracer.install()
 cfg = chmc.SamplerConfig("chmc", 0.1, 0.5, iterations=3, seed=4,
-                         jacobian_mode=chmc.JacobianMode("J1", "finite-difference"))
+                         jacobian_mode=chmc.JacobianMode("J1", sys.argv[2]))
 chmc.run_chain(cfg, tracer.target_proxy(chmc.QuarticGeneralizedGaussian(4)),
                chmc.MassMatrix.identity(4))
 summary = tracer.summary()
 print(json.dumps({"leaves": summary["leaves"].get("target.closed_form_force", {}),
+                  "diagonals": summary["leaves"].get("target.closed_form_force_jacobian_diag"),
                   "steps": summary["spans"]["jacobian.step_jacobian"]["count"],
                   "solver_steps": summary["solver"]["steps"],
                   "missing": summary["missing"]}))
 """
-    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
-                          capture_output=True, text=True, env=src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["missing"] == []
-    assert out["steps"] == out["solver_steps"] == 3 * 5
+    out = {}
+    for source in ("finite-difference", "analytic"):
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"), source],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out[source] = json.loads(proc.stdout)
+        assert out[source]["missing"] == []
+        assert out[source]["steps"] == out[source]["solver_steps"] == 3 * 5
+    out, analytic = out["finite-difference"], out["analytic"]
     assert out["leaves"]["jacobian.force_jacobians"]["count"] == 2 * out["steps"]
+    assert analytic["diagonals"]["jacobian.force_jacobians"]["count"] == analytic["steps"]
+    assert "jacobian.force_jacobians" not in analytic["leaves"]
 
 
 def test_every_wrap_point_is_reached(tmp_path):
@@ -436,3 +470,14 @@ def test_shipped_configs_validate(name):
 
     spec = validate_spec((ROOT / "configs" / name).read_text(encoding="utf-8"))
     assert [m.name for m in spec.methods][0] == "hmc-lf"
+
+
+def test_annotated_config_names_every_spec_field():
+    # README points to quartic_d40.yaml for every key of a run spec
+    from chmc.cli import ExperimentSpec, MethodSpec, TargetSpec
+
+    text = (ROOT / "configs" / "quartic_d40.yaml").read_text(encoding="utf-8")
+    missing = [f"{spec.__name__}.{f.name}" for spec in (ExperimentSpec, TargetSpec, MethodSpec)
+               for f in dataclasses.fields(spec)
+               if re.search(rf"(?m)^[ #-]*{f.name}:", text) is None]
+    assert missing == []
