@@ -4,7 +4,8 @@ Public surface: the chain API. ``run_chain`` runs one chain of a validated
 ``SamplerConfig`` (with its ``DmmSolverConfig`` and ``JacobianMode``) on a
 ``Potential``, streaming ``IterationOutcome`` records and returning a
 ``ChainSummary``; ``CovarianceTracker`` follows the retained draws. Two
-targets ship, and ``chmc.cli`` runs YAML experiment specs.
+separable targets ship, the quartic well and the standard normal, and
+``chmc.cli`` runs YAML experiment specs.
 
 ``run_chain`` and ``chmc.cli`` are the one place where a chain's inputs are
 checked. The step-level layers below them (``integrators``, ``jacobian``,
@@ -19,9 +20,9 @@ from .jacobian import JacobianMode
 from .phase import MassMatrix
 from .samplers import IterationOutcome, SamplerConfig, run_chain
 from .targets import (
-    MultivariateGaussian,
     Potential,
     QuarticGeneralizedGaussian,
+    StandardNormal,
     quartic_target_variance,
 )
 
@@ -34,10 +35,10 @@ __all__ = [
     "IterationOutcome",
     "JacobianMode",
     "MassMatrix",
-    "MultivariateGaussian",
     "Potential",
     "QuarticGeneralizedGaussian",
     "SamplerConfig",
+    "StandardNormal",
     "quartic_target_variance",
     "run_chain",
     "__version__",

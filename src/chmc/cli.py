@@ -29,7 +29,6 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
-import numpy as np
 import yaml
 
 from . import __version__
@@ -38,7 +37,7 @@ from .integrators import DmmSolverConfig
 from .jacobian import JacobianMode
 from .phase import MassMatrix
 from .samplers import SamplerConfig, run_chain
-from .targets import MultivariateGaussian, QuarticGeneralizedGaussian, quartic_target_variance
+from .targets import QuarticGeneralizedGaussian, StandardNormal, quartic_target_variance
 
 SCHEMA_VERSION = 1
 
@@ -201,8 +200,9 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """The ``target`` mapping: the separable quartic or N(0, I) at ``dimension``;
-    construction raises ``ConfigError`` listing every violation by YAML path."""
+    """The ``target`` mapping: the quartic well or the standard normal N(0, I),
+    both separable, at ``dimension``; construction raises ``ConfigError``
+    listing every violation by YAML path."""
 
     kind: str = field(metadata={"choices": TARGET_KINDS})
     dimension: int = field(metadata={"minimum": 1})
@@ -351,11 +351,11 @@ def load_spec(path: str) -> ExperimentSpec:
 
 
 def build_target(spec: ExperimentSpec):
-    """Target distribution plus its covariance for error traces."""
+    """Target distribution plus its per-component variance for error traces."""
     d = spec.target.dimension
     if spec.target.kind == "quartic":
         return QuarticGeneralizedGaussian(d), quartic_target_variance()
-    return MultivariateGaussian(np.zeros(d), np.eye(d)), np.eye(d)
+    return StandardNormal(d), 1.0
 
 
 class _TraceWriter:

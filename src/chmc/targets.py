@@ -113,48 +113,31 @@ class QuarticGeneralizedGaussian(Potential):
         return t, np.add(np.multiply(s4, Q, s4), c2, s4)
 
 
-class MultivariateGaussian(Potential):
-    """Quadratic potential U(q) = (q - mu)^T Sigma^-1 (q - mu) / 2.
+class StandardNormal(Potential):
+    """Separable standard normal U(q) = q . q / 2, YAML's ``kind: gaussian``.
 
-    Its divided-difference force is linear and symmetric in (Q, q), which
-    makes the energy-preserving map volume-preserving: a strong analytic test
-    case. Sigma is factored once at construction.
+    Its force Q + q is linear and symmetric in (Q, q), which makes the
+    energy-preserving map volume-preserving, and its force Jacobians are
+    the identity: both diagonals are one shared row of ones, so the chord
+    update is exact and each step converges on its first update.
     """
 
-    def __init__(self, mean, cov):
-        mean = np.array(mean, dtype=float, copy=True, ndmin=1)
-        cov = np.array(cov, dtype=float, copy=True)
-        super().__init__(mean.size)
-        if cov.shape != (self.dim, self.dim):
-            raise ValueError("covariance must be d x d")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
-        identity = np.eye(self.dim)
-        tri_inv = np.linalg.solve(chol, identity)
-        self.mean = mean
-        self.cov = cov
-        self._sigma_inv = tri_inv.T @ tri_inv
-        for a in (self.mean, self.cov, self._sigma_inv):
-            a.setflags(write=False)
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self._ones = np.ones(self.dim)
+        self._ones.setflags(write=False)
 
     def evaluate(self, q: np.ndarray) -> float:
-        r = q - self.mean
-        return 0.5 * float(r @ (self._sigma_inv @ r))
+        return 0.5 * float(q @ q)
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        return self._sigma_inv @ (q - self.mean)
+        return q
 
     def closed_form_force(self, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self._sigma_inv @ (Q + q - 2.0 * self.mean)
+        return Q + q
 
-    def closed_form_force_jacobian(self, Q: np.ndarray, q: np.ndarray):
-        return self._sigma_inv, self._sigma_inv
+    def closed_form_force_jacobian_diag(self, Q: np.ndarray, q: np.ndarray):
+        return self._ones, self._ones
 
 
 def quartic_target_variance() -> float:

@@ -73,6 +73,43 @@ class RescaledQuartic(Potential):
         return d_q / self.m, d_Q / self.m
 
 
+class MultivariateGaussian(Potential):
+    """Quadratic U(q) = (q - mu)^T Sigma^-1 (q - mu) / 2: the dense,
+    non-separable reference target.
+
+    It declares full force Jacobians and no diagonal, so its chains take the
+    dense route: plain updates, per-column probes and ``slogdet``. Its
+    divided-difference force is linear and symmetric in (Q, q), which makes
+    the energy-preserving map volume-preserving. Sigma^-1 is formed once from
+    the Cholesky factor of Sigma, which must be symmetric positive definite.
+    """
+
+    def __init__(self, mean, cov):
+        mean = np.array(mean, dtype=float, copy=True, ndmin=1)
+        cov = np.array(cov, dtype=float, copy=True)
+        super().__init__(mean.size)
+        chol = np.linalg.cholesky(0.5 * (cov + cov.T))
+        tri_inv = np.linalg.solve(chol, np.eye(self.dim))
+        self.mean = mean
+        self.cov = cov
+        self._sigma_inv = tri_inv.T @ tri_inv
+        for a in (self.mean, self.cov, self._sigma_inv):
+            a.setflags(write=False)
+
+    def evaluate(self, q):
+        r = q - self.mean
+        return 0.5 * float(r @ (self._sigma_inv @ r))
+
+    def gradient(self, q):
+        return self._sigma_inv @ (q - self.mean)
+
+    def closed_form_force(self, Q, q):
+        return self._sigma_inv @ (Q + q - 2.0 * self.mean)
+
+    def closed_form_force_jacobian(self, Q, q):
+        return self._sigma_inv, self._sigma_inv
+
+
 class BoxedQuartic(QuarticGeneralizedGaussian):
     """U = inf outside the unit box: trajectories that leave it fail."""
 

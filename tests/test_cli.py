@@ -5,13 +5,14 @@ import io
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 import yaml
 
 import chmc.cli
-from chmc import MultivariateGaussian
+from chmc import MassMatrix, StandardNormal, run_chain
 from chmc.cli import (
     ConfigError,
     EXIT_CONFIG_ERROR,
@@ -26,6 +27,7 @@ from chmc.cli import (
     run_experiment,
     validate_spec,
 )
+from support import MultivariateGaussian
 
 MINIMAL = """
 target: {{kind: quartic, dimension: 3}}
@@ -56,8 +58,9 @@ methods:
   - {{name: chmc-jfull, method: chmc, jacobian: JFull}}
 """
 
-# the four methods on a Gaussian at d = 3, one chain; the golden run hands
-# in a correlated one (``hand_in_gaussian``)
+# the four methods on a Gaussian at d = 3, one chain; one golden run samples
+# the N(0, I) that YAML builds, the other hands in a correlated Gaussian
+# (``hand_in_gaussian``)
 GOLDEN_GAUSSIAN = """
 target: {{kind: gaussian, dimension: 3}}
 chains: 1
@@ -73,7 +76,8 @@ methods:
   - {{name: chmc-jfull, method: chmc, jacobian: JFull}}
 """
 
-# sha256 of each CSV body of GOLDEN and GOLDEN_GAUSSIAN (``csv_digests``).
+# sha256 of each CSV body of GOLDEN and GOLDEN_GAUSSIAN (``csv_digests``),
+# the latter with and without the correlated Gaussian handed in.
 # A change may move them only if it says which outputs move and why.
 GOLDEN_DIGESTS = {
     "summary.csv": "0efc76d604e2312d7cc6a66c44ea9193017581fb9ef826865501fa6ad3d5f2fd",
@@ -93,6 +97,14 @@ GOLDEN_GAUSSIAN_DIGESTS = {
     "trace_chmc-j1_0.csv": "a850e1e6eaef7142b166767d015017ec6704449bc59a5109b955fbb225b19737",
     "trace_chmc-jfull_0.csv": "601cca442e2614c45e1aa8518069ad032dedea29fca6f82607e6d08ba0f38c31",
     "trace_hmc-lf_0.csv": "2a43a516978c1b91c3b67a68a8d42f96d3c86500a0b1682ec8d3dd689538e24b",
+}
+
+GOLDEN_STANDARD_NORMAL_DIGESTS = {
+    "summary.csv": "0a7f1b91abd2697159c4a59896ccfb7192b78bbe745e458c915b16528a1e7eef",
+    "trace_chmc-j0_0.csv": "ae45cca22b1555cd736184fd80fc647c7b062b932ed2aa40d1833374ce664047",
+    "trace_chmc-j1_0.csv": "55ba08568ee599277fba35ba8cea06c06776b9d717904c9ef4173fd7a599a9e2",
+    "trace_chmc-jfull_0.csv": "59c43cf0c8f444619fff170f979c13ed900380e45acdc4f17009b40299b03d73",
+    "trace_hmc-lf_0.csv": "29f1862550fe1f2bb3b3965cfdab1f2908c2d2e687ac87e91f04b419c89669b1",
 }
 
 
@@ -286,9 +298,33 @@ methods: []
     def test_gaussian_target_is_standard_normal(self):
         spec = validate_spec(MINIMAL.format(chains=1, iterations=1, out="x").replace(
             "quartic", "gaussian"))
-        target, cov = build_target(spec)
-        assert (target.mean.tolist(), target.cov.tolist()) == ([0.0] * 3, np.eye(3).tolist())
-        assert cov.tolist() == np.eye(3).tolist()
+        target, variance = build_target(spec)
+        assert (type(target), target.dim, variance) == (StandardNormal, 3, 1.0)
+
+    def test_gaussian_target_pickles_without_a_matrix(self):
+        # the process pool pickles the built target once per task
+        spec = validate_spec(MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "{kind: quartic, dimension: 3}", "{kind: gaussian, dimension: 512}"))
+        assert len(pickle.dumps(build_target(spec))) < 64 * 1024
+
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_gaussian_target_takes_the_separable_route(self, kind):
+        # one chord update per step, and finite-difference probes in one
+        # colour: 2 forces per step, not 2d
+        spec = validate_spec(f"""
+target: {{kind: gaussian, dimension: 320}}
+output_dir: x
+defaults: {{iterations: 2, tau: 0.1, total_time: 1.0}}
+methods:
+  - {{name: chmc, method: chmc, jacobian: {kind}}}
+""")
+        target, _ = build_target(spec)
+        cfg = spec.methods[0].sampler_config(spec.seed)
+        seen = []
+        run_chain(cfg, target, MassMatrix.identity(320),
+                  sinks=[lambda i, outcome, theta: seen.append(outcome)])
+        assert [(o.fpi_iterations_total, o.jacobian_force_evals) for o in seen] == [
+            (cfg.n_steps, 2 * cfg.n_steps)] * 2
 
     def test_chmc_only_defaults_need_a_chmc_entry(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
@@ -497,6 +533,10 @@ class TestRunExperiment:
     def test_golden_outputs(self, tmp_path):
         run_experiment(validate_spec(GOLDEN.format(out=tmp_path)))
         assert csv_digests(tmp_path) == GOLDEN_DIGESTS
+
+    def test_golden_standard_normal_outputs(self, tmp_path):
+        run_experiment(validate_spec(GOLDEN_GAUSSIAN.format(out=tmp_path)))
+        assert csv_digests(tmp_path) == GOLDEN_STANDARD_NORMAL_DIGESTS
 
     def test_golden_gaussian_outputs(self, tmp_path, monkeypatch):
         hand_in_gaussian(monkeypatch, [0.5, -0.25, 1.0],

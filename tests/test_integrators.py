@@ -9,7 +9,6 @@ from chmc import (
     DmmSolverConfig,
     JacobianMode,
     MassMatrix,
-    MultivariateGaussian,
     Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
@@ -25,7 +24,14 @@ from chmc.integrators import (
 )
 from chmc.jacobian import JacobianAccumulator, step_jacobian
 from chmc.phase import PhaseState, hamiltonian, kinetic
-from support import BlackBoxQuartic, CountingQuartic, RescaledQuartic, quartic_draws, record_steps
+from support import (
+    BlackBoxQuartic,
+    CountingQuartic,
+    MultivariateGaussian,
+    RescaledQuartic,
+    quartic_draws,
+    record_steps,
+)
 
 
 class LinearPotential(Potential):

@@ -6,7 +6,6 @@ import pytest
 from chmc import (
     DmmSolverConfig,
     JacobianMode,
-    MultivariateGaussian,
     QuarticGeneralizedGaussian,
     SamplerConfig,
 )
@@ -15,7 +14,7 @@ from chmc.integrators import StepScratch, TrajectoryRecord, dmm_step, trajectory
 from chmc.jacobian import JacobianAccumulator, force_jacobians, step_jacobian
 from chmc.phase import PhaseState
 from chmc.samplers import StateCache, chain_rng, chmc_iteration
-from support import BlackBoxQuartic, quartic_draws, record_steps
+from support import BlackBoxQuartic, MultivariateGaussian, quartic_draws, record_steps
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):

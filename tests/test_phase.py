@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from chmc import (
     MassMatrix,
-    MultivariateGaussian,
     QuarticGeneralizedGaussian,
     SamplerConfig,
 )
 from chmc.integrators import TrajectoryRecord
 from chmc.phase import PhaseState, hamiltonian, kinetic
 from chmc.samplers import StateCache, chmc_iteration, hmc_iteration
+from support import MultivariateGaussian
 
 
 def random_spd(rng, d):

@@ -12,7 +12,6 @@ from chmc import (
     DmmSolverConfig,
     JacobianMode,
     MassMatrix,
-    MultivariateGaussian,
     Potential,
     QuarticGeneralizedGaussian,
     SamplerConfig,
@@ -29,7 +28,7 @@ from chmc.samplers import (
     hmc_iteration,
     initial_position,
 )
-from support import BoxedQuartic, CountingQuartic, RescaledQuartic
+from support import BoxedQuartic, CountingQuartic, MultivariateGaussian, RescaledQuartic
 
 
 class TestAcceptanceProbability:

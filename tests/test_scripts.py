@@ -22,7 +22,7 @@ import pytest
 
 import chmc
 from chmc.integrators import StepRecord, StepScratch, dmm_step
-from support import BlackBoxQuartic
+from support import BlackBoxQuartic, MultivariateGaussian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -224,7 +224,7 @@ methods:
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         counting = load_perfbench("workloads").CountingTarget
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, -0.3], [0.2, -0.3, 0.8]])
-        quartic, gaussian = chmc.QuarticGeneralizedGaussian(3), chmc.MultivariateGaussian(
+        quartic, gaussian = chmc.QuarticGeneralizedGaussian(3), MultivariateGaussian(
             np.zeros(3), cov)
         cases = [(quartic, None), (gaussian, None)]
         cases += [(t, chmc.JacobianMode(kind, source)) for t in (quartic, gaussian)

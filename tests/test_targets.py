@@ -11,11 +11,15 @@ from scipy.special import gamma
 
 import chmc
 from chmc import (
-    MultivariateGaussian,
     QuarticGeneralizedGaussian,
+    StandardNormal,
     quartic_target_variance,
 )
 from chmc.integrators import divided_difference_force
+from support import MultivariateGaussian
+
+# the shipped separable targets, which share the quartic's contract tests
+SEPARABLE = pytest.mark.parametrize("make", [QuarticGeneralizedGaussian, StandardNormal])
 
 
 def central_gradient(f, q, h=1e-6):
@@ -54,17 +58,19 @@ class TestQuarticForce:
         f = t.closed_form_force(np.array([-1.3]), np.array([1.3]))
         assert f[0] == 0.0
 
-    def test_matches_generic_divided_differences(self):
+    @SEPARABLE
+    def test_matches_generic_divided_differences(self, make):
         rng = np.random.default_rng(21)
-        t = QuarticGeneralizedGaussian(5)
+        t = make(5)
         for Q, q in separated_pairs(rng, 5, 1000):
             closed = t.closed_form_force(Q, q)
             generic, _ = divided_difference_force(Q, q, t)
             np.testing.assert_allclose(closed, generic, rtol=1e-10, atol=1e-10)
 
-    def test_jacobian_diagonals_match_finite_differences(self):
+    @SEPARABLE
+    def test_jacobian_diagonals_match_finite_differences(self, make):
         rng = np.random.default_rng(22)
-        t = QuarticGeneralizedGaussian(3)
+        t = make(3)
         for Q, q in separated_pairs(rng, 3, 50):
             d_q, d_Q = t.closed_form_force_jacobian_diag(Q, q)
             for i in range(3):
@@ -103,9 +109,10 @@ class TestQuarticForce:
             np.testing.assert_array_equal(new[normal], old[normal])
             assert np.abs(new - old).max() <= 20 * 5e-324
 
-    def test_gradient_matches_finite_differences(self):
+    @SEPARABLE
+    def test_gradient_matches_finite_differences(self, make):
         rng = np.random.default_rng(23)
-        t = QuarticGeneralizedGaussian(4)
+        t = make(4)
         for _ in range(25):
             q = rng.uniform(-2, 2, 4)
             np.testing.assert_allclose(
@@ -113,6 +120,7 @@ class TestQuarticForce:
 
 
 class TestGaussianTarget:
+    # the dense reference target of tests/support.py, which the dense-route tests trust
     def test_force_one_dimensional(self):
         t = MultivariateGaussian([0.0], [[1.0]])
         f = t.closed_form_force(np.array([2.0]), np.array([1.0]))
@@ -169,25 +177,6 @@ class TestGaussianTarget:
             np.testing.assert_allclose(
                 t.gradient(q), central_gradient(t.evaluate, q), rtol=1e-6, atol=1e-8)
 
-    def test_rejects_bad_covariance(self):
-        with pytest.raises(ValueError):
-            MultivariateGaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(ValueError, match="must be d x d"):
-            MultivariateGaussian([0.0, 0.0], np.eye(3))
-        with pytest.raises(ValueError, match="must be symmetric"):
-            MultivariateGaussian([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("mean, cov", [
-        ([np.nan, 0.0], np.eye(2)),
-        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
-        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
-    ], ids=["nan-mean", "inf-variance", "nan-covariance"])
-    def test_rejects_non_finite_input(self, mean, cov):
-        # finiteness is checked first: a NaN covariance would otherwise fail
-        # the symmetry test, for the wrong reason
-        with pytest.raises(ValueError, match="must be finite"):
-            MultivariateGaussian(mean, cov)
-
 
 class TestQuarticVariance:
     def test_against_quadrature_oracle(self):
@@ -221,7 +210,7 @@ class TestQuarticVariance:
         assert quartic_target_variance() == float(gamma(0.75) / gamma(0.25))
 
 
-@pytest.mark.parametrize("make", [chmc.Potential, QuarticGeneralizedGaussian])
+@pytest.mark.parametrize("make", [chmc.Potential, QuarticGeneralizedGaussian, StandardNormal])
 def test_dim_must_be_an_integer(make):
     for bad in (2.7, 2.0, True):
         with pytest.raises(ValueError, match="dim must be an integer"):
@@ -259,9 +248,9 @@ def test_all_is_the_chain_api():
     # states, iterations) are internals of their modules, not exports
     assert sorted(chmc.__all__) == [
         "ChainSummary", "CovarianceTracker", "DmmSolverConfig", "IterationOutcome",
-        "JacobianMode", "MassMatrix", "MultivariateGaussian", "Potential",
-        "QuarticGeneralizedGaussian", "SamplerConfig", "__version__",
-        "quartic_target_variance", "run_chain"]
+        "JacobianMode", "MassMatrix", "Potential", "QuarticGeneralizedGaussian",
+        "SamplerConfig", "StandardNormal", "__version__", "quartic_target_variance",
+        "run_chain"]
 
 
 def test_import_loads_no_scipy():
