@@ -34,7 +34,7 @@ import yaml
 from . import __version__
 from .diagnostics import CovarianceTracker
 from .integrators import DmmSolverConfig
-from .jacobian import JacobianMode
+from .jacobian import DERIVATIVE_SOURCES, JACOBIAN_KINDS, JacobianMode
 from .phase import MassMatrix
 from .samplers import SamplerConfig, run_chain
 from .targets import QuarticGeneralizedGaussian, StandardNormal, quartic_target_variance
@@ -139,8 +139,9 @@ class MethodSpec:
     total_time: float
     iterations: int
     burn_in: int = _default(SamplerConfig, "burn_in")
-    jacobian: str = _chmc_only("J0")
-    jacobian_source: str = _chmc_only(_default(JacobianMode, "derivative_source"))
+    jacobian: str = _chmc_only("J0", choices=JACOBIAN_KINDS)
+    jacobian_source: str = _chmc_only(_default(JacobianMode, "derivative_source"),
+                                      choices=DERIVATIVE_SOURCES)
     delta: float = _chmc_only(_default(DmmSolverConfig, "delta"))
     max_fpi: int = _chmc_only(_default(DmmSolverConfig, "max_fpi"))
     dd_guard: float = _chmc_only(_default(DmmSolverConfig, "dd_guard"))

@@ -16,16 +16,16 @@ class CovarianceTracker:
     Full mode keeps the d x d ``scatter``, diagonal mode only its length-d
     diagonal (a 40960^2 matrix would not fit in memory). ``target_cov``, a
     scalar, a length-d vector or a d x d matrix, is reduced to the kept shape
-    once; any other shape raises ``ValueError`` at construction. Every
+    once; any other shape, or a ``dim`` or ``record_stride`` that is no
+    integer >= 1, raises ``ValueError`` at construction. Every
     ``record_stride``-th update from the second on appends (iteration,
     max|scatter / (count - 1) - target|), the l-infinity error of the sample
     covariance, to ``trace``: a plot-ready curve, not a per-iteration dump.
     """
 
     def __init__(self, dim: int, target_cov, diagonal: bool = False, record_stride: int = 10):
-        dim = require_integer("dim", dim)
-        if require_integer("record_stride", record_stride) < 1:
-            raise ValueError("record_stride must be >= 1")
+        dim = require_integer("dim", dim, 1)
+        require_integer("record_stride", record_stride, 1)
         t = np.array(target_cov, dtype=float)
         if t.ndim > 2 or t.shape != (dim,) * t.ndim:
             raise ValueError(f"target_cov must be a scalar, a length-{dim} vector or a "

@@ -113,16 +113,16 @@ import numpy as np
 
 from .jacobian import JacobianAccumulator, JacobianMode
 from .phase import (PhaseState, hamiltonian, kinetic, potential_energy, require_integer,
-                    scalar_operand)
+                    require_positive, scalar_operand)
 
 
 @dataclass(frozen=True)
 class DmmSolverConfig:
     """Knobs of the implicit energy-preserving step.
 
-    tau: time step, finite and positive.
-    delta: absolute per-step energy tolerance, finite and positive.
-    max_fpi: cap on fixed-point updates per step.
+    tau: time step, > 0 and finite.
+    delta: absolute per-step energy tolerance, > 0 and finite.
+    max_fpi: cap on fixed-point updates per step, an integer >= 1.
     dd_guard: base of the relative guard of ``divided_difference_force``;
         component i uses the threshold dd_guard * max(1, |q_i|). Only that
         black-box force reads it, so it has no effect on a target with a
@@ -135,14 +135,10 @@ class DmmSolverConfig:
     dd_guard: float = 1e-8
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be finite and positive")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError("delta must be finite and positive")
-        if require_integer("max_fpi", self.max_fpi) < 1:
-            raise ValueError("max_fpi must be >= 1")
-        if not (self.dd_guard > 0.0 and math.isfinite(self.dd_guard)):
-            raise ValueError("dd_guard must be finite and positive")
+        require_positive("tau", self.tau)
+        require_positive("delta", self.delta)
+        require_integer("max_fpi", self.max_fpi, 1)
+        require_positive("dd_guard", self.dd_guard)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ class StepRecord:
     D_next = 1 + (tau/2)^2 (2 dF/dQ - dF/dq), from this step's
     Jacobian-diagonal call, which the next step of a trajectory uses in its
     predictor and for its Jacobian point (see ``dmm_step`` and the module
-    docstring). It is None unless every entry is finite and positive, and
+    docstring). It is None unless every entry is finite and > 0, and
     always None on a target without the chord solve. ``tolerance`` is what
     the error was tested against: delta, or its larger rounding floor.
     """
@@ -273,7 +269,7 @@ def _chord_scale(diagonals, half2):
     With half2 = (tau/2)^2 (a 0-d array in ``dmm_step``), D = 1 + half2 dF/dQ
     is this step's chord and D_next = 1 + half2 (2 dF/dQ - dF/dq) the next
     step's predicted chord, the rows of one fresh (2, d) block that one min
-    and one max check (row by row only when that fails). Each is None unless finite and positive (a
+    and one max check (row by row only when that fails). Each is None unless finite and > 0 (a
     non-convex region can make the frozen Newton step point the wrong way);
     without D the step keeps the plain update, without D_next the next step
     starts from Q_pc.
@@ -416,10 +412,9 @@ def trajectory(
     checked here. ``u_in``, when given, is U(state.q) as
     ``potential_energy`` gives it (a chain passes the value its last
     trajectory reported for the position it kept); without it
-    ``hamiltonian`` evaluates U at the start, after checking the
-    dimensions. The steps run on the raw arrays of ``state``, and each
-    after the first starts its solve from the previous step's force and
-    predicted chord (see ``dmm_step``). ``all_converged`` also needs
+    ``hamiltonian`` evaluates U at the start. The steps run on the raw
+    arrays of ``state``, and each after the first starts its solve from the
+    previous step's force and predicted chord (see ``dmm_step``). ``all_converged`` also needs
     |H_out - H_in| within the sum of the steps' ``tolerance`` plus a few
     ulps of |H_in| + |H_out|, which only a force that breaks the
     discrete-gradient contract can miss (see the module docstring).
@@ -474,13 +469,12 @@ def leapfrog_trajectory(
     """Compose ``n_steps`` leapfrog steps with n_steps gradient evaluations,
     plus one for the first half-kick when ``kick_in`` is None.
 
-    ``n_steps`` is an integer >= 1, ``tau`` finite and positive and
+    ``n_steps`` is an integer >= 1, ``tau`` finite and > 0 and
     ``potential.gradient`` present, as ``SamplerConfig`` and ``run_chain``
     make them; none is checked here. ``u_in`` and ``kick_in`` are U(state.q)
     and (tau/2) grad U(state.q) when the caller has them (a chain's values
     from its last trajectory); the trajectory never writes ``kick_in``, and
-    evaluates what it is not given, after ``hamiltonian`` has checked the
-    dimensions.
+    evaluates what it is not given.
     The loop carries w = tau p and makes one kick tau^2 grad U per step (see
     the module docstring); p = w / tau + (tau/2) grad U is formed once, after
     the last step. This is the kick-drift-kick map with its inner half-kicks

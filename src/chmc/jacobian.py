@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import scalar_operand
+from .phase import require_choice, scalar_operand
 
 DEFAULT_FD_STEP = float(np.sqrt(np.finfo(float).eps))
 _ZERO, _ONE, _FD_STEP = map(scalar_operand, (0.0, 1.0, DEFAULT_FD_STEP))
@@ -60,10 +60,8 @@ class JacobianMode:
     derivative_source: str = "finite-difference"
 
     def __post_init__(self):
-        if self.kind not in JACOBIAN_KINDS:
-            raise ValueError(f"kind must be one of {JACOBIAN_KINDS}")
-        if self.derivative_source not in DERIVATIVE_SOURCES:
-            raise ValueError(f"derivative_source must be one of {DERIVATIVE_SOURCES}")
+        require_choice("kind", self.kind, JACOBIAN_KINDS)
+        require_choice("derivative_source", self.derivative_source, DERIVATIVE_SOURCES)
 
 
 def analytic_jacobians(mode: JacobianMode, scratch):

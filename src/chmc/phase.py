@@ -1,8 +1,10 @@
 """Phase-space state and H(q, p) = U(q) + K(p), with K(p) = p . p / 2 of the identity mass.
 
-``PhaseState`` validates (q, p) at the public API; step loops run on raw
-arrays. Everything here is immutable after construction and safe to share
-across chains; random generators are always passed in and owned per chain.
+It also holds the value checks that the chain API shares (``require_integer``,
+``require_positive``, ``require_choice`` and ``finite_vector``), each with one
+wording of its message. Step loops run on raw arrays. Everything here is
+immutable after construction and safe to share across chains; random
+generators are always passed in and owned per chain.
 """
 
 from __future__ import annotations
@@ -13,11 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def require_integer(name: str, value) -> int:
-    """``value`` as an int: a count never rounds, so only Python and NumPy integers pass."""
+def require_integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``.
+
+    A count never rounds, so only Python and NumPy integers pass.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_positive(name: str, value) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def require_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}")
+
+
+def finite_vector(name: str, value) -> np.ndarray:
+    """A read-only float copy of ``value``, which must be a finite vector of dimension >= 1."""
+    v = np.array(value, dtype=float, copy=True, ndmin=1)
+    if v.ndim != 1 or v.size < 1 or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite vector of dimension >= 1")
+    v.setflags(write=False)
+    return v
 
 
 def scalar_operand(x: float) -> np.ndarray:
@@ -33,28 +59,17 @@ def scalar_operand(x: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/momentum pair (q, p) with matching dimension d >= 1.
-
-    Arrays are copied and locked at construction; all components must be
-    finite.
+    """Position/momentum pair (q, p): finite vectors of one dimension d >= 1,
+    copied and locked at construction (see ``finite_vector``).
     """
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float, copy=True, ndmin=1)
-        p = np.array(self.p, dtype=float, copy=True, ndmin=1)
-        if q.ndim != 1 or p.ndim != 1:
-            raise ValueError("q and p must be one-dimensional vectors")
+        q, p = finite_vector("q", self.q), finite_vector("p", self.p)
         if q.shape != p.shape:
             raise ValueError(f"q and p dimensions differ: {q.size} vs {p.size}")
-        if q.size < 1:
-            raise ValueError("phase state needs dimension >= 1")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("phase state components must be finite")
-        q.setflags(write=False)
-        p.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
@@ -71,9 +86,7 @@ class MassMatrix:
     """
 
     def __init__(self, dim: int):
-        self.dim = require_integer("dim", dim)
-        if self.dim < 1:
-            raise ValueError("mass matrix needs dimension >= 1")
+        self.dim = require_integer("dim", dim, 1)
 
     @classmethod
     def identity(cls, dim: int) -> "MassMatrix":
@@ -96,12 +109,10 @@ def potential_energy(q: np.ndarray, potential) -> float:
 
 
 def hamiltonian(state: PhaseState, potential, u: float | None = None) -> tuple[float, float]:
-    """(U, H) of a validated state, H(q, p) = U(q) + p . p / 2, after checking
-    its dimension. U is ``u`` when given (``potential_energy(state.q, potential)``
-    already computed), else evaluated here, after the check.
+    """(U, H) of a state, H(q, p) = U(q) + p . p / 2. U is ``u`` when given
+    (``potential_energy(state.q, potential)`` already computed), else evaluated here.
+    ``run_chain`` has checked the dimensions; this does not.
     """
-    if state.dim != potential.dim:
-        raise ValueError(f"state dimension {state.dim} != potential dimension {potential.dim}")
     if u is None:
         u = potential_energy(state.q, potential)
     return u, u + kinetic(state.p)

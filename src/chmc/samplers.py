@@ -29,7 +29,8 @@ import numpy as np
 from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import DmmSolverConfig, StepScratch, leapfrog_trajectory, trajectory
 from .jacobian import JacobianMode, analytic_jacobians
-from .phase import MassMatrix, PhaseState, require_integer
+from .phase import (MassMatrix, PhaseState, finite_vector, require_choice, require_integer,
+                    require_positive)
 
 METHODS = ("hmc-leapfrog", "chmc")
 INITIAL_STATE_MODES = ("standard-normal", "explicit")
@@ -44,8 +45,8 @@ class SamplerConfig:
     ``solver`` carries the fixed-point knobs and must agree with ``tau``;
     ``jacobian_mode`` picks J0 (default, gradient-free), J1 or JFull. Both are
     refused for leapfrog, and ``initial_state`` unless the mode is 'explicit',
-    where it must be a finite vector (kept as a read-only copy; ``run_chain``
-    checks its dimension). ``seed`` must be a non-negative integer.
+    where it is kept as ``finite_vector`` makes it (``run_chain`` checks its
+    dimension). ``seed`` must be a non-negative integer.
     """
 
     method: str
@@ -60,31 +61,23 @@ class SamplerConfig:
     initial_state: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be finite and positive")
-        if not (self.total_time > 0.0 and math.isfinite(self.total_time)):
-            raise ValueError("total_time must be finite and positive")
+        require_choice("method", self.method, METHODS)
+        require_positive("tau", self.tau)
+        require_positive("total_time", self.total_time)
         ratio = self.total_time / self.tau
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("n_steps not integral: total_time / tau must be a positive integer")
-        require_integer("iterations", self.iterations)
-        require_integer("burn_in", self.burn_in)
-        if self.burn_in < 0 or self.iterations <= self.burn_in:
+        require_integer("iterations", self.iterations, 1)
+        require_integer("burn_in", self.burn_in, 0)
+        if self.iterations <= self.burn_in:
             raise ValueError("need iterations > burn_in >= 0")
-        if require_integer("seed", self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.initial_state_mode not in INITIAL_STATE_MODES:
-            raise ValueError(f"initial_state_mode must be one of {INITIAL_STATE_MODES}")
+        require_integer("seed", self.seed, 0)
+        require_choice("initial_state_mode", self.initial_state_mode, INITIAL_STATE_MODES)
         if (self.initial_state_mode == "explicit") != (self.initial_state is not None):
             raise ValueError("initial_state is given exactly when initial_state_mode is explicit")
         if self.initial_state is not None:
-            start = np.array(self.initial_state, dtype=float, copy=True, ndmin=1)
-            if start.ndim != 1 or start.size < 1 or not np.isfinite(start).all():
-                raise ValueError("initial_state must be a finite vector of dimension >= 1")
-            start.setflags(write=False)
-            object.__setattr__(self, "initial_state", start)
+            object.__setattr__(self, "initial_state",
+                               finite_vector("initial_state", self.initial_state))
         if self.method != "chmc" and not (self.solver is None and self.jacobian_mode is None):
             raise ValueError("solver and jacobian_mode only apply to chmc")
         if self.method == "chmc":
@@ -240,8 +233,7 @@ def run_chain(
     """
     if mass.dim != target.dim:
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
-    if require_integer("chain_index", chain_index) < 0:
-        raise ValueError(f"chain_index must be >= 0, got {chain_index!r}")
+    require_integer("chain_index", chain_index, 0)
     if cfg.method == "chmc":
         analytic_jacobians(cfg.jacobian_mode, StepScratch(target, cfg.solver))
     elif target.gradient is None:

@@ -70,9 +70,7 @@ class Potential:
     closed_form_force_jacobian = None
 
     def __init__(self, dim: int):
-        self.dim = require_integer("dim", dim)
-        if self.dim < 1:
-            raise ValueError("potential needs dimension >= 1")
+        self.dim = require_integer("dim", dim, 1)
 
     def evaluate(self, q: np.ndarray) -> float:
         raise NotImplementedError

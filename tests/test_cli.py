@@ -358,6 +358,17 @@ methods:
         assert err.value.errors == [
             "methods[1].init_mode: expected one of ['position-euler'], got 'gradient-euler'"]
 
+    def test_jacobian_typos_reported_under_their_keys(self):
+        # both are collected, the source's too, named by their YAML paths
+        text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
+            "jacobian: J0}", "jacobian: J2, jacobian_source: magic}")
+        with pytest.raises(ConfigError) as err:
+            validate_spec(text)
+        assert err.value.errors == [
+            "methods[1].jacobian: expected one of ['J0', 'J1', 'JFull'], got 'J2'",
+            "methods[1].jacobian_source: expected one of ['analytic', 'finite-difference'], "
+            "got 'magic'"]
+
     def test_range_errors_come_from_dataclasses_all_collected(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace(
             "delta: 1.0e-8}", "delta: 1.0e-8, max_fpi: 0}").replace(
@@ -386,7 +397,7 @@ methods:
             MethodSpec(name="a", method="chmc", tau=0.1, total_time=3.95, iterations=5,
                        max_fpi=0)
         assert err.value.errors == [
-            "max_fpi must be >= 1",
+            "max_fpi must be >= 1, got 0",
             "n_steps not integral: total_time / tau must be a positive integer"]
         method = MethodSpec(name="a", method="chmc", tau=0.1, total_time=4, iterations=5)
         assert isinstance(method.total_time, float)
@@ -431,7 +442,7 @@ methods:
                                     "record_stride: must be >= 1, got 0"]
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(spec.methods[0], iterations=0)
-        assert err.value.errors == ["need iterations > burn_in >= 0"]
+        assert err.value.errors == ["iterations must be >= 1, got 0"]
 
 
 class TestRunExperiment:

@@ -213,6 +213,12 @@ class TestCovarianceTracker:
         with pytest.raises(ValueError, match="must be an integer"):
             CovarianceTracker(**args)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one_raises_at_construction(self, dim):
+        # a (0, 0) tracker would fail on its first update with a broadcast error
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            CovarianceTracker(dim, 1.0)
+
 
 @pytest.fixture(scope="module")
 def chmc_j1_chain_with_rejections():

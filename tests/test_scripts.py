@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import chmc
 from chmc.integrators import StepRecord, StepScratch, dmm_step
@@ -453,7 +454,7 @@ methods:
 
 @pytest.mark.parametrize("flag, error", [
     (("--chains", "0"), "chains: must be >= 1, got 0"),
-    (("--iterations", "0"), "need iterations > burn_in >= 0"),
+    (("--iterations", "0"), "iterations must be >= 1, got 0"),
     (("--seed", "-1"), "seed: must be >= 0, got -1"),
 ])
 def test_benchmark_table_bad_flag_is_config_error(tmp_path, flag, error):
@@ -481,3 +482,29 @@ def test_annotated_config_names_every_spec_field():
                for f in dataclasses.fields(spec)
                if re.search(rf"(?m)^[ #-]*{f.name}:", text) is None]
     assert missing == []
+
+
+def readme_block(heading, lang=""):
+    """The first fenced code block in the README section ``## heading``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    # the front-door example, exactly as the README prints it
+    namespace = {}
+    exec(readme_block("Library API", "python"), namespace)
+    assert 0.0 < namespace["summary"].mean_acceptance_pct <= 100.0
+
+
+def test_ci_workflow_names_what_the_repository_has():
+    # read, not run: a renamed config or script, or a changed tier-1 command,
+    # would otherwise surface only when the workflow first runs
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml")
+                              .read_text(encoding="utf-8"))
+    runs = [step["run"].strip() for job in workflow["jobs"].values()
+            for step in job["steps"] if "run" in step]
+    named = re.findall(r"(?:configs|scripts)/\S+\.(?:yaml|py)", "\n".join(runs))
+    assert named and [path for path in named if not (ROOT / path).is_file()] == []
+    assert readme_block("Tests").strip() in runs

@@ -216,7 +216,7 @@ def test_dim_must_be_an_integer(make):
         with pytest.raises(ValueError, match="dim must be an integer"):
             make(bad)
     assert make(np.int64(3)).dim == 3
-    with pytest.raises(ValueError, match="needs dimension >= 1"):
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
         make(0)
 
 
