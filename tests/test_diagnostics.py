@@ -84,7 +84,7 @@ class ReferenceStream:
         return float(np.max(np.abs(sample - t)))
 
 
-class TestStreamingCovariance:
+class TestCovarianceTrackerMoments:
     def test_matches_batch_covariance(self):
         rng = np.random.default_rng(51)
         data = rng.standard_normal((10_000, 16)) @ rng.standard_normal((16, 16))
@@ -229,7 +229,7 @@ def chmc_j1_chain_with_rejections():
     return cfg, summary, seen
 
 
-class TestFinalizeSummary:
+class TestChainSummary:
     """The means run_chain finalizes from its running values, checked bit for bit
     against the reduction of the outcomes a sink saw."""
 

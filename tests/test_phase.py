@@ -147,7 +147,7 @@ class TestMassMatrix:
             assert kinetic(p) == 0.5 * float(p @ p)
 
 
-class TestSampleMomentum:
+class TestMomentumRefresh:
     """Both iterations draw p ~ N(0, I) as one standard-normal vector of the
     chain's generator, then one uniform for the accept/reject step."""
 
