@@ -359,28 +359,6 @@ def build_target(spec: ExperimentSpec):
     return StandardNormal(d), 1.0
 
 
-class _TraceWriter:
-    """Per-iteration CSV sink; the covariance column fills at the stride."""
-
-    def __init__(self, writer, tracker: CovarianceTracker):
-        self.writer = writer
-        self.tracker = tracker
-
-    def __call__(self, iteration, outcome, theta):
-        err = self.tracker.last_recorded(iteration)
-        self.writer.writerow((
-            iteration,
-            "" if err is None else _format_float(err),
-            _format_float(outcome.delta_H),
-            _format_float(outcome.alpha),
-            int(outcome.accepted),
-            outcome.force_evals,
-            outcome.fpi_iterations_total,
-            _format_float(outcome.jacobian_product),
-            int(outcome.all_steps_converged),
-        ))
-
-
 def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: int) -> dict:
     """One chain of one method; ``built`` is ``build_target(spec)``."""
     method = spec.methods[method_idx]
@@ -394,7 +372,22 @@ def _run_task(spec: ExperimentSpec, built: tuple, method_idx: int, chain_idx: in
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        sink = _TraceWriter(writer, tracker)
+
+        def sink(iteration, outcome, theta):
+            """Per-iteration CSV row; the covariance column fills at the stride."""
+            err = tracker.last_recorded(iteration)
+            writer.writerow((
+                iteration,
+                "" if err is None else _format_float(err),
+                _format_float(outcome.delta_H),
+                _format_float(outcome.alpha),
+                int(outcome.accepted),
+                outcome.force_evals,
+                outcome.fpi_iterations_total,
+                _format_float(outcome.jacobian_product),
+                int(outcome.all_steps_converged),
+            ))
+
         summary = run_chain(cfg, target, mass, sinks=[sink], chain_index=chain_idx,
                             covariance_tracker=tracker)
     return {

@@ -88,6 +88,11 @@ p = w / tau + (tau/2) grad U(q). Both trajectories report U, and leapfrog
 its half-kick, at each end, with the bits of a fresh evaluation, for the
 chain to carry to its next trajectory (see ``samplers.StateCache``).
 
+Neither trajectory sets a floating-point policy: both run under their
+caller's. ``samplers.run_chain`` holds ``np.errstate(over="ignore",
+invalid="ignore")`` around every iteration, so a trajectory that overflows
+fails (h_out = +inf) without a warning; a direct call warns as NumPy does.
+
 Both loops write their temporaries into work rows made once per trajectory:
 a ``StepScratch`` for ``dmm_step``, and w and one row for leapfrog. Their
 ufunc scalars (tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d
@@ -481,7 +486,9 @@ def leapfrog_trajectory(
     merged, so it agrees with a loop that evaluates both gradients every step
     up to rounding, not bit for bit. A trajectory that leaves the finite range
     (steep targets can blow up the explicit update) fails: it reports
-    h_out = +inf, which the sampler rejects.
+    h_out = +inf, which the sampler rejects. Its overflow and invalid
+    operations warn or not as the caller's floating-point policy says, which
+    ``run_chain`` sets (see the module docstring).
     """
     u_in, h_in = hamiltonian(state, potential, u_in)
     grad = potential.gradient
@@ -489,22 +496,21 @@ def leapfrog_trajectory(
     buf = np.empty(state.dim)
     q = state.q
     total_f = n_steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kick_in is None:
-            kick_in = np.multiply(grad(q), half)
-            total_f += 1
-        w = np.subtract(state.p, kick_in)
-        np.multiply(w, dt, w)
-        for _ in range(n_steps):
-            q = q + w
-            g = grad(q)
-            np.subtract(w, np.multiply(g, dt2, buf), w)
-        kick = np.multiply(g, half)
-        p = np.add(np.divide(w, dt, w), kick, w)
-        h_out = math.inf
-        if np.isfinite(q).all() and np.isfinite(p).all():
-            u_out = potential_energy(q, potential)
-            h_out = u_out + kinetic(p)
+    if kick_in is None:
+        kick_in = np.multiply(grad(q), half)
+        total_f += 1
+    w = np.subtract(state.p, kick_in)
+    np.multiply(w, dt, w)
+    for _ in range(n_steps):
+        q = q + w
+        g = grad(q)
+        np.subtract(w, np.multiply(g, dt2, buf), w)
+    kick = np.multiply(g, half)
+    p = np.add(np.divide(w, dt, w), kick, w)
+    h_out = math.inf
+    if np.isfinite(q).all() and np.isfinite(p).all():
+        u_out = potential_energy(q, potential)
+        h_out = u_out + kinetic(p)
     if not math.isfinite(h_out):
         return TrajectoryRecord(state.q, state.p, total_f, 0, True, h_in, math.inf, u_in,
                                 math.inf, kick_in)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -28,7 +29,8 @@ def require_integer(name: str, value, minimum: int) -> int:
 
 
 def require_positive(name: str, value) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
+    """``value`` is a real number, finite and > 0; a bool is no number here."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive")
 
 

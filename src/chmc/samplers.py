@@ -168,22 +168,20 @@ def hmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
 
 
 def _accept_reject(theta: np.ndarray, rec, rng: np.random.Generator, cache: StateCache):
-    """Draw u, then accept the end position; a failed trajectory rejects with dH = +inf.
+    """Accept the end position if one uniform draw u < ``acceptance_probability``.
 
-    ``rec.jacobian`` is the trajectory's Jacobian factor, None for J = 1 (J0
-    and leapfrog); alpha is formed from its (sign, log_abs) and the outcome
-    reports its product. ``cache`` takes the values at the position kept.
+    A failed trajectory (h_out = +inf) has dH = +inf whatever H_in is, so
+    that one rule rejects it with alpha = 0. ``rec.jacobian`` is the
+    trajectory's Jacobian factor, None for J = 1 (J0 and leapfrog); alpha is
+    formed from its (sign, log_abs) and the outcome reports its product.
+    ``cache`` takes the values at the position kept.
     """
-    u = rng.random()
     j = rec.jacobian
     sign, log_abs, product, jacobian_evals = (
         (1.0, 0.0, 1.0, 0) if j is None else (j.sign, j.log_abs, j.product, j.extra_force_evals))
-    if rec.h_out == math.inf:
-        alpha, delta_h, accepted = 0.0, math.inf, False
-    else:
-        delta_h = rec.h_out - rec.h_in
-        alpha = acceptance_probability(delta_h, sign, log_abs)
-        accepted = u < alpha
+    delta_h = math.inf if rec.h_out == math.inf else rec.h_out - rec.h_in
+    alpha = acceptance_probability(delta_h, sign, log_abs)
+    accepted = rng.random() < alpha
     outcome = IterationOutcome(accepted, alpha, delta_h, product,
                                rec.total_force_evaluations, rec.total_fpi_iterations,
                                rec.all_converged, jacobian_evals)
@@ -229,7 +227,10 @@ def run_chain(
     derivative source for closed-form force Jacobians (the route its
     trajectories' factors settle through ``analytic_jacobians``), before the
     first draw: this is the chain's one validation boundary, and the
-    iterations and trajectories below it check none of it.
+    iterations and trajectories below it check none of it. It is also their
+    floating-point policy: every iteration runs under
+    ``np.errstate(over="ignore", invalid="ignore")``, so an overflowing
+    trajectory fails to h_out = +inf, and is rejected, without a warning.
     """
     if mass.dim != target.dim:
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")

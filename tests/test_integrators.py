@@ -17,6 +17,7 @@ from chmc import (
 from chmc.integrators import (
     StepRecord,
     StepScratch,
+    _norm,
     divided_difference_force,
     dmm_step,
     leapfrog_trajectory,
@@ -290,8 +291,9 @@ class TestLeapfrog:
                 return np.full_like(q, 1e308) * q
 
         t = Steep(2)
-        rec = leapfrog_trajectory(PhaseState([1.0, 1.0], [0.0, 0.0]), t,
-                                  0.5, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = leapfrog_trajectory(PhaseState([1.0, 1.0], [0.0, 0.0]), t,
+                                      0.5, 3)
         assert rec.h_out == rec.u_out == math.inf
         assert rec.u_in == 2.0 and rec.kick_in is not None and rec.kick_out is None
 
@@ -1533,6 +1535,20 @@ class TestRoundingFloor:
         assert [step.tolerance for *_, step in steps] == [cfg.delta] * 40
 
 
+class TestNorm:
+    """The rounding floor's 2-norm of a non-negative vector; it scales its argument in place."""
+
+    def test_zero_and_infinite_vectors_return_their_largest_entry(self):
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([1.0, math.inf, 2.0])) == math.inf
+
+    def test_no_square_overflows_where_the_norm_is_finite(self):
+        w = np.array([3e200, 4e200])
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(w.copy()) == math.inf
+        assert _norm(w.copy()) == pytest.approx(5e200, rel=1e-15)
+
+
 class TestSolverConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -1553,6 +1569,17 @@ class TestSolverConfig:
             DmmSolverConfig(tau=0.1, delta=math.inf)
         with pytest.raises(ValueError, match="dd_guard must be finite and positive"):
             DmmSolverConfig(tau=0.1, dd_guard=math.inf)
+
+    @pytest.mark.parametrize("name", ["tau", "delta", "dd_guard"])
+    @pytest.mark.parametrize("bad", ["0.1", None, True, np.bool_(True)],
+                             ids=["str", "none", "bool", "numpy-bool"])
+    def test_knobs_must_be_real_numbers(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            DmmSolverConfig(**{"tau": 0.1, name: bad})
+
+    def test_numpy_knobs_pass(self):
+        cfg = DmmSolverConfig(tau=np.float64(0.1), delta=np.float32(1e-6), dd_guard=np.int64(1))
+        assert (cfg.tau, cfg.delta, cfg.dd_guard) == (0.1, np.float32(1e-6), 1)
 
     def test_max_fpi_must_be_an_integer(self):
         # 2.5 would run 3 updates, True 1

@@ -105,6 +105,21 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match=message):
             quartic_cfg(**field)
 
+    @pytest.mark.parametrize("field", [
+        {"tau": "0.1"}, {"tau": None}, {"tau": True}, {"tau": np.bool_(True)},
+        {"total_time": True},
+    ], ids=["str", "none", "bool", "numpy-bool", "bool-time"])
+    def test_times_must_be_real_numbers(self, field):
+        # refused with the check's own message, not a TypeError from its
+        # comparison, and a bool is not taken as 1.0
+        name = next(iter(field))
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            quartic_cfg(**field)
+
+    def test_numpy_times_pass(self):
+        assert quartic_cfg(tau=np.float64(0.1), total_time=np.int64(4)).n_steps == 40
+        assert quartic_cfg(tau=np.float32(0.5), total_time=np.float32(4.0)).n_steps == 8
+
     def test_n_steps_value(self):
         assert quartic_cfg().n_steps == 40
 

@@ -148,6 +148,25 @@ class TestPerfbenchHooks:
         assert accumulators == []
         assert j0_tests == []
 
+    def test_one_floating_point_policy_per_layer(self):
+        # run_chain holds the chain's overflow/invalid policy around every
+        # iteration, and the trajectories below it run under it; only the
+        # Jacobian factor's log of a zero, a division run_chain's policy
+        # leaves alone, sets its own
+        setters = []
+        for path in sorted((ROOT / "src" / "chmc").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = {}
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for inner in ast.walk(fn):
+                        scopes[inner] = fn.name  # the innermost function wins
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                        "errstate", "seterr"):
+                    setters.append(f"{path.stem}.{scopes.get(node, '-')}")
+        assert setters == ["jacobian.step_jacobian", "samplers.run_chain"]
+
     def test_workload_chmc_references_exist(self):
         imported, dotted = chmc_references(ROOT / "perfbench" / "workloads.py")
         assert imported, "no names imported from chmc"
