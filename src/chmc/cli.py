@@ -130,7 +130,9 @@ class MethodSpec:
     Defaults and range checks come from ``SamplerConfig``, ``DmmSolverConfig``
     and ``JacobianMode``; a chmc spec fills each chmc-only field left None
     from them, and a leapfrog spec refuses any other value. Construction
-    raises ``ConfigError`` listing every violation.
+    raises ``ConfigError`` listing every violation; else it keeps the three
+    dataclasses it built to check them as one ``SamplerConfig``, which
+    ``sampler_config`` hands out with each run's seed.
     """
 
     name: str
@@ -166,37 +168,27 @@ class MethodSpec:
             # each dataclass reports its first violated range, and a message
             # two of them share (a bad tau) is kept once; the sampler check
             # leaves out the solver and Jacobian knobs, which a chmc spec checks first
-            checks = (self.solver, self.jacobian_mode) if chmc else ()
-            checks += (lambda: SamplerConfig(self.method, self.tau, self.total_time,
+            builds = ((lambda: DmmSolverConfig(tau=self.tau, delta=self.delta,
+                                               max_fpi=self.max_fpi, dd_guard=self.dd_guard)),
+                      (lambda: JacobianMode(self.jacobian, self.jacobian_source))) if chmc else ()
+            builds += (lambda: SamplerConfig(self.method, self.tau, self.total_time,
                                              self.iterations, self.burn_in),)
-            for check in checks:
+            built = []
+            for build in builds:
                 try:
-                    check()
+                    built.append(build())
                 except ValueError as exc:
                     if str(exc) not in errors:
                         errors.append(str(exc))
         if errors:
             raise ConfigError(errors)
-
-    def solver(self) -> DmmSolverConfig:
-        return DmmSolverConfig(tau=self.tau, delta=self.delta, max_fpi=self.max_fpi,
-                               dd_guard=self.dd_guard)
-
-    def jacobian_mode(self) -> JacobianMode:
-        return JacobianMode(self.jacobian, self.jacobian_source)
+        *knobs, sampler = built
+        knobs = dict(zip(("solver", "jacobian_mode"), knobs))
+        # the chain's config, built once; no field, so asdict, ==, repr and meta.json leave it out
+        object.__setattr__(self, "_sampler", replace(sampler, **knobs))
 
     def sampler_config(self, seed: int) -> SamplerConfig:
-        chmc = self.method == "chmc"
-        return SamplerConfig(
-            method=self.method,
-            tau=self.tau,
-            total_time=self.total_time,
-            iterations=self.iterations,
-            burn_in=self.burn_in,
-            seed=seed,
-            jacobian_mode=self.jacobian_mode() if chmc else None,
-            solver=self.solver() if chmc else None,
-        )
+        return replace(self._sampler, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -237,6 +229,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         errors = _field_errors(self)
+        if isinstance(self.output_dir, str) and "\0" in self.output_dir:
+            errors.append(f"output_dir: must not contain NUL, got {self.output_dir!r}")
         if not isinstance(self.target, TargetSpec):
             errors.append(_NO_TARGET)
         if not (isinstance(self.methods, tuple) and self.methods
@@ -532,7 +526,7 @@ def main(argv=None) -> int:
     if args.command in ("run", "validate"):
         try:
             spec = load_spec(args.config)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         except ConfigError as exc:

@@ -2,9 +2,9 @@
 
 It also holds the value checks that the chain API shares (``require_integer``,
 ``require_positive``, ``require_choice`` and ``finite_vector``), each with one
-wording of its message. Step loops run on raw arrays. Everything here is
-immutable after construction and safe to share across chains; random
-generators are always passed in and owned per chain.
+wording of its message. Step loops run on raw arrays, which ``PhaseState``
+takes as they are, unchecked. Random generators are always passed in and
+owned per chain.
 """
 
 from __future__ import annotations
@@ -61,19 +61,19 @@ def scalar_operand(x: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/momentum pair (q, p): finite vectors of one dimension d >= 1,
-    copied and locked at construction (see ``finite_vector``).
+    """Position/momentum pair (q, p) as float arrays, unchecked and uncopied.
+
+    ``run_chain`` hands its iterations finite vectors of the target's dimension,
+    and a direct caller must do the same. No trajectory writes the arrays of its
+    start state.
     """
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        q, p = finite_vector("q", self.q), finite_vector("p", self.p)
-        if q.shape != p.shape:
-            raise ValueError(f"q and p dimensions differ: {q.size} vs {p.size}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
     @property
     def dim(self) -> int:

@@ -113,8 +113,8 @@ class IterationOutcome:
     jacobian_product: float
     force_evals: int
     fpi_iterations_total: int
-    all_steps_converged: bool = True
-    jacobian_force_evals: int = 0
+    all_steps_converged: bool
+    jacobian_force_evals: int
 
 
 def acceptance_probability(delta_h: float, sign: float, log_abs: float) -> float:

@@ -381,6 +381,12 @@ methods:
             "methods[1]: max_fpi",
             "methods[1]: n_steps not integral: total_time / tau"]
 
+    def test_output_dir_with_nul_refused(self):
+        # validate agrees with run, which cannot make such a directory
+        with pytest.raises(ConfigError) as err:
+            validate_spec(MINIMAL.format(chains=1, iterations=1, out='"o\\0x"'))
+        assert err.value.errors == ["output_dir: must not contain NUL, got 'o\\x00x'"]
+
     def test_duplicate_method_names(self):
         text = MINIMAL.format(chains=1, iterations=1, out="x").replace("chmc-j0", "hmc-lf")
         with pytest.raises(ConfigError) as err:
@@ -741,6 +747,29 @@ class TestMainEntry:
         assert capsys.readouterr().err.splitlines() == [
             f"config error: {key}: a chmc method needs a value, got null" for key in keys]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_no_utf8_is_unreadable(self, tmp_path, capsys, command):
+        # a Latin-1 comment: the byte 0xE9 starts no UTF-8 sequence here
+        out = tmp_path / "o"
+        cfg = tmp_path / "latin1.yaml"
+        cfg.write_bytes(("# caf\u00e9\n" + MINIMAL.format(chains=1, iterations=1, out=out))
+                        .encode("latin-1"))
+        assert main([command, str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cannot read config: 'utf-8' codec can't decode byte 0xe9")
+        assert not out.exists()
+
+    def test_output_dir_with_nul_is_config_error(self, tmp_path, capsys):
+        # no directory can have the name, so the run would fail after validation
+        out = str(tmp_path / "o") + "\0x"
+        cfg = tmp_path / "nul.yaml"
+        cfg.write_text(MINIMAL.format(chains=1, iterations=1, out=f'"{tmp_path / "o"}\\0x"'))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: output_dir: must not contain NUL, got {out!r}"]
+        assert os.listdir(tmp_path) == ["nul.yaml"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

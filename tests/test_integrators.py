@@ -1208,7 +1208,8 @@ def chmc_run(kind, source):
 
 class TestArrayOwnership:
     """The loops write no array after handing it to a target capability, none
-    a capability returns, and none that a step or trajectory record holds."""
+    a capability returns, none that a step or trajectory record holds, and
+    neither array of their start state."""
 
     def check(self, monkeypatch, target, run):
         import chmc.integrators as integrators
@@ -1229,6 +1230,7 @@ class TestArrayOwnership:
         # the second trajectory must leave every record of the first alone
         for _ in range(2):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
+            kept.extend([(s.q, s.q.copy()), (s.p, s.p.copy())])
             kept.extend(record_copies(run(s, recording)))
         assert recording.log and kept
         for array, copy in recording.log + kept:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from chmc import (
     MassMatrix,
@@ -21,38 +19,25 @@ def random_spd(rng, d):
     return a @ a.T + d * np.eye(d)
 
 
+# fixed vectors of length 1-8 from uniform(-1e6, 1e6), then the signed
+# zeros, both ends of the range and the smallest subnormal
+ROUNDTRIP_VALUES = [
+    list(np.random.default_rng(2206).uniform(-1e6, 1e6, n)) for n in range(1, 9)
+] + [[0.0], [-0.0], [1e6, -1e6], [5e-324]]
+
+
 class TestPhaseState:
-    def test_dimensions_must_match(self):
-        with pytest.raises(ValueError):
-            PhaseState([1.0, 2.0], [1.0])
-
-    @pytest.mark.parametrize("q, p, message", [
-        (np.zeros((2, 2)), np.zeros((2, 2)), "q must be a finite vector of dimension >= 1"),
-        ([], [], "dimension >= 1"),
-    ], ids=["matrix", "empty"])
-    def test_rejects_what_is_no_vector(self, q, p, message):
-        with pytest.raises(ValueError, match=message):
-            PhaseState(q, p)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PhaseState([np.nan], [0.0])
-        with pytest.raises(ValueError):
-            PhaseState([0.0], [np.inf])
-
-    def test_immutable_storage(self):
-        q = np.array([1.0, 2.0])
-        s = PhaseState(q, q)
-        q[0] = 99.0
-        assert s.q[0] == 1.0
-        with pytest.raises(ValueError):
-            s.q[0] = 5.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    @pytest.mark.parametrize("values", ROUNDTRIP_VALUES)
     def test_roundtrip_construction(self, values):
         s = PhaseState(values, values)
         assert s.dim == len(values)
         np.testing.assert_array_equal(s.q, s.p)
+
+    def test_float_arrays_pass_through_uncopied(self):
+        # run_chain has checked the chain's arrays; the state neither copies nor locks them
+        q, p = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        s = PhaseState(q, p)
+        assert s.q is q and s.p is p
 
 
 def energy(s, target):

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -61,11 +59,19 @@ class TestAcceptanceProbability:
             0.25, rel=1e-12)
         assert acceptance_probability(900.0, 1.0, 800.0) == pytest.approx(math.exp(-100.0))
 
-    @given(st.floats(-700, 700), st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1e4, 1e4))
-    def test_always_in_unit_interval(self, dh, sign, log_abs):
-        alpha = acceptance_probability(dh, sign, log_abs)
-        assert 0.0 <= alpha <= 1.0
-        assert sign > 0.0 or alpha == 0.0
+    def test_always_in_unit_interval(self):
+        # 201 points on each axis: both bounds, the signed zeros and the
+        # smallest subnormals of either sign among them
+        def grid(bound):
+            return np.concatenate([np.linspace(-bound, bound, 197),
+                                   [0.0, -0.0, 5e-324, -5e-324]]).tolist()
+
+        for dh in grid(700.0):
+            for sign in (-1.0, 0.0, 1.0):
+                for log_abs in grid(1e4):
+                    alpha = acceptance_probability(dh, sign, log_abs)
+                    assert 0.0 <= alpha <= 1.0, (dh, sign, log_abs)
+                    assert sign > 0.0 or alpha == 0.0, (dh, sign, log_abs)
 
 
 def quartic_cfg(**kw):
