@@ -411,8 +411,9 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     Chains are independent units of work; results are identical for any
     degree of parallelism. ``workers`` overrides ``spec.workers`` under the
     field's own check (ConfigError before any file is written); meta.json
-    records the spec's value. Returns a manifest with the per-task results
-    and output paths.
+    records the spec's value. The pool has at most one process per task, and
+    a run with one task or one worker runs in this process. Returns a
+    manifest with the per-task results and output paths.
     """
     workers = (spec if workers is None else replace(spec, workers=workers)).workers
     built = build_target(spec)
@@ -423,6 +424,7 @@ def run_experiment(spec: ExperimentSpec, workers: Optional[int] = None) -> dict:
     tasks = [(m, c) for m in range(len(spec.methods)) for c in range(spec.chains)]
     task_args = ([spec] * len(tasks), [built] * len(tasks), [m for m, _ in tasks],
                  [c for _, c in tasks])
+    workers = min(workers, len(tasks))  # a pool may start all its processes at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(tasks, pool.map(_run_task, *task_args)))

@@ -93,18 +93,21 @@ caller's. ``samplers.run_chain`` holds ``np.errstate(over="ignore",
 invalid="ignore")`` around every iteration, so a trajectory that overflows
 fails (h_out = +inf) without a warning; a direct call warns as NumPy does.
 
-Both loops write their temporaries into work rows made once per trajectory:
-a ``StepScratch`` for ``dmm_step``, and w and one row for leapfrog. Their
-ufunc scalars (tau, tau/2, tau^2, (tau/2)^2 and the constants) are 0-d
-arrays made once per trajectory or per module (see ``scalar_operand``).
-Arrays that leave a step or reach the target (the iterates Q, the Jacobian
-point X, P, the force, the (D, D_next) block) are fresh, and each in-place
-operation rounds as the expression it replaces. The scratch is also the
-step's one configuration: it keeps the ``DmmSolverConfig``, alone
-resolves the force and alone reads the target's force-Jacobian
-capabilities, once; a J1 or JFull trajectory's Jacobian factor
-(``JacobianAccumulator``) is built on it, so it probes that same force,
-takes the same (tau/2)^2 and settles its route from the same separability
+Both loops write their temporaries into work rows: a ``StepScratch`` made
+once per chain for ``dmm_step``, and w and one row made once per trajectory
+for leapfrog. Their ufunc scalars (tau, tau/2, tau^2, (tau/2)^2 and the
+constants) are 0-d arrays made once per chain, trajectory or module (see
+``scalar_operand``). Each step writes a work row before it reads it, and
+arrays that leave a step or reach the target (the iterates Q, the Jacobian
+point X, P, the force, the (D, D_next) block) are fresh, so the trajectories
+of a chain share its scratch and each in-place operation rounds as the
+expression it replaces. The scratch is also the chain's one step
+configuration: ``samplers.run_chain`` builds it from the target, the
+``DmmSolverConfig`` and the ``JacobianMode``, and building it resolves the
+force, reads the target's force-Jacobian capabilities and settles the
+Jacobian factor's route, once. A J1 or JFull trajectory's factor
+(``JacobianAccumulator``) runs over that route, so it probes the solve's
+force, takes the same (tau/2)^2 and follows the same separability
 declaration.
 """
 
@@ -116,7 +119,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jacobian import JacobianAccumulator, JacobianMode
+from .jacobian import JacobianAccumulator, JacobianMode, analytic_jacobians
 from .phase import (PhaseState, hamiltonian, kinetic, potential_energy, require_integer,
                     require_positive, scalar_operand)
 
@@ -243,26 +246,37 @@ _ONE, _TWO = scalar_operand(1.0), scalar_operand(2.0)
 
 
 class StepScratch:
-    """Everything ``dmm_step`` reads and writes, made once per trajectory from a
-    target and a ``DmmSolverConfig``: ``cfg`` itself (delta, max_fpi),
-    ``force`` F(Q, q) (the target's closed form, else divided differences of U
-    under ``cfg.dd_guard`` with their count dropped), ``jacobian_diag`` (the
-    target's ``closed_form_force_jacobian_diag``, None exactly when it is not
-    separable), ``jacobian_dense`` (its ``closed_form_force_jacobian``, or
-    None), the step's ufunc scalars tau, tau/2 and (tau/2)^2 (see
-    ``scalar_operand``) and the work rows a, g, r and t, of the target's
-    dimension. It is the one reader of the target's force-Jacobian
-    capabilities: ``dmm_step`` takes its chord from ``jacobian_diag``, and a
-    ``jacobian.JacobianAccumulator`` built on it settles the factor's route
-    from both."""
+    """Everything ``dmm_step`` and a Jacobian factor read and write, made once per
+    chain from a target, a ``DmmSolverConfig`` and a ``JacobianMode``.
 
-    def __init__(self, potential, cfg: DmmSolverConfig):
+    The step reads ``cfg`` itself (delta, max_fpi), ``force`` F(Q, q) (the
+    target's closed form, else divided differences of U under ``cfg.dd_guard``
+    with their count dropped), ``jacobian_diag`` (the target's
+    ``closed_form_force_jacobian_diag``, None exactly when it is not
+    separable) for its chord, the ufunc scalars tau, tau/2 and (tau/2)^2 (see
+    ``scalar_operand``) and the work rows a, g, r and t, of the target's
+    dimension, which every step writes before it reads. Construction also
+    settles the route of the Jacobian factor (see ``jacobian``): ``factor``
+    (False for J0, whose trajectories build none), ``separable``,
+    ``closed_form`` (``analytic_jacobians``' pick of the diagonal or the
+    ``closed_form_force_jacobian``), ``jfull`` (JFull, not J1) and, for a
+    factor on the dense route, ``eye``, the boolean identity that serves as
+    the probes' colour masks and as JFull's identity (adding it casts each
+    entry to 1.0 or 0.0 exactly). It is the one reader of the target's
+    force-Jacobian capabilities, and refuses a J1 or JFull ``mode`` with the
+    analytic source whose target has neither, with no target call."""
+
+    def __init__(self, potential, cfg: DmmSolverConfig, mode: JacobianMode = JacobianMode("J0")):
         self.cfg = cfg
         self.force = potential.closed_form_force
         if self.force is None:
             self.force = lambda Q, q: divided_difference_force(Q, q, potential, cfg.dd_guard)[0]
         self.jacobian_diag = potential.closed_form_force_jacobian_diag
-        self.jacobian_dense = potential.closed_form_force_jacobian
+        self.separable = self.jacobian_diag is not None
+        self.closed_form = analytic_jacobians(
+            mode, self.jacobian_diag or potential.closed_form_force_jacobian)
+        self.factor, self.jfull = mode.kind != "J0", mode.kind == "JFull"
+        self.eye = np.eye(potential.dim, dtype=bool) if self.factor and not self.separable else None
         half = 0.5 * cfg.tau
         self.tau, self.half, self.half2 = map(scalar_operand, (cfg.tau, half, half * half))
         self.a, self.g, self.r, self.t = np.empty((4, potential.dim))
@@ -299,7 +313,7 @@ def dmm_step(
     chord_prev: Optional[tuple] = None,
 ) -> StepRecord:
     """One implicit energy-preserving step from the arrays (q, p), with the
-    target and configuration of ``scratch``, its trajectory's ``StepScratch``.
+    target and configuration of ``scratch``, its chain's ``StepScratch``.
 
     The first iterate Q0 costs one force evaluation. With a = q + tau p
     it is a on a trajectory's first step (``f_prev`` None); later, ``f_prev``
@@ -406,15 +420,17 @@ class TrajectoryRecord:
 def trajectory(
     state: PhaseState,
     potential,
-    cfg: DmmSolverConfig,
+    scratch: StepScratch,
     n_steps: int,
-    jacobian_mode: JacobianMode = JacobianMode("J0"),
     u_in: Optional[float] = None,
 ) -> TrajectoryRecord:
     """Compose ``n_steps`` energy-preserving steps; H is formed at the two ends only.
 
-    ``n_steps`` is an integer >= 1, as ``SamplerConfig`` makes it; it is not
-    checked here. ``u_in``, when given, is U(state.q) as
+    ``scratch`` is the chain's ``StepScratch`` on ``potential``, which
+    settled the step and the Jacobian factor's route when ``run_chain``
+    built it; the trajectory builds nothing of its own but the factor's
+    running product. ``n_steps`` is an integer >= 1, as ``SamplerConfig``
+    makes it; it is not checked here. ``u_in``, when given, is U(state.q) as
     ``potential_energy`` gives it (a chain passes the value its last
     trajectory reported for the position it kept); without it
     ``hamiltonian`` evaluates U at the start. The steps run on the raw
@@ -424,20 +440,17 @@ def trajectory(
     ulps of |H_in| + |H_out|, which only a force that breaks the
     discrete-gradient contract can miss (see the module docstring).
 
-    For a J1 or JFull ``jacobian_mode`` it builds the factor, a
-    ``JacobianAccumulator`` on the solve's ``StepScratch`` (its force,
-    (tau/2)^2 and force-Jacobian capabilities), feeds it each step's
+    When the scratch carries a factor (J1 or JFull) it builds a
+    ``JacobianAccumulator`` over the scratch, feeds it each step's
     (q_in, q_out, F(q_out, q_in)), the last update's force, so no probe
-    recomputes it, and returns it as ``jacobian``; J0, the default, builds
-    none.
+    recomputes it, and returns it as ``jacobian``; for J0 it builds none.
     """
     u_in, h_in = hamiltonian(state, potential, u_in)
     q, p = state.q, state.p
     total_f = total_it = 0
     all_converged, allowed = True, 0.0
     f_prev = chord_prev = None
-    scratch = StepScratch(potential, cfg)
-    acc = None if jacobian_mode.kind == "J0" else JacobianAccumulator(jacobian_mode, scratch)
+    acc = JacobianAccumulator(scratch) if scratch.factor else None
     for _ in range(n_steps):
         rec = dmm_step(q, p, scratch, f_prev=f_prev, chord_prev=chord_prev)
         total_f += rec.fpi_iterations + 1

@@ -13,7 +13,8 @@ paired comparisons.
 A chain carries U and, for leapfrog, the first half-kick (tau/2) grad U at
 its current position from one iteration to the next (see ``StateCache``),
 so an iteration after the first evaluates U once, at the proposal, and
-leapfrog calls the gradient n_steps times.
+leapfrog calls the gradient n_steps times. A conservative chain's
+trajectories share the one ``StepScratch`` that ``run_chain`` builds.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .diagnostics import ChainSummary, CovarianceTracker
 from .integrators import DmmSolverConfig, StepScratch, leapfrog_trajectory, trajectory
-from .jacobian import JacobianMode, analytic_jacobians
+from .jacobian import JacobianMode
 from .phase import (MassMatrix, PhaseState, finite_vector, require_choice, require_integer,
                     require_positive)
 
@@ -151,10 +153,14 @@ class StateCache:
 
 
 def chmc_iteration(theta: np.ndarray, target, cfg: SamplerConfig,
-                   rng: np.random.Generator, cache: StateCache):
-    """One conservative-sampler iteration: draw p ~ N(0, I), integrate, accept/reject."""
+                   rng: np.random.Generator, cache: StateCache, scratch: StepScratch):
+    """One conservative-sampler iteration: draw p ~ N(0, I), integrate, accept/reject.
+
+    ``scratch`` is the chain's ``StepScratch``, built by ``run_chain`` from
+    ``target``, ``cfg.solver`` and ``cfg.jacobian_mode``.
+    """
     state = PhaseState(theta, rng.standard_normal(theta.size))
-    rec = trajectory(state, target, cfg.solver, cfg.n_steps, cfg.jacobian_mode, u_in=cache.u)
+    rec = trajectory(state, target, scratch, cfg.n_steps, u_in=cache.u)
     return _accept_reject(theta, rec, rng, cache)
 
 
@@ -221,13 +227,17 @@ def run_chain(
     ``StateCache``. The summary is reduced on the fly from the accepted count,
     the integer force-evaluation sum and the |dH| column, which ``math.fsum``
     adds exactly. Identical (seed, config, target) give bit-identical output.
-    Of ``mass`` only its dimension is read. It is checked against the target's,
-    ``chain_index`` as a non-negative integer, a leapfrog chain's target for
-    a gradient, and the target of a J1 or JFull chain with the analytic
-    derivative source for closed-form force Jacobians (the route its
-    trajectories' factors settle through ``analytic_jacobians``), before the
-    first draw: this is the chain's one validation boundary, and the
-    iterations and trajectories below it check none of it. It is also their
+    A conservative chain builds its one ``StepScratch`` here, from the target,
+    ``cfg.solver`` and ``cfg.jacobian_mode``, and every trajectory runs on
+    it: the implicit step and the Jacobian factor's route are settled once
+    per chain. Of ``mass`` only its dimension is read. It is checked against
+    the target's, ``chain_index`` as a non-negative integer, a leapfrog
+    chain's target for a gradient, and (by building the scratch) the target
+    of a J1 or JFull chain with the analytic derivative source for
+    closed-form force Jacobians, before the first draw and with no target
+    call: this is the chain's one validation boundary and the only place
+    that checks a capability, and the iterations and trajectories below it
+    check none of it. It is also their
     floating-point policy: every iteration runs under
     ``np.errstate(over="ignore", invalid="ignore")``, so an overflowing
     trajectory fails to h_out = +inf, and is rejected, without a warning.
@@ -236,11 +246,12 @@ def run_chain(
         raise ValueError(f"mass dimension {mass.dim} != target dimension {target.dim}")
     require_integer("chain_index", chain_index, 0)
     if cfg.method == "chmc":
-        analytic_jacobians(cfg.jacobian_mode, StepScratch(target, cfg.solver))
+        iterate = partial(chmc_iteration, scratch=StepScratch(target, cfg.solver, cfg.jacobian_mode))
     elif target.gradient is None:
         raise ValueError("leapfrog requires a potential gradient")
+    else:
+        iterate = hmc_iteration
     rng = chain_rng(cfg.seed, chain_index)
-    iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
     cache = StateCache()
     accepted = force_evals = 0

@@ -28,7 +28,7 @@ class Potential:
 
     Defining ``closed_form_force_jacobian_diag`` declares the target
     separable, and nothing else does: F_i depends only on (Q_i, q_i), so
-    both force Jacobians are diagonal. A trajectory's
+    both force Jacobians are diagonal. A chain's
     ``integrators.StepScratch`` reads the declaration once, and it selects
     the chord solve of the implicit step and the Jacobian factor's diagonal
     route: diagonals instead of d x d matrices, and finite-difference probes

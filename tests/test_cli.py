@@ -547,6 +547,38 @@ class TestRunExperiment:
                      "trace_chmc-j0_0.csv", "trace_chmc-j0_1.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("chains, methods, pools", [(1, 1, []), (1, 2, [2]), (2, 2, [4])])
+    def test_pool_is_sized_to_the_tasks(self, tmp_path, monkeypatch, chains, methods, pools):
+        # a fork pool may start all of its max_workers processes at once: a
+        # spec with workers 64 asks for one per task, and none for one task.
+        # The stand-in runs the tasks here and starts no process
+        sized = []
+
+        class StandIn:
+            def __init__(self, max_workers):
+                sized.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        text = MINIMAL.format(chains=chains, iterations=6, out="{out}")
+        if methods == 1:
+            text = text.replace("  - {name: hmc-lf, method: hmc-leapfrog}\n", "")
+        run_experiment(validate_spec(text.replace("{out}", str(tmp_path / "serial"))))
+        monkeypatch.setattr(chmc.cli.concurrent.futures, "ProcessPoolExecutor", StandIn)
+        pooled = tmp_path / "pooled"
+        run_experiment(validate_spec(text.replace("{out}", str(pooled)) + "workers: 64\n"))
+        assert sized == pools
+        assert csv_digests(pooled) == csv_digests(tmp_path / "serial")
+        assert len(csv_digests(pooled)) == 1 + chains * methods
+        assert json.loads((pooled / "meta.json").read_text())["spec"]["workers"] == 64
+
     def test_golden_outputs(self, tmp_path):
         run_experiment(validate_spec(GOLDEN.format(out=tmp_path)))
         assert csv_digests(tmp_path) == GOLDEN_DIGESTS

@@ -23,7 +23,7 @@ from chmc.integrators import (
     leapfrog_trajectory,
     trajectory,
 )
-from chmc.jacobian import JacobianAccumulator, step_jacobian
+from chmc.jacobian import step_jacobian
 from chmc.phase import PhaseState, hamiltonian, kinetic
 from support import (
     BlackBoxQuartic,
@@ -281,7 +281,8 @@ class TestLeapfrog:
         nxt = leapfrog_trajectory(PhaseState(rec.q, np.zeros(4)), t, 0.1, 9)
         assert rec.u_out == nxt.u_in == t.evaluate(rec.q)
         np.testing.assert_array_equal(rec.kick_out, nxt.kick_in)
-        chmc = trajectory(PhaseState(rec.q, np.ones(4)), t, DmmSolverConfig(tau=0.1), 3)
+        scratch = StepScratch(t, DmmSolverConfig(tau=0.1))
+        chmc = trajectory(PhaseState(rec.q, np.ones(4)), t, scratch, 3)
         assert chmc.u_in == rec.u_out and chmc.kick_in is None
         assert chmc.u_out == t.evaluate(chmc.q)
 
@@ -664,7 +665,7 @@ class TestChordSolve:
         steps = record_steps(monkeypatch)
         t = SeparableDoubleWell(1)
         cfg = DmmSolverConfig(tau=0.5)
-        trajectory(PhaseState([3.0], [-4.0]), t, cfg, 2)
+        trajectory(PhaseState([3.0], [-4.0]), t, StepScratch(t, cfg), 2)
         (_, _, _, first), (q, p, kwargs, _) = steps
         assert first.converged and first.fpi_iterations == 1 and first.chord is None
         assert q[0] == 1.0 and p[0] == -4.0
@@ -691,7 +692,7 @@ class TestChordSolve:
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
-        rec = trajectory(s, t, cfg, 40)
+        rec = trajectory(s, t, StepScratch(t, cfg), 40)
         assert len(steps) == 40
         assert rec.all_converged and rec.h_out != math.inf
         assert abs(rec.h_out - rec.h_in) <= 40 * cfg.delta
@@ -703,10 +704,11 @@ class TestPredictorCorrector:
         d = 40
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        scratch = StepScratch(t, cfg)
         for _ in range(3):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
             q, p, updates = predictor_corrector_loop(s, t, cfg, 40)
-            rec = trajectory(s, t, cfg, 40)
+            rec = trajectory(s, t, scratch, 40)
             np.testing.assert_array_equal(rec.q, q)
             np.testing.assert_array_equal(rec.p, p)
             assert rec.total_fpi_iterations == updates
@@ -719,10 +721,10 @@ class TestPredictorCorrector:
         d = 40
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        updates = 0
+        scratch, updates = StepScratch(t, cfg), 0
         for _ in range(10):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            updates += trajectory(s, t, cfg, 40).total_fpi_iterations
+            updates += trajectory(s, t, scratch, 40).total_fpi_iterations
         assert updates / 400 <= 1.15
 
     def test_black_box_forces_per_step_pin(self):
@@ -732,10 +734,10 @@ class TestPredictorCorrector:
         d = 10
         t = BlackBoxQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        forces = 0
+        scratch, forces = StepScratch(t, cfg), 0
         for _ in range(20):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            forces += trajectory(s, t, cfg, 40).total_force_evaluations
+            forces += trajectory(s, t, scratch, 40).total_force_evaluations
         assert forces / 800 <= 5.9
 
     def test_linear_force_predictor_is_exact(self, monkeypatch):
@@ -748,7 +750,7 @@ class TestPredictorCorrector:
         t = SeparableQuadratic(rng.uniform(1.0, 50.0, d))
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         s = PhaseState(rng.standard_normal(d), rng.standard_normal(d))
-        rec = trajectory(s, t, cfg, 40)
+        rec = trajectory(s, t, StepScratch(t, cfg), 40)
         assert rec.all_converged and rec.total_fpi_iterations == 40
         assert steps[0][2]["chord_prev"] is None
         for q, p, kwargs, step in steps[1:]:
@@ -768,10 +770,10 @@ class TestPredictorCorrector:
         d, n_traj = 2560, 10
         t = CountingQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
-        updates = 0
+        scratch, updates = StepScratch(t, cfg), 0
         for _ in range(n_traj):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            rec = trajectory(s, t, cfg, 40)
+            rec = trajectory(s, t, scratch, 40)
             assert rec.all_converged and rec.h_out != math.inf
             updates += rec.total_fpi_iterations
         assert updates / (40 * n_traj) <= 1.25
@@ -793,7 +795,7 @@ class TestPredictorCorrector:
             step = dmm_step(q, p, StepScratch(t, cfg), f_prev=f_prev)
             f_prev, q, p = step.force, step.q, step.p
         steps = record_steps(monkeypatch)
-        rec = trajectory(s, t, cfg, 10)
+        rec = trajectory(s, t, StepScratch(t, cfg), 10)
         np.testing.assert_array_equal(rec.q, q)
         np.testing.assert_array_equal(rec.p, p)
         assert all(kw["chord_prev"] is None and step.chord is None for _, _, kw, step in steps)
@@ -849,11 +851,11 @@ class TestReversibility:
         d = 40
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        misses = []
+        scratch, misses = StepScratch(t, cfg), []
         for _ in range(10):
             z = PhaseState(0.6 * rng.standard_normal(d), rng.standard_normal(d))
-            fwd = trajectory(z, t, cfg, 40)
-            back = trajectory(PhaseState(fwd.q, -fwd.p), t, cfg, 40)
+            fwd = trajectory(z, t, scratch, 40)
+            back = trajectory(PhaseState(fwd.q, -fwd.p), t, scratch, 40)
             assert fwd.all_converged and back.all_converged
             misses.append(max(np.abs(back.q - z.q).max(), np.abs(-back.p - z.p).max()))
         assert np.median(misses) <= 2e-8
@@ -865,7 +867,7 @@ class TestTrajectory:
         t = QuarticGeneralizedGaussian(2)
         cfg = DmmSolverConfig(tau=0.1)
         s = PhaseState([0.1, -0.3], [0.7, 0.2])
-        rec = trajectory(s, t, cfg, 1)
+        rec = trajectory(s, t, StepScratch(t, cfg), 1)
         step, forces = counted_step(s.q, s.p, t, cfg)
         np.testing.assert_array_equal(rec.q, step.q)
         np.testing.assert_array_equal(rec.p, step.p)
@@ -876,7 +878,7 @@ class TestTrajectory:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=50)
         rng = np.random.default_rng(35)
         s = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
-        rec = trajectory(s, t, cfg, 40)
+        rec = trajectory(s, t, StepScratch(t, cfg), 40)
         assert rec.all_converged
         assert abs(rec.h_out - rec.h_in) <= 40 * 1e-8
 
@@ -886,7 +888,7 @@ class TestTrajectory:
         steps = record_steps(monkeypatch)
         t = QuarticGeneralizedGaussian(2)
         s = PhaseState([0.1, 0.2], [1.0, -1.0])
-        rec = trajectory(s, t, DmmSolverConfig(tau=0.1), 5, JacobianMode("J1"))
+        rec = trajectory(s, t, StepScratch(t, DmmSolverConfig(tau=0.1), JacobianMode("J1")), 5)
         assert len(steps) == 5
         np.testing.assert_array_equal(steps[0][0], s.q)
         np.testing.assert_array_equal(steps[-1][3].q, rec.q)
@@ -919,7 +921,7 @@ class TestTrajectory:
         assert forces[0][0] != forces[1][0]
 
     @pytest.mark.parametrize("integrate", [
-        lambda s, t: trajectory(s, t, DmmSolverConfig(tau=0.1), 5),
+        lambda s, t: trajectory(s, t, StepScratch(t, DmmSolverConfig(tau=0.1)), 5),
         lambda s, t: leapfrog_trajectory(s, t, 0.1, 5),
     ])
     def test_one_hamiltonian_per_trajectory(self, monkeypatch, integrate):
@@ -943,8 +945,9 @@ class TestTrajectory:
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=200)
         rng = np.random.default_rng(36)
         z = PhaseState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-        fwd = trajectory(z, t, cfg, 5)
-        back = trajectory(PhaseState(fwd.q, -fwd.p), t, cfg, 5)
+        scratch = StepScratch(t, cfg)
+        fwd = trajectory(z, t, scratch, 5)
+        back = trajectory(PhaseState(fwd.q, -fwd.p), t, scratch, 5)
         # R(back) = (back.q, -back.p)
         assert np.max(np.abs(back.q - z.q)) <= 1e-7
         assert np.max(np.abs(-back.p - z.p)) <= 1e-7
@@ -954,7 +957,8 @@ class TestTrajectory:
             def evaluate(self, q):
                 return math.nan
 
-        rec = trajectory(PhaseState([0.1], [1.0]), Nan(1), DmmSolverConfig(tau=0.1), 3)
+        t = Nan(1)
+        rec = trajectory(PhaseState([0.1], [1.0]), t, StepScratch(t, DmmSolverConfig(tau=0.1)), 3)
         assert rec.h_out == math.inf
 
 
@@ -976,10 +980,11 @@ class TestPreconditioning:
         d = 40
         rng, m, root, t, rescaled = self.case(58, d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
+        scratch = StepScratch(rescaled, cfg)
         for _ in range(3):
             q, p = quartic_draws(rng, d), root * rng.standard_normal(d)  # p ~ N(0, M)
             q_ref, p_ref, updates = predictor_corrector_loop(PhaseState(q, p), t, cfg, 40, m)
-            rec = trajectory(PhaseState(root * q, p / root), rescaled, cfg, 40)
+            rec = trajectory(PhaseState(root * q, p / root), rescaled, scratch, 40)
             assert rec.all_converged and rec.total_fpi_iterations == updates
             self.assert_close(rec.q / root, q_ref)
             self.assert_close(rec.p * root, p_ref)
@@ -1004,8 +1009,7 @@ class TestPreconditioning:
         d, tau = 12, 0.1
         rng, m, root, t, rescaled = self.case(60, d)
         c = 0.25 * tau * tau
-        acc = JacobianAccumulator(JacobianMode(kind, "analytic"),
-                                  StepScratch(rescaled, DmmSolverConfig(tau=tau)))
+        route = StepScratch(rescaled, DmmSolverConfig(tau=tau), JacobianMode(kind, "analytic"))
         for _ in range(10):
             q = rng.uniform(-2.0, 2.0, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
@@ -1015,7 +1019,7 @@ class TestPreconditioning:
             else:
                 expected = float(np.prod((1.0 + c * d_q / m) / (1.0 + c * d_Q / m)))
             Z, z = root * Q, root * q
-            sign, log_abs, _ = step_jacobian(Z, z, acc.force(Z, z), acc)
+            sign, log_abs, _ = step_jacobian(Z, z, route.force(Z, z), route)
             assert sign * math.exp(log_abs) == pytest.approx(expected, rel=1e-12)
 
 
@@ -1066,7 +1070,7 @@ class TestDiscreteGradientEnergy:
             cfg = DmmSolverConfig(tau=0.1, delta=delta, max_fpi=max_fpi)
             t = CountingQuartic(d)
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            rec = trajectory(s, t, cfg, 12, mode)
+            rec = trajectory(s, t, StepScratch(t, cfg, mode), 12)
             assert t.calls["evaluate"] == 2
             updates.add(rec.total_fpi_iterations)
             t.calls["evaluate"] = 0
@@ -1078,14 +1082,16 @@ class TestDiscreteGradientEnergy:
         steps = record_steps(monkeypatch)
         s = PhaseState([0.8, -1.1], [1.2, 0.5])
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=100)
-        rec = trajectory(s, MidpointGradientQuartic(2), cfg, 40)
+        t = MidpointGradientQuartic(2)
+        rec = trajectory(s, t, StepScratch(t, cfg), 40)
         assert [step.converged for *_, step in steps] == [True] * 40
         assert rec.h_out != math.inf
         assert abs(rec.h_out - rec.h_in) > 40 * cfg.delta
         assert not rec.all_converged
         # the discrete gradient of the same U passes the check
         steps.clear()
-        rec = trajectory(s, QuarticGeneralizedGaussian(2), cfg, 40)
+        t = QuarticGeneralizedGaussian(2)
+        rec = trajectory(s, t, StepScratch(t, cfg), 40)
         assert [step.converged for *_, step in steps] == [True] * 40 and rec.all_converged
 
 
@@ -1104,7 +1110,8 @@ class TestOrderOfAccuracy:
         errors = []
         for tau in taus:
             cfg = DmmSolverConfig(tau=tau, delta=1e-14, max_fpi=500)
-            rec = trajectory(PhaseState([1.0], [0.4]), target, cfg, int(round(1.0 / tau)))
+            scratch = StepScratch(target, cfg)
+            rec = trajectory(PhaseState([1.0], [0.4]), target, scratch, int(round(1.0 / tau)))
             errors.append(np.hypot(rec.q[0] - q_exact, rec.p[0] - p_exact))
         assert 1.9 <= self.slope(taus, errors) <= 2.1
 
@@ -1200,9 +1207,15 @@ def carried_leapfrog(state, target):
 
 
 def chmc_run(kind, source):
+    """Trajectories of one chain: every call runs on the ``StepScratch`` that
+    the first call built for its target."""
+    chain = []
+
     def run(state, target):
-        cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=10)
-        return trajectory(state, target, cfg, 8, JacobianMode(kind, source))
+        if not chain:
+            cfg = DmmSolverConfig(tau=0.1, delta=1e-10, max_fpi=10)
+            chain.append(StepScratch(target, cfg, JacobianMode(kind, source)))
+        return trajectory(state, target, chain[0], 8)
     return run
 
 
@@ -1227,7 +1240,8 @@ class TestArrayOwnership:
         monkeypatch.setattr(integrators, "dmm_step", kept_step)
         rng = np.random.default_rng(54)
         d = target.dim
-        # the second trajectory must leave every record of the first alone
+        # the second trajectory, on the same chain's scratch for chmc, must
+        # leave every record of the first alone
         for _ in range(2):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
             kept.extend([(s.q, s.q.copy()), (s.p, s.p.copy())])
@@ -1305,20 +1319,17 @@ class PassTally:
 class TestArrayPasses:
     """Array passes per trajectory, a count that repeats exactly where time does not."""
 
-    def count(self, monkeypatch, integrate, d=2560):
-        """(record, tally) of one quartic trajectory at dimension d from an
-        exact draw, with the state, the step's work rows and the target's
-        calls counted."""
-        import chmc.integrators as integrators
-
+    def count(self, integrate, d=2560):
+        """(record, tally) of ``integrate(state, target, scratch)``, one quartic
+        trajectory at dimension d from an exact draw, with the state, the
+        work rows of ``scratch(target, cfg)`` and the target's calls counted."""
         tally = PassTally()
 
-        class CountedScratch(integrators.StepScratch):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.a, self.g, self.r, self.t = map(tally.view, (self.a, self.g, self.r, self.t))
+        def scratch(target, cfg):
+            s = StepScratch(target, cfg)
+            s.a, s.g, s.r, s.t = map(tally.view, (s.a, s.g, s.r, s.t))
+            return s
 
-        monkeypatch.setattr(integrators, "StepScratch", CountedScratch)
         rng = np.random.default_rng(57)
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
         object.__setattr__(s, "q", tally.view(s.q))
@@ -1327,37 +1338,35 @@ class TestArrayPasses:
         for name in ("evaluate", "gradient", "closed_form_force",
                      "closed_form_force_jacobian_diag"):
             setattr(t, name, tally.as_target(getattr(t, name)))
-        return integrate(s, t), tally
+        return integrate(s, t, scratch), tally
 
-    def test_passes_per_step_at_d2560(self, monkeypatch):
+    def test_passes_per_step_at_d2560(self):
         # the separation config's setting. With the momentum extrapolation
         # q + (tau/2) (3p - p_prev) as its predictor the J0 solver made
         # 1170 passes (29.25 per step) for the same 910 target passes and 44
         # updates; the carried force saves two passes per step
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
-        rec, j0 = self.count(monkeypatch, lambda s, t: trajectory(s, t, cfg, 40))
+        rec, j0 = self.count(lambda s, t, scratch: trajectory(s, t, scratch(t, cfg), 40))
         assert rec.total_fpi_iterations == 44
         assert (j0.target, j0.solver) == (910, 1090)
         assert j0.solver < 1170
-        _, leapfrog = self.count(monkeypatch,
-                                 lambda s, t: leapfrog_trajectory(s, t, 0.1, 40))
+        _, leapfrog = self.count(lambda s, t, _: leapfrog_trajectory(s, t, 0.1, 40))
         # 207 with the two half-kicks of a kick-drift-kick loop in every step
         assert (leapfrog.target, leapfrog.solver) == (129, 132)
 
-    def test_own_calls_per_step_at_d40(self, monkeypatch):
+    def test_own_calls_per_step_at_d40(self):
         # the table config's dimension, where a step's time is the dispatch of
         # its calls: a leapfrog step makes 3 of its own (drift, tau^2 grad U,
         # kick) and 3 in its gradient, a J0 step 26.55 of its own for 1.05
         # updates
         counts = {}
         for n in (40, 41):
-            _, tally = self.count(monkeypatch,
-                                  lambda s, t: leapfrog_trajectory(s, t, 0.1, n), d=40)
+            _, tally = self.count(lambda s, t, _: leapfrog_trajectory(s, t, 0.1, n), d=40)
             counts[n] = (tally.target, tally.solver)
         assert counts[40] == (129, 132)
         assert counts[41] == (132, 135)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
-        rec, j0 = self.count(monkeypatch, lambda s, t: trajectory(s, t, cfg, 40), d=40)
+        rec, j0 = self.count(lambda s, t, scratch: trajectory(s, t, scratch(t, cfg), 40), d=40)
         assert rec.total_fpi_iterations == 42
         assert (j0.target, j0.solver) == (898, 1062)
 
@@ -1488,9 +1497,10 @@ class TestRoundingFloor:
         d = 2560
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
+        scratch = StepScratch(t, cfg)
         for _ in range(3):
             s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-            assert trajectory(s, t, cfg, 40).all_converged
+            assert trajectory(s, t, scratch, 40).all_converged
         assert len(steps) == 120
         assert all(step.converged for *_, step in steps)
         assert max(step.fpi_iterations for *_, step in steps) < cfg.max_fpi
@@ -1503,12 +1513,12 @@ class TestRoundingFloor:
         d = 2560
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-14, max_fpi=50)
-        errors = []
+        scratch, errors = StepScratch(t, cfg), []
         for seed in (1, 2, 3, 55):
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-                rec = trajectory(s, t, cfg, 40)
+                rec = trajectory(s, t, scratch, 40)
                 assert rec.all_converged
                 errors.append(abs(rec.h_out - rec.h_in))
         assert max(errors) <= 1e-11
@@ -1533,7 +1543,7 @@ class TestRoundingFloor:
         t = QuarticGeneralizedGaussian(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=5)
         s = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-        assert trajectory(s, t, cfg, 40).all_converged
+        assert trajectory(s, t, StepScratch(t, cfg), 40).all_converged
         assert [step.tolerance for *_, step in steps] == [cfg.delta] * 40
 
 

@@ -14,7 +14,8 @@ from chmc.integrators import StepScratch, TrajectoryRecord, dmm_step, trajectory
 from chmc.jacobian import JacobianAccumulator, force_jacobians, step_jacobian
 from chmc.phase import PhaseState
 from chmc.samplers import StateCache, chain_rng, chmc_iteration
-from support import BlackBoxQuartic, MultivariateGaussian, quartic_draws, record_steps
+from support import (BlackBoxQuartic, CountingQuartic, MultivariateGaussian, quartic_draws,
+                     record_steps)
 
 
 class PerComponentQuartic(QuarticGeneralizedGaussian):
@@ -45,26 +46,26 @@ def per_column_probes(Q, q, potential):
     return d_q, d_Q
 
 
-def accumulator(potential, mode=JacobianMode("J1"), tau=0.1):
-    """The factor a trajectory builds on its ``StepScratch``, with the default solver."""
-    return JacobianAccumulator(mode, StepScratch(potential, DmmSolverConfig(tau=tau)))
+def chain_scratch(potential, mode=JacobianMode("J1"), tau=0.1):
+    """The ``StepScratch`` a chain builds, with the default solver: the factor's route."""
+    return StepScratch(potential, DmmSolverConfig(tau=tau), mode)
 
 
 def jacobians(Q, q, potential, source="finite-difference"):
     """``force_jacobians`` of the target's closed-form force at (Q, q)."""
-    acc = accumulator(potential, JacobianMode("J1", source))
-    return force_jacobians(Q, q, acc.force(Q, q), acc)
+    route = chain_scratch(potential, JacobianMode("J1", source))
+    return force_jacobians(Q, q, route.force(Q, q), route)
 
 
 def half2(tau):
-    """(tau/2)^2, the ``StepScratch.half2`` a trajectory hands to the Jacobian code."""
+    """(tau/2)^2, the ``StepScratch.half2`` a chain hands to the Jacobian code."""
     return StepScratch(QuarticGeneralizedGaussian(1), DmmSolverConfig(tau=tau)).half2
 
 
 def step_pair(Q, q, tau, mode, potential):
     """``step_jacobian`` of the target's closed-form force at (Q, q)."""
-    acc = accumulator(potential, mode, tau)
-    return step_jacobian(Q, q, acc.force(Q, q), acc)
+    route = chain_scratch(potential, mode, tau)
+    return step_jacobian(Q, q, route.force(Q, q), route)
 
 
 def step_factor(*args):
@@ -145,14 +146,14 @@ class TestForceJacobians:
             calls.append((Q, q))
             return force(Q, q)
 
-        acc = accumulator(t)
-        acc.force = counted  # the probes call the accumulator's force alone
+        route = chain_scratch(t)
+        route.force = counted  # the probes call the scratch's force alone
         for _ in range(5):
             q = rng.uniform(-2, 2, d)
             Q = q + rng.uniform(0.05, 1.0, d) * rng.choice([-1, 1], d)
             r_q, r_Q = per_column_probes(Q, q, t)
             del calls[:]
-            d_q, d_Q, n = force_jacobians(Q, q, force(Q, q), acc)
+            d_q, d_Q, n = force_jacobians(Q, q, force(Q, q), route)
             assert n == len(calls) == 2 * d
             assert np.array_equal(d_q, r_q) and np.array_equal(d_Q, r_Q)
 
@@ -177,7 +178,7 @@ class TestStepJacobian:
         t = QuarticGeneralizedGaussian(4)
         rng = np.random.default_rng(0)
         state = PhaseState(rng.standard_normal(4), rng.standard_normal(4))
-        rec = trajectory(state, t, DmmSolverConfig(tau=0.1), 3, JacobianMode("J0"))
+        rec = trajectory(state, t, StepScratch(t, DmmSolverConfig(tau=0.1), JacobianMode("J0")), 3)
         assert rec.jacobian is None
 
     def test_j1_trace_value(self):
@@ -291,10 +292,10 @@ class TestStepJacobian:
             for tau in taus[:20]:
                 q = rng.uniform(-2, 2, 5)
                 Q = q + rng.uniform(0.05, 1.0, 5) * rng.choice([-1, 1], 5)
-                acc, as_float = accumulator(t, mode, tau), accumulator(t, mode, tau)
+                route, as_float = chain_scratch(t, mode, tau), chain_scratch(t, mode, tau)
                 as_float.half2 = 0.25 * tau * tau
-                f0 = acc.force(Q, q)
-                assert step_jacobian(Q, q, f0, acc) == step_jacobian(Q, q, f0, as_float)
+                f0 = route.force(Q, q)
+                assert step_jacobian(Q, q, f0, route) == step_jacobian(Q, q, f0, as_float)
 
     def test_separable_jfull_log_sums_to_fsum_accuracy(self):
         # d = 10240 logs per determinant: the step's log|J| stays within 5e-14
@@ -339,7 +340,7 @@ def trajectory_product(monkeypatch, factors):
     pairs = iter([(math.copysign(1.0, t), math.log(abs(t))) if t else (0.0, -math.inf)
                   for t in factors])
     monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (*next(pairs), 0))
-    acc = accumulator(QuarticGeneralizedGaussian(1))
+    acc = JacobianAccumulator(chain_scratch(QuarticGeneralizedGaussian(1)))
     for _ in factors:
         acc(None, None, None)
     return acc.product
@@ -378,8 +379,8 @@ class TestTrajectoryJacobian:
         t = QuarticGeneralizedGaussian(d) if separable else PerComponentQuartic(d)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=10)
         state = PhaseState(quartic_draws(rng, d), rng.standard_normal(d))
-        reused = trajectory(state, t, cfg, n_steps, JacobianMode(kind)).jacobian
-        recomputed = JacobianAccumulator(JacobianMode(kind), StepScratch(t, cfg))
+        reused = trajectory(state, t, StepScratch(t, cfg, JacobianMode(kind)), n_steps).jacobian
+        recomputed = JacobianAccumulator(StepScratch(t, cfg, JacobianMode(kind)))
         for q_in, *_, rec in steps:
             recomputed(q_in, rec.q, t.closed_form_force(rec.q, q_in))
         assert len(steps) == n_steps
@@ -392,17 +393,18 @@ class TestTrajectoryJacobian:
         t = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
         cfg = DmmSolverConfig(tau=0.1, delta=1e-12, max_fpi=100)
         state = PhaseState([0.5, -0.4], [1.0, 0.3])
-        rec = trajectory(state, t, cfg, 40, JacobianMode("JFull", "analytic"))
+        rec = trajectory(state, t, StepScratch(t, cfg, JacobianMode("JFull", "analytic")), 40)
         assert rec.jacobian.product == pytest.approx(1.0, abs=1e-10)
 
     def test_default_mode_is_j0(self, monkeypatch):
-        # a trajectory without a mode is J0's: no factor and no probe call
+        # a scratch built without a mode is J0's: its trajectories build no
+        # factor and make no probe call
         rng = np.random.default_rng(53)
         t, cfg = QuarticGeneralizedGaussian(6), DmmSolverConfig(tau=0.1)
         state = PhaseState(rng.standard_normal(6), rng.standard_normal(6))
-        explicit = trajectory(state, t, cfg, 8, JacobianMode("J0"))
+        explicit = trajectory(state, t, StepScratch(t, cfg, JacobianMode("J0")), 8)
         monkeypatch.setattr(jacobian, "force_jacobians", None)
-        default = trajectory(state, t, cfg, 8)
+        default = trajectory(state, t, StepScratch(t, cfg), 8)
         assert default.jacobian is None is explicit.jacobian
         assert np.array_equal(default.q, explicit.q) and np.array_equal(default.p, explicit.p)
         assert ((default.total_force_evaluations, default.total_fpi_iterations,
@@ -419,22 +421,22 @@ class TestTrajectoryJacobian:
         t, mode = BlackBoxQuartic(4), JacobianMode(kind)
         cfg = DmmSolverConfig(tau=0.1, delta=1e-10, dd_guard=1e-3)
         state = PhaseState([0.3, -0.8, 1.1, 0.05], [1.0, 1e-3, -0.5, 2e-3])
-        factor = trajectory(state, t, cfg, 6, mode).jacobian
+        factor = trajectory(state, t, StepScratch(t, cfg, mode), 6).jacobian
         assert len(steps) == 6
         assert any((np.abs(rec.q - q_in) < 1e-3 * np.maximum(1.0, np.abs(q_in))).any()
                    for q_in, *_, rec in steps)
 
         def hand_loop(scratch):
-            acc, sign, log_abs, n = JacobianAccumulator(mode, scratch), 1.0, 0.0, 0
+            sign, log_abs, n = 1.0, 0.0, 0
             for q_in, *_, rec in steps:
-                s, lg, k = step_jacobian(rec.q, q_in, rec.force, acc)
+                s, lg, k = step_jacobian(rec.q, q_in, rec.force, scratch)
                 sign, log_abs, n = sign * s, log_abs + lg, n + k
             return sign, log_abs, n
 
-        own = hand_loop(StepScratch(t, cfg))
+        own = hand_loop(StepScratch(t, cfg, mode))
         assert (factor.sign, factor.log_abs, factor.extra_force_evals) == own
         assert own[2] == 6 * 2 * 4
-        default = hand_loop(StepScratch(t, DmmSolverConfig(tau=0.1)))
+        default = hand_loop(StepScratch(t, DmmSolverConfig(tau=0.1), mode))
         assert default[1] != own[1]
 
 
@@ -448,7 +450,8 @@ class TestProductPastTheFloatRange:
                             jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(5, 0)
         theta = quartic_draws(rng, d)
-        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache())
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache(), scratch)
         assert out.jacobian_product == math.inf
         assert math.isfinite(out.delta_H) and out.all_steps_converged
         assert out.alpha == 1.0 and out.accepted and new_theta is not theta
@@ -461,9 +464,9 @@ class TestProductPastTheFloatRange:
 
         monkeypatch.setattr(jacobian, "step_jacobian", lambda *args: (1.0, -20.0, 0))
 
-        def energy_drop(state, target, cfg, n_steps, jacobian_mode, u_in=None):
+        def energy_drop(state, target, scratch, n_steps, u_in=None):
             q_out = state.q + 1.0
-            factor = JacobianAccumulator(jacobian_mode, StepScratch(target, cfg))
+            factor = JacobianAccumulator(scratch)
             for _ in range(n_steps):
                 factor(state.q, q_out, None)
             return TrajectoryRecord(q_out, state.p, n_steps, n_steps, True, 900.0, 0.0, 900.0,
@@ -472,9 +475,9 @@ class TestProductPastTheFloatRange:
         monkeypatch.setattr(samplers, "trajectory", energy_drop)
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=4.0, iterations=1,
                             jacobian_mode=JacobianMode("J1", "analytic"))
-        theta = np.zeros(2)
-        new_theta, out = chmc_iteration(theta, QuarticGeneralizedGaussian(2),
-                                        cfg, chain_rng(0, 0), StateCache())
+        theta, t = np.zeros(2), QuarticGeneralizedGaussian(2)
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
+        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0), StateCache(), scratch)
         assert out.jacobian_product == 0.0 and out.delta_H == -900.0
         assert out.alpha == 1.0 and out.accepted
         np.testing.assert_array_equal(new_theta, theta + 1.0)
@@ -569,3 +572,20 @@ class TestModeValidation:
     def test_rejects_unknown_source(self):
         with pytest.raises(ValueError):
             JacobianMode("J1", "symbolic")
+
+    @pytest.mark.parametrize("kind", ["J1", "JFull"])
+    def test_analytic_source_refused_when_the_scratch_is_built(self, kind):
+        # the chain's StepScratch is where the route is settled, so a direct
+        # caller meets the refusal there too, with no target call, and no
+        # factor can fall back to finite differences; the other modes build
+        class NoJacobians(CountingQuartic):
+            closed_form_force_jacobian_diag = None
+
+        t, cfg = NoJacobians(3), DmmSolverConfig(tau=0.1)
+        with pytest.raises(ValueError, match="needs the target's closed_form_force_jacobian_diag "
+                                             "or closed_form_force_jacobian"):
+            StepScratch(t, cfg, JacobianMode(kind, "analytic"))
+        assert t.target_calls() == 0
+        for mode in (JacobianMode(kind), JacobianMode("J0", "analytic")):
+            assert StepScratch(t, cfg, mode).closed_form is None
+        assert t.target_calls() == 0

@@ -8,7 +8,7 @@ from chmc import (
     QuarticGeneralizedGaussian,
     SamplerConfig,
 )
-from chmc.integrators import TrajectoryRecord
+from chmc.integrators import StepScratch, TrajectoryRecord
 from chmc.phase import PhaseState, hamiltonian, kinetic
 from chmc.samplers import StateCache, chmc_iteration, hmc_iteration
 from support import MultivariateGaussian
@@ -153,8 +153,9 @@ class TestMomentumRefresh:
         cfg = SamplerConfig(method, 0.1, 0.5, iterations=1)
         theta, target = np.zeros(d), QuarticGeneralizedGaussian(d)
         cache = StateCache()
+        chain = (StepScratch(target, cfg.solver, cfg.jacobian_mode),) if method == "chmc" else ()
         for _ in range(iterations):
-            iterate(theta, target, cfg, rng, cache)
+            iterate(theta, target, cfg, rng, cache, *chain)
         return np.array(drawn)
 
     def test_identity_variance(self, monkeypatch):

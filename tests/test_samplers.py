@@ -16,7 +16,7 @@ from chmc import (
     run_chain,
 )
 from chmc import samplers
-from chmc.integrators import trajectory
+from chmc.integrators import StepScratch, trajectory
 from chmc.phase import PhaseState
 from chmc.samplers import (
     StateCache,
@@ -210,7 +210,8 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=1e-6, total_time=1e-6, iterations=2, seed=9)
         rng = chain_rng(9, 0)
         theta = np.array([0.3, -0.8, 0.5])
-        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache())
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache(), scratch)
         assert out.alpha >= 1.0 - 1e-6
         assert out.accepted
         np.testing.assert_allclose(new_theta, theta, atol=1e-5)
@@ -223,8 +224,9 @@ class TestChmcIteration:
                             jacobian_mode=JacobianMode("JFull", "analytic"))
         rng = chain_rng(4, 0)
         theta, cache = np.array([0.5, 0.5]), StateCache()
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
         for _ in range(5):
-            theta, out = chmc_iteration(theta, t, cfg, rng, cache)
+            theta, out = chmc_iteration(theta, t, cfg, rng, cache, scratch)
             assert out.jacobian_product == pytest.approx(1.0, abs=1e-12)
             assert out.alpha == pytest.approx(
                 acceptance_probability(out.delta_H, 1.0, 0.0), rel=1e-12)
@@ -236,8 +238,9 @@ class TestChmcIteration:
 
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=1.0, iterations=2, seed=2)
         rng = chain_rng(2, 0)
-        theta = np.array([0.5])
-        new_theta, out = chmc_iteration(theta, Nan(1), cfg, rng, StateCache())
+        theta, t = np.array([0.5]), Nan(1)
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
+        new_theta, out = chmc_iteration(theta, t, cfg, rng, StateCache(), scratch)
         assert not out.accepted and out.alpha == 0.0
         assert new_theta is theta
 
@@ -248,10 +251,11 @@ class TestChmcIteration:
         cfg = SamplerConfig(method="chmc", tau=0.1, total_time=0.3, iterations=2, seed=0)
         theta = np.array([0.9])
         p0 = chain_rng(0, 0).standard_normal(1)
-        rec = trajectory(PhaseState(theta, p0), t, cfg.solver, cfg.n_steps)
+        scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
+        rec = trajectory(PhaseState(theta, p0), t, scratch, cfg.n_steps)
         assert rec.h_out == math.inf and not rec.all_converged
         assert abs(rec.q[0]) > 1.0 and np.isfinite(rec.p).all()
-        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0), StateCache())
+        new_theta, out = chmc_iteration(theta, t, cfg, chain_rng(0, 0), StateCache(), scratch)
         assert not out.accepted and out.alpha == 0.0 and out.delta_H == math.inf
         assert new_theta is theta
 
@@ -265,9 +269,10 @@ class TestChmcIteration:
                                 solver=DmmSolverConfig(tau=0.1, delta=1e-8, max_fpi=25))
             rng = chain_rng(13, 0)
             theta, cache = rng.standard_normal(4), StateCache()
+            scratch = StepScratch(t, cfg.solver, cfg.jacobian_mode)
             n_delta = cfg.n_steps * cfg.solver.delta
             for _ in range(cfg.iterations):
-                theta, out = chmc_iteration(theta, t, cfg, rng, cache)
+                theta, out = chmc_iteration(theta, t, cfg, rng, cache, scratch)
                 if out.all_steps_converged:
                     bound = min(1.0, math.exp(-n_delta) * out.jacobian_product)
                     assert out.alpha + 1e-14 >= bound
@@ -337,14 +342,18 @@ def cached_chain(cfg, target, mass):
 
 def reference_chain(cfg, target):
     """The chain of run_chain, with every iteration evaluating U and the first
-    half-kick at theta afresh (an empty cache each time)."""
+    half-kick at theta afresh (an empty cache each time), and every
+    conservative iteration on a fresh ``StepScratch`` where run_chain shares
+    one."""
     rng = chain_rng(cfg.seed, 0)
-    iterate = chmc_iteration if cfg.method == "chmc" else hmc_iteration
+    chmc = cfg.method == "chmc"
+    iterate = chmc_iteration if chmc else hmc_iteration
     theta = initial_position(cfg, target.dim, rng)
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            theta, o = iterate(theta, target, cfg, rng, StateCache())
+            fresh = (StepScratch(target, cfg.solver, cfg.jacobian_mode),) if chmc else ()
+            theta, o = iterate(theta, target, cfg, rng, StateCache(), *fresh)
             seen.append((theta.copy(), o.accepted, o.delta_H, o.alpha, o))
     return seen
 
@@ -371,8 +380,10 @@ def chain_setup(name, target_cls=QuarticGeneralizedGaussian, d=3, **kw):
 
 
 class TestStateCache:
-    """run_chain carries U and leapfrog's first half-kick at theta: fewer target
-    calls, the same chain as recomputing both every iteration."""
+    """run_chain carries U and leapfrog's first half-kick at theta, and shares
+    one StepScratch between a conservative chain's trajectories: fewer target
+    calls and builds, the same chain as recomputing both values and building
+    the scratch every iteration."""
 
     def test_iterations_require_the_cache(self):
         # run_chain always passes one; a fresh StateCache recomputes both values
@@ -533,6 +544,40 @@ class TestRunChain:
             run_chain(quartic_cfg(iterations=2, jacobian_mode=mode), t, MassMatrix.identity(3),
                       sinks=sink)
         assert seen == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("kind", ["J0", "J1", "JFull"])
+    def test_one_step_scratch_per_chain(self, monkeypatch, kind):
+        # run_chain builds the chain's one StepScratch, which runs the one
+        # capability check, and hands it to every trajectory; when each
+        # trajectory built its own, a 5-iteration chain built 6 scratches and
+        # a J1 or JFull one also ran analytic_jacobians 6 times
+        import chmc.integrators as integrators
+        import chmc.jacobian as jacobian
+
+        built, checks, handed = [], [], []
+        init, check = integrators.StepScratch.__init__, jacobian.analytic_jacobians
+
+        def counted_init(scratch, *args, **kwargs):
+            built.append(scratch)
+            init(scratch, *args, **kwargs)
+
+        def counted_check(*args):
+            checks.append(args)
+            return check(*args)
+
+        def handing(state, target, scratch, *args, **kwargs):
+            handed.append(scratch)
+            return trajectory(state, target, scratch, *args, **kwargs)
+
+        monkeypatch.setattr(integrators.StepScratch, "__init__", counted_init)
+        for module in (jacobian, integrators, samplers):
+            if hasattr(module, "analytic_jacobians"):
+                monkeypatch.setattr(module, "analytic_jacobians", counted_check)
+        monkeypatch.setattr(samplers, "trajectory", handing)
+        cfg = quartic_cfg(iterations=5, jacobian_mode=JacobianMode(kind, "analytic"))
+        run_chain(cfg, QuarticGeneralizedGaussian(3), MassMatrix.identity(3))
+        assert len(built) == 1 and len(checks) == 1
+        assert len(handed) == 5 and all(s is built[0] for s in handed)
 
     def test_explicit_initial_state_dimension_checked(self):
         t = QuarticGeneralizedGaussian(2)

@@ -90,7 +90,7 @@ class TestPerfbenchHooks:
 
     def test_the_trajectory_owns_its_jacobian_factor(self):
         # the layers run jacobian <- integrators <- samplers, and none of them
-        # imports targets: the trajectory builds the factor on its solve's
+        # imports targets: the trajectory builds the factor over its chain's
         # StepScratch, so no hook, no relayed guard and no J0 branch is left
         # above it, and the factor's route is settled from the scratch alone
         src = ROOT / "src" / "chmc"
@@ -108,7 +108,7 @@ class TestPerfbenchHooks:
             and "potential" in {x.arg for x in node.args.posonlyargs + node.args.args
                                 + node.args.kwonlyargs}]
         assert potential_params == []
-        # the force-Jacobian capabilities are read once per trajectory, by its
+        # the force-Jacobian capabilities are read once per chain, by its
         # StepScratch; targets.py only defines them
         readers = []
         for path in sorted(src.glob("*.py")):
@@ -147,6 +147,34 @@ class TestPerfbenchHooks:
         assert guard_params == []
         assert accumulators == []
         assert j0_tests == []
+
+    def test_the_chain_settles_the_step_and_the_route_once(self):
+        # run_chain builds the chain's StepScratch, whose construction is the
+        # one caller of analytic_jacobians; the trajectory takes the scratch,
+        # no solver or mode, and has no J0 branch of its own
+        src = ROOT / "src" / "chmc"
+        callers = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = {}  # each node's module-level function or method
+            for top in tree.body:
+                members = top.body if isinstance(top, ast.ClassDef) else [top]
+                for fn in members:
+                    if isinstance(fn, ast.FunctionDef):
+                        prefix = f"{top.name}." if top is not fn else ""
+                        scopes.update((inner, prefix + fn.name) for inner in ast.walk(fn))
+            callers += [f"{path.stem}.{scopes.get(node, '-')}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and "analytic_jacobians" in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None))]
+        assert callers == ["integrators.StepScratch.__init__"]
+        tree = ast.parse((src / "integrators.py").read_text(encoding="utf-8"))
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "trajectory")
+        annotations = {ast.unparse(a.annotation) for a in fn.args.args if a.annotation}
+        assert not annotations & {"DmmSolverConfig", "JacobianMode"}
+        assert [a.arg for a in fn.args.args][:4] == ["state", "potential", "scratch", "n_steps"]
+        assert not [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Constant)
+                    and node.value == "J0"]
 
     def test_one_floating_point_policy_per_layer(self):
         # run_chain holds the chain's overflow/invalid policy around every
